@@ -4,7 +4,9 @@ Each predicate evaluates a floating-point determinant and accepts its sign
 when the magnitude clears a forward error bound. Inputs inside the
 uncertainty band are re-evaluated in rational arithmetic, so callers always
 receive the mathematically exact sign, at float speed for all but
-near-degenerate configurations.
+near-degenerate configurations. The batched forms run the same filter over
+whole arrays in numpy and hand only the undecided rows to the scalar
+predicate.
 """
 
 from __future__ import annotations
@@ -185,6 +187,84 @@ def simplex_orientation(points):
         for i in range(d)
     ]
     return _sign(_det_fraction(rows))
+
+
+def orient2d_signs(a, b, c):
+    """Exact :func:`orient2d` signs for K point triples at once.
+
+    ``a``, ``b`` and ``c`` are (K, 2) arrays; row k of the int8 result is
+    ``orient2d(*a[k], *b[k], *c[k])``. The determinant and its error bound
+    are the scalar filter's float operations, evaluated in numpy; rows the
+    bound cannot decide are settled by :func:`orient2d` itself.
+    """
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
+        detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+        det = detleft - detright
+        detsum = np.abs(detleft) + np.abs(detright)
+        decided = np.abs(det) > _CCW_BOUND * detsum
+    out = np.where(det > 0.0, 1, -1).astype(np.int8)
+    for k in np.flatnonzero(~decided).tolist():
+        out[k] = orient2d(*a[k].tolist(), *b[k].tolist(), *c[k].tolist())
+    return out
+
+
+def orient3d_signs(pa, pb, pc, pd):
+    """Exact :func:`orient3d` signs for K point quadruples at once.
+
+    Each argument is a (K, 3) array; row k of the int8 result is
+    ``orient3d(pa[k], pb[k], pc[k], pd[k])``, filtered in numpy with the
+    scalar bound and settled by :func:`orient3d` where the bound cannot
+    decide.
+    """
+    pa, pb, pc, pd = (np.asarray(v, dtype=float) for v in (pa, pb, pc, pd))
+    with np.errstate(over="ignore", invalid="ignore"):
+        adx, ady, adz = (pa - pd).T
+        bdx, bdy, bdz = (pb - pd).T
+        cdx, cdy, cdz = (pc - pd).T
+
+        bdxcdy = bdx * cdy
+        cdxbdy = cdx * bdy
+        cdxady = cdx * ady
+        adxcdy = adx * cdy
+        adxbdy = adx * bdy
+        bdxady = bdx * ady
+
+        det = (
+            adz * (bdxcdy - cdxbdy)
+            + bdz * (cdxady - adxcdy)
+            + cdz * (adxbdy - bdxady)
+        )
+        permanent = (
+            (np.abs(bdxcdy) + np.abs(cdxbdy)) * np.abs(adz)
+            + (np.abs(cdxady) + np.abs(adxcdy)) * np.abs(bdz)
+            + (np.abs(adxbdy) + np.abs(bdxady)) * np.abs(cdz)
+        )
+        decided = np.abs(det) > _O3D_BOUND * permanent
+    out = np.where(det > 0.0, 1, -1).astype(np.int8)
+    for k in np.flatnonzero(~decided).tolist():
+        out[k] = orient3d(pa[k].tolist(), pb[k].tolist(), pc[k].tolist(), pd[k].tolist())
+    return out
+
+
+def simplex_orientations(points):
+    """Exact :func:`simplex_orientation` signs for M simplices at once.
+
+    ``points`` is an (M, d+1, d) array of simplex vertex coordinates. The
+    result is an int8 array of signs; d = 2 and 3 go through the batched
+    filters, d = 1 compares coordinates directly, and higher dimensions
+    evaluate each simplex with :func:`simplex_orientation`.
+    """
+    p = np.asarray(points, dtype=float)
+    d = p.shape[2]
+    if d == 1:
+        return np.sign(p[:, 1, 0] - p[:, 0, 0]).astype(np.int8)
+    if d == 2:
+        return orient2d_signs(p[:, 0], p[:, 1], p[:, 2])
+    if d == 3:
+        return orient3d_signs(p[:, 1], p[:, 2], p[:, 3], p[:, 0])
+    return np.array([simplex_orientation(q) for q in p], dtype=np.int8)
 
 
 def signed_volumes(coords, simplices):

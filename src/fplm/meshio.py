@@ -231,27 +231,46 @@ def read_embedding_csv(text: str) -> np.ndarray:
     """Read an id,y0,... CSV back into an (N, d) array, id-ordered.
 
     Accepts third-party embeddings as long as the header starts with an id
-    column; ids must cover 0..N-1.
+    column; ids must cover 0..N-1 and every coordinate must be finite.
+    Malformed rows raise :class:`ParseError` with their 1-based line number.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
+    rows = [
+        (lineno, ln)
+        for lineno, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip()
+    ]
+    if len(rows) < 2:
         raise ValueError("embedding CSV has no data rows")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in rows[0][1].split(",")]
     if header[0] != "id" or len(header) < 2:
         raise ValueError("embedding CSV header must be id,y0,...")
     d = len(header) - 1
-    n = len(lines) - 1
-    coords = np.full((n, d), np.nan)
-    for lineno, ln in enumerate(lines[1:], start=2):
+    n = len(rows) - 1
+    ids = []
+    values = []
+    for lineno, ln in rows[1:]:
         parts = ln.split(",")
         if len(parts) != d + 1:
-            raise ValueError(f"line {lineno}: expected {d + 1} fields, got {len(parts)}")
-        i = int(parts[0])
+            raise ParseError(lineno, f"expected {d + 1} fields, got {len(parts)}")
+        try:
+            i = int(parts[0])
+            values.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
         if not (0 <= i < n):
-            raise ValueError(f"line {lineno}: id {i} out of range [0, {n})")
-        coords[i] = [float(p) for p in parts[1:]]
-    if np.isnan(coords).any():
-        raise ValueError("embedding CSV ids do not cover 0..N-1")
+            raise ParseError(lineno, f"id {i} out of range [0, {n})")
+        ids.append(i)
+    values = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ParseError(rows[1 + bad[0]][0], "coordinate is not finite (NaN or inf)")
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    if not seen.all():
+        missing = int(np.argmin(seen))
+        raise ValueError(f"embedding CSV ids do not cover 0..N-1 (id {missing} is missing)")
+    coords = np.empty((n, d))
+    coords[ids] = values
     return coords
 
 

@@ -133,10 +133,11 @@ def mesh_edges(mesh: SimplicialMesh) -> np.ndarray:
 def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViolation]:
     """Check the d-simplex decomposition invariants.
 
-    Verifies that no simplex repeats a vertex, every (d-1)-face is shared
-    by at most two simplices, the face-adjacency graph is connected, and no
-    simplex is degenerate, where degenerate means Gram-determinant volume
-    below ``vol_tol`` times (bounding-box diameter)^d.
+    Verifies that every vertex coordinate is finite, no simplex repeats a
+    vertex, every (d-1)-face is shared by at most two simplices, the
+    face-adjacency graph is connected, and no simplex is degenerate, where
+    degenerate means Gram-determinant volume below ``vol_tol`` times
+    (bounding-box diameter)^d.
 
     Returns a list of violations, empty when the mesh is a valid
     decomposition. Violations are data; nothing raises here.
@@ -146,6 +147,17 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
     d = mesh.intrinsic_dim
     if s.shape[0] == 0:
         return [MeshViolation("empty", (), "mesh contains no simplices")]
+
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    for idx in np.flatnonzero(~finite):
+        out.append(
+            MeshViolation(
+                "non-finite-vertex",
+                (int(idx),),
+                f"vertex {int(idx)} has a non-finite coordinate "
+                f"{tuple(float(x) for x in mesh.vertices[idx])}",
+            )
+        )
 
     sorted_rows = np.sort(s, axis=1)
     repeated = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
@@ -182,13 +194,16 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
             )
         )
 
-    diam = bbox_diameter(mesh.vertices)
-    vols = simplex_volumes(mesh.vertices, s, d)
+    # simplices on a non-finite vertex are reported above, not measured
+    diam = bbox_diameter(mesh.vertices[finite])
+    measured = finite[s].all(axis=1)
+    vols = np.zeros(s.shape[0])
+    vols[measured] = simplex_volumes(mesh.vertices, s[measured], d)
     threshold = vol_tol * diam**d
     if diam == 0.0:
-        degenerate = np.ones(s.shape[0], dtype=bool)
+        degenerate = measured
     else:
-        degenerate = vols < threshold
+        degenerate = measured & (vols < threshold)
     for idx in np.nonzero(degenerate)[0]:
         out.append(
             MeshViolation(

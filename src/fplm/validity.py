@@ -8,18 +8,27 @@ boundary image, and the convex-combination identity at free vertices.
 
 Crossing and orientation signs come from exact predicates, so the counts
 are discrete facts rather than tolerance judgments; only the near-zero
-volume classification and the convexity margin use tolerances.
+volume classification and the convexity margin use tolerances. Both run
+vectorised: a sweep-and-prune over segment bounding boxes finds the
+candidate edge pairs, and the batched filtered predicates of
+:mod:`fplm.geometry` decide every pair and simplex in numpy, leaving only
+near-degenerate rows to exact rational arithmetic. Edge pairs that share a
+vertex index take a single turn test (see :func:`count_crossings`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import bbox_diameter, orient2d, signed_volumes, simplex_orientation
+from .geometry import (
+    bbox_diameter,
+    orient2d_signs,
+    signed_volumes,
+    simplex_orientations,
+)
 from .laplacian import WeightedGraph
 from .mapping import Embedding, FixedPointSet
 from .simplicial import (
@@ -144,9 +153,19 @@ def count_crossings(edges, coords) -> CrossingResult:
     A pair counts when the open segments properly intersect, or when the
     segments are collinear and overlap over positive length. Pairs sharing
     a vertex index are intersection-free unless they overlap beyond the
-    shared point. A uniform spatial hash grid prunes the candidate pairs;
-    a full quadratic scan covers degenerate extents. Both paths run the
-    same exact narrow phase, so the count is exact.
+    shared point.
+
+    The broad phase is a sweep-and-prune over bounding boxes: segments are
+    sorted by min-x, each one's x-overlap range is found by binary search,
+    and the pairs in it are kept when their y-ranges overlap too. Pairs are
+    generated in blocks of at most ``_PAIR_BLOCK`` (or one segment's
+    range), so memory stays O(E) plus one block. The narrow phase runs the
+    batched filtered predicate :func:`orient2d_signs`, whose undecided rows
+    take the exact scalar path. A pair that shares a vertex index needs one
+    turn only, of the other segment's unshared endpoint against the
+    segment: the shared point's own turn is 0 by construction, and the pair
+    is collinear exactly when that one turn is 0 too. Non-finite
+    coordinates raise ``ValueError``.
     """
     e = np.asarray(edges, dtype=np.int64)
     p = np.asarray(coords, dtype=float)
@@ -154,130 +173,102 @@ def count_crossings(edges, coords) -> CrossingResult:
         raise ValueError("count_crossings expects (N, 2) coordinates")
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError("edges must be index pairs")
-    n_edges = e.shape[0]
-    if n_edges < 2:
+    if not np.isfinite(p).all():
+        raise ValueError("coordinates must be finite (found NaN or inf)")
+    if e.shape[0] < 2:
         return CrossingResult(0, ())
 
-    pa = p[e[:, 0]]
-    pb = p[e[:, 1]]
-    lo = np.minimum(pa, pb)
-    hi = np.maximum(pa, pb)
-
-    # plain float lists keep the exact narrow phase in scalar Python
-    ends = np.hstack([pa, pb]).tolist()
-    idx = e.tolist()
-
-    candidates = _grid_candidates(lo, hi, n_edges)
+    seg = np.hstack([p[e[:, 0]], p[e[:, 1]]])  # rows (x0, y0, x1, y1)
+    lo = np.minimum(seg[:, :2], seg[:, 2:])
+    hi = np.maximum(seg[:, :2], seg[:, 2:])
+    order = np.argsort(lo[:, 0], kind="stable")
     hits = []
-    for i, j in candidates:
-        if _pair_crosses(idx[i], idx[j], ends[i], ends[j]):
-            hits.append((i, j))
-    hits.sort()
-    return CrossingResult(len(hits), tuple(hits))
+    for i, j in _sweep_pairs(lo[order], hi[order]):
+        a = np.minimum(order[i], order[j])
+        b = np.maximum(order[i], order[j])
+        crossed = _pairs_cross(e[a], e[b], seg[a], seg[b])
+        hits.append(np.column_stack([a[crossed], b[crossed]]))
+    pairs = np.vstack(hits)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return CrossingResult(len(pairs), tuple(map(tuple, pairs.tolist())))
 
 
-_GRID_CELL_BUDGET = 4_000_000
+_PAIR_BLOCK = 1 << 14
 
 
-def _grid_candidates(lo, hi, n_edges):
-    """Candidate pairs whose bounding boxes share a grid cell.
+def _sweep_pairs(lo, hi):
+    """Yield blocks of box-overlapping pairs (i, j), i < j, of x-sorted boxes.
 
-    Cell size follows the median segment extent. Intersecting segments have
-    overlapping boxes, and overlapping boxes share a cell, so no true pair
-    is ever pruned. Degenerate spreads and rasterization blowups fall back
-    to a vectorized quadratic box-overlap scan, which is still exact.
+    Box j > i overlaps box i in x exactly when lo[j, x] <= hi[i, x], so the
+    x-partners of i are the run i+1 .. stop[i]-1 found by binary search;
+    the y-overlap test then filters each block of candidate pairs.
     """
-    extent = (hi - lo).max(axis=1)
-    h = float(np.median(extent))
-    span = float((hi.max(axis=0) - lo.min(axis=0)).max())
-    if h <= 0.0:
-        h = span / 64.0
-    if h <= 0.0 or n_edges <= 64:
-        return _bbox_candidates(lo, hi, n_edges)
-
-    ix0 = np.floor(lo[:, 0] / h).astype(np.int64)
-    iy0 = np.floor(lo[:, 1] / h).astype(np.int64)
-    ix1 = np.floor(hi[:, 0] / h).astype(np.int64)
-    iy1 = np.floor(hi[:, 1] / h).astype(np.int64)
-    cells = (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
-    if int(cells.sum()) > _GRID_CELL_BUDGET:
-        return _bbox_candidates(lo, hi, n_edges)
-
-    buckets: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for s in range(n_edges):
-        for cx in range(ix0[s], ix1[s] + 1):
-            for cy in range(iy0[s], iy1[s] + 1):
-                buckets[(cx, cy)].append(s)
-
-    seen: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        k = len(members)
-        if k < 2:
-            continue
-        for u in range(k):
-            su = members[u]
-            for v in range(u + 1, k):
-                sv = members[v]
-                pair = (su, sv) if su < sv else (sv, su)
-                if pair in seen:
-                    continue
-                i, j = pair
-                # bounding boxes must overlap in both axes
-                if (
-                    lo[i, 0] <= hi[j, 0]
-                    and lo[j, 0] <= hi[i, 0]
-                    and lo[i, 1] <= hi[j, 1]
-                    and lo[j, 1] <= hi[i, 1]
-                ):
-                    seen.add(pair)
-    return sorted(seen)
+    n = lo.shape[0]
+    stop = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    counts = stop - np.arange(1, n + 1)
+    first = np.concatenate([[0], np.cumsum(counts)])  # pairs before row r
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(first, first[r0] + _PAIR_BLOCK, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        rows = np.arange(r0, r1)
+        i = np.repeat(rows, counts[r0:r1])
+        # position of each pair within its row's run: 0, 1, ..., counts[i] - 1
+        offset = np.arange(first[r0], first[r1]) - np.repeat(first[r0:r1], counts[r0:r1])
+        j = i + 1 + offset
+        keep = (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
+        yield i[keep], j[keep]
+        r0 = r1
 
 
-def _bbox_candidates(lo, hi, n_edges):
-    """All pairs with overlapping bounding boxes, row-vectorized."""
-    out = []
-    for i in range(n_edges - 1):
-        sel = np.nonzero(
-            (lo[i + 1 :, 0] <= hi[i, 0])
-            & (lo[i, 0] <= hi[i + 1 :, 0])
-            & (lo[i + 1 :, 1] <= hi[i, 1])
-            & (lo[i, 1] <= hi[i + 1 :, 1])
-        )[0]
-        out.extend((i, int(i + 1 + j)) for j in sel)
-    return out
+def _pairs_cross(ei, ej, si, sj):
+    """Exact narrow phase for K segment pairs, as a boolean mask.
 
-
-def _pair_crosses(ei, ej, si, sj) -> bool:
-    """Exact narrow phase for one segment pair.
-
-    ei/ej are the vertex index pairs, si/sj the flattened coordinates
+    ei/ej are the (K, 2) vertex index pairs, si/sj the (K, 4) coordinates
     (x0, y0, x1, y1) of each segment.
     """
-    ax, ay, bx, by = si
-    cx, cy, dx, dy = sj
-    o1 = orient2d(ax, ay, bx, by, cx, cy)
-    o2 = orient2d(ax, ay, bx, by, dx, dy)
-    o3 = orient2d(cx, cy, dx, dy, ax, ay)
-    o4 = orient2d(cx, cy, dx, dy, bx, by)
-    if o1 == 0 and o2 == 0 and o3 == 0 and o4 == 0:
-        return _collinear_overlap(si, sj)
-    if ei[0] in ej or ei[1] in ej:
-        # sharing a vertex and not collinear: endpoint contact only
-        return False
-    return o1 * o2 < 0 and o3 * o4 < 0
+    a, b, c, d = si[:, :2], si[:, 2:], sj[:, :2], sj[:, 2:]
+    c_shared = (ej[:, 0] == ei[:, 0]) | (ej[:, 0] == ei[:, 1])
+    d_shared = (ej[:, 1] == ei[:, 0]) | (ej[:, 1] == ei[:, 1])
+    shared = c_shared | d_shared
+    hit = np.zeros(len(ei), dtype=bool)
+    collinear = np.zeros(len(ei), dtype=bool)
+
+    # sharing a vertex and not collinear: endpoint contact only
+    sh = np.flatnonzero(shared)
+    unshared = np.where(c_shared[sh, None], d[sh], c[sh])
+    collinear[sh] = orient2d_signs(a[sh], b[sh], unshared) == 0
+
+    # disjoint indices: c and d must straddle line ab, then a and b line cd
+    ns = np.flatnonzero(~shared)
+    o1 = orient2d_signs(a[ns], b[ns], c[ns])
+    o2 = orient2d_signs(a[ns], b[ns], d[ns])
+    straddle = o1 * o2 < 0
+    flat = (o1 == 0) & (o2 == 0)
+    both = straddle | flat
+    ns = ns[both]
+    o3 = orient2d_signs(c[ns], d[ns], a[ns])
+    o4 = orient2d_signs(c[ns], d[ns], b[ns])
+    hit[ns] = straddle[both] & (o3 * o4 < 0)
+    collinear[ns] = flat[both] & (o3 == 0) & (o4 == 0)
+
+    col = np.flatnonzero(collinear)
+    hit[col] = _collinear_overlap(si[col], sj[col])
+    return hit
 
 
-def _collinear_overlap(si, sj) -> bool:
-    """Positive-length 1-D overlap of collinear segments (exact on floats)."""
-    ax, ay, bx, by = si
-    cx, cy, dx, dy = sj
-    if max(abs(ax - bx), abs(cx - dx)) >= max(abs(ay - by), abs(cy - dy)):
-        a_lo, a_hi = (ax, bx) if ax <= bx else (bx, ax)
-        b_lo, b_hi = (cx, dx) if cx <= dx else (dx, cx)
-    else:
-        a_lo, a_hi = (ay, by) if ay <= by else (by, ay)
-        b_lo, b_hi = (cy, dy) if cy <= dy else (dy, cy)
-    return max(a_lo, b_lo) < min(a_hi, b_hi)
+def _collinear_overlap(si, sj):
+    """Positive-length 1-D overlap of collinear segment pairs (exact on floats).
+
+    Each pair is compared along the axis of its larger extent.
+    """
+    ext = np.maximum(np.abs(si[:, :2] - si[:, 2:]), np.abs(sj[:, :2] - sj[:, 2:]))
+    along_x = (ext[:, 0] >= ext[:, 1])[:, None]
+    ai = np.where(along_x, si[:, [0, 2]], si[:, [1, 3]])
+    aj = np.where(along_x, sj[:, [0, 2]], sj[:, [1, 3]])
+    lo = np.maximum(ai.min(axis=1), aj.min(axis=1))
+    hi = np.minimum(ai.max(axis=1), aj.max(axis=1))
+    return lo < hi
 
 
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
@@ -341,21 +332,12 @@ def orientation_histogram(
     vols = signed_volumes(coords, mesh.simplices)
     scale = bbox_diameter(coords)
     threshold = tol * scale**d
-    excluded = set(int(x) for x in exclude)
-    pos = neg = zero = 0
-    for m in range(mesh.n_simplices):
-        if m in excluded:
-            continue
-        if abs(vols[m]) < threshold:
-            zero += 1
-            continue
-        s = sign[m] * simplex_orientation(coords[mesh.simplices[m]])
-        if s > 0:
-            pos += 1
-        elif s < 0:
-            neg += 1
-        else:
-            zero += 1
+    kept = ~np.isin(np.arange(mesh.n_simplices), [int(x) for x in exclude])
+    rows = np.flatnonzero(kept & ~(np.abs(vols) < threshold))
+    s = sign[rows] * simplex_orientations(coords[mesh.simplices[rows]])
+    pos = int(np.count_nonzero(s > 0))
+    neg = int(np.count_nonzero(s < 0))
+    zero = int(np.count_nonzero(kept)) - pos - neg
     return (pos, neg, zero)
 
 
@@ -465,7 +447,7 @@ def audit(
     image necessarily covers the rest of the drawing with opposite
     orientation (it plays the role of the removed outer face), so it is
     excluded from the histogram; ``seed_exclude`` forces the same exclusion
-    for bare coordinate input.
+    for bare coordinate input. Non-finite coordinates raise ``ValueError``.
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -478,6 +460,8 @@ def audit(
         raise ValueError(
             f"embedding must be ({mesh.n_vertices}, {d}), got {coords.shape}"
         )
+    if not np.isfinite(coords).all():
+        raise ValueError("embedding coordinates must be finite (found NaN or inf)")
 
     boundary = detect_boundary(mesh)
     closed = boundary.boundary_vertices.size == 0

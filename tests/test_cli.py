@@ -200,6 +200,16 @@ class TestEmbed:
         )
         assert rc == 2
 
+    def test_non_finite_mesh_vertex_returns_2(self, tmp_path, capsys):
+        path = tmp_path / "mesh.json"
+        main(["generate", "--kind", "paraboloid", "--resolution", "6x6", "--out", str(path)])
+        blob = json.loads(path.read_text())
+        blob["vertices"][14][2] = float("nan")
+        path.write_text(json.dumps(blob))
+        rc = main(["embed", "--mesh", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "vertex 14 has a non-finite coordinate" in capsys.readouterr().err
+
     def test_threads_env_fallback_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FPLM_THREADS", "2")
         mesh, emb, rc = run_pipeline(tmp_path)
@@ -318,6 +328,18 @@ class TestValidate:
         assert blob["verdict"] == "injective-certified"
         assert blob["crossing_count"] == 0
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_embedding_returns_2(self, tmp_path, capsys, bad):
+        mesh, emb, rc = run_pipeline(tmp_path)
+        lines = emb.read_text().splitlines()
+        lines[5] = f"4,{bad},0.1"
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(broken)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 6: coordinate is not finite" in err
+
     def test_third_party_embedding_accepted(self, tmp_path):
         # hand-written CSV with valid planar coordinates for a tiny mesh
         mesh = tmp_path / "mesh.json"
@@ -373,6 +395,19 @@ class TestRender:
         assert rc == 0
         assert "crossings marked:" in capsys.readouterr().out
         assert "<circle" in out.read_text()
+
+    def test_mark_crossings_non_finite_returns_2(self, tmp_path, capsys):
+        mesh, emb, rc = run_pipeline(tmp_path)
+        lines = emb.read_text().splitlines()
+        lines[4] = "3,-inf,0.0"
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["render", "--mesh", str(mesh), "--embedding", str(broken),
+             "--out", str(tmp_path / "x.svg"), "--mark-crossings"]
+        )
+        assert rc == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_byte_identical_re_render(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)

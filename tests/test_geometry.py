@@ -5,6 +5,7 @@ through degenerate and nearly-degenerate configurations where naive float
 evaluation gets the sign wrong, cross-checking against rational arithmetic.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from fplm.geometry import (
     bbox_diameter,
     incircle,
     orient2d,
+    orient2d_signs,
     orient3d,
+    orient3d_signs,
     signed_volumes,
     simplex_orientation,
+    simplex_orientations,
     simplex_volumes,
 )
 
@@ -104,6 +108,67 @@ class TestOrient3d:
         for dz in (-2 * eps, -eps, 0.0, eps, 2 * eps):
             pd = (0.3, 0.3, dz)
             assert orient3d(pa, pb, pc, pd) == rational(pa, pb, pc, pd)
+
+
+def ulp_grid(center, k=2):
+    """Points within k units in the last place of ``center`` on each axis."""
+    steps = [math.ulp(c) for c in center]
+    offsets = itertools.product(range(-k, k + 1), repeat=len(center))
+    return [tuple(c + o * h for c, o, h in zip(center, off, steps)) for off in offsets]
+
+
+class TestBatchedPredicates:
+    """The numpy filters must return the scalar predicates' signs row by row."""
+
+    def test_orient2d_signs_on_near_collinear_grid(self):
+        a, b = (0.5, 0.5), (1.0, 1.0)
+        rows = [(a, b, c) for c in ulp_grid((0.75, 0.75))]
+        rows += [(a, c, b) for c in ulp_grid((0.75, 0.75))]
+        # collinear points on a slope that is not a float, and coincident ones
+        rows += [((0.0, 0.0), (3.0, 1.0), c) for c in ulp_grid((6.0, 2.0))]
+        rows += [((0.1, 0.2), (0.1, 0.2), (0.3, 0.7)), ((0.1, 0.2), (0.3, 0.7), (0.1, 0.2))]
+        # points a few ulps off the line through (12, 12) and (24, 24), where
+        # the unfiltered float determinant is nonzero with the wrong sign
+        near = (0.5 + 44 * 2.0**-53, 0.5 + 52 * 2.0**-53)
+        rows += [((12.0, 12.0), (24.0, 24.0), c) for c in ulp_grid(near, k=4)]
+        rng = np.random.default_rng(8)
+        rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(3, 2)))) for _ in range(50)]
+        pa, pb, pc = (np.array(col) for col in zip(*rows))
+        got = orient2d_signs(pa, pb, pc)
+        want = [orient2d(*x, *y, *z) for x, y, z in rows]
+        assert got.dtype == np.int8
+        assert got.tolist() == want
+        assert set(want) == {-1, 0, 1}
+
+    def test_orient3d_signs_on_near_coplanar_grid(self):
+        pa, pb, pc = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        rows = [(pa, pb, pc, pd) for pd in ulp_grid((0.3, 0.3, 0.0), k=1)]
+        # skewed plane x + y + z = 1 and a coincident point
+        sa, sb, sc = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+        rows += [(sa, sb, sc, pd) for pd in ulp_grid((0.5, 0.25, 0.25), k=1)]
+        rows += [(sa, sb, sc, sa)]
+        rng = np.random.default_rng(9)
+        rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(4, 3)))) for _ in range(50)]
+        cols = [np.array(col) for col in zip(*rows)]
+        got = orient3d_signs(*cols)
+        want = [orient3d(*row) for row in rows]
+        assert got.dtype == np.int8
+        assert got.tolist() == want
+        assert set(want) == {-1, 0, 1}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_simplex_orientations_match_scalar(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
+        points[::7, 0] += math.ulp(2.0)
+        got = simplex_orientations(points)
+        assert got.tolist() == [simplex_orientation(p) for p in points]
+
+    def test_empty_batches(self):
+        empty = np.zeros((0, 2))
+        assert orient2d_signs(empty, empty, empty).shape == (0,)
+        empty = np.zeros((0, 3))
+        assert orient3d_signs(empty, empty, empty, empty).shape == (0,)
 
 
 class TestIncircle:

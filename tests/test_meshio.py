@@ -241,6 +241,23 @@ class TestEmbeddingCsv:
         with pytest.raises(ValueError, match="no data"):
             read_embedding_csv("id,y0,y1\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_its_line(self, bad):
+        # blank lines still count toward the reported line number
+        text = f"id,y0,y1\n0,1.0,2.0\n\n1,{bad},4.0\n"
+        with pytest.raises(ParseError, match="not finite") as e:
+            read_embedding_csv(text)
+        assert e.value.line == 4
+
+    def test_unparsable_value_names_its_line(self):
+        with pytest.raises(ParseError, match="abc") as e:
+            read_embedding_csv("id,y0\n0,1.0\n1,abc\n")
+        assert e.value.line == 3
+
+    def test_missing_id_is_named(self):
+        with pytest.raises(ValueError, match="id 1 is missing"):
+            read_embedding_csv("id,y0\n0,1.0\n2,3.0\n0,4.0\n")
+
     def test_latent_header(self):
         text = write_latent_csv(np.array([[0.25, -1.5]]))
         assert text == "id,u0,u1\n0,0.25,-1.5\n"

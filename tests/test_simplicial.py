@@ -112,6 +112,14 @@ class TestValidateMesh:
         rules = [v.rule for v in validate_mesh(SimplicialMesh(verts, simp, 2))]
         assert "disconnected" in rules
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex(self, bad):
+        base = grid_mesh(6, 6)
+        verts = np.array(base.vertices)
+        verts[14, 1] = bad
+        violations = validate_mesh(SimplicialMesh(verts, base.simplices, 2))
+        assert [(v.rule, v.where) for v in violations] == [("non-finite-vertex", (14,))]
+
     def test_generated_meshes_valid(self):
         assert validate_mesh(grid_mesh(5, 4)) == []
         assert validate_mesh(icosphere(1)) == []

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fplm.generators import icosphere, structured_grid_triangles
+from fplm.generators import ball3, icosphere, structured_grid_triangles
+from fplm.geometry import simplex_orientation
 from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary
@@ -18,6 +21,7 @@ from fplm.validity import (
     crossing_locations,
     orientation_histogram,
 )
+from fplm.simplicial import canonical_orientation
 
 
 def segs(*pairs):
@@ -93,6 +97,15 @@ class TestCountCrossings:
             count_crossings(np.array([[0, 1]]), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="index pairs"):
             count_crossings(np.array([[0, 1, 2]]), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        mesh = grid_mesh(3, 3)
+        coords = np.array(mesh.vertices)
+        coords[4, 0] = bad
+        edges = np.array([[0, 8], [2, 6], [1, 4]])
+        with pytest.raises(ValueError, match="finite"):
+            count_crossings(edges, coords)
 
     def test_matches_integer_oracle_on_lattice(self):
         # independent quadratic oracle in pure integer arithmetic
@@ -191,6 +204,95 @@ class TestCountCrossings:
             assert set(res.pairs) == expect, f"trial {trial}"
 
 
+def oracle_crossing_pairs(points, edges):
+    """Brute-force O(E^2) crossing pairs in integer arithmetic.
+
+    Follows the documented rule pair by pair: four zero turns mean a
+    collinear pair, which counts on positive-length overlap; otherwise a
+    pair that shares a vertex index touches only at that vertex, and any
+    other pair counts when each segment strictly straddles the other.
+    """
+    def turn(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    out = set()
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            p, q = points[edges[i][0]], points[edges[i][1]]
+            r, s = points[edges[j][0]], points[edges[j][1]]
+            d1, d2 = turn(p, q, r), turn(p, q, s)
+            d3, d4 = turn(r, s, p), turn(r, s, q)
+            if d1 == d2 == d3 == d4 == 0:
+                axis = 0 if max(abs(q[0] - p[0]), abs(s[0] - r[0])) >= max(
+                    abs(q[1] - p[1]), abs(s[1] - r[1])
+                ) else 1
+                lo = max(min(p[axis], q[axis]), min(r[axis], s[axis]))
+                hi = min(max(p[axis], q[axis]), max(r[axis], s[axis]))
+                crosses = lo < hi
+            elif set(edges[i]) & set(edges[j]):
+                crosses = False
+            else:
+                crosses = d1 * d2 < 0 and d3 * d4 < 0
+            if crosses:
+                out.add((i, j))
+    return out
+
+
+lattice_graphs = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n
+        ),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=2,
+            max_size=14,
+        ),
+    )
+)
+
+
+class TestCrossingOracleProperty:
+    """Random graphs over a small shared vertex pool, so many edge pairs share
+    an index, coincide, fold back along each other or lie on one line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_graphs)
+    @example(([(0, 0), (2, 0), (1, 0)], [(0, 1), (1, 2)]))  # fold back onto 0-1
+    @example(([(0, 0), (2, 0), (4, 0)], [(0, 1), (1, 2)]))  # straight continuation
+    @example(([(0, 0), (2, 2), (1, 1)], [(0, 1), (1, 0), (2, 2)]))  # repeats
+    @example(([(0, 0), (2, 0), (2, 0)], [(0, 1), (0, 2)]))  # coincident ends
+    def test_matches_brute_force_oracle(self, graph):
+        points, edges = graph
+        res = count_crossings(np.array(edges), np.array(points, dtype=float))
+        expect = oracle_crossing_pairs(points, edges)
+        assert res.count == len(expect)
+        assert res.pairs == tuple(sorted(expect))
+
+    def test_shared_endpoint_overlap_counts(self):
+        # p2 lies on edge 0-1, so edges (0, 1) and (0, 2) overlap on 0..p2
+        coords = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+        res = count_crossings(np.array([[0, 1], [0, 2]]), coords)
+        assert res.count == 1
+        assert res.pairs == ((0, 1),)
+
+    def test_blocks_cover_every_pair_when_all_x_ranges_overlap(self, monkeypatch):
+        # long near-horizontal segments all overlap in x; a tiny pair block
+        # forces many blocks, including a single row larger than a block
+        import fplm.validity as validity
+
+        rng = np.random.default_rng(12)
+        points = [tuple(int(v) for v in p) for p in rng.integers(0, 40, size=(60, 2))]
+        points[0::2] = [(0, y) for _, y in points[0::2]]
+        points[1::2] = [(40, y) for _, y in points[1::2]]
+        edges = [(k, k + 1) for k in range(0, 60, 2)] + [(1, 4), (3, 8), (5, 6)]
+        expect = oracle_crossing_pairs(points, edges)
+        monkeypatch.setattr(validity, "_PAIR_BLOCK", 7)
+        res = count_crossings(np.array(edges), np.array(points, dtype=float))
+        assert res.pairs == tuple(sorted(expect))
+        assert res.count > 100
+
+
 class TestCrossingLocations:
     def test_diagonal_intersection_point(self):
         edges, coords = segs(((0, 0), (1, 1)), ((0, 1), (1, 0)))
@@ -256,6 +358,27 @@ class TestOrientationHistogram:
         mesh = grid_mesh(3, 3)
         with pytest.raises(ValueError, match="coords"):
             orientation_histogram(mesh, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("mesh", [grid_mesh(6, 5), ball3(3)], ids=["d2", "d3"])
+    def test_matches_per_simplex_scalar_loop(self, mesh):
+        # reference: the scalar predicate on one simplex at a time
+        rng = np.random.default_rng(mesh.intrinsic_dim)
+        coords = np.asarray(mesh.vertices) + rng.normal(0, 0.15, mesh.vertices.shape)
+        coords[mesh.simplices[3]] = coords[mesh.simplices[3, 0]]  # collapse one
+        exclude = [0, 5]
+        threshold = 1e-12 * np.linalg.norm(np.ptp(coords, axis=0)) ** mesh.intrinsic_dim
+        sign = canonical_orientation(mesh)
+        want = [0, 0, 0]
+        for m, simplex in enumerate(mesh.simplices):
+            if m in exclude:
+                continue
+            pts = coords[simplex]
+            vol = np.linalg.det(pts[1:] - pts[0])
+            s = 0 if abs(vol) < threshold else sign[m] * simplex_orientation(pts)
+            want[0 if s > 0 else 1 if s < 0 else 2] += 1
+        got = orientation_histogram(mesh, coords, exclude=exclude)
+        assert got == tuple(want)
+        assert got[0] and got[1] and got[2]
 
 
 class TestHullContainment:
@@ -430,6 +553,13 @@ class TestAudit:
         mesh = grid_mesh(3, 3)
         with pytest.raises(ValueError, match="embedding"):
             audit(mesh, np.zeros((9, 3)))
+
+    @pytest.mark.parametrize("mesh", [grid_mesh(3, 3), ball3(2)], ids=["d2", "d3"])
+    def test_non_finite_coordinates_rejected(self, mesh):
+        coords = np.array(mesh.vertices, dtype=float)
+        coords[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            audit(mesh, coords)
 
     def test_to_dict_json_serializable(self):
         mesh = grid_mesh(4, 4)
