@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -62,34 +61,6 @@ def _load_mesh(path: str):
     if suffix == ".off":
         return parse_off(text)
     return mesh_from_json(text)
-
-
-def _resolve_threads(arg_value):
-    """--threads beats FPLM_THREADS; None means library defaults."""
-    if arg_value is not None:
-        return arg_value
-    env = os.environ.get("FPLM_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"FPLM_THREADS must be an integer, got {env!r}")
-    return None
-
-
-def _apply_thread_cap(threads):
-    # the bundled solvers are sequential; the cap reins in BLAS pools
-    if threads is None:
-        return
-    if threads < 1:
-        raise ValueError(f"thread count must be positive, got {threads}")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(threads)
 
 
 def _parse_resolution(text: str):
@@ -143,8 +114,6 @@ def cmd_generate(args) -> int:
 
 def cmd_embed(args) -> int:
     try:
-        threads = _resolve_threads(args.threads)
-        _apply_thread_cap(threads)
         config = SolveConfig(
             rel_tol=args.rel_tol, max_iter=args.max_iter, method=args.solver
         )
@@ -191,7 +160,6 @@ def cmd_embed(args) -> int:
                 "rel_tol": config.rel_tol,
                 "max_iter": config.max_iter,
             },
-            "threads": threads,
         },
         "versions": _versions(),
         "result": {
@@ -393,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument(
         "--max-iter", type=int, default=None, help="iteration cap (iterative)"
-    )
-    e.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap internal thread pools (env FPLM_THREADS as fallback)",
     )
     e.add_argument("--out", required=True, help="embedding CSV output path")
     e.set_defaults(func=cmd_embed)

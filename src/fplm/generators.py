@@ -1,8 +1,8 @@
 """Built-in mesh generators with known latent parameterizations.
 
 Surface generators sample a latent rectangle, lift it through an analytic
-map into R^3, and triangulate either on a structured grid or with an
-in-package Delaunay triangulation of jittered samples. The sphere generator
+map into R^3, and triangulate either on a structured grid or with a
+Delaunay triangulation (qhull) of jittered samples. The sphere generator
 subdivides an icosahedron; the ball generator splits a cube grid into
 tetrahedra and maps the result onto the exact unit ball shell by shell.
 Every generated mesh passes validate_mesh.
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import incircle, orient2d
+from .geometry import orient2d_signs
 from .simplicial import SimplicialMesh, validate_mesh
 
 GENERATOR_KINDS = (
@@ -320,131 +319,36 @@ def ball3(resolution: int) -> SimplicialMesh:
 
 
 def delaunay2d(points) -> list[tuple[int, int, int]]:
-    """Delaunay triangulation by incremental insertion (Bowyer-Watson).
+    """Delaunay triangulation of distinct planar points, by qhull.
 
-    Exact incircle and orientation predicates drive every decision; a final
-    local edge-flip pass restores the Delaunay property near the hull that
-    the finite super-triangle may disturb. Cocircular ties resolve
-    deterministically in insertion order because only strict circumcircle
-    containment triggers retriangulation.
+    Each triangle is oriented counterclockwise with the exact
+    :func:`orient2d_signs` predicate and rotated so that its largest index
+    comes last, and the triangles are sorted. Cocircular ties are resolved
+    by qhull, deterministically for a given input.
 
     Returns counterclockwise triangles over the input points. Raises for
-    fewer than 3 points, duplicate points, or an all-collinear input.
+    fewer than 3 points, duplicate points (which qhull would silently
+    drop), or an all-collinear input.
     """
+    from scipy.spatial import Delaunay, QhullError
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("delaunay2d expects (N, 2) points")
     n = pts.shape[0]
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    rounded = [(float(x), float(y)) for x, y in pts]
-    if len(set(rounded)) != n:
+    if np.unique(pts, axis=0).shape[0] != n:
         raise ValueError("duplicate points are not supported")
+    try:
+        tris = Delaunay(pts).simplices.astype(np.int64)
+    except QhullError as exc:
+        raise ValueError("points are collinear; no triangulation exists") from exc
 
-    center = pts.mean(axis=0)
-    radius = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    big = 1024.0 * max(radius, 1.0)
-    s = math.sqrt(3.0) / 2.0
-    sup = np.array(
-        [
-            [center[0], center[1] + 2.0 * big],
-            [center[0] - 2.0 * s * big, center[1] - big],
-            [center[0] + 2.0 * s * big, center[1] - big],
-        ]
-    )
-    all_pts = [tuple(q) for q in pts] + [tuple(q) for q in sup]
-    s0, s1, s2 = n, n + 1, n + 2
-
-    triangles: set[tuple[int, int, int]] = {(s0, s1, s2)}
-    for idx in range(n):
-        px, py = all_pts[idx]
-        bad = []
-        for tri in triangles:
-            a, b, c = (all_pts[t] for t in tri)
-            if incircle(a, b, c, (px, py)) > 0:
-                bad.append(tri)
-        cavity: dict[tuple[int, int], int] = {}
-        for tri in bad:
-            for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                if (v, u) in cavity:
-                    del cavity[(v, u)]
-                else:
-                    cavity[(u, v)] = 1
-            triangles.remove(tri)
-        for u, v in cavity:
-            triangles.add((u, v, idx))
-
-    result = [
-        tri for tri in triangles if s0 not in tri and s1 not in tri and s2 not in tri
-    ]
-    if not result:
-        raise ValueError("points are collinear; no triangulation exists")
-    result = _lawson_pass(result, all_pts)
-    return sorted(tuple(tri) for tri in result)
-
-
-def _lawson_pass(triangles, all_pts):
-    """Flip interior edges that strictly violate the empty-circumcircle test.
-
-    With exact predicates the incremental phase already returns a Delaunay
-    triangulation, so this normally performs zero flips; it remains as a
-    cheap safety net guaranteeing the postcondition.
-    """
-    tris = [tuple(t) for t in triangles]
-    edge_map: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for t_index, tri in enumerate(tris):
-        for u, v in _tri_edges(tri):
-            edge_map[_norm_edge(u, v)].append(t_index)
-
-    queue = list(edge_map.keys())
-    alive = [True] * len(tris)
-    guard = 0
-    limit = 16 * max(len(tris), 2) ** 2
-    while queue:
-        guard += 1
-        if guard > limit:
-            raise RuntimeError("edge flip pass failed to terminate")
-        edge = queue.pop()
-        owners = [t for t in edge_map.get(edge, []) if alive[t]]
-        if len(owners) != 2:
-            continue
-        t1, t2 = owners
-        u, v = edge
-        a = _opposite(tris[t1], u, v)
-        b = _opposite(tris[t2], u, v)
-        tri1 = tris[t1]
-        if incircle(all_pts[tri1[0]], all_pts[tri1[1]], all_pts[tri1[2]],
-                    all_pts[b]) > 0:
-            alive[t1] = alive[t2] = False
-            for new_tri in ((a, u, b), (a, b, v)):
-                new_tri = _orient_tri(new_tri, all_pts)
-                t_new = len(tris)
-                tris.append(new_tri)
-                alive.append(True)
-                for x, y in _tri_edges(new_tri):
-                    key = _norm_edge(x, y)
-                    edge_map[key].append(t_new)
-                    queue.append(key)
-    return [tris[t] for t in range(len(tris)) if alive[t]]
-
-
-def _tri_edges(tri):
-    return ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-
-
-def _norm_edge(u, v):
-    return (u, v) if u < v else (v, u)
-
-
-def _opposite(tri, u, v):
-    for t in tri:
-        if t != u and t != v:
-            return t
-    raise ValueError("edge not part of triangle")
-
-
-def _orient_tri(tri, all_pts):
-    a, b, c = tri
-    if orient2d(*all_pts[a], *all_pts[b], *all_pts[c]) < 0:
-        return (a, c, b)
-    return (a, b, c)
+    cw = orient2d_signs(pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]) < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    # a cyclic shift keeps the orientation; put the largest index last
+    shift = np.argmax(tris, axis=1) + 1
+    tris = np.take_along_axis(tris, (shift[:, None] + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    return list(map(tuple, tris.tolist()))

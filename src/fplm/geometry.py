@@ -38,12 +38,19 @@ def orient2d(ax, ay, bx, by, cx, cy):
     Returns +1 when the triangle winds counterclockwise, -1 clockwise and
     0 when the three points are collinear.
     """
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
+    acx, bcy = ax - cx, by - cy
+    acy, bcx = ay - cy, bx - cx
+    detleft = acx * bcy
+    detright = acy * bcx
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
     if abs(det) > _CCW_BOUND * detsum:
         return 1 if det > 0.0 else -1
+    # a float difference is 0 only when its operands are equal, so a product
+    # with a zero factor is exactly 0; a product that merely underflowed to 0
+    # has nonzero factors and goes on to the exact path
+    if (acx == 0.0 or bcy == 0.0) and (acy == 0.0 or bcx == 0.0):
+        return 0
     fax, fay = Fraction(ax), Fraction(ay)
     fbx, fby = Fraction(bx), Fraction(by)
     fcx, fcy = Fraction(cx), Fraction(cy)
@@ -193,19 +200,26 @@ def orient2d_signs(a, b, c):
     """Exact :func:`orient2d` signs for K point triples at once.
 
     ``a``, ``b`` and ``c`` are (K, 2) arrays; row k of the int8 result is
-    ``orient2d(*a[k], *b[k], *c[k])``. The determinant and its error bound
-    are the scalar filter's float operations, evaluated in numpy; rows the
-    bound cannot decide are settled by :func:`orient2d` itself.
+    ``orient2d(*a[k], *b[k], *c[k])``. The determinant, its error bound
+    and the exact-zero rule are the scalar filter's float operations,
+    evaluated in numpy; rows they cannot decide are settled by
+    :func:`orient2d` itself.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     with np.errstate(over="ignore", invalid="ignore"):
-        detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-        detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
+        ac = a - c
+        bc = b - c
+        detleft = ac[:, 0] * bc[:, 1]
+        detright = ac[:, 1] * bc[:, 0]
         det = detleft - detright
         detsum = np.abs(detleft) + np.abs(detright)
         decided = np.abs(det) > _CCW_BOUND * detsum
+    zero = ((ac[:, 0] == 0.0) | (bc[:, 1] == 0.0)) & (
+        (ac[:, 1] == 0.0) | (bc[:, 0] == 0.0)
+    )
     out = np.where(det > 0.0, 1, -1).astype(np.int8)
-    for k in np.flatnonzero(~decided).tolist():
+    out[zero] = 0
+    for k in np.flatnonzero(~decided & ~zero).tolist():
         out[k] = orient2d(*a[k].tolist(), *b[k].tolist(), *c[k].tolist())
     return out
 

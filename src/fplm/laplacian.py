@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -22,7 +23,10 @@ from .simplicial import SimplicialMesh, mesh_edges
 class WeightedGraph:
     """Undirected weighted 1-skeleton of a mesh.
 
-    Edges are stored once with i < j; weights are strictly positive.
+    Edges are stored once with i < j; weights are strictly positive. The
+    adjacency, degrees, Laplacian and component labels are built once per
+    graph on first use and shared, read-only, by every system assembled on
+    it.
     """
 
     n: int
@@ -31,15 +35,46 @@ class WeightedGraph:
     gamma: float
 
     def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric sparse adjacency matrix with the edge weights."""
+        """Symmetric sparse adjacency matrix with the edge weights, as a
+        writable copy of the read-only one the graph keeps."""
+        return self._adjacency.copy()
+
+    @cached_property
+    def _adjacency(self) -> sparse.csr_matrix:
         i = self.edges[:, 0]
         j = self.edges[:, 1]
         data = np.concatenate([self.weights, self.weights])
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.n, self.n), dtype=float
+        return _frozen(
+            sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n), dtype=float)
         )
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Weighted vertex degrees, the row sums of the adjacency."""
+        degrees = np.asarray(self._adjacency.sum(axis=1)).ravel()
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def laplacian(self) -> sparse.csr_matrix:
+        """Graph Laplacian L = D - A."""
+        return _frozen((sparse.diags(self.degrees) - self._adjacency).tocsr())
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Connected-component label of each vertex."""
+        _, labels = connected_components(self._adjacency, directed=False)
+        labels.setflags(write=False)
+        return labels
+
+
+def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+    matrix.sum_duplicates()  # canonical form, so no later call sorts in place
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,30 +145,26 @@ def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
     if (np.diff(fixed_sorted) == 0).any():
         raise ValueError("fixed vertex indices contain duplicates")
 
-    adjacency = graph.adjacency()
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    laplacian = (sparse.diags(degrees) - adjacency).tocsr()
+    labels = graph.component_labels
+    has_fixed = np.bincount(labels[fixed_sorted], minlength=labels.max() + 1) > 0
+    if not has_fixed.all():
+        comp = int(np.argmin(has_fixed))
+        example = int(np.argmax(labels == comp))
+        raise ValueError(
+            f"connected component {comp} (example vertex {example}) "
+            "contains no fixed vertex; its block is singular"
+        )
 
-    n_comp, labels = connected_components(adjacency, directed=False)
     fixed_mask = np.zeros(graph.n, dtype=bool)
     fixed_mask[fixed_sorted] = True
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        if not fixed_mask[members].any():
-            raise ValueError(
-                f"connected component {comp} (example vertex {int(members[0])}) "
-                "contains no fixed vertex; its block is singular"
-            )
-
-    free = np.nonzero(~fixed_mask)[0]
-    lap_free = laplacian[free][:, free].tocsr()
-    lap_free_fixed = laplacian[free][:, fixed_sorted].tocsr()
+    free = np.flatnonzero(~fixed_mask)
+    free_rows = graph.laplacian[free]
     return LaplacianSystem(
-        adjacency=adjacency,
-        laplacian=laplacian,
-        degrees=degrees,
+        adjacency=graph._adjacency,
+        laplacian=graph.laplacian,
+        degrees=graph.degrees,
         free_indices=free,
         fixed_indices=fixed_sorted,
-        lap_free=lap_free,
-        lap_free_fixed=lap_free_fixed,
+        lap_free=free_rows[:, free].tocsr(),
+        lap_free_fixed=free_rows[:, fixed_sorted].tocsr(),
     )

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .laplacian import WeightedGraph, assemble_system, build_weights
 from .simplicial import (
@@ -30,6 +32,7 @@ from .simplicial import (
     canonical_orientation,
     detect_boundary,
     detect_dividing_simplices,
+    mesh_edges,
     validate_mesh,
 )
 from .solver import SolveConfig, solve_spd
@@ -150,7 +153,6 @@ def select_seed_simplex(
     *,
     seed: int = 0,
     index: int = 0,
-    boundary: BoundaryComplex | None = None,
 ) -> int:
     """Pick the simplex whose vertices round 1 will pin.
 
@@ -171,40 +173,21 @@ def select_seed_simplex(
     if strategy != "most-interior":
         raise ValueError(f"unknown seed strategy {strategy!r}")
 
-    if boundary is None:
-        boundary = detect_boundary(mesh)
-    sources = boundary.boundary_vertices
+    sources = detect_boundary(mesh).boundary_vertices
     if sources.size == 0:
         return 0
-    depth = _bfs_depth(mesh, sources)
+    n = mesh.n_vertices
+    edges = mesh_edges(mesh)
+    skeleton = sparse.csr_matrix(
+        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n)
+    )
+    hops = dijkstra(
+        skeleton, directed=False, indices=sources, unweighted=True, min_only=True
+    )
+    # unreachable vertices sit infinitely deep; keep them maximal
+    depth = np.where(np.isinf(hops), n + 1, hops).astype(np.int64)
     score = depth[mesh.simplices].min(axis=1)
     return int(np.argmax(score))
-
-
-def _bfs_depth(mesh: SimplicialMesh, sources: np.ndarray) -> np.ndarray:
-    """Hop counts from the source vertex set over the 1-skeleton."""
-    from .simplicial import mesh_edges
-
-    n = mesh.n_vertices
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in mesh_edges(mesh):
-        neighbors[int(u)].append(int(v))
-        neighbors[int(v)].append(int(u))
-    depth = np.full(n, -1, dtype=np.int64)
-    queue = [int(s) for s in sources]
-    for s in queue:
-        depth[s] = 0
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for nxt in neighbors[cur]:
-            if depth[nxt] < 0:
-                depth[nxt] = depth[cur] + 1
-                queue.append(nxt)
-    # unreachable vertices sit infinitely deep; keep them maximal
-    depth[depth < 0] = n + 1
-    return depth
 
 
 def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
@@ -266,25 +249,18 @@ def make_regular_polygon(
 def _cycle_matches_orientation(mesh: SimplicialMesh, cycle: list[int]) -> bool:
     """True when the cycle walks boundary edges the way canonically oriented
     triangles traverse them (interior on the left for ccw triangles)."""
-    sign = canonical_orientation(mesh)
     first, second = cycle[0], cycle[1]
-    for m, tri in enumerate(mesh.simplices):
-        tri = [int(x) for x in tri]
-        if first in tri and second in tri:
-            directed = [
-                (tri[0], tri[1]),
-                (tri[1], tri[2]),
-                (tri[2], tri[0]),
-            ]
-            if sign[m] < 0:
-                directed = [(b, a) for a, b in directed]
-            if (first, second) in directed:
-                return True
-            if (second, first) in directed:
-                return False
-    raise ValueError(
-        f"boundary edge ({first}, {second}) is not part of any triangle"
-    )
+    tris = mesh.simplices
+    holder = np.flatnonzero((tris == first).any(axis=1) & (tris == second).any(axis=1))
+    if holder.size == 0:
+        raise ValueError(
+            f"boundary edge ({first}, {second}) is not part of any triangle"
+        )
+    m = int(holder[0])
+    tri = tris[m].tolist()
+    # the stored order (t0, t1, t2) walks first -> second when second follows first
+    forward = tri[(tri.index(first) + 1) % 3] == second
+    return forward == (canonical_orientation(mesh)[m] > 0)
 
 
 def solve_fixed_point(
@@ -354,14 +330,12 @@ def run_fplm(
     # of solid regions always carry interior faces with all vertices on the
     # boundary (a lone 5-tet cube already has four), so in higher dimensions
     # the two-round path runs unconditionally.
-    dividing = (
-        detect_dividing_simplices(mesh, boundary) if mesh.intrinsic_dim == 2 else []
-    )
+    dividing = detect_dividing_simplices(mesh) if mesh.intrinsic_dim == 2 else []
     graph = build_weights(mesh, gamma)
 
     if not dividing:
         seed_ix = select_seed_simplex(
-            mesh, seed_strategy, seed=seed, index=seed_index, boundary=boundary
+            mesh, seed_strategy, seed=seed, index=seed_index
         )
         fixed1 = make_c1(mesh, seed_ix)
         coords1, res1 = solve_fixed_point(graph, fixed1, config)

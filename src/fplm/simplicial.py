@@ -6,14 +6,23 @@ functions here check the decomposition properties (no repeated vertices,
 faces shared by at most two simplices, face-connectivity, non-degenerate
 volumes), extract the boundary complex, and locate dividing faces, i.e.
 interior (d-1)-faces whose vertices all lie on the boundary.
+
+All of this topology derives from one face table per mesh (see
+:class:`FaceTable`), built on first use and cached on the immutable mesh
+object together with the edge list, the boundary and the orientation
+signs, so every consumer of one mesh object shares a single computation.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import bbox_diameter, simplex_volumes
 
@@ -33,7 +42,10 @@ class SimplicialMesh:
 
     Index bounds and shapes are enforced at construction. The decomposition
     invariants themselves are checked by :func:`validate_mesh`, which
-    reports violations as data rather than raising.
+    reports violations as data rather than raising. The topology
+    (``face_table``, ``edges``, ``boundary``, ``orientation``) is computed
+    on first use and cached, which the read-only mesh arrays keep valid;
+    the cached arrays are read-only too.
     """
 
     vertices: np.ndarray
@@ -78,6 +90,138 @@ class SimplicialMesh:
     def ambient_dim(self) -> int:
         return self.vertices.shape[1]
 
+    @cached_property
+    def face_table(self) -> FaceTable:
+        """The (d-1)-faces and their simplex incidence, see :class:`FaceTable`."""
+        s = self.simplices
+        d = self.intrinsic_dim
+        # row k lists the columns of face k, the face opposite vertex k
+        omit = np.array([[j for j in range(d + 1) if j != k] for k in range(d + 1)])
+        raw = s[:, omit]  # (M, d+1, d)
+        inversions = np.zeros(raw.shape[:2], dtype=np.int64)
+        for i, j in itertools.combinations(range(d), 2):
+            inversions += raw[:, :, i] > raw[:, :, j]
+        parity = np.where((inversions + np.arange(d + 1)) % 2 == 0, 1, -1)
+        faces, inverse, counts = np.unique(
+            np.sort(raw, axis=2).reshape(-1, d),
+            axis=0,
+            return_inverse=True,
+            return_counts=True,
+        )
+        return FaceTable(
+            faces=_frozen(faces),
+            counts=_frozen(counts),
+            face_of=_frozen(inverse.reshape(s.shape)),
+            parity=_frozen(parity.astype(np.int8)),
+        )
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The 1-skeleton edges returned by :func:`mesh_edges`."""
+        pairs = list(itertools.combinations(range(self.intrinsic_dim + 1), 2))
+        ends = np.sort(self.simplices[:, pairs].reshape(-1, 2), axis=1)
+        # one int64 key per edge, ordered as the rows are; n^2 fits in int64
+        # for any vertex count that fits in memory
+        n = self.n_vertices
+        keys = np.unique(ends[:, 0] * n + ends[:, 1])
+        return _frozen(np.column_stack(np.divmod(keys, n)))
+
+    @cached_property
+    def boundary(self) -> BoundaryComplex:
+        """The boundary complex returned by :func:`detect_boundary`."""
+        faces, counts = mesh_faces(self)
+        boundary_faces = faces[counts == 1]
+        cycles = None
+        if self.intrinsic_dim == 2:
+            cycles = _walk_boundary_cycles(boundary_faces)
+        return BoundaryComplex(
+            boundary_faces=_frozen(boundary_faces),
+            boundary_vertices=_frozen(np.unique(boundary_faces)),
+            boundary_cycles=cycles,
+        )
+
+    @cached_property
+    def orientation(self) -> np.ndarray:
+        """The signs returned by :func:`canonical_orientation`.
+
+        One ``connected_components`` call on the orientation double cover
+        settles them: node m (m+) and node M + m (m-) stand for the two
+        orientations of simplex m, and an interior face joins m1+ to m2+
+        and m1- to m2- when its two simplices need equal signs, m1+ to m2-
+        and m1- to m2+ when they need opposite signs.
+        """
+        table = self.face_table
+        m_total = self.n_simplices
+        over = np.flatnonzero(table.counts > 2)
+        if over.size:
+            face = tuple(table.faces[over[0]].tolist())
+            raise ValueError(
+                f"face {face} is shared by {int(table.counts[over[0]])} "
+                "simplices; orientation is undefined"
+            )
+        # flat positions m * (d+1) + k of the two sides of each interior face
+        width = self.intrinsic_dim + 1
+        order = np.argsort(table.face_of.ravel(), kind="stable")
+        start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
+        p1, p2 = order[start], order[start + 1]
+        m1, m2 = p1 // width, p2 // width
+        # a simplex that repeats a vertex may hold both sides of one face
+        p1, p2, m1, m2 = (a[m1 != m2] for a in (p1, p2, m1, m2))
+        parity = table.parity.ravel()
+        # the two sides induce opposite face orientations:
+        # sign[m1] * parity[p1] == -sign[m2] * parity[p2]
+        equal = parity[p1] != parity[p2]
+        shift = np.where(equal, 0, m_total)
+        rows = np.concatenate([m1, m1 + m_total])
+        cols = np.concatenate([m2 + shift, m2 + m_total - shift])
+        cover = sparse.coo_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(2 * m_total, 2 * m_total)
+        )
+        _, labels = connected_components(cover, directed=False)
+        if labels[0] == labels[m_total]:
+            raise ValueError(
+                "mesh is combinatorially non-orientable: the orientation "
+                "constraints across shared faces conflict"
+            )
+        plus = labels[:m_total] == labels[0]
+        if not (plus | (labels[m_total:] == labels[0])).all():
+            raise ValueError(
+                "orientation could not reach every simplex; the mesh is not "
+                "face-connected"
+            )
+        return _frozen(np.where(plus, 1, -1))
+
+
+@dataclass(frozen=True, eq=False)
+class FaceTable:
+    """The (d-1)-faces of a mesh with their simplex incidence.
+
+    Built by one ``np.unique`` over the (d+1) * M faces of the simplices.
+
+    faces : (K, d) int array
+        Unique faces, each row sorted ascending, rows in lexicographic order.
+    counts : (K,) int array
+        Number of simplices containing each face.
+    face_of : (M, d+1) int array
+        Row of ``faces`` holding face k of simplex m, the face opposite its
+        vertex k.
+    parity : (M, d+1) int8 array
+        Orientation simplex m induces on its face k relative to the sorted
+        face row: the sign of the sorting permutation times (-1)^k. The two
+        simplices of a consistently oriented interior face induce opposite
+        parities once multiplied by their orientation signs.
+    """
+
+    faces: np.ndarray
+    counts: np.ndarray
+    face_of: np.ndarray
+    parity: np.ndarray
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
 
 @dataclass(frozen=True)
 class MeshViolation:
@@ -102,7 +246,7 @@ class BoundaryComplex:
 
 
 def mesh_faces(mesh: SimplicialMesh):
-    """All (d-1)-faces with multiplicity counts.
+    """All (d-1)-faces with multiplicity counts, from the cached face table.
 
     Returns
     -------
@@ -111,23 +255,13 @@ def mesh_faces(mesh: SimplicialMesh):
     counts : (K,) int array
         Number of simplices containing each face.
     """
-    s = mesh.simplices
-    d = mesh.intrinsic_dim
-    blocks = [np.delete(s, k, axis=1) for k in range(d + 1)]
-    faces = np.sort(np.vstack(blocks), axis=1)
-    return np.unique(faces, axis=0, return_counts=True)
+    table = mesh.face_table
+    return table.faces, table.counts
 
 
 def mesh_edges(mesh: SimplicialMesh) -> np.ndarray:
-    """Unique 1-skeleton edges as an (E, 2) array with i < j per row."""
-    s = mesh.simplices
-    d = mesh.intrinsic_dim
-    pairs = []
-    for a in range(d + 1):
-        for b in range(a + 1, d + 1):
-            pairs.append(s[:, (a, b)])
-    edges = np.sort(np.vstack(pairs), axis=1)
-    return np.unique(edges, axis=0)
+    """Unique 1-skeleton edges as an (E, 2) array with i < j per row (cached)."""
+    return mesh.edges
 
 
 def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViolation]:
@@ -182,9 +316,20 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
             )
         )
 
-    reached = _face_adjacency_reach(mesh)
-    if not reached.all():
-        missing = int(np.nonzero(~reached)[0][0])
+    # simplex-face incidence graph: simplex m is node m, face f node M + f
+    m_total, n_faces = s.shape[0], faces.shape[0]
+    face_of = mesh.face_table.face_of.ravel()
+    incidence = sparse.coo_matrix(
+        (
+            np.ones(face_of.size),
+            (np.repeat(np.arange(m_total), d + 1), m_total + face_of),
+        ),
+        shape=(m_total + n_faces, m_total + n_faces),
+    )
+    _, labels = connected_components(incidence, directed=False)
+    unreached = np.flatnonzero(labels[:m_total] != labels[0])
+    if unreached.size:
+        missing = int(unreached[0])
         out.append(
             MeshViolation(
                 "disconnected",
@@ -216,45 +361,12 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
     return out
 
 
-def _face_key_map(mesh: SimplicialMesh) -> dict:
-    """Map sorted (d-1)-face tuple -> list of incident simplex indices."""
-    d = mesh.intrinsic_dim
-    incident: dict[tuple, list[int]] = defaultdict(list)
-    for m, simplex in enumerate(mesh.simplices):
-        row = [int(x) for x in simplex]
-        for k in range(d + 1):
-            face = tuple(sorted(row[:k] + row[k + 1 :]))
-            incident[face].append(m)
-    return incident
-
-
-def _face_adjacency_reach(mesh: SimplicialMesh) -> np.ndarray:
-    """Boolean mask of simplices reachable from simplex 0 across shared faces."""
-    m_total = mesh.n_simplices
-    incident = _face_key_map(mesh)
-    neighbors: list[list[int]] = [[] for _ in range(m_total)]
-    for members in incident.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                neighbors[members[i]].append(members[j])
-                neighbors[members[j]].append(members[i])
-    reached = np.zeros(m_total, dtype=bool)
-    stack = [0]
-    reached[0] = True
-    while stack:
-        cur = stack.pop()
-        for nxt in neighbors[cur]:
-            if not reached[nxt]:
-                reached[nxt] = True
-                stack.append(nxt)
-    return reached
-
-
 def detect_boundary(mesh: SimplicialMesh) -> BoundaryComplex:
     """Extract the boundary complex: faces contained in exactly one simplex.
 
     For d = 2 the boundary edges are walked into closed loops, each reported
-    as an ordered vertex tuple; multiple loops are reported separately.
+    as an ordered vertex tuple; multiple loops are reported separately. The
+    result is cached on the mesh and its arrays are read-only.
 
     Raises
     ------
@@ -263,17 +375,7 @@ def detect_boundary(mesh: SimplicialMesh) -> BoundaryComplex:
         boundary edges (non-manifold boundary), which makes loop walking
         ill-defined.
     """
-    faces, counts = mesh_faces(mesh)
-    boundary_faces = faces[counts == 1]
-    boundary_vertices = np.unique(boundary_faces)
-    cycles = None
-    if mesh.intrinsic_dim == 2:
-        cycles = _walk_boundary_cycles(boundary_faces)
-    return BoundaryComplex(
-        boundary_faces=boundary_faces,
-        boundary_vertices=boundary_vertices,
-        boundary_cycles=cycles,
-    )
+    return mesh.boundary
 
 
 def _walk_boundary_cycles(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -315,9 +417,7 @@ def _walk_boundary_cycles(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], 
     return tuple(cycles)
 
 
-def detect_dividing_simplices(
-    mesh: SimplicialMesh, boundary: BoundaryComplex | None = None
-) -> list[tuple]:
+def detect_dividing_simplices(mesh: SimplicialMesh) -> list[tuple]:
     """Interior (d-1)-faces whose vertices all lie on the boundary.
 
     Such faces (dividing edges for d = 2) split the mesh into parts that
@@ -325,22 +425,18 @@ def detect_dividing_simplices(
     connectivity property that the two-round mapping relies on. Faces are
     returned as sorted tuples in lexicographic order.
     """
-    if boundary is None:
-        boundary = detect_boundary(mesh)
     faces, counts = mesh_faces(mesh)
     interior = faces[counts == 2]
-    if interior.shape[0] == 0:
-        return []
-    on_boundary = np.isin(interior, boundary.boundary_vertices).all(axis=1)
-    return [tuple(int(x) for x in row) for row in interior[on_boundary]]
+    on_boundary = np.isin(interior, detect_boundary(mesh).boundary_vertices).all(axis=1)
+    return list(map(tuple, interior[on_boundary].tolist()))
 
 
 def canonical_orientation(mesh: SimplicialMesh) -> np.ndarray:
     """Consistent combinatorial orientation signs, one per simplex.
 
-    Starting from simplex 0 with sign +1, signs are propagated across
-    shared (d-1)-faces so that every interior face is traversed in opposite
-    directions by its two simplices. Works on any face-connected valid mesh.
+    Simplex 0 gets sign +1, and every interior face is traversed in
+    opposite directions by its two simplices. Works on any face-connected
+    valid mesh. The signs are cached on the mesh and read-only.
 
     Returns
     -------
@@ -349,67 +445,10 @@ def canonical_orientation(mesh: SimplicialMesh) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the mesh is combinatorially non-orientable, or a face is shared
-        by more than two simplices.
+        If the mesh is combinatorially non-orientable, not face-connected,
+        or a face is shared by more than two simplices.
     """
-    s = mesh.simplices
-    d = mesh.intrinsic_dim
-    m_total = s.shape[0]
-
-    # parity[m][k]: induced orientation of face k of simplex m relative to
-    # the sorted face tuple, including the (-1)^k face factor.
-    incident: dict[tuple, list[tuple[int, int]]] = defaultdict(list)
-    for m in range(m_total):
-        row = [int(x) for x in s[m]]
-        for k in range(d + 1):
-            face = row[:k] + row[k + 1 :]
-            parity = _perm_sign(face) * (1 if k % 2 == 0 else -1)
-            incident[tuple(sorted(face))].append((m, parity))
-
-    sign = np.zeros(m_total, dtype=np.int64)
-    sign[0] = 1
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        row = [int(x) for x in s[cur]]
-        for k in range(d + 1):
-            face = tuple(sorted(row[:k] + row[k + 1 :]))
-            members = incident[face]
-            if len(members) > 2:
-                raise ValueError(
-                    f"face {face} is shared by {len(members)} simplices; "
-                    "orientation is undefined"
-                )
-            for other, parity_other in members:
-                if other == cur:
-                    continue
-                parity_cur = next(p for m, p in members if m == cur)
-                required = -sign[cur] * parity_cur * parity_other
-                if sign[other] == 0:
-                    sign[other] = required
-                    stack.append(other)
-                elif sign[other] != required:
-                    raise ValueError(
-                        "mesh is combinatorially non-orientable: conflicting "
-                        f"orientation constraints at face {face}"
-                    )
-    if (sign == 0).any():
-        raise ValueError(
-            "orientation could not reach every simplex; the mesh is not "
-            "face-connected"
-        )
-    return sign
-
-
-def _perm_sign(values) -> int:
-    """Sign of the permutation sorting ``values``, by inversion count."""
-    inversions = 0
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] > values[j]:
-                inversions += 1
-    return 1 if inversions % 2 == 0 else -1
+    return mesh.orientation
 
 
 def triangulate_polygon_faces(faces, vertices) -> SimplicialMesh:
@@ -422,21 +461,40 @@ def triangulate_polygon_faces(faces, vertices) -> SimplicialMesh:
     Raises
     ------
     ValueError
-        For faces with fewer than three vertices or repeated vertices.
+        For faces with fewer than three vertices or repeated vertices; the
+        first offending face is reported.
     """
-    triangles = []
-    for fi, face in enumerate(faces):
-        face = [int(x) for x in face]
-        if len(face) < 3:
+    faces = list(faces)
+    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum())
+    )
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    by_value = np.lexsort((flat, owner))  # each face's entries, ascending
+    repeat = np.zeros(sizes.size, dtype=bool)
+    same = (np.diff(owner[by_value]) == 0) & (np.diff(flat[by_value]) == 0)
+    repeat[owner[by_value][1:][same]] = True
+    short = sizes < 3
+    bad = np.flatnonzero(short | repeat)
+    if bad.size:
+        fi = int(bad[0])
+        face = tuple(int(x) for x in faces[fi])
+        if short[fi]:
             raise ValueError(f"face {fi} has {len(face)} vertices; need >= 3")
-        if len(set(face)) != len(face):
-            raise ValueError(f"face {fi} {tuple(face)} repeats a vertex")
-        pivot = face.index(min(face))
-        rotated = face[pivot:] + face[:pivot]
-        for k in range(1, len(rotated) - 1):
-            triangles.append((rotated[0], rotated[k], rotated[k + 1]))
+        raise ValueError(f"face {fi} {face} repeats a vertex")
+
+    start = np.cumsum(sizes) - sizes
+    pivot = by_value[start] - start  # position of each face's lowest index
+    fans = sizes - 2
+    tri_face = np.repeat(np.arange(sizes.size), fans)
+    k = np.arange(tri_face.size) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+
+    def corner(step):  # vertex `step` places after the pivot of each fan's face
+        return flat[start[tri_face] + (pivot[tri_face] + step) % sizes[tri_face]]
+
+    triangles = np.column_stack([corner(0), corner(k), corner(k + 1)])
     return SimplicialMesh(
         vertices=np.asarray(vertices, dtype=float),
-        simplices=np.asarray(triangles, dtype=np.int64),
+        simplices=triangles,
         intrinsic_dim=2,
     )

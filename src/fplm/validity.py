@@ -73,6 +73,8 @@ class ValidityReport:
     verdict is "injective-certified" exactly when the crossing count is
     zero (or not applicable), exactly one orientation sign occurs, and no
     simplex image is near-degenerate; otherwise "violated" with reasons.
+    hull_violation, boundary_convexity and max_convex_residual are
+    diagnostics: they are reported but do not gate the verdict.
     """
 
     crossing_count: int | None
@@ -417,12 +419,12 @@ def convex_combination_residual(
     largest Euclidean deviation from that identity.
     """
     coords = np.asarray(coords, dtype=float)
-    adjacency = graph.adjacency()
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     free_indices = np.asarray(free_indices, dtype=np.int64)
     if free_indices.size == 0:
         return 0.0
-    averages = adjacency[free_indices] @ coords / degrees[free_indices, None]
+    averages = (
+        graph.adjacency()[free_indices] @ coords / graph.degrees[free_indices, None]
+    )
     deviation = np.linalg.norm(coords[free_indices] - averages, axis=1)
     return float(deviation.max())
 

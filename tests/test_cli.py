@@ -210,35 +210,6 @@ class TestEmbed:
         assert rc == 2
         assert "vertex 14 has a non-finite coordinate" in capsys.readouterr().err
 
-    def test_threads_env_fallback_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPLM_THREADS", "2")
-        mesh, emb, rc = run_pipeline(tmp_path)
-        assert rc == 0
-        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
-        assert manifest["config"]["threads"] == 2
-
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPLM_THREADS", "2")
-        mesh, emb, rc = run_pipeline(tmp_path, extra_embed=("--threads", "1"))
-        assert rc == 0
-        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
-        assert manifest["config"]["threads"] == 1
-
-    def test_bad_threads_env_returns_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FPLM_THREADS", "many")
-        mesh = tmp_path / "mesh.json"
-        main(["generate", "--kind", "grid-disk", "--resolution", "3x3", "--out", str(mesh)])
-        rc = main(["embed", "--mesh", str(mesh), "--out", str(tmp_path / "e.csv")])
-        assert rc == 2
-
-    def test_nonpositive_threads_returns_2(self, tmp_path):
-        mesh = tmp_path / "mesh.json"
-        main(["generate", "--kind", "grid-disk", "--resolution", "3x3", "--out", str(mesh)])
-        rc = main(
-            ["embed", "--mesh", str(mesh), "--out", str(tmp_path / "e.csv"), "--threads", "0"]
-        )
-        assert rc == 2
-
 
 class TestValidate:
     def test_certified_returns_0(self, tmp_path, capsys):

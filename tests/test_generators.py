@@ -277,6 +277,12 @@ class TestDelaunay2d:
             tri_area += abs(u[0] * v[1] - u[1] * v[0]) / 2
         assert tri_area == pytest.approx(hull_area, rel=1e-9)
 
+    def test_flat_hull_triangle_kept(self):
+        # (0, 1, 2) is a hull triangle whose circumcircle (radius ~5,000)
+        # holds no other point; a finite super-triangle would lose it
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1e-4], [0.0, -1.0]])
+        assert delaunay2d(pts) == [(1, 0, 2), (1, 2, 3), (2, 0, 3)]
+
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(size=(20, 2))

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fplm import geometry
 from fplm.geometry import (
     bbox_diameter,
     incircle,
@@ -70,6 +71,56 @@ class TestOrient2d:
                 got = orient2d(0.5, 0.5, 0.75 + da, 0.75 + db, 1.0, 1.0)
                 want = orient2d_rational(0.5, 0.5, 0.75 + da, 0.75 + db, 1.0, 1.0)
                 assert got == want
+
+
+class TestExactZeroRule:
+    """Rows whose two products each have an exactly-zero factor are collinear
+    with no rational arithmetic; products that only underflow to 0 are not."""
+
+    # one row per pair of zero factors: a vertical line (ax = cx, bx = cx),
+    # a = c, a horizontal line (ay = cy, by = cy), b = c; then a = b = c
+    ZERO_ROWS = [
+        ((1.0, 2.0), (1.0, 5.0), (1.0, 7.0)),
+        ((0.3, 0.7), (0.9, 0.1), (0.3, 0.7)),
+        ((2.0, 4.0), (6.0, 4.0), (-1.0, 4.0)),
+        ((0.4, 0.9), (0.1, 0.2), (0.1, 0.2)),
+        ((0.5, 0.25), (0.5, 0.25), (0.5, 0.25)),
+    ]
+    # 1e-200 * 1e-200 underflows to 0.0 in both products, yet the exact
+    # determinant 1e-400 - 6e-400 is negative
+    UNDERFLOW = ((1e-200, 3e-200), (2e-200, 1e-200), (0.0, 0.0))
+
+    @staticmethod
+    def _count_rationals(monkeypatch):
+        made = []
+        real = geometry.Fraction
+
+        def counting(value):
+            made.append(value)
+            return real(value)
+
+        monkeypatch.setattr(geometry, "Fraction", counting)
+        return made
+
+    def test_exactly_collinear_rows_skip_rational(self, monkeypatch):
+        made = self._count_rationals(monkeypatch)
+        for a, b, c in self.ZERO_ROWS:
+            assert orient2d(*a, *b, *c) == 0
+        pa, pb, pc = (np.array(col) for col in zip(*self.ZERO_ROWS))
+        assert orient2d_signs(pa, pb, pc).tolist() == [0] * len(self.ZERO_ROWS)
+        assert made == []
+
+    def test_underflowed_products_take_exact_path(self, monkeypatch):
+        a, b, c = self.UNDERFLOW
+        assert (a[0] - c[0]) * (b[1] - c[1]) == 0.0
+        assert (a[1] - c[1]) * (b[0] - c[0]) == 0.0
+        made = self._count_rationals(monkeypatch)
+        assert orient2d(*a, *b, *c) == orient2d_rational(*a, *b, *c) == -1
+        assert made
+        made.clear()
+        got = orient2d_signs(np.array([a]), np.array([b]), np.array([c]))
+        assert got.tolist() == [-1]
+        assert made
 
 
 class TestOrient3d:

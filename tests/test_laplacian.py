@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from fplm.generators import ball3
 from fplm.laplacian import assemble_system, build_weights
-from fplm.simplicial import SimplicialMesh
+from fplm.simplicial import SimplicialMesh, detect_boundary
 
 
 def triangle_mesh():
@@ -177,6 +178,33 @@ class TestAssembleSystem:
         # fixing one vertex in each component is fine
         sys = assemble_system(g, [0, 3])
         assert sys.lap_free.shape == (4, 4)
+
+    def test_reused_graph_matches_fresh_graphs(self):
+        # the seed-simplex and boundary fixed sets of the two mapping rounds
+        mesh = ball3(3)
+        rounds = [mesh.simplices[40], detect_boundary(mesh).boundary_vertices]
+        shared = build_weights(mesh)
+        for fixed in rounds:
+            got = assemble_system(shared, fixed)
+            want = assemble_system(build_weights(mesh), fixed)
+            assert np.array_equal(got.free_indices, want.free_indices)
+            assert np.array_equal(got.fixed_indices, want.fixed_indices)
+            assert np.array_equal(got.degrees, want.degrees)
+            for block in ("lap_free", "lap_free_fixed", "laplacian", "adjacency"):
+                a, b = getattr(got, block), getattr(want, block)
+                assert a.shape == b.shape
+                assert (a != b).nnz == 0, block
+        assert got.laplacian is shared.laplacian
+
+    def test_cached_matrices_are_read_only(self):
+        g = build_weights(triangle_mesh())
+        for array in (g.degrees, g.component_labels, g.laplacian.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # adjacency() hands out a writable copy, never the graph's own matrix
+        a = g.adjacency()
+        a.data[:] = 0.0
+        assert (g.adjacency().data > 0).all()
 
     def test_all_vertices_fixed(self):
         g = build_weights(triangle_mesh())

@@ -1,10 +1,14 @@
 """Mapping pipeline tests: targets, seed choice, rounds, branches."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from fplm.generators import icosphere, structured_grid_triangles
+from fplm.generators import ball3, icosphere, structured_grid_triangles
 from fplm.geometry import simplex_orientation
 from fplm.laplacian import build_weights
 from fplm.mapping import (
@@ -16,7 +20,7 @@ from fplm.mapping import (
     select_seed_simplex,
     solve_fixed_point,
 )
-from fplm.simplicial import SimplicialMesh, detect_boundary
+from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 
 
 def grid_mesh(nx, ny):
@@ -39,6 +43,16 @@ def two_triangles():
         np.array([[0, 1, 2], [1, 3, 2]]),
         2,
     )
+
+
+def islands():
+    """A grid plus a closed sphere that no boundary vertex reaches (its
+    vertices sit at depth n + 1)."""
+    grid = grid_mesh(4, 4)
+    sphere = icosphere(0)
+    vertices = np.vstack([np.column_stack([grid.vertices, np.zeros(16)]), sphere.vertices + 5.0])
+    simplices = np.vstack([grid.simplices, sphere.simplices + grid.n_vertices])
+    return SimplicialMesh(vertices, simplices, 2)
 
 
 class TestRegularSimplex:
@@ -109,6 +123,43 @@ class TestSelectSeedSimplex:
 
     def test_closed_mesh_picks_zero(self):
         assert select_seed_simplex(icosphere(1), "most-interior") == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["grid", "ball", "islands"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_most_interior_matches_scalar_bfs(self, name, seed):
+        mesh = {
+            "grid": grid_mesh(7, 6),
+            "ball": ball3(3),
+            "islands": islands(),
+        }[name]
+        rng = np.random.default_rng(seed)
+        new_id = rng.permutation(mesh.n_vertices)
+        vertices = np.empty_like(mesh.vertices)
+        vertices[new_id] = mesh.vertices
+        simplices = new_id[mesh.simplices][rng.permutation(mesh.n_simplices)]
+        mesh = SimplicialMesh(vertices, simplices, mesh.intrinsic_dim)
+
+        # scalar oracle: multi-source breadth-first search from the boundary
+        n = mesh.n_vertices
+        neighbors = [[] for _ in range(n)]
+        for u, v in mesh_edges(mesh).tolist():
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        depth = [n + 1] * n
+        queue = deque(detect_boundary(mesh).boundary_vertices.tolist())
+        for v in queue:
+            depth[v] = 0
+        while queue:
+            cur = queue.popleft()
+            for nxt in neighbors[cur]:
+                if depth[nxt] == n + 1:
+                    depth[nxt] = depth[cur] + 1
+                    queue.append(nxt)
+        scores = [min(depth[v] for v in simplex) for simplex in mesh.simplices.tolist()]
+        assert select_seed_simplex(mesh, "most-interior") == scores.index(max(scores))
 
 
 class TestFixedPointSet:

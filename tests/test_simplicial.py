@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fplm.generators import icosphere, structured_grid_triangles
-from fplm.geometry import simplex_orientation
+from fplm.generators import ball3, icosphere, structured_grid_triangles
+from fplm.geometry import simplex_orientation, simplex_orientations
 from fplm.simplicial import (
     SimplicialMesh,
     canonical_orientation,
@@ -319,6 +321,121 @@ class TestCanonicalOrientation:
             canonical_orientation(mesh)
 
 
+SMALL_MESHES = {
+    "grid": grid_mesh(5, 4),
+    "sphere": icosphere(1),
+    "ball": ball3(2),
+}
+
+
+def geometric_signs(mesh):
+    """Orientation of each simplex in space: planar and solid simplices by
+    their determinant, sphere triangles by their winding about the origin."""
+    points = mesh.vertices[mesh.simplices]
+    if mesh.intrinsic_dim == mesh.ambient_dim:
+        return simplex_orientations(points)
+    return np.sign(np.linalg.det(points)).astype(np.int64)
+
+
+def relabel(mesh, rng):
+    """The same mesh with permuted vertex ids and simplex order."""
+    new_id = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    simplices = new_id[mesh.simplices][rng.permutation(mesh.n_simplices)]
+    return SimplicialMesh(vertices, simplices, mesh.intrinsic_dim)
+
+
+class TestVectorisedTopology:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
+    def test_orientation_follows_geometry_and_vertex_swaps(self, name, seed):
+        rng = np.random.default_rng(seed)
+        mesh = relabel(SMALL_MESHES[name], rng)
+        sign = canonical_orientation(mesh)
+        assert sign[0] == 1
+        assert len(set((sign * geometric_signs(mesh)).tolist())) == 1
+
+        swapped = rng.random(mesh.n_simplices) < 0.5
+        simplices = mesh.simplices.copy()
+        simplices[swapped, :2] = simplices[swapped, 1::-1]
+        other = SimplicialMesh(mesh.vertices, simplices, mesh.intrinsic_dim)
+        flip = np.where(swapped, -1, 1)
+        s2 = canonical_orientation(other)
+        assert np.array_equal(s2, sign * flip) or np.array_equal(s2, -sign * flip)
+        assert len(set((s2 * geometric_signs(other)).tolist())) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
+    def test_disjoint_union_reports_lowest_unreachable_simplex(self, name, seed):
+        rng = np.random.default_rng(seed)
+        part = SMALL_MESHES[name]
+        shifted = part.vertices + 10.0
+        vertices = np.vstack([part.vertices, shifted])
+        stacked = np.vstack([part.simplices, part.simplices + part.n_vertices])
+        order = rng.permutation(len(stacked))
+        mesh = SimplicialMesh(vertices, stacked[order], part.intrinsic_dim)
+        half = order >= part.n_simplices  # which copy each simplex came from
+        expected = int(np.flatnonzero(half != half[0])[0])
+        violations = validate_mesh(mesh)
+        assert [(v.rule, v.where) for v in violations] == [("disconnected", (expected,))]
+        with pytest.raises(ValueError, match="not face-connected"):
+            canonical_orientation(mesh)
+
+    def test_overshared_face_rejected_by_orientation(self):
+        verts = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1.5, 1.0], [-0.5, 1.0]]
+        )
+        simp = np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]])
+        with pytest.raises(ValueError, match="shared by 3 simplices"):
+            canonical_orientation(SimplicialMesh(verts, simp, 2))
+
+    @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+    def test_cached_arrays_are_read_only(self, name):
+        mesh = relabel(SMALL_MESHES[name], np.random.default_rng(1))
+        faces, counts = mesh_faces(mesh)
+        boundary = detect_boundary(mesh)
+        table = mesh.face_table
+        cached = [
+            faces,
+            counts,
+            table.face_of,
+            table.parity,
+            mesh_edges(mesh),
+            boundary.boundary_faces,
+            boundary.boundary_vertices,
+            canonical_orientation(mesh),
+        ]
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array.reshape(-1)[:1] = 0
+        # repeated calls hand out the same cached objects
+        assert mesh_faces(mesh)[0] is faces
+        assert mesh_edges(mesh) is cached[4]
+        assert detect_boundary(mesh) is boundary
+        assert canonical_orientation(mesh) is cached[7]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+    def test_face_table_matches_brute_force_incidence(self, name):
+        mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
+        table = mesh.face_table
+        d = mesh.intrinsic_dim
+        incidence = {}
+        for m, simplex in enumerate(mesh.simplices.tolist()):
+            for k in range(d + 1):
+                face = simplex[:k] + simplex[k + 1 :]
+                inversions = sum(
+                    face[i] > face[j] for i in range(d) for j in range(i + 1, d)
+                )
+                parity = (-1) ** (inversions + k)
+                key = tuple(sorted(face))
+                incidence.setdefault(key, []).append(m)
+                assert tuple(table.faces[table.face_of[m, k]]) == key
+                assert table.parity[m, k] == parity
+        assert [tuple(f) for f in table.faces.tolist()] == sorted(incidence)
+        assert table.counts.tolist() == [len(incidence[f]) for f in sorted(incidence)]
+
+
 class TestEulerFormula:
     def test_disk_meshes(self):
         for mesh in (triangle_mesh(), two_triangles(), grid_mesh(4, 5), grid_mesh(7, 3)):
@@ -363,6 +480,26 @@ class TestTriangulatePolygonFaces:
         # rotated so the fan apex is the lowest index, preserving cyclic order
         got = {tuple(t) for t in mesh.simplices.tolist()}
         assert got == {(0, 1, 2), (0, 2, 3)}
+
+    def test_mixed_polygons_match_scalar_fan(self):
+        rng = np.random.default_rng(4)
+        faces = [list(rng.permutation(12)[: int(k)]) for k in rng.integers(3, 9, 40)]
+        mesh = triangulate_polygon_faces(faces, np.zeros((12, 3)))
+        want = []
+        for face in faces:
+            pivot = face.index(min(face))
+            rotated = face[pivot:] + face[:pivot]
+            want += [
+                [rotated[0], rotated[k], rotated[k + 1]] for k in range(1, len(face) - 1)
+            ]
+        assert mesh.simplices.tolist() == want
+
+    def test_first_offending_face_reported(self):
+        verts = np.zeros((6, 3))
+        with pytest.raises(ValueError, match="face 1 .* repeats a vertex"):
+            triangulate_polygon_faces([[0, 1, 2], [3, 4, 3, 5], [0, 1]], verts)
+        with pytest.raises(ValueError, match="face 1 has 2 vertices"):
+            triangulate_polygon_faces([[0, 1, 2], [4, 5], [3, 3, 5]], verts)
 
     def test_rejects_degenerate_faces(self):
         verts = np.zeros((4, 3))
