@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .generators import GENERATOR_KINDS, TRIANGULATIONS, GeneratorSpec, generate
-from .laplacian import build_weights
 from .mapping import SEED_STRATEGIES, run_fplm
 from .meshio import (
     ParseError,

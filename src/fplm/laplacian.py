@@ -23,10 +23,11 @@ from .simplicial import SimplicialMesh, mesh_edges
 class WeightedGraph:
     """Undirected weighted 1-skeleton of a mesh.
 
-    Edges are stored once with i < j; weights are strictly positive. The
-    adjacency, degrees, Laplacian and component labels are built once per
-    graph on first use and shared, read-only, by every system assembled on
-    it.
+    Edges are stored once with i < j; weights are strictly positive and
+    read-only, since :func:`build_weights` hands one graph per (mesh,
+    gamma) to every caller. The adjacency, degrees, Laplacian and component
+    labels are built once per graph on first use and shared, read-only, by
+    every system assembled on it.
     """
 
     n: int
@@ -106,9 +107,20 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
     ambient coordinates of the edge endpoints. Coincident connected points
     get weight exactly 1, which is allowed but flagged with a warning since
     it usually indicates duplicated samples.
+
+    The graph is memoised on the immutable mesh object, one per
+    ``float(gamma)``, so ``run_fplm`` and a later ``audit(graph=...)`` on
+    one mesh share one graph and its cached adjacency and degrees. The
+    coincident-point warning is raised when a (mesh, gamma) graph is first
+    built, not again when the memo returns it.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    gamma = float(gamma)
+    # stored in the instance dict, as functools.cached_property does
+    graphs = mesh.__dict__.setdefault("_weighted_graphs", {})
+    if gamma in graphs:
+        return graphs[gamma]
     edges = mesh_edges(mesh)
     diffs = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     dists = np.linalg.norm(diffs, axis=1)
@@ -120,9 +132,11 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
             stacklevel=2,
         )
     weights = np.exp(-gamma * dists)
-    return WeightedGraph(
-        n=mesh.n_vertices, edges=edges, weights=weights, gamma=float(gamma)
+    weights.setflags(write=False)
+    graphs[gamma] = WeightedGraph(
+        n=mesh.n_vertices, edges=edges, weights=weights, gamma=gamma
     )
+    return graphs[gamma]
 
 
 def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:

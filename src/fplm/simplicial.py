@@ -102,15 +102,19 @@ class SimplicialMesh:
         for i, j in itertools.combinations(range(d), 2):
             inversions += raw[:, :, i] > raw[:, :, j]
         parity = np.where((inversions + np.arange(d + 1)) % 2 == 0, 1, -1)
-        faces, inverse, counts = np.unique(
-            np.sort(raw, axis=2).reshape(-1, d),
-            axis=0,
-            return_inverse=True,
-            return_counts=True,
-        )
+        rows = np.sort(raw, axis=2).reshape(-1, d)
+        # lexsort takes its primary key last; rows stay in lexicographic order
+        # as np.unique(axis=0) would give, without packing them into one key
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        first = np.ones(ranked.shape[0], dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        inverse = np.empty(ranked.shape[0], dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
         return FaceTable(
-            faces=_frozen(faces),
-            counts=_frozen(counts),
+            faces=_frozen(ranked[starts]),
+            counts=_frozen(np.diff(starts, append=ranked.shape[0])),
             face_of=_frozen(inverse.reshape(s.shape)),
             parity=_frozen(parity.astype(np.int8)),
         )
@@ -196,7 +200,9 @@ class SimplicialMesh:
 class FaceTable:
     """The (d-1)-faces of a mesh with their simplex incidence.
 
-    Built by one ``np.unique`` over the (d+1) * M faces of the simplices.
+    Built by one ``np.lexsort`` over the (d+1) * M faces of the simplices,
+    each face row sorted first; runs of equal rows in that order are the
+    unique faces.
 
     faces : (K, d) int array
         Unique faces, each row sorted ascending, rows in lexicographic order.

@@ -19,7 +19,7 @@ vertex index take a single turn test (see :func:`count_crossings`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -369,8 +369,18 @@ def check_hull_containment(
         return float("-inf")
     pts = coords[free_indices]
     # hull.equations rows are unit outward normals with offsets: n.x + b <= 0
-    signed = pts @ hull.equations[:, :d].T + hull.equations[:, d]
-    return float(signed.max())
+    normals = hull.equations[:, :d].T
+    offsets = hull.equations[:, d]
+    # row blocks keep the signed distances in cache instead of one P x F array
+    worst = -np.inf
+    for r0 in range(0, pts.shape[0], _HULL_BLOCK):
+        signed = pts[r0 : r0 + _HULL_BLOCK] @ normals
+        signed += offsets
+        worst = np.maximum(worst, signed.max())
+    return float(worst)
+
+
+_HULL_BLOCK = 64
 
 
 def check_boundary_convexity(
@@ -422,8 +432,9 @@ def convex_combination_residual(
     free_indices = np.asarray(free_indices, dtype=np.int64)
     if free_indices.size == 0:
         return 0.0
+    # the graph's own read-only matrix; adjacency() would copy all of it
     averages = (
-        graph.adjacency()[free_indices] @ coords / graph.degrees[free_indices, None]
+        graph._adjacency[free_indices] @ coords / graph.degrees[free_indices, None]
     )
     deviation = np.linalg.norm(coords[free_indices] - averages, axis=1)
     return float(deviation.max())
@@ -507,15 +518,10 @@ def audit(
     boundary_convexity = None
     if emb is not None:
         final_fixed = emb.fixed_round2 or emb.fixed_round1
+        free = np.setdiff1d(np.arange(mesh.n_vertices), final_fixed.indices)
         if d in (2, 3):
-            free = np.setdiff1d(
-                np.arange(mesh.n_vertices), final_fixed.indices
-            )
             hull_violation = check_hull_containment(final_fixed, coords, free)
         if graph is not None:
-            free = np.setdiff1d(
-                np.arange(mesh.n_vertices), final_fixed.indices
-            )
             max_convex_residual = convex_combination_residual(
                 graph, coords, free
             )

@@ -1,11 +1,15 @@
 """Edge-weight and Laplacian block assembly tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fplm.generators import ball3
+from fplm.generators import GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
+from fplm.mapping import run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary
+from fplm.validity import audit
 
 
 def triangle_mesh():
@@ -14,6 +18,11 @@ def triangle_mesh():
         np.array([[0, 1, 2]]),
         2,
     )
+
+
+def fresh_copy(mesh):
+    """An equal mesh as a distinct object, with none of its caches."""
+    return SimplicialMesh(mesh.vertices, mesh.simplices, mesh.intrinsic_dim)
 
 
 def path_graph():
@@ -68,6 +77,57 @@ class TestBuildWeights:
         a = g.adjacency().toarray()
         np.testing.assert_array_equal(a, a.T)
         assert np.diag(a).sum() == 0.0
+
+
+class TestGraphMemo:
+    def test_same_mesh_and_gamma_share_one_graph(self):
+        mesh = triangle_mesh()
+        g = build_weights(mesh, gamma=0.5)
+        assert build_weights(mesh, gamma=0.5) is g
+        assert build_weights(mesh, gamma=np.float64(0.5)) is g
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights[0] = 0.0
+
+    def test_other_gamma_or_equal_mesh_builds_another_graph(self):
+        mesh = triangle_mesh()
+        g = build_weights(mesh, gamma=0.5)
+        assert build_weights(mesh, gamma=0.25) is not g
+        other = build_weights(fresh_copy(mesh), gamma=0.5)
+        assert other is not g
+        assert np.array_equal(other.weights, g.weights)
+
+    def test_nonpositive_gamma_rejected_after_a_build(self):
+        mesh = triangle_mesh()
+        build_weights(mesh)
+        with pytest.raises(ValueError, match="positive"):
+            build_weights(mesh, gamma=0.0)
+
+    def test_coincident_warning_on_first_build_points_at_caller(self):
+        verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2]]), 2)
+        with pytest.warns(RuntimeWarning, match="coincident") as record:
+            g = build_weights(mesh)
+        assert record[0].filename == __file__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_weights(mesh) is g
+        with pytest.warns(RuntimeWarning, match="coincident"):
+            build_weights(mesh, gamma=0.2)
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [generate(GeneratorSpec("paraboloid", (6, 5)))[0], icosphere(1), ball3(3)],
+        ids=["paraboloid", "sphere", "ball"],
+    )
+    def test_audit_with_memoised_graph_matches_fresh_mesh(self, mesh):
+        mesh = fresh_copy(mesh)
+        emb = run_fplm(mesh)
+        shared = build_weights(mesh)
+        report = audit(mesh, emb, graph=shared)
+        copy = fresh_copy(mesh)
+        fresh = build_weights(copy)
+        assert fresh is not shared
+        assert report.to_dict() == audit(copy, emb, graph=fresh).to_dict()
 
 
 class TestAssembleSystem:
@@ -186,7 +246,7 @@ class TestAssembleSystem:
         shared = build_weights(mesh)
         for fixed in rounds:
             got = assemble_system(shared, fixed)
-            want = assemble_system(build_weights(mesh), fixed)
+            want = assemble_system(build_weights(fresh_copy(mesh)), fixed)
             assert np.array_equal(got.free_indices, want.free_indices)
             assert np.array_equal(got.fixed_indices, want.fixed_indices)
             assert np.array_equal(got.degrees, want.degrees)

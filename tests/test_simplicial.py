@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fplm.generators import ball3, icosphere, structured_grid_triangles
@@ -434,6 +434,59 @@ class TestVectorisedTopology:
                 assert table.parity[m, k] == parity
         assert [tuple(f) for f in table.faces.tolist()] == sorted(incidence)
         assert table.counts.tolist() == [len(incidence[f]) for f in sorted(incidence)]
+
+
+def unique_rows_face_table(mesh):
+    """Reference face table: np.unique over the sorted face rows."""
+    d = mesh.intrinsic_dim
+    omit = [[j for j in range(d + 1) if j != k] for k in range(d + 1)]
+    rows = np.sort(mesh.simplices[:, omit], axis=2).reshape(-1, d)
+    faces, inverse, counts = np.unique(
+        rows, axis=0, return_inverse=True, return_counts=True
+    )
+    return faces, counts, inverse.reshape(mesh.simplices.shape)
+
+
+@st.composite
+def random_simplices(draw):
+    """Simplices over a few non-contiguous vertex ids: small pools make
+    faces shared by three or more simplices, and rows may repeat a vertex."""
+    d = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(st.integers(0, 999), min_size=1, max_size=d + 3, unique=True)
+    )
+    simplices = draw(
+        st.lists(
+            st.lists(st.sampled_from(pool), min_size=d + 1, max_size=d + 1),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return d, simplices
+
+
+class TestSortedFaceTable:
+    @settings(max_examples=150, deadline=None)
+    @given(random_simplices())
+    @example((2, [[7, 3, 500]] * 3 + [[3, 7, 9]]))  # edge (3, 7) in four triangles
+    @example((3, [[5, 5, 2, 900], [900, 2, 5, 1]]))  # a tet that repeats a vertex
+    @example((1, [[4, 4]]))
+    def test_matches_unique_rows_reference(self, case):
+        d, simplices = case
+        mesh = SimplicialMesh(np.zeros((1000, d)), np.array(simplices), d)
+        table = mesh.face_table
+        faces, counts, face_of = unique_rows_face_table(mesh)
+        for got, want in ((table.faces, faces), (table.counts, counts),
+                          (table.face_of, face_of)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_empty_mesh_reports_empty_without_traceback(self):
+        mesh = SimplicialMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int), 2)
+        assert [v.rule for v in validate_mesh(mesh)] == ["empty"]
+        faces, counts = mesh_faces(mesh)
+        assert faces.shape == (0, 2) and counts.shape == (0,)
+        assert mesh.face_table.face_of.shape == (0, 3)
 
 
 class TestEulerFormula:

@@ -13,6 +13,7 @@ from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary
 from fplm.validity import (
+    _HULL_BLOCK,
     audit,
     check_boundary_convexity,
     check_hull_containment,
@@ -425,6 +426,38 @@ class TestHullContainment:
         coords = np.zeros((5, 3))
         coords[4] = [0.1, 0.1, 0.1]
         assert check_hull_containment(fps, coords, [4]) < 0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_match_dense_formula(self, d, seed):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(seed)
+        n_fixed = int(rng.integers(d + 1, 60))
+        n_free = 5 * _HULL_BLOCK + int(rng.integers(1, _HULL_BLOCK))
+        fps = FixedPointSet(
+            indices=np.arange(n_fixed),
+            targets=rng.normal(size=(n_fixed, d)),
+            kind="inner-boundary",
+        )
+        equations = ConvexHull(fps.targets).equations
+        # halfway between a convex combination of targets and their
+        # centroid: strictly inside the hull
+        picks = fps.targets[rng.integers(0, n_fixed, (n_free, d + 1))]
+        inside = 0.5 * (picks.mean(axis=1) + fps.targets.mean(axis=0))
+        free = np.arange(n_fixed, n_fixed + n_free)
+        # all free points inside, then one outside in a late block
+        for outside in (None, n_free - 2):
+            coords = np.vstack([fps.targets, inside])
+            if outside is not None:
+                coords[free[outside]] = 3.0 * np.abs(fps.targets).max(axis=0)
+            got = check_hull_containment(fps, coords, free)
+            dense = float(
+                (coords[free] @ equations[:, :d].T + equations[:, d]).max()
+            )
+            assert got == dense
+            assert (got > 0) == (outside is not None)
+        assert check_hull_containment(fps, coords, free[:0]) == float("-inf")
 
 
 class TestBoundaryConvexity:
