@@ -2,11 +2,14 @@
 
 Each predicate evaluates a floating-point determinant and accepts its sign
 when the magnitude clears a forward error bound. Inputs inside the
-uncertainty band are re-evaluated in rational arithmetic, so callers always
-receive the mathematically exact sign, at float speed for all but
+uncertainty band go to an integer stage: every finite double is n / 2**k
+exactly, so scaling a row's coordinates by its largest 2**k turns them into
+Python ints, and the same determinant evaluated in ints has the exact sign
+(Shewchuk's observation that exactness needs no rational arithmetic). Callers
+always receive the mathematically exact sign, at float speed for all but
 near-degenerate configurations. The batched forms run the same filter over
-whole arrays in numpy and hand only the undecided rows to the scalar
-predicate.
+whole arrays in numpy and settle all their undecided rows in one pass of the
+integer stage. Only the d >= 4 simplex orientation uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ _EPS = 1.1102230246251565e-16
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# Those bounds assume no underflow. A product that underflows is off by up
+# to half the smallest subnormal _ETA, not by a relative _EPS, and a later
+# factor scales that error; each filter adds an absolute term for it (for
+# orient3d: 4 _ETA (1 + max |z difference|)).
+_ETA = 2.0**-1074
 
 
 def _sign(x):
@@ -44,17 +52,14 @@ def orient2d(ax, ay, bx, by, cx, cy):
     detright = acy * bcx
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) > _CCW_BOUND * detsum:
+    if abs(det) > _CCW_BOUND * detsum + 2.0 * _ETA:
         return 1 if det > 0.0 else -1
     # a float difference is 0 only when its operands are equal, so a product
     # with a zero factor is exactly 0; a product that merely underflowed to 0
     # has nonzero factors and goes on to the exact path
     if (acx == 0.0 or bcy == 0.0) and (acy == 0.0 or bcx == 0.0):
         return 0
-    fax, fay = Fraction(ax), Fraction(ay)
-    fbx, fby = Fraction(bx), Fraction(by)
-    fcx, fcy = Fraction(cx), Fraction(cy)
-    return _sign((fax - fcx) * (fby - fcy) - (fay - fcy) * (fbx - fcx))
+    return _orient2d_exact([(ax, ay, bx, by, cx, cy)])[0]
 
 
 def orient3d(pa, pb, pc, pd):
@@ -87,14 +92,10 @@ def orient3d(pa, pb, pc, pd):
         + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
         + (abs(adxbdy) + abs(bdxady)) * abs(cdz)
     )
-    if abs(det) > _O3D_BOUND * permanent:
+    underflow = 4.0 * _ETA * (1.0 + max(abs(adz), abs(bdz), abs(cdz)))
+    if abs(det) > _O3D_BOUND * permanent + underflow:
         return 1 if det > 0.0 else -1
-    rows = [
-        [Fraction(pa[i]) - Fraction(pd[i]) for i in range(3)],
-        [Fraction(pb[i]) - Fraction(pd[i]) for i in range(3)],
-        [Fraction(pc[i]) - Fraction(pd[i]) for i in range(3)],
-    ]
-    return _sign(_det3(rows))
+    return _orient3d_exact([(*pa, *pb, *pc, *pd)])[0]
 
 
 def incircle(pa, pb, pc, pd):
@@ -127,21 +128,47 @@ def incircle(pa, pb, pc, pd):
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    if abs(det) > _ICC_BOUND * permanent:
+    underflow = 4.0 * _ETA * (
+        1.0
+        + max(alift, blift, clift)
+        + max(abs(bdxcdy) + abs(cdxbdy), abs(cdxady) + abs(adxcdy), abs(adxbdy) + abs(bdxady))
+    )
+    if abs(det) > _ICC_BOUND * permanent + underflow:
         return 1 if det > 0.0 else -1
+    ax, ay, bx, by, cx, cy, dx, dy = _scaled((*pa, *pb, *pc, *pd))
+    rows = [(ax - dx, ay - dy), (bx - dx, by - dy), (cx - dx, cy - dy)]
+    return _sign(_det3([[x, y, x * x + y * y] for x, y in rows]))
 
-    fadx = Fraction(pa[0]) - Fraction(pd[0])
-    fady = Fraction(pa[1]) - Fraction(pd[1])
-    fbdx = Fraction(pb[0]) - Fraction(pd[0])
-    fbdy = Fraction(pb[1]) - Fraction(pd[1])
-    fcdx = Fraction(pc[0]) - Fraction(pd[0])
-    fcdy = Fraction(pc[1]) - Fraction(pd[1])
-    rows = [
-        [fadx, fady, fadx * fadx + fady * fady],
-        [fbdx, fbdy, fbdx * fbdx + fbdy * fbdy],
-        [fcdx, fcdy, fcdx * fcdx + fcdy * fcdy],
-    ]
-    return _sign(_det3(rows))
+
+def _scaled(values):
+    """The coordinates ``values`` as Python ints, all times one power of two.
+
+    Each float is n / 2**k exactly (``float.as_integer_ratio``); shifting
+    every n up to the row's largest k multiplies the whole row by that 2**k,
+    which leaves the sign of any homogeneous determinant of it unchanged.
+    Exact for every finite double, subnormals and -0.0 included.
+    """
+    ratios = [float(v).as_integer_ratio() for v in values]
+    k = max(d for _, d in ratios).bit_length()
+    return [n << (k - d.bit_length()) for n, d in ratios]
+
+
+def _orient2d_exact(rows):
+    """Exact :func:`orient2d` signs of rows (ax, ay, bx, by, cx, cy), in ints."""
+    signs = []
+    for row in rows:
+        ax, ay, bx, by, cx, cy = _scaled(row)
+        signs.append(_sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx)))
+    return signs
+
+
+def _orient3d_exact(rows):
+    """Exact :func:`orient3d` signs of rows (pa, pb, pc, pd) of 12 coordinates."""
+    signs = []
+    for row in rows:
+        v = _scaled(row)
+        signs.append(_sign(_det3([[v[r + i] - v[9 + i] for i in range(3)] for r in (0, 3, 6)])))
+    return signs
 
 
 def _det3(rows):
@@ -175,8 +202,8 @@ def simplex_orientation(points):
     """Exact sign of det(p_1 - p_0, ..., p_d - p_0) for d+1 points in R^d.
 
     Matches the sign convention of :func:`signed_volumes`. Dimensions 1..3
-    go through the filtered predicates; higher dimensions fall back to
-    rational arithmetic directly.
+    go through the filtered predicates; higher dimensions evaluate the
+    determinant in ``Fraction`` arithmetic directly.
     """
     p = points
     d = len(p) - 1
@@ -202,25 +229,35 @@ def orient2d_signs(a, b, c):
     ``a``, ``b`` and ``c`` are (K, 2) arrays; row k of the int8 result is
     ``orient2d(*a[k], *b[k], *c[k])``. The determinant, its error bound
     and the exact-zero rule are the scalar filter's float operations,
-    evaluated in numpy; rows they cannot decide are settled by
-    :func:`orient2d` itself.
+    evaluated in numpy; the rows they cannot decide are settled together
+    by the integer stage.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    return orient2d_signs_xy(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
+
+
+def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
+    """:func:`orient2d_signs` on six coordinate columns of length K."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ac = a - c
-        bc = b - c
-        detleft = ac[:, 0] * bc[:, 1]
-        detright = ac[:, 1] * bc[:, 0]
+        acx, acy = ax - cx, ay - cy
+        bcx, bcy = bx - cx, by - cy
+        zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
+        # the products and the error bound overwrite the differences, which
+        # keeps the temporaries of a large batch few
+        detleft = np.multiply(acx, bcy, out=acx)
+        detright = np.multiply(acy, bcx, out=acy)
         det = detleft - detright
-        detsum = np.abs(detleft) + np.abs(detright)
-        decided = np.abs(det) > _CCW_BOUND * detsum
-    zero = ((ac[:, 0] == 0.0) | (bc[:, 1] == 0.0)) & (
-        (ac[:, 1] == 0.0) | (bc[:, 0] == 0.0)
-    )
-    out = np.where(det > 0.0, 1, -1).astype(np.int8)
+        bound = np.abs(detleft, out=detleft)
+        bound += np.abs(detright, out=detright)
+        bound *= _CCW_BOUND
+        bound += 2.0 * _ETA
+        decided = np.abs(det, out=bcx) > bound
+    out = np.where(det > 0.0, np.int8(1), np.int8(-1))
     out[zero] = 0
-    for k in np.flatnonzero(~decided & ~zero).tolist():
-        out[k] = orient2d(*a[k].tolist(), *b[k].tolist(), *c[k].tolist())
+    rest = np.flatnonzero(~decided & ~zero)
+    if rest.size:
+        cols = np.column_stack([v[rest] for v in (ax, ay, bx, by, cx, cy)])
+        out[rest] = _orient2d_exact(cols.tolist())
     return out
 
 
@@ -229,8 +266,8 @@ def orient3d_signs(pa, pb, pc, pd):
 
     Each argument is a (K, 3) array; row k of the int8 result is
     ``orient3d(pa[k], pb[k], pc[k], pd[k])``, filtered in numpy with the
-    scalar bound and settled by :func:`orient3d` where the bound cannot
-    decide.
+    scalar bound; the rows the bound cannot decide are settled together by
+    the integer stage.
     """
     pa, pb, pc, pd = (np.asarray(v, dtype=float) for v in (pa, pb, pc, pd))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,10 +292,12 @@ def orient3d_signs(pa, pb, pc, pd):
             + (np.abs(cdxady) + np.abs(adxcdy)) * np.abs(bdz)
             + (np.abs(adxbdy) + np.abs(bdxady)) * np.abs(cdz)
         )
-        decided = np.abs(det) > _O3D_BOUND * permanent
+        underflow = 4.0 * _ETA * (1.0 + np.maximum(np.maximum(abs(adz), abs(bdz)), abs(cdz)))
+        decided = np.abs(det) > _O3D_BOUND * permanent + underflow
     out = np.where(det > 0.0, 1, -1).astype(np.int8)
-    for k in np.flatnonzero(~decided).tolist():
-        out[k] = orient3d(pa[k].tolist(), pb[k].tolist(), pc[k].tolist(), pd[k].tolist())
+    rest = np.flatnonzero(~decided)
+    if rest.size:
+        out[rest] = _orient3d_exact(np.hstack([pa[rest], pb[rest], pc[rest], pd[rest]]).tolist())
     return out
 
 
@@ -314,8 +353,19 @@ def simplex_volumes(vertices, simplices, intrinsic_dim):
     s = np.asarray(simplices, dtype=np.int64)
     k = intrinsic_dim
     edges = v[s[:, 1:]] - v[s[:, :1]]           # (M, k, l)
-    gram = edges @ np.transpose(edges, (0, 2, 1))
-    dets = np.linalg.det(gram)
+    if k > 3:
+        dets = np.linalg.det(edges @ np.transpose(edges, (0, 2, 1)))
+    else:
+        # the Gram entries and determinant written out over all simplices at
+        # once: per-matrix matmul and LAPACK calls cost several times more
+        c = np.ascontiguousarray(edges.transpose(1, 2, 0))  # (k, l, M)
+        g = [[np.einsum("lm,lm->m", c[i], c[j]) for j in range(k)] for i in range(k)]
+        if k == 1:
+            dets = g[0][0]
+        elif k == 2:
+            dets = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        else:
+            dets = _det3(g)
     dets = np.where(dets > 0.0, dets, 0.0)
     return np.sqrt(dets) / math.factorial(k)
 

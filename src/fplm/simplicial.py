@@ -102,21 +102,32 @@ class SimplicialMesh:
         for i, j in itertools.combinations(range(d), 2):
             inversions += raw[:, :, i] > raw[:, :, j]
         parity = np.where((inversions + np.arange(d + 1)) % 2 == 0, 1, -1)
-        rows = np.sort(raw, axis=2).reshape(-1, d)
+        # sort each face's vertices, one column per position: d rounds of an
+        # odd-even transposition network of np.minimum/np.maximum sort d values
+        cols = [raw[:, :, i].ravel() for i in range(d)]
+        for r in range(d):
+            for i in range(r % 2, d - 1, 2):
+                cols[i], cols[i + 1] = (
+                    np.minimum(cols[i], cols[i + 1]),
+                    np.maximum(cols[i], cols[i + 1]),
+                )
         # lexsort takes its primary key last; rows stay in lexicographic order
         # as np.unique(axis=0) would give, without packing them into one key
-        order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        first = np.ones(ranked.shape[0], dtype=bool)
-        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        order = np.lexsort(cols[::-1])
+        ranked = [c[order] for c in cols]
+        first = np.zeros(order.size, dtype=bool)
+        first[:1] = True
+        for c in ranked:
+            first[1:] |= c[1:] != c[:-1]
         starts = np.flatnonzero(first)
-        inverse = np.empty(ranked.shape[0], dtype=np.int64)
+        inverse = np.empty(order.size, dtype=np.int64)
         inverse[order] = np.cumsum(first) - 1
         return FaceTable(
-            faces=_frozen(ranked[starts]),
-            counts=_frozen(np.diff(starts, append=ranked.shape[0])),
+            faces=_frozen(np.column_stack([c[starts] for c in ranked])),
+            counts=_frozen(np.diff(starts, append=order.size)),
             face_of=_frozen(inverse.reshape(s.shape)),
             parity=_frozen(parity.astype(np.int8)),
+            order=_frozen(order),
         )
 
     @cached_property
@@ -165,9 +176,8 @@ class SimplicialMesh:
             )
         # flat positions m * (d+1) + k of the two sides of each interior face
         width = self.intrinsic_dim + 1
-        order = np.argsort(table.face_of.ravel(), kind="stable")
         start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
-        p1, p2 = order[start], order[start + 1]
+        p1, p2 = table.order[start], table.order[start + 1]
         m1, m2 = p1 // width, p2 // width
         # a simplex that repeats a vertex may hold both sides of one face
         p1, p2, m1, m2 = (a[m1 != m2] for a in (p1, p2, m1, m2))
@@ -216,12 +226,17 @@ class FaceTable:
         face row: the sign of the sorting permutation times (-1)^k. The two
         simplices of a consistently oriented interior face induce opposite
         parities once multiplied by their orientation signs.
+    order : ((d+1) * M,) int array
+        The flat sides m * (d+1) + k grouped by face: the stable sort that
+        built the table, so the sides of face f are ``order[start:start +
+        counts[f]]`` with ``start = counts[:f].sum()``, in ascending order.
     """
 
     faces: np.ndarray
     counts: np.ndarray
     face_of: np.ndarray
     parity: np.ndarray
+    order: np.ndarray
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -274,8 +289,10 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
     """Check the d-simplex decomposition invariants.
 
     Verifies that every vertex coordinate is finite, no simplex repeats a
-    vertex, every (d-1)-face is shared by at most two simplices, the
-    face-adjacency graph is connected, and no simplex is degenerate, where
+    vertex, every (d-1)-face is shared by at most two simplices, every
+    vertex's star is connected through faces that contain the vertex (no
+    pinched, non-manifold vertex), the face-adjacency graph is connected,
+    and no simplex is degenerate, where
     degenerate means Gram-determinant volume below ``vol_tol`` times
     (bounding-box diameter)^d.
 
@@ -322,28 +339,7 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
             )
         )
 
-    # simplex-face incidence graph: simplex m is node m, face f node M + f
-    m_total, n_faces = s.shape[0], faces.shape[0]
-    face_of = mesh.face_table.face_of.ravel()
-    incidence = sparse.coo_matrix(
-        (
-            np.ones(face_of.size),
-            (np.repeat(np.arange(m_total), d + 1), m_total + face_of),
-        ),
-        shape=(m_total + n_faces, m_total + n_faces),
-    )
-    _, labels = connected_components(incidence, directed=False)
-    unreached = np.flatnonzero(labels[:m_total] != labels[0])
-    if unreached.size:
-        missing = int(unreached[0])
-        out.append(
-            MeshViolation(
-                "disconnected",
-                (missing,),
-                f"face-adjacency graph is disconnected; simplex {missing} is "
-                "not reachable from simplex 0",
-            )
-        )
+    out.extend(_adjacency_violations(mesh, sorted_rows))
 
     # simplices on a non-finite vertex are reported above, not measured
     diam = bbox_diameter(mesh.vertices[finite])
@@ -362,6 +358,72 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
                 (int(idx),),
                 f"simplex {int(idx)} has volume {vols[idx]:.3e}, below "
                 f"{vol_tol:g} x diameter^{d} = {threshold:.3e}",
+            )
+        )
+    return out
+
+
+def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
+    """Non-manifold vertices, then a face-adjacency graph that is not connected.
+
+    Sides p = m * (d+1) + k that follow each other in the face table's
+    order lie on one face, and one ``connected_components`` call answers
+    both questions on a graph with two kinds of node. Node M * (d+1) + m is
+    simplex m, joined to each simplex it shares a face with. Node
+    m * (d+1) + r is simplex m in the star of its r-th smallest vertex,
+    ``sorted_rows[m, r]``: the face opposite vertex k holds every vertex
+    but the one at sorted position rank[m, k], so both sides of a face list
+    its vertices in the same ascending order, and their matching nodes are
+    joined. The components of these nodes are the parts of every star.
+    """
+    table = mesh.face_table
+    s = mesh.simplices
+    m_total, width = s.shape
+    n_nodes = m_total * width
+    # node ids in the index type scipy's graphs use, so none is copied
+    index = np.int32 if n_nodes + m_total < 2**31 else np.int64
+    ids = table.face_of.ravel()[table.order]
+    same = ids[1:] == ids[:-1]
+    rank = np.zeros(s.shape, dtype=index)
+    for i, j in itertools.combinations(range(width), 2):
+        before = s[:, i] < s[:, j]
+        rank[:, j] += before
+        rank[:, i] += ~before
+    rank = rank.ravel()
+    t = np.arange(width - 1, dtype=index)
+
+    def nodes(p):  # side p's star nodes, in ascending vertex order, then its simplex
+        p = p.astype(index)
+        star = p[:, None] - p[:, None] % width + t + (t >= rank[p][:, None])
+        return np.concatenate([star.ravel(), n_nodes + p // width])
+
+    rows, cols = nodes(table.order[:-1][same]), nodes(table.order[1:][same])
+    size = n_nodes + m_total
+    graph = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+
+    # a star in one part gives all its nodes the label any one of them has
+    vertex, part = sorted_rows.ravel(), labels[:n_nodes]
+    label = np.empty(vertex.max() + 1, dtype=part.dtype)
+    label[vertex] = part
+    out = [
+        MeshViolation(
+            "non-manifold-vertex",
+            (v,),
+            f"vertex {v} is non-manifold: its star is not connected through "
+            "faces that contain it",
+        )
+        for v in np.unique(vertex[part != label[vertex]]).tolist()
+    ]
+    unreached = np.flatnonzero(labels[n_nodes:] != labels[n_nodes])
+    if unreached.size:
+        missing = int(unreached[0])
+        out.append(
+            MeshViolation(
+                "disconnected",
+                (missing,),
+                f"face-adjacency graph is disconnected; simplex {missing} is "
+                "not reachable from simplex 0",
             )
         )
     return out

@@ -12,8 +12,9 @@ volume classification and the convexity margin use tolerances. Both run
 vectorised: a sweep-and-prune over segment bounding boxes finds the
 candidate edge pairs, and the batched filtered predicates of
 :mod:`fplm.geometry` decide every pair and simplex in numpy, leaving only
-near-degenerate rows to exact rational arithmetic. Edge pairs that share a
-vertex index take a single turn test (see :func:`count_crossings`).
+near-degenerate rows to the exact integer stage (each row's doubles scaled
+to Python ints by one power of two). Edge pairs that share a vertex index
+need no extra test (see :func:`count_crossings`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .geometry import (
     bbox_diameter,
-    orient2d_signs,
+    orient2d_signs_xy,
     signed_volumes,
     simplex_orientations,
 )
@@ -159,14 +160,19 @@ def count_crossings(edges, coords) -> CrossingResult:
 
     The broad phase is a sweep-and-prune over bounding boxes: segments are
     sorted by min-x, each one's x-overlap range is found by binary search,
-    and the pairs in it are kept when their y-ranges overlap too. Pairs are
-    generated in blocks of at most ``_PAIR_BLOCK`` (or one segment's
-    range), so memory stays O(E) plus one block. The narrow phase runs the
-    batched filtered predicate :func:`orient2d_signs`, whose undecided rows
-    take the exact scalar path. A pair that shares a vertex index needs one
-    turn only, of the other segment's unshared endpoint against the
-    segment: the shared point's own turn is 0 by construction, and the pair
-    is collinear exactly when that one turn is 0 too. Non-finite
+    and the pairs in it are kept when their y-ranges overlap too. The kept
+    pairs reach the narrow phase in blocks of at most ``_PAIR_BLOCK``, so
+    memory stays O(E) plus one block. The narrow phase gathers each block's
+    coordinate columns once and decides every pair in one pass of the
+    batched filtered predicate (:func:`orient2d_signs_xy`), whose undecided
+    rows take the exact integer stage. The turns of the second segment's
+    endpoints against the first decide most pairs alone: a pair with both
+    turns 0 is collinear (or its first segment is a single point) and goes
+    straight to the 1-D overlap test, and only straddling pairs need the
+    turns of the first segment's endpoints against the second. A pair that
+    shares a vertex index needs no test of its own: the shared point's turn
+    is exactly 0, so the pair never straddles, and both turns are 0 exactly
+    when the other endpoint is collinear with the first segment. Non-finite
     coordinates raise ``ValueError``.
     """
     e = np.asarray(edges, dtype=np.int64)
@@ -180,35 +186,44 @@ def count_crossings(edges, coords) -> CrossingResult:
     if e.shape[0] < 2:
         return CrossingResult(0, ())
 
-    seg = np.hstack([p[e[:, 0]], p[e[:, 1]]])  # rows (x0, y0, x1, y1)
-    lo = np.minimum(seg[:, :2], seg[:, 2:])
-    hi = np.maximum(seg[:, :2], seg[:, 2:])
-    order = np.argsort(lo[:, 0], kind="stable")
-    hits = []
-    for i, j in _sweep_pairs(lo[order], hi[order]):
-        a = np.minimum(order[i], order[j])
-        b = np.maximum(order[i], order[j])
-        crossed = _pairs_cross(e[a], e[b], seg[a], seg[b])
-        hits.append(np.column_stack([a[crossed], b[crossed]]))
+    x0, y0 = p[e[:, 0]].T
+    x1, y1 = p[e[:, 1]].T
+    order = np.argsort(np.minimum(x0, x1), kind="stable")
+    # columns (x0, y0, x1, y1) of the segments in sweep order
+    cols = [np.ascontiguousarray(v[order]) for v in (x0, y0, x1, y1)]
+    lo_x, lo_y = np.minimum(cols[0], cols[2]), np.minimum(cols[1], cols[3])
+    hi_x, hi_y = np.maximum(cols[0], cols[2]), np.maximum(cols[1], cols[3])
+    hits = [np.zeros((0, 2), dtype=np.int64)]
+    for i, j in _sweep_pairs(lo_x, lo_y, hi_x, hi_y):
+        crossed = _pairs_cross([v[i] for v in cols], [v[j] for v in cols])
+        a, b = order[i[crossed]], order[j[crossed]]
+        hits.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)]))
     pairs = np.vstack(hits)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return CrossingResult(len(pairs), tuple(map(tuple, pairs.tolist())))
 
 
-_PAIR_BLOCK = 1 << 14
+# kept pairs per narrow-phase block: large enough to spread numpy's per-call
+# cost, small enough that a block's temporaries (about 200 bytes a pair) do
+# not raise the audit's peak memory
+_PAIR_BLOCK = 6144
 
 
-def _sweep_pairs(lo, hi):
+def _sweep_pairs(lo_x, lo_y, hi_x, hi_y):
     """Yield blocks of box-overlapping pairs (i, j), i < j, of x-sorted boxes.
 
-    Box j > i overlaps box i in x exactly when lo[j, x] <= hi[i, x], so the
-    x-partners of i are the run i+1 .. stop[i]-1 found by binary search;
-    the y-overlap test then filters each block of candidate pairs.
+    Box j > i overlaps box i in x exactly when lo_x[j] <= hi_x[i], so the
+    x-partners of i are the run i+1 .. stop[i]-1 found by binary search.
+    Runs are expanded in chunks of at most ``_PAIR_BLOCK`` candidates (or
+    one row's run), the y-overlap test filters each chunk, and the kept
+    pairs are handed on in blocks of exactly ``_PAIR_BLOCK`` (the last one
+    shorter).
     """
-    n = lo.shape[0]
-    stop = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    n = lo_x.shape[0]
+    stop = np.searchsorted(lo_x, hi_x, side="right")
     counts = stop - np.arange(1, n + 1)
     first = np.concatenate([[0], np.cumsum(counts)])  # pairs before row r
+    held_i, held_j, held = [], [], 0
     r0 = 0
     while r0 < n:
         r1 = int(np.searchsorted(first, first[r0] + _PAIR_BLOCK, side="right")) - 1
@@ -218,58 +233,53 @@ def _sweep_pairs(lo, hi):
         # position of each pair within its row's run: 0, 1, ..., counts[i] - 1
         offset = np.arange(first[r0], first[r1]) - np.repeat(first[r0:r1], counts[r0:r1])
         j = i + 1 + offset
-        keep = (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
-        yield i[keep], j[keep]
+        keep = (lo_y[j] <= hi_y[i]) & (lo_y[i] <= hi_y[j])
+        held_i.append(i[keep])
+        held_j.append(j[keep])
+        held += held_i[-1].size
         r0 = r1
+        while held >= _PAIR_BLOCK or (r0 == n and held):
+            i, j = np.concatenate(held_i), np.concatenate(held_j)
+            yield i[:_PAIR_BLOCK], j[:_PAIR_BLOCK]
+            held_i, held_j = [i[_PAIR_BLOCK:]], [j[_PAIR_BLOCK:]]
+            held = held_i[0].size
 
 
-def _pairs_cross(ei, ej, si, sj):
+def _pairs_cross(si, sj):
     """Exact narrow phase for K segment pairs, as a boolean mask.
 
-    ei/ej are the (K, 2) vertex index pairs, si/sj the (K, 4) coordinates
-    (x0, y0, x1, y1) of each segment.
+    si and sj are the coordinate columns (x0, y0, x1, y1) of the two
+    segments of each pair: segment i runs from a to b, segment j from c to d.
     """
-    a, b, c, d = si[:, :2], si[:, 2:], sj[:, :2], sj[:, 2:]
-    c_shared = (ej[:, 0] == ei[:, 0]) | (ej[:, 0] == ei[:, 1])
-    d_shared = (ej[:, 1] == ei[:, 0]) | (ej[:, 1] == ei[:, 1])
-    shared = c_shared | d_shared
-    hit = np.zeros(len(ei), dtype=bool)
-    collinear = np.zeros(len(ei), dtype=bool)
-
-    # sharing a vertex and not collinear: endpoint contact only
-    sh = np.flatnonzero(shared)
-    unshared = np.where(c_shared[sh, None], d[sh], c[sh])
-    collinear[sh] = orient2d_signs(a[sh], b[sh], unshared) == 0
-
-    # disjoint indices: c and d must straddle line ab, then a and b line cd
-    ns = np.flatnonzero(~shared)
-    o1 = orient2d_signs(a[ns], b[ns], c[ns])
-    o2 = orient2d_signs(a[ns], b[ns], d[ns])
-    straddle = o1 * o2 < 0
-    flat = (o1 == 0) & (o2 == 0)
-    both = straddle | flat
-    ns = ns[both]
-    o3 = orient2d_signs(c[ns], d[ns], a[ns])
-    o4 = orient2d_signs(c[ns], d[ns], b[ns])
-    hit[ns] = straddle[both] & (o3 * o4 < 0)
-    collinear[ns] = flat[both] & (o3 == 0) & (o4 == 0)
-
-    col = np.flatnonzero(collinear)
-    hit[col] = _collinear_overlap(si[col], sj[col])
+    ax, ay, bx, by = si
+    cx, cy, dx, dy = sj
+    o1 = orient2d_signs_xy(ax, ay, bx, by, cx, cy)
+    o2 = orient2d_signs_xy(ax, ay, bx, by, dx, dy)
+    hit = np.zeros(ax.size, dtype=bool)
+    # a proper crossing: c and d straddle line ab, then a and b line cd
+    k = np.flatnonzero(o1 * o2 < 0)
+    ck, dk = (cx[k], cy[k]), (dx[k], dy[k])
+    o3 = orient2d_signs_xy(*ck, *dk, ax[k], ay[k])
+    o4 = orient2d_signs_xy(*ck, *dk, bx[k], by[k])
+    hit[k] = o3 * o4 < 0
+    # c and d on line ab: the segments are collinear, or ab is one point,
+    # which overlaps nothing; the 1-D overlap test is right for both
+    flat = np.flatnonzero((o1 == 0) & (o2 == 0))
+    hit[flat] = _collinear_overlap(*(v[flat] for v in (*si, *sj)))
     return hit
 
 
-def _collinear_overlap(si, sj):
+def _collinear_overlap(ax, ay, bx, by, cx, cy, dx, dy):
     """Positive-length 1-D overlap of collinear segment pairs (exact on floats).
 
-    Each pair is compared along the axis of its larger extent.
+    Each pair ab, cd is compared along the axis of its larger extent.
     """
-    ext = np.maximum(np.abs(si[:, :2] - si[:, 2:]), np.abs(sj[:, :2] - sj[:, 2:]))
-    along_x = (ext[:, 0] >= ext[:, 1])[:, None]
-    ai = np.where(along_x, si[:, [0, 2]], si[:, [1, 3]])
-    aj = np.where(along_x, sj[:, [0, 2]], sj[:, [1, 3]])
-    lo = np.maximum(ai.min(axis=1), aj.min(axis=1))
-    hi = np.minimum(ai.max(axis=1), aj.max(axis=1))
+    along_x = np.maximum(np.abs(ax - bx), np.abs(cx - dx)) >= np.maximum(
+        np.abs(ay - by), np.abs(cy - dy)
+    )
+    a, b, c, d = (np.where(along_x, u, v) for u, v in ((ax, ay), (bx, by), (cx, cy), (dx, dy)))
+    lo = np.maximum(np.minimum(a, b), np.minimum(c, d))
+    hi = np.minimum(np.maximum(a, b), np.maximum(c, d))
     return lo < hi
 
 

@@ -13,13 +13,15 @@ verbose pytest run yields exactly one pass/fail line per claim:
  7. a 20k-cell tetrahedral mesh finishes the two-round pipeline in budget
  8. the iterative solver matches a dense oracle; per-vertex first-order
     conditions hold
- 9. the crossing counter matches a quadratic brute-force oracle
+ 9. the crossing counter matches a quadratic brute-force oracle, on random
+    lattice segment sets and on a folded twin-peaks drawing
 10. third-party embeddings are ingestible from CSV for auditing (published
     comparison numbers for external methods are declared out of scope)
 """
 
 import itertools
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,28 +241,31 @@ def test_criterion_08_solver_oracle_equivalence():
         assert worst <= 1e-9, f"trial {trial}: FOC residual {worst:.3e}"
 
 
-def test_criterion_09_crossing_oracle_equivalence():
-    def turn(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def turn(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    def oracle_pair(p, q, r, s):
-        d1, d2 = turn(r, s, p), turn(r, s, q)
-        d3, d4 = turn(p, q, r), turn(p, q, s)
-        if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
-            axis = (
-                0
-                if max(abs(q[0] - p[0]), abs(s[0] - r[0]))
-                >= max(abs(q[1] - p[1]), abs(s[1] - r[1]))
-                else 1
-            )
-            lo = max(min(p[axis], q[axis]), min(r[axis], s[axis]))
-            hi = min(max(p[axis], q[axis]), max(r[axis], s[axis]))
-            return lo < hi
-        return (
-            ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0
-            and ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
+
+def oracle_pair(p, q, r, s):
+    """Brute-force crossing test of segments pq and rs; exact on integers."""
+    d1, d2 = turn(r, s, p), turn(r, s, q)
+    d3, d4 = turn(p, q, r), turn(p, q, s)
+    if d1 == 0 and d2 == 0 and d3 == 0 and d4 == 0:
+        axis = (
+            0
+            if max(abs(q[0] - p[0]), abs(s[0] - r[0]))
+            >= max(abs(q[1] - p[1]), abs(s[1] - r[1]))
+            else 1
         )
+        lo = max(min(p[axis], q[axis]), min(r[axis], s[axis]))
+        hi = min(max(p[axis], q[axis]), max(r[axis], s[axis]))
+        return lo < hi
+    return (
+        ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0
+        and ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
+    )
 
+
+def test_criterion_09_crossing_oracle_equivalence():
     rng = np.random.default_rng(909)
     # skew the size distribution: mostly small dense-degenerate sets, some
     # medium, a few at the 300-segment cap
@@ -291,6 +296,27 @@ def test_criterion_09_crossing_oracle_equivalence():
                     expect.add((i, j))
         assert res.count == len(expect), f"set {trial}: {res.count} != {len(expect)}"
         assert set(res.pairs) == expect, f"set {trial}: pair mismatch"
+
+
+def test_criterion_09_twin_peaks_drawing_matches_oracle():
+    # the (x, z) drawing of twin-peaks folds over itself; its float
+    # coordinates, times their largest denominator (a power of two), are
+    # exact integers, on which the oracle is exact
+    mesh, _ = generate(GeneratorSpec("twin-peaks", (12, 12)))
+    coords = np.ascontiguousarray(mesh.vertices[:, [0, 2]])
+    edges = mesh_edges(mesh)
+    res = count_crossings(edges, coords)
+    assert res.count == 231
+
+    scale = max(Fraction(v).denominator for v in coords.ravel().tolist())
+    pts = [tuple(int(Fraction(v) * scale) for v in row) for row in coords.tolist()]
+    expect = [
+        (i, j)
+        for i, (a, b) in enumerate(edges.tolist())
+        for j, (c, d) in enumerate(edges.tolist())
+        if i < j and oracle_pair(pts[a], pts[b], pts[c], pts[d])
+    ]
+    assert list(res.pairs) == expect
 
 
 def test_criterion_10_external_embedding_ingestion(tmp_path):

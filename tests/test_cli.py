@@ -210,6 +210,31 @@ class TestEmbed:
         assert rc == 2
         assert "vertex 14 has a non-finite coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, resolution, pinch",
+        [
+            ("sphere", "1", "farthest"),  # two far vertices of a closed mesh
+            ("paraboloid", "6x2", "corners"),  # a strip pinched at one vertex
+        ],
+    )
+    def test_non_manifold_vertex_returns_2(self, tmp_path, capsys, kind, resolution, pinch):
+        path = tmp_path / "mesh.json"
+        main(["generate", "--kind", kind, "--resolution", resolution, "--out", str(path)])
+        blob = json.loads(path.read_text())
+        vertices = np.array(blob["vertices"])
+        simplices = np.array(blob["simplices"])
+        if pinch == "farthest":
+            drop = int(np.argmax(np.linalg.norm(vertices - vertices[0], axis=1)))
+        else:
+            drop = 5  # the other end of the strip's first row
+        simplices = np.where(simplices == drop, 0, simplices)
+        blob["simplices"] = (simplices - (simplices > drop)).tolist()
+        blob["vertices"] = np.delete(vertices, drop, axis=0).tolist()
+        path.write_text(json.dumps(blob))
+        rc = main(["embed", "--mesh", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "vertex 0 is non-manifold" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_certified_returns_0(self, tmp_path, capsys):

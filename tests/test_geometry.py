@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fplm import geometry
 from fplm.geometry import (
@@ -30,6 +32,20 @@ from fplm.geometry import (
 def orient2d_rational(ax, ay, bx, by, cx, cy):
     ax, ay, bx, by, cx, cy = (Fraction(v) for v in (ax, ay, bx, by, cx, cy))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
+
+
+def orient3d_rational(pa, pb, pc, pd):
+    m = [
+        [Fraction(pa[i]) - Fraction(pd[i]) for i in range(3)],
+        [Fraction(pb[i]) - Fraction(pd[i]) for i in range(3)],
+        [Fraction(pc[i]) - Fraction(pd[i]) for i in range(3)],
+    ]
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
     return (det > 0) - (det < 0)
 
 
@@ -75,7 +91,7 @@ class TestOrient2d:
 
 class TestExactZeroRule:
     """Rows whose two products each have an exactly-zero factor are collinear
-    with no rational arithmetic; products that only underflow to 0 are not."""
+    with no exact integer stage; products that only underflow to 0 are not."""
 
     # one row per pair of zero factors: a vertical line (ax = cx, bx = cx),
     # a = c, a horizontal line (ay = cy, by = cy), b = c; then a = b = c
@@ -91,19 +107,19 @@ class TestExactZeroRule:
     UNDERFLOW = ((1e-200, 3e-200), (2e-200, 1e-200), (0.0, 0.0))
 
     @staticmethod
-    def _count_rationals(monkeypatch):
+    def _count_exact_rows(monkeypatch):
         made = []
-        real = geometry.Fraction
+        real = geometry._orient2d_exact
 
-        def counting(value):
-            made.append(value)
-            return real(value)
+        def counting(rows):
+            made.extend(rows)
+            return real(rows)
 
-        monkeypatch.setattr(geometry, "Fraction", counting)
+        monkeypatch.setattr(geometry, "_orient2d_exact", counting)
         return made
 
     def test_exactly_collinear_rows_skip_rational(self, monkeypatch):
-        made = self._count_rationals(monkeypatch)
+        made = self._count_exact_rows(monkeypatch)
         for a, b, c in self.ZERO_ROWS:
             assert orient2d(*a, *b, *c) == 0
         pa, pb, pc = (np.array(col) for col in zip(*self.ZERO_ROWS))
@@ -114,7 +130,7 @@ class TestExactZeroRule:
         a, b, c = self.UNDERFLOW
         assert (a[0] - c[0]) * (b[1] - c[1]) == 0.0
         assert (a[1] - c[1]) * (b[0] - c[0]) == 0.0
-        made = self._count_rationals(monkeypatch)
+        made = self._count_exact_rows(monkeypatch)
         assert orient2d(*a, *b, *c) == orient2d_rational(*a, *b, *c) == -1
         assert made
         made.clear()
@@ -141,24 +157,11 @@ class TestOrient3d:
         assert orient3d(*pts) == 0
 
     def test_near_coplanar_sign_matches_rational(self):
-        def rational(pa, pb, pc, pd):
-            m = [
-                [Fraction(pa[i]) - Fraction(pd[i]) for i in range(3)],
-                [Fraction(pb[i]) - Fraction(pd[i]) for i in range(3)],
-                [Fraction(pc[i]) - Fraction(pd[i]) for i in range(3)],
-            ]
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            return (det > 0) - (det < 0)
-
         eps = math.ulp(1.0)
         pa, pb, pc = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
         for dz in (-2 * eps, -eps, 0.0, eps, 2 * eps):
             pd = (0.3, 0.3, dz)
-            assert orient3d(pa, pb, pc, pd) == rational(pa, pb, pc, pd)
+            assert orient3d(pa, pb, pc, pd) == orient3d_rational(pa, pb, pc, pd)
 
 
 def ulp_grid(center, k=2):
@@ -220,6 +223,110 @@ class TestBatchedPredicates:
         assert orient2d_signs(empty, empty, empty).shape == (0,)
         empty = np.zeros((0, 3))
         assert orient3d_signs(empty, empty, empty, empty).shape == (0,)
+
+
+# Coordinates for the integer-stage property tests: ordinary floats, values
+# n * 2**e with exponents across +-1000 (products overflow or underflow in
+# the float filter), subnormals and both zeros.
+scaled_floats = st.builds(
+    lambda n, e: math.ldexp(n, e), st.integers(-(2**53), 2**53), st.integers(-1100, 970)
+)
+coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    scaled_floats,
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and tiny normals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**1000]),
+)
+
+
+def _nudge(value, step):
+    """``value`` moved ``step`` units in the last place."""
+    for _ in range(abs(step)):
+        value = math.nextafter(value, math.copysign(math.inf, step))
+    return value
+
+
+@st.composite
+def collinear_triples(draw):
+    """Exactly collinear points (small integers on one lattice line, times a
+    power of two), with c optionally moved a few ulps off the line."""
+    scale = math.ldexp(1.0, draw(st.integers(-1070, 960)))
+    x0, y0, p, q = (draw(st.integers(-1000, 1000)) for _ in range(4))
+    k1, k2 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    pts = [((x0 + k * p) * scale, (y0 + k * q) * scale) for k in (0, k1, k2)]
+    (ax, ay), (bx, by), (cx, cy) = pts
+    step = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        cx = _nudge(cx, step)
+    else:
+        cy = _nudge(cy, step)
+    return ax, ay, bx, by, cx, cy
+
+
+@st.composite
+def coplanar_quadruples(draw):
+    """Exactly coplanar points (a + i*u + j*v on an integer lattice, times a
+    power of two), with d optionally moved a few ulps off the plane."""
+    scale = math.ldexp(1.0, draw(st.integers(-1070, 960)))
+    ints = st.integers(-200, 200)
+    a, u, v = ([draw(ints) for _ in range(3)] for _ in range(3))
+    pts = []
+    for _ in range(4):
+        i, j = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+        pts.append(tuple((a[t] + i * u[t] + j * v[t]) * scale for t in range(3)))
+    axis, step = draw(st.integers(0, 2)), draw(st.integers(-2, 2))
+    d = list(pts[3])
+    d[axis] = _nudge(d[axis], step)
+    return pts[0], pts[1], pts[2], tuple(d)
+
+
+class TestIntegerStageAgainstFraction:
+    """The integer stage must give the Fraction determinant's sign, scalar and
+    batched, on every finite double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(*[coordinates] * 6), collinear_triples()))
+    @example((5e-324, 0.0, -0.0, 5e-324, 0.0, -5e-324))
+    @example((1e-200, 3e-200, 2e-200, 1e-200, 0.0, 0.0))  # products underflow
+    @example((2.0**1000, 2.0**1000, -(2.0**1000), 2.0**999, 0.0, 1.0))  # overflow
+    # both products underflow to subnormals and round apart by one unit in
+    # the direction opposite to the exact determinant's sign
+    @example((3.277591141640716e-156, 7.236093307563692e-155, 6.282049688144705e-156,
+              1.3869178839497077e-154, -1.2143032037315589e-170, -2.5563817609819563e-169))
+    def test_orient2d(self, row):
+        want = orient2d_rational(*row)
+        assert orient2d(*row) == want
+        assert orient2d_signs(*(np.array([row[k:k + 2]]) for k in (0, 2, 4))).tolist() == [want]
+        assert geometry._orient2d_exact([row]) == [want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(*[coordinates] * 6), collinear_triples()),
+                    min_size=1, max_size=40))
+    def test_orient2d_signs(self, rows):
+        pa, pb, pc = (np.array(list(zip(*rows))[k:k + 2]).T for k in (0, 2, 4))
+        got = orient2d_signs(pa, pb, pc)
+        assert got.tolist() == [orient2d_rational(*row) for row in rows]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4), coplanar_quadruples()))
+    @example(((5e-324, 0.0, 0.0), (0.0, 5e-324, 0.0), (0.0, 0.0, 5e-324), (-0.0, -0.0, 0.0)))
+    # cdx * ady underflows to -5e-324 (exactly -2.77e-324) and bdz = -4e16
+    # scales that error past the static bound: the float sign is wrong
+    @example(((0.0, 0.0, 0.0), (0.0, 1.0, -4.0357455435200504e16),
+              (9.969616142050816e-308, 0.0, 0.0), (0.0, 2.0**-55, -2.0)))
+    def test_orient3d(self, points):
+        want = orient3d_rational(*points)
+        assert orient3d(*points) == want
+        assert orient3d_signs(*(np.array([p]) for p in points)).tolist() == [want]
+        assert geometry._orient3d_exact([sum(points, ())]) == [want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4),
+                             coplanar_quadruples()), min_size=1, max_size=30))
+    def test_orient3d_signs(self, rows):
+        cols = [np.array([row[k] for row in rows]) for k in range(4)]
+        got = orient3d_signs(*cols)
+        assert got.tolist() == [orient3d_rational(*row) for row in rows]
 
 
 class TestIncircle:
@@ -324,6 +431,22 @@ class TestVolumes:
         unsigned = simplex_volumes(coords, simp, 3)
         signed = signed_volumes(coords, simp)
         assert np.allclose(unsigned, np.abs(signed))
+
+    @pytest.mark.parametrize("k, ambient", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_unsigned_volumes_match_lapack_gram_determinant(self, k, ambient):
+        rng = np.random.default_rng(10 * k + ambient)
+        coords = rng.uniform(-1, 1, size=(40, ambient))
+        simp = np.array([rng.choice(40, size=k + 1, replace=False) for _ in range(200)])
+        simp[:5, -1] = simp[:5, 0]  # five degenerate simplices repeat a vertex
+        edges = coords[simp[:, 1:]] - coords[simp[:, :1]]
+        dets = np.linalg.det(edges @ np.transpose(edges, (0, 2, 1)))
+        want = np.sqrt(np.where(dets > 0.0, dets, 0.0)) / math.factorial(k)
+        got = simplex_volumes(coords, simp, k)
+        # the same Gram determinant, rounded in another order: it differs by
+        # a few ulps of the Gram scale (entries below 4 * ambient), and the
+        # square root turns that into up to ~1e-7 near a zero volume
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-7)
+        assert (got[:5] == 0.0).all()
 
     def test_degenerate_volume_zero(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

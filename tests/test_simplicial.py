@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fplm.generators import ball3, icosphere, structured_grid_triangles
+from fplm.generators import (
+    GENERATOR_KINDS,
+    GeneratorSpec,
+    ball3,
+    generate,
+    icosphere,
+    structured_grid_triangles,
+)
 from fplm.geometry import simplex_orientation, simplex_orientations
 from fplm.simplicial import (
     SimplicialMesh,
@@ -346,6 +353,72 @@ def relabel(mesh, rng):
     return SimplicialMesh(vertices, simplices, mesh.intrinsic_dim)
 
 
+def merge_vertices(mesh, keep, drop):
+    """``mesh`` with vertex ``drop`` glued onto vertex ``keep`` and removed."""
+    s = np.where(mesh.simplices == drop, keep, mesh.simplices)
+    s = s - (s > drop)
+    vertices = np.delete(mesh.vertices, drop, axis=0)
+    return SimplicialMesh(vertices, s, mesh.intrinsic_dim)
+
+
+def farthest_from(mesh, v):
+    return int(np.argmax(np.linalg.norm(mesh.vertices - mesh.vertices[v], axis=1)))
+
+
+class TestNonManifoldVertices:
+    """A vertex whose star is not connected through faces containing it."""
+
+    def test_sphere_with_two_far_vertices_merged(self):
+        sphere = icosphere(1)
+        mesh = merge_vertices(sphere, 0, farthest_from(sphere, 0))
+        violations = validate_mesh(mesh)
+        assert [(v.rule, v.where) for v in violations] == [("non-manifold-vertex", (0,))]
+        assert "vertex 0 is non-manifold" in violations[0].detail
+
+    def test_strip_pinched_at_one_vertex(self):
+        # a 6 x 2 strip whose two bottom corners become one vertex
+        mesh = merge_vertices(grid_mesh(6, 2), 0, 5)
+        violations = validate_mesh(mesh)
+        assert [(v.rule, v.where) for v in violations] == [("non-manifold-vertex", (0,))]
+
+    def test_bowtie_and_disjoint_parts(self):
+        verts = np.array([[0, 0], [1, 0], [0.5, 0.5], [0, 1], [1, 1]], dtype=float)
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [2, 3, 4]]), 2)
+        rules = [(v.rule, v.where) for v in validate_mesh(mesh)]
+        assert rules == [("non-manifold-vertex", (2,)), ("disconnected", (1,))]
+
+    def test_tets_meeting_at_a_vertex_or_an_edge(self):
+        verts = np.array(
+            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+             [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float
+        )
+        at_vertex = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 4, 5, 6]]), 3)
+        found = [v.where for v in validate_mesh(at_vertex) if v.rule == "non-manifold-vertex"]
+        assert found == [(0,)]
+        at_edge = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 1, 5, 6]]), 3)
+        found = [v.where for v in validate_mesh(at_edge) if v.rule == "non-manifold-vertex"]
+        assert found == [(0,), (1,)]
+
+    def test_ball_with_two_boundary_vertices_merged(self):
+        ball = ball3(3)
+        top = int(np.argmax(ball.vertices[:, 2]))
+        mesh = merge_vertices(ball, top, farthest_from(ball, top))
+        kept = top - (top > farthest_from(ball, top))
+        violations = validate_mesh(mesh)
+        assert [(v.rule, v.where) for v in violations] == [("non-manifold-vertex", (kept,))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
+    def test_relabelled_meshes_stay_manifold(self, name, seed):
+        assert validate_mesh(relabel(SMALL_MESHES[name], np.random.default_rng(seed))) == []
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_every_generator_output_is_violation_free(self, kind):
+        resolution = {"sphere": (1,), "ball3": (3,)}.get(kind, (5, 4))
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        assert validate_mesh(mesh) == []
+
+
 class TestVectorisedTopology:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
@@ -364,6 +437,24 @@ class TestVectorisedTopology:
         s2 = canonical_orientation(other)
         assert np.array_equal(s2, sign * flip) or np.array_equal(s2, -sign * flip)
         assert len(set((s2 * geometric_signs(other)).tolist())) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
+    def test_orientation_reads_the_face_table_order(self, name, seed):
+        # the signs equal those of a double cover grouped by a fresh stable
+        # argsort of face_of, the grouping the table's sort order replaces
+        mesh = relabel(SMALL_MESHES[name], np.random.default_rng(seed))
+        table = mesh.face_table
+        regrouped = np.argsort(table.face_of.ravel(), kind="stable")
+        assert np.array_equal(table.order, regrouped)
+        width = mesh.intrinsic_dim + 1
+        start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
+        p1, p2 = regrouped[start], regrouped[start + 1]
+        m1, m2 = p1 // width, p2 // width
+        sign = canonical_orientation(mesh)
+        parity = table.parity.ravel()
+        assert np.array_equal(sign[m1] * parity[p1], -sign[m2] * parity[p2])
+        assert sign[0] == 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
@@ -401,6 +492,7 @@ class TestVectorisedTopology:
             counts,
             table.face_of,
             table.parity,
+            table.order,
             mesh_edges(mesh),
             boundary.boundary_faces,
             boundary.boundary_vertices,
@@ -411,9 +503,9 @@ class TestVectorisedTopology:
                 array.reshape(-1)[:1] = 0
         # repeated calls hand out the same cached objects
         assert mesh_faces(mesh)[0] is faces
-        assert mesh_edges(mesh) is cached[4]
+        assert mesh_edges(mesh) is cached[5]
         assert detect_boundary(mesh) is boundary
-        assert canonical_orientation(mesh) is cached[7]
+        assert canonical_orientation(mesh) is cached[8]
 
     @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
@@ -480,6 +572,8 @@ class TestSortedFaceTable:
                           (table.face_of, face_of)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        # the kept sort order groups the sides by face, ties in side order
+        assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
 
     def test_empty_mesh_reports_empty_without_traceback(self):
         mesh = SimplicialMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int), 2)
