@@ -288,34 +288,26 @@ def ball3(resolution: int) -> SimplicialMesh:
         raise ValueError("ball3 needs at least 2 cells per axis")
     n = resolution + 1
     axis = np.linspace(-1.0, 1.0, n)
-
-    def vid(i, j, k):
-        return (k * n + j) * n + i
-
-    verts = np.array(
-        [[axis[i], axis[j], axis[k]] for k in range(n) for j in range(n) for i in range(n)]
-    )
-    tets = []
-    for k in range(resolution):
-        for j in range(resolution):
-            for i in range(resolution):
-                flip = tuple(
-                    1 if axis[c] + axis[c + 1] < 0.0 else 0 for c in (i, j, k)
-                )
-                for tet in _kuhn_tets(flip):
-                    tets.append(
-                        [vid(i + dx, j + dy, k + dz) for dx, dy, dz in tet]
-                    )
+    # vertex (k * n + j) * n + i sits at (axis[i], axis[j], axis[k])
+    k, j, i = np.indices((n, n, n)).reshape(3, -1)
+    verts = np.column_stack([axis[i], axis[j], axis[k]])
+    # cells in the same order, i fastest; a cell mirrors an axis when its
+    # midpoint on that axis is negative
+    k, j, i = np.indices((resolution,) * 3).reshape(3, -1)
+    mirror = (axis[:-1] + axis[1:] < 0.0).astype(np.int64)
+    # corner offsets (dx, dy, dz) of the six unmirrored path tetrahedra
+    path = np.array(_kuhn_tets((0, 0, 0)), dtype=np.int64)  # (6, 4, 3)
+    corner = [
+        c[:, None, None] + (path[:, :, a] ^ mirror[c][:, None, None])
+        for a, c in enumerate((i, j, k))
+    ]
+    tets = ((corner[2] * n + corner[1]) * n + corner[0]).reshape(-1, 4)
 
     norm2 = np.linalg.norm(verts, axis=1)
     norm_inf = np.abs(verts).max(axis=1)
     safe = np.where(norm2 > 0.0, norm2, 1.0)
     scale = np.where(norm2 > 0.0, norm_inf / safe, 0.0)
-    return SimplicialMesh(
-        verts * scale[:, None],
-        np.asarray(tets, dtype=np.int64),
-        3,
-    )
+    return SimplicialMesh(verts * scale[:, None], tets, 3)
 
 
 def delaunay2d(points) -> list[tuple[int, int, int]]:

@@ -19,12 +19,11 @@ from fractions import Fraction
 
 import numpy as np
 
-# Rounding unit 2^-53 and static filter coefficients for the three
+# Rounding unit 2^-53 and static filter coefficients for the two
 # determinant shapes used below (Shewchuk-style bounds).
 _EPS = 1.1102230246251565e-16
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
-_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 # Those bounds assume no underflow. A product that underflows is off by up
 # to half the smallest subnormal _ETA, not by a relative _EPS, and a later
 # factor scales that error; each filter adds an absolute term for it (for
@@ -96,48 +95,6 @@ def orient3d(pa, pb, pc, pd):
     if abs(det) > _O3D_BOUND * permanent + underflow:
         return 1 if det > 0.0 else -1
     return _orient3d_exact([(*pa, *pb, *pc, *pd)])[0]
-
-
-def incircle(pa, pb, pc, pd):
-    """Exact sign of the incircle determinant.
-
-    Positive when pd lies strictly inside the circumcircle of the
-    counterclockwise triangle (pa, pb, pc), negative strictly outside,
-    0 when the four points are cocircular.
-    """
-    adx = pa[0] - pd[0]
-    ady = pa[1] - pd[1]
-    bdx = pb[0] - pd[0]
-    bdy = pb[1] - pd[1]
-    cdx = pc[0] - pd[0]
-    cdy = pc[1] - pd[1]
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
-
-    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-    permanent = (
-        (abs(bdxcdy) + abs(cdxbdy)) * alift
-        + (abs(cdxady) + abs(adxcdy)) * blift
-        + (abs(adxbdy) + abs(bdxady)) * clift
-    )
-    underflow = 4.0 * _ETA * (
-        1.0
-        + max(alift, blift, clift)
-        + max(abs(bdxcdy) + abs(cdxbdy), abs(cdxady) + abs(adxcdy), abs(adxbdy) + abs(bdxady))
-    )
-    if abs(det) > _ICC_BOUND * permanent + underflow:
-        return 1 if det > 0.0 else -1
-    ax, ay, bx, by, cx, cy, dx, dy = _scaled((*pa, *pb, *pc, *pd))
-    rows = [(ax - dx, ay - dy), (bx - dx, by - dy), (cx - dx, cy - dy)]
-    return _sign(_det3([[x, y, x * x + y * y] for x, y in rows]))
 
 
 def _scaled(values):

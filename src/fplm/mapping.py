@@ -280,19 +280,9 @@ def solve_fixed_point(
     order = np.argsort(fixed.indices, kind="stable")
     targets_sorted = fixed.targets[order]
     coords[system.fixed_indices] = targets_sorted
-    if system.free_indices.size:
-        rhs = -system.lap_free_fixed @ targets_sorted
-        solution = solve_spd(system.lap_free, rhs, config)
-        coords[system.free_indices] = solution
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm > 0.0:
-            residual = float(
-                np.linalg.norm(system.lap_free @ solution - rhs) / rhs_norm
-            )
-        else:
-            residual = 0.0
-    else:
-        residual = 0.0
+    rhs = -system.lap_free_fixed @ targets_sorted
+    solution, residual = solve_spd(system.lap_free, rhs, config, _residual=True)
+    coords[system.free_indices] = solution
     return coords, residual
 
 

@@ -55,7 +55,7 @@ class SolveConfig:
 
 
 def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
-              config: SolveConfig | None = None) -> np.ndarray:
+              config: SolveConfig | None = None, *, _residual: bool = False):
     """Solve the SPD system L_y Y = rhs for all right-hand-side columns.
 
     Parameters
@@ -69,6 +69,12 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     -------
     (n, k) array (or (n,) matching a 1-D input) with
     ||L_y Y - rhs||_F <= rel_tol * ||rhs||_F.
+
+    The keyword ``_residual`` is internal to the package: it makes the call
+    return ``(Y, ||L_y Y - rhs||_F / ||rhs||_F)``, the relative residual the
+    tolerance gate measured (0.0 for a zero or empty right-hand side), so
+    :func:`fplm.mapping.solve_fixed_point` reports it without a second
+    product.
     """
     if config is None:
         config = SolveConfig()
@@ -82,13 +88,11 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
         raise ValueError(
             f"rhs has {b.shape[0]} rows but the system has {n} unknowns"
         )
-    if n == 0:
-        return np.zeros_like(b[:0]) if not squeeze else np.zeros(0)
-
+    achieved = 0.0
     b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
+    if n == 0 or b_norm == 0.0:
         y = np.zeros_like(b)
-        return y[:, 0] if squeeze else y
+        return _solution(y[:, 0] if squeeze else y, achieved, _residual)
 
     method = config.method
     if method == "auto":
@@ -106,7 +110,11 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
             f"{achieved:.3e} > {config.rel_tol:.3e}",
             achieved=achieved,
         )
-    return y[:, 0] if squeeze else y
+    return _solution(y[:, 0] if squeeze else y, achieved, _residual)
+
+
+def _solution(y, achieved, with_residual):
+    return (y, achieved) if with_residual else y
 
 
 def _solve_direct(lap_free, b):

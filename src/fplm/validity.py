@@ -6,6 +6,30 @@ sign across all simplex images with no near-degenerate ones, containment of
 free vertices in the convex hull of the fixed targets, convexity of the
 boundary image, and the convex-combination identity at free vertices.
 
+For d = 2 a certificate rests on the degree theorem (Lipman, "Bijective
+mappings of meshes with boundary and the degree in mesh processing", SIAM
+J. Imaging Sci. 2014). Take a connected, orientable triangle mesh whose
+audited triangles all map with one nonzero orientation sign, and whose
+audited triangles are bounded by one loop that maps to a simple closed
+polygon. Then the map is injective, so no two edges cross. Each hypothesis
+has its check: :func:`canonical_orientation` establishes face-connectivity,
+orientability and at most two triangles per edge (it raises otherwise);
+the boundary walk rejects a boundary vertex with more than two boundary
+edges; :func:`orientation_histogram` gives the signs, with no near-zero
+image allowed; and :func:`_loop_is_simple` decides the loop exactly. The
+loop is the single boundary cycle of an open mesh audited whole, or the
+edges of the excluded seed triangle of a closed mesh. So a one-signed
+drawing costs a test of its B boundary edges instead of all E edges. The
+full :func:`count_crossings` runs in every other case: mixed or near-zero
+orientations, several boundary loops, an open mesh with an excluded
+triangle, a closed mesh with none, or a loop that is not simple. Violated
+reports thus keep their crossing pairs.
+
+For d = 3 no crossing test runs, and ``injective-certified`` shows local
+injectivity only (one orientation sign, no near-zero tetrahedron): the
+boundary surface of a coiled bar can overlap itself while every tetrahedron
+keeps its sign.
+
 Crossing and orientation signs come from exact predicates, so the counts
 are discrete facts rather than tolerance judgments; only the near-zero
 volume classification and the convexity margin use tolerances. Both run
@@ -76,6 +100,23 @@ class ValidityReport:
     simplex image is near-degenerate; otherwise "violated" with reasons.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
+
+    For d = 2 the certificate is the degree theorem (Lipman, SIAM J.
+    Imaging Sci. 2014): a connected, orientable triangle mesh whose audited
+    triangles all map with one nonzero sign, and which is bounded by one
+    loop that maps to a simple closed polygon, is mapped injectively.
+    Connectivity, orientability and at most two triangles per edge come
+    from :func:`canonical_orientation`, a manifold boundary from the
+    boundary walk, the signs from the orientation histogram. The loop is
+    the boundary cycle of an open mesh, or the excluded seed triangle of a
+    closed one. When all of this holds and the loop is simple, the theorem
+    implies crossing_count 0 and no crossing_pairs, and only the loop's
+    edges are tested. Otherwise every edge pair is counted, so a violated
+    report lists all its crossing pairs.
+
+    For d = 3, "injective-certified" shows local injectivity only: every
+    tetrahedron keeps one orientation, but the boundary surface is not
+    tested for self-intersection.
     """
 
     crossing_count: int | None
@@ -186,15 +227,9 @@ def count_crossings(edges, coords) -> CrossingResult:
     if e.shape[0] < 2:
         return CrossingResult(0, ())
 
-    x0, y0 = p[e[:, 0]].T
-    x1, y1 = p[e[:, 1]].T
-    order = np.argsort(np.minimum(x0, x1), kind="stable")
-    # columns (x0, y0, x1, y1) of the segments in sweep order
-    cols = [np.ascontiguousarray(v[order]) for v in (x0, y0, x1, y1)]
-    lo_x, lo_y = np.minimum(cols[0], cols[2]), np.minimum(cols[1], cols[3])
-    hi_x, hi_y = np.maximum(cols[0], cols[2]), np.maximum(cols[1], cols[3])
+    order, cols = _sweep_columns(e, p)
     hits = [np.zeros((0, 2), dtype=np.int64)]
-    for i, j in _sweep_pairs(lo_x, lo_y, hi_x, hi_y):
+    for i, j in _sweep_pairs(cols):
         crossed = _pairs_cross([v[i] for v in cols], [v[j] for v in cols])
         a, b = order[i[crossed]], order[j[crossed]]
         hits.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)]))
@@ -209,16 +244,31 @@ def count_crossings(edges, coords) -> CrossingResult:
 _PAIR_BLOCK = 6144
 
 
-def _sweep_pairs(lo_x, lo_y, hi_x, hi_y):
-    """Yield blocks of box-overlapping pairs (i, j), i < j, of x-sorted boxes.
+def _sweep_columns(e, p):
+    """Sweep order of segments ``e`` over points ``p`` and their columns.
 
-    Box j > i overlaps box i in x exactly when lo_x[j] <= hi_x[i], so the
-    x-partners of i are the run i+1 .. stop[i]-1 found by binary search.
-    Runs are expanded in chunks of at most ``_PAIR_BLOCK`` candidates (or
-    one row's run), the y-overlap test filters each chunk, and the kept
-    pairs are handed on in blocks of exactly ``_PAIR_BLOCK`` (the last one
-    shorter).
+    Returns the permutation that sorts the segments by min-x and the
+    coordinate columns (x0, y0, x1, y1) of the segments in that order.
     """
+    x0, y0 = p[e[:, 0]].T
+    x1, y1 = p[e[:, 1]].T
+    order = np.argsort(np.minimum(x0, x1), kind="stable")
+    return order, [np.ascontiguousarray(v[order]) for v in (x0, y0, x1, y1)]
+
+
+def _sweep_pairs(cols):
+    """Yield blocks of box-overlapping pairs (i, j), i < j, of x-sorted segments.
+
+    ``cols`` are the columns from :func:`_sweep_columns`. Closed boxes
+    overlap, so segments that merely touch are paired too. Box j > i
+    overlaps box i in x exactly when lo_x[j] <= hi_x[i], so the x-partners
+    of i are the run i+1 .. stop[i]-1 found by binary search. Runs are
+    expanded in chunks of at most ``_PAIR_BLOCK`` candidates (or one row's
+    run), the y-overlap test filters each chunk, and the kept pairs are
+    handed on in blocks of exactly ``_PAIR_BLOCK`` (the last one shorter).
+    """
+    lo_x, lo_y = np.minimum(cols[0], cols[2]), np.minimum(cols[1], cols[3])
+    hi_x, hi_y = np.maximum(cols[0], cols[2]), np.maximum(cols[1], cols[3])
     n = lo_x.shape[0]
     stop = np.searchsorted(lo_x, hi_x, side="right")
     counts = stop - np.arange(1, n + 1)
@@ -245,34 +295,54 @@ def _sweep_pairs(lo_x, lo_y, hi_x, hi_y):
             held = held_i[0].size
 
 
-def _pairs_cross(si, sj):
+def _pairs_cross(si, sj, closed=None):
     """Exact narrow phase for K segment pairs, as a boolean mask.
 
     si and sj are the coordinate columns (x0, y0, x1, y1) of the two
     segments of each pair: segment i runs from a to b, segment j from c to d.
+    A pair is hit when the open segments properly cross or overlap over
+    positive length. Where the mask ``closed`` is true, the closed segments
+    are tested instead: any common point, a touching endpoint included, is
+    a hit. Closed pairs must have segments of positive length (for a point
+    ab every turn is 0, which the 1-D overlap test cannot tell from
+    collinear).
     """
     ax, ay, bx, by = si
     cx, cy, dx, dy = sj
     o1 = orient2d_signs_xy(ax, ay, bx, by, cx, cy)
     o2 = orient2d_signs_xy(ax, ay, bx, by, dx, dy)
     hit = np.zeros(ax.size, dtype=bool)
-    # a proper crossing: c and d straddle line ab, then a and b line cd
-    k = np.flatnonzero(o1 * o2 < 0)
+    # c and d on line ab: the segments are collinear, or ab is one point;
+    # the 1-D overlap test is right for both
+    flat = (o1 == 0) & (o2 == 0)
+    # a crossing: c and d straddle line ab, then a and b line cd; a closed
+    # pair also meets when an endpoint lies on the other segment's line
+    side = o1 * o2
+    straddle = side < 0
+    if closed is not None:
+        straddle |= closed & (side == 0) & ~flat
+    k = np.flatnonzero(straddle)
     ck, dk = (cx[k], cy[k]), (dx[k], dy[k])
     o3 = orient2d_signs_xy(*ck, *dk, ax[k], ay[k])
     o4 = orient2d_signs_xy(*ck, *dk, bx[k], by[k])
-    hit[k] = o3 * o4 < 0
-    # c and d on line ab: the segments are collinear, or ab is one point,
-    # which overlaps nothing; the 1-D overlap test is right for both
-    flat = np.flatnonzero((o1 == 0) & (o2 == 0))
-    hit[flat] = _collinear_overlap(*(v[flat] for v in (*si, *sj)))
+    side = o3 * o4
+    crossed = side < 0
+    if closed is not None:
+        crossed |= closed[k] & (side == 0)
+    hit[k] = crossed
+    flat = np.flatnonzero(flat)
+    hit[flat] = _collinear_overlap(
+        *(v[flat] for v in (*si, *sj)), None if closed is None else closed[flat]
+    )
     return hit
 
 
-def _collinear_overlap(ax, ay, bx, by, cx, cy, dx, dy):
-    """Positive-length 1-D overlap of collinear segment pairs (exact on floats).
+def _collinear_overlap(ax, ay, bx, by, cx, cy, dx, dy, closed=None):
+    """1-D overlap of collinear segment pairs (exact on floats).
 
-    Each pair ab, cd is compared along the axis of its larger extent.
+    Each pair ab, cd is compared along the axis of its larger extent. Open
+    pairs need an overlap of positive length; pairs where the mask
+    ``closed`` is true need one common point.
     """
     along_x = np.maximum(np.abs(ax - bx), np.abs(cx - dx)) >= np.maximum(
         np.abs(ay - by), np.abs(cy - dy)
@@ -280,7 +350,37 @@ def _collinear_overlap(ax, ay, bx, by, cx, cy, dx, dy):
     a, b, c, d = (np.where(along_x, u, v) for u, v in ((ax, ay), (bx, by), (cx, cy), (dx, dy)))
     lo = np.maximum(np.minimum(a, b), np.minimum(c, d))
     hi = np.minimum(np.maximum(a, b), np.maximum(c, d))
-    return lo < hi
+    overlap = lo < hi
+    if closed is not None:
+        overlap |= closed & (lo == hi)
+    return overlap
+
+
+def _loop_is_simple(cycle, coords) -> bool:
+    """Does the closed polygon through ``cycle`` map to a simple curve?
+
+    ``cycle`` lists vertex indices into ``coords`` (N, 2) in loop order,
+    the last joined back to the first. The answer is exact: every edge has
+    positive length, adjacent edges meet only at their shared vertex, and
+    non-adjacent edges have no common point, touching endpoints and
+    T-junctions included. It reuses the sweep and the narrow phase of
+    :func:`count_crossings`: adjacent edges take its open test, whose
+    shared vertex has turn exactly 0, and the other pairs its closed test.
+    """
+    v = np.asarray(cycle, dtype=np.int64)
+    p = np.asarray(coords, dtype=float)
+    b = v.size
+    e = np.column_stack([v, np.roll(v, -1)])
+    if b < 3 or (p[e[:, 0]] == p[e[:, 1]]).all(axis=1).any():
+        return False
+    order, cols = _sweep_columns(e, p)
+    for i, j in _sweep_pairs(cols):
+        # edge k of the loop joins vertex k to vertex k + 1 (mod b)
+        gap = np.abs(order[i] - order[j])
+        closed = (gap != 1) & (gap != b - 1)
+        if _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed).any():
+            return False
+    return True
 
 
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
@@ -471,6 +571,11 @@ def audit(
     orientation (it plays the role of the removed outer face), so it is
     excluded from the histogram; ``seed_exclude`` forces the same exclusion
     for bare coordinate input. Non-finite coordinates raise ``ValueError``.
+
+    For d = 2 the orientation histogram runs first. A one-signed drawing
+    bounded by one loop is then decided on that loop alone, by the degree
+    theorem (see :class:`ValidityReport`); every other drawing, and one
+    whose loop is not simple, gets the full crossing count.
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -500,10 +605,20 @@ def audit(
     ):
         exclude = [emb.seed_simplex]
 
-    reasons: list[str] = []
+    counts = orientation_histogram(
+        mesh, coords, tol=orientation_tol, exclude=exclude
+    )
+    pos, neg, zero = counts
+    one_sign = zero == 0 and (pos > 0) != (neg > 0)
 
+    reasons: list[str] = []
     if d == 2:
-        crossing = count_crossings(mesh_edges(mesh), coords)
+        loop = _certifying_loop(mesh, boundary, closed, exclude)
+        if one_sign and loop is not None and _loop_is_simple(loop, coords):
+            # the degree theorem: the map is injective, so no edges cross
+            crossing = CrossingResult(0, ())
+        else:
+            crossing = count_crossings(mesh_edges(mesh), coords)
         crossing_count: int | None = crossing.count
         crossing_pairs = crossing.pairs
         if crossing.count:
@@ -512,10 +627,6 @@ def audit(
         crossing_count = None
         crossing_pairs = ()
 
-    counts = orientation_histogram(
-        mesh, coords, tol=orientation_tol, exclude=exclude
-    )
-    pos, neg, zero = counts
     if zero:
         reasons.append(f"{zero} near-degenerate simplex image(s)")
     if pos and neg:
@@ -552,12 +663,7 @@ def audit(
             boundary.boundary_cycles[0], coords, tol=convexity_tol
         )
 
-    certified = (
-        (crossing_count is None or crossing_count == 0)
-        and zero == 0
-        and not (pos and neg)
-        and (pos + neg) > 0
-    )
+    certified = one_sign and not crossing_count
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,
@@ -568,3 +674,20 @@ def audit(
         verdict="injective-certified" if certified else "violated",
         reasons=tuple(reasons),
     )
+
+
+def _certifying_loop(mesh: SimplicialMesh, boundary, closed, exclude):
+    """The one loop that bounds the audited triangles, or None.
+
+    An open mesh audited whole is bounded by its boundary cycle when it has
+    exactly one. A closed mesh with one excluded seed triangle is bounded by
+    that triangle's edges. Any other case (several loops, an open mesh with
+    an excluded triangle, a closed mesh with none) has no single loop.
+    """
+    if not closed:
+        if not exclude and len(boundary.boundary_cycles) == 1:
+            return boundary.boundary_cycles[0]
+        return None
+    if len(exclude) == 1 and 0 <= exclude[0] < mesh.n_simplices:
+        return mesh.simplices[exclude[0]]
+    return None

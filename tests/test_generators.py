@@ -5,15 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
+from delaunay_oracle import incircle
 from fplm.generators import (
     GeneratorSpec,
+    _kuhn_tets,
     ball3,
     delaunay2d,
     generate,
     icosphere,
     structured_grid_triangles,
 )
-from fplm.geometry import incircle, simplex_orientation
+from fplm.geometry import simplex_orientation
 from fplm.simplicial import (
     canonical_orientation,
     detect_boundary,
@@ -146,7 +148,44 @@ class TestIcosphere:
             icosphere(-1)
 
 
+def ball3_loop(resolution):
+    """The triple-loop ``ball3`` construction: the oracle for the vectorised one."""
+    n = resolution + 1
+    axis = np.linspace(-1.0, 1.0, n)
+
+    def vid(i, j, k):
+        return (k * n + j) * n + i
+
+    verts = np.array(
+        [[axis[i], axis[j], axis[k]] for k in range(n) for j in range(n) for i in range(n)]
+    )
+    tets = []
+    for k in range(resolution):
+        for j in range(resolution):
+            for i in range(resolution):
+                flip = tuple(
+                    1 if axis[c] + axis[c + 1] < 0.0 else 0 for c in (i, j, k)
+                )
+                for tet in _kuhn_tets(flip):
+                    tets.append(
+                        [vid(i + dx, j + dy, k + dz) for dx, dy, dz in tet]
+                    )
+    norm2 = np.linalg.norm(verts, axis=1)
+    norm_inf = np.abs(verts).max(axis=1)
+    safe = np.where(norm2 > 0.0, norm2, 1.0)
+    scale = np.where(norm2 > 0.0, norm_inf / safe, 0.0)
+    return verts * scale[:, None], np.asarray(tets, dtype=np.int64)
+
+
 class TestBall3:
+    @pytest.mark.parametrize("res", [2, 3, 4, 5, 6, 7, 10])
+    def test_matches_loop_construction_bit_for_bit(self, res):
+        verts, tets = ball3_loop(res)
+        mesh = ball3(res)
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        assert mesh.simplices.dtype == tets.dtype
+        np.testing.assert_array_equal(mesh.simplices, tets)
+
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 2"):
             ball3(1)

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delaunay_oracle import incircle
 from fplm import geometry
 from fplm.geometry import (
     bbox_diameter,
-    incircle,
     orient2d,
     orient2d_signs,
     orient3d,

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from fplm.generators import ball3, icosphere, structured_grid_triangles
 from fplm.geometry import simplex_orientation
-from fplm.laplacian import build_weights
+from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import (
     FixedPointSet,
     make_c1,
@@ -21,6 +21,7 @@ from fplm.mapping import (
     solve_fixed_point,
 )
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
+from fplm.solver import SolveConfig
 
 
 def grid_mesh(nx, ny):
@@ -259,6 +260,34 @@ class TestSolveFixedPoint:
         coords, residual = solve_fixed_point(graph, fps)
         np.testing.assert_allclose(coords[p], 0.0, atol=1e-14)
         assert residual <= 1e-10
+
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    def test_residual_is_the_free_block_relative_residual(self, method):
+        # the residual reported is ||L_y Y - b|| / ||b|| of the free block
+        mesh = grid_mesh(5, 5)
+        graph = build_weights(mesh)
+        bverts = detect_boundary(mesh).boundary_vertices
+        rng = np.random.default_rng(4)
+        fps = FixedPointSet(
+            indices=bverts, targets=rng.normal(size=(len(bverts), 2)),
+            kind="inner-boundary",
+        )
+        coords, residual = solve_fixed_point(graph, fps, SolveConfig(method=method))
+        system = assemble_system(graph, bverts)
+        rhs = -system.lap_free_fixed @ coords[system.fixed_indices]
+        lhs = system.lap_free @ coords[system.free_indices]
+        expect = float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(rhs))
+        assert residual == expect
+        assert 0.0 < residual <= 1e-10
+
+    def test_no_free_vertex_has_zero_residual(self):
+        mesh = grid_mesh(2, 2)
+        fps = FixedPointSet(
+            indices=np.arange(4), targets=mesh.vertices, kind="inner-boundary"
+        )
+        coords, residual = solve_fixed_point(build_weights(mesh), fps)
+        assert coords.tobytes() == mesh.vertices.tobytes()
+        assert residual == 0.0
 
     def test_fixed_rows_copied_verbatim(self):
         mesh = grid_mesh(3, 3)

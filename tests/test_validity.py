@@ -7,13 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fplm.generators import ball3, icosphere, structured_grid_triangles
+from fplm import validity
+from fplm.generators import (
+    GeneratorSpec,
+    ball3,
+    delaunay2d,
+    generate,
+    icosphere,
+    structured_grid_triangles,
+)
 from fplm.geometry import simplex_orientation
 from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
-from fplm.simplicial import SimplicialMesh, detect_boundary
+from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.validity import (
     _HULL_BLOCK,
+    _loop_is_simple,
     audit,
     check_boundary_convexity,
     check_hull_containment,
@@ -614,3 +623,295 @@ class TestAudit:
         report = audit(mesh, emb)
         assert report.hull_violation == float("-inf")
         assert json.loads(json.dumps(report.to_dict()))["hull_violation"] is None
+
+
+def turn(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def closed_segments_meet(p, q, r, s):
+    """Do closed segments pq and rs share a point? Exact on ints."""
+    d1, d2, d3, d4 = turn(p, q, r), turn(p, q, s), turn(r, s, p), turn(r, s, q)
+    if d1 == d2 == d3 == d4 == 0:
+        return all(
+            max(min(p[k], q[k]), min(r[k], s[k])) <= min(max(p[k], q[k]), max(r[k], s[k]))
+            for k in (0, 1)
+        )
+    return d1 * d2 <= 0 and d3 * d4 <= 0
+
+
+def oracle_loop_is_simple(points, cycle):
+    """Brute-force O(B^2) simplicity of a closed polygon in integer arithmetic.
+
+    Every edge has positive length; adjacent edges u-v, v-w meet only at v,
+    so w may not lie on the ray from v through u; other edges share no point.
+    """
+    b = len(cycle)
+    ring = [points[k] for k in cycle]
+    if any(ring[k] == ring[(k + 1) % b] for k in range(b)):
+        return False
+    for k in range(b):
+        u, v, w = ring[k - 1], ring[k], ring[(k + 1) % b]
+        if turn(u, v, w) == 0 and (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1]) > 0:
+            return False
+    for i in range(b):
+        for j in range(i + 2, b):
+            if i == 0 and j == b - 1:
+                continue
+            if closed_segments_meet(ring[i], ring[(i + 1) % b], ring[j], ring[(j + 1) % b]):
+                return False
+    return True
+
+
+lattice_loops = st.integers(3, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n
+        ),
+        st.permutations(range(n)),
+    )
+)
+
+
+lattice_points = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+# segment pairs (a, b, c, d) with a != b and c != d
+lattice_segment_pairs = st.tuples(*[lattice_points] * 4).filter(
+    lambda q: q[0] != q[1] and q[2] != q[3]
+)
+
+
+class TestClosedSegmentTest:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lattice_segment_pairs, min_size=1, max_size=40))
+    @example([((0, 0), (2, 0), (2, 0), (3, 0))])  # collinear, end to end
+    @example([((1, 1), (0, 0), (2, 0), (1, 1))])  # endpoints coincide
+    @example([((0, 0), (2, 0), (1, 0), (1, 2))])  # T-junction
+    @example([((0, 0), (1, 0), (2, 0), (3, 0))])  # collinear, apart
+    def test_matches_brute_force_oracle(self, pairs):
+        cols = [np.array([pair[k][c] for pair in pairs], dtype=float) for k in range(4) for c in (0, 1)]
+        hit = validity._pairs_cross(cols[:4], cols[4:], np.ones(len(pairs), dtype=bool))
+        assert hit.tolist() == [closed_segments_meet(*pair) for pair in pairs]
+
+
+class TestLoopIsSimple:
+    """Small lattice polygons, so vertices coincide, touch edges, fold back
+    and lie on one line often."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lattice_loops)
+    @example(([(0, 0), (2, 0), (2, 2), (0, 2)], [0, 1, 2, 3]))  # square
+    @example(([(0, 0), (2, 2), (2, 0), (0, 2)], [0, 1, 2, 3]))  # bowtie
+    @example(([(0, 0), (2, 0), (1, 0), (1, 2)], [0, 1, 2, 3]))  # fold back
+    @example(([(0, 0), (4, 0), (4, 2), (2, 0), (0, 2)], [0, 1, 2, 3, 4]))  # T-junction
+    @example(([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)], [0, 1, 2, 3, 4, 5]))  # touch
+    @example(([(0, 0), (1, 0), (2, 0)], [0, 1, 2]))  # collinear triangle
+    @example(([(0, 0), (1, 0), (1, 0)], [0, 1, 2]))  # zero-length edge
+    @example(([(0, 0), (3, 0), (2, 1), (1, 0), (1, 2)], [0, 1, 2, 3, 4]))  # vertex on a later edge
+    @example(([(1, 1), (0, 0), (2, 0), (1, 1), (3, 2), (0, 3)], [0, 1, 2, 3, 4, 5]))  # figure eight
+    def test_matches_brute_force_oracle(self, loop):
+        points, cycle = loop
+        coords = np.array(points, dtype=float)
+        assert _loop_is_simple(cycle, coords) == oracle_loop_is_simple(points, cycle)
+
+    def test_blocks_cover_every_pair(self, monkeypatch):
+        # a regular 40-gon is simple; one vertex pulled onto a far edge is not
+        monkeypatch.setattr(validity, "_PAIR_BLOCK", 3)
+        angles = 2 * np.pi * np.arange(40) / 40
+        coords = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert _loop_is_simple(range(40), coords)
+        coords[5] = 0.5 * (coords[24] + coords[25])
+        assert not _loop_is_simple(range(40), coords)
+
+
+def cell_strip(cells, moved=(), split=()):
+    """Unit lattice cells (cx, cy), two counterclockwise triangles each.
+
+    ``moved`` maps lattice points to other coordinates; ``split`` lists
+    (cell, lattice point) pairs whose corner gets a vertex of its own.
+    """
+    index, verts, tris = {}, [], []
+    moved = dict(moved)
+
+    def vid(point, cell):
+        key = (point, cell) if (cell, point) in split else point
+        if key not in index:
+            index[key] = len(verts)
+            verts.append(moved.get(point, point))
+        return index[key]
+
+    for cx, cy in cells:
+        a, b, c, d = (vid(p, (cx, cy)) for p in ((cx, cy), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)))
+        tris += [(a, b, c), (a, c, d)]
+    return SimplicialMesh(np.array(verts, dtype=float), np.array(tris), 2)
+
+
+RING = [(1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1), (0, 0)]
+HORSESHOE = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)]
+
+
+def fallback_fixtures():
+    """Drawings whose audit must run the full count, with the reports the
+    full count gives them (and gave before the boundary certificate)."""
+    certified = {
+        "crossing_count": 0,
+        "crossing_pairs": [],
+        "max_convex_residual": None,
+        "hull_violation": None,
+        "verdict": "injective-certified",
+        "reasons": [],
+    }
+    reflex = {"convex": False, "worst": -1.0}
+
+    def counts(pos):
+        return {"positive": pos, "negative": 0, "near_zero": 0}
+
+    return {
+        # the tip of one arm lies on a boundary edge of the other: a T-junction
+        "horseshoe": (
+            cell_strip(HORSESHOE, moved=[((0, 2), (0.5, 1.0))]),
+            None,
+            {**certified, "orientation_counts": counts(14),
+             "boundary_convexity": {**reflex, "reflex_vertex": 9}},
+        ),
+        # the two arms meet at (1, 1) through two distinct vertices
+        "coincident-vertices": (
+            cell_strip(RING[:-1], split=[((0, 1), (1, 1))]),
+            None,
+            {**certified, "orientation_counts": counts(14),
+             "boundary_convexity": {**reflex, "reflex_vertex": 10}},
+        ),
+        # a fan around vertex 0 whose last boundary edge folds back onto its first
+        "collinear-adjacent": (
+            SimplicialMesh(
+                np.array([[0, 0], [2, 0], [0, 1], [-1, 0], [0, -1], [1, 0]], dtype=float),
+                np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]]),
+                2,
+            ),
+            None,
+            {**certified, "crossing_count": 1, "crossing_pairs": [[0, 4]],
+             "orientation_counts": counts(4),
+             "boundary_convexity": {"convex": True, "worst": -0.0, "reflex_vertex": None},
+             "verdict": "violated", "reasons": ["1 edge crossing(s)"]},
+        ),
+        "annulus": (
+            cell_strip(RING),
+            None,
+            {**certified, "orientation_counts": counts(16), "boundary_convexity": None},
+        ),
+        "open-mesh-seed-exclude": (
+            grid_mesh(4, 4),
+            0,
+            {**certified, "orientation_counts": counts(17),
+             "boundary_convexity": {"convex": True, "worst": 0.0, "reflex_vertex": None}},
+        ),
+    }
+
+
+@pytest.fixture
+def full_counts(monkeypatch):
+    """Record each call of the full crossing count that audit makes."""
+    calls = []
+
+    def spy(edges, coords):
+        calls.append(len(edges))
+        return count_crossings(edges, coords)
+
+    monkeypatch.setattr(validity, "count_crossings", spy)
+    return calls
+
+
+def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
+    """The report's crossings and verdict are those of the full count plus
+    the orientation gate."""
+    full = count_crossings(mesh_edges(mesh), coords)
+    exclude = () if seed_exclude is None else (seed_exclude,)
+    pos, neg, zero = orientation_histogram(mesh, coords, exclude=exclude)
+    certified = full.count == 0 and zero == 0 and (pos > 0) != (neg > 0)
+    assert report.crossing_count == full.count
+    assert report.crossing_pairs == full.pairs
+    assert report.orientation_counts == (pos, neg, zero)
+    assert report.verdict == ("injective-certified" if certified else "violated")
+
+
+_EMBEDDED = {}
+
+
+def embedded(kind, resolution):
+    """A generated mesh, its fplm embedding and the seed a bare audit excludes."""
+    if (kind, resolution) not in _EMBEDDED:
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        emb = run_fplm(mesh)
+        closed = detect_boundary(mesh).boundary_vertices.size == 0
+        _EMBEDDED[kind, resolution] = (mesh, emb, emb.seed_simplex if closed else None)
+    return _EMBEDDED[kind, resolution]
+
+
+EMBEDDED_CASES = [("grid-disk", (6, 6)), ("paraboloid", (8, 7)), ("sphere", (1,)), ("sphere", (2,))]
+
+
+class TestBoundaryCertificate:
+    """audit decides a one-signed 2-D drawing on its boundary loop alone (the
+    degree theorem) and must agree with the full crossing count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 40),
+        st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]),
+    )
+    def test_perturbed_delaunay_disks_match_full_count(self, seed, n, amplitude):
+        rng = np.random.default_rng(seed)
+        radius, angle = np.sqrt(rng.uniform(size=n)), rng.uniform(0, 2 * np.pi, n)
+        pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        mesh = SimplicialMesh(pts, np.asarray(delaunay2d(pts)), 2)
+        coords = pts + amplitude / np.sqrt(n) * rng.normal(size=pts.shape)
+        assert_matches_full_count(audit(mesh, coords), mesh, coords)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(EMBEDDED_CASES),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-3, 0.03, 0.3]),
+    )
+    def test_fplm_embeddings_match_full_count(self, case, seed, amplitude):
+        mesh, emb, seed_exclude = embedded(*case)
+        assert_matches_full_count(audit(mesh, emb), mesh, emb.coords, seed_exclude)
+        rng = np.random.default_rng(seed)
+        coords = emb.coords + amplitude * rng.normal(size=emb.coords.shape) / np.sqrt(mesh.n_vertices)
+        report = audit(mesh, coords, seed_exclude=seed_exclude)
+        assert_matches_full_count(report, mesh, coords, seed_exclude)
+
+    @pytest.mark.parametrize("case", EMBEDDED_CASES, ids=lambda c: f"{c[0]}-{c[1][0]}")
+    def test_certified_embeddings_skip_the_full_count(self, case, full_counts):
+        mesh, emb, seed_exclude = embedded(*case)
+        report = audit(mesh, emb, graph=build_weights(mesh))
+        assert report.verdict == "injective-certified"
+        assert full_counts == []
+        assert_matches_full_count(report, mesh, emb.coords, seed_exclude)
+
+    @pytest.mark.parametrize("name", sorted(fallback_fixtures()))
+    def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts):
+        mesh, seed_exclude, expect = fallback_fixtures()[name]
+        report = audit(mesh, mesh.vertices, seed_exclude=seed_exclude)
+        assert full_counts == [mesh_edges(mesh).shape[0]]
+        assert report.to_dict() == expect
+
+    def test_closed_sphere_bare_seed_exclude_matches_embedding_route(self, full_counts):
+        mesh, emb, _ = embedded("sphere", (2,))
+        via_embedding = audit(mesh, emb)
+        bare = audit(mesh, emb.coords, seed_exclude=emb.seed_simplex)
+        assert full_counts == []
+        for key in ("crossing_count", "crossing_pairs", "orientation_counts", "verdict", "reasons"):
+            assert getattr(bare, key) == getattr(via_embedding, key)
+        assert bare.verdict == "injective-certified"
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
+    def test_out_of_range_seed_on_a_closed_mesh_takes_the_full_count(self, offset, full_counts):
+        mesh, emb, _ = embedded("sphere", (1,))
+        seed_exclude = offset if offset < 0 else mesh.n_simplices
+        report = audit(mesh, emb.coords, seed_exclude=seed_exclude)
+        assert full_counts == [mesh_edges(mesh).shape[0]]
+        assert report.verdict == "violated"
+        assert_matches_full_count(report, mesh, emb.coords)
