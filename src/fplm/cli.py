@@ -229,11 +229,21 @@ def cmd_validate(args) -> int:
             return _fail(f"cannot read manifest {manifest_path}: {exc}")
         seed_simplex = manifest.get("result", {}).get("seed_simplex")
         if seed_simplex is not None:
+            # a JSON integer only: bool is an int subclass in Python
+            if (
+                type(seed_simplex) is not int
+                or not 0 <= seed_simplex < mesh.n_simplices
+            ):
+                return _fail(
+                    f"manifest {manifest_path}: seed_simplex must be an "
+                    f"integer in [0, {mesh.n_simplices}), got "
+                    f"{json.dumps(seed_simplex)}"
+                )
             closed = detect_boundary(mesh).boundary_vertices.size == 0
             if closed:
                 # on a closed mesh the seed image covers everything else
                 # with opposite orientation; skip it in the histogram
-                seed_exclude = int(seed_simplex)
+                seed_exclude = seed_simplex
 
     try:
         report = audit(mesh, coords, seed_exclude=seed_exclude)

@@ -287,16 +287,26 @@ def signed_volumes(coords, simplices):
 
     Returns
     -------
-    (M,) array of det(edge matrix) / d!, float evaluation.
+    (M,) array of det(edge matrix) / d!, float evaluation. For d <= 3 the
+    determinant is written out over all simplices at once, as in
+    :func:`simplex_volumes`; higher dimensions call LAPACK per matrix.
     """
     coords = np.asarray(coords, dtype=float)
     simplices = np.asarray(simplices, dtype=np.int64)
     d = coords.shape[1]
-    edges = coords[simplices[:, 1:]] - coords[simplices[:, :1]]
-    if d == 1:
-        dets = edges[:, 0, 0]
+    if d > 3:
+        dets = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
     else:
-        dets = np.linalg.det(edges)
+        # e[i][j] is coordinate j of edge i of every simplex, one row each
+        ct, st = coords.T, simplices.T
+        base = np.take(ct, st[0], axis=1)
+        e = [np.take(ct, st[i], axis=1) - base for i in range(1, d + 1)]
+        if d == 1:
+            dets = e[0][0]
+        elif d == 2:
+            dets = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+        else:
+            dets = _det3(e)
     return dets / math.factorial(d)
 
 

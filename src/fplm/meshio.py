@@ -208,11 +208,20 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     verts = np.asarray(payload["vertices"], dtype=float)
     if verts.ndim != 2 or verts.shape[1] != int(payload["ambient_dim"]):
         raise ValueError("vertex array does not match ambient_dim")
-    return SimplicialMesh(
-        verts,
-        np.asarray(payload["simplices"], dtype=np.int64),
-        int(payload["intrinsic_dim"]),
-    )
+    # numpy infers the dtype: a float, string or beyond-int64 entry, or bools
+    # only, leave it non-integer, where a cast would truncate or overflow
+    simplices = np.array(payload["simplices"])
+    if simplices.size and simplices.dtype.kind != "i":
+        raise ValueError(
+            "simplex vertex ids must be integers in the int64 range, got "
+            f"{simplices.dtype} entries"
+        )
+    try:
+        return SimplicialMesh(verts, simplices, int(payload["intrinsic_dim"]))
+    except IndexError as exc:
+        raise ValueError(
+            f"simplex vertex id out of range [0, {verts.shape[0]})"
+        ) from exc
 
 
 def write_embedding_csv(coords: np.ndarray) -> str:

@@ -570,7 +570,8 @@ def audit(
     image necessarily covers the rest of the drawing with opposite
     orientation (it plays the role of the removed outer face), so it is
     excluded from the histogram; ``seed_exclude`` forces the same exclusion
-    for bare coordinate input. Non-finite coordinates raise ``ValueError``.
+    for bare coordinate input and must index a simplex. Non-finite
+    coordinates and an out-of-range ``seed_exclude`` raise ``ValueError``.
 
     For d = 2 the orientation histogram runs first. A one-signed drawing
     bounded by one loop is then decided on that loop alone, by the degree
@@ -596,6 +597,11 @@ def audit(
 
     exclude = []
     if seed_exclude is not None:
+        if not 0 <= seed_exclude < mesh.n_simplices:
+            raise ValueError(
+                f"seed_exclude {seed_exclude} is not a simplex index in "
+                f"[0, {mesh.n_simplices})"
+            )
         exclude = [int(seed_exclude)]
     elif (
         emb is not None
@@ -639,7 +645,9 @@ def audit(
     boundary_convexity = None
     if emb is not None:
         final_fixed = emb.fixed_round2 or emb.fixed_round1
-        free = np.setdiff1d(np.arange(mesh.n_vertices), final_fixed.indices)
+        is_free = np.ones(mesh.n_vertices, dtype=bool)
+        is_free[final_fixed.indices] = False
+        free = np.flatnonzero(is_free)
         if d in (2, 3):
             hull_violation = check_hull_containment(final_fixed, coords, free)
         if graph is not None:
@@ -688,6 +696,6 @@ def _certifying_loop(mesh: SimplicialMesh, boundary, closed, exclude):
         if not exclude and len(boundary.boundary_cycles) == 1:
             return boundary.boundary_cycles[0]
         return None
-    if len(exclude) == 1 and 0 <= exclude[0] < mesh.n_simplices:
+    if len(exclude) == 1:
         return mesh.simplices[exclude[0]]
     return None

@@ -200,6 +200,25 @@ class TestEmbed:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (2.7, "vertex ids must be integers"),
+            (2**70, "vertex ids must be integers"),
+            (10**6, "vertex id out of range"),
+        ],
+    )
+    def test_bad_simplex_id_returns_2(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "mesh.json"
+        main(["generate", "--kind", "paraboloid", "--resolution", "4x4", "--out", str(path)])
+        blob = json.loads(path.read_text())
+        blob["simplices"][3][1] = entry
+        path.write_text(json.dumps(blob))
+        rc = main(["embed", "--mesh", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_non_finite_mesh_vertex_returns_2(self, tmp_path, capsys):
         path = tmp_path / "mesh.json"
         main(["generate", "--kind", "paraboloid", "--resolution", "6x6", "--out", str(path)])
@@ -289,6 +308,21 @@ class TestValidate:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "seed", ['"abc"', "-1", "80", "1000000", "1.5", "true", "[0]"]
+    )
+    def test_bad_manifest_seed_returns_2(self, tmp_path, capsys, seed):
+        mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="1")
+        assert rc == 0
+        path = tmp_path / "emb.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["result"]["seed_simplex"] = json.loads(seed)
+        path.write_text(json.dumps(manifest))
+        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"seed_simplex must be an integer in [0, 80), got {seed}" in err
 
     def test_corrupt_manifest_returns_2(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)

@@ -418,6 +418,46 @@ class TestVolumes:
         vols = signed_volumes(coords, np.array([[0, 1, 2, 3]]))
         assert vols[0] == pytest.approx(1.0 / 6.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signed_volumes_match_lapack_determinant(self, d):
+        rng = np.random.default_rng(d)
+        coords = rng.uniform(-1, 1, size=(60, d))
+        simp = np.array([rng.choice(60, size=d + 1, replace=False) for _ in range(500)])
+        edges = coords[simp[:, 1:]] - coords[simp[:, :1]]
+        want = np.linalg.det(edges) / math.factorial(d)
+        got = signed_volumes(coords, simp)
+        # the same determinant rounded in another order: a few ulps of the
+        # largest cofactor product, which on a near-flat simplex is more than
+        # 1e-12 of its volume
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(np.sign(got), np.sign(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_signed_volumes_exact_on_small_integers(self, d):
+        # every product and sum is an integer below 2^53, so both evaluations
+        # are exact, and flat simplices come out exactly 0
+        rng = np.random.default_rng(10 + d)
+        coords = rng.integers(-8, 9, size=(30, d))
+        # the first six points lie on a line (on one point for d = 1), so the
+        # first 20 simplices are flat
+        coords[:6] = np.arange(-3, 3)[:, None] * ([2, -1, 3][:d] if d > 1 else [0])
+        simp = np.array([rng.choice(30, size=d + 1, replace=False) for _ in range(400)])
+        simp[:20] = [rng.choice(6, size=d + 1, replace=False) for _ in range(20)]
+        edges = (coords[simp[:, 1:]] - coords[simp[:, :1]]).tolist()
+
+        def leibniz(e):  # the determinant in Python ints, one term per permutation
+            return sum(
+                (-1) ** sum(p[i] > p[j] for i in range(d) for j in range(i + 1, d))
+                * math.prod(e[i][p[i]] for i in range(d))
+                for p in itertools.permutations(range(d))
+            )
+
+        want = [leibniz(e) for e in edges]
+        got = signed_volumes(coords.astype(float), simp) * math.factorial(d)
+        assert got.tolist() == want
+        assert want[:20] == [0] * 20
+        assert np.array_equal(np.rint(np.linalg.det(np.array(edges, dtype=float))), want)
+
     def test_unsigned_volumes_embedded_triangle(self):
         # unit right triangle living in 3-space: area 1/2 via Gram determinant
         verts = np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 5.0], [0.0, 1.0, 5.0]])

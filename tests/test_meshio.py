@@ -198,6 +198,34 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="ambient_dim"):
             mesh_from_json(blob)
 
+    @staticmethod
+    def triangle_blob(simplices):
+        return (
+            '{"ambient_dim": 2, "intrinsic_dim": 2,'
+            ' "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],'
+            f' "simplices": {simplices}}}'
+        )
+
+    @pytest.mark.parametrize(
+        "simplices",
+        [
+            "[[0, 1, 2], [1, 3, 2.7]]",  # a cast would truncate it to vertex 2
+            '[[0, 1, 2], [1, 3, "2"]]',
+            "[[true, false, true]]",
+            f"[[0, 1, 2], [1, 3, {2**70}]]",  # beyond int64: no OverflowError
+            f"[[0, 1, 2], [1, 3, {2**63}]]",
+        ],
+        ids=["fraction", "string", "bool-row", "2**70", "2**63"],
+    )
+    def test_non_integer_simplex_ids_rejected(self, simplices):
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            mesh_from_json(self.triangle_blob(simplices))
+
+    @pytest.mark.parametrize("bad", [-1, 4, 2**63 - 1])
+    def test_out_of_range_simplex_id_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"vertex id out of range \[0, 4\)"):
+            mesh_from_json(self.triangle_blob(f"[[0, 1, 2], [1, 3, {bad}]]"))
+
 
 class TestEmbeddingCsv:
     def test_example_format(self):

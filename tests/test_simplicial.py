@@ -575,6 +575,36 @@ class TestSortedFaceTable:
         # the kept sort order groups the sides by face, ties in side order
         assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
 
+    def test_four_column_faces_near_70000_vertex_ids(self):
+        # a packed c0 n^3 + c1 n^2 + c2 n + c3 key would overflow int64 here
+        # (70,000^4 > 2^63); the rank keys stay below sides * n
+        n = 70_010
+        assert (n - 1) ** 4 > 2**63
+        rng = np.random.default_rng(7)
+        pool = np.concatenate([np.arange(6), n - 1 - np.arange(6)])
+        simplices = np.array([rng.choice(pool, 5, replace=False) for _ in range(300)])
+        mesh = SimplicialMesh(np.zeros((n, 4)), simplices, 4)
+        table = mesh.face_table
+        faces, counts, face_of = unique_rows_face_table(mesh)
+        assert (faces.max(axis=0) >= n - 6).all()
+        assert np.array_equal(table.faces, faces)
+        assert np.array_equal(table.counts, counts)
+        assert np.array_equal(table.face_of, face_of)
+        assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_simplices())
+    @example((3, [[5, 5, 2, 900], [900, 2, 5, 1]]))
+    def test_edges_match_unique_rows_reference(self, case):
+        d, simplices = case
+        mesh = SimplicialMesh(np.zeros((1000, d)), np.array(simplices), d)
+        pairs = [[i, j] for i in range(d + 1) for j in range(i + 1, d + 1)]
+        ends = np.sort(mesh.simplices[:, pairs].reshape(-1, 2), axis=1)
+        want = np.unique(ends, axis=0)
+        got = mesh_edges(mesh)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
     def test_empty_mesh_reports_empty_without_traceback(self):
         mesh = SimplicialMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int), 2)
         assert [v.rule for v in validate_mesh(mesh)] == ["empty"]

@@ -908,10 +908,9 @@ class TestBoundaryCertificate:
         assert bare.verdict == "injective-certified"
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
-    def test_out_of_range_seed_on_a_closed_mesh_takes_the_full_count(self, offset, full_counts):
+    def test_out_of_range_seed_is_rejected(self, offset, full_counts):
         mesh, emb, _ = embedded("sphere", (1,))
         seed_exclude = offset if offset < 0 else mesh.n_simplices
-        report = audit(mesh, emb.coords, seed_exclude=seed_exclude)
-        assert full_counts == [mesh_edges(mesh).shape[0]]
-        assert report.verdict == "violated"
-        assert_matches_full_count(report, mesh, emb.coords)
+        with pytest.raises(ValueError, match=r"seed_exclude .* \[0, 80\)"):
+            audit(mesh, emb.coords, seed_exclude=seed_exclude)
+        assert full_counts == []
