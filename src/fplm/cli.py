@@ -166,6 +166,7 @@ def cmd_embed(args) -> int:
             "rounds_run": embedding.rounds_run,
             "seed_simplex": embedding.seed_simplex,
             "residuals": embedding.residuals,
+            "routes": embedding.routes,
             "n_vertices": mesh.n_vertices,
             "n_simplices": mesh.n_simplices,
             "intrinsic_dim": mesh.intrinsic_dim,
@@ -184,7 +185,7 @@ def cmd_embed(args) -> int:
     print(f"branch: {embedding.branch}")
     print(f"rounds_run: {embedding.rounds_run}")
     for name, value in embedding.residuals.items():
-        print(f"residual {name}: {value:.3e}")
+        print(f"residual {name}: {value:.3e} ({embedding.routes[name]['route']})")
     print(f"wrote {out}")
     print(f"wrote {manifest_path}")
     return EXIT_OK

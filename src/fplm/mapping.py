@@ -93,6 +93,10 @@ class Embedding:
     their targets exactly, they are scattered rather than solved for.
     coords_round1 keeps the round-1 image (identical to coords for
     single-round runs) so the inner-boundary polygon can be audited.
+    residuals and routes are keyed by round ("round1", "round2"): the
+    achieved relative residual, and the solver route record of that round
+    (see :func:`fplm.solver.solve_spd`), e.g. {"route": "band",
+    "band_width": 44}.
     """
 
     coords: np.ndarray
@@ -102,6 +106,7 @@ class Embedding:
     coords_round1: np.ndarray
     seed_simplex: int | None
     residuals: dict = field(default_factory=dict)
+    routes: dict = field(default_factory=dict)
 
     @property
     def branch(self) -> str:
@@ -267,12 +272,15 @@ def solve_fixed_point(
     graph: WeightedGraph,
     fixed: FixedPointSet,
     config: SolveConfig | None = None,
+    *,
+    _route: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Solve the constrained Laplacian system for one fixed-point set.
 
     Returns the full (N, d) coordinate array, with fixed rows copied from
     the targets verbatim, plus the achieved relative residual of the free
-    block solve.
+    block solve. The keyword ``_route`` is internal to the package: it adds
+    the solver's route record as a third value.
     """
     system = assemble_system(graph, fixed.indices)
     coords = np.zeros((graph.n, fixed.dim))
@@ -281,9 +289,11 @@ def solve_fixed_point(
     targets_sorted = fixed.targets[order]
     coords[system.fixed_indices] = targets_sorted
     rhs = -system.lap_free_fixed @ targets_sorted
-    solution, residual = solve_spd(system.lap_free, rhs, config, _residual=True)
+    solution, residual, route = solve_spd(
+        system.lap_free, rhs, config, _residual=True
+    )
     coords[system.free_indices] = solution
-    return coords, residual
+    return (coords, residual, route) if _route else (coords, residual)
 
 
 def run_fplm(
@@ -328,7 +338,9 @@ def run_fplm(
             mesh, seed_strategy, seed=seed, index=seed_index
         )
         fixed1 = make_c1(mesh, seed_ix)
-        coords1, res1 = solve_fixed_point(graph, fixed1, config)
+        coords1, res1, route1 = solve_fixed_point(
+            graph, fixed1, config, _route=True
+        )
         bverts = boundary.boundary_vertices
         if bverts.size == 0 or np.array_equal(np.sort(bverts), fixed1.indices):
             return Embedding(
@@ -339,13 +351,16 @@ def run_fplm(
                 coords_round1=coords1,
                 seed_simplex=seed_ix,
                 residuals={"round1": res1},
+                routes={"round1": route1},
             )
         fixed2 = FixedPointSet(
             indices=bverts,
             targets=coords1[bverts],
             kind="inner-boundary",
         )
-        coords2, res2 = solve_fixed_point(graph, fixed2, config)
+        coords2, res2, route2 = solve_fixed_point(
+            graph, fixed2, config, _route=True
+        )
         return Embedding(
             coords=coords2,
             rounds_run=2,
@@ -354,6 +369,7 @@ def run_fplm(
             coords_round1=coords1,
             seed_simplex=seed_ix,
             residuals={"round1": res1, "round2": res2},
+            routes={"round1": route1, "round2": route2},
         )
 
     if boundary.boundary_vertices.size == 0:
@@ -361,7 +377,7 @@ def run_fplm(
             "dividing faces found on a closed mesh; this cannot happen"
         )
     fixed = make_regular_polygon(boundary, mesh, polygon_orientation)
-    coords, res = solve_fixed_point(graph, fixed, config)
+    coords, res, route = solve_fixed_point(graph, fixed, config, _route=True)
     return Embedding(
         coords=coords,
         rounds_run=1,
@@ -370,4 +386,5 @@ def run_fplm(
         coords_round1=coords,
         seed_simplex=None,
         residuals={"round1": res},
+        routes={"round1": route},
     )

@@ -211,10 +211,17 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     # numpy infers the dtype: a float, string or beyond-int64 entry, or bools
     # only, leave it non-integer, where a cast would truncate or overflow
     simplices = np.array(payload["simplices"])
-    if simplices.size and simplices.dtype.kind != "i":
+    dtype = simplices.dtype
+    # a JSON bool mixed into integer rows is inferred as int64 (true -> 1);
+    # the text test keeps the per-entry scan off bool-free meshes
+    if dtype.kind == "i" and ("true" in text or "false" in text):
+        entries = np.array(payload["simplices"], dtype=object).ravel()
+        if any(type(v) is bool for v in entries):
+            dtype = np.dtype(bool)
+    if simplices.size and dtype.kind != "i":
         raise ValueError(
             "simplex vertex ids must be integers in the int64 range, got "
-            f"{simplices.dtype} entries"
+            f"{dtype} entries"
         )
     try:
         return SimplicialMesh(verts, simplices, int(payload["intrinsic_dim"]))

@@ -1,11 +1,14 @@
 """Deterministic SPD solver for the free-block Laplacian system.
 
-Two routes solve L_y Y = B: a sparse direct factorization (SuperLU in
-symmetric mode with a fill-reducing ordering) and a Jacobi-preconditioned
-conjugate gradient loop. The direct route is the reference for small and
-medium systems; ``auto`` switches to the iterative route above 20,000 free
-vertices. Both routes are deterministic for fixed inputs and both verify
-the Frobenius-norm residual before returning.
+Two routes solve L_y Y = B. The direct route orders the unknowns by reverse
+Cuthill-McKee and, while the lower band of the reordered matrix holds at
+most ``BAND_LIMIT`` entries (8 bytes each), factors it with LAPACK's banded
+Cholesky (``dpbtrf``/``dpbtrs``); a wider band, as on large tetrahedral
+meshes where it grows like n^(2/3), goes to a SuperLU factorization with a
+minimum-degree ordering instead. The iterative route is a
+Jacobi-preconditioned conjugate gradient loop; ``auto`` switches to it at
+20,000 free vertices. Every route is deterministic for fixed inputs, and
+the Frobenius-norm residual is verified before returning.
 """
 
 from __future__ import annotations
@@ -14,9 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 AUTO_DIRECT_LIMIT = 20_000
+
+# Most lower-band entries, (band width + 1) * n, that the direct route
+# factors by banded Cholesky (80 MB of float64). Band and SuperLU times
+# cross between about 9.4M entries (ball3(19) round 1, band 17% faster) and
+# 12.8M (ball3(20) round 1, band 11% slower).
+BAND_LIMIT = 10_000_000
 
 _METHODS = ("direct", "iterative", "auto")
 
@@ -71,10 +82,13 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     ||L_y Y - rhs||_F <= rel_tol * ||rhs||_F.
 
     The keyword ``_residual`` is internal to the package: it makes the call
-    return ``(Y, ||L_y Y - rhs||_F / ||rhs||_F)``, the relative residual the
-    tolerance gate measured (0.0 for a zero or empty right-hand side), so
-    :func:`fplm.mapping.solve_fixed_point` reports it without a second
-    product.
+    return ``(Y, ||L_y Y - rhs||_F / ||rhs||_F, route)``. The middle value
+    is the relative residual the tolerance gate measured (0.0 for a zero or
+    empty right-hand side), so :func:`fplm.mapping.solve_fixed_point`
+    reports it without a second product. ``route`` is a dict naming the
+    route that solved the system, ``{"route": "band", "band_width": w}``,
+    ``{"route": "superlu"}`` or ``{"route": "pcg"}``, or
+    ``{"route": "none"}`` when there was nothing to solve.
     """
     if config is None:
         config = SolveConfig()
@@ -92,16 +106,17 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     b_norm = float(np.linalg.norm(b))
     if n == 0 or b_norm == 0.0:
         y = np.zeros_like(b)
-        return _solution(y[:, 0] if squeeze else y, achieved, _residual)
+        return _solution(y[:, 0] if squeeze else y, achieved, {"route": "none"},
+                         _residual)
 
     method = config.method
     if method == "auto":
         method = "direct" if n < AUTO_DIRECT_LIMIT else "iterative"
 
     if method == "direct":
-        y = _solve_direct(lap_free, b)
+        y, route = _solve_direct(lap_free, b)
     else:
-        y = _solve_pcg(lap_free, b, config)
+        y, route = _solve_pcg(lap_free, b, config), {"route": "pcg"}
 
     achieved = float(np.linalg.norm(lap_free @ y - b)) / b_norm
     if achieved > config.rel_tol:
@@ -110,14 +125,48 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
             f"{achieved:.3e} > {config.rel_tol:.3e}",
             achieved=achieved,
         )
-    return _solution(y[:, 0] if squeeze else y, achieved, _residual)
+    return _solution(y[:, 0] if squeeze else y, achieved, route, _residual)
 
 
-def _solution(y, achieved, with_residual):
-    return (y, achieved) if with_residual else y
+def _solution(y, achieved, route, with_residual):
+    return (y, achieved, route) if with_residual else y
 
 
 def _solve_direct(lap_free, b):
+    """Banded Cholesky on a reverse Cuthill-McKee ordering, or SuperLU when
+    the band would hold more than ``BAND_LIMIT`` entries.
+
+    Returns the solution and the route record of :func:`solve_spd`.
+    """
+    a = sparse.csr_matrix(lap_free)
+    n = a.shape[0]
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    rows = np.repeat(rank, np.diff(a.indptr))
+    cols = rank[a.indices]
+    lower = rows >= cols
+    offset = rows[lower] - cols[lower]
+    width = int(offset.max(initial=0))
+    if (width + 1) * n > BAND_LIMIT:
+        return _solve_superlu(lap_free, b), {"route": "superlu"}
+    # LAPACK lower band storage: A[i, j] with i >= j sits at band[i - j, j].
+    # The band is Fortran-ordered so that dpbtrf factors it in place, and
+    # np.add.at sums duplicate entries of an unsummed input.
+    band = np.zeros((width + 1, n), order="F")
+    np.add.at(band.reshape(-1, order="F"),
+              offset + (width + 1) * cols[lower], a.data[lower])
+    factor, _ = dpbtrf(band, lower=1, overwrite_ab=1)
+    # a failed step k leaves its non-positive pivot at factor[0, k]
+    # (info = k + 1); a NaN pivot passes dpbtrf's test, so check them all
+    _check_pivots(factor[0])
+    x, _ = dpbtrs(factor, b[perm], lower=1, overwrite_b=1)
+    y = np.empty_like(b)
+    y[perm] = x
+    return y, {"route": "band", "band_width": width}
+
+
+def _solve_superlu(lap_free, b):
     a = sparse.csc_matrix(lap_free)
     try:
         lu = splu(
@@ -128,7 +177,11 @@ def _solve_direct(lap_free, b):
         )
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
+    _check_pivots(lu.U.diagonal())
+    return lu.solve(b)
+
+
+def _check_pivots(pivots):
     bad = np.nonzero(~(pivots > 0.0))[0]
     if bad.size:
         k = int(bad[0])
@@ -136,7 +189,6 @@ def _solve_direct(lap_free, b):
             f"matrix is not positive definite: pivot {k} is {pivots[k]:.3e}",
             pivot=k,
         )
-    return lu.solve(b)
 
 
 def _solve_pcg(lap_free, b, config):

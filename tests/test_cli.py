@@ -114,6 +114,10 @@ class TestEmbed:
         assert manifest["result"]["n_vertices"] == 25
         assert manifest["result"]["intrinsic_dim"] == 2
         assert set(manifest["result"]["residuals"]) == {"round1", "round2"}
+        for route in manifest["result"]["routes"].values():
+            assert route["route"] == "band" and route["band_width"] >= 1
+        assert set(manifest["result"]["routes"]) == {"round1", "round2"}
+        assert "residual round1: " in out and "(band)" in out
         for key in ("load", "embed", "write"):
             assert manifest["timings_ms"][key] >= 0
         assert manifest["outputs"] == [str(emb), str(manifest_path)]
@@ -154,6 +158,15 @@ class TestEmbed:
             ]
         )
         assert rc == 4
+
+    def test_iterative_route_in_manifest(self, tmp_path):
+        _, emb, rc = run_pipeline(tmp_path, extra_embed=("--solver", "iterative"))
+        assert rc == 0
+        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
+        assert manifest["result"]["routes"] == {
+            "round1": {"route": "pcg"},
+            "round2": {"route": "pcg"},
+        }
 
     def test_off_input(self, tmp_path):
         off = tmp_path / "tri.off"

@@ -341,6 +341,7 @@ class TestRunFplm:
         np.testing.assert_array_equal(emb.coords, regular_simplex(2))
         assert emb.fixed_round2 is None
         assert emb.coords_round1 is emb.coords
+        assert emb.routes == {"round1": {"route": "none"}}
 
     def test_closed_surface_one_round(self):
         emb = run_fplm(icosphere(1))
@@ -357,6 +358,15 @@ class TestRunFplm:
         assert set(emb.residuals) == {"round1", "round2"}
         assert emb.fixed_round2 is not None
         assert emb.fixed_round2.kind == "inner-boundary"
+
+    def test_routes_recorded_per_round(self):
+        mesh = grid_mesh(5, 5)
+        emb = run_fplm(mesh, config=SolveConfig(method="direct"))
+        # 5 x 5 grid: 22 free vertices in round 1, the 3 x 3 interior in round 2
+        assert [r["route"] for r in emb.routes.values()] == ["band", "band"]
+        assert 1 <= emb.routes["round2"]["band_width"] < 9
+        emb = run_fplm(mesh, config=SolveConfig(method="iterative"))
+        assert emb.routes == {"round1": {"route": "pcg"}, "round2": {"route": "pcg"}}
 
     def test_round2_boundary_bit_fixed(self):
         mesh = grid_mesh(6, 4)
@@ -378,6 +388,7 @@ class TestRunFplm:
         assert emb.rounds_run == 1
         assert emb.seed_simplex is None
         assert emb.fixed_round1.kind == "regular-polytope"
+        assert emb.routes == {"round1": {"route": "none"}}  # all 4 pinned
         np.testing.assert_allclose(
             np.linalg.norm(emb.coords, axis=1), 1.0, rtol=1e-15
         )

@@ -212,14 +212,22 @@ class TestJsonRoundTrip:
             "[[0, 1, 2], [1, 3, 2.7]]",  # a cast would truncate it to vertex 2
             '[[0, 1, 2], [1, 3, "2"]]',
             "[[true, false, true]]",
+            "[[0, 1, 2], [true, 3, 2]]",  # numpy would read it as (1, 3, 2)
+            "[[0, 1, 2], [1, 3, false]]",
             f"[[0, 1, 2], [1, 3, {2**70}]]",  # beyond int64: no OverflowError
             f"[[0, 1, 2], [1, 3, {2**63}]]",
         ],
-        ids=["fraction", "string", "bool-row", "2**70", "2**63"],
+        ids=["fraction", "string", "bool-row", "true-in-int-row",
+             "false-in-int-row", "2**70", "2**63"],
     )
     def test_non_integer_simplex_ids_rejected(self, simplices):
         with pytest.raises(ValueError, match="vertex ids must be integers"):
             mesh_from_json(self.triangle_blob(simplices))
+
+    def test_bool_outside_the_simplices_is_accepted(self):
+        blob = self.triangle_blob("[[0, 1, 2], [1, 3, 2]]")
+        mesh = mesh_from_json(blob[:-1] + ', "closed": false, "note": "true"}')
+        np.testing.assert_array_equal(mesh.simplices, [[0, 1, 2], [1, 3, 2]])
 
     @pytest.mark.parametrize("bad", [-1, 4, 2**63 - 1])
     def test_out_of_range_simplex_id_rejected(self, bad):
