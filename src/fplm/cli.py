@@ -185,7 +185,10 @@ def cmd_embed(args) -> int:
     print(f"branch: {embedding.branch}")
     print(f"rounds_run: {embedding.rounds_run}")
     for name, value in embedding.residuals.items():
-        print(f"residual {name}: {value:.3e} ({embedding.routes[name]['route']})")
+        route = embedding.routes[name]
+        iterations = (f", {route['iterations']} iterations"
+                      if "iterations" in route else "")
+        print(f"residual {name}: {value:.3e} ({route['route']}{iterations})")
     print(f"wrote {out}")
     print(f"wrote {manifest_path}")
     return EXIT_OK

@@ -1,14 +1,16 @@
 """Deterministic SPD solver for the free-block Laplacian system.
 
-Two routes solve L_y Y = B. The direct route orders the unknowns by reverse
-Cuthill-McKee and, while the lower band of the reordered matrix holds at
-most ``BAND_LIMIT`` entries (8 bytes each), factors it with LAPACK's banded
-Cholesky (``dpbtrf``/``dpbtrs``); a wider band, as on large tetrahedral
-meshes where it grows like n^(2/3), goes to a SuperLU factorization with a
-minimum-degree ordering instead. The iterative route is a
-Jacobi-preconditioned conjugate gradient loop; ``auto`` switches to it at
-20,000 free vertices. Every route is deterministic for fixed inputs, and
-the Frobenius-norm residual is verified before returning.
+Two routes solve L_y Y = B. The ``band`` route orders the unknowns by
+reverse Cuthill-McKee and factors the lower band of the reordered matrix,
+(w + 1) * n entries of 8 bytes for band width w, with LAPACK's banded
+Cholesky (``dpbtrf``/``dpbtrs``). The ``pcg`` route is a
+Jacobi-preconditioned conjugate gradient loop, one right-hand-side column
+at a time. ``direct`` always takes the band and ``iterative`` always PCG;
+``auto`` takes the band while it holds at most ``BAND_LIMIT`` entries and
+PCG past it, where the band's n * w^2 factorisation cost (large
+tetrahedral meshes, whose band grows like n^(2/3)) loses to PCG. Every
+route is deterministic for fixed inputs, and the Frobenius-norm residual
+is verified before returning.
 """
 
 from __future__ import annotations
@@ -19,14 +21,12 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
-AUTO_DIRECT_LIMIT = 20_000
-
-# Most lower-band entries, (band width + 1) * n, that the direct route
-# factors by banded Cholesky (80 MB of float64). Band and SuperLU times
-# cross between about 9.4M entries (ball3(19) round 1, band 17% faster) and
-# 12.8M (ball3(20) round 1, band 11% slower).
+# Most lower-band entries, (band width + 1) * n, that ``auto`` factors by
+# banded Cholesky (80 MB of float64). Past it PCG wins on tetrahedral
+# meshes: ball3(20) round 1 (12.8M entries) solves in 89 ms by PCG against
+# 480 ms on the band, one BLAS thread. The benchmark inputs stay far below
+# it (at most 0.45M).
 BAND_LIMIT = 10_000_000
 
 _METHODS = ("direct", "iterative", "auto")
@@ -86,9 +86,10 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     is the relative residual the tolerance gate measured (0.0 for a zero or
     empty right-hand side), so :func:`fplm.mapping.solve_fixed_point`
     reports it without a second product. ``route`` is a dict naming the
-    route that solved the system, ``{"route": "band", "band_width": w}``,
-    ``{"route": "superlu"}`` or ``{"route": "pcg"}``, or
-    ``{"route": "none"}`` when there was nothing to solve.
+    route that solved the system, ``{"route": "band", "band_width": w}``
+    or ``{"route": "pcg", "iterations": k}`` (k the largest iteration
+    count over the columns), or ``{"route": "none"}`` when there was
+    nothing to solve.
     """
     if config is None:
         config = SolveConfig()
@@ -109,19 +110,18 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
         return _solution(y[:, 0] if squeeze else y, achieved, {"route": "none"},
                          _residual)
 
-    method = config.method
-    if method == "auto":
-        method = "direct" if n < AUTO_DIRECT_LIMIT else "iterative"
-
-    if method == "direct":
-        y, route = _solve_direct(lap_free, b)
-    else:
-        y, route = _solve_pcg(lap_free, b, config), {"route": "pcg"}
+    solved = None
+    if config.method != "iterative":
+        solved = _solve_band(lap_free, b, limited=config.method == "auto")
+    if solved is None:
+        solved = _solve_pcg(lap_free, b, config)
+    y, route = solved
 
     achieved = float(np.linalg.norm(lap_free @ y - b)) / b_norm
-    if achieved > config.rel_tol:
+    # written so that a NaN residual fails the gate too
+    if not achieved <= config.rel_tol:
         raise SolverError(
-            f"{method} solve missed tolerance: relative residual "
+            f"{route['route']} solve missed tolerance: relative residual "
             f"{achieved:.3e} > {config.rel_tol:.3e}",
             achieved=achieved,
         )
@@ -132,11 +132,12 @@ def _solution(y, achieved, route, with_residual):
     return (y, achieved, route) if with_residual else y
 
 
-def _solve_direct(lap_free, b):
-    """Banded Cholesky on a reverse Cuthill-McKee ordering, or SuperLU when
-    the band would hold more than ``BAND_LIMIT`` entries.
+def _solve_band(lap_free, b, limited):
+    """Banded Cholesky on a reverse Cuthill-McKee ordering.
 
-    Returns the solution and the route record of :func:`solve_spd`.
+    Returns the solution and the route record of :func:`solve_spd`, or
+    None when ``limited`` and the band would hold more than ``BAND_LIMIT``
+    entries.
     """
     a = sparse.csr_matrix(lap_free)
     n = a.shape[0]
@@ -148,8 +149,8 @@ def _solve_direct(lap_free, b):
     lower = rows >= cols
     offset = rows[lower] - cols[lower]
     width = int(offset.max(initial=0))
-    if (width + 1) * n > BAND_LIMIT:
-        return _solve_superlu(lap_free, b), {"route": "superlu"}
+    if limited and (width + 1) * n > BAND_LIMIT:
+        return None
     # LAPACK lower band storage: A[i, j] with i >= j sits at band[i - j, j].
     # The band is Fortran-ordered so that dpbtrf factors it in place, and
     # np.add.at sums duplicate entries of an unsummed input.
@@ -159,43 +160,26 @@ def _solve_direct(lap_free, b):
     factor, _ = dpbtrf(band, lower=1, overwrite_ab=1)
     # a failed step k leaves its non-positive pivot at factor[0, k]
     # (info = k + 1); a NaN pivot passes dpbtrf's test, so check them all
-    _check_pivots(factor[0])
+    bad = np.nonzero(~(factor[0] > 0.0))[0]
+    if bad.size:
+        k = int(bad[0])
+        raise SolverError(
+            f"matrix is not positive definite: pivot {k} is {factor[0, k]:.3e}",
+            pivot=k,
+        )
     x, _ = dpbtrs(factor, b[perm], lower=1, overwrite_b=1)
     y = np.empty_like(b)
     y[perm] = x
     return y, {"route": "band", "band_width": width}
 
 
-def _solve_superlu(lap_free, b):
-    a = sparse.csc_matrix(lap_free)
-    try:
-        lu = splu(
-            a,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    _check_pivots(lu.U.diagonal())
-    return lu.solve(b)
-
-
-def _check_pivots(pivots):
-    bad = np.nonzero(~(pivots > 0.0))[0]
-    if bad.size:
-        k = int(bad[0])
-        raise SolverError(
-            f"matrix is not positive definite: pivot {k} is {pivots[k]:.3e}",
-            pivot=k,
-        )
-
-
 def _solve_pcg(lap_free, b, config):
     """Jacobi-preconditioned conjugate gradients, one column at a time.
 
     Plain numpy loop with a fixed iteration order, hence bit-reproducible
-    for fixed inputs on one platform.
+    for fixed inputs on one platform. Returns the solution and the route
+    record of :func:`solve_spd`, which holds the largest iteration count
+    over the columns.
     """
     a = sparse.csr_matrix(lap_free)
     n = a.shape[0]
@@ -211,15 +195,19 @@ def _solve_pcg(lap_free, b, config):
     inv_diag = 1.0 / diag
     max_iter = config.max_iter if config.max_iter is not None else 10 * n
     y = np.zeros_like(b)
+    iterations = 0
     for col in range(b.shape[1]):
-        y[:, col] = _pcg_column(a, b[:, col], inv_diag, config.rel_tol, max_iter)
-    return y
+        y[:, col], k = _pcg_column(a, b[:, col], inv_diag, config.rel_tol,
+                                   max_iter)
+        iterations = max(iterations, k)
+    return y, {"route": "pcg", "iterations": iterations}
 
 
 def _pcg_column(a, b, inv_diag, rel_tol, max_iter):
+    """One PCG solve; returns the solution and its iteration count."""
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0
     tol = rel_tol * b_norm
     x = np.zeros_like(b)
     r = b.copy()
@@ -229,7 +217,7 @@ def _pcg_column(a, b, inv_diag, rel_tol, max_iter):
     for k in range(max_iter):
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol:
-            return x
+            return x, k
         ap = a @ p
         p_ap = float(p @ ap)
         if p_ap <= 0.0:
@@ -248,7 +236,7 @@ def _pcg_column(a, b, inv_diag, rel_tol, max_iter):
         p = z + beta * p
     r_norm = float(np.linalg.norm(r))
     if r_norm <= tol:
-        return x
+        return x, max_iter
     raise SolverError(
         f"conjugate gradient did not converge in {max_iter} iterations: "
         f"relative residual {r_norm / b_norm:.3e} > {rel_tol:.3e}",

@@ -159,14 +159,20 @@ class TestEmbed:
         )
         assert rc == 4
 
-    def test_iterative_route_in_manifest(self, tmp_path):
+    def test_iterative_route_in_manifest(self, tmp_path, capsys):
         _, emb, rc = run_pipeline(tmp_path, extra_embed=("--solver", "iterative"))
         assert rc == 0
         manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
-        assert manifest["result"]["routes"] == {
-            "round1": {"route": "pcg"},
-            "round2": {"route": "pcg"},
-        }
+        routes = manifest["result"]["routes"]
+        assert set(routes) == {"round1", "round2"}
+        out = capsys.readouterr().out
+        # 22 free vertices in round 1, the 3 x 3 interior in round 2
+        for name, n_free in (("round1", 22), ("round2", 9)):
+            route = routes[name]
+            assert route.keys() == {"route", "iterations"}
+            assert route["route"] == "pcg"
+            assert 1 <= route["iterations"] <= 2 * n_free
+            assert f"(pcg, {route['iterations']} iterations)" in out
 
     def test_off_input(self, tmp_path):
         off = tmp_path / "tri.off"

@@ -1,10 +1,4 @@
-"""SPD solver tests: direct route, iterative route, failure modes.
-
-The direct route has two paths, the banded Cholesky and SuperLU; tests of
-the direct route run on both, reaching SuperLU through a band limit of 0.
-"""
-
-import contextlib
+"""SPD solver tests: band route, PCG route, the auto rule, failure modes."""
 
 import numpy as np
 import pytest
@@ -13,11 +7,9 @@ from scipy import sparse
 from fplm import solver
 from fplm.generators import GeneratorSpec, generate
 from fplm.laplacian import assemble_system, build_weights
-from fplm.mapping import make_c1
+from fplm.mapping import make_c1, run_fplm
 from fplm.simplicial import SimplicialMesh
 from fplm.solver import SolveConfig, SolverError, solve_spd
-
-DIRECT_PATHS = ("band", "superlu")
 
 
 def random_spd(rng, n, density=0.4):
@@ -27,23 +19,21 @@ def random_spd(rng, n, density=0.4):
     return sparse.csr_matrix(a)
 
 
-@contextlib.contextmanager
-def direct_path(path):
-    """Send direct solves down ``path``: the banded Cholesky, or SuperLU
-    through a band limit of 0."""
-    with pytest.MonkeyPatch.context() as mp:
-        if path == "superlu":
-            mp.setattr(solver, "BAND_LIMIT", 0)
-        yield
-
-
-def solve_direct(a, b, path):
-    """Direct solve on one path; checks that the solve took that path."""
-    with direct_path(path):
-        y, _, route = solve_spd(a, b, SolveConfig(method="direct"),
-                                _residual=True)
-    assert route["route"] == path
+def solve_direct(a, b):
+    """Direct solve; checks that the solve took the band route."""
+    y, _, route = solve_spd(a, b, SolveConfig(method="direct"), _residual=True)
+    assert route["route"] == "band"
     return y
+
+
+def relabelled(kind, resolution, seed):
+    """Generated mesh with its vertex ids shuffled by ``seed``, so the band
+    comes from the ordering, not from the generator's numbering."""
+    mesh, _ = generate(GeneratorSpec(kind, resolution))
+    new_id = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    return SimplicialMesh(vertices, new_id[mesh.simplices], mesh.intrinsic_dim)
 
 
 def path_system():
@@ -80,10 +70,9 @@ class TestSolveConfig:
 class TestSolveSpd:
     def test_one_by_one(self):
         a = sparse.csr_matrix(np.array([[2.0]]))
-        for path in DIRECT_PATHS:
-            y = solve_direct(a, np.array([[1.0]]), path)
-            assert y.shape == (1, 1)
-            assert y[0, 0] == pytest.approx(0.5, rel=1e-14)
+        y = solve_direct(a, np.array([[1.0]]))
+        assert y.shape == (1, 1)
+        assert y[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_path_interior_interpolates(self):
         # fixed endpoints at 0 and 1 with uniform weights put the interior
@@ -102,9 +91,8 @@ class TestSolveSpd:
             a = random_spd(rng, n)
             b = rng.normal(size=(n, k))
             expect = np.linalg.solve(a.toarray(), b)
-            for path in DIRECT_PATHS:
-                y = solve_direct(a, b, path)
-                np.testing.assert_allclose(y, expect, rtol=1e-8, atol=1e-10)
+            y = solve_direct(a, b)
+            np.testing.assert_allclose(y, expect, rtol=1e-8, atol=1e-10)
 
     def test_duplicate_entries_are_summed(self):
         # A = [[2, -0.5], [-0.5, 2]] with its (0, 0) and (0, 1) entries
@@ -118,9 +106,8 @@ class TestSolveSpd:
         b = np.array([[1.0], [2.0]])
         expect = np.linalg.solve([[2.0, -0.5], [-0.5, 2.0]], b)
         for a in (coo, csr):
-            for path in DIRECT_PATHS:
-                y = solve_direct(a, b, path)
-                np.testing.assert_allclose(y, expect, rtol=1e-14)
+            y = solve_direct(a, b)
+            np.testing.assert_allclose(y, expect, rtol=1e-14)
 
     def test_block_diagonal_pattern(self):
         # two disconnected blocks, interleaved so the ordering must split them
@@ -130,46 +117,60 @@ class TestSolveSpd:
         a = sparse.csr_matrix(blocks)[shuffle][:, shuffle]
         b = rng.normal(size=(12, 2))
         expect = np.linalg.solve(a.toarray(), b)
-        for path in DIRECT_PATHS:
-            y = solve_direct(a, b, path)
-            np.testing.assert_allclose(y, expect, rtol=1e-10, atol=1e-12)
+        y = solve_direct(a, b)
+        np.testing.assert_allclose(y, expect, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize(
         "kind, resolution",
         [("paraboloid", (12, 12)), ("sphere", (2,)), ("ball3", (5,))],
     )
     def test_paths_agree_on_relabelled_meshes(self, kind, resolution):
-        # round-1 free block of a mesh whose vertex ids are shuffled, so the
-        # band comes from the ordering, not from the generator's numbering
-        mesh, _ = generate(GeneratorSpec(kind, resolution))
-        rng = np.random.default_rng(11)
-        new_id = rng.permutation(mesh.n_vertices)
-        vertices = np.empty_like(mesh.vertices)
-        vertices[new_id] = mesh.vertices
-        mesh = SimplicialMesh(vertices, new_id[mesh.simplices], mesh.intrinsic_dim)
+        # round-1 free block of a relabelled mesh: the band matches a dense
+        # solve to rounding, and PCG at a tight tolerance matches the band
+        mesh = relabelled(kind, resolution, 11)
         fixed = make_c1(mesh, 0)
         sys = assemble_system(build_weights(mesh), fixed.indices)
         rhs = -sys.lap_free_fixed @ fixed.targets
-        y_band, y_lu = (solve_direct(sys.lap_free, rhs, p) for p in DIRECT_PATHS)
-        assert np.abs(y_band - y_lu).max() <= 1e-12 * np.abs(y_lu).max()
+        expect = np.linalg.solve(sys.lap_free.toarray(), rhs)
+        y_band = solve_direct(sys.lap_free, rhs)
+        y_pcg = solve_spd(sys.lap_free, rhs,
+                          SolveConfig(method="iterative", rel_tol=1e-13))
+        scale = np.abs(expect).max()
+        assert np.abs(y_band - expect).max() <= 1e-12 * scale
+        assert np.abs(y_pcg - y_band).max() <= 1e-9 * scale
 
-    def test_band_over_the_limit_calls_splu(self, monkeypatch):
+    def test_auto_takes_band_up_to_the_limit(self, monkeypatch):
         # the path system's free block is 2 x 2 with band width 1: 4 entries
-        calls = []
-        splu = solver.splu
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "splu", spy)
         sys = path_system()
         rhs = np.array([[1.0], [1.0]])
-        for limit, route in ((4, "band"), (3, "superlu")):
+        for limit, route in ((4, "band"), (3, "pcg")):
             monkeypatch.setattr(solver, "BAND_LIMIT", limit)
             _, _, got = solve_spd(sys.lap_free, rhs, _residual=True)
             assert got["route"] == route
-        assert calls == [(2, 2)]
+
+    def test_direct_takes_band_over_the_limit(self, monkeypatch):
+        def no_pcg(*args, **kwargs):
+            raise AssertionError("direct called _solve_pcg")
+
+        monkeypatch.setattr(solver, "BAND_LIMIT", 0)
+        monkeypatch.setattr(solver, "_solve_pcg", no_pcg)
+        sys = path_system()
+        rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
+        y = solve_direct(sys.lap_free, rhs)
+        np.testing.assert_allclose(y.ravel(), [1 / 3, 2 / 3], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, resolution",
+        [("paraboloid", (20, 20)), ("sphere", (3,)), ("ball3", (10,)),
+         ("twin-peaks", (20, 20))],
+    )
+    def test_auto_keeps_the_band_on_benchmark_sizes(self, kind, resolution):
+        # every round of the benchmark's mesh kinds and sizes stays on the
+        # band under auto, whatever the vertex numbering
+        for seed in (0, 1, 2):
+            emb = run_fplm(relabelled(kind, resolution, seed))
+            assert [r["route"] for r in emb.routes.values()] == \
+                ["band"] * emb.rounds_run
 
     def test_route_records(self):
         sys = path_system()
@@ -180,8 +181,25 @@ class TestSolveSpd:
                              _residual=True)[2]
 
         assert route(rhs, "direct") == {"route": "band", "band_width": 1}
-        assert route(rhs, "iterative") == {"route": "pcg"}
+        # PCG solves a 2 x 2 system in at most 2 iterations
+        assert route(rhs, "iterative") == {"route": "pcg", "iterations": 2}
         assert route(np.zeros((2, 1)), "direct") == {"route": "none"}
+
+    def test_pcg_iterations_are_the_largest_over_columns(self):
+        # (1/sqrt(3), 1/2) is an eigenvector of A D^-1, so Jacobi PCG solves
+        # it in one iteration; (1, 2) takes two and the zero column none
+        a = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        one_step = np.array([[1 / np.sqrt(3.0)], [0.5]])
+        b = np.hstack([[[1.0], [2.0]], one_step, np.zeros((2, 1))])
+
+        def iterations(rhs):
+            _, _, route = solve_spd(a, rhs, SolveConfig(method="iterative"),
+                                    _residual=True)
+            assert route["route"] == "pcg"
+            return route["iterations"]
+
+        assert iterations(one_step) == 1
+        assert iterations(b) == 2
 
     def test_direct_and_iterative_agree(self):
         rng = np.random.default_rng(13)
@@ -197,8 +215,8 @@ class TestSolveSpd:
         rng = np.random.default_rng(21)
         a = random_spd(rng, 30)
         b = rng.normal(size=(30, 3))
-        solutions = [solve_direct(a, b, path) for path in DIRECT_PATHS]
-        solutions.append(solve_spd(a, b, SolveConfig(method="iterative")))
+        solutions = [solve_direct(a, b),
+                     solve_spd(a, b, SolveConfig(method="iterative"))]
         for y in solutions:
             res = np.linalg.norm(a @ y - b) / np.linalg.norm(b)
             assert res <= 1e-10
@@ -234,10 +252,9 @@ class TestSolveSpd:
         rng = np.random.default_rng(5)
         a = random_spd(rng, 50)
         b = rng.normal(size=(50, 2))
-        for path in DIRECT_PATHS:
-            y1 = solve_direct(a, b, path)
-            y2 = solve_direct(a, b, path)
-            assert y1.tobytes() == y2.tobytes()
+        y1 = solve_direct(a, b)
+        y2 = solve_direct(a, b)
+        assert y1.tobytes() == y2.tobytes()
         y1 = solve_spd(a, b, SolveConfig(method="iterative"))
         y2 = solve_spd(a, b, SolveConfig(method="iterative"))
         assert y1.tobytes() == y2.tobytes()
@@ -251,30 +268,37 @@ class TestSolverFailures:
                                                   [0.0, 1.0, -4.0]]))
         for a in (diagonal, tridiagonal):
             n = a.shape[0]
-            for path in DIRECT_PATHS:
-                with direct_path(path), pytest.raises(
-                    SolverError, match="not positive definite: pivot"
-                ) as exc_info:
-                    solve_spd(a, np.ones((n, 1)), SolveConfig(method="direct"))
-                assert exc_info.value.pivot in range(n)
+            with pytest.raises(
+                SolverError, match="not positive definite: pivot"
+            ) as exc_info:
+                solve_spd(a, np.ones((n, 1)), SolveConfig(method="direct"))
+            assert exc_info.value.pivot in range(n)
 
     def test_singular_direct(self):
-        # SuperLU reports an exactly singular factor without a pivot; the
-        # band path names step 1, whose pivot 1 - 1 * 1 is exactly 0
+        # the band names step 1, whose pivot 1 - 1 * 1 is exactly 0
         a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        for path in DIRECT_PATHS:
-            with direct_path(path), pytest.raises(SolverError) as exc_info:
-                solve_spd(a, np.ones((2, 1)), SolveConfig(method="direct"))
         with pytest.raises(SolverError, match="pivot 1 is 0.000e") as exc_info:
-            solve_direct(a, np.ones((2, 1)), "band")
+            solve_direct(a, np.ones((2, 1)))
         assert exc_info.value.pivot == 1
 
     def test_nan_entry_direct(self):
         # dpbtrf lets a NaN pivot through; the pivot check must not
         a = sparse.csr_matrix(np.array([[2.0, 0.0], [0.0, np.nan]]))
-        for path in DIRECT_PATHS:
-            with direct_path(path), pytest.raises(SolverError):
-                solve_spd(a, np.ones((2, 1)), SolveConfig(method="direct"))
+        with pytest.raises(SolverError):
+            solve_spd(a, np.ones((2, 1)), SolveConfig(method="direct"))
+
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    def test_nan_residual_fails_the_gate(self, monkeypatch, method):
+        # a route that returns NaN without raising must not pass as solved
+        def nan_route(lap_free, b, *args, **kwargs):
+            return np.full_like(b, np.nan), {"route": "nan"}
+
+        monkeypatch.setattr(solver, "_solve_band", nan_route)
+        monkeypatch.setattr(solver, "_solve_pcg", nan_route)
+        sys = path_system()
+        with pytest.raises(SolverError, match="missed tolerance") as exc_info:
+            solve_spd(sys.lap_free, np.ones((2, 1)), SolveConfig(method=method))
+        assert np.isnan(exc_info.value.achieved)
 
     def test_nonpositive_diagonal_iterative(self):
         a = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
