@@ -1,15 +1,18 @@
 """Filtered exact geometric predicates and simplex volume helpers.
 
-Each predicate evaluates a floating-point determinant and accepts its sign
-when the magnitude clears a forward error bound. Inputs inside the
-uncertainty band go to an integer stage: every finite double is n / 2**k
-exactly, so scaling a row's coordinates by its largest 2**k turns them into
-Python ints, and the same determinant evaluated in ints has the exact sign
-(Shewchuk's observation that exactness needs no rational arithmetic). Callers
-always receive the mathematically exact sign, at float speed for all but
-near-degenerate configurations. The batched forms run the same filter over
-whole arrays in numpy and settle all their undecided rows in one pass of the
-integer stage. Only the d >= 4 simplex orientation uses ``Fraction``.
+Each predicate has one filter, written over whole arrays in numpy
+(:func:`orient2d_signs_xy`, :func:`orient3d_signs`): it evaluates a
+floating-point determinant per row and accepts its sign when the magnitude
+clears a forward error bound (Shewchuk, "Adaptive precision floating-point
+arithmetic and fast robust geometric predicates", DCG 1997). Rows inside the
+uncertainty band go to an integer stage in one pass: every finite double is
+n / 2**k exactly, so scaling a row's coordinates by its largest 2**k turns
+them into Python ints, and the same determinant evaluated in ints has the
+exact sign (exactness needs no rational arithmetic). Callers always receive
+the mathematically exact sign, at float speed for all but near-degenerate
+configurations. The scalar forms :func:`orient2d`, :func:`orient3d` and
+:func:`simplex_orientation` are one-row calls of the batched filters. Only
+the d >= 4 simplex orientation uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -43,22 +46,11 @@ def orient2d(ax, ay, bx, by, cx, cy):
     """Exact sign of the signed area of triangle (a, b, c).
 
     Returns +1 when the triangle winds counterclockwise, -1 clockwise and
-    0 when the three points are collinear.
+    0 when the three points are collinear. One row of
+    :func:`orient2d_signs_xy`.
     """
-    acx, bcy = ax - cx, by - cy
-    acy, bcx = ay - cy, bx - cx
-    detleft = acx * bcy
-    detright = acy * bcx
-    det = detleft - detright
-    detsum = abs(detleft) + abs(detright)
-    if abs(det) > _CCW_BOUND * detsum + 2.0 * _ETA:
-        return 1 if det > 0.0 else -1
-    # a float difference is 0 only when its operands are equal, so a product
-    # with a zero factor is exactly 0; a product that merely underflowed to 0
-    # has nonzero factors and goes on to the exact path
-    if (acx == 0.0 or bcy == 0.0) and (acy == 0.0 or bcx == 0.0):
-        return 0
-    return _orient2d_exact([(ax, ay, bx, by, cx, cy)])[0]
+    cols = (np.array([v], dtype=float) for v in (ax, ay, bx, by, cx, cy))
+    return int(orient2d_signs_xy(*cols)[0])
 
 
 def orient3d(pa, pb, pc, pd):
@@ -66,35 +58,9 @@ def orient3d(pa, pb, pc, pd):
 
     Positive when d sees triangle (a, b, c) in counterclockwise order, i.e.
     the tetrahedron (a, b, c, d) has negative conventional orientation; the
-    caller owns the convention mapping.
+    caller owns the convention mapping. One row of :func:`orient3d_signs`.
     """
-    adx = pa[0] - pd[0]
-    ady = pa[1] - pd[1]
-    adz = pa[2] - pd[2]
-    bdx = pb[0] - pd[0]
-    bdy = pb[1] - pd[1]
-    bdz = pb[2] - pd[2]
-    cdx = pc[0] - pd[0]
-    cdy = pc[1] - pd[1]
-    cdz = pc[2] - pd[2]
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-
-    det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
-    permanent = (
-        (abs(bdxcdy) + abs(cdxbdy)) * abs(adz)
-        + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
-        + (abs(adxbdy) + abs(bdxady)) * abs(cdz)
-    )
-    underflow = 4.0 * _ETA * (1.0 + max(abs(adz), abs(bdz), abs(cdz)))
-    if abs(det) > _O3D_BOUND * permanent + underflow:
-        return 1 if det > 0.0 else -1
-    return _orient3d_exact([(*pa, *pb, *pc, *pd)])[0]
+    return int(orient3d_signs(*(np.array([p], dtype=float) for p in (pa, pb, pc, pd)))[0])
 
 
 def _scaled(values):
@@ -158,46 +124,35 @@ def _det_fraction(rows):
 def simplex_orientation(points):
     """Exact sign of det(p_1 - p_0, ..., p_d - p_0) for d+1 points in R^d.
 
-    Matches the sign convention of :func:`signed_volumes`. Dimensions 1..3
-    go through the filtered predicates; higher dimensions evaluate the
-    determinant in ``Fraction`` arithmetic directly.
+    Matches the sign convention of :func:`signed_volumes`. One simplex of
+    :func:`simplex_orientations`.
     """
-    p = points
-    d = len(p) - 1
-    if d == 1:
-        return _sign(p[1][0] - p[0][0])
-    if d == 2:
-        # det[b - a; c - a] equals the orient2d determinant det[a - c; b - c]
-        return orient2d(p[0][0], p[0][1], p[1][0], p[1][1], p[2][0], p[2][1])
-    if d == 3:
-        # orient3d(a, b, c, d) is det[a - d; b - d; c - d]; passing
-        # (p1, p2, p3, p0) yields det[p1 - p0; p2 - p0; p3 - p0] verbatim.
-        return orient3d(p[1], p[2], p[3], p[0])
-    rows = [
-        [Fraction(p[i + 1][j]) - Fraction(p[0][j]) for j in range(d)]
-        for i in range(d)
-    ]
-    return _sign(_det_fraction(rows))
+    return int(simplex_orientations(np.asarray(points, dtype=float)[None])[0])
 
 
 def orient2d_signs(a, b, c):
     """Exact :func:`orient2d` signs for K point triples at once.
 
     ``a``, ``b`` and ``c`` are (K, 2) arrays; row k of the int8 result is
-    ``orient2d(*a[k], *b[k], *c[k])``. The determinant, its error bound
-    and the exact-zero rule are the scalar filter's float operations,
-    evaluated in numpy; the rows they cannot decide are settled together
-    by the integer stage.
+    ``orient2d(*a[k], *b[k], *c[k])``.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
     return orient2d_signs_xy(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
 
 
 def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
-    """:func:`orient2d_signs` on six coordinate columns of length K."""
+    """:func:`orient2d_signs` on six coordinate columns of length K.
+
+    The float determinant det[a - c; b - c] decides a row when it clears the
+    error bound; the rows it cannot decide are settled together by the
+    integer stage.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         acx, acy = ax - cx, ay - cy
         bcx, bcy = bx - cx, by - cy
+        # a float difference is 0 only when its operands are equal, so a
+        # product with a zero factor is exactly 0; a product that merely
+        # underflowed to 0 has nonzero factors and goes on to the exact stage
         zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
         # the products and the error bound overwrite the differences, which
         # keeps the temporaries of a large batch few
@@ -222,9 +177,9 @@ def orient3d_signs(pa, pb, pc, pd):
     """Exact :func:`orient3d` signs for K point quadruples at once.
 
     Each argument is a (K, 3) array; row k of the int8 result is
-    ``orient3d(pa[k], pb[k], pc[k], pd[k])``, filtered in numpy with the
-    scalar bound; the rows the bound cannot decide are settled together by
-    the integer stage.
+    ``orient3d(pa[k], pb[k], pc[k], pd[k])``. The float determinant decides
+    a row when it clears the error bound; the rows it cannot decide are
+    settled together by the integer stage.
     """
     pa, pb, pc, pd = (np.asarray(v, dtype=float) for v in (pa, pb, pc, pd))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,17 +219,27 @@ def simplex_orientations(points):
     ``points`` is an (M, d+1, d) array of simplex vertex coordinates. The
     result is an int8 array of signs; d = 2 and 3 go through the batched
     filters, d = 1 compares coordinates directly, and higher dimensions
-    evaluate each simplex with :func:`simplex_orientation`.
+    evaluate each determinant in ``Fraction`` arithmetic.
     """
     p = np.asarray(points, dtype=float)
     d = p.shape[2]
     if d == 1:
         return np.sign(p[:, 1, 0] - p[:, 0, 0]).astype(np.int8)
     if d == 2:
+        # det[b - a; c - a] equals the orient2d determinant det[a - c; b - c]
         return orient2d_signs(p[:, 0], p[:, 1], p[:, 2])
     if d == 3:
+        # orient3d(a, b, c, d) is det[a - d; b - d; c - d]; passing
+        # (p1, p2, p3, p0) yields det[p1 - p0; p2 - p0; p3 - p0] verbatim.
         return orient3d_signs(p[:, 1], p[:, 2], p[:, 3], p[:, 0])
-    return np.array([simplex_orientation(q) for q in p], dtype=np.int8)
+    signs = []
+    for q in p:
+        rows = [
+            [Fraction(q[i + 1][j]) - Fraction(q[0][j]) for j in range(d)]
+            for i in range(d)
+        ]
+        signs.append(_sign(_det_fraction(rows)))
+    return np.array(signs, dtype=np.int8)
 
 
 def signed_volumes(coords, simplices):

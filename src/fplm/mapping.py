@@ -214,14 +214,13 @@ def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
 def make_regular_polygon(
     boundary: BoundaryComplex,
     mesh: SimplicialMesh | None = None,
-    orientation: str = "ccw",
 ) -> FixedPointSet:
     """Pin the (single) boundary loop of a d = 2 mesh to a regular polygon.
 
     The k-th cycle vertex goes to (cos 2 pi k / p, sin 2 pi k / p). When the
     mesh is supplied, the cycle direction is first aligned with the
     canonical simplex orientation so that triangles map with positive
-    orientation; ``orientation="cw"`` then flips the winding.
+    orientation.
     """
     if boundary.boundary_cycles is None:
         raise ValueError("regular polygon targets are defined for d = 2 only")
@@ -232,8 +231,6 @@ def make_regular_polygon(
             f"boundary has {len(boundary.boundary_cycles)} loops; the "
             "polygon construction needs exactly one"
         )
-    if orientation not in ("ccw", "cw"):
-        raise ValueError(f"orientation must be 'ccw' or 'cw', got {orientation!r}")
     cycle = list(boundary.boundary_cycles[0])
     if len(cycle) < 3:
         raise ValueError("boundary loop has fewer than 3 vertices")
@@ -241,8 +238,6 @@ def make_regular_polygon(
         cycle = [cycle[0]] + cycle[:0:-1]
     p = len(cycle)
     angles = 2.0 * math.pi * np.arange(p) / p
-    if orientation == "cw":
-        angles = -angles
     targets = np.column_stack([np.cos(angles), np.sin(angles)])
     return FixedPointSet(
         indices=np.asarray(cycle, dtype=np.int64),
@@ -304,7 +299,6 @@ def run_fplm(
     *,
     seed: int = 0,
     seed_index: int = 0,
-    polygon_orientation: str = "ccw",
 ) -> Embedding:
     """Run the full mapping pipeline on a validated mesh.
 
@@ -376,7 +370,7 @@ def run_fplm(
         raise AssertionError(
             "dividing faces found on a closed mesh; this cannot happen"
         )
-    fixed = make_regular_polygon(boundary, mesh, polygon_orientation)
+    fixed = make_regular_polygon(boundary, mesh)
     coords, res, route = solve_fixed_point(graph, fixed, config, _route=True)
     return Embedding(
         coords=coords,

@@ -37,29 +37,23 @@ def parse_off(text: str) -> SimplicialMesh:
     skipped; trailing tokens after the vertex list of a face (e.g. color
     attributes) are ignored.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped))
+    rows = _numeric_rows(text)
     if not rows:
         raise ParseError(1, "empty OFF file")
 
     pos = 0
     lineno, header = rows[pos]
-    if header != "OFF":
-        raise ParseError(lineno, f"expected OFF header, got {header!r}")
+    if header != ["OFF"]:
+        raise ParseError(lineno, f"expected OFF header, got {' '.join(header)!r}")
     pos += 1
     if pos >= len(rows):
         raise ParseError(lineno, "missing counts line")
-    lineno, counts_line = rows[pos]
-    parts = counts_line.split()
+    lineno, parts = rows[pos]
     if len(parts) != 3:
-        raise ParseError(lineno, f"counts line must have 3 integers, got {counts_line!r}")
-    try:
-        n_verts, n_faces, _n_edges = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad counts line {counts_line!r}") from exc
+        raise ParseError(lineno, f"counts line must have 3 integers, got {' '.join(parts)!r}")
+    n_verts, n_faces, _n_edges = _ints(lineno, parts, "counts line")
+    if n_verts < 0 or n_faces < 0:
+        raise ParseError(lineno, f"counts must not be negative, got {' '.join(parts)!r}")
     pos += 1
 
     if len(rows) - pos < n_verts:
@@ -67,14 +61,10 @@ def parse_off(text: str) -> SimplicialMesh:
         raise ParseError(last, f"file ends before {n_verts} vertex lines")
     verts = np.zeros((n_verts, 3))
     for i in range(n_verts):
-        lineno, line = rows[pos]
-        parts = line.split()
+        lineno, parts = rows[pos]
         if len(parts) < 3:
-            raise ParseError(lineno, f"vertex line needs 3 coordinates, got {line!r}")
-        try:
-            verts[i] = [float(parts[k]) for k in range(3)]
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad vertex coordinates {line!r}") from exc
+            raise ParseError(lineno, f"vertex line needs 3 coordinates, got {' '.join(parts)!r}")
+        verts[i] = _floats(lineno, parts[:3], "vertex coordinates")
         pos += 1
 
     if len(rows) - pos < n_faces:
@@ -82,20 +72,13 @@ def parse_off(text: str) -> SimplicialMesh:
         raise ParseError(last, f"file ends before {n_faces} face lines")
     faces = []
     for _ in range(n_faces):
-        lineno, line = rows[pos]
-        parts = line.split()
-        try:
-            k = int(parts[0])
-        except (IndexError, ValueError) as exc:
-            raise ParseError(lineno, f"bad face line {line!r}") from exc
+        lineno, parts = rows[pos]
+        (k,) = _ints(lineno, parts[:1], "face vertex count")
         if k < 3:
             raise ParseError(lineno, f"face with {k} vertices is not a polygon")
         if len(parts) < 1 + k:
             raise ParseError(lineno, f"face declares {k} vertices but lists fewer")
-        try:
-            face = [int(p) for p in parts[1 : 1 + k]]
-        except ValueError as exc:
-            raise ParseError(lineno, f"bad face indices {line!r}") from exc
+        face = _ints(lineno, parts[1 : 1 + k], "face indices")
         for v in face:
             if not (0 <= v < n_verts):
                 raise ParseError(lineno, f"face index {v} out of range [0, {n_verts})")
@@ -112,8 +95,8 @@ def parse_tetgen(node_text: str, ele_text: str) -> SimplicialMesh:
     """Parse TetGen .node/.ele file contents into a tetrahedral mesh.
 
     Handles both 0-based and 1-based numbering by inspecting the first node
-    index. Raises ParseError for dimension mismatches, non-tetrahedral
-    cells, or dangling indices.
+    index. Raises ParseError for dimension mismatches, a node file with no
+    nodes, non-numeric tokens, non-tetrahedral cells, or dangling indices.
     """
     node_rows = _numeric_rows(node_text)
     if not node_rows:
@@ -121,27 +104,28 @@ def parse_tetgen(node_text: str, ele_text: str) -> SimplicialMesh:
     lineno, header = node_rows[0]
     if len(header) < 2:
         raise ParseError(lineno, ".node header needs at least count and dimension")
-    n_nodes = int(header[0])
-    dim = int(header[1])
+    n_nodes, dim = _ints(lineno, header[:2], ".node header")
     if dim != 3:
         raise ParseError(lineno, f".node dimension must be 3, got {dim}")
+    if n_nodes < 1:
+        raise ParseError(lineno, f".node file must declare at least one node, got {n_nodes}")
     if len(node_rows) - 1 < n_nodes:
         raise ParseError(node_rows[-1][0], f"file ends before {n_nodes} node lines")
 
-    first_index = int(node_rows[1][1][0])
-    if first_index not in (0, 1):
-        raise ParseError(node_rows[1][0], f"node numbering must start at 0 or 1, got {first_index}")
-    base = first_index
+    (base,) = _ints(node_rows[1][0], node_rows[1][1][:1], "node index")
+    if base not in (0, 1):
+        raise ParseError(node_rows[1][0], f"node numbering must start at 0 or 1, got {base}")
 
     verts = np.zeros((n_nodes, 3))
     seen = np.zeros(n_nodes, dtype=bool)
     for lineno, parts in node_rows[1 : 1 + n_nodes]:
         if len(parts) < 4:
             raise ParseError(lineno, "node line needs an index and 3 coordinates")
-        idx = int(parts[0]) - base
+        (index,) = _ints(lineno, parts[:1], "node index")
+        idx = index - base
         if not (0 <= idx < n_nodes):
-            raise ParseError(lineno, f"node index {int(parts[0])} out of range")
-        verts[idx] = [float(parts[k]) for k in (1, 2, 3)]
+            raise ParseError(lineno, f"node index {index} out of range")
+        verts[idx] = _floats(lineno, parts[1:4], "node coordinates")
         seen[idx] = True
     if not seen.all():
         raise ParseError(node_rows[-1][0], "node indices do not cover the declared range")
@@ -152,10 +136,11 @@ def parse_tetgen(node_text: str, ele_text: str) -> SimplicialMesh:
     lineno, header = ele_rows[0]
     if len(header) < 2:
         raise ParseError(lineno, ".ele header needs count and nodes-per-cell")
-    n_cells = int(header[0])
-    npt = int(header[1])
+    n_cells, npt = _ints(lineno, header[:2], ".ele header")
     if npt != 4:
         raise ParseError(lineno, f"cells must be tetrahedra (4 nodes), got {npt}")
+    if n_cells < 0:
+        raise ParseError(lineno, f".ele cell count must not be negative, got {n_cells}")
     if len(ele_rows) - 1 < n_cells:
         raise ParseError(ele_rows[-1][0], f"file ends before {n_cells} cell lines")
 
@@ -163,7 +148,7 @@ def parse_tetgen(node_text: str, ele_text: str) -> SimplicialMesh:
     for row, (lineno, parts) in enumerate(ele_rows[1 : 1 + n_cells]):
         if len(parts) < 5:
             raise ParseError(lineno, "cell line needs an index and 4 node ids")
-        ids = [int(parts[k]) - base for k in (1, 2, 3, 4)]
+        ids = [v - base for v in _ints(lineno, parts[1:5], "cell node ids")]
         for v in ids:
             if not (0 <= v < n_nodes):
                 raise ParseError(
@@ -184,6 +169,20 @@ def _numeric_rows(text: str):
     return rows
 
 
+def _ints(lineno: int, tokens, what: str):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be integers, got {' '.join(tokens)!r}") from None
+
+
+def _floats(lineno: int, tokens, what: str):
+    try:
+        return [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError(lineno, f"{what} must be numbers, got {' '.join(tokens)!r}") from None
+
+
 # ------------------------------------------------------------- JSON and CSV
 
 
@@ -202,42 +201,67 @@ def mesh_from_json(text: str) -> SimplicialMesh:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"mesh JSON must be an object, got {json.dumps(payload)[:40]}")
     for key in ("ambient_dim", "intrinsic_dim", "vertices", "simplices"):
         if key not in payload:
             raise ValueError(f"mesh JSON is missing the {key!r} field")
-    verts = np.asarray(payload["vertices"], dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != int(payload["ambient_dim"]):
+    for key in ("ambient_dim", "intrinsic_dim"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {json.dumps(payload[key])}")
+    # numpy infers the dtypes below, so a string, null or object entry stays
+    # non-numeric; a JSON bool mixed into number rows is inferred as a number
+    # (true -> 1), and the text test keeps the per-entry scan for it off
+    # bool-free meshes
+    maybe_bool = "true" in text or "false" in text
+    try:
+        verts = np.array(payload["vertices"])
+    except ValueError as exc:
+        raise ValueError(f"vertices must be rows of numbers: {exc}") from None
+    if verts.dtype.kind not in "if" or maybe_bool and _has_bool(payload["vertices"]):
+        raise ValueError("vertices must be rows of numbers (no strings, nulls or bools)")
+    verts = verts.astype(float, copy=False)
+    if verts.ndim != 2 or verts.shape[1] != payload["ambient_dim"]:
         raise ValueError("vertex array does not match ambient_dim")
-    # numpy infers the dtype: a float, string or beyond-int64 entry, or bools
-    # only, leave it non-integer, where a cast would truncate or overflow
+    # a float, string or beyond-int64 entry, or bools only, leave the
+    # simplices non-integer, where a cast would truncate or overflow
     simplices = np.array(payload["simplices"])
     dtype = simplices.dtype
-    # a JSON bool mixed into integer rows is inferred as int64 (true -> 1);
-    # the text test keeps the per-entry scan off bool-free meshes
-    if dtype.kind == "i" and ("true" in text or "false" in text):
-        entries = np.array(payload["simplices"], dtype=object).ravel()
-        if any(type(v) is bool for v in entries):
-            dtype = np.dtype(bool)
+    if dtype.kind == "i" and maybe_bool and _has_bool(payload["simplices"]):
+        dtype = np.dtype(bool)
     if simplices.size and dtype.kind != "i":
         raise ValueError(
             "simplex vertex ids must be integers in the int64 range, got "
             f"{dtype} entries"
         )
     try:
-        return SimplicialMesh(verts, simplices, int(payload["intrinsic_dim"]))
+        return SimplicialMesh(verts, simplices, payload["intrinsic_dim"])
     except IndexError as exc:
         raise ValueError(
             f"simplex vertex id out of range [0, {verts.shape[0]})"
         ) from exc
 
 
+def _has_bool(rows) -> bool:
+    return any(type(v) is bool for v in np.array(rows, dtype=object).ravel())
+
+
 def write_embedding_csv(coords: np.ndarray) -> str:
     """Embedding as CSV text: header id,y0,...; floats at full precision."""
+    return _write_csv(coords, "y")
+
+
+def write_latent_csv(latent: np.ndarray) -> str:
+    """Latent parameters as CSV text: header id,u0,...; as the embedding."""
+    return _write_csv(latent, "u")
+
+
+def _write_csv(coords, letter: str) -> str:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise ValueError("coords must be a 2-D array")
     d = coords.shape[1]
-    lines = ["id," + ",".join(f"y{k}" for k in range(d))]
+    lines = ["id," + ",".join(f"{letter}{k}" for k in range(d))]
     for i, row in enumerate(coords):
         lines.append(str(i) + "," + ",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
@@ -290,15 +314,6 @@ def read_embedding_csv(text: str) -> np.ndarray:
     return coords
 
 
-def write_latent_csv(latent: np.ndarray) -> str:
-    latent = np.asarray(latent, dtype=float)
-    k = latent.shape[1]
-    lines = ["id," + ",".join(f"u{j}" for j in range(k))]
-    for i, row in enumerate(latent):
-        lines.append(str(i) + "," + ",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------- SVG output
 
 
@@ -308,7 +323,6 @@ def render_svg(
     *,
     highlight_boundary: bool = False,
     crossing_points: np.ndarray | None = None,
-    size: int = 800,
 ) -> str:
     """Deterministic wireframe drawing of a 2-D embedding.
 
@@ -317,6 +331,7 @@ def render_svg(
     ``crossing_points`` adds circle markers, e.g. at crossing locations
     found by the auditor. Output bytes depend only on the inputs.
     """
+    size = 800  # width of the drawing in SVG user units
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (mesh.n_vertices, 2):
         raise ValueError(f"coords must be ({mesh.n_vertices}, 2)")

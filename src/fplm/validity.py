@@ -555,8 +555,6 @@ def audit(
     embedding,
     *,
     graph: WeightedGraph | None = None,
-    orientation_tol: float = 1e-12,
-    convexity_tol: float = 1e-9,
     seed_exclude: int | None = None,
 ) -> ValidityReport:
     """Run every applicable check and render the verdict.
@@ -611,9 +609,7 @@ def audit(
     ):
         exclude = [emb.seed_simplex]
 
-    counts = orientation_histogram(
-        mesh, coords, tol=orientation_tol, exclude=exclude
-    )
+    counts = orientation_histogram(mesh, coords, exclude=exclude)
     pos, neg, zero = counts
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
 
@@ -654,21 +650,10 @@ def audit(
             max_convex_residual = convex_combination_residual(
                 graph, coords, free
             )
-        if (
-            d == 2
-            and boundary.boundary_cycles is not None
-            and len(boundary.boundary_cycles) == 1
-        ):
-            boundary_convexity = check_boundary_convexity(
-                boundary.boundary_cycles[0],
-                emb.coords_round1,
-                tol=convexity_tol,
-            )
-    elif d == 2 and boundary.boundary_cycles is not None and len(
-        boundary.boundary_cycles
-    ) == 1:
+    if d == 2 and len(boundary.boundary_cycles) == 1:
         boundary_convexity = check_boundary_convexity(
-            boundary.boundary_cycles[0], coords, tol=convexity_tol
+            boundary.boundary_cycles[0],
+            emb.coords_round1 if emb is not None else coords,
         )
 
     certified = one_sign and not crossing_count

@@ -220,6 +220,32 @@ class TestEmbed:
         assert rc == 2
 
     @pytest.mark.parametrize(
+        "files, message",
+        [
+            ({"mesh.json": "3"}, "must be an object"),
+            ({"mesh.json": '{"ambient_dim": null, "intrinsic_dim": 2, "vertices": [],'
+              ' "simplices": []}'}, "ambient_dim must be an integer"),
+            ({"mesh.json": '{"ambient_dim": 2, "intrinsic_dim": 2.5, "vertices": [],'
+              ' "simplices": []}'}, "intrinsic_dim must be an integer"),
+            ({"mesh.json": '{"ambient_dim": 2, "intrinsic_dim": 2, "vertices": {"a": 1},'
+              ' "simplices": []}'}, "vertices must be rows of numbers"),
+            ({"mesh.node": "0 3 0 0\n", "mesh.ele": "0 4 0\n"}, "line 1: .node file"),
+            ({"mesh.node": "1 3 0 0\nx 0 0 0\n", "mesh.ele": "0 4 0\n"}, "line 2: node index"),
+        ],
+        ids=["top-level-3", "ambient-null", "intrinsic-2.5", "vertices-object",
+             "zero-nodes", "non-numeric-index"],
+    )
+    def test_malformed_mesh_returns_2(self, tmp_path, capsys, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        mesh = tmp_path / next(iter(files))
+        rc = main(["embed", "--mesh", str(mesh), "--out", str(tmp_path / "e.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "entry, message",
         [
             (2.7, "vertex ids must be integers"),

@@ -49,6 +49,26 @@ def orient3d_rational(pa, pb, pc, pd):
     return (det > 0) - (det < 0)
 
 
+def det_rational(rows):
+    """Determinant of a square Fraction matrix by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for c, head in enumerate(rows[0]):
+        if head == 0:
+            continue
+        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
+        total += (-1) ** c * head * det_rational(minor)
+    return total
+
+
+def simplex_orientation_rational(points):
+    """Sign of det(p_1 - p_0, ..., p_d - p_0) in Fraction arithmetic."""
+    p0 = [Fraction(x) for x in points[0]]
+    det = det_rational([[Fraction(x) - x0 for x, x0 in zip(q, p0)] for q in points[1:]])
+    return (det > 0) - (det < 0)
+
+
 class TestOrient2d:
     def test_ccw(self):
         assert orient2d(0, 0, 1, 0, 0, 1) > 0
@@ -172,7 +192,7 @@ def ulp_grid(center, k=2):
 
 
 class TestBatchedPredicates:
-    """The numpy filters must return the scalar predicates' signs row by row."""
+    """The numpy filters must return the rational oracles' signs row by row."""
 
     def test_orient2d_signs_on_near_collinear_grid(self):
         a, b = (0.5, 0.5), (1.0, 1.0)
@@ -189,7 +209,7 @@ class TestBatchedPredicates:
         rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(3, 2)))) for _ in range(50)]
         pa, pb, pc = (np.array(col) for col in zip(*rows))
         got = orient2d_signs(pa, pb, pc)
-        want = [orient2d(*x, *y, *z) for x, y, z in rows]
+        want = [orient2d_rational(*x, *y, *z) for x, y, z in rows]
         assert got.dtype == np.int8
         assert got.tolist() == want
         assert set(want) == {-1, 0, 1}
@@ -205,7 +225,7 @@ class TestBatchedPredicates:
         rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(4, 3)))) for _ in range(50)]
         cols = [np.array(col) for col in zip(*rows)]
         got = orient3d_signs(*cols)
-        want = [orient3d(*row) for row in rows]
+        want = [orient3d_rational(*row) for row in rows]
         assert got.dtype == np.int8
         assert got.tolist() == want
         assert set(want) == {-1, 0, 1}
@@ -216,7 +236,7 @@ class TestBatchedPredicates:
         points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
         points[::7, 0] += math.ulp(2.0)
         got = simplex_orientations(points)
-        assert got.tolist() == [simplex_orientation(p) for p in points]
+        assert got.tolist() == [simplex_orientation_rational(p.tolist()) for p in points]
 
     def test_empty_batches(self):
         empty = np.zeros((0, 2))
@@ -375,22 +395,7 @@ class TestSimplexOrientation:
     def test_d4_via_rational_rows(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1, 1, size=(5, 4))
-        got = simplex_orientation(pts)
-        m = [[Fraction(x) for x in (pts[i + 1] - pts[0])] for i in range(4)]
-
-        def det(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            total = Fraction(0)
-            for c, head in enumerate(rows[0]):
-                if head == 0:
-                    continue
-                minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-                total += (-1) ** c * head * det(minor)
-            return total
-
-        d = det([list(r) for r in m])
-        assert got == (d > 0) - (d < 0)
+        assert simplex_orientation(pts) == simplex_orientation_rational(pts.tolist())
 
     def test_swap_flips_sign(self):
         rng = np.random.default_rng(3)

@@ -222,26 +222,14 @@ class TestMakeRegularPolygon:
         # with the mesh provided, walking the target polygon in cycle order
         # must enclose positive area so triangles keep positive orientation
         mesh = two_triangles()
-        fps = make_regular_polygon(detect_boundary(mesh), mesh, "ccw")
+        fps = make_regular_polygon(detect_boundary(mesh), mesh)
         t = fps.targets
         area2 = np.sum(t[:, 0] * np.roll(t[:, 1], -1) - np.roll(t[:, 0], -1) * t[:, 1])
         assert area2 > 0
 
-    def test_cw_flips_winding(self):
-        mesh = two_triangles()
-        fps = make_regular_polygon(detect_boundary(mesh), mesh, "cw")
-        t = fps.targets
-        area2 = np.sum(t[:, 0] * np.roll(t[:, 1], -1) - np.roll(t[:, 0], -1) * t[:, 1])
-        assert area2 < 0
-
     def test_closed_mesh_rejected(self):
         with pytest.raises(ValueError, match="no boundary"):
             make_regular_polygon(detect_boundary(icosphere(0)))
-
-    def test_bad_orientation_string(self):
-        mesh = two_triangles()
-        with pytest.raises(ValueError, match="orientation"):
-            make_regular_polygon(detect_boundary(mesh), mesh, "up")
 
 
 class TestSolveFixedPoint:
@@ -395,12 +383,6 @@ class TestRunFplm:
         np.testing.assert_allclose(
             np.linalg.norm(emb.coords, axis=1), 1.0, rtol=1e-15
         )
-
-    def test_polygon_orientation_passthrough(self):
-        ccw = run_fplm(two_triangles(), polygon_orientation="ccw")
-        cw = run_fplm(two_triangles(), polygon_orientation="cw")
-        np.testing.assert_allclose(ccw.coords[:, 0], cw.coords[:, 0], atol=1e-15)
-        np.testing.assert_allclose(ccw.coords[:, 1], -cw.coords[:, 1], atol=1e-15)
 
     def test_tet_mesh_runs_two_rounds_despite_dividing_faces(self):
         # solid meshes always have interior faces whose vertices all sit on

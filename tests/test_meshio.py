@@ -87,6 +87,11 @@ class TestParseOff:
             parse_off("OFF\n3 1\n")
         assert e.value.line == 2
 
+    def test_negative_count(self):
+        with pytest.raises(ParseError, match="must not be negative") as e:
+            parse_off("OFF\n-1 0 0\n")
+        assert e.value.line == 2
+
     def test_truncated_vertices(self):
         with pytest.raises(ParseError, match="ends before"):
             parse_off("OFF\n3 1 3\n0 0 0\n1 0 0\n")
@@ -162,6 +167,35 @@ class TestParseTetgen:
         with pytest.raises(ParseError):
             parse_tetgen(TWO_TETS_NODE, "")
 
+    def test_zero_nodes_names_the_header_line(self):
+        with pytest.raises(ParseError, match="at least one node") as e:
+            parse_tetgen("# nothing here\n0 3 0 0\n", "0 4 0\n")
+        assert e.value.line == 2
+
+    def test_negative_cell_count_names_the_header_line(self):
+        with pytest.raises(ParseError, match="must not be negative") as e:
+            parse_tetgen(TWO_TETS_NODE, "-1 4 0\n")
+        assert e.value.line == 1
+
+    @pytest.mark.parametrize(
+        "node, ele, line",
+        [
+            (TWO_TETS_NODE.replace("5 3 0 0", "five 3 0 0"), TWO_TETS_ELE, 2),
+            (TWO_TETS_NODE.replace("5 3 0 0", "5 3.0 0 0"), TWO_TETS_ELE, 2),
+            (TWO_TETS_NODE.replace("0  0.0", "a  0.0"), TWO_TETS_ELE, 3),
+            (TWO_TETS_NODE.replace("2  0.0", "2.0  0.0"), TWO_TETS_ELE, 5),
+            (TWO_TETS_NODE.replace("1.0 1.0 1.0", "1.0 x 1.0"), TWO_TETS_ELE, 7),
+            (TWO_TETS_NODE, TWO_TETS_ELE.replace("2 4 0", "2 four 0"), 1),
+            (TWO_TETS_NODE, TWO_TETS_ELE.replace("1 2 3 4", "1 2 c 4"), 3),
+        ],
+        ids=["node-count", "node-dim", "first-index", "later-index",
+             "coordinate", "ele-header", "cell-id"],
+    )
+    def test_non_numeric_token_names_its_line(self, node, ele, line):
+        with pytest.raises(ParseError, match="must be") as e:
+            parse_tetgen(node, ele)
+        assert e.value.line == line
+
 
 class TestJsonRoundTrip:
     def test_bit_exact(self):
@@ -188,6 +222,37 @@ class TestJsonRoundTrip:
     def test_not_json(self):
         with pytest.raises(ValueError, match="JSON"):
             mesh_from_json("OFF\n3 1 3")
+
+    @pytest.mark.parametrize("text", ["3", "[1, 2]", '"mesh"', "null"])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(ValueError, match="must be an object"):
+            mesh_from_json(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("ambient_dim", "null"), ("intrinsic_dim", "2.5"), ("ambient_dim", '"2"'),
+         ("intrinsic_dim", "true")],
+    )
+    def test_dimension_must_be_a_json_integer(self, key, value):
+        blob = self.triangle_blob("[[0, 1, 2]]").replace(f'"{key}": 2', f'"{key}": {value}')
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            mesh_from_json(blob)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        ['{"a": 1}', '[[0, 0], [1, "x"], [0, 1]]', '[[0, 0], [1, null], [0, 1]]',
+         '[[0, 0], [1], [0, 1]]', '[[true, false], [false, true], [true, true]]',
+         '[[0, 0], [1, true], [0, 1]]', '[[0.5, 0], [1, false], [0, 1]]'],
+        ids=["object", "string", "null", "ragged", "bool", "true-in-int-row",
+             "false-in-float-row"],
+    )
+    def test_vertices_must_be_numeric_rows(self, vertices):
+        blob = (
+            '{"ambient_dim": 2, "intrinsic_dim": 2,'
+            f' "vertices": {vertices}, "simplices": [[0, 1, 2]]}}'
+        )
+        with pytest.raises(ValueError, match="vertices must be rows of numbers"):
+            mesh_from_json(blob)
 
     def test_dim_mismatch(self):
         blob = (
