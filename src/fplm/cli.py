@@ -2,9 +2,11 @@
 
 Exit codes are script-friendly: 0 success (or certified), 2 usage/input
 error, 3 validity violation, 4 solver failure. Every run with the same
-inputs and seed writes byte-identical outputs; ``embed`` records the fully
-resolved configuration, timings, and output list in a manifest next to the
-embedding so a validation step can recover run context.
+inputs and seed writes byte-identical outputs, apart from the stage
+timings; ``embed`` records the fully resolved configuration, timings, and
+output list in a manifest next to the embedding so a validation step can
+recover run context, and the JSON report of ``validate`` records its stage
+timings too.
 """
 
 from __future__ import annotations
@@ -206,14 +208,17 @@ def _versions() -> dict:
 
 
 def cmd_validate(args) -> int:
+    t0 = time.perf_counter()
     try:
         mesh = _load_mesh(args.mesh)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read mesh {args.mesh}: {exc}")
+    t_load = time.perf_counter()
     try:
         coords = read_embedding_csv(Path(args.embedding).read_text())
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read embedding {args.embedding}: {exc}")
+    t_read = time.perf_counter()
     if coords.shape != (mesh.n_vertices, mesh.intrinsic_dim):
         return _fail(
             f"embedding shape {coords.shape} does not match mesh "
@@ -249,10 +254,16 @@ def cmd_validate(args) -> int:
                 # with opposite orientation; skip it in the histogram
                 seed_exclude = seed_simplex
 
+    t_audit = time.perf_counter()
     try:
         report = audit(mesh, coords, seed_exclude=seed_exclude)
     except ValueError as exc:
         return _fail(str(exc))
+    timings_ms = {
+        "load": round((t_load - t0) * 1000.0, 3),
+        "read": round((t_read - t_load) * 1000.0, 3),
+        "audit": round((time.perf_counter() - t_audit) * 1000.0, 3),
+    }
 
     text = report.to_text()
     print(text)
@@ -261,7 +272,8 @@ def cmd_validate(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n")
         json_path = Path(str(out) + ".json")
-        json_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n")
+        blob = {**report.to_dict(), "timings_ms": timings_ms}
+        json_path.write_text(json.dumps(blob, indent=1) + "\n")
         print(f"wrote {out}")
         print(f"wrote {json_path}")
     return EXIT_OK if report.verdict == "injective-certified" else EXIT_VIOLATED

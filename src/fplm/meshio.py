@@ -1,17 +1,21 @@
 """Mesh and embedding interchange: OFF, TetGen, JSON, CSV, and SVG output.
 
-All writers format floats with repr, the shortest representation that
-round-trips exactly, so write/read cycles are lossless and repeated runs
-produce byte-identical files.
+Writers repr each float once (the shortest text that round-trips) into one
+join or line template, byte for byte as ``json.dumps(payload, indent=1)`` or
+a row-by-row repr loop would. Readers tokenize once and convert each column
+with one ``map(int)``/``map(float)``, checked by numpy masks; only when that
+fails are the rows rescanned, so errors name the first bad 1-based line.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import getitem, itemgetter
 
 import numpy as np
 
-from .simplicial import SimplicialMesh, detect_boundary, mesh_edges, triangulate_polygon_faces
+from .simplicial import SimplicialMesh, detect_boundary, mesh_edges, triangulate_flat_faces
 
 
 class ParseError(ValueError):
@@ -20,10 +24,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------- OFF files
@@ -37,55 +37,49 @@ def parse_off(text: str) -> SimplicialMesh:
     skipped; trailing tokens after the vertex list of a face (e.g. color
     attributes) are ignored.
     """
-    rows = _numeric_rows(text)
-    if not rows:
-        raise ParseError(1, "empty OFF file")
-
-    pos = 0
-    lineno, header = rows[pos]
-    if header != ["OFF"]:
-        raise ParseError(lineno, f"expected OFF header, got {' '.join(header)!r}")
-    pos += 1
-    if pos >= len(rows):
-        raise ParseError(lineno, "missing counts line")
-    lineno, parts = rows[pos]
+    rows, lines = _numeric_rows(text, "OFF")
+    if rows[0] != ["OFF"]:
+        raise ParseError(lines[0], f"expected OFF header, got {' '.join(rows[0])!r}")
+    if len(rows) < 2:
+        raise ParseError(lines[0], "missing counts line")
+    parts = rows[1]
     if len(parts) != 3:
-        raise ParseError(lineno, f"counts line must have 3 integers, got {' '.join(parts)!r}")
-    n_verts, n_faces, _n_edges = _ints(lineno, parts, "counts line")
+        raise ParseError(lines[1], f"counts line must have 3 integers, got {' '.join(parts)!r}")
+    n_verts, n_faces, _n_edges = _numbers(lines[1], parts, "counts line")
     if n_verts < 0 or n_faces < 0:
-        raise ParseError(lineno, f"counts must not be negative, got {' '.join(parts)!r}")
-    pos += 1
+        raise ParseError(lines[1], f"counts must not be negative, got {' '.join(parts)!r}")
 
-    if len(rows) - pos < n_verts:
-        last = rows[-1][0] if rows else lineno
-        raise ParseError(last, f"file ends before {n_verts} vertex lines")
-    verts = np.zeros((n_verts, 3))
-    for i in range(n_verts):
-        lineno, parts = rows[pos]
+    def check_vertex(lineno, parts):
         if len(parts) < 3:
             raise ParseError(lineno, f"vertex line needs 3 coordinates, got {' '.join(parts)!r}")
-        verts[i] = _floats(lineno, parts[:3], "vertex coordinates")
-        pos += 1
+        _numbers(lineno, parts[:3], "vertex coordinates", float)
 
-    if len(rows) - pos < n_faces:
-        last = rows[-1][0]
-        raise ParseError(last, f"file ends before {n_faces} face lines")
-    faces = []
-    for _ in range(n_faces):
-        lineno, parts = rows[pos]
-        (k,) = _ints(lineno, parts[:1], "face vertex count")
+    def check_face(lineno, parts):
+        (k,) = _numbers(lineno, parts[:1], "face vertex count")
         if k < 3:
             raise ParseError(lineno, f"face with {k} vertices is not a polygon")
         if len(parts) < 1 + k:
             raise ParseError(lineno, f"face declares {k} vertices but lists fewer")
-        face = _ints(lineno, parts[1 : 1 + k], "face indices")
-        for v in face:
+        for v in _numbers(lineno, parts[1 : 1 + k], "face indices"):
             if not (0 <= v < n_verts):
                 raise ParseError(lineno, f"face index {v} out of range [0, {n_verts})")
-        faces.append(face)
-        pos += 1
 
-    return triangulate_polygon_faces(faces, verts)
+    vrows, vlines = _section(rows, lines, 2, n_verts, "vertex")
+    # a line of fewer than 3 tokens leaves the column short, which fails too
+    verts = _column(chain.from_iterable(map(itemgetter(slice(3)), vrows)), float, 3 * n_verts)
+    if verts is None:
+        _raise_first(vrows, vlines, check_vertex)
+
+    frows, flines = _section(rows, lines, 2 + n_verts, n_faces, "face")
+    sizes = _column(map(itemgetter(0), frows), int, n_faces)
+    lens = np.fromiter(map(len, frows), np.int64, n_faces)
+    flat = None
+    if sizes is not None and (sizes >= 3).all() and (lens > sizes).all():
+        ends = map(slice, repeat(1), (sizes + 1).tolist())
+        flat = _column(chain.from_iterable(map(getitem, frows, ends)), int, int(sizes.sum()))
+    if flat is None or ((flat < 0) | (flat >= n_verts)).any():
+        _raise_first(frows, flines, check_face)
+    return triangulate_flat_faces(flat, sizes, verts.reshape(n_verts, 3))
 
 
 # -------------------------------------------------------------- TetGen files
@@ -98,102 +92,118 @@ def parse_tetgen(node_text: str, ele_text: str) -> SimplicialMesh:
     index. Raises ParseError for dimension mismatches, a node file with no
     nodes, non-numeric tokens, non-tetrahedral cells, or dangling indices.
     """
-    node_rows = _numeric_rows(node_text)
-    if not node_rows:
-        raise ParseError(1, "empty .node file")
-    lineno, header = node_rows[0]
-    if len(header) < 2:
-        raise ParseError(lineno, ".node header needs at least count and dimension")
-    n_nodes, dim = _ints(lineno, header[:2], ".node header")
+    rows, lines = _numeric_rows(node_text, ".node")
+    if len(rows[0]) < 2:
+        raise ParseError(lines[0], ".node header needs at least count and dimension")
+    n_nodes, dim = _numbers(lines[0], rows[0][:2], ".node header")
     if dim != 3:
-        raise ParseError(lineno, f".node dimension must be 3, got {dim}")
+        raise ParseError(lines[0], f".node dimension must be 3, got {dim}")
     if n_nodes < 1:
-        raise ParseError(lineno, f".node file must declare at least one node, got {n_nodes}")
-    if len(node_rows) - 1 < n_nodes:
-        raise ParseError(node_rows[-1][0], f"file ends before {n_nodes} node lines")
-
-    (base,) = _ints(node_rows[1][0], node_rows[1][1][:1], "node index")
+        raise ParseError(lines[0], f".node file must declare at least one node, got {n_nodes}")
+    nrows, nlines = _section(rows, lines, 1, n_nodes, "node")
+    (base,) = _numbers(lines[1], rows[1][:1], "node index")
     if base not in (0, 1):
-        raise ParseError(node_rows[1][0], f"node numbering must start at 0 or 1, got {base}")
+        raise ParseError(lines[1], f"node numbering must start at 0 or 1, got {base}")
 
-    verts = np.zeros((n_nodes, 3))
-    seen = np.zeros(n_nodes, dtype=bool)
-    for lineno, parts in node_rows[1 : 1 + n_nodes]:
+    def check_node(lineno, parts):
         if len(parts) < 4:
             raise ParseError(lineno, "node line needs an index and 3 coordinates")
-        (index,) = _ints(lineno, parts[:1], "node index")
-        idx = index - base
-        if not (0 <= idx < n_nodes):
+        (index,) = _numbers(lineno, parts[:1], "node index")
+        if not (0 <= index - base < n_nodes):
             raise ParseError(lineno, f"node index {index} out of range")
-        verts[idx] = _floats(lineno, parts[1:4], "node coordinates")
-        seen[idx] = True
-    if not seen.all():
-        raise ParseError(node_rows[-1][0], "node indices do not cover the declared range")
+        _numbers(lineno, parts[1:4], "node coordinates", float)
 
-    ele_rows = _numeric_rows(ele_text)
-    if not ele_rows:
-        raise ParseError(1, "empty .ele file")
-    lineno, header = ele_rows[0]
-    if len(header) < 2:
-        raise ParseError(lineno, ".ele header needs count and nodes-per-cell")
-    n_cells, npt = _ints(lineno, header[:2], ".ele header")
-    if npt != 4:
-        raise ParseError(lineno, f"cells must be tetrahedra (4 nodes), got {npt}")
-    if n_cells < 0:
-        raise ParseError(lineno, f".ele cell count must not be negative, got {n_cells}")
-    if len(ele_rows) - 1 < n_cells:
-        raise ParseError(ele_rows[-1][0], f"file ends before {n_cells} cell lines")
-
-    cells = np.zeros((n_cells, 4), dtype=np.int64)
-    for row, (lineno, parts) in enumerate(ele_rows[1 : 1 + n_cells]):
+    def check_cell(lineno, parts):
         if len(parts) < 5:
             raise ParseError(lineno, "cell line needs an index and 4 node ids")
-        ids = [v - base for v in _ints(lineno, parts[1:5], "cell node ids")]
-        for v in ids:
-            if not (0 <= v < n_nodes):
-                raise ParseError(
-                    lineno, f"cell references node {v + base}, outside the node file"
-                )
-        cells[row] = ids
+        for v in _numbers(lineno, parts[1:5], "cell node ids"):
+            if not (0 <= v - base < n_nodes):
+                raise ParseError(lineno, f"cell references node {v}, outside the node file")
 
-    return SimplicialMesh(verts, cells, 3)
+    index = _column(map(itemgetter(0), nrows), int, n_nodes)
+    xyz = _column(chain.from_iterable(map(itemgetter(slice(1, 4)), nrows)), float, 3 * n_nodes)
+    if index is None or xyz is None or ((index < base) | (index >= base + n_nodes)).any():
+        _raise_first(nrows, nlines, check_node)
+    if not np.bincount(index - base, minlength=n_nodes).all():
+        raise ParseError(lines[-1], "node indices do not cover the declared range")
+    verts = xyz.reshape(n_nodes, 3)[np.argsort(index)]  # index is a permutation here
+
+    rows, lines = _numeric_rows(ele_text, ".ele")
+    if len(rows[0]) < 2:
+        raise ParseError(lines[0], ".ele header needs count and nodes-per-cell")
+    n_cells, npt = _numbers(lines[0], rows[0][:2], ".ele header")
+    if npt != 4:
+        raise ParseError(lines[0], f"cells must be tetrahedra (4 nodes), got {npt}")
+    if n_cells < 0:
+        raise ParseError(lines[0], f".ele cell count must not be negative, got {n_cells}")
+    crows, clines = _section(rows, lines, 1, n_cells, "cell")
+    cells = _column(chain.from_iterable(map(itemgetter(slice(1, 5)), crows)), int, 4 * n_cells)
+    if cells is None or ((cells < base) | (cells >= base + n_nodes)).any():
+        _raise_first(crows, clines, check_cell)
+    return SimplicialMesh(verts, (cells - base).reshape(n_cells, 4), 3)
 
 
-def _numeric_rows(text: str):
-    """Non-comment, non-blank lines split into tokens, with line numbers."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            rows.append((lineno, stripped.split()))
-    return rows
+# ------------------------------------------------------ tokens and columns
 
 
-def _ints(lineno: int, tokens, what: str):
+def _numeric_rows(text: str, kind: str):
+    """Token lists of the non-comment, non-blank lines, and their line numbers."""
+    code = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
+    tokens = list(map(str.split, code))
+    kept = np.flatnonzero(np.fromiter(map(len, tokens), np.int64, len(tokens)))
+    if not kept.size:
+        raise ParseError(1, f"empty {kind} file")
+    return list(filter(None, tokens)), (kept + 1).tolist()
+
+
+def _section(rows, lines, start: int, count: int, what: str):
+    """The ``count`` rows from ``start`` on, and their line numbers."""
+    if len(rows) - start < count:
+        raise ParseError(lines[-1], f"file ends before {count} {what} lines")
+    return rows[start : start + count], lines[start : start + count]
+
+
+def _column(tokens, kind, count: int):
+    """One ``map(kind)`` over the tokens as a numpy column; None when a token
+    does not convert, the tokens run short or an int overflows int64."""
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(lineno, f"{what} must be integers, got {' '.join(tokens)!r}") from None
+        return np.fromiter(map(kind, tokens), np.int64 if kind is int else float, count)
+    except (ValueError, OverflowError):
+        return None
 
 
-def _floats(lineno: int, tokens, what: str):
+def _raise_first(rows, linenos, check):
+    """Raise the ParseError of the first row that ``check`` rejects."""
+    for lineno, row in zip(linenos, rows):
+        check(lineno, row)
+    raise AssertionError("a column check failed on rows that each pass")
+
+
+def _numbers(lineno: int, tokens, what: str, kind=int):
     try:
-        return [float(t) for t in tokens]
+        return list(map(kind, tokens))
     except ValueError:
-        raise ParseError(lineno, f"{what} must be numbers, got {' '.join(tokens)!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ParseError(lineno, f"{what} must be {noun}, got {' '.join(tokens)!r}") from None
 
 
 # ------------------------------------------------------------- JSON and CSV
 
 
 def mesh_to_json(mesh: SimplicialMesh) -> str:
-    payload = {
-        "ambient_dim": mesh.ambient_dim,
-        "intrinsic_dim": mesh.intrinsic_dim,
-        "vertices": [[float(x) for x in row] for row in mesh.vertices],
-        "simplices": [[int(x) for x in row] for row in mesh.simplices],
-    }
-    return json.dumps(payload, indent=1)
+    """The bytes of ``json.dumps(payload, indent=1)``, one row template per array."""
+    blocks = []
+    for array in (mesh.vertices, mesh.simplices):
+        cells = array.ravel().tolist()
+        for i in np.flatnonzero(~np.isfinite(array.ravel())).tolist():
+            cells[i] = json.dumps(cells[i])  # NaN, Infinity, -Infinity
+        row = "  [\n   " + ",\n   ".join(["%s"] * array.shape[1]) + "\n  ]"
+        blocks.append(",\n".join([row] * len(array)) % tuple(cells))
+    vertices, simplices = (f"[\n{b}\n ]" if b else "[]" for b in blocks)
+    return (
+        f'{{\n "ambient_dim": {mesh.ambient_dim},\n "intrinsic_dim": {mesh.intrinsic_dim},'
+        f'\n "vertices": {vertices},\n "simplices": {simplices}\n}}'
+    )
 
 
 def mesh_from_json(text: str) -> SimplicialMesh:
@@ -260,11 +270,12 @@ def _write_csv(coords, letter: str) -> str:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise ValueError("coords must be a 2-D array")
+    if not np.isfinite(coords).all():
+        raise ValueError("coords must be finite (found NaN or inf)")
     d = coords.shape[1]
-    lines = ["id," + ",".join(f"{letter}{k}" for k in range(d))]
-    for i, row in enumerate(coords):
-        lines.append(str(i) + "," + ",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    header = "id," + ",".join(f"{letter}{k}" for k in range(d)) + "\n"
+    line = "%d," + ",".join(["%r"] * d) + "\n"
+    return header + "".join(map(line.__mod__, zip(range(len(coords)), *coords.T.tolist())))
 
 
 def read_embedding_csv(text: str) -> np.ndarray:
@@ -274,38 +285,43 @@ def read_embedding_csv(text: str) -> np.ndarray:
     column; ids must cover 0..N-1 and every coordinate must be finite.
     Malformed rows raise :class:`ParseError` with their 1-based line number.
     """
-    rows = [
-        (lineno, ln)
-        for lineno, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip()
-    ]
+    lines = text.splitlines()
+    rows = list(filter(str.strip, lines))
     if len(rows) < 2:
         raise ValueError("embedding CSV has no data rows")
-    header = [h.strip() for h in rows[0][1].split(",")]
+    header = [h.strip() for h in rows[0].split(",")]
     if header[0] != "id" or len(header) < 2:
         raise ValueError("embedding CSV header must be id,y0,...")
-    d = len(header) - 1
-    n = len(rows) - 1
-    ids = []
-    values = []
-    for lineno, ln in rows[1:]:
-        parts = ln.split(",")
+    n, d = len(rows) - 1, len(header) - 1
+    body = rows[1:]
+
+    def check_row(lineno, line):
+        parts = line.split(",")
         if len(parts) != d + 1:
             raise ParseError(lineno, f"expected {d + 1} fields, got {len(parts)}")
         try:
             i = int(parts[0])
-            values.append([float(p) for p in parts[1:]])
+            list(map(float, parts[1:]))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
         if not (0 <= i < n):
             raise ParseError(lineno, f"id {i} out of range [0, {n})")
-        ids.append(i)
-    values = np.array(values, dtype=float)
+
+    ids = values = None
+    if (np.fromiter(map(str.count, body, repeat(",")), np.int64, n) == d).all():
+        fields = ",".join(body).split(",")
+        ids = _column(fields[:: d + 1], int, n)
+        del fields[:: d + 1]
+        values = _column(fields, float, n * d)
+    if ids is None or values is None or ((ids < 0) | (ids >= n)).any():
+        linenos = [k for k, line in enumerate(lines, start=1) if line.strip()]
+        _raise_first(body, linenos[1:], check_row)
+    values = values.reshape(n, d)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise ParseError(rows[1 + bad[0]][0], "coordinate is not finite (NaN or inf)")
-    seen = np.zeros(n, dtype=bool)
-    seen[ids] = True
+        lineno = [k for k, line in enumerate(lines, start=1) if line.strip()][1 + bad[0]]
+        raise ParseError(lineno, "coordinate is not finite (NaN or inf)")
+    seen = np.bincount(ids, minlength=n)
     if not seen.all():
         missing = int(np.argmin(seen))
         raise ValueError(f"embedding CSV ids do not cover 0..N-1 (id {missing} is missing)")
@@ -337,59 +353,43 @@ def render_svg(
         raise ValueError(f"coords must be ({mesh.n_vertices}, 2)")
     edges = mesh_edges(mesh)
 
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-30)
     margin = 0.05 * float(span.max())
     width = float(span[0] + 2 * margin)
     height = float(span[1] + 2 * margin)
 
-    def sx(x):
-        return _fmt((x - lo[0] + margin) / max(width, 1e-30) * size)
+    def svg_xy(points):  # repr strings; y flipped to keep the mathematical orientation
+        x = (points[:, 0] - lo[0] + margin) / max(width, 1e-30) * size
+        y = (hi[1] - points[:, 1] + margin) / max(height, 1e-30) * size * height / width
+        return list(map(repr, x.tolist())), list(map(repr, y.tolist()))
 
-    def sy(y):
-        # flip y so the drawing keeps the mathematical orientation
-        return _fmt((hi[1] - y + margin) / max(height, 1e-30) * size * height / width)
+    is_boundary = np.zeros(len(edges), dtype=bool)
+    if highlight_boundary and mesh.intrinsic_dim == 2:
+        b, n = detect_boundary(mesh).boundary_faces, mesh.n_vertices
+        is_boundary = np.isin(edges[:, 0] * n + edges[:, 1], b[:, 0] * n + b[:, 1])
 
-    boundary_set = set()
-    if highlight_boundary:
-        bfaces = detect_boundary(mesh).boundary_faces
-        if mesh.intrinsic_dim == 2:
-            boundary_set = {(int(u), int(v)) for u, v in bfaces}
+    xs, ys = svg_xy(coords)
+    line = '<line x1="%s" y1="%s" x2="%s" y2="%s"/>\n'
 
-    interior_lines = []
-    boundary_lines = []
-    for u, v in edges:
-        u, v = int(u), int(v)
-        line = (
-            f'<line x1="{sx(coords[u, 0])}" y1="{sy(coords[u, 1])}" '
-            f'x2="{sx(coords[v, 0])}" y2="{sy(coords[v, 1])}"/>'
+    def lines(group):  # one line element per edge, endpoints' strings looked up
+        ends = (map(c.__getitem__, w) for w in group.T.tolist() for c in (xs, ys))
+        return "".join(map(line.__mod__, zip(*ends)))
+
+    vb_h = repr(size * height / width)
+    text = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {vb_h}" '
+        f'width="{size}" height="{vb_h}">\n'
+        f'<g stroke="#555555" stroke-width="{size / 1000!r}" fill="none">\n'
+        f"{lines(edges[~is_boundary])}</g>\n"
+    )
+    if is_boundary.any():
+        text += (
+            f'<g stroke="#c43131" stroke-width="{size / 500!r}" fill="none">\n'
+            f"{lines(edges[is_boundary])}</g>\n"
         )
-        if (u, v) in boundary_set:
-            boundary_lines.append(line)
-        else:
-            interior_lines.append(line)
-
-    vb_h = size * height / width
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {_fmt(vb_h)}" '
-        f'width="{size}" height="{_fmt(vb_h)}">',
-        f'<g stroke="#555555" stroke-width="{_fmt(size / 1000)}" fill="none">',
-        *interior_lines,
-        "</g>",
-    ]
-    if boundary_lines:
-        parts.append(
-            f'<g stroke="#c43131" stroke-width="{_fmt(size / 500)}" fill="none">'
-        )
-        parts.extend(boundary_lines)
-        parts.append("</g>")
     if crossing_points is not None and len(crossing_points):
-        parts.append('<g fill="#c43131" stroke="none">')
-        for x, y in np.asarray(crossing_points, dtype=float):
-            parts.append(
-                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{_fmt(size / 160)}"/>'
-            )
-        parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        circle = f'<circle cx="%s" cy="%s" r="{size / 160!r}"/>\n'
+        marks = zip(*svg_xy(np.asarray(crossing_points, dtype=float)))
+        text += f'<g fill="#c43131" stroke="none">\n{"".join(map(circle.__mod__, marks))}</g>\n'
+    return text + "</svg>\n"

@@ -572,21 +572,27 @@ def triangulate_polygon_faces(faces, vertices) -> SimplicialMesh:
     flat = np.fromiter(
         itertools.chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum())
     )
+    return triangulate_flat_faces(flat, sizes, vertices)
+
+
+def triangulate_flat_faces(flat, sizes, vertices) -> SimplicialMesh:
+    """:func:`triangulate_polygon_faces` on the faces' vertex ids laid end
+    to end in ``flat``, face k holding ``sizes[k]`` of them."""
     owner = np.repeat(np.arange(sizes.size), sizes)
     by_value = np.lexsort((flat, owner))  # each face's entries, ascending
     repeat = np.zeros(sizes.size, dtype=bool)
     same = (np.diff(owner[by_value]) == 0) & (np.diff(flat[by_value]) == 0)
     repeat[owner[by_value][1:][same]] = True
     short = sizes < 3
+    start = np.cumsum(sizes) - sizes
     bad = np.flatnonzero(short | repeat)
     if bad.size:
         fi = int(bad[0])
-        face = tuple(int(x) for x in faces[fi])
+        face = tuple(flat[start[fi] : start[fi] + sizes[fi]].tolist())
         if short[fi]:
             raise ValueError(f"face {fi} has {len(face)} vertices; need >= 3")
         raise ValueError(f"face {fi} {face} repeats a vertex")
 
-    start = np.cumsum(sizes) - sizes
     pivot = by_value[start] - start  # position of each face's lowest index
     fans = sizes - 2
     tri_face = np.repeat(np.arange(sizes.size), fans)

@@ -19,11 +19,13 @@ edges; :func:`orientation_histogram` gives the signs, with no near-zero
 image allowed; and :func:`_loop_is_simple` decides the loop exactly. The
 loop is the single boundary cycle of an open mesh audited whole, or the
 edges of the excluded seed triangle of a closed mesh. So a one-signed
-drawing costs a test of its B boundary edges instead of all E edges. The
-full :func:`count_crossings` runs in every other case: mixed or near-zero
-orientations, several boundary loops, an open mesh with an excluded
-triangle, a closed mesh with none, or a loop that is not simple. Violated
-reports thus keep their crossing pairs.
+drawing costs a test of its B boundary edges instead of all E edges. A
+drawing whose near-zero triangles have exact signs that agree with all the
+others meets the theorem too: it has no crossings, yet stays violated for
+its near-zero images. The full :func:`count_crossings` runs in every other
+case: mixed or zero exact signs, several boundary loops, an open mesh with
+an excluded triangle, a closed mesh with none, or a loop that is not
+simple. Violated reports thus keep their crossing pairs.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -107,7 +109,8 @@ class ValidityReport:
     loop that maps to a simple closed polygon, is mapped injectively.
     Connectivity, orientability and at most two triangles per edge come
     from :func:`canonical_orientation`, a manifold boundary from the
-    boundary walk, the signs from the orientation histogram. The loop is
+    boundary walk, the signs from the orientation histogram (and, for its
+    near-zero images, from their exact signs alone). The loop is
     the boundary cycle of an open mesh, or the excluded seed triangle of a
     closed one. When all of this holds and the loop is simple, the theorem
     implies crossing_count 0 and no crossing_pairs, and only the loop's
@@ -571,10 +574,11 @@ def audit(
     for bare coordinate input and must index a simplex. Non-finite
     coordinates and an out-of-range ``seed_exclude`` raise ``ValueError``.
 
-    For d = 2 the orientation histogram runs first. A one-signed drawing
-    bounded by one loop is then decided on that loop alone, by the degree
-    theorem (see :class:`ValidityReport`); every other drawing, and one
-    whose loop is not simple, gets the full crossing count.
+    For d = 2 the orientation histogram runs first. A drawing bounded by one
+    loop whose exact signs all agree, near-zero images included, is then
+    decided on that loop alone, by the degree theorem (see
+    :class:`ValidityReport`); every other drawing, and one whose loop is
+    not simple, gets the full crossing count.
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -616,7 +620,13 @@ def audit(
     reasons: list[str] = []
     if d == 2:
         loop = _certifying_loop(mesh, boundary, closed, exclude)
-        if one_sign and loop is not None and _loop_is_simple(loop, coords):
+        # near-zero images still meet the degree theorem when their exact
+        # signs agree with the rest; the verdict stays violated below
+        signs_agree = one_sign or (
+            loop is not None and zero and (pos > 0) != (neg > 0)
+            and _one_exact_sign(mesh, coords, exclude)
+        )
+        if signs_agree and loop is not None and _loop_is_simple(loop, coords):
             # the degree theorem: the map is injective, so no edges cross
             crossing = CrossingResult(0, ())
         else:
@@ -667,6 +677,14 @@ def audit(
         verdict="injective-certified" if certified else "violated",
         reasons=tuple(reasons),
     )
+
+
+def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:
+    """Whether every audited simplex image has one nonzero exact sign."""
+    kept = np.ones(mesh.n_simplices, dtype=bool)
+    kept[exclude] = False
+    s = canonical_orientation(mesh)[kept] * simplex_orientations(coords[mesh.simplices[kept]])
+    return bool(s[0] != 0 and (s == s[0]).all())
 
 
 def _certifying_loop(mesh: SimplicialMesh, boundary, closed, exclude):

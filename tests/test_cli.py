@@ -403,6 +403,15 @@ class TestValidate:
         assert blob["verdict"] == "injective-certified"
         assert blob["crossing_count"] == 0
 
+    def test_report_records_stage_timings(self, tmp_path):
+        mesh, emb, rc = run_pipeline(tmp_path)
+        report = tmp_path / "report.txt"
+        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(report)])
+        assert rc == 0
+        timings = json.loads((tmp_path / "report.txt.json").read_text())["timings_ms"]
+        assert set(timings) == {"load", "read", "audit"}
+        assert all(value >= 0 for value in timings.values())
+
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_non_finite_embedding_returns_2(self, tmp_path, capsys, bad):
         mesh, emb, rc = run_pipeline(tmp_path)

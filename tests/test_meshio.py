@@ -1,9 +1,13 @@
 """File format tests: OFF, TetGen, JSON, CSV, SVG."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fplm.generators import icosphere
+from fplm.generators import icosphere, structured_grid_triangles
 from fplm.meshio import (
     ParseError,
     mesh_from_json,
@@ -15,7 +19,7 @@ from fplm.meshio import (
     write_embedding_csv,
     write_latent_csv,
 )
-from fplm.simplicial import SimplicialMesh
+from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 
 
 TRIANGLE_OFF = """OFF
@@ -363,6 +367,12 @@ class TestEmbeddingCsv:
         text = write_latent_csv(np.array([[0.25, -1.5]]))
         assert text == "id,u0,u1\n0,0.25,-1.5\n"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("writer", [write_embedding_csv, write_latent_csv])
+    def test_writers_refuse_what_the_reader_refuses(self, writer, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            writer(np.array([[0.0, 1.0], [bad, 2.0]]))
+
 
 class TestRenderSvg:
     def test_single_triangle_three_lines(self):
@@ -427,3 +437,153 @@ class TestRenderSvg:
         svg = render_svg(mesh, np.zeros((3, 2)))
         assert "nan" not in svg
         assert "inf" not in svg
+
+
+# ---------------------------------------------------- byte identity, parity
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def meshes(draw):
+    ambient = draw(st.integers(1, 3))
+    d = draw(st.integers(1, ambient))
+    n = draw(st.integers(0, 6))
+    verts = draw(st.lists(ANY_FLOAT, min_size=n * ambient, max_size=n * ambient))
+    m = draw(st.integers(0, 5)) if n else 0
+    ids = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=m * (d + 1), max_size=m * (d + 1)))
+    return SimplicialMesh(
+        np.array(verts, dtype=float).reshape(n, ambient),
+        np.array(ids, dtype=np.int64).reshape(m, d + 1),
+        d,
+    )
+
+
+def csv_oracle(coords, letter):
+    """The row-by-row CSV writer the column writer must match byte for byte."""
+    lines = ["id," + ",".join(f"{letter}{k}" for k in range(coords.shape[1]))]
+    for i, row in enumerate(coords):
+        lines.append(str(i) + "," + ",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def svg_oracle(mesh, coords, highlight_boundary=False, crossing_points=None):
+    """The row-by-row SVG writer the column writer must match byte for byte."""
+    size = 800
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    span = np.maximum(hi - lo, 1e-30)
+    margin = 0.05 * float(span.max())
+    width, height = float(span[0] + 2 * margin), float(span[1] + 2 * margin)
+
+    def sx(x):
+        return repr(float((x - lo[0] + margin) / max(width, 1e-30) * size))
+
+    def sy(y):
+        return repr(float((hi[1] - y + margin) / max(height, 1e-30) * size * height / width))
+
+    boundary = set()
+    if highlight_boundary:
+        boundary = {(int(u), int(v)) for u, v in detect_boundary(mesh).boundary_faces}
+    groups = {False: [], True: []}
+    for u, v in mesh_edges(mesh).tolist():
+        groups[(u, v) in boundary].append(
+            f'<line x1="{sx(coords[u, 0])}" y1="{sy(coords[u, 1])}" '
+            f'x2="{sx(coords[v, 0])}" y2="{sy(coords[v, 1])}"/>'
+        )
+    vb_h = repr(float(size * height / width))
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {vb_h}" '
+        f'width="{size}" height="{vb_h}">',
+        '<g stroke="#555555" stroke-width="0.8" fill="none">', *groups[False], "</g>",
+    ]
+    if groups[True]:
+        parts += ['<g stroke="#c43131" stroke-width="1.6" fill="none">', *groups[True], "</g>"]
+    if crossing_points is not None and len(crossing_points):
+        parts.append('<g fill="#c43131" stroke="none">')
+        for x, y in crossing_points:
+            parts.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="5.0"/>')
+        parts.append("</g>")
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+class TestWritersByteIdentical:
+    @settings(max_examples=150, deadline=None)
+    @given(meshes())
+    def test_mesh_json_matches_json_dumps(self, mesh):
+        payload = {
+            "ambient_dim": mesh.ambient_dim,
+            "intrinsic_dim": mesh.intrinsic_dim,
+            "vertices": mesh.vertices.tolist(),
+            "simplices": mesh.simplices.tolist(),
+        }
+        assert mesh_to_json(mesh) == json.dumps(payload, indent=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 3), st.data())
+    def test_csv_matches_row_loop(self, n, d, data):
+        values = data.draw(st.lists(FINITE, min_size=n * d, max_size=n * d))
+        coords = np.array(values, dtype=float).reshape(n, d)
+        assert write_embedding_csv(coords) == csv_oracle(coords, "y")
+        assert write_latent_csv(coords) == csv_oracle(coords, "u")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.booleans(), st.integers(0, 3))
+    def test_svg_matches_row_loop(self, data, highlight, n_marks):
+        mesh = SimplicialMesh(np.zeros((12, 2)), structured_grid_triangles(4, 3), 2)
+        coords = np.array(data.draw(st.lists(FINITE, min_size=24, max_size=24))).reshape(12, 2)
+        marks = np.array(data.draw(st.lists(FINITE, min_size=2 * n_marks, max_size=2 * n_marks)))
+        marks = marks.reshape(n_marks, 2)
+        with np.errstate(all="ignore"):
+            got = render_svg(mesh, coords, highlight_boundary=highlight, crossing_points=marks)
+            assert got == svg_oracle(mesh, coords, highlight, marks)
+
+
+BIG = 10**23
+
+OFF_HEAD = "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+NODE = "# 1-based\n3 3 0 0\n1 0 0 0\n2 1 0 0\n\n3 0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "read, text, line, message",
+    [
+        (parse_off, OFF_HEAD + "4 0 1 2 x\n", 7, "face indices must be integers, got '0 1 2 x'"),
+        (parse_off, OFF_HEAD + "4 0 1 2 9\n", 7, "face index 9 out of range [0, 4)"),
+        (parse_off, OFF_HEAD + f"3 0 1 {BIG} 255 0 0\n", 7, f"face index {BIG} out of range [0, 4)"),
+        (parse_off, "OFF\n# c\n\n3 1 0\n0 0 0\n# c\n\n1 0 zz\n0 1 0\n3 0 1 2\n", 8,
+         "vertex coordinates must be numbers, got '1 0 zz'"),
+        (parse_off, OFF_HEAD.replace("1 1 0", "1 1") + "2 0 1\n", 5,
+         "vertex line needs 3 coordinates, got '1 1'"),
+        (parse_off, OFF_HEAD + f"{BIG} 0 1 2\n", 7, f"face declares {BIG} vertices but lists fewer"),
+        (read_embedding_csv, "id,y0,y1\n0,1.0,2.0\n1,3.0,x\n", 3,
+         "could not convert string to float: 'x'"),
+        (read_embedding_csv, "id,y0\n\n0,1.0\n  \n1,bad\n", 5,
+         "could not convert string to float: 'bad'"),
+        (read_embedding_csv, f"id,y0\n0,1.0\n{BIG},2.0\n", 3, f"id {BIG} out of range [0, 2)"),
+        (read_embedding_csv, "id,y0\n0,x\n1,1.0,3\n", 2, "could not convert string to float: 'x'"),
+        (read_embedding_csv, "id,y0\n0,1.0,3\n1,x\n", 2, "expected 2 fields, got 3"),
+        (read_embedding_csv, "id,y0\n5,1.0\n1,nan\n", 2, "id 5 out of range [0, 2)"),
+        (lambda t: parse_tetgen(NODE, t), "1 4 0\n1 1 2 3 q\n", 2,
+         "cell node ids must be integers, got '1 2 3 q'"),
+        (lambda t: parse_tetgen(NODE, t), f"1 4 0\n1 1 2 {BIG} 3\n", 2,
+         f"cell references node {BIG}, outside the node file"),
+        (lambda t: parse_tetgen(NODE, t), "\n1 4 0\n1 0 1 2 3\n", 3,
+         "cell references node 0, outside the node file"),
+        (lambda t: parse_tetgen(t, "0 4 0\n"), NODE.replace("3 0 1 0", f"{BIG} 0 1 0"), 6,
+         f"node index {BIG} out of range"),
+        (lambda t: parse_tetgen(t, "0 4 0\n"), NODE.replace("3 0 1 0", "3 0 1"), 6,
+         "node line needs an index and 3 coordinates"),
+    ],
+    ids=["off-last-token", "off-4gon-range", "off-big-index-colors", "off-blank-comment",
+         "off-short-vertex", "off-big-count", "csv-last-token", "csv-blank", "csv-big-id",
+         "csv-token-before-fields", "csv-fields-before-token", "csv-range-before-nan",
+         "ele-last-token", "ele-big-id", "ele-one-based", "node-big-index", "node-short"],
+)
+def test_first_bad_line_is_named(read, text, line, message):
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert (str(e.value), e.value.line) == (f"line {line}: {message}", line)

@@ -907,6 +907,33 @@ class TestBoundaryCertificate:
             assert getattr(bare, key) == getattr(via_embedding, key)
         assert bare.verdict == "injective-certified"
 
+    def test_agreeing_near_zero_signs_skip_the_full_count(self, full_counts, monkeypatch):
+        # round 2 leaves 2 near-zero images at this size, each of exact sign
+        # +1 like all the others: violated, yet no edges cross
+        mesh, emb, _ = embedded("paraboloid", (150, 150))
+        report = audit(mesh, emb)
+        assert full_counts == []
+        assert report.orientation_counts[1:] == (0, 2)
+        monkeypatch.setattr(validity, "_one_exact_sign", lambda *args: False)
+        forced = audit(mesh, emb)
+        assert full_counts == [mesh_edges(mesh).shape[0]]
+        assert report.to_dict() == forced.to_dict()
+        assert report.to_text() == forced.to_text()
+
+    @pytest.mark.parametrize(
+        "lift, calls, crossings", [(1e-13, 0, 0), (-1e-13, 1, 2)], ids=["agrees", "flipped"]
+    )
+    def test_near_zero_sign_decides_the_full_count(self, full_counts, lift, calls, crossings):
+        # a square fanned from its centre, which sits 1e-13 above or below
+        # the bottom edge: a near-zero image of exact sign +1 or -1
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, lift]])
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]), 2)
+        report = audit(mesh, verts)
+        assert len(full_counts) == calls
+        assert report.verdict == "violated"
+        assert report.crossing_count == crossings
+        assert_matches_full_count(report, mesh, verts)
+
     @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
     def test_out_of_range_seed_is_rejected(self, offset, full_counts):
         mesh, emb, _ = embedded("sphere", (1,))
