@@ -36,7 +36,7 @@ from .meshio import (
 )
 from .simplicial import detect_boundary, mesh_edges
 from .solver import SolveConfig, SolverError
-from .validity import audit, count_crossings, crossing_locations
+from .validity import audit, crossing_locations
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -296,11 +296,14 @@ def cmd_render(args) -> int:
 
     markers = None
     if args.mark_crossings:
-        edges = mesh_edges(mesh)
-        crossing = count_crossings(edges, coords)
-        if crossing.count:
-            markers = crossing_locations(edges, coords, crossing.pairs)
-        print(f"crossings marked: {crossing.count}")
+        # the audit skips the full count when the degree theorem certifies
+        try:
+            pairs = audit(mesh, coords).crossing_pairs
+        except ValueError as exc:
+            return _fail(str(exc))
+        if pairs:
+            markers = crossing_locations(mesh_edges(mesh), coords, pairs)
+        print(f"crossings marked: {len(pairs)}")
 
     try:
         svg = render_svg(

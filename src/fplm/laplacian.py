@@ -104,9 +104,11 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
     """Exponential-of-distance weights on the mesh 1-skeleton.
 
     w_ij = exp(-gamma * d_ij) with d_ij the Euclidean distance between the
-    ambient coordinates of the edge endpoints. Coincident connected points
-    get weight exactly 1, which is allowed but flagged with a warning since
-    it usually indicates duplicated samples.
+    ambient coordinates of the edge endpoints. ``gamma`` must be positive
+    and finite, and small enough that no weight underflows to 0; otherwise
+    ValueError. Coincident connected points get weight exactly 1, which is
+    allowed but flagged with a warning since it usually indicates
+    duplicated samples.
 
     The graph is memoised on the immutable mesh object, one per
     ``float(gamma)``, so ``run_fplm`` and a later ``audit(graph=...)`` on
@@ -114,9 +116,9 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
     coincident-point warning is raised when a (mesh, gamma) graph is first
     built, not again when the memo returns it.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     gamma = float(gamma)
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     # stored in the instance dict, as functools.cached_property does
     graphs = mesh.__dict__.setdefault("_weighted_graphs", {})
     if gamma in graphs:
@@ -132,6 +134,13 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
             stacklevel=2,
         )
     weights = np.exp(-gamma * dists)
+    if not weights.all():
+        k = int(np.argmin(weights))
+        raise ValueError(
+            f"gamma {gamma} underflows the weight of edge "
+            f"({edges[k, 0]}, {edges[k, 1]}), length {dists[k]:.3e}, to 0; "
+            "weights must be positive"
+        )
     weights.setflags(write=False)
     graphs[gamma] = WeightedGraph(
         n=mesh.n_vertices, edges=edges, weights=weights, gamma=gamma

@@ -267,15 +267,12 @@ def solve_fixed_point(
     graph: WeightedGraph,
     fixed: FixedPointSet,
     config: SolveConfig | None = None,
-    *,
-    _route: bool = False,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, dict]:
     """Solve the constrained Laplacian system for one fixed-point set.
 
     Returns the full (N, d) coordinate array, with fixed rows copied from
-    the targets verbatim, plus the achieved relative residual of the free
-    block solve. The keyword ``_route`` is internal to the package: it adds
-    the solver's route record as a third value.
+    the targets verbatim, the achieved relative residual of the free block
+    solve, and the solver's route record (see :func:`fplm.solver.solve_spd`).
     """
     system = assemble_system(graph, fixed.indices)
     coords = np.zeros((graph.n, fixed.dim))
@@ -288,7 +285,7 @@ def solve_fixed_point(
         system.lap_free, rhs, config, _residual=True
     )
     coords[system.free_indices] = solution
-    return (coords, residual, route) if _route else (coords, residual)
+    return coords, residual, route
 
 
 def run_fplm(
@@ -323,62 +320,39 @@ def run_fplm(
     # polygon substitutes for the two-round construction. Tetrahedral meshes
     # of solid regions always carry interior faces with all vertices on the
     # boundary (a lone 5-tet cube already has four), so in higher dimensions
-    # the two-round path runs unconditionally.
+    # the two-round path runs unconditionally. A closed mesh has no
+    # boundary, hence no dividing faces.
     dividing = detect_dividing_simplices(mesh) if mesh.intrinsic_dim == 2 else []
     graph = build_weights(mesh, gamma)
 
-    if not dividing:
+    if dividing:
+        seed_ix = None
+        fixed1 = make_regular_polygon(boundary, mesh)
+    else:
         seed_ix = select_seed_simplex(
             mesh, seed_strategy, seed=seed, index=seed_index
         )
         fixed1 = make_c1(mesh, seed_ix)
-        coords1, res1, route1 = solve_fixed_point(
-            graph, fixed1, config, _route=True
-        )
-        bverts = boundary.boundary_vertices
-        if bverts.size == 0 or np.array_equal(np.sort(bverts), fixed1.indices):
-            return Embedding(
-                coords=coords1,
-                rounds_run=1,
-                fixed_round1=fixed1,
-                fixed_round2=None,
-                coords_round1=coords1,
-                seed_simplex=seed_ix,
-                residuals={"round1": res1},
-                routes={"round1": route1},
-            )
-        fixed2 = FixedPointSet(
-            indices=bverts,
-            targets=coords1[bverts],
-            kind="inner-boundary",
-        )
-        coords2, res2, route2 = solve_fixed_point(
-            graph, fixed2, config, _route=True
-        )
-        return Embedding(
-            coords=coords2,
-            rounds_run=2,
-            fixed_round1=fixed1,
-            fixed_round2=fixed2,
-            coords_round1=coords1,
-            seed_simplex=seed_ix,
-            residuals={"round1": res1, "round2": res2},
-            routes={"round1": route1, "round2": route2},
-        )
+    coords1, res1, route1 = solve_fixed_point(graph, fixed1, config)
+    coords, residuals, routes = coords1, {"round1": res1}, {"round1": route1}
 
-    if boundary.boundary_vertices.size == 0:
-        raise AssertionError(
-            "dividing faces found on a closed mesh; this cannot happen"
+    fixed2 = None
+    bverts = boundary.boundary_vertices
+    if (fixed1.kind == "selected-simplex" and bverts.size
+            and not np.array_equal(np.sort(bverts), fixed1.indices)):
+        fixed2 = FixedPointSet(
+            indices=bverts, targets=coords1[bverts], kind="inner-boundary"
         )
-    fixed = make_regular_polygon(boundary, mesh)
-    coords, res, route = solve_fixed_point(graph, fixed, config, _route=True)
+        coords, residuals["round2"], routes["round2"] = solve_fixed_point(
+            graph, fixed2, config
+        )
     return Embedding(
         coords=coords,
-        rounds_run=1,
-        fixed_round1=fixed,
-        fixed_round2=None,
-        coords_round1=coords,
-        seed_simplex=None,
-        residuals={"round1": res},
-        routes={"round1": route},
+        rounds_run=1 if fixed2 is None else 2,
+        fixed_round1=fixed1,
+        fixed_round2=fixed2,
+        coords_round1=coords1,
+        seed_simplex=seed_ix,
+        residuals=residuals,
+        routes=routes,
     )

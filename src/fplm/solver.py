@@ -3,24 +3,32 @@
 Two routes solve L_y Y = B. The ``band`` route orders the unknowns by
 reverse Cuthill-McKee and factors the lower band of the reordered matrix,
 (w + 1) * n entries of 8 bytes for band width w, with LAPACK's banded
-Cholesky (``dpbtrf``/``dpbtrs``). The ``pcg`` route is a
-Jacobi-preconditioned conjugate gradient loop, one right-hand-side column
-at a time. ``direct`` always takes the band and ``iterative`` always PCG;
-``auto`` takes the band while it holds at most ``BAND_LIMIT`` entries and
-PCG past it, where the band's n * w^2 factorisation cost (large
-tetrahedral meshes, whose band grows like n^(2/3)) loses to PCG. Every
-route is deterministic for fixed inputs, and the Frobenius-norm residual
-is verified before returning.
+Cholesky (``dpbtrf``/``dpbtrs``). The ``pcg`` route is scipy's conjugate
+gradient (``scipy.sparse.linalg.cg``) with the inverse diagonal as Jacobi
+preconditioner, one right-hand-side column at a time. ``direct`` always
+takes the band and ``iterative`` always PCG; ``auto`` takes the band while
+it holds at most ``BAND_LIMIT`` entries and PCG past it, where the band's
+n * w^2 factorisation cost (large tetrahedral meshes, whose band grows like
+n^(2/3)) loses to PCG. Every route is deterministic for fixed inputs, and
+one gate, the Frobenius-norm residual, accepts every solution.
+
+The band names the first non-positive pivot of an indefinite matrix. PCG
+checks only the diagonal: past it, the residual gate decides
+(``[[1, 2], [2, 1]]`` solves exactly; ``[[1, 1], [1, 1]]`` with b = (1, 0)
+fails with a NaN residual). fplm's free blocks are positive definite by
+construction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import LinearOperator, cg
 
 # Most lower-band entries, (band width + 1) * n, that ``auto`` factors by
 # banded Cholesky (80 MB of float64). Past it PCG wins on tetrahedral
@@ -106,30 +114,22 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     achieved = 0.0
     b_norm = float(np.linalg.norm(b))
     if n == 0 or b_norm == 0.0:
-        y = np.zeros_like(b)
-        return _solution(y[:, 0] if squeeze else y, achieved, {"route": "none"},
-                         _residual)
-
-    solved = None
-    if config.method != "iterative":
-        solved = _solve_band(lap_free, b, limited=config.method == "auto")
-    if solved is None:
-        solved = _solve_pcg(lap_free, b, config)
-    y, route = solved
-
-    achieved = float(np.linalg.norm(lap_free @ y - b)) / b_norm
-    # written so that a NaN residual fails the gate too
-    if not achieved <= config.rel_tol:
-        raise SolverError(
-            f"{route['route']} solve missed tolerance: relative residual "
-            f"{achieved:.3e} > {config.rel_tol:.3e}",
-            achieved=achieved,
-        )
-    return _solution(y[:, 0] if squeeze else y, achieved, route, _residual)
-
-
-def _solution(y, achieved, route, with_residual):
-    return (y, achieved, route) if with_residual else y
+        y, route = np.zeros_like(b), {"route": "none"}
+    else:
+        solved = None
+        if config.method != "iterative":
+            solved = _solve_band(lap_free, b, limited=config.method == "auto")
+        y, route = solved or _solve_pcg(lap_free, b, config)
+        achieved = float(np.linalg.norm(lap_free @ y - b)) / b_norm
+        # written so that a NaN residual fails the gate too
+        if not achieved <= config.rel_tol:
+            raise SolverError(
+                f"{route['route']} solve missed tolerance: relative residual "
+                f"{achieved:.3e} > {config.rel_tol:.3e}",
+                achieved=achieved,
+            )
+    y = y[:, 0] if squeeze else y
+    return (y, achieved, route) if _residual else y
 
 
 def _solve_band(lap_free, b, limited):
@@ -176,10 +176,11 @@ def _solve_band(lap_free, b, limited):
 def _solve_pcg(lap_free, b, config):
     """Jacobi-preconditioned conjugate gradients, one column at a time.
 
-    Plain numpy loop with a fixed iteration order, hence bit-reproducible
-    for fixed inputs on one platform. Returns the solution and the route
-    record of :func:`solve_spd`, which holds the largest iteration count
-    over the columns.
+    scipy's ``cg`` loop has a fixed operation order, hence is
+    bit-reproducible for fixed inputs on one platform; its ``maxiter=None``
+    is 10 * n, as here. Returns the solution and the route record of
+    :func:`solve_spd`, which holds the largest iteration count over the
+    columns.
     """
     a = sparse.csr_matrix(lap_free)
     n = a.shape[0]
@@ -193,52 +194,16 @@ def _solve_pcg(lap_free, b, config):
             pivot=k,
         )
     inv_diag = 1.0 / diag
-    max_iter = config.max_iter if config.max_iter is not None else 10 * n
+    jacobi = LinearOperator((n, n), matvec=lambda r: inv_diag * r, dtype=float)
+    # a zero column keeps +0.0; cg would hand the column back, -0.0 included
     y = np.zeros_like(b)
     iterations = 0
-    for col in range(b.shape[1]):
-        y[:, col], k = _pcg_column(a, b[:, col], inv_diag, config.rel_tol,
-                                   max_iter)
-        iterations = max(iterations, k)
+    for col in np.flatnonzero(b.any(axis=0)):
+        steps = itertools.count()  # next(steps) = iterations so far
+        # a breakdown (p'Ap = 0 on a singular matrix) leaves NaN for the gate
+        with np.errstate(all="ignore"):
+            y[:, col], _ = cg(a, b[:, col], rtol=config.rel_tol, atol=0.0,
+                              maxiter=config.max_iter, M=jacobi,
+                              callback=lambda _: next(steps))
+        iterations = max(iterations, next(steps))
     return y, {"route": "pcg", "iterations": iterations}
-
-
-def _pcg_column(a, b, inv_diag, rel_tol, max_iter):
-    """One PCG solve; returns the solution and its iteration count."""
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0
-    tol = rel_tol * b_norm
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for k in range(max_iter):
-        r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol:
-            return x, k
-        ap = a @ p
-        p_ap = float(p @ ap)
-        if p_ap <= 0.0:
-            raise SolverError(
-                f"matrix is not positive definite: p'Ap = {p_ap:.3e} at "
-                f"iteration {k}",
-                pivot=k,
-            )
-        alpha = rz / p_ap
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = inv_diag * r
-        rz_next = float(r @ z)
-        beta = rz_next / rz
-        rz = rz_next
-        p = z + beta * p
-    r_norm = float(np.linalg.norm(r))
-    if r_norm <= tol:
-        return x, max_iter
-    raise SolverError(
-        f"conjugate gradient did not converge in {max_iter} iterations: "
-        f"relative residual {r_norm / b_norm:.3e} > {rel_tol:.3e}",
-        achieved=r_norm / b_norm,
-    )

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from fplm import validity
 from fplm.cli import main
-from fplm.meshio import read_embedding_csv, write_embedding_csv
+from fplm.meshio import mesh_from_json, read_embedding_csv, write_embedding_csv
+from fplm.simplicial import mesh_edges
 
 
 def run_pipeline(tmp_path, kind="grid-disk", resolution="5x5", extra_embed=()):
@@ -137,6 +139,15 @@ class TestEmbed:
             ["embed", "--mesh", str(tmp_path / "nope.json"), "--out", str(tmp_path / "e.csv")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "5000"])
+    def test_bad_gamma_returns_2(self, tmp_path, capsys, gamma):
+        # 5000 underflows every weight of the 5x5 grid disk, whose shortest
+        # edge is 0.5 long; neither may yield an all-zero embedding
+        mesh, emb, rc = run_pipeline(tmp_path, extra_embed=("--gamma", gamma))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not emb.exists()
 
     def test_nonconvergent_solver_returns_4(self, tmp_path):
         mesh = tmp_path / "mesh.json"
@@ -479,6 +490,42 @@ class TestRender:
         assert rc == 0
         assert "crossings marked:" in capsys.readouterr().out
         assert "<circle" in out.read_text()
+
+    def test_mark_crossings_trusts_the_certificate(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a certified drawing is decided on its boundary loop: no sweep
+        # runs over all the mesh edges, as the full count's does
+        sweeps = []
+        sweep = validity._sweep_columns
+
+        def spy(edges, coords):
+            sweeps.append(len(edges))
+            return sweep(edges, coords)
+
+        mesh, emb, rc = run_pipeline(tmp_path, "paraboloid", "8x8")
+        assert rc == 0
+        monkeypatch.setattr(validity, "_sweep_columns", spy)
+        out = tmp_path / "drawing.svg"
+        rc = main(["render", "--mesh", str(mesh), "--embedding", str(emb),
+                   "--out", str(out), "--mark-crossings"])
+        assert rc == 0
+        assert "crossings marked: 0" in capsys.readouterr().out
+        n_edges = len(mesh_edges(mesh_from_json(mesh.read_text())))
+        assert sweeps and n_edges not in sweeps
+        assert "<circle" not in out.read_text()
+
+    def test_mark_crossings_refused_drawing_returns_2(self, tmp_path, capsys):
+        # a tetrahedral mesh drawn in two columns is no drawing the audit
+        # accepts, so there are no crossings to mark
+        mesh = tmp_path / "mesh.json"
+        main(["generate", "--kind", "ball3", "--resolution", "2", "--out", str(mesh)])
+        flat = tmp_path / "flat.csv"
+        flat.write_text("id,y0,y1\n" + "".join(
+            f"{i},{i % 3}.0,{i // 3}.0\n" for i in range(27)))
+        rc = main(["render", "--mesh", str(mesh), "--embedding", str(flat),
+                   "--out", str(tmp_path / "x.svg"), "--mark-crossings"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: embedding must be")
 
     def test_mark_crossings_non_finite_returns_2(self, tmp_path, capsys):
         mesh, emb, rc = run_pipeline(tmp_path)

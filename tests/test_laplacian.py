@@ -64,6 +64,16 @@ class TestBuildWeights:
         with pytest.raises(ValueError):
             build_weights(triangle_mesh(), gamma=-1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_weights(triangle_mesh(), gamma=gamma)
+
+    def test_underflowing_weight_rejected(self):
+        # the shortest edge has length 3, and exp(-3000) is 0 in float64
+        with pytest.raises(ValueError, match="underflows the weight"):
+            build_weights(triangle_mesh(), gamma=1000.0)
+
     def test_coincident_points_warn_weight_one(self):
         verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         mesh = SimplicialMesh(verts, np.array([[0, 1, 2]]), 2)

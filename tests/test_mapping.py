@@ -245,7 +245,7 @@ class TestSolveFixedPoint:
         fps = FixedPointSet(
             indices=np.arange(p), targets=targets, kind="inner-boundary"
         )
-        coords, residual = solve_fixed_point(graph, fps)
+        coords, residual, _ = solve_fixed_point(graph, fps)
         np.testing.assert_allclose(coords[p], 0.0, atol=1e-14)
         assert residual <= 1e-10
 
@@ -260,7 +260,7 @@ class TestSolveFixedPoint:
             indices=bverts, targets=rng.normal(size=(len(bverts), 2)),
             kind="inner-boundary",
         )
-        coords, residual = solve_fixed_point(graph, fps, SolveConfig(method=method))
+        coords, residual, _ = solve_fixed_point(graph, fps, SolveConfig(method=method))
         system = assemble_system(graph, bverts)
         rhs = -system.lap_free_fixed @ coords[system.fixed_indices]
         lhs = system.lap_free @ coords[system.free_indices]
@@ -273,7 +273,7 @@ class TestSolveFixedPoint:
         fps = FixedPointSet(
             indices=np.arange(4), targets=mesh.vertices, kind="inner-boundary"
         )
-        coords, residual = solve_fixed_point(build_weights(mesh), fps)
+        coords, residual, _ = solve_fixed_point(build_weights(mesh), fps)
         assert coords.tobytes() == mesh.vertices.tobytes()
         assert residual == 0.0
 
@@ -284,7 +284,7 @@ class TestSolveFixedPoint:
         idx = np.array([0, 4, 8])
         targets = rng.normal(size=(3, 2))
         fps = FixedPointSet(indices=idx, targets=targets, kind="inner-boundary")
-        coords, _ = solve_fixed_point(graph, fps)
+        coords, _, _ = solve_fixed_point(graph, fps)
         assert coords[idx].tobytes() == targets.tobytes()
 
     def test_unsorted_indices_align_with_targets(self):
@@ -293,7 +293,7 @@ class TestSolveFixedPoint:
         idx = np.array([8, 0, 4])
         targets = np.array([[5.0, 5.0], [-5.0, -5.0], [0.0, 3.0]])
         fps = FixedPointSet(indices=idx, targets=targets, kind="inner-boundary")
-        coords, _ = solve_fixed_point(graph, fps)
+        coords, _, _ = solve_fixed_point(graph, fps)
         np.testing.assert_array_equal(coords[8], [5.0, 5.0])
         np.testing.assert_array_equal(coords[0], [-5.0, -5.0])
         np.testing.assert_array_equal(coords[4], [0.0, 3.0])
@@ -310,7 +310,7 @@ class TestSolveFixedPoint:
             targets=np.column_stack([np.cos(ang), np.sin(ang)]),
             kind="inner-boundary",
         )
-        coords, _ = solve_fixed_point(graph, fps)
+        coords, _, _ = solve_fixed_point(graph, fps)
         adj = graph.adjacency()
         deg = np.asarray(adj.sum(axis=1)).ravel()
         averaged = (adj @ coords) / deg[:, None]

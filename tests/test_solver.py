@@ -201,6 +201,16 @@ class TestSolveSpd:
         assert iterations(one_step) == 1
         assert iterations(b) == 2
 
+    def test_pcg_zero_column_is_positive_zero(self):
+        # -L_yc C holds -0.0 where a row has no fixed neighbour; a column
+        # of them solves to +0.0 in no iterations, written to CSV as 0.0
+        a = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        b = np.array([[1.0, -0.0], [2.0, -0.0]])
+        y, _, route = solve_spd(a, b, SolveConfig(method="iterative"),
+                                _residual=True)
+        assert not np.signbit(y[:, 1]).any()
+        assert route == {"route": "pcg", "iterations": 2}
+
     def test_direct_and_iterative_agree(self):
         rng = np.random.default_rng(13)
         for trial in range(5):
@@ -305,6 +315,21 @@ class TestSolverFailures:
         with pytest.raises(SolverError) as exc_info:
             solve_spd(a, np.ones((2, 1)), SolveConfig(method="iterative"))
         assert exc_info.value.pivot is not None
+
+    def test_singular_iterative_fails_the_gate(self):
+        # a positive diagonal passes the PCG entry check; CG breaks down on
+        # the null space and the residual gate names no pivot
+        a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(SolverError, match="missed tolerance") as exc_info:
+            solve_spd(a, np.array([1.0, 0.0]), SolveConfig(method="iterative"))
+        assert exc_info.value.pivot is None
+        assert np.isnan(exc_info.value.achieved)
+
+    def test_indefinite_iterative_is_judged_by_the_gate(self):
+        # CG does not stop at p'Ap <= 0; here it still meets the gate
+        a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        y = solve_spd(a, np.array([1.0, 0.0]), SolveConfig(method="iterative"))
+        np.testing.assert_allclose(y, [-1.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
 
     def test_nonconvergence_reports_achieved(self):
         rng = np.random.default_rng(17)
