@@ -276,14 +276,19 @@ def signed_volumes(coords, simplices):
 
 
 def simplex_volumes(vertices, simplices, intrinsic_dim):
-    """Unsigned k-volumes via Gram determinants, for vertices in R^l, l >= k.
+    """Unsigned k-volumes of simplices with vertices in R^l, l >= k.
 
-    Zero is returned for degenerate simplices; tiny negative Gram
-    determinants from roundoff are clamped.
+    Full-dimensional simplices (k = l) get |det E| / k! from
+    :func:`signed_volumes`, E the edge matrix: the Gram determinant equals
+    det(E)^2 there and would square its conditioning. Otherwise the volume
+    is sqrt(det(E E^T)) / k!, and tiny negative Gram determinants from
+    roundoff are clamped. Zero is returned for degenerate simplices.
     """
     v = np.asarray(vertices, dtype=float)
     s = np.asarray(simplices, dtype=np.int64)
     k = intrinsic_dim
+    if k == v.shape[1]:
+        return np.abs(signed_volumes(v, s))
     edges = v[s[:, 1:]] - v[s[:, :1]]           # (M, k, l)
     if k > 3:
         dets = np.linalg.det(edges @ np.transpose(edges, (0, 2, 1)))

@@ -60,8 +60,29 @@ class WeightedGraph:
 
     @cached_property
     def laplacian(self) -> sparse.csr_matrix:
-        """Graph Laplacian L = D - A."""
-        return _frozen((sparse.diags(self.degrees) - self._adjacency).tocsr())
+        """Graph Laplacian L = D - A.
+
+        The adjacency has sorted indices and no diagonal, so each nonzero
+        degree goes into its row where a search of the sorted (row, column)
+        keys places it. These are the arrays ``(sparse.diags(degrees) -
+        A).tocsr()`` holds, a zero degree dropped, without the sparse
+        subtraction.
+        """
+        a, n = self._adjacency, self.n
+        rows = np.flatnonzero(self.degrees)
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr)) * n + a.indices
+        # the diagonal's slots in L, where np.insert would put them, filled
+        # in both arrays through one mask
+        diagonal = np.searchsorted(keys, rows * (n + 1)) + np.arange(rows.size)
+        off = np.ones(a.nnz + rows.size, dtype=bool)
+        off[diagonal] = False
+        data = np.empty(off.size)
+        data[diagonal], data[off] = self.degrees[rows], -a.data
+        indices = np.empty(off.size, dtype=a.indices.dtype)
+        indices[diagonal], indices[off] = rows, a.indices
+        indptr = a.indptr.copy()
+        indptr[1:] += np.cumsum(self.degrees != 0, dtype=indptr.dtype)
+        return _frozen(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
     @cached_property
     def component_labels(self) -> np.ndarray:

@@ -11,6 +11,11 @@ All of this topology derives from one face table per mesh (see
 :class:`FaceTable`), built on first use and cached on the immutable mesh
 object together with the edge list, the boundary and the orientation
 signs, so every consumer of one mesh object shares a single computation.
+Validation answers vertex manifoldness, face-connectivity and orientation
+with one ``connected_components`` call (see :func:`_adjacency_violations`)
+and, on a mesh without violations, leaves the orientation signs in their
+cache; the orientation property runs the cover part of that graph alone
+when validation has not run.
 """
 
 from __future__ import annotations
@@ -139,6 +144,9 @@ class SimplicialMesh:
     @cached_property
     def edges(self) -> np.ndarray:
         """The 1-skeleton edges returned by :func:`mesh_edges`."""
+        if self.intrinsic_dim == 2:
+            # the edges are the (d-1)-faces, in the same lexicographic order
+            return self.face_table.faces
         pairs = itertools.combinations(range(self.intrinsic_dim + 1), 2)
         i, j = np.array(list(pairs)).T
         a, b = self.simplices[:, i], self.simplices[:, j]
@@ -167,10 +175,10 @@ class SimplicialMesh:
         """The signs returned by :func:`canonical_orientation`.
 
         One ``connected_components`` call on the orientation double cover
-        settles them: node m (m+) and node M + m (m-) stand for the two
-        orientations of simplex m, and an interior face joins m1+ to m2+
-        and m1- to m2- when its two simplices need equal signs, m1+ to m2-
-        and m1- to m2+ when they need opposite signs.
+        settles them (see :func:`_cover_slots`). :func:`validate_mesh`
+        answers the same call as part of its own graph and stores the signs
+        here when it finds no violation, so an audit after ``run_fplm``
+        reads them without a second pass.
         """
         table = self.face_table
         m_total = self.n_simplices
@@ -181,36 +189,21 @@ class SimplicialMesh:
                 f"face {face} is shared by {int(table.counts[over[0]])} "
                 "simplices; orientation is undefined"
             )
-        # flat positions m * (d+1) + k of the two sides of each interior face
         width = self.intrinsic_dim + 1
-        start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
-        p1, p2 = table.order[start], table.order[start + 1]
-        m1, m2 = p1 // width, p2 // width
-        # a simplex that repeats a vertex may hold both sides of one face
-        p1, p2, m1, m2 = (a[m1 != m2] for a in (p1, p2, m1, m2))
-        parity = table.parity.ravel()
-        # the two sides induce opposite face orientations:
-        # sign[m1] * parity[p1] == -sign[m2] * parity[p2]
-        equal = parity[p1] != parity[p2]
-        shift = np.where(equal, 0, m_total)
-        rows = np.concatenate([m1, m1 + m_total])
-        cols = np.concatenate([m2 + shift, m2 + m_total - shift])
-        cover = sparse.coo_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(2 * m_total, 2 * m_total)
-        )
-        _, labels = connected_components(cover, directed=False)
-        if labels[0] == labels[m_total]:
+        partner = _side_partners(table, _index_type(2 * table.order.size))
+        labels = _component_labels(_cover_slots(table, partner, width))
+        plus, minus = labels[:m_total], labels[m_total:]
+        if plus[0] == minus[0]:
             raise ValueError(
                 "mesh is combinatorially non-orientable: the orientation "
                 "constraints across shared faces conflict"
             )
-        plus = labels[:m_total] == labels[0]
-        if not (plus | (labels[m_total:] == labels[0])).all():
+        if not ((plus == plus[0]) | (plus == minus[0])).all():
             raise ValueError(
                 "orientation could not reach every simplex; the mesh is not "
                 "face-connected"
             )
-        return _frozen(np.where(plus, 1, -1))
+        return _frozen(np.where(plus == plus[0], 1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +345,7 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
         )
 
     sorted_rows = np.sort(s, axis=1)
-    repeated = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
+    repeated = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
     for idx in np.nonzero(repeated)[0]:
         out.append(
             MeshViolation(
@@ -374,7 +367,8 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
             )
         )
 
-    out.extend(_adjacency_violations(mesh, sorted_rows))
+    adjacency, signs = _adjacency_violations(mesh, sorted_rows)
+    out.extend(adjacency)
 
     # simplices on a non-finite vertex are reported above, not measured
     diam = bbox_diameter(mesh.vertices[finite])
@@ -395,50 +389,70 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
                 f"{vol_tol:g} x diameter^{d} = {threshold:.3e}",
             )
         )
+    if not out and signs is not None:
+        # stored in the instance dict, as functools.cached_property does
+        mesh.__dict__.setdefault("orientation", signs)
     return out
 
 
 def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
-    """Non-manifold vertices, then a face-adjacency graph that is not connected.
+    """Non-manifold vertices and a disconnected mesh, with the orientation.
 
-    Sides p = m * (d+1) + k that follow each other in the face table's
-    order lie on one face, and one ``connected_components`` call answers
-    both questions on a graph with two kinds of node. Node M * (d+1) + m is
-    simplex m, joined to each simplex it shares a face with. Node
-    m * (d+1) + r is simplex m in the star of its r-th smallest vertex,
-    ``sorted_rows[m, r]``: the face opposite vertex k holds every vertex
-    but the one at sorted position rank[m, k], so both sides of a face list
-    its vertices in the same ascending order, and their matching nodes are
-    joined. The components of these nodes are the parts of every star.
+    One ``connected_components`` call answers all three on a graph with
+    two kinds of node, each holding a fixed number of neighbour slots, so
+    the graph is laid out as CSR with no sort (see
+    :func:`_component_labels`). Each side p = m * (d+1) + k is joined to
+    its partner, the next side on its face, cyclically
+    (:func:`_side_partners`).
+
+    Node m * (d+1) + r is simplex m in the star of its r-th smallest vertex,
+    ``sorted_rows[m, r]``, with one slot per face of m that holds the
+    vertex. The face opposite vertex k holds every vertex but the one at
+    sorted position rank[m, k], so both sides of a face list its vertices
+    in the same ascending order, and a slot holds the partner side's node
+    for the same vertex. The components of these nodes are the parts of
+    every star.
+
+    The 2M nodes after them are the orientation double cover of
+    :func:`_cover_slots`, which lifts every path between two simplices to
+    a path from either node of the first. So simplex m is reached from
+    simplex 0 through faces iff node m+ shares a label with 0+ or 0-. When
+    0+ and 0- differ, the constraints agree and the label of m+ gives the
+    sign of simplex m.
+
+    Returns the violations, and the signs :attr:`SimplicialMesh.orientation`
+    computes on a mesh without violations, or None when 0+ and 0- share a
+    label.
     """
     table = mesh.face_table
     s = mesh.simplices
     m_total, width = s.shape
-    n_nodes = m_total * width
-    # node ids in the index type scipy's graphs use, so none is copied
-    index = np.int32 if n_nodes + m_total < 2**31 else np.int64
-    ids = table.face_of.ravel()[table.order]
-    same = ids[1:] == ids[:-1]
+    d = width - 1
+    n_star = m_total * width
+    # node ids and slot offsets (at most n_star * (d + 2)) in the index type
+    # scipy's graphs use, so none is copied
+    index = _index_type(n_star * (d + 2))
+    partner = _side_partners(table, index)
     rank = np.zeros(s.shape, dtype=index)
     for i, j in itertools.combinations(range(width), 2):
         before = s[:, i] < s[:, j]
         rank[:, j] += before
         rank[:, i] += ~before
-    rank = rank.ravel()
-    t = np.arange(width - 1, dtype=index)
-
-    def nodes(p):  # side p's star nodes, in ascending vertex order, then its simplex
-        p = p.astype(index)
-        star = p[:, None] - p[:, None] % width + t + (t >= rank[p][:, None])
-        return np.concatenate([star.ravel(), n_nodes + p // width])
-
-    rows, cols = nodes(table.order[:-1][same]), nodes(table.order[1:][same])
-    size = n_nodes + m_total
-    graph = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
-    _, labels = connected_components(graph, directed=False)
+    inverse = np.empty_like(rank)  # inverse[m, rank[m, k]] = k
+    np.put_along_axis(inverse, rank, np.arange(width, dtype=index)[None], axis=1)
+    # slot j of star node r: the face opposite sorted position q, in which
+    # vertex r comes t-th in ascending order
+    r, j = np.divmod(np.arange(width * d, dtype=index), d)
+    q = j + (j >= r)
+    t = r - (r > q)
+    p2 = partner[inverse[:, q] + (np.arange(m_total, dtype=index) * width)[:, None]]
+    star = p2 - p2 % width + t + (t >= rank.ravel()[p2])
+    labels = _component_labels(
+        star.reshape(n_star, d), _cover_slots(table, partner, width) + n_star
+    )
 
     # a star in one part gives all its nodes the label any one of them has
-    vertex, part = sorted_rows.ravel(), labels[:n_nodes]
+    vertex, part = sorted_rows.ravel(), labels[:n_star]
     label = np.empty(vertex.max() + 1, dtype=part.dtype)
     label[vertex] = part
     out = [
@@ -450,7 +464,8 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
         )
         for v in _unique_ints(vertex[part != label[vertex]]).tolist()
     ]
-    unreached = np.flatnonzero(labels[n_nodes:] != labels[n_nodes])
+    plus, minus = labels[n_star : n_star + m_total], labels[n_star + m_total :]
+    unreached = np.flatnonzero((plus != plus[0]) & (plus != minus[0]))
     if unreached.size:
         missing = int(unreached[0])
         out.append(
@@ -461,7 +476,89 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
                 "not reachable from simplex 0",
             )
         )
-    return out
+    signs = None
+    if plus[0] != minus[0]:
+        signs = _frozen(np.where(plus == plus[0], 1, -1))
+    return out, signs
+
+
+def _index_type(size: int):
+    """The index type scipy's graphs use for ids below ``size``."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _side_partners(table: FaceTable, index) -> np.ndarray:
+    """The side that follows each side on its face, cyclically.
+
+    The sides of each face are joined in a cycle in the table's order: the
+    two sides of an interior face are each other's partner, and a boundary
+    side is its own.
+    """
+    order, counts = table.order, table.counts
+    ends = np.cumsum(counts)
+    after = np.arange(1, order.size + 1)  # the position after each in ``order``
+    after[ends - 1] = ends - counts  # the last side of a face goes to its first
+    partner = np.empty(order.size, dtype=index)
+    partner[order] = order[after]
+    return partner
+
+
+def _cover_slots(table: FaceTable, partner: np.ndarray, width: int) -> np.ndarray:
+    """Neighbour slots of the orientation double cover, ``width`` per node.
+
+    Node m (m+) and node M + m (m-) stand for the two orientations of
+    simplex m. Slot k of each holds its neighbour across side p = m * width
+    + k, whose partner side p2 lies in simplex m2. The two sides induce
+    opposite face orientations, sign[m] * parity[p] == -sign[m2] *
+    parity[p2], so m+ is joined to m2+ and m- to m2- when the parities
+    differ, m+ to m2- and m- to m2+ when they are equal. A side that is its
+    own partner, or whose partner lies in the same simplex, leaves both
+    nodes their own neighbour. Returns the slots of the M plus nodes, then
+    those of the M minus nodes, one row per node.
+    """
+    m_total = partner.size // width
+    m2 = partner // width
+    m = np.arange(partner.size, dtype=partner.dtype) // width
+    parity = table.parity.ravel()
+    flip = (parity == parity[partner]) & (m != m2)
+    opposite = m2 + m_total
+    slots = np.concatenate([np.where(flip, opposite, m2), np.where(flip, m2, opposite)])
+    return slots.reshape(2 * m_total, width)
+
+
+def _component_labels(*blocks: np.ndarray) -> np.ndarray:
+    """Component labels of the graph laid out as rows of neighbour slots.
+
+    Node i is row i of the ``blocks`` stacked in turn, each block a 2-D
+    array with its own row width, and has an arc to every node in its row.
+    Partners join the sides of each face in a cycle, and the cover lifts
+    each such cycle to cycles, so every arc lies on a directed cycle. Then
+    the strong components are the components of the undirected graph, and
+    scipy finds them without building the transpose that its undirected
+    search needs. Labels are compared for equality only.
+
+    scipy's strong search (seen in 1.17) loops forever on a row that lists
+    an unvisited node twice in succession. A row repeats a node only where
+    two simplices share two faces (a repeated vertex, or two simplices on
+    one vertex set), and each repeat is rewritten in place into an arc to
+    the row's own node, which the search skips; the arcs stay the same set.
+    """
+    node, nnz, indptr = 0, 0, []
+    for slots in blocks:
+        rows, width = slots.shape
+        own = np.arange(node, node + rows, dtype=slots.dtype)
+        for i, j in itertools.combinations(range(width), 2):
+            np.copyto(slots[:, j], own, where=slots[:, j] == slots[:, i])
+        indptr.append(np.arange(nnz, nnz + slots.size, width, dtype=slots.dtype))
+        node, nnz = node + rows, nnz + slots.size
+    indptr.append(np.array([nnz], dtype=indptr[0].dtype))
+    indices = np.concatenate([slots.ravel() for slots in blocks])
+    # the search reads no weights: one 1.0 viewed nnz times stands for them
+    weights = np.broadcast_to(1.0, nnz)
+    graph = sparse.csr_matrix(
+        (weights, indices, np.concatenate(indptr)), shape=(node, node)
+    )
+    return connected_components(graph, directed=True, connection="strong")[1]
 
 
 def detect_boundary(mesh: SimplicialMesh) -> BoundaryComplex:

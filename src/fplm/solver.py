@@ -112,15 +112,21 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
             f"rhs has {b.shape[0]} rows but the system has {n} unknowns"
         )
     achieved = 0.0
-    b_norm = float(np.linalg.norm(b))
-    if n == 0 or b_norm == 0.0:
+    if n == 0 or not b.any():
         y, route = np.zeros_like(b), {"route": "none"}
     else:
         solved = None
         if config.method != "iterative":
             solved = _solve_band(lap_free, b, limited=config.method == "auto")
         y, route = solved or _solve_pcg(lap_free, b, config)
-        achieved = float(np.linalg.norm(lap_free @ y - b)) / b_norm
+        # both norms on b / max|b|, max|b| rounded to a power of two so the
+        # scaling is exact: the sum of squares of a b whose entries are all
+        # below ~1e-154 would underflow
+        k = -np.frexp(np.abs(b).max())[1]
+        achieved = float(
+            np.linalg.norm(np.ldexp(lap_free @ y - b, k))
+            / np.linalg.norm(np.ldexp(b, k))
+        )
         # written so that a NaN residual fails the gate too
         if not achieved <= config.rel_tol:
             raise SolverError(
@@ -200,10 +206,14 @@ def _solve_pcg(lap_free, b, config):
     iterations = 0
     for col in np.flatnonzero(b.any(axis=0)):
         steps = itertools.count()  # next(steps) = iterations so far
+        # cg on the column scaled by a power of two near 1/max|b|: the
+        # iterates scale exactly, and cg's own norm of b cannot underflow
+        k = -np.frexp(np.abs(b[:, col]).max())[1]
         # a breakdown (p'Ap = 0 on a singular matrix) leaves NaN for the gate
         with np.errstate(all="ignore"):
-            y[:, col], _ = cg(a, b[:, col], rtol=config.rel_tol, atol=0.0,
-                              maxiter=config.max_iter, M=jacobi,
-                              callback=lambda _: next(steps))
+            x, _ = cg(a, np.ldexp(b[:, col], k), rtol=config.rel_tol, atol=0.0,
+                      maxiter=config.max_iter, M=jacobi,
+                      callback=lambda _: next(steps))
+        y[:, col] = np.ldexp(x, -k)
         iterations = max(iterations, next(steps))
     return y, {"route": "pcg", "iterations": iterations}

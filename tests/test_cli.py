@@ -170,6 +170,28 @@ class TestEmbed:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("solver", ["auto", "iterative"])
+    @pytest.mark.parametrize("gamma", ["3000", "4000"])
+    def test_tiny_weights_are_solved_or_refused(self, tmp_path, capsys, solver, gamma):
+        # on icosphere 3 these weights lie between ~1e-286 and ~1e-180, so
+        # every right-hand-side entry squares to 0; the system is not empty
+        # and must not come back as an all-zero embedding of route none
+        _, emb, rc = run_pipeline(
+            tmp_path, "sphere", "3", extra_embed=("--gamma", gamma, "--solver", solver)
+        )
+        if rc == 2:
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not emb.exists()
+            return
+        assert rc == 0
+        result = json.loads((tmp_path / "emb.csv.manifest.json").read_text())["result"]
+        assert [r["route"] for r in result["routes"].values()] == (
+            ["band"] if solver == "auto" else ["pcg"]
+        )
+        assert all(0.0 < v <= 1e-10 for v in result["residuals"].values())
+        coords = read_embedding_csv(emb.read_text())
+        assert np.count_nonzero(np.abs(coords).sum(axis=1)) > 3
+
     def test_iterative_route_in_manifest(self, tmp_path, capsys):
         _, emb, rc = run_pipeline(tmp_path, extra_embed=("--solver", "iterative"))
         assert rc == 0

@@ -493,6 +493,20 @@ class TestVolumes:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-7)
         assert (got[:5] == 0.0).all()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_full_dimensional_volumes_are_the_determinant(self, d):
+        rng = np.random.default_rng(d)
+        coords = rng.uniform(-1, 1, size=(30, d))
+        simp = np.array([rng.choice(30, size=d + 1, replace=False) for _ in range(50)])
+        got = simplex_volumes(coords, simp, d)
+        assert np.array_equal(got, np.abs(signed_volumes(coords, simp)))
+
+    def test_thin_triangle_keeps_its_area(self):
+        # the Gram determinant 1 * (1 + 1e-18) - 1 rounds to 0; det E does not
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-9]])
+        vols = simplex_volumes(verts, np.array([[0, 1, 2]]), 2)
+        assert vols[0] == 5e-10
+
     def test_degenerate_volume_zero(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         vols = simplex_volumes(verts, np.array([[0, 1, 2]]), 2)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fplm.generators import GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
@@ -87,6 +88,36 @@ class TestBuildWeights:
         a = g.adjacency().toarray()
         np.testing.assert_array_equal(a, a.T)
         assert np.diag(a).sum() == 0.0
+
+
+class TestLaplacian:
+    @pytest.mark.parametrize(
+        "mesh",
+        [generate(GeneratorSpec("paraboloid", (6, 5)))[0], icosphere(2), ball3(3)],
+        ids=["paraboloid", "sphere", "ball"],
+    )
+    def test_arrays_equal_the_sparse_difference(self, mesh):
+        g = build_weights(fresh_copy(mesh))
+        want = (sparse.diags(g.degrees) - g.adjacency()).tocsr()
+        want.sum_duplicates()
+        got = g.laplacian
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.has_canonical_format
+
+    def test_isolated_vertex_has_no_entry(self):
+        # sparse.diags(...) - A drops the isolated vertex's zero degree
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.0, 1.0]])
+        g = build_weights(SimplicialMesh(verts, np.array([[0, 1, 3]]), 2))
+        want = (sparse.diags(g.degrees) - g.adjacency()).tocsr()
+        want.sum_duplicates()
+        got = g.laplacian
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert got[2].nnz == 0
 
 
 class TestGraphMemo:

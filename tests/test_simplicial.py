@@ -297,35 +297,32 @@ class TestCanonicalOrientation:
         assert np.array_equal(s1 * parity, s2) or np.array_equal(-s1 * parity, s2)
 
     def test_mobius_strip_rejected(self):
-        # triangulated Mobius band: 6 rim vertices, strip of 6 triangles
-        # with a flip when closing up
-        n = 6
-        verts = []
-        for i in range(n):
-            theta = 2 * np.pi * i / n
-            for s in (-1.0, 1.0):
-                r = 2.0 + 0.5 * s * np.cos(theta / 2)
-                z = 0.5 * s * np.sin(theta / 2)
-                verts.append([r * np.cos(theta), r * np.sin(theta), z])
-        verts = np.array(verts)
-
-        def vid(i, s):
-            return 2 * (i % n) + s
-
-        tris = []
-        for i in range(n):
-            if i < n - 1:
-                a, b = vid(i, 0), vid(i, 1)
-                c, d = vid(i + 1, 0), vid(i + 1, 1)
-            else:
-                # closing the loop swaps the two rails
-                a, b = vid(i, 0), vid(i, 1)
-                c, d = vid(0, 1), vid(0, 0)
-            tris.append([a, b, c])
-            tris.append([b, d, c])
-        mesh = SimplicialMesh(verts, np.array(tris), 2)
         with pytest.raises(ValueError, match="orient"):
-            canonical_orientation(mesh)
+            canonical_orientation(mobius_strip())
+
+
+def mobius_strip():
+    """A triangulated Mobius band: 6 rim vertex pairs, a strip of 12
+    triangles whose last pair closes the loop with the two rails swapped."""
+    n = 6
+    verts = []
+    for i in range(n):
+        theta = 2 * np.pi * i / n
+        for s in (-1.0, 1.0):
+            r = 2.0 + 0.5 * s * np.cos(theta / 2)
+            z = 0.5 * s * np.sin(theta / 2)
+            verts.append([r * np.cos(theta), r * np.sin(theta), z])
+
+    def vid(i, s):
+        return 2 * (i % n) + s
+
+    tris = []
+    for i in range(n):
+        a, b = vid(i, 0), vid(i, 1)
+        c, d = (vid(i + 1, 0), vid(i + 1, 1)) if i < n - 1 else (vid(0, 1), vid(0, 0))
+        tris.append([a, b, c])
+        tris.append([b, d, c])
+    return SimplicialMesh(np.array(verts), np.array(tris), 2)
 
 
 SMALL_MESHES = {
@@ -393,8 +390,9 @@ class TestNonManifoldVertices:
              [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float
         )
         at_vertex = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 4, 5, 6]]), 3)
-        found = [v.where for v in validate_mesh(at_vertex) if v.rule == "non-manifold-vertex"]
-        assert found == [(0,)]
+        rules = [(v.rule, v.where) for v in validate_mesh(at_vertex)]
+        assert rules == [("non-manifold-vertex", (0,)), ("disconnected", (1,))]
+        assert "orientation" not in at_vertex.__dict__
         at_edge = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 1, 5, 6]]), 3)
         found = [v.where for v in validate_mesh(at_edge) if v.rule == "non-manifold-vertex"]
         assert found == [(0,), (1,)]
@@ -417,6 +415,92 @@ class TestNonManifoldVertices:
         resolution = {"sphere": (1,), "ball3": (3,)}.get(kind, (5, 4))
         mesh, _ = generate(GeneratorSpec(kind, resolution))
         assert validate_mesh(mesh) == []
+
+
+def fresh(mesh):
+    """The same arrays in a new mesh object, with nothing cached."""
+    return SimplicialMesh(mesh.vertices, mesh.simplices, mesh.intrinsic_dim)
+
+
+def orientation_error(mesh):
+    with pytest.raises(ValueError) as caught:
+        canonical_orientation(mesh)
+    return str(caught.value)
+
+
+class TestSharedPass:
+    """validate_mesh answers face-connectivity and orientation in one pass."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_stored_signs_equal_the_property(self, kind, seed):
+        resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        if seed is not None:
+            mesh = relabel(mesh, np.random.default_rng(seed))
+        assert validate_mesh(mesh) == []
+        stored = mesh.__dict__["orientation"]
+        assert canonical_orientation(mesh) is stored
+        standalone = canonical_orientation(fresh(mesh))
+        assert stored.dtype == standalone.dtype
+        assert np.array_equal(stored, standalone)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+
+    def test_mobius_strip_keeps_the_property_error(self):
+        mesh = mobius_strip()
+        assert validate_mesh(mesh) == []  # manifold and face-connected
+        assert "orientation" not in mesh.__dict__
+        message = orientation_error(mesh)
+        assert message == orientation_error(fresh(mesh))
+        assert message.startswith("mesh is combinatorially non-orientable")
+
+    def test_two_disjoint_triangles_keep_the_property_error(self):
+        verts = np.array(
+            [[0, 0], [1, 0], [0, 1], [10, 10], [11, 10], [10, 11]], dtype=float
+        )
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), 2)
+        assert [(v.rule, v.where) for v in validate_mesh(mesh)] == [("disconnected", (1,))]
+        assert "orientation" not in mesh.__dict__
+        message = orientation_error(mesh)
+        assert message == orientation_error(fresh(mesh))
+        assert message.endswith("the mesh is not face-connected")
+
+    def test_overshared_face_keeps_the_property_error(self):
+        verts = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1.5, 1.0], [-0.5, 1.0]]
+        )
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]]), 2)
+        assert [v.rule for v in validate_mesh(mesh)] == ["face-overshared"]
+        assert "orientation" not in mesh.__dict__
+        message = orientation_error(mesh)
+        assert message == orientation_error(fresh(mesh))
+        assert message == "face (1, 2) is shared by 3 simplices; orientation is undefined"
+
+    @pytest.mark.parametrize(
+        "simplices, dim, signs",
+        [
+            ([[0, 1, 2], [0, 1, 2]], 2, [1, -1]),
+            ([[0, 1, 2], [0, 2, 1]], 2, [1, 1]),
+            ([[0, 1, 2, 3], [1, 0, 2, 3]], 3, [1, 1]),
+        ],
+    )
+    def test_simplices_on_one_vertex_set(self, simplices, dim, signs):
+        # two simplices sharing every face list each other in several slots
+        # of one node; the pass must end and agree with the property
+        verts = np.eye(dim + 1, dim)
+        mesh = SimplicialMesh(verts, np.array(simplices), dim)
+        assert validate_mesh(mesh) == []
+        assert canonical_orientation(mesh).tolist() == signs
+        assert canonical_orientation(fresh(mesh)).tolist() == signs
+
+    def test_violations_keep_the_property_uncached(self):
+        verts = np.array(grid_mesh(4, 4).vertices)
+        verts[5, 0] = np.nan
+        mesh = SimplicialMesh(verts, grid_mesh(4, 4).simplices, 2)
+        assert [v.rule for v in validate_mesh(mesh)] == ["non-finite-vertex"]
+        assert "orientation" not in mesh.__dict__
+        assert np.array_equal(canonical_orientation(mesh), canonical_orientation(grid_mesh(4, 4)))
 
 
 class TestVectorisedTopology:

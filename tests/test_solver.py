@@ -94,6 +94,33 @@ class TestSolveSpd:
             y = solve_direct(a, b)
             np.testing.assert_allclose(y, expect, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    @pytest.mark.parametrize("rhs_scale, matrix_scale", [
+        (1e-160, 1.0), (1e-300, 1.0), (1e-200, 1e-200),
+    ])
+    def test_tiny_right_hand_side_is_solved(self, method, rhs_scale, matrix_scale):
+        # every entry of b squares to 0 below ~1e-154; the system is still
+        # solved, not taken for an empty one, and passes the gate
+        sys = path_system()
+        rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
+        config = SolveConfig(method=method)
+        y, _, route = solve_spd(sys.lap_free, rhs, config, _residual=True)
+        got, achieved, got_route = solve_spd(
+            sys.lap_free * matrix_scale, rhs * rhs_scale, config, _residual=True
+        )
+        assert got_route["route"] == route["route"] != "none"
+        assert achieved <= config.rel_tol
+        np.testing.assert_allclose(got, y * (rhs_scale / matrix_scale), rtol=1e-12)
+
+    def test_scaled_gate_keeps_the_residual(self):
+        # the gate scales b by a power of two, so its value is unchanged
+        rng = np.random.default_rng(3)
+        a = random_spd(rng, 30)
+        b = rng.normal(size=(30, 2)) * 1e3
+        config = SolveConfig(method="iterative", rel_tol=1e-6)
+        y, achieved, _ = solve_spd(a, b, config, _residual=True)
+        assert achieved == np.linalg.norm(a @ y - b) / np.linalg.norm(b)
+
     def test_duplicate_entries_are_summed(self):
         # A = [[2, -0.5], [-0.5, 2]] with its (0, 0) and (0, 1) entries
         # split in two, as COO triplets and as an unsummed CSR matrix
