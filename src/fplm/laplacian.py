@@ -126,8 +126,10 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
 
     w_ij = exp(-gamma * d_ij) with d_ij the Euclidean distance between the
     ambient coordinates of the edge endpoints. ``gamma`` must be positive
-    and finite, and small enough that no weight underflows to 0; otherwise
-    ValueError. Coincident connected points get weight exactly 1, which is
+    and finite, and small enough that no weight falls below the smallest
+    normal double, ``np.finfo(float).tiny``; otherwise ValueError (a
+    subnormal weight makes the reciprocal diagonal of the iterative route
+    overflow). Coincident connected points get weight exactly 1, which is
     allowed but flagged with a warning since it usually indicates
     duplicated samples.
 
@@ -155,12 +157,13 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
             stacklevel=2,
         )
     weights = np.exp(-gamma * dists)
-    if not weights.all():
+    if weights.size and weights.min() < np.finfo(float).tiny:
         k = int(np.argmin(weights))
         raise ValueError(
             f"gamma {gamma} underflows the weight of edge "
-            f"({edges[k, 0]}, {edges[k, 1]}), length {dists[k]:.3e}, to 0; "
-            "weights must be positive"
+            f"({edges[k, 0]}, {edges[k, 1]}), length {dists[k]:.3e}, to "
+            f"{weights[k]:.3g}; weights must be at least "
+            f"{np.finfo(float).tiny:.3g}, the smallest normal double"
         )
     weights.setflags(write=False)
     graphs[gamma] = WeightedGraph(

@@ -18,14 +18,14 @@ the boundary walk rejects a boundary vertex with more than two boundary
 edges; :func:`orientation_histogram` gives the signs, with no near-zero
 image allowed; and :func:`_loop_is_simple` decides the loop exactly. The
 loop is the single boundary cycle of an open mesh audited whole, or the
-edges of the excluded seed triangle of a closed mesh. So a one-signed
-drawing costs a test of its B boundary edges instead of all E edges. A
-drawing whose near-zero triangles have exact signs that agree with all the
-others meets the theorem too: it has no crossings, yet stays violated for
-its near-zero images. The full :func:`count_crossings` runs in every other
-case: mixed or zero exact signs, several boundary loops, an open mesh with
-an excluded triangle, a closed mesh with none, or a loop that is not
-simple. Violated reports thus keep their crossing pairs.
+edges of the excluded seed triangle of a closed mesh, which one exact
+orientation of its image decides. So a one-signed drawing costs a test of
+its B boundary edges instead of all E edges. A drawing whose near-zero
+triangles have exact signs that agree with all the others meets the
+theorem too: it has no crossings, yet stays violated for its near-zero
+images. The full :func:`count_crossings` runs in every other case: mixed
+or zero exact signs, several boundary loops, an open mesh with an excluded
+triangle, a closed mesh with none, or a loop that is not simple. Violated reports thus keep their crossing pairs.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -112,9 +112,10 @@ class ValidityReport:
     boundary walk, the signs from the orientation histogram (and, for its
     near-zero images, from their exact signs alone). The loop is
     the boundary cycle of an open mesh, or the excluded seed triangle of a
-    closed one. When all of this holds and the loop is simple, the theorem
-    implies crossing_count 0 and no crossing_pairs, and only the loop's
-    edges are tested. Otherwise every edge pair is counted, so a violated
+    closed one; that triangle is a simple loop exactly when its image has
+    a nonzero exact orientation. When all of this holds and the loop is
+    simple, the theorem implies crossing_count 0 and no crossing_pairs,
+    and only the loop's edges are tested. Otherwise every edge pair is counted, so a violated
     report lists all its crossing pairs.
 
     For d = 3, "injective-certified" shows local injectivity only: every
@@ -366,7 +367,10 @@ def _loop_is_simple(cycle, coords) -> bool:
     the last joined back to the first. The answer is exact: every edge has
     positive length, adjacent edges meet only at their shared vertex, and
     non-adjacent edges have no common point, touching endpoints and
-    T-junctions included. It reuses the sweep and the narrow phase of
+    T-junctions included. A triangle (a closed mesh's seed loop) has no
+    non-adjacent edges: with its three vertices distinct it is simple
+    exactly when they are not collinear, so one exact orientation decides
+    it. A longer loop reuses the sweep and the narrow phase of
     :func:`count_crossings`: adjacent edges take its open test, whose
     shared vertex has turn exactly 0, and the other pairs its closed test.
     """
@@ -376,6 +380,8 @@ def _loop_is_simple(cycle, coords) -> bool:
     e = np.column_stack([v, np.roll(v, -1)])
     if b < 3 or (p[e[:, 0]] == p[e[:, 1]]).all(axis=1).any():
         return False
+    if b == 3:
+        return bool(simplex_orientations(p[v][None])[0] != 0)
     order, cols = _sweep_columns(e, p)
     for i, j in _sweep_pairs(cols):
         # edge k of the loop joins vertex k to vertex k + 1 (mod b)
@@ -435,7 +441,7 @@ def orientation_histogram(
     below tol times (embedding bounding-box diameter)^d; otherwise its sign
     comes from an exact predicate. ``exclude`` skips simplex indices, used
     for the seed simplex of a closed mesh whose image necessarily covers
-    the rest.
+    the rest; an index outside [0, M) raises ``ValueError``.
     """
     coords = np.asarray(coords, dtype=float)
     d = mesh.intrinsic_dim
@@ -447,7 +453,14 @@ def orientation_histogram(
     vols = signed_volumes(coords, mesh.simplices)
     scale = bbox_diameter(coords)
     threshold = tol * scale**d
-    kept = ~np.isin(np.arange(mesh.n_simplices), [int(x) for x in exclude])
+    exclude = np.asarray(exclude, dtype=np.int64).ravel()
+    if ((exclude < 0) | (exclude >= mesh.n_simplices)).any():
+        raise ValueError(
+            f"exclude must hold simplex indices in [0, {mesh.n_simplices}), "
+            f"got {exclude.tolist()}"
+        )
+    kept = np.ones(mesh.n_simplices, dtype=bool)
+    kept[exclude] = False
     rows = np.flatnonzero(kept & ~(np.abs(vols) < threshold))
     s = sign[rows] * simplex_orientations(coords[mesh.simplices[rows]])
     pos = int(np.count_nonzero(s > 0))
@@ -484,16 +497,20 @@ def check_hull_containment(
     # hull.equations rows are unit outward normals with offsets: n.x + b <= 0
     normals = hull.equations[:, :d].T
     offsets = hull.equations[:, d]
-    # row blocks keep the signed distances in cache instead of one P x F array
+    # blocks of about _HULL_ENTRIES signed distances instead of one P x F
+    # array; the max is exact, so the split does not change the value
+    block = max(1, _HULL_ENTRIES // offsets.size)
     worst = -np.inf
-    for r0 in range(0, pts.shape[0], _HULL_BLOCK):
-        signed = pts[r0 : r0 + _HULL_BLOCK] @ normals
+    for r0 in range(0, pts.shape[0], block):
+        signed = pts[r0 : r0 + block] @ normals
         signed += offsets
         worst = np.maximum(worst, signed.max())
     return float(worst)
 
 
-_HULL_BLOCK = 64
+# signed distances per hull block (512 KiB): F facets take budget // F rows
+# a block, 62 on the 1,052 facets of ball3 10, all rows on a 3-facet hull
+_HULL_ENTRIES = 2**16
 
 
 def check_boundary_convexity(
@@ -545,9 +562,11 @@ def convex_combination_residual(
     free_indices = np.asarray(free_indices, dtype=np.int64)
     if free_indices.size == 0:
         return 0.0
-    # the graph's own read-only matrix; adjacency() would copy all of it
+    # the graph's own read-only matrix (adjacency() would copy it); the free
+    # rows of the full product equal the product of the extracted free rows
+    # bit for bit, and extracting sparse rows costs more than the extra rows
     averages = (
-        graph._adjacency[free_indices] @ coords / graph.degrees[free_indices, None]
+        (graph._adjacency @ coords)[free_indices] / graph.degrees[free_indices, None]
     )
     deviation = np.linalg.norm(coords[free_indices] - averages, axis=1)
     return float(deviation.max())

@@ -10,6 +10,7 @@ from fplm.generators import GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary
+from fplm.solver import SolveConfig
 from fplm.validity import audit
 
 
@@ -74,6 +75,26 @@ class TestBuildWeights:
         # the shortest edge has length 3, and exp(-3000) is 0 in float64
         with pytest.raises(ValueError, match="underflows the weight"):
             build_weights(triangle_mesh(), gamma=1000.0)
+
+    @pytest.mark.parametrize("gamma", [4400.0, 4500.0])
+    def test_subnormal_weight_rejected(self, gamma):
+        # the longest edge of icosphere 3 (0.165) gets a subnormal weight,
+        # 2.4e-315 and 1.7e-322, which can overflow the iterative route's
+        # reciprocal diagonal; both routes refuse the gamma before solving
+        mesh = icosphere(3)
+        with pytest.raises(ValueError, match="underflows the weight"):
+            build_weights(mesh, gamma=gamma)
+        for method in ("auto", "iterative"):
+            with pytest.raises(ValueError, match="underflows the weight"):
+                run_fplm(fresh_copy(mesh), gamma=gamma, config=SolveConfig(method=method))
+
+    @pytest.mark.parametrize("method", ["auto", "iterative"])
+    def test_smallest_normal_weight_still_embeds(self, method):
+        # at gamma 4300 the smallest weight, 3.4e-308, is a normal double
+        mesh = icosphere(3)
+        assert build_weights(mesh, gamma=4300.0).weights.min() >= np.finfo(float).tiny
+        emb = run_fplm(mesh, gamma=4300.0, config=SolveConfig(method=method))
+        assert np.isfinite(emb.coords).all()
 
     def test_coincident_points_warn_weight_one(self):
         verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fplm import validity
+from fplm import geometry, validity
 from fplm.generators import (
     GeneratorSpec,
     ball3,
@@ -21,7 +21,7 @@ from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.validity import (
-    _HULL_BLOCK,
+    _HULL_ENTRIES,
     _loop_is_simple,
     audit,
     check_boundary_convexity,
@@ -32,6 +32,7 @@ from fplm.validity import (
     orientation_histogram,
 )
 from fplm.simplicial import canonical_orientation
+from test_geometry import orient2d_rational
 
 
 def segs(*pairs):
@@ -369,6 +370,14 @@ class TestOrientationHistogram:
         with pytest.raises(ValueError, match="coords"):
             orientation_histogram(mesh, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [-1, 8, 100], ids=["negative", "past-the-end", "far"])
+    def test_out_of_range_exclude_rejected(self, bad):
+        # a negative index would wrap to another simplex, and one past the
+        # end would be ignored; both raise instead
+        mesh = grid_mesh(3, 3)
+        with pytest.raises(ValueError, match=r"exclude .* \[0, 8\)"):
+            orientation_histogram(mesh, mesh.vertices, exclude=[0, bad])
+
     @pytest.mark.parametrize("mesh", [grid_mesh(6, 5), ball3(3)], ids=["d2", "d3"])
     def test_matches_per_simplex_scalar_loop(self, mesh):
         # reference: the scalar predicate on one simplex at a time
@@ -443,13 +452,15 @@ class TestHullContainment:
 
         rng = np.random.default_rng(seed)
         n_fixed = int(rng.integers(d + 1, 60))
-        n_free = 5 * _HULL_BLOCK + int(rng.integers(1, _HULL_BLOCK))
         fps = FixedPointSet(
             indices=np.arange(n_fixed),
             targets=rng.normal(size=(n_fixed, d)),
             kind="inner-boundary",
         )
         equations = ConvexHull(fps.targets).equations
+        # more than five blocks of the entry budget's rows per block
+        block = _HULL_ENTRIES // len(equations)
+        n_free = 5 * block + int(rng.integers(1, block))
         # halfway between a convex combination of targets and their
         # centroid: strictly inside the hull
         picks = fps.targets[rng.integers(0, n_fixed, (n_free, d + 1))]
@@ -467,6 +478,14 @@ class TestHullContainment:
             assert got == dense
             assert (got > 0) == (outside is not None)
         assert check_hull_containment(fps, coords, free[:0]) == float("-inf")
+
+    def test_budget_below_facet_count_takes_one_row(self, monkeypatch):
+        # a budget smaller than the facet count still takes one row a block
+        monkeypatch.setattr(validity, "_HULL_ENTRIES", 3)
+        coords = np.zeros((7, 2))
+        coords[4:] = [[0.5, 0.5], [0.25, 0.75], [0.5, 1.25]]
+        v = check_hull_containment(self.square_fps(), coords, [4, 5, 6])
+        assert v == pytest.approx(0.25, abs=1e-12)
 
 
 class TestBoundaryConvexity:
@@ -532,6 +551,23 @@ class TestConvexCombinationResidual:
         mesh = grid_mesh(3, 3)
         graph = build_weights(mesh)
         assert convex_combination_residual(graph, np.zeros((9, 2)), []) == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, resolution", [("ball3", (3,)), ("sphere", (2,)), ("paraboloid", (10, 10))]
+    )
+    def test_equals_free_row_extraction_bit_for_bit(self, kind, resolution):
+        # the full product's free rows sum each row in the order of the
+        # product of the extracted free rows, so both are bit-identical
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        emb = run_fplm(mesh)
+        graph = build_weights(mesh)
+        fixed = (emb.fixed_round2 or emb.fixed_round1).indices
+        free = np.setdiff1d(np.arange(mesh.n_vertices), fixed)
+        a, y = graph._adjacency, emb.coords
+        assert np.array_equal((a @ y)[free], a[free] @ y)
+        averages = a[free] @ y / graph.degrees[free, None]
+        want = float(np.linalg.norm(y[free] - averages, axis=1).max())
+        assert convex_combination_residual(graph, y, free) == want
 
 
 class TestAudit:
@@ -714,6 +750,29 @@ class TestLoopIsSimple:
         points, cycle = loop
         coords = np.array(points, dtype=float)
         assert _loop_is_simple(cycle, coords) == oracle_loop_is_simple(points, cycle)
+
+    def test_near_collinear_triangles_take_the_exact_stage(self, monkeypatch):
+        # a triangle is decided by its one exact orientation: these lie
+        # within a few units in the last place of the line y = x, where the
+        # float filter decides none of them and the integer stage all
+        made = []
+        real = geometry._orient2d_exact
+
+        def counting(rows):
+            made.extend(rows)
+            return real(rows)
+
+        monkeypatch.setattr(geometry, "_orient2d_exact", counting)
+        ulp = np.spacing(0.5)
+        got, want = [], []
+        for i in range(-3, 4):
+            for j in range(-3, 4):
+                coords = np.array([[0.5 + i * ulp, 0.5 + j * ulp], [12.0, 12.0], [24.0, 24.0]])
+                got.append(_loop_is_simple([0, 1, 2], coords))
+                want.append(orient2d_rational(*coords.ravel()) != 0)
+        assert got == want
+        assert True in want and False in want
+        assert len(made) == len(want)
 
     def test_blocks_cover_every_pair(self, monkeypatch):
         # a regular 40-gon is simple; one vertex pulled onto a far edge is not
@@ -933,6 +992,20 @@ class TestBoundaryCertificate:
         assert report.verdict == "violated"
         assert report.crossing_count == crossings
         assert_matches_full_count(report, mesh, verts)
+
+    @pytest.mark.parametrize("collapse", ["collinear", "coincident"])
+    def test_degenerate_seed_image_matches_full_count(self, collapse, full_counts):
+        # the seed triangle's image is not a simple loop: the third seed
+        # vertex moved onto the midpoint of the other two, or onto the first
+        mesh, emb, seed_exclude = embedded("sphere", (1,))
+        a, b, c = mesh.simplices[seed_exclude]
+        coords = emb.coords.copy()
+        coords[c] = 0.5 * (coords[a] + coords[b]) if collapse == "collinear" else coords[a]
+        assert not _loop_is_simple([a, b, c], coords)
+        report = audit(mesh, coords, seed_exclude=seed_exclude)
+        assert full_counts == [mesh_edges(mesh).shape[0]]
+        assert report.verdict == "violated"
+        assert_matches_full_count(report, mesh, coords, seed_exclude)
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
     def test_out_of_range_seed_is_rejected(self, offset, full_counts):
