@@ -13,6 +13,14 @@ the mathematically exact sign, at float speed for all but near-degenerate
 configurations. The scalar forms :func:`orient2d`, :func:`orient3d` and
 :func:`simplex_orientation` are one-row calls of the batched filters. Only
 the d >= 4 simplex orientation uses ``Fraction``.
+
+Simplices take the filters through :func:`simplex_determinants`: one
+gather of the coordinate columns, the edges from vertex 0 as the
+predicate's base point, and one filter pass whose determinant is also the
+volume (:func:`signed_volumes` is the same expression over d!, without the
+error bound). A caller that needs both, as the audit's orientation
+histogram does, evaluates each determinant once, and
+:func:`exact_orientations` settles only the rows it still needs.
 """
 
 from __future__ import annotations
@@ -148,29 +156,44 @@ def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
     integer stage.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        acx, acy = ax - cx, ay - cy
-        bcx, bcy = bx - cx, by - cy
-        # a float difference is 0 only when its operands are equal, so a
-        # product with a zero factor is exactly 0; a product that merely
-        # underflowed to 0 has nonzero factors and goes on to the exact stage
-        zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
-        # the products and the error bound overwrite the differences, which
-        # keeps the temporaries of a large batch few
-        detleft = np.multiply(acx, bcy, out=acx)
-        detright = np.multiply(acy, bcx, out=acy)
-        det = detleft - detright
-        bound = np.abs(detleft, out=detleft)
-        bound += np.abs(detright, out=detright)
-        bound *= _CCW_BOUND
-        bound += 2.0 * _ETA
-        decided = np.abs(det, out=bcx) > bound
-    out = np.where(det > 0.0, np.int8(1), np.int8(-1))
-    out[zero] = 0
-    rest = np.flatnonzero(~decided & ~zero)
+        _, out, undecided = _orient2d_filter(ax - cx, ay - cy, bx - cx, by - cy)
+    rest = np.flatnonzero(undecided)
     if rest.size:
         cols = np.column_stack([v[rest] for v in (ax, ay, bx, by, cx, cy)])
         out[rest] = _orient2d_exact(cols.tolist())
     return out
+
+
+def _orient2d_det(acx, acy, bcx, bcy):
+    """det[a - c; b - c] of K rows from the differences a - c and b - c,
+    with its two products, which overwrite ``acx`` and ``acy``."""
+    detleft = np.multiply(acx, bcy, out=acx)
+    detright = np.multiply(acy, bcx, out=acy)
+    return detleft - detright, detleft, detright
+
+
+def _orient2d_filter(acx, acy, bcx, bcy):
+    """The orient2d filter on the differences a - c and b - c of K rows.
+
+    Returns the float determinant of :func:`_orient2d_det`, the int8 signs
+    it decides, and the mask of rows it leaves to the integer stage. The
+    difference arrays are overwritten.
+    """
+    # a float difference is 0 only when its operands are equal, so a
+    # product with a zero factor is exactly 0; a product that merely
+    # underflowed to 0 has nonzero factors and goes on to the exact stage
+    zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
+    # the products and the error bound overwrite the differences, which
+    # keeps the temporaries of a large batch few
+    det, detleft, detright = _orient2d_det(acx, acy, bcx, bcy)
+    bound = np.abs(detleft, out=detleft)
+    bound += np.abs(detright, out=detright)
+    bound *= _CCW_BOUND
+    bound += 2.0 * _ETA
+    decided = np.abs(det, out=bcx) > bound
+    sign = np.where(det > 0.0, np.int8(1), np.int8(-1))
+    sign[zero] = 0
+    return det, sign, ~(decided | zero)
 
 
 def orient3d_signs(pa, pb, pc, pd):
@@ -183,55 +206,129 @@ def orient3d_signs(pa, pb, pc, pd):
     """
     pa, pb, pc, pd = (np.asarray(v, dtype=float) for v in (pa, pb, pc, pd))
     with np.errstate(over="ignore", invalid="ignore"):
-        adx, ady, adz = (pa - pd).T
-        bdx, bdy, bdz = (pb - pd).T
-        cdx, cdy, cdz = (pc - pd).T
-
-        bdxcdy = bdx * cdy
-        cdxbdy = cdx * bdy
-        cdxady = cdx * ady
-        adxcdy = adx * cdy
-        adxbdy = adx * bdy
-        bdxady = bdx * ady
-
-        det = (
-            adz * (bdxcdy - cdxbdy)
-            + bdz * (cdxady - adxcdy)
-            + cdz * (adxbdy - bdxady)
-        )
-        permanent = (
-            (np.abs(bdxcdy) + np.abs(cdxbdy)) * np.abs(adz)
-            + (np.abs(cdxady) + np.abs(adxcdy)) * np.abs(bdz)
-            + (np.abs(adxbdy) + np.abs(bdxady)) * np.abs(cdz)
-        )
-        underflow = 4.0 * _ETA * (1.0 + np.maximum(np.maximum(abs(adz), abs(bdz)), abs(cdz)))
-        decided = np.abs(det) > _O3D_BOUND * permanent + underflow
-    out = np.where(det > 0.0, 1, -1).astype(np.int8)
-    rest = np.flatnonzero(~decided)
+        _, out, undecided = _orient3d_filter((pa - pd).T, (pb - pd).T, (pc - pd).T)
+    rest = np.flatnonzero(undecided)
     if rest.size:
         out[rest] = _orient3d_exact(np.hstack([pa[rest], pb[rest], pc[rest], pd[rest]]).tolist())
     return out
 
 
-def simplex_orientations(points):
-    """Exact :func:`simplex_orientation` signs for M simplices at once.
+def _orient3d_det(ad, bd, cd):
+    """det[a - d; b - d; c - d] of K rows, expanded along the z column.
 
-    ``points`` is an (M, d+1, d) array of simplex vertex coordinates. The
-    result is an int8 array of signs; d = 2 and 3 go through the batched
-    filters, d = 1 compares coordinates directly, and higher dimensions
-    evaluate each determinant in ``Fraction`` arithmetic.
+    Each argument holds the x, y and z columns of one difference. Returns
+    the determinant, adz (bdx cdy - cdx bdy) + bdz (cdx ady - adx cdy) +
+    cdz (adx bdy - bdx ady) summed in that order, and for each term its z
+    column and the two products of its minor, in arrays the caller owns.
     """
-    p = np.asarray(points, dtype=float)
-    d = p.shape[2]
+    adx, ady, adz = ad
+    bdx, bdy, bdz = bd
+    cdx, cdy, cdz = cd
+    det, terms = None, []
+    for z, p, q, r, t in ((adz, bdx, cdy, cdx, bdy), (bdz, cdx, ady, adx, cdy), (cdz, adx, bdy, bdx, ady)):
+        left, right = p * q, r * t
+        minor = left - right
+        minor *= z
+        if det is None:
+            det = minor
+        else:
+            det += minor
+        terms.append((z, left, right))
+    return det, terms
+
+
+def _orient3d_filter(ad, bd, cd):
+    """The orient3d filter on the differences a - d, b - d, c - d of K rows.
+
+    Returns the float determinant of :func:`_orient3d_det`, the int8 signs
+    it decides, and the mask of rows it leaves to the integer stage.
+    """
+    det, terms = _orient3d_det(ad, bd, cd)
+    # the bound _O3D_BOUND * permanent + 4 _ETA (1 + max |z difference|),
+    # the permanent summed term by term into the products' arrays
+    permanent = height = None
+    for z, left, right in terms:
+        term = np.abs(left, out=left)
+        term += np.abs(right, out=right)
+        zabs = np.abs(z)
+        term *= zabs
+        if permanent is None:
+            permanent, height = term, zabs
+        else:
+            permanent += term
+            np.maximum(height, zabs, out=height)
+    permanent *= _O3D_BOUND
+    height += 1.0
+    height *= 4.0 * _ETA
+    permanent += height
+    decided = np.abs(det) > permanent
+    sign = np.where(det > 0.0, np.int8(1), np.int8(-1))
+    return det, sign, ~decided
+
+
+def _edge_columns(coords, simplices):
+    """The coordinate columns gathered once: e[i][j] is coordinate j of
+    edge i (p_{i+1} - p_0) of every simplex, one row each."""
+    ct, st = coords.T, simplices.T
+    base = np.take(ct, st[0], axis=1)
+    return [np.take(ct, st[i], axis=1) - base for i in range(1, st.shape[0])]
+
+
+def simplex_determinants(coords, simplices):
+    """det(p_1 - p_0, ..., p_d - p_0) of every simplex, with its filtered sign.
+
+    Parameters
+    ----------
+    coords : (N, d) array
+    simplices : (M, d+1) int array
+
+    Returns
+    -------
+    det : (M,) float array
+        The float determinant of each simplex's edge matrix.
+    sign : (M,) int8 array
+        Its exact sign wherever the filter decides it.
+    undecided : (M,) bool array
+        The rows whose sign :func:`exact_orientations` must settle.
+
+    One pass: the coordinate columns are gathered once and the edges from
+    vertex 0 feed the predicate's filter, whose determinant is also the
+    volume, so one evaluation serves both. For d = 2 vertex 0 is orient2d's
+    base point c (det[p_1 - p_0; p_2 - p_0]); for d = 3 it is orient3d's
+    base point d. d = 1 signs are those of the float difference, always
+    exact. For d >= 4 the determinant comes from LAPACK and every row is
+    left undecided.
+    """
+    coords = np.asarray(coords, dtype=float)
+    simplices = np.asarray(simplices, dtype=np.int64)
+    m, d = simplices.shape[0], coords.shape[1]
+    if d > 3:
+        det = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
+        return det, np.zeros(m, dtype=np.int8), np.ones(m, dtype=bool)
+    e = _edge_columns(coords, simplices)
     if d == 1:
-        return np.sign(p[:, 1, 0] - p[:, 0, 0]).astype(np.int8)
-    if d == 2:
-        # det[b - a; c - a] equals the orient2d determinant det[a - c; b - c]
-        return orient2d_signs(p[:, 0], p[:, 1], p[:, 2])
-    if d == 3:
-        # orient3d(a, b, c, d) is det[a - d; b - d; c - d]; passing
-        # (p1, p2, p3, p0) yields det[p1 - p0; p2 - p0; p3 - p0] verbatim.
-        return orient3d_signs(p[:, 1], p[:, 2], p[:, 3], p[:, 0])
+        det = e[0][0]
+        return det, np.sign(det).astype(np.int8), np.zeros(m, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d == 2:
+            return _orient2d_filter(e[0][0], e[0][1], e[1][0], e[1][1])
+        return _orient3d_filter(*e)
+
+
+def exact_orientations(coords, simplices):
+    """Exact signs of det(p_1 - p_0, ..., p_d - p_0), with no float filter.
+
+    The integer stage of :func:`simplex_determinants`, for the rows it
+    leaves undecided: d = 2 and 3 evaluate the orient2d and orient3d
+    determinants in Python ints, other dimensions in ``Fraction``
+    arithmetic.
+    """
+    p = np.asarray(coords, dtype=float)[np.asarray(simplices, dtype=np.int64)]
+    m, d = p.shape[0], p.shape[2]
+    if d in (2, 3):
+        # rows (p_1, ..., p_d, p_0): the predicate's base point last
+        rows = np.roll(p, -1, axis=1).reshape(m, (d + 1) * d).tolist()
+        return np.array((_orient2d_exact if d == 2 else _orient3d_exact)(rows), dtype=np.int8)
     signs = []
     for q in p:
         rows = [
@@ -240,6 +337,24 @@ def simplex_orientations(points):
         ]
         signs.append(_sign(_det_fraction(rows)))
     return np.array(signs, dtype=np.int8)
+
+
+def simplex_orientations(points):
+    """Exact :func:`simplex_orientation` signs for M simplices at once.
+
+    ``points`` is an (M, d+1, d) array of simplex vertex coordinates. The
+    result is an int8 array of signs: :func:`simplex_determinants` decides
+    the rows its filter can, and :func:`exact_orientations` the rest.
+    """
+    p = np.asarray(points, dtype=float)
+    m, k, d = p.shape
+    coords = p.reshape(m * k, d)
+    simplices = np.arange(m * k).reshape(m, k)
+    _, sign, undecided = simplex_determinants(coords, simplices)
+    rest = np.flatnonzero(undecided)
+    if rest.size:
+        sign[rest] = exact_orientations(coords, simplices[rest])
+    return sign
 
 
 def signed_volumes(coords, simplices):
@@ -253,8 +368,10 @@ def signed_volumes(coords, simplices):
     Returns
     -------
     (M,) array of det(edge matrix) / d!, float evaluation. For d <= 3 the
-    determinant is written out over all simplices at once, as in
-    :func:`simplex_volumes`; higher dimensions call LAPACK per matrix.
+    determinant is the one the orientation filters of
+    :func:`simplex_determinants` test, written out over all simplices at
+    once, without their error bounds; higher dimensions call LAPACK per
+    matrix.
     """
     coords = np.asarray(coords, dtype=float)
     simplices = np.asarray(simplices, dtype=np.int64)
@@ -262,16 +379,13 @@ def signed_volumes(coords, simplices):
     if d > 3:
         dets = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
     else:
-        # e[i][j] is coordinate j of edge i of every simplex, one row each
-        ct, st = coords.T, simplices.T
-        base = np.take(ct, st[0], axis=1)
-        e = [np.take(ct, st[i], axis=1) - base for i in range(1, d + 1)]
+        e = _edge_columns(coords, simplices)
         if d == 1:
             dets = e[0][0]
         elif d == 2:
-            dets = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+            dets = _orient2d_det(e[0][0], e[0][1], e[1][0], e[1][1])[0]
         else:
-            dets = _det3(e)
+            dets = _orient3d_det(*e)[0]
     return dets / math.factorial(d)
 
 
@@ -312,5 +426,8 @@ def bbox_diameter(points):
     p = np.asarray(points, dtype=float)
     if p.size == 0:
         return 0.0
-    span = p.max(axis=0) - p.min(axis=0)
+    # each coordinate reduced along one contiguous row: numpy reduces the
+    # short rows of an (N, d) array across axis 0 many times slower
+    pt = np.ascontiguousarray(p.T)
+    span = pt.max(axis=-1) - pt.min(axis=-1)
     return float(np.linalg.norm(span))

@@ -42,14 +42,7 @@ class WeightedGraph:
 
     @cached_property
     def _adjacency(self) -> sparse.csr_matrix:
-        i = self.edges[:, 0]
-        j = self.edges[:, 1]
-        data = np.concatenate([self.weights, self.weights])
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        return _frozen(
-            sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n), dtype=float)
-        )
+        return _frozen(symmetric_csr(self.n, self.edges, self.weights))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -62,27 +55,18 @@ class WeightedGraph:
     def laplacian(self) -> sparse.csr_matrix:
         """Graph Laplacian L = D - A.
 
-        The adjacency has sorted indices and no diagonal, so each nonzero
-        degree goes into its row where a search of the sorted (row, column)
-        keys places it. These are the arrays ``(sparse.diags(degrees) -
-        A).tocsr()`` holds, a zero degree dropped, without the sparse
-        subtraction.
+        One COO of the lower entries -w, the nonzero degrees and the upper
+        entries -w, in that order: each row then lists its columns sorted,
+        so scipy builds canonical CSR with no sort. These are the arrays
+        ``(sparse.diags(degrees) - A).tocsr()`` holds, a zero degree
+        dropped, without the sparse subtraction.
         """
-        a, n = self._adjacency, self.n
-        rows = np.flatnonzero(self.degrees)
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr)) * n + a.indices
-        # the diagonal's slots in L, where np.insert would put them, filled
-        # in both arrays through one mask
-        diagonal = np.searchsorted(keys, rows * (n + 1)) + np.arange(rows.size)
-        off = np.ones(a.nnz + rows.size, dtype=bool)
-        off[diagonal] = False
-        data = np.empty(off.size)
-        data[diagonal], data[off] = self.degrees[rows], -a.data
-        indices = np.empty(off.size, dtype=a.indices.dtype)
-        indices[diagonal], indices[off] = rows, a.indices
-        indptr = a.indptr.copy()
-        indptr[1:] += np.cumsum(self.degrees != 0, dtype=indptr.dtype)
-        return _frozen(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
+        i, j = self.edges.T
+        diagonal = np.flatnonzero(self.degrees)
+        rows = np.concatenate([j, diagonal, i])
+        cols = np.concatenate([i, diagonal, j])
+        data = np.concatenate([-self.weights, self.degrees[diagonal], -self.weights])
+        return _frozen(sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n)))
 
     @cached_property
     def component_labels(self) -> np.ndarray:
@@ -90,6 +74,22 @@ class WeightedGraph:
         _, labels = connected_components(self._adjacency, directed=False)
         labels.setflags(write=False)
         return labels
+
+
+def symmetric_csr(n: int, edges: np.ndarray, values: np.ndarray) -> sparse.csr_matrix:
+    """The symmetric n x n matrix with ``values[k]`` at (i, j) and (j, i)
+    for edge k = (i, j).
+
+    ``edges`` holds unique pairs i < j in lexicographic order (as
+    :func:`mesh_edges` returns them), so taking each row's lower partners
+    first, then its upper ones, lists every row's columns sorted: scipy
+    builds canonical CSR from it with no per-row sort.
+    """
+    i, j = edges.T
+    data = np.concatenate([values, values])
+    return sparse.csr_matrix(
+        (data, (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n), dtype=float
+    )
 
 
 def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:

@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
-from .laplacian import WeightedGraph, assemble_system, build_weights
+from .laplacian import WeightedGraph, assemble_system, build_weights, symmetric_csr
 from .simplicial import (
     BoundaryComplex,
     SimplicialMesh,
@@ -183,11 +182,10 @@ def select_seed_simplex(
         return 0
     n = mesh.n_vertices
     edges = mesh_edges(mesh)
-    skeleton = sparse.csr_matrix(
-        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(n, n)
-    )
+    # both directions stored, so the directed search needs no transpose
+    skeleton = symmetric_csr(n, edges, np.ones(edges.shape[0]))
     hops = dijkstra(
-        skeleton, directed=False, indices=sources, unweighted=True, min_only=True
+        skeleton, directed=True, indices=sources, unweighted=True, min_only=True
     )
     # unreachable vertices sit infinitely deep; keep them maximal
     depth = np.where(np.isinf(hops), n + 1, hops).astype(np.int64)
@@ -280,7 +278,7 @@ def solve_fixed_point(
     order = np.argsort(fixed.indices, kind="stable")
     targets_sorted = fixed.targets[order]
     coords[system.fixed_indices] = targets_sorted
-    rhs = -system.lap_free_fixed @ targets_sorted
+    rhs = -(system.lap_free_fixed @ targets_sorted)
     solution, residual, route = solve_spd(
         system.lap_free, rhs, config, _residual=True
     )

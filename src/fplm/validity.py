@@ -52,9 +52,9 @@ import numpy as np
 
 from .geometry import (
     bbox_diameter,
+    exact_orientations,
     orient2d_signs_xy,
-    signed_volumes,
-    simplex_orientations,
+    simplex_determinants,
 )
 from .laplacian import WeightedGraph
 from .mapping import Embedding, FixedPointSet
@@ -368,20 +368,23 @@ def _loop_is_simple(cycle, coords) -> bool:
     positive length, adjacent edges meet only at their shared vertex, and
     non-adjacent edges have no common point, touching endpoints and
     T-junctions included. A triangle (a closed mesh's seed loop) has no
-    non-adjacent edges: with its three vertices distinct it is simple
-    exactly when they are not collinear, so one exact orientation decides
-    it. A longer loop reuses the sweep and the narrow phase of
-    :func:`count_crossings`: adjacent edges take its open test, whose
-    shared vertex has turn exactly 0, and the other pairs its closed test.
+    non-adjacent edges: it is simple exactly when its vertices are not
+    collinear, two coincident ones included, so one exact orientation
+    decides it before any edge is built. A longer loop reuses the sweep
+    and the narrow phase of :func:`count_crossings`: adjacent edges take
+    its open test, whose shared vertex has turn exactly 0, and the other
+    pairs its closed test.
     """
     v = np.asarray(cycle, dtype=np.int64)
     p = np.asarray(coords, dtype=float)
     b = v.size
+    if b == 3:
+        # one row: the integer stage alone is cheaper than the float filter,
+        # and two coincident vertices have orientation 0 too
+        return bool(exact_orientations(p, v[None])[0] != 0)
     e = np.column_stack([v, np.roll(v, -1)])
     if b < 3 or (p[e[:, 0]] == p[e[:, 1]]).all(axis=1).any():
         return False
-    if b == 3:
-        return bool(simplex_orientations(p[v][None])[0] != 0)
     order, cols = _sweep_columns(e, p)
     for i, j in _sweep_pairs(cols):
         # edge k of the loop joins vertex k to vertex k + 1 (mod b)
@@ -437,11 +440,16 @@ def orientation_histogram(
 
     The mesh orientation is first canonicalized combinatorially, so a
     consistently mapped mesh lands in a single sign bucket regardless of
-    stored vertex order. A simplex is near-zero when its absolute volume is
-    below tol times (embedding bounding-box diameter)^d; otherwise its sign
-    comes from an exact predicate. ``exclude`` skips simplex indices, used
-    for the seed simplex of a closed mesh whose image necessarily covers
-    the rest; an index outside [0, M) raises ``ValueError``.
+    stored vertex order. One filtered pass of
+    :func:`~fplm.geometry.simplex_determinants` gives every image's
+    determinant and, for all but near-degenerate images, its exact sign. A
+    simplex is near-zero when its absolute volume, det / d!, is below tol
+    times (embedding bounding-box diameter)^d; the other images the filter
+    left undecided get their sign from the exact integer stage
+    (:func:`~fplm.geometry.exact_orientations`). ``exclude`` skips simplex
+    indices, used for the seed simplex of a closed mesh whose image
+    necessarily covers the rest; an index outside [0, M) raises
+    ``ValueError``.
     """
     coords = np.asarray(coords, dtype=float)
     d = mesh.intrinsic_dim
@@ -450,9 +458,6 @@ def orientation_histogram(
             f"coords must be ({mesh.n_vertices}, {d}), got {coords.shape}"
         )
     sign = canonical_orientation(mesh)
-    vols = signed_volumes(coords, mesh.simplices)
-    scale = bbox_diameter(coords)
-    threshold = tol * scale**d
     exclude = np.asarray(exclude, dtype=np.int64).ravel()
     if ((exclude < 0) | (exclude >= mesh.n_simplices)).any():
         raise ValueError(
@@ -461,8 +466,13 @@ def orientation_histogram(
         )
     kept = np.ones(mesh.n_simplices, dtype=bool)
     kept[exclude] = False
-    rows = np.flatnonzero(kept & ~(np.abs(vols) < threshold))
-    s = sign[rows] * simplex_orientations(coords[mesh.simplices[rows]])
+    det, signs, undecided = simplex_determinants(coords, mesh.simplices)
+    threshold = tol * bbox_diameter(coords) ** d
+    rows = kept & ~(np.abs(det / math.factorial(d)) < threshold)
+    settle = np.flatnonzero(rows & undecided)
+    if settle.size:
+        signs[settle] = exact_orientations(coords, mesh.simplices[settle])
+    s = sign[rows] * signs[rows]
     pos = int(np.count_nonzero(s > 0))
     neg = int(np.count_nonzero(s < 0))
     zero = int(np.count_nonzero(kept)) - pos - neg
@@ -699,11 +709,10 @@ def audit(
 
 
 def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:
-    """Whether every audited simplex image has one nonzero exact sign."""
-    kept = np.ones(mesh.n_simplices, dtype=bool)
-    kept[exclude] = False
-    s = canonical_orientation(mesh)[kept] * simplex_orientations(coords[mesh.simplices[kept]])
-    return bool(s[0] != 0 and (s == s[0]).all())
+    """Whether every audited simplex image has one nonzero exact sign: the
+    orientation histogram with no near-zero band."""
+    pos, neg, zero = orientation_histogram(mesh, coords, 0.0, exclude=exclude)
+    return zero == 0 and (pos > 0) != (neg > 0)
 
 
 def _certifying_loop(mesh: SimplicialMesh, boundary, closed, exclude):

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from delaunay_oracle import incircle
 from fplm import geometry
+from fplm.generators import ball3
 from fplm.geometry import (
     bbox_diameter,
+    exact_orientations,
     orient2d,
     orient2d_signs,
     orient3d,
     orient3d_signs,
     signed_volumes,
+    simplex_determinants,
     simplex_orientation,
     simplex_orientations,
     simplex_volumes,
@@ -235,8 +238,11 @@ class TestBatchedPredicates:
         rng = np.random.default_rng(d)
         points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
         points[::7, 0] += math.ulp(2.0)
-        got = simplex_orientations(points)
-        assert got.tolist() == [simplex_orientation_rational(p.tolist()) for p in points]
+        want = [simplex_orientation_rational(p.tolist()) for p in points]
+        assert simplex_orientations(points).tolist() == want
+        # the integer stage alone, on every row
+        coords, simplices = points.reshape(-1, d), np.arange(60 * (d + 1)).reshape(60, d + 1)
+        assert exact_orientations(coords, simplices).tolist() == want
 
     def test_empty_batches(self):
         empty = np.zeros((0, 2))
@@ -347,6 +353,30 @@ class TestIntegerStageAgainstFraction:
         cols = [np.array([row[k] for row in rows]) for k in range(4)]
         got = orient3d_signs(*cols)
         assert got.tolist() == [orient3d_rational(*row) for row in rows]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(*[coordinates] * 6), collinear_triples()),
+                    min_size=1, max_size=40))
+    def test_simplex_determinants_2d(self, rows):
+        self.check_filter_and_integer_stage(np.array(rows).reshape(-1, 3, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4),
+                             coplanar_quadruples()), min_size=1, max_size=30))
+    def test_simplex_determinants_3d(self, rows):
+        self.check_filter_and_integer_stage(np.array(rows))
+
+    @staticmethod
+    def check_filter_and_integer_stage(points):
+        # the filter's decided signs and the integer stage's signs of every
+        # row, decided or not, are the Fraction determinant's
+        want = [simplex_orientation_rational(p.tolist()) for p in points]
+        m, k, d = points.shape
+        coords, simplices = points.reshape(m * k, d), np.arange(m * k).reshape(m, k)
+        _, sign, undecided = simplex_determinants(coords, simplices)
+        assert sign[~undecided].tolist() == np.array(want)[~undecided].tolist()
+        assert exact_orientations(coords, simplices).tolist() == want
+        assert simplex_orientations(points).tolist() == want
 
 
 class TestIncircle:
@@ -462,6 +492,61 @@ class TestVolumes:
         assert got.tolist() == want
         assert want[:20] == [0] * 20
         assert np.array_equal(np.rint(np.linalg.det(np.array(edges, dtype=float))), want)
+
+    def test_triangle_volumes_keep_the_written_out_formula_bit_for_bit(self):
+        # the filter's determinant with base point c = p_0 is the formula
+        # (e00 e11 - e01 e10) / 2 over the edges from p_0, in the same order
+        rng = np.random.default_rng(4)
+        coords = np.vstack([
+            rng.uniform(-1, 1, size=(100, 2)),
+            np.round(rng.uniform(-4, 4, size=(100, 2)) * 2) / 2,  # exact zeros
+            rng.uniform(-1, 1, size=(100, 2)) * [1.0, 1e-16],  # squashed
+            rng.uniform(-1, 1, size=(100, 2)) * 1e-160,  # products underflow
+        ])
+        simp = np.array([rng.choice(100, size=3, replace=False) for _ in range(400)])
+        simp += np.repeat(np.arange(4) * 100, 100)[:, None]
+        e = coords[simp[:, 1:]] - coords[simp[:, :1]]
+        want = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]) / 2
+        got = signed_volumes(coords, simp)
+        assert got.tobytes() == want.tobytes()
+        assert (want == 0.0).any()
+
+    def test_tet_volumes_within_the_filter_bound_of_the_exact_determinant(self):
+        # d = 3 volumes are orient3d's z-column expansion: the sign is the
+        # exact one wherever the volume is nonzero on general-position
+        # drawings, and everywhere 6 V is within the filter's forward error
+        # bound of the Fraction determinant, near-coplanar rows included
+        rng = np.random.default_rng(6)
+        mesh = ball3(3)
+        jittered = mesh.vertices + rng.normal(0, 0.05, mesh.vertices.shape)
+        vols = signed_volumes(jittered, mesh.simplices)
+        p = jittered[mesh.simplices]
+        assert (vols != 0.0).all()
+        assert np.array_equal(np.sign(vols), orient3d_signs(p[:, 1], p[:, 2], p[:, 3], p[:, 0]))
+
+        rows = [(pa, pb, pc, pd) for pd in ulp_grid((0.3, 0.3, 0.0), k=1)
+                for pa, pb, pc in [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))]]
+        rows += [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), pd)
+                 for pd in ulp_grid((0.5, 0.25, 0.25), k=1)]
+        rows += [tuple(map(tuple, q)) for q in rng.uniform(-1, 1, size=(200, 4, 3))]
+        points = np.array(rows)
+        coords, simp = points.reshape(-1, 3), np.arange(4 * len(rows)).reshape(-1, 4)
+        got = signed_volumes(coords, simp) * 6
+        e = np.abs(points[:, 1:] - points[:, :1])  # |edge j, coordinate i|
+        permanent = (
+            (e[:, 1, 0] * e[:, 2, 1] + e[:, 2, 0] * e[:, 1, 1]) * e[:, 0, 2]
+            + (e[:, 2, 0] * e[:, 0, 1] + e[:, 0, 0] * e[:, 2, 1]) * e[:, 1, 2]
+            + (e[:, 0, 0] * e[:, 1, 1] + e[:, 1, 0] * e[:, 0, 1]) * e[:, 2, 2]
+        )
+        # the filter's bound: relative to the permanent, plus its absolute
+        # term for products that underflow
+        bound = geometry._O3D_BOUND * permanent + 4 * geometry._ETA * (1 + e[:, :, 2].max(axis=1))
+        for row, det, b in zip(points.tolist(), got.tolist(), bound.tolist()):
+            p0 = [Fraction(x) for x in row[0]]
+            exact = det_rational([[Fraction(x) - x0 for x, x0 in zip(q, p0)] for q in row[1:]])
+            assert abs(Fraction(det) - exact) <= Fraction(b)
+            if abs(det) > b:
+                assert (det > 0) - (det < 0) == (exact > 0) - (exact < 0)
 
     def test_unsigned_volumes_embedded_triangle(self):
         # unit right triangle living in 3-space: area 1/2 via Gram determinant

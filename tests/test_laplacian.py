@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
-from fplm.generators import GeneratorSpec, ball3, generate, icosphere
+from fplm.generators import GENERATOR_KINDS, GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
-from fplm.mapping import run_fplm
-from fplm.simplicial import SimplicialMesh, detect_boundary
+from fplm.mapping import run_fplm, select_seed_simplex
+from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.solver import SolveConfig
 from fplm.validity import audit
+from test_simplicial import relabel
 
 
 def triangle_mesh():
@@ -139,6 +141,52 @@ class TestLaplacian:
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
         assert got[2].nnz == 0
+
+
+def sorted_construction(graph):
+    """The adjacency and Laplacian as scipy sorts them: edges (i, j) then
+    (j, i), and the sparse difference diags(degrees) - A."""
+    i, j = graph.edges.T
+    w = np.concatenate([graph.weights, graph.weights])
+    a = sparse.csr_matrix((w, (np.concatenate([i, j]), np.concatenate([j, i]))),
+                          shape=(graph.n, graph.n))
+    a.sum_duplicates()
+    lap = (sparse.diags(np.asarray(a.sum(axis=1)).ravel()) - a).tocsr()
+    lap.sum_duplicates()
+    return a, lap
+
+
+def undirected_seed(mesh):
+    """The most-interior seed from an undirected search of the upper
+    triangle of the skeleton."""
+    sources = detect_boundary(mesh).boundary_vertices
+    if sources.size == 0:
+        return 0
+    n, edges = mesh.n_vertices, mesh_edges(mesh)
+    upper = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    hops = dijkstra(upper, directed=False, indices=sources, unweighted=True, min_only=True)
+    depth = np.where(np.isinf(hops), n + 1, hops).astype(np.int64)
+    return int(np.argmax(depth[mesh.simplices].min(axis=1)))
+
+
+class TestBuiltInOrder:
+    """The graph's matrices are built already sorted: the same arrays, and
+    the same seed, as the constructions scipy sorts."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_the_sorted_construction(self, kind, seed):
+        resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (7, 6))
+        mesh = relabel(generate(GeneratorSpec(kind, resolution))[0], np.random.default_rng(seed))
+        g = build_weights(mesh)
+        want_adjacency, want_laplacian = sorted_construction(g)
+        for got, want in ((g._adjacency, want_adjacency), (g.laplacian, want_laplacian)):
+            assert got.has_canonical_format
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        assert select_seed_simplex(mesh) == undirected_seed(mesh)
 
 
 class TestGraphMemo:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fplm import geometry, validity
 from fplm.generators import (
+    GENERATOR_KINDS,
     GeneratorSpec,
     ball3,
     delaunay2d,
@@ -16,7 +17,13 @@ from fplm.generators import (
     icosphere,
     structured_grid_triangles,
 )
-from fplm.geometry import simplex_orientation
+from fplm.geometry import (
+    bbox_diameter,
+    signed_volumes,
+    simplex_determinants,
+    simplex_orientation,
+    simplex_orientations,
+)
 from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
@@ -32,7 +39,8 @@ from fplm.validity import (
     orientation_histogram,
 )
 from fplm.simplicial import canonical_orientation
-from test_geometry import orient2d_rational
+from test_geometry import orient2d_rational, simplex_orientation_rational
+from test_simplicial import relabel
 
 
 def segs(*pairs):
@@ -398,6 +406,81 @@ class TestOrientationHistogram:
         got = orientation_histogram(mesh, coords, exclude=exclude)
         assert got == tuple(want)
         assert got[0] and got[1] and got[2]
+
+
+def two_pass_histogram(mesh, coords, exact, exclude, tol):
+    """The orientation histogram in two passes: the near-zero gate on
+    ``signed_volumes``, then the exact signs ``exact`` of the kept rows."""
+    d = mesh.intrinsic_dim
+    vols = signed_volumes(coords, mesh.simplices)
+    kept = np.ones(mesh.n_simplices, dtype=bool)
+    kept[list(exclude)] = False
+    rows = np.flatnonzero(kept & ~(np.abs(vols) < tol * bbox_diameter(coords) ** d))
+    s = canonical_orientation(mesh)[rows] * exact[rows]
+    pos, neg = int(np.count_nonzero(s > 0)), int(np.count_nonzero(s < 0))
+    return pos, neg, int(np.count_nonzero(kept)) - pos - neg
+
+
+def drawings(mesh, rng):
+    """Drawings of ``mesh`` in R^d, d its intrinsic dimension: the first d
+    coordinates of its vertices (folded for the sphere and the swiss roll),
+    that jittered, snapped to a sheared 0.5 grid (exact zero images, among
+    them collinear ones the float filter cannot decide), the snapped one
+    moved a few ulps (near-collinear images), and the jittered one squashed
+    along the last axis by 1e-16, uniformly or by factors from 1e-16 to 1e-8
+    (images on both sides of the near-zero gate)."""
+    d = mesh.intrinsic_dim
+    plain = np.array(mesh.vertices[:, :d], dtype=float)
+    plain /= np.ptp(plain, axis=0).max()
+    jittered = plain + rng.normal(0, 0.02, plain.shape)
+    # the shear y' = x + y (and z' = x + y + z) is exact on the grid, and it
+    # turns collinear points on an axis line into points on a diagonal
+    snapped = np.round(jittered * 4) / 2 @ np.triu(np.ones((d, d)))
+    near = snapped + np.spacing(snapped) * rng.integers(-2, 3, snapped.shape)
+    squashed = jittered * np.append(np.ones(d - 1), 1e-16)
+    spread = jittered.copy()
+    spread[:, -1] *= 10.0 ** rng.uniform(-16, -8, len(spread))
+    return {"plain": plain, "jittered": jittered, "snapped": snapped, "near": near,
+            "squashed": squashed, "spread": spread}
+
+
+class TestOneFilteredPass:
+    """The histogram's one pass counts what the gate and a second, exact
+    pass over the kept rows count."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_two_pass_reference(self, kind, seed):
+        resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (7, 6))
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        rng = np.random.default_rng(seed)
+        mesh = relabel(mesh, rng)
+        undecided_rows = 0
+        for name, coords in drawings(mesh, rng).items():
+            _, _, undecided = simplex_determinants(coords, mesh.simplices)
+            undecided_rows += int(np.count_nonzero(undecided))
+            points = coords[mesh.simplices]
+            exact = simplex_orientations(points)
+            assert exact.tolist() == [simplex_orientation_rational(p.tolist()) for p in points]
+            # tol 0 keeps every row, so the integer stage settles the rows
+            # the filter leaves, as for the loop certificate's exact signs
+            for tol in (1e-12, 0.0):
+                for exclude in ([], [0], [0, mesh.n_simplices - 1]):
+                    want = two_pass_histogram(mesh, coords, exact, exclude, tol)
+                    got = orientation_histogram(mesh, coords, tol, exclude=exclude)
+                    assert got == want, (name, tol, exclude)
+        assert undecided_rows > 0
+
+    def test_one_exact_sign_counts_near_zero_images(self):
+        # a tiny but correctly oriented image is near zero for the histogram
+        # and still has the one exact sign the loop certificate asks for
+        mesh = grid_mesh(3, 3)
+        coords = np.array(mesh.vertices, dtype=float)
+        coords[4] = [0.5, 1e-13]
+        assert orientation_histogram(mesh, coords)[2] > 0
+        assert validity._one_exact_sign(mesh, coords, [])
+        coords[4] = [0.5, -1e-13]
+        assert not validity._one_exact_sign(mesh, coords, [])
 
 
 class TestHullContainment:
