@@ -137,8 +137,6 @@ def cmd_embed(args) -> int:
             seed=args.seed,
             seed_index=args.seed_index,
         )
-    except SolverError as exc:
-        return _fail(f"solver failed: {exc}", EXIT_SOLVER)
     except ValueError as exc:
         return _fail(str(exc))
     t_embed = time.perf_counter()
@@ -236,7 +234,12 @@ def cmd_validate(args) -> int:
             manifest = json.loads(Path(manifest_path).read_text())
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read manifest {manifest_path}: {exc}")
-        seed_simplex = manifest.get("result", {}).get("seed_simplex")
+        if not isinstance(manifest, dict):
+            return _fail(f"manifest {manifest_path} is not a JSON object")
+        result = manifest.get("result", {})
+        if not isinstance(result, dict):
+            return _fail(f"manifest {manifest_path}: result is not a JSON object")
+        seed_simplex = result.get("seed_simplex")
         if seed_simplex is not None:
             # a JSON integer only: bool is an int subclass in Python
             if (

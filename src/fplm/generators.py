@@ -165,21 +165,13 @@ def structured_grid_triangles(nx: int, ny: int) -> np.ndarray:
     grids of at least 3 points per axis, so such grids have no dividing
     edges. All triangles wind counterclockwise in latent coordinates.
     """
-    tris = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            a = j * nx + i
-            b = j * nx + i + 1
-            c = (j + 1) * nx + i
-            d = (j + 1) * nx + i + 1
-            anti = (i == 0 and j == ny - 2) or (i == nx - 2 and j == 0)
-            if anti:
-                tris.append((a, b, c))
-                tris.append((b, d, c))
-            else:
-                tris.append((a, b, d))
-                tris.append((a, d, c))
-    return np.asarray(tris, dtype=np.int64)
+    j, i = np.indices((ny - 1, nx - 1)).reshape(2, -1)
+    anti = ((i == 0) & (j == ny - 2)) | ((i == nx - 2) & (j == 0))
+    # corner offsets from a = j * nx + i of the cell's two triangles
+    offsets = np.where(
+        anti[:, None], [0, 1, nx, 1, nx + 1, nx], [0, 1, nx + 1, 0, nx + 1, nx]
+    )
+    return ((j * nx + i)[:, None] + offsets).reshape(-1, 3)
 
 
 # icosahedron with vertices on the unit sphere; r is the golden ratio
@@ -215,34 +207,23 @@ def icosphere(level: int) -> SimplicialMesh:
     if level < 0:
         raise ValueError("subdivision level must be nonnegative")
     verts, faces = _icosahedron()
-    verts = [tuple(v) for v in verts]
-    faces = [tuple(f) for f in faces]
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(u, v):
-            key = (u, v) if u < v else (v, u)
-            if key not in midpoint:
-                p = np.array(verts[u]) + np.array(verts[v])
-                p /= np.linalg.norm(p)
-                midpoint[key] = len(verts)
-                verts.append(tuple(p))
-            return midpoint[key]
-
-        next_faces = []
-        for a, b, c in faces:
-            ab = mid(a, b)
-            bc = mid(b, c)
-            ca = mid(c, a)
-            next_faces.extend(
-                [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-            )
-        faces = next_faces
-    return SimplicialMesh(
-        np.asarray(verts, dtype=float),
-        np.asarray(faces, dtype=np.int64),
-        2,
-    )
+        # edges ab, bc, ca of each face in turn; each edge's midpoint is
+        # numbered by the first occurrence of its key
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = ends.min(axis=1) * len(verts) + ends.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        a, b = ends[first[order]].T
+        p = verts[a] + verts[b]
+        # the dot product np.linalg.norm takes for one 3-vector, row by row
+        norm = np.sqrt(p[:, None, :] @ p[:, :, None]).reshape(-1, 1)
+        mids = len(verts) + np.argsort(order)[inverse].reshape(-1, 3)
+        verts = np.vstack([verts, p / norm])
+        # columns a, b, c, ab, bc, ca
+        cells = np.hstack([faces, mids])
+        faces = cells[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
+    return SimplicialMesh(verts, faces, 2)
 
 
 def _kuhn_tets(flip: tuple[int, int, int]):

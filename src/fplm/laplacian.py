@@ -125,13 +125,14 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
     """Exponential-of-distance weights on the mesh 1-skeleton.
 
     w_ij = exp(-gamma * d_ij) with d_ij the Euclidean distance between the
-    ambient coordinates of the edge endpoints. ``gamma`` must be positive
-    and finite, and small enough that no weight falls below the smallest
-    normal double, ``np.finfo(float).tiny``; otherwise ValueError (a
-    subnormal weight makes the reciprocal diagonal of the iterative route
-    overflow). Coincident connected points get weight exactly 1, which is
-    allowed but flagged with a warning since it usually indicates
-    duplicated samples.
+    ambient coordinates of the edge endpoints. Every d_ij must be finite
+    (a NaN or inf coordinate raises ValueError naming the edge). ``gamma``
+    must be positive and finite, and small enough that no weight falls
+    below the smallest normal double, ``np.finfo(float).tiny``; otherwise
+    ValueError (a subnormal weight makes the reciprocal diagonal of the
+    iterative route overflow). Coincident connected points get weight
+    exactly 1, which is allowed but flagged with a warning since it usually
+    indicates duplicated samples.
 
     The graph is memoised on the immutable mesh object, one per
     ``float(gamma)``, so ``run_fplm`` and a later ``audit(graph=...)`` on
@@ -149,6 +150,13 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
     edges = mesh_edges(mesh)
     diffs = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     dists = np.linalg.norm(diffs, axis=1)
+    finite = dists < np.inf  # False for NaN too
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"edge ({edges[k, 0]}, {edges[k, 1]}) has length {dists[k]}; "
+            "edge lengths must be finite"
+        )
     if (dists == 0.0).any():
         n_zero = int((dists == 0.0).sum())
         warnings.warn(

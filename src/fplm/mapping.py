@@ -274,11 +274,8 @@ def solve_fixed_point(
     """
     system = assemble_system(graph, fixed.indices)
     coords = np.zeros((graph.n, fixed.dim))
-    # assemble_system sorts the fixed indices; realign the target rows
-    order = np.argsort(fixed.indices, kind="stable")
-    targets_sorted = fixed.targets[order]
-    coords[system.fixed_indices] = targets_sorted
-    rhs = -(system.lap_free_fixed @ targets_sorted)
+    coords[fixed.indices] = fixed.targets
+    rhs = -(system.lap_free_fixed @ coords[system.fixed_indices])
     solution, residual, route = solve_spd(
         system.lap_free, rhs, config, _residual=True
     )

@@ -21,7 +21,6 @@ when validation has not run.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -586,34 +585,31 @@ def _walk_boundary_cycles(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], 
     combinatorial only; callers needing an orientation-consistent direction
     should fix it against the canonical simplex orientation.
     """
-    if boundary_edges.shape[0] == 0:
-        return ()
-    incident: dict[int, list[int]] = defaultdict(list)
-    for u, v in boundary_edges:
-        incident[int(u)].append(int(v))
-        incident[int(v)].append(int(u))
-    for vertex, nbrs in incident.items():
-        if len(nbrs) != 2:
-            raise ValueError(
-                f"boundary vertex {vertex} has {len(nbrs)} incident boundary "
-                "edges; the boundary is not a disjoint union of simple loops"
-            )
-    cycles = []
-    visited: set[int] = set()
-    for start in sorted(incident):
-        if start in visited:
-            continue
-        loop = [start]
-        visited.add(start)
-        prev = start
-        cur = min(incident[start])
-        while cur != start:
-            loop.append(cur)
-            visited.add(cur)
-            a, b = incident[cur]
-            nxt = b if a == prev else a
-            prev, cur = cur, nxt
-        cycles.append(tuple(loop))
+    ends = boundary_edges.ravel()
+    vertices, first, degree = np.unique(ends, return_index=True, return_counts=True)
+    bad = np.flatnonzero(degree != 2)
+    if bad.size:
+        k = bad[np.argmin(first[bad])]  # the first bad vertex in edge order
+        raise ValueError(
+            f"boundary vertex {vertices[k]} has {degree[k]} incident boundary "
+            "edges; the boundary is not a disjoint union of simple loops"
+        )
+    # each vertex's two neighbours, smaller first, as positions in `vertices`
+    nbrs = boundary_edges[:, ::-1].ravel()
+    order = np.lexsort((nbrs, ends))
+    lo, hi = np.searchsorted(vertices, nbrs[order]).reshape(-1, 2).T.tolist()
+    ids = vertices.tolist()
+    seen = [False] * (len(ids) + 1)  # the sentinel stops the last search
+    cycles, loop = [], []
+    start = prev = cur = 0
+    for _ in ids:
+        loop.append(ids[cur])
+        seen[cur] = True
+        prev, cur = cur, hi[cur] if lo[cur] == prev else lo[cur]
+        if cur == start:
+            cycles.append(tuple(loop))
+            loop = []
+            start = prev = cur = seen.index(False, start)
     return tuple(cycles)
 
 

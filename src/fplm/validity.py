@@ -402,31 +402,29 @@ def crossing_locations(edges, coords, pairs) -> np.ndarray:
     drawing, they carry no certification weight. Collinear overlaps get the
     midpoint of the shared interval.
     """
-    e = np.asarray(edges, dtype=np.int64)
-    p = np.asarray(coords, dtype=float)
-    out = []
-    for i, j in pairs:
-        a, b = p[e[i, 0]], p[e[i, 1]]
-        c, d = p[e[j, 0]], p[e[j, 1]]
-        r = b - a
-        s = d - c
-        denom = r[0] * s[1] - r[1] * s[0]
-        if denom != 0.0:
-            t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
-            out.append(a + t * r)
-        else:
-            axis = 0 if max(abs(r[0]), abs(s[0])) >= max(abs(r[1]), abs(s[1])) else 1
-            lo = max(min(a[axis], b[axis]), min(c[axis], d[axis]))
-            hi = min(max(a[axis], b[axis]), max(c[axis], d[axis]))
-            mid = 0.5 * (lo + hi)
-            if abs(r[axis]) > 0:
-                t = (mid - a[axis]) / r[axis]
-                out.append(a + t * r)
-            else:
-                out.append(0.5 * (a + b))
-    if not out:
-        return np.zeros((0, 2))
-    return np.vstack(out)
+    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    # (pair, edge, end, coordinate): edge i runs from a to b, edge j from c
+    ends = np.asarray(coords, dtype=float)[np.asarray(edges, dtype=np.int64)[ij]]
+    a, b, c = ends[:, 0, 0], ends[:, 0, 1], ends[:, 1, 0]
+    r, s = b - a, ends[:, 1, 1] - c
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    # parallel pairs: the overlap's midpoint on the axis where they spread
+    # more; each where() keeps the first of equal values, as min and max do
+    rows, axis = np.arange(len(ij)), np.argmax(np.maximum(abs(r), abs(s)), axis=1)
+    x = ends[rows, :, :, axis]  # (pair, edge, end)
+    low = np.where(x[..., 1] < x[..., 0], x[..., 1], x[..., 0])
+    high = np.where(x[..., 1] > x[..., 0], x[..., 1], x[..., 0])
+    lo = np.where(low[:, 1] > low[:, 0], low[:, 1], low[:, 0])
+    hi = np.where(high[:, 1] < high[:, 0], high[:, 1], high[:, 0])
+    r_axis = r[rows, axis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = c - a
+        cross = (u[:, 0] * s[:, 1] - u[:, 1] * s[:, 0]) / denom
+        t = np.where(denom != 0.0, cross, (0.5 * (lo + hi) - x[:, 0, 0]) / r_axis)
+        point = a + t[:, None] * r
+    # an edge i with no extent on that axis marks its own midpoint
+    own = (denom == 0.0) & (r_axis == 0.0)
+    return np.where(own[:, None], 0.5 * (a + b), point)
 
 
 def orientation_histogram(

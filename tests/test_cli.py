@@ -149,7 +149,7 @@ class TestEmbed:
         assert capsys.readouterr().err.startswith("error: ")
         assert not emb.exists()
 
-    def test_nonconvergent_solver_returns_4(self, tmp_path):
+    def test_nonconvergent_solver_returns_4(self, tmp_path, capsys):
         mesh = tmp_path / "mesh.json"
         rc = main(
             ["generate", "--kind", "grid-disk", "--resolution", "8x8", "--out", str(mesh)]
@@ -169,6 +169,9 @@ class TestEmbed:
             ]
         )
         assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed: ") and err.count("\n") == 1
+        assert not (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("solver", ["auto", "iterative"])
     @pytest.mark.parametrize("gamma", ["3000", "4000"])
@@ -401,6 +404,23 @@ class TestValidate:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"seed_simplex must be an integer in [0, 80), got {seed}" in err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[1, 2]", " is not a JSON object"),
+            ('{"result": [1]}', ": result is not a JSON object"),
+            ('{"result": null}', ": result is not a JSON object"),
+        ],
+    )
+    def test_non_object_manifest_returns_2(self, tmp_path, capsys, text, problem):
+        mesh, emb, rc = run_pipeline(tmp_path)
+        path = tmp_path / "emb.csv.manifest.json"
+        path.write_text(text)
+        capsys.readouterr()
+        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: manifest {path}{problem}\n"
 
     def test_corrupt_manifest_returns_2(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)

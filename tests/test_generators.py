@@ -1,5 +1,6 @@
 """Mesh generator tests: surfaces, sphere, solid ball, Delaunay."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from delaunay_oracle import incircle
 from fplm.generators import (
     GeneratorSpec,
+    _icosahedron,
     _kuhn_tets,
     ball3,
     delaunay2d,
@@ -16,7 +18,9 @@ from fplm.generators import (
     structured_grid_triangles,
 )
 from fplm.geometry import simplex_orientation
+from fplm.meshio import mesh_to_json
 from fplm.simplicial import (
+    SimplicialMesh,
     canonical_orientation,
     detect_boundary,
     detect_dividing_simplices,
@@ -43,7 +47,51 @@ class TestGeneratorSpec:
             GeneratorSpec("grid-disk", (0, 4))
 
 
+def grid_loop(nx, ny):
+    """The per-cell loop of ``structured_grid_triangles``: its oracle."""
+    tris = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            a, b = j * nx + i, j * nx + i + 1
+            c, d = a + nx, b + nx
+            if (i == 0 and j == ny - 2) or (i == nx - 2 and j == 0):
+                tris += [(a, b, c), (b, d, c)]
+            else:
+                tris += [(a, b, d), (a, d, c)]
+    return np.array(tris, dtype=np.int64)
+
+
+def icosphere_loop(level):
+    """Subdivision with a midpoint dictionary: the oracle for ``icosphere``."""
+    verts, faces = _icosahedron()
+    verts = [tuple(v) for v in verts]
+    faces = [tuple(f) for f in faces.tolist()]
+    for _ in range(level):
+        midpoint = {}
+
+        def mid(u, v):
+            key = (min(u, v), max(u, v))
+            if key not in midpoint:
+                p = np.array(verts[u]) + np.array(verts[v])
+                midpoint[key] = len(verts)
+                verts.append(tuple(p / np.linalg.norm(p)))
+            return midpoint[key]
+
+        next_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            next_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = next_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
 class TestSurfaces:
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (5, 2), (3, 3), (4, 7), (9, 6)])
+    def test_grid_matches_cell_loop(self, nx, ny):
+        tris = structured_grid_triangles(nx, ny)
+        assert tris.dtype == np.int64
+        assert np.array_equal(tris, grid_loop(nx, ny))
+
     def test_grid_disk_two_by_two(self):
         mesh, latent = generate(GeneratorSpec("grid-disk", (2, 2)))
         assert mesh.n_vertices == 4
@@ -146,6 +194,70 @@ class TestIcosphere:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             icosphere(-1)
+
+    @pytest.mark.parametrize("level", range(5))
+    def test_matches_midpoint_dictionary_bit_for_bit(self, level):
+        verts, faces = icosphere_loop(level)
+        mesh = icosphere(level)
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        assert np.array_equal(mesh.simplices, faces)
+
+
+# sha256 of mesh_to_json, pinned byte for byte. The lifts of monkey-saddle
+# (u**3), twin-peaks (tanh) and swiss-roll (sin, cos) run through numpy's
+# SIMD loops, whose last bits vary with the CPU, so for those kinds the
+# digest covers the simplices over the latent points instead (the same for
+# monkey-saddle and twin-peaks, which share both).
+_LIFTED = ("monkey-saddle", "twin-peaks", "swiss-roll")
+_GENERATED_DIGESTS = [
+    ("grid-disk", (4, 3), "structured-grid", "5d766c3c83372b9931ac05db28b7cf1870c8074878fa85d2ae6390c64897ba8e"),
+    ("grid-disk", (6, 5), "structured-grid", "92391c30b2753c3df990a89506b881a0a72a0d26c5de19ba5663fe19a7459a2d"),
+    ("grid-disk", (4, 3), "delaunay2d", "eff3ee9761423a50e781cec54b17e05c375fad522091800bbabdbd02419248e3"),
+    ("grid-disk", (6, 5), "delaunay2d", "4e4adc8864db1552abe3e47801b7721378d6015577bb72b6092015524154cd8a"),
+    ("paraboloid", (4, 3), "structured-grid", "208a59ca5ee5872d7e202b0671ebca0b46760708269e466d8e6ad183c45a2bae"),
+    ("paraboloid", (6, 5), "structured-grid", "79194f31ee837d74bb436d78a2cfa5f564bab8186f79fa82a20a1ad962711616"),
+    ("paraboloid", (4, 3), "delaunay2d", "d380ac86825b768105aa6f535d9c944cea32a2cc98fa7078d9e3bac88b2b57c8"),
+    ("paraboloid", (6, 5), "delaunay2d", "faab4d8eb048c3874025147db1ce12cdbcf9a8efc72a7dca496cf991a2ad462c"),
+    ("monkey-saddle", (4, 3), "structured-grid", "94e13b1bb860025f309626b8662dc098644588abe192881ae42c2bc4c5b0ae12"),
+    ("monkey-saddle", (6, 5), "structured-grid", "2aa2613a32ab3706549ff3a6a92d70502d901da630923f4bf25d1e1751858561"),
+    ("monkey-saddle", (4, 3), "delaunay2d", "b51d35cdae008373f43e4dbf3f03bbab7bab03c5f3b1ca4f8db2167f87068781"),
+    ("monkey-saddle", (6, 5), "delaunay2d", "8ca41fd9a30ca238075ff3a7e8309812ea4593dddeae8c498e0450ea3fd175d8"),
+    ("twin-peaks", (4, 3), "structured-grid", "94e13b1bb860025f309626b8662dc098644588abe192881ae42c2bc4c5b0ae12"),
+    ("twin-peaks", (6, 5), "structured-grid", "2aa2613a32ab3706549ff3a6a92d70502d901da630923f4bf25d1e1751858561"),
+    ("twin-peaks", (4, 3), "delaunay2d", "b51d35cdae008373f43e4dbf3f03bbab7bab03c5f3b1ca4f8db2167f87068781"),
+    ("twin-peaks", (6, 5), "delaunay2d", "8ca41fd9a30ca238075ff3a7e8309812ea4593dddeae8c498e0450ea3fd175d8"),
+    ("swiss-roll", (4, 3), "structured-grid", "40b830a97cf5feaf2784117054b56bc80e04a700a9bcd169abb1be3242a21d16"),
+    ("swiss-roll", (6, 5), "structured-grid", "d679127ed5856cc7d503db200a7baf8e11fb8dc678bb896015adb6e4346b2590"),
+    ("swiss-roll", (4, 3), "delaunay2d", "c0051937e60aeedd7d264e74327d1b54da93f82fa36c35824848545a40c1d447"),
+    ("swiss-roll", (6, 5), "delaunay2d", "2e62486dc9781230ef9aff9326788e0e82657df2414a6c1e016a1b47b3e1f1f0"),
+    ("ball3", (2,), "structured-grid", "c577a9fad27e8f722c0e8cf5f5511d6b1abe5fe8b2b338d06adfddfd7ea12dde"),
+    ("ball3", (3,), "structured-grid", "afa712c1edbc0690659dbfe0bfd3b5569335b70d18311ee571c5a24def736369"),
+]
+_ICOSPHERE_DIGESTS = [
+    "8b35e17391f523ec9ad56fcf6a5f255a5a89ab448418bfeaa59aad8854f1c460",
+    "4909cf1e6098133756f398fc77ea00425bdd86d6218c06bedf875e978c8d4f17",
+    "bf95692a9e23ad5bf36546f0dc1539bd89b797326502119b6be5acd580720f3d",
+    "128a4f3c4f3b11af4d077ec3f863c2ea15d4bb0b7df65181c1cb025ceb0468f4",
+    "337e9773737b4ec989ef5cb522013e9b3413ad6cd5fd13c4bf69ef13d1807199",
+    "86f1fbc3311b95b6737edcb0f82af77fb1de33b34ce1bd02c0fec5d6fccc7ca7",
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("kind, res, triangulation, digest", _GENERATED_DIGESTS)
+    def test_generated_mesh_json(self, kind, res, triangulation, digest):
+        mesh, latent = generate(GeneratorSpec(kind, res, triangulation=triangulation))
+        if kind in _LIFTED:
+            mesh = SimplicialMesh(latent, mesh.simplices, 2)
+        assert _sha256(mesh_to_json(mesh)) == digest
+
+    @pytest.mark.parametrize("level, digest", enumerate(_ICOSPHERE_DIGESTS))
+    def test_icosphere_json(self, level, digest):
+        assert _sha256(mesh_to_json(icosphere(level))) == digest
 
 
 def ball3_loop(resolution):

@@ -78,6 +78,18 @@ class TestBuildWeights:
         with pytest.raises(ValueError, match="underflows the weight"):
             build_weights(triangle_mesh(), gamma=1000.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_edge_length_rejected(self, bad):
+        # NaN lengths compare False with everything, so an underflow test
+        # alone would pass them on as NaN weights
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        verts[3, 1] = bad
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), 2)
+        length = "nan" if np.isnan(bad) else "inf"
+        message = rf"^edge \(1, 3\) has length {length}; edge lengths must be finite$"
+        with pytest.raises(ValueError, match=message):
+            build_weights(mesh, gamma=0.1)
+
     @pytest.mark.parametrize("gamma", [4400.0, 4500.0])
     def test_subnormal_weight_rejected(self, gamma):
         # the longest edge of icosphere 3 (0.165) gets a subnormal weight,

@@ -21,6 +21,7 @@ from fplm.simplicial import (
     detect_dividing_simplices,
     mesh_edges,
     mesh_faces,
+    _walk_boundary_cycles,
     triangulate_polygon_faces,
     validate_mesh,
 )
@@ -189,8 +190,27 @@ class TestDetectBoundary:
             [[0, 0], [1, 0], [0.5, 0.5], [0, 1], [1, 1]], dtype=float
         )
         simp = np.array([[0, 1, 2], [2, 3, 4]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             detect_boundary(SimplicialMesh(verts, simp, 2))
+        assert str(info.value) == (
+            "boundary vertex 2 has 4 incident boundary edges; the boundary is "
+            "not a disjoint union of simple loops"
+        )
+
+    def test_first_bad_vertex_in_edge_order_is_named(self):
+        # vertices 3 and 5 both have four boundary edges; 5 comes first in
+        # the edge rows
+        edges = np.array(
+            [[0, 1], [0, 5], [1, 3], [3, 4], [3, 6], [3, 7], [4, 5], [5, 8],
+             [5, 9], [6, 7], [8, 9]]
+        )
+        with pytest.raises(ValueError, match="^boundary vertex 5 has 4 incident"):
+            _walk_boundary_cycles(edges)
+
+    def test_loops_start_at_their_smallest_vertex(self):
+        edges = np.array([[0, 1], [0, 5], [1, 3], [3, 5], [2, 4], [2, 6], [4, 6]])
+        assert _walk_boundary_cycles(edges) == ((0, 1, 3, 5), (2, 4, 6))
+        assert _walk_boundary_cycles(np.zeros((0, 2), dtype=np.int64)) == ()
 
     def test_annulus_two_cycles(self):
         # square ring of 8 vertices, inner square hole
@@ -206,9 +226,7 @@ class TestDetectBoundary:
             ]
         )
         b = detect_boundary(SimplicialMesh(verts, simp, 2))
-        assert len(b.boundary_cycles) == 2
-        sizes = sorted(len(c) for c in b.boundary_cycles)
-        assert sizes == [4, 4]
+        assert b.boundary_cycles == ((0, 1, 2, 3), (4, 5, 6, 7))
 
     def test_tet_mesh_boundary_faces(self):
         # two tets sharing a face: 6 of 8 faces on the boundary
@@ -219,6 +237,75 @@ class TestDetectBoundary:
         b = detect_boundary(SimplicialMesh(verts, simp, 3))
         assert len(b.boundary_faces) == 6
         assert b.boundary_cycles is None
+
+
+def walk_loop(edges):
+    """The incidence-dictionary walk: the oracle for ``_walk_boundary_cycles``."""
+    incident = {}
+    for u, v in edges.tolist():
+        incident.setdefault(u, []).append(v)
+        incident.setdefault(v, []).append(u)
+    for vertex, nbrs in incident.items():
+        if len(nbrs) != 2:
+            raise ValueError(
+                f"boundary vertex {vertex} has {len(nbrs)} incident boundary "
+                "edges; the boundary is not a disjoint union of simple loops"
+            )
+    cycles, visited = [], set()
+    for start in sorted(incident):
+        if start in visited:
+            continue
+        loop, prev, cur = [start], start, min(incident[start])
+        visited.add(start)
+        while cur != start:
+            loop.append(cur)
+            visited.add(cur)
+            a, b = incident[cur]
+            prev, cur = cur, b if a == prev else a
+        cycles.append(tuple(loop))
+    return tuple(cycles)
+
+
+@st.composite
+def boundary_edge_sets(draw):
+    """Disjoint loops under random labels, sometimes with extra edges that
+    give a vertex three or four boundary edges, rows in any order."""
+    sizes = draw(st.lists(st.integers(3, 6), min_size=1, max_size=4))
+    labels = draw(st.permutations(range(sum(sizes) + 3)))
+    edges, k = [], 0
+    for size in sizes:
+        ring = labels[k:k + size]
+        k += size
+        edges += [(ring[i], ring[(i + 1) % size]) for i in range(size)]
+    pick = st.sampled_from(labels[:k])
+    extra = st.tuples(pick, pick).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(extra, max_size=2))
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return np.array([e[::-1] if f else e for e, f in zip(edges, flips)], dtype=np.int64)
+
+
+class TestBoundaryWalkOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_edge_sets())
+    def test_matches_dictionary_walk(self, edges):
+        try:
+            expected = walk_loop(edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                _walk_boundary_cycles(edges)
+            assert str(info.value) == str(exc)
+        else:
+            assert _walk_boundary_cycles(edges) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_delaunay_boundary(self, seed):
+        mesh, _ = generate(
+            GeneratorSpec("paraboloid", (30, 30), seed=seed, triangulation="delaunay2d")
+        )
+        mesh = relabel(mesh, np.random.default_rng(seed))
+        edges = detect_boundary(mesh).boundary_faces
+        assert detect_boundary(mesh).boundary_cycles == walk_loop(edges)
 
 
 class TestDividingSimplices:

@@ -312,7 +312,54 @@ class TestCrossingOracleProperty:
         assert res.count > 100
 
 
+def crossing_locations_loop(edges, coords, pairs):
+    """The per-pair branches: the oracle for ``crossing_locations``."""
+    out = []
+    for i, j in pairs:
+        a, b = coords[edges[i, 0]], coords[edges[i, 1]]
+        c, d = coords[edges[j, 0]], coords[edges[j, 1]]
+        r = b - a
+        s = d - c
+        denom = r[0] * s[1] - r[1] * s[0]
+        if denom != 0.0:
+            t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
+            out.append(a + t * r)
+            continue
+        axis = 0 if max(abs(r[0]), abs(s[0])) >= max(abs(r[1]), abs(s[1])) else 1
+        lo = max(min(a[axis], b[axis]), min(c[axis], d[axis]))
+        hi = min(max(a[axis], b[axis]), max(c[axis], d[axis]))
+        if abs(r[axis]) > 0:
+            out.append(a + (0.5 * (lo + hi) - a[axis]) / r[axis] * r)
+        else:
+            out.append(0.5 * (a + b))
+    return np.vstack(out) if out else np.zeros((0, 2))
+
+
+@st.composite
+def segment_pairs(draw):
+    """1-5 segment pairs on a small grid with signed zeros; a pair is often
+    made collinear by sharing one coordinate across its four ends."""
+    value = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0])
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        ends = np.array(draw(st.lists(st.tuples(value, value), min_size=4, max_size=4)))
+        axis = draw(st.sampled_from([None, 0, 1]))
+        if axis is not None:
+            ends[:, axis] = ends[0, axis]
+        rows.append(ends)
+    coords = np.vstack(rows)
+    edges = np.arange(len(coords)).reshape(-1, 2)
+    return edges, coords, [(k, k + 1) for k in range(0, len(edges), 2)]
+
+
 class TestCrossingLocations:
+    @settings(max_examples=500, deadline=None)
+    @given(segment_pairs())
+    def test_matches_per_pair_branches_bit_for_bit(self, case):
+        edges, coords, pairs = case
+        got = crossing_locations(edges, coords, pairs)
+        assert got.tobytes() == crossing_locations_loop(edges, coords, pairs).tobytes()
+
     def test_diagonal_intersection_point(self):
         edges, coords = segs(((0, 0), (1, 1)), ((0, 1), (1, 0)))
         res = count_crossings(edges, coords)
@@ -328,6 +375,27 @@ class TestCrossingLocations:
         edges, coords = segs(((0, 0), (1, 1)))
         pts = crossing_locations(edges, coords, ())
         assert pts.shape == (0, 2)
+
+    def test_parallel_and_zero_length_pairs_in_one_call(self):
+        edges, coords = segs(
+            ((0, 0), (2, 0)), ((1, 0), (3, 0)),  # collinear overlap along x
+            ((0, 0), (0, 2)), ((0, 3), (0, 1)),  # along y, edge j reversed
+            ((0, 0), (2, 2)), ((1, 1), (3, 3)),  # along the diagonal
+            ((1, 1), (1, 1)), ((0, 0), (2, 2)),  # zero-length edge i
+            ((1, 1), (1, 1)), ((1, 1), (1, 1)),  # two zero-length edges
+            ((0, 0), (2, 2)), ((0, 2), (2, 0)),  # a proper crossing
+        )
+        pairs = [(k, k + 1) for k in range(0, 12, 2)]
+        pts = crossing_locations(edges, coords, pairs)
+        expected = [[1.5, 0.0], [0.0, 1.5], [1.5, 1.5], [1.0, 1.0], [1.0, 1.0]]
+        assert np.array_equal(pts, expected + [[1.0, 1.0]])
+
+    def test_signed_zero_overlap_keeps_the_first_of_equal_ends(self):
+        # the overlap is the point x = 0, spelt 0.0 and -0.0; as the builtin
+        # min and max do, ties keep the first value, so the marker is +0.0
+        edges, coords = segs(((0.0, -0.0), (1.0, 0.0)), ((0.0, 0.0), (-0.0, 0.0)))
+        pts = crossing_locations(edges, coords, ((0, 1),))
+        assert pts.tobytes() == np.zeros((1, 2)).tobytes()
 
 
 class TestOrientationHistogram:
