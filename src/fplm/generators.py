@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import orient2d_signs
+from .geometry import orient2d_signs_xy
 from .simplicial import SimplicialMesh, validate_mesh
 
 GENERATOR_KINDS = (
@@ -295,7 +295,7 @@ def delaunay2d(points) -> list[tuple[int, int, int]]:
     """Delaunay triangulation of distinct planar points, by qhull.
 
     Each triangle is oriented counterclockwise with the exact
-    :func:`orient2d_signs` predicate and rotated so that its largest index
+    :func:`orient2d_signs_xy` predicate and rotated so that its largest index
     comes last, and the triangles are sorted. Cocircular ties are resolved
     by qhull, deterministically for a given input.
 
@@ -318,7 +318,8 @@ def delaunay2d(points) -> list[tuple[int, int, int]]:
     except QhullError as exc:
         raise ValueError("points are collinear; no triangulation exists") from exc
 
-    cw = orient2d_signs(pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]) < 0
+    (ax, ay), (bx, by), (cx, cy) = pts[tris].transpose(1, 2, 0)
+    cw = orient2d_signs_xy(ax, ay, bx, by, cx, cy) < 0
     tris[cw] = tris[cw][:, [0, 2, 1]]
     # a cyclic shift keeps the orientation; put the largest index last
     shift = np.argmax(tris, axis=1) + 1

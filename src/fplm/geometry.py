@@ -10,9 +10,9 @@ n / 2**k exactly, so scaling a row's coordinates by its largest 2**k turns
 them into Python ints, and the same determinant evaluated in ints has the
 exact sign (exactness needs no rational arithmetic). Callers always receive
 the mathematically exact sign, at float speed for all but near-degenerate
-configurations. The scalar forms :func:`orient2d`, :func:`orient3d` and
-:func:`simplex_orientation` are one-row calls of the batched filters. Only
-the d >= 4 simplex orientation uses ``Fraction``.
+configurations. The scalar forms :func:`orient2d` and :func:`orient3d` are
+one-row calls of the batched filters. Only the d >= 4 stage of
+:func:`exact_orientations` uses ``Fraction``.
 
 Simplices take the filters through :func:`simplex_determinants`: one
 gather of the coordinate columns, the edges from vertex 0 as the
@@ -129,29 +129,12 @@ def _det_fraction(rows):
     return total
 
 
-def simplex_orientation(points):
-    """Exact sign of det(p_1 - p_0, ..., p_d - p_0) for d+1 points in R^d.
-
-    Matches the sign convention of :func:`signed_volumes`. One simplex of
-    :func:`simplex_orientations`.
-    """
-    return int(simplex_orientations(np.asarray(points, dtype=float)[None])[0])
-
-
-def orient2d_signs(a, b, c):
+def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
     """Exact :func:`orient2d` signs for K point triples at once.
 
-    ``a``, ``b`` and ``c`` are (K, 2) arrays; row k of the int8 result is
-    ``orient2d(*a[k], *b[k], *c[k])``.
-    """
-    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    return orient2d_signs_xy(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
-
-
-def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
-    """:func:`orient2d_signs` on six coordinate columns of length K.
-
-    The float determinant det[a - c; b - c] decides a row when it clears the
+    The six arguments are coordinate columns of length K; row k of the int8
+    result is ``orient2d(ax[k], ay[k], bx[k], by[k], cx[k], cy[k])``. The
+    float determinant det[a - c; b - c] decides a row when it clears the
     error bound; the rows it cannot decide are settled together by the
     integer stage.
     """
@@ -337,24 +320,6 @@ def exact_orientations(coords, simplices):
         ]
         signs.append(_sign(_det_fraction(rows)))
     return np.array(signs, dtype=np.int8)
-
-
-def simplex_orientations(points):
-    """Exact :func:`simplex_orientation` signs for M simplices at once.
-
-    ``points`` is an (M, d+1, d) array of simplex vertex coordinates. The
-    result is an int8 array of signs: :func:`simplex_determinants` decides
-    the rows its filter can, and :func:`exact_orientations` the rest.
-    """
-    p = np.asarray(points, dtype=float)
-    m, k, d = p.shape
-    coords = p.reshape(m * k, d)
-    simplices = np.arange(m * k).reshape(m, k)
-    _, sign, undecided = simplex_determinants(coords, simplices)
-    rest = np.flatnonzero(undecided)
-    if rest.size:
-        sign[rest] = exact_orientations(coords, simplices[rest])
-    return sign
 
 
 def signed_volumes(coords, simplices):

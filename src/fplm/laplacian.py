@@ -26,8 +26,9 @@ class WeightedGraph:
     Edges are stored once with i < j; weights are strictly positive and
     read-only, since :func:`build_weights` hands one graph per (mesh,
     gamma) to every caller. The adjacency, degrees, Laplacian and component
-    labels are built once per graph on first use and shared, read-only, by
-    every system assembled on it.
+    labels are built once per graph on first use and shared, read-only;
+    every system assembled on the graph slices its blocks from the one
+    Laplacian.
     """
 
     n: int
@@ -35,19 +36,15 @@ class WeightedGraph:
     weights: np.ndarray
     gamma: float
 
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric sparse adjacency matrix with the edge weights, as a
-        writable copy of the read-only one the graph keeps."""
-        return self._adjacency.copy()
-
     @cached_property
-    def _adjacency(self) -> sparse.csr_matrix:
+    def adjacency(self) -> sparse.csr_matrix:
+        """Symmetric sparse adjacency matrix with the edge weights."""
         return _frozen(symmetric_csr(self.n, self.edges, self.weights))
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Weighted vertex degrees, the row sums of the adjacency."""
-        degrees = np.asarray(self._adjacency.sum(axis=1)).ravel()
+        degrees = np.asarray(self.adjacency.sum(axis=1)).ravel()
         degrees.setflags(write=False)
         return degrees
 
@@ -71,7 +68,7 @@ class WeightedGraph:
     @cached_property
     def component_labels(self) -> np.ndarray:
         """Connected-component label of each vertex."""
-        _, labels = connected_components(self._adjacency, directed=False)
+        _, labels = connected_components(self.adjacency, directed=False)
         labels.setflags(write=False)
         return labels
 
@@ -108,17 +105,10 @@ class LaplacianSystem:
     physically reordered.
     """
 
-    adjacency: sparse.csr_matrix
-    laplacian: sparse.csr_matrix
-    degrees: np.ndarray
     free_indices: np.ndarray
     fixed_indices: np.ndarray
     lap_free: sparse.csr_matrix
     lap_free_fixed: sparse.csr_matrix
-
-    @property
-    def n(self) -> int:
-        return self.laplacian.shape[0]
 
 
 def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
@@ -215,9 +205,6 @@ def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
     free = np.flatnonzero(~fixed_mask)
     free_rows = graph.laplacian[free]
     return LaplacianSystem(
-        adjacency=graph._adjacency,
-        laplacian=graph.laplacian,
-        degrees=graph.degrees,
         free_indices=free,
         fixed_indices=fixed_sorted,
         lap_free=free_rows[:, free].tocsr(),

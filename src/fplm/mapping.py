@@ -76,10 +76,6 @@ class FixedPointSet:
         object.__setattr__(self, "targets", tgt)
 
     @property
-    def p(self) -> int:
-        return self.indices.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.targets.shape[1]
 

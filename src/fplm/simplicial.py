@@ -135,7 +135,6 @@ class SimplicialMesh:
         return FaceTable(
             faces=_frozen(np.column_stack([c[first] for c in cols])),
             counts=_frozen(counts),
-            face_of=_frozen(face_id.reshape(s.shape)),
             parity=_frozen(parity.astype(np.int8)),
             order=_frozen(order),
         )
@@ -219,9 +218,6 @@ class FaceTable:
         Unique faces, each row sorted ascending, rows in lexicographic order.
     counts : (K,) int array
         Number of simplices containing each face.
-    face_of : (M, d+1) int array
-        Row of ``faces`` holding face k of simplex m, the face opposite its
-        vertex k.
     parity : (M, d+1) int8 array
         Orientation simplex m induces on its face k relative to the sorted
         face row: the sign of the sorting permutation times (-1)^k. The two
@@ -235,7 +231,6 @@ class FaceTable:
 
     faces: np.ndarray
     counts: np.ndarray
-    face_of: np.ndarray
     parity: np.ndarray
     order: np.ndarray
 
@@ -315,11 +310,11 @@ def mesh_edges(mesh: SimplicialMesh) -> np.ndarray:
 def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViolation]:
     """Check the d-simplex decomposition invariants.
 
-    Verifies that every vertex coordinate is finite, no simplex repeats a
-    vertex, every (d-1)-face is shared by at most two simplices, every
-    vertex's star is connected through faces that contain the vertex (no
-    pinched, non-manifold vertex), the face-adjacency graph is connected,
-    and no simplex is degenerate, where
+    Verifies that every vertex coordinate is finite, every vertex belongs
+    to a simplex, no simplex repeats a vertex, every (d-1)-face is shared
+    by at most two simplices, every vertex's star is connected through
+    faces that contain the vertex (no pinched, non-manifold vertex), the
+    face-adjacency graph is connected, and no simplex is degenerate, where
     degenerate means Gram-determinant volume below ``vol_tol`` times
     (bounding-box diameter)^d.
 
@@ -341,6 +336,14 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
                 f"vertex {int(idx)} has a non-finite coordinate "
                 f"{tuple(float(x) for x in mesh.vertices[idx])}",
             )
+        )
+
+    # a vertex in no simplex would leave the mapping's Laplacian singular
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[s] = True
+    for idx in np.flatnonzero(~used).tolist():
+        out.append(
+            MeshViolation("unreferenced-vertex", (idx,), f"vertex {idx} belongs to no simplex")
         )
 
     sorted_rows = np.sort(s, axis=1)
@@ -647,12 +650,13 @@ def canonical_orientation(mesh: SimplicialMesh) -> np.ndarray:
     return mesh.orientation
 
 
-def triangulate_polygon_faces(faces, vertices) -> SimplicialMesh:
+def triangulate_flat_faces(flat, sizes, vertices) -> SimplicialMesh:
     """Fan-triangulate polygon faces into a triangle mesh.
 
-    Each n-gon is rotated so its lowest-index vertex comes first, then
-    fanned from that vertex, preserving the polygon's cyclic order: the
-    quad (0, 1, 2, 3) becomes (0, 1, 2) and (0, 2, 3).
+    The faces' vertex ids lie end to end in ``flat``, face k holding
+    ``sizes[k]`` of them. Each n-gon is rotated so its lowest-index vertex
+    comes first, then fanned from that vertex, preserving the polygon's
+    cyclic order: the quad (0, 1, 2, 3) becomes (0, 1, 2) and (0, 2, 3).
 
     Raises
     ------
@@ -660,17 +664,6 @@ def triangulate_polygon_faces(faces, vertices) -> SimplicialMesh:
         For faces with fewer than three vertices or repeated vertices; the
         first offending face is reported.
     """
-    faces = list(faces)
-    sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum())
-    )
-    return triangulate_flat_faces(flat, sizes, vertices)
-
-
-def triangulate_flat_faces(flat, sizes, vertices) -> SimplicialMesh:
-    """:func:`triangulate_polygon_faces` on the faces' vertex ids laid end
-    to end in ``flat``, face k holding ``sizes[k]`` of them."""
     owner = np.repeat(np.arange(sizes.size), sizes)
     by_value = np.lexsort((flat, owner))  # each face's entries, ascending
     repeat = np.zeros(sizes.size, dtype=bool)

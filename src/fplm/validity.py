@@ -25,7 +25,11 @@ triangles have exact signs that agree with all the others meets the
 theorem too: it has no crossings, yet stays violated for its near-zero
 images. The full :func:`count_crossings` runs in every other case: mixed
 or zero exact signs, several boundary loops, an open mesh with an excluded
-triangle, a closed mesh with none, or a loop that is not simple. Violated reports thus keep their crossing pairs.
+triangle, a closed mesh with none, or a loop that is not simple. Violated
+reports thus keep their crossing pairs. An injective map keeps its boundary
+loop simple, so a one-signed drawing whose loop is not simple is violated
+even when no pair crosses properly (a T-junction, or two vertices drawn at
+one point).
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -98,8 +102,10 @@ class ValidityReport:
 
     crossing_count is None for d != 2 where no planar drawing exists.
     verdict is "injective-certified" exactly when the crossing count is
-    zero (or not applicable), exactly one orientation sign occurs, and no
-    simplex image is near-degenerate; otherwise "violated" with reasons.
+    zero (or not applicable), exactly one orientation sign occurs, no
+    simplex image is near-degenerate, and the loop the degree theorem tests
+    (below) is simple wherever it is tested; otherwise "violated" with
+    reasons.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
 
@@ -115,8 +121,10 @@ class ValidityReport:
     closed one; that triangle is a simple loop exactly when its image has
     a nonzero exact orientation. When all of this holds and the loop is
     simple, the theorem implies crossing_count 0 and no crossing_pairs,
-    and only the loop's edges are tested. Otherwise every edge pair is counted, so a violated
-    report lists all its crossing pairs.
+    and only the loop's edges are tested. Otherwise every edge pair is
+    counted, so a violated report lists all its crossing pairs; a loop that
+    is not simple adds its own reason, since an injective map keeps it
+    simple.
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
@@ -570,11 +578,11 @@ def convex_combination_residual(
     free_indices = np.asarray(free_indices, dtype=np.int64)
     if free_indices.size == 0:
         return 0.0
-    # the graph's own read-only matrix (adjacency() would copy it); the free
-    # rows of the full product equal the product of the extracted free rows
-    # bit for bit, and extracting sparse rows costs more than the extra rows
+    # the free rows of the full product equal the product of the extracted
+    # free rows bit for bit, and extracting sparse rows costs more than the
+    # extra rows
     averages = (
-        (graph._adjacency @ coords)[free_indices] / graph.degrees[free_indices, None]
+        (graph.adjacency @ coords)[free_indices] / graph.degrees[free_indices, None]
     )
     deviation = np.linalg.norm(coords[free_indices] - averages, axis=1)
     return float(deviation.max())
@@ -605,7 +613,8 @@ def audit(
     loop whose exact signs all agree, near-zero images included, is then
     decided on that loop alone, by the degree theorem (see
     :class:`ValidityReport`); every other drawing, and one whose loop is
-    not simple, gets the full crossing count.
+    not simple, gets the full crossing count, and a loop that is not simple
+    makes the report violated.
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -645,15 +654,16 @@ def audit(
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
 
     reasons: list[str] = []
+    simple = True
     if d == 2:
         loop = _certifying_loop(mesh, boundary, closed, exclude)
         # near-zero images still meet the degree theorem when their exact
         # signs agree with the rest; the verdict stays violated below
-        signs_agree = one_sign or (
-            loop is not None and zero and (pos > 0) != (neg > 0)
-            and _one_exact_sign(mesh, coords, exclude)
-        )
-        if signs_agree and loop is not None and _loop_is_simple(loop, coords):
+        tested = loop is not None and (one_sign or (
+            zero and (pos > 0) != (neg > 0) and _one_exact_sign(mesh, coords, exclude)
+        ))
+        simple = not tested or _loop_is_simple(loop, coords)
+        if tested and simple:
             # the degree theorem: the map is injective, so no edges cross
             crossing = CrossingResult(0, ())
         else:
@@ -662,6 +672,9 @@ def audit(
         crossing_pairs = crossing.pairs
         if crossing.count:
             reasons.append(f"{crossing.count} edge crossing(s)")
+        if not simple:
+            # an injective map keeps its boundary loop simple
+            reasons.append("boundary loop image is not simple")
     else:
         crossing_count = None
         crossing_pairs = ()
@@ -693,7 +706,7 @@ def audit(
             emb.coords_round1 if emb is not None else coords,
         )
 
-    certified = one_sign and not crossing_count
+    certified = one_sign and not crossing_count and simple
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,

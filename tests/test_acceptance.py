@@ -232,11 +232,11 @@ def test_criterion_08_solver_oracle_equivalence():
         coords = np.zeros((mesh.n_vertices, 2))
         coords[system.fixed_indices] = targets[np.argsort(bverts, kind="stable")]
         coords[system.free_indices] = iterative
-        foc = graph.adjacency() @ coords
-        foc = np.asarray(coords * system.degrees[:, None] - foc)
+        foc = graph.adjacency @ coords
+        foc = np.asarray(coords * graph.degrees[:, None] - foc)
         worst = (
             np.linalg.norm(foc[system.free_indices], axis=1)
-            / system.degrees[system.free_indices]
+            / graph.degrees[system.free_indices]
         ).max()
         assert worst <= 1e-9, f"trial {trial}: FOC residual {worst:.3e}"
 

@@ -300,6 +300,21 @@ class TestEmbed:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
+    def test_unreferenced_vertex_returns_2(self, tmp_path, capsys):
+        # validation names the vertex; the solve would only report a
+        # component with no fixed vertex
+        path = tmp_path / "mesh.json"
+        main(["generate", "--kind", "paraboloid", "--resolution", "5x5", "--out", str(path)])
+        blob = json.loads(path.read_text())
+        blob["vertices"].append([0.0, 0.0, 0.0])
+        path.write_text(json.dumps(blob))
+        rc = main(["embed", "--mesh", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "vertex 25 belongs to no simplex" in err
+        assert "contains no fixed vertex" not in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_non_finite_mesh_vertex_returns_2(self, tmp_path, capsys):
         path = tmp_path / "mesh.json"
         main(["generate", "--kind", "paraboloid", "--resolution", "6x6", "--out", str(path)])

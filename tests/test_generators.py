@@ -17,7 +17,6 @@ from fplm.generators import (
     icosphere,
     structured_grid_triangles,
 )
-from fplm.geometry import simplex_orientation
 from fplm.meshio import mesh_to_json
 from fplm.simplicial import (
     SimplicialMesh,
@@ -27,6 +26,7 @@ from fplm.simplicial import (
     mesh_faces,
     validate_mesh,
 )
+from orientation_oracle import orient2d_rational, simplex_orientations_rational
 
 
 class TestGeneratorSpec:
@@ -357,9 +357,7 @@ class TestBall3:
         # i.e. the stored tets are consistently orientable and windable
         mesh = ball3(3)
         sign = canonical_orientation(mesh)
-        geo = np.array(
-            [simplex_orientation(mesh.vertices[s]) for s in mesh.simplices]
-        )
+        geo = np.array(simplex_orientations_rational(mesh.vertices[mesh.simplices]))
         assert len(set((sign * geo).tolist())) == 1
 
     def test_radial_map_preserves_cube_shells(self):
@@ -405,7 +403,7 @@ class TestDelaunay2d:
             # brute force: no point strictly inside any circumcircle
             for a, b, c in tris:
                 pa, pb, pc = pts[a], pts[b], pts[c]
-                if simplex_orientation(np.array([pa, pb, pc])) < 0:
+                if orient2d_rational(*pa, *pb, *pc) < 0:
                     pa, pb = pb, pa
                 for q in range(len(pts)):
                     if q in (a, b, c):

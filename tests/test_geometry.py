@@ -21,55 +21,44 @@ from fplm.geometry import (
     bbox_diameter,
     exact_orientations,
     orient2d,
-    orient2d_signs,
+    orient2d_signs_xy,
     orient3d,
     orient3d_signs,
     signed_volumes,
     simplex_determinants,
-    simplex_orientation,
-    simplex_orientations,
     simplex_volumes,
+)
+from orientation_oracle import (
+    det_rational,
+    orient2d_rational,
+    orient3d_rational,
+    simplex_orientation_rational,
+    simplex_orientations_rational,
 )
 
 
-def orient2d_rational(ax, ay, bx, by, cx, cy):
-    ax, ay, bx, by, cx, cy = (Fraction(v) for v in (ax, ay, bx, by, cx, cy))
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (det > 0) - (det < 0)
+def filtered_signs(points):
+    """Exact signs of an (M, d+1, d) array of simplices through the package's
+    one route: the filter of ``simplex_determinants``, then
+    ``exact_orientations`` for the rows it leaves undecided."""
+    points = np.asarray(points, dtype=float)
+    m, k, d = points.shape
+    coords, simplices = points.reshape(m * k, d), np.arange(m * k).reshape(m, k)
+    _, sign, undecided = simplex_determinants(coords, simplices)
+    rest = np.flatnonzero(undecided)
+    if rest.size:
+        sign[rest] = exact_orientations(coords, simplices[rest])
+    return sign
 
 
-def orient3d_rational(pa, pb, pc, pd):
-    m = [
-        [Fraction(pa[i]) - Fraction(pd[i]) for i in range(3)],
-        [Fraction(pb[i]) - Fraction(pd[i]) for i in range(3)],
-        [Fraction(pc[i]) - Fraction(pd[i]) for i in range(3)],
-    ]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return (det > 0) - (det < 0)
+def orientation(points):
+    """:func:`filtered_signs` of one simplex, as an int."""
+    return int(filtered_signs(np.asarray(points, dtype=float)[None])[0])
 
 
-def det_rational(rows):
-    """Determinant of a square Fraction matrix by cofactor expansion."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for c, head in enumerate(rows[0]):
-        if head == 0:
-            continue
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        total += (-1) ** c * head * det_rational(minor)
-    return total
-
-
-def simplex_orientation_rational(points):
-    """Sign of det(p_1 - p_0, ..., p_d - p_0) in Fraction arithmetic."""
-    p0 = [Fraction(x) for x in points[0]]
-    det = det_rational([[Fraction(x) - x0 for x, x0 in zip(q, p0)] for q in points[1:]])
-    return (det > 0) - (det < 0)
+def orient2d_rows(pa, pb, pc):
+    """``orient2d_signs_xy`` on three (K, 2) arrays of points."""
+    return orient2d_signs_xy(*np.column_stack([pa, pb, pc]).T)
 
 
 class TestOrient2d:
@@ -146,7 +135,7 @@ class TestExactZeroRule:
         for a, b, c in self.ZERO_ROWS:
             assert orient2d(*a, *b, *c) == 0
         pa, pb, pc = (np.array(col) for col in zip(*self.ZERO_ROWS))
-        assert orient2d_signs(pa, pb, pc).tolist() == [0] * len(self.ZERO_ROWS)
+        assert orient2d_rows(pa, pb, pc).tolist() == [0] * len(self.ZERO_ROWS)
         assert made == []
 
     def test_underflowed_products_take_exact_path(self, monkeypatch):
@@ -157,7 +146,7 @@ class TestExactZeroRule:
         assert orient2d(*a, *b, *c) == orient2d_rational(*a, *b, *c) == -1
         assert made
         made.clear()
-        got = orient2d_signs(np.array([a]), np.array([b]), np.array([c]))
+        got = orient2d_rows(np.array([a]), np.array([b]), np.array([c]))
         assert got.tolist() == [-1]
         assert made
 
@@ -211,7 +200,7 @@ class TestBatchedPredicates:
         rng = np.random.default_rng(8)
         rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(3, 2)))) for _ in range(50)]
         pa, pb, pc = (np.array(col) for col in zip(*rows))
-        got = orient2d_signs(pa, pb, pc)
+        got = orient2d_rows(pa, pb, pc)
         want = [orient2d_rational(*x, *y, *z) for x, y, z in rows]
         assert got.dtype == np.int8
         assert got.tolist() == want
@@ -238,15 +227,15 @@ class TestBatchedPredicates:
         rng = np.random.default_rng(d)
         points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
         points[::7, 0] += math.ulp(2.0)
-        want = [simplex_orientation_rational(p.tolist()) for p in points]
-        assert simplex_orientations(points).tolist() == want
+        want = simplex_orientations_rational(points)
+        assert filtered_signs(points).tolist() == want
         # the integer stage alone, on every row
         coords, simplices = points.reshape(-1, d), np.arange(60 * (d + 1)).reshape(60, d + 1)
         assert exact_orientations(coords, simplices).tolist() == want
 
     def test_empty_batches(self):
         empty = np.zeros((0, 2))
-        assert orient2d_signs(empty, empty, empty).shape == (0,)
+        assert orient2d_rows(empty, empty, empty).shape == (0,)
         empty = np.zeros((0, 3))
         assert orient3d_signs(empty, empty, empty, empty).shape == (0,)
 
@@ -322,7 +311,7 @@ class TestIntegerStageAgainstFraction:
     def test_orient2d(self, row):
         want = orient2d_rational(*row)
         assert orient2d(*row) == want
-        assert orient2d_signs(*(np.array([row[k:k + 2]]) for k in (0, 2, 4))).tolist() == [want]
+        assert orient2d_rows(*(np.array([row[k:k + 2]]) for k in (0, 2, 4))).tolist() == [want]
         assert geometry._orient2d_exact([row]) == [want]
 
     @settings(max_examples=40, deadline=None)
@@ -330,7 +319,7 @@ class TestIntegerStageAgainstFraction:
                     min_size=1, max_size=40))
     def test_orient2d_signs(self, rows):
         pa, pb, pc = (np.array(list(zip(*rows))[k:k + 2]).T for k in (0, 2, 4))
-        got = orient2d_signs(pa, pb, pc)
+        got = orient2d_rows(pa, pb, pc)
         assert got.tolist() == [orient2d_rational(*row) for row in rows]
 
     @settings(max_examples=300, deadline=None)
@@ -370,13 +359,12 @@ class TestIntegerStageAgainstFraction:
     def check_filter_and_integer_stage(points):
         # the filter's decided signs and the integer stage's signs of every
         # row, decided or not, are the Fraction determinant's
-        want = [simplex_orientation_rational(p.tolist()) for p in points]
+        want = simplex_orientations_rational(points)
         m, k, d = points.shape
         coords, simplices = points.reshape(m * k, d), np.arange(m * k).reshape(m, k)
         _, sign, undecided = simplex_determinants(coords, simplices)
         assert sign[~undecided].tolist() == np.array(want)[~undecided].tolist()
         assert exact_orientations(coords, simplices).tolist() == want
-        assert simplex_orientations(points).tolist() == want
 
 
 class TestIncircle:
@@ -407,32 +395,32 @@ class TestIncircle:
 
 class TestSimplexOrientation:
     def test_d1(self):
-        assert simplex_orientation(np.array([[0.0], [1.0]])) > 0
-        assert simplex_orientation(np.array([[1.0], [0.0]])) < 0
-        assert simplex_orientation(np.array([[1.0], [1.0]])) == 0
+        assert orientation(np.array([[0.0], [1.0]])) > 0
+        assert orientation(np.array([[1.0], [0.0]])) < 0
+        assert orientation(np.array([[1.0], [1.0]])) == 0
 
     def test_d2_matches_orient2d(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert simplex_orientation(pts) > 0
-        assert simplex_orientation(pts[[1, 0, 2]]) < 0
+        assert orientation(pts) > 0
+        assert orientation(pts[[1, 0, 2]]) < 0
 
     def test_d3_right_hand_rule(self):
         pts = np.array(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
-        assert simplex_orientation(pts) > 0
+        assert orientation(pts) > 0
 
     def test_d4_via_rational_rows(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1, 1, size=(5, 4))
-        assert simplex_orientation(pts) == simplex_orientation_rational(pts.tolist())
+        assert orientation(pts) == simplex_orientation_rational(pts.tolist())
 
     def test_swap_flips_sign(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             pts = rng.uniform(-1, 1, size=(4, 3))
-            s = simplex_orientation(pts)
-            assert simplex_orientation(pts[[1, 0, 2, 3]]) == -s
+            s = orientation(pts)
+            assert orientation(pts[[1, 0, 2, 3]]) == -s
 
 
 class TestVolumes:

@@ -120,7 +120,7 @@ class TestBuildWeights:
 
     def test_adjacency_symmetric(self):
         g = build_weights(triangle_mesh())
-        a = g.adjacency().toarray()
+        a = g.adjacency.toarray()
         np.testing.assert_array_equal(a, a.T)
         assert np.diag(a).sum() == 0.0
 
@@ -133,7 +133,7 @@ class TestLaplacian:
     )
     def test_arrays_equal_the_sparse_difference(self, mesh):
         g = build_weights(fresh_copy(mesh))
-        want = (sparse.diags(g.degrees) - g.adjacency()).tocsr()
+        want = (sparse.diags(g.degrees) - g.adjacency).tocsr()
         want.sum_duplicates()
         got = g.laplacian
         for a, b in ((got.data, want.data), (got.indices, want.indices),
@@ -146,7 +146,7 @@ class TestLaplacian:
         # sparse.diags(...) - A drops the isolated vertex's zero degree
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.0, 1.0]])
         g = build_weights(SimplicialMesh(verts, np.array([[0, 1, 3]]), 2))
-        want = (sparse.diags(g.degrees) - g.adjacency()).tocsr()
+        want = (sparse.diags(g.degrees) - g.adjacency).tocsr()
         want.sum_duplicates()
         got = g.laplacian
         assert np.array_equal(got.indptr, want.indptr)
@@ -192,7 +192,7 @@ class TestBuiltInOrder:
         mesh = relabel(generate(GeneratorSpec(kind, resolution))[0], np.random.default_rng(seed))
         g = build_weights(mesh)
         want_adjacency, want_laplacian = sorted_construction(g)
-        for got, want in ((g._adjacency, want_adjacency), (g.laplacian, want_laplacian)):
+        for got, want in ((g.adjacency, want_adjacency), (g.laplacian, want_laplacian)):
             assert got.has_canonical_format
             for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                          (got.data, want.data)):
@@ -284,15 +284,14 @@ class TestAssembleSystem:
     def test_laplacian_rows_sum_to_zero(self):
         g = build_weights(triangle_mesh())
         sys = assemble_system(g, [0])
-        np.testing.assert_allclose(
-            np.asarray(sys.laplacian.sum(axis=1)).ravel(), 0.0, atol=1e-15
-        )
+        # each free row of L, split into its free and fixed columns
+        row_sums = sys.lap_free.sum(axis=1) + sys.lap_free_fixed.sum(axis=1)
+        np.testing.assert_allclose(np.asarray(row_sums).ravel(), 0.0, atol=1e-15)
 
     def test_degrees_match_adjacency(self):
         g = build_weights(path_graph())
-        sys = assemble_system(g, [0])
         np.testing.assert_allclose(
-            sys.degrees, np.asarray(g.adjacency().sum(axis=1)).ravel(), rtol=0
+            g.degrees, np.asarray(g.adjacency.sum(axis=1)).ravel(), rtol=0
         )
 
     def test_free_block_spd(self):
@@ -371,22 +370,21 @@ class TestAssembleSystem:
             want = assemble_system(build_weights(fresh_copy(mesh)), fixed)
             assert np.array_equal(got.free_indices, want.free_indices)
             assert np.array_equal(got.fixed_indices, want.fixed_indices)
-            assert np.array_equal(got.degrees, want.degrees)
-            for block in ("lap_free", "lap_free_fixed", "laplacian", "adjacency"):
+            for block in ("lap_free", "lap_free_fixed"):
                 a, b = getattr(got, block), getattr(want, block)
                 assert a.shape == b.shape
                 assert (a != b).nnz == 0, block
-        assert got.laplacian is shared.laplacian
+        # both rounds read the shared graph's matrices and leave them as built
+        fresh = build_weights(fresh_copy(mesh))
+        for name in ("laplacian", "adjacency"):
+            assert (getattr(shared, name) != getattr(fresh, name)).nnz == 0, name
+        assert np.array_equal(shared.degrees, fresh.degrees)
 
     def test_cached_matrices_are_read_only(self):
         g = build_weights(triangle_mesh())
-        for array in (g.degrees, g.component_labels, g.laplacian.data):
+        for array in (g.degrees, g.component_labels, g.laplacian.data, g.adjacency.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # adjacency() hands out a writable copy, never the graph's own matrix
-        a = g.adjacency()
-        a.data[:] = 0.0
-        assert (g.adjacency().data > 0).all()
 
     def test_all_vertices_fixed(self):
         g = build_weights(triangle_mesh())

@@ -1,5 +1,6 @@
 """Mapping pipeline tests: targets, seed choice, rounds, branches."""
 
+import itertools
 from collections import deque
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from fplm.generators import ball3, icosphere, structured_grid_triangles
-from fplm.geometry import simplex_orientation
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import (
     FixedPointSet,
@@ -22,6 +22,8 @@ from fplm.mapping import (
 )
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.solver import SolveConfig
+from fplm.validity import audit
+from orientation_oracle import simplex_orientation_rational
 
 
 def grid_mesh(nx, ny):
@@ -87,7 +89,7 @@ class TestRegularSimplex:
     def test_nondegenerate(self):
         for d in (2, 3, 4):
             verts = regular_simplex(d)
-            assert abs(simplex_orientation(verts)) == 1
+            assert abs(simplex_orientation_rational(verts.tolist())) == 1
 
 
 class TestSelectSeedSimplex:
@@ -113,7 +115,7 @@ class TestSelectSeedSimplex:
         # score each simplex by its shallowest vertex, first argmax wins
         mesh = grid_mesh(4, 4)
         picked = select_seed_simplex(mesh, "most-interior")
-        adj = build_weights(mesh).adjacency()
+        adj = build_weights(mesh).adjacency.copy()
         adj.data[:] = 1.0
         dist = shortest_path(adj, unweighted=True)
         bverts = detect_boundary(mesh).boundary_vertices
@@ -207,7 +209,7 @@ class TestMakeRegularPolygon:
     def test_square_targets_on_unit_circle(self):
         mesh = two_triangles()
         fps = make_regular_polygon(detect_boundary(mesh), mesh)
-        assert fps.p == 4
+        assert fps.indices.shape == (4,)
         assert fps.kind == "regular-polytope"
         np.testing.assert_allclose(
             np.linalg.norm(fps.targets, axis=1), 1.0, rtol=1e-15
@@ -311,7 +313,7 @@ class TestSolveFixedPoint:
             kind="inner-boundary",
         )
         coords, _, _ = solve_fixed_point(graph, fps)
-        adj = graph.adjacency()
+        adj = graph.adjacency
         deg = np.asarray(adj.sum(axis=1)).ravel()
         averaged = (adj @ coords) / deg[:, None]
         free = np.setdiff1d(np.arange(mesh.n_vertices), bverts)
@@ -448,3 +450,31 @@ class TestRunFplm:
         a = run_fplm(mesh, gamma=0.1)
         b = run_fplm(mesh, gamma=1.0)
         assert not np.allclose(a.coords, b.coords)
+
+
+def kuhn_4cube():
+    """The unit 4-cube split into 24 simplices, one per order of the axes:
+    each walks from the origin to (1, 1, 1, 1), adding one axis a step.
+    Vertex k sits at the binary digits of k, so every vertex is on the
+    boundary."""
+    verts = np.array([[k >> axis & 1 for axis in range(4)] for k in range(16)], dtype=float)
+    paths = [np.cumsum([0] + [1 << a for a in order]) for order in itertools.permutations(range(4))]
+    return SimplicialMesh(verts, np.array(paths), 4)
+
+
+class TestFourCube:
+    """d = 4 end to end: the Helmert seed simplex, LAPACK volumes and the
+    Fraction stage of the exact signs. Counts are pinned rather than the
+    d >= 4 verdict rule."""
+
+    def test_round_two_pins_every_vertex(self):
+        emb = run_fplm(kuhn_4cube())
+        assert emb.branch == "two-round"
+        assert emb.routes["round2"] == {"route": "none"}
+        assert np.array_equal(emb.coords, emb.coords_round1)
+
+    def test_orientation_counts(self):
+        mesh = kuhn_4cube()
+        report = audit(mesh, run_fplm(mesh))
+        assert (report.verdict, report.orientation_counts) == ("violated", (1, 23, 0))
+        assert audit(mesh, mesh.vertices).orientation_counts == (24, 0, 0)

@@ -13,7 +13,6 @@ from fplm.generators import (
     icosphere,
     structured_grid_triangles,
 )
-from fplm.geometry import simplex_orientation, simplex_orientations
 from fplm.simplicial import (
     SimplicialMesh,
     canonical_orientation,
@@ -22,9 +21,10 @@ from fplm.simplicial import (
     mesh_edges,
     mesh_faces,
     _walk_boundary_cycles,
-    triangulate_polygon_faces,
+    triangulate_flat_faces,
     validate_mesh,
 )
+from orientation_oracle import simplex_orientations_rational
 
 
 def triangle_mesh():
@@ -129,6 +129,16 @@ class TestValidateMesh:
         verts[14, 1] = bad
         violations = validate_mesh(SimplicialMesh(verts, base.simplices, 2))
         assert [(v.rule, v.where) for v in violations] == [("non-finite-vertex", (14,))]
+
+    def test_unreferenced_vertex(self):
+        # vertices 1 and 4 belong to no triangle; each would be a component
+        # of the mapping's graph with no fixed vertex, a singular block
+        verts = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        violations = validate_mesh(SimplicialMesh(verts, np.array([[0, 2, 3]]), 2))
+        assert [(v.rule, v.where, v.detail) for v in violations] == [
+            ("unreferenced-vertex", (1,), "vertex 1 belongs to no simplex"),
+            ("unreferenced-vertex", (4,), "vertex 4 belongs to no simplex"),
+        ]
 
     def test_generated_meshes_valid(self):
         assert validate_mesh(grid_mesh(5, 4)) == []
@@ -357,9 +367,7 @@ class TestCanonicalOrientation:
         # sign must be globally constant
         mesh = grid_mesh(5, 5)
         sign = canonical_orientation(mesh)
-        geo = np.array(
-            [simplex_orientation(mesh.vertices[s]) for s in mesh.simplices]
-        )
+        geo = np.array(simplex_orientations_rational(mesh.vertices[mesh.simplices]))
         prods = set((sign * geo).tolist())
         assert len(prods) == 1
 
@@ -424,7 +432,7 @@ def geometric_signs(mesh):
     their determinant, sphere triangles by their winding about the origin."""
     points = mesh.vertices[mesh.simplices]
     if mesh.intrinsic_dim == mesh.ambient_dim:
-        return simplex_orientations(points)
+        return np.array(simplex_orientations_rational(points))
     return np.sign(np.linalg.det(points)).astype(np.int64)
 
 
@@ -613,10 +621,11 @@ class TestVectorisedTopology:
     @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
     def test_orientation_reads_the_face_table_order(self, name, seed):
         # the signs equal those of a double cover grouped by a fresh stable
-        # argsort of face_of, the grouping the table's sort order replaces
+        # argsort of each side's face id, the grouping the table's sort
+        # order replaces
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(seed))
         table = mesh.face_table
-        regrouped = np.argsort(table.face_of.ravel(), kind="stable")
+        regrouped = np.argsort(unique_rows_face_table(mesh)[2].ravel(), kind="stable")
         assert np.array_equal(table.order, regrouped)
         width = mesh.intrinsic_dim + 1
         start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
@@ -661,7 +670,6 @@ class TestVectorisedTopology:
         cached = [
             faces,
             counts,
-            table.face_of,
             table.parity,
             table.order,
             mesh_edges(mesh),
@@ -674,14 +682,15 @@ class TestVectorisedTopology:
                 array.reshape(-1)[:1] = 0
         # repeated calls hand out the same cached objects
         assert mesh_faces(mesh)[0] is faces
-        assert mesh_edges(mesh) is cached[5]
+        assert mesh_edges(mesh) is cached[4]
         assert detect_boundary(mesh) is boundary
-        assert canonical_orientation(mesh) is cached[8]
+        assert canonical_orientation(mesh) is cached[7]
 
     @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
         table = mesh.face_table
+        face_of = table_face_of(table)
         d = mesh.intrinsic_dim
         incidence = {}
         for m, simplex in enumerate(mesh.simplices.tolist()):
@@ -693,7 +702,7 @@ class TestVectorisedTopology:
                 parity = (-1) ** (inversions + k)
                 key = tuple(sorted(face))
                 incidence.setdefault(key, []).append(m)
-                assert tuple(table.faces[table.face_of[m, k]]) == key
+                assert tuple(table.faces[face_of[m, k]]) == key
                 assert table.parity[m, k] == parity
         assert [tuple(f) for f in table.faces.tolist()] == sorted(incidence)
         assert table.counts.tolist() == [len(incidence[f]) for f in sorted(incidence)]
@@ -708,6 +717,15 @@ def unique_rows_face_table(mesh):
         rows, axis=0, return_inverse=True, return_counts=True
     )
     return faces, counts, inverse.reshape(mesh.simplices.shape)
+
+
+def table_face_of(table):
+    """The row of ``faces`` holding each simplex side, read off the table's
+    grouping: the sides ``order`` lists for face f are ``counts[f]`` in a
+    row."""
+    face_of = np.empty_like(table.order)
+    face_of[table.order] = np.repeat(np.arange(table.counts.size), table.counts)
+    return face_of.reshape(table.parity.shape)
 
 
 @st.composite
@@ -740,7 +758,7 @@ class TestSortedFaceTable:
         table = mesh.face_table
         faces, counts, face_of = unique_rows_face_table(mesh)
         for got, want in ((table.faces, faces), (table.counts, counts),
-                          (table.face_of, face_of)):
+                          (table_face_of(table), face_of)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
         # the kept sort order groups the sides by face, ties in side order
@@ -760,7 +778,7 @@ class TestSortedFaceTable:
         assert (faces.max(axis=0) >= n - 6).all()
         assert np.array_equal(table.faces, faces)
         assert np.array_equal(table.counts, counts)
-        assert np.array_equal(table.face_of, face_of)
+        assert np.array_equal(table_face_of(table), face_of)
         assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
 
     @settings(max_examples=150, deadline=None)
@@ -781,7 +799,8 @@ class TestSortedFaceTable:
         assert [v.rule for v in validate_mesh(mesh)] == ["empty"]
         faces, counts = mesh_faces(mesh)
         assert faces.shape == (0, 2) and counts.shape == (0,)
-        assert mesh.face_table.face_of.shape == (0, 3)
+        assert mesh.face_table.parity.shape == (0, 3)
+        assert mesh.face_table.order.shape == (0,)
 
 
 class TestEulerFormula:
@@ -799,6 +818,13 @@ class TestEulerFormula:
             e = len(mesh_edges(mesh))
             f = mesh.n_simplices
             assert v - e + f == 2
+
+
+def triangulate_polygon_faces(faces, vertices):
+    """``triangulate_flat_faces`` on a list of faces, laid end to end."""
+    sizes = np.array([len(face) for face in faces], dtype=np.int64)
+    flat = np.array([v for face in faces for v in face], dtype=np.int64)
+    return triangulate_flat_faces(flat, sizes, vertices)
 
 
 class TestTriangulatePolygonFaces:

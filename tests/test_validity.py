@@ -1,6 +1,7 @@
 """Validity auditor tests: crossings, orientation, hull, convexity."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,13 +18,7 @@ from fplm.generators import (
     icosphere,
     structured_grid_triangles,
 )
-from fplm.geometry import (
-    bbox_diameter,
-    signed_volumes,
-    simplex_determinants,
-    simplex_orientation,
-    simplex_orientations,
-)
+from fplm.geometry import bbox_diameter, exact_orientations, signed_volumes, simplex_determinants
 from fplm.laplacian import build_weights
 from fplm.mapping import FixedPointSet, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
@@ -39,7 +34,11 @@ from fplm.validity import (
     orientation_histogram,
 )
 from fplm.simplicial import canonical_orientation
-from test_geometry import orient2d_rational, simplex_orientation_rational
+from orientation_oracle import (
+    orient2d_rational,
+    simplex_orientation_rational,
+    simplex_orientations_rational,
+)
 from test_simplicial import relabel
 
 
@@ -456,7 +455,7 @@ class TestOrientationHistogram:
 
     @pytest.mark.parametrize("mesh", [grid_mesh(6, 5), ball3(3)], ids=["d2", "d3"])
     def test_matches_per_simplex_scalar_loop(self, mesh):
-        # reference: the scalar predicate on one simplex at a time
+        # reference: the rational oracle on one simplex at a time
         rng = np.random.default_rng(mesh.intrinsic_dim)
         coords = np.asarray(mesh.vertices) + rng.normal(0, 0.15, mesh.vertices.shape)
         coords[mesh.simplices[3]] = coords[mesh.simplices[3, 0]]  # collapse one
@@ -469,7 +468,7 @@ class TestOrientationHistogram:
                 continue
             pts = coords[simplex]
             vol = np.linalg.det(pts[1:] - pts[0])
-            s = 0 if abs(vol) < threshold else sign[m] * simplex_orientation(pts)
+            s = 0 if abs(vol) < threshold else sign[m] * simplex_orientation_rational(pts.tolist())
             want[0 if s > 0 else 1 if s < 0 else 2] += 1
         got = orientation_histogram(mesh, coords, exclude=exclude)
         assert got == tuple(want)
@@ -527,9 +526,8 @@ class TestOneFilteredPass:
         for name, coords in drawings(mesh, rng).items():
             _, _, undecided = simplex_determinants(coords, mesh.simplices)
             undecided_rows += int(np.count_nonzero(undecided))
-            points = coords[mesh.simplices]
-            exact = simplex_orientations(points)
-            assert exact.tolist() == [simplex_orientation_rational(p.tolist()) for p in points]
+            exact = np.array(simplex_orientations_rational(coords[mesh.simplices]))
+            assert exact_orientations(coords, mesh.simplices).tolist() == exact.tolist()
             # tol 0 keeps every row, so the integer stage settles the rows
             # the filter leaves, as for the loop certificate's exact signs
             for tol in (1e-12, 0.0):
@@ -714,7 +712,7 @@ class TestConvexCombinationResidual:
         graph = build_weights(mesh)
         fixed = (emb.fixed_round2 or emb.fixed_round1).indices
         free = np.setdiff1d(np.arange(mesh.n_vertices), fixed)
-        a, y = graph._adjacency, emb.coords
+        a, y = graph.adjacency, emb.coords
         assert np.array_equal((a @ y)[free], a[free] @ y)
         averages = a[free] @ y / graph.degrees[free, None]
         want = float(np.linalg.norm(y[free] - averages, axis=1).max())
@@ -962,8 +960,10 @@ HORSESHOE = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)]
 
 
 def fallback_fixtures():
-    """Drawings whose audit must run the full count, with the reports the
-    full count gives them (and gave before the boundary certificate)."""
+    """Drawings whose audit must run the full count, with the reports it
+    gives them. The horseshoe and the coincident vertices cross no pair
+    properly, but their boundary loop images are not simple, so neither map
+    is injective: both are violated for that reason alone."""
     certified = {
         "crossing_count": 0,
         "crossing_pairs": [],
@@ -973,6 +973,7 @@ def fallback_fixtures():
         "reasons": [],
     }
     reflex = {"convex": False, "worst": -1.0}
+    not_simple = {"verdict": "violated", "reasons": ["boundary loop image is not simple"]}
 
     def counts(pos):
         return {"positive": pos, "negative": 0, "near_zero": 0}
@@ -982,14 +983,14 @@ def fallback_fixtures():
         "horseshoe": (
             cell_strip(HORSESHOE, moved=[((0, 2), (0.5, 1.0))]),
             None,
-            {**certified, "orientation_counts": counts(14),
+            {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 9}},
         ),
         # the two arms meet at (1, 1) through two distinct vertices
         "coincident-vertices": (
             cell_strip(RING[:-1], split=[((0, 1), (1, 1))]),
             None,
-            {**certified, "orientation_counts": counts(14),
+            {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 10}},
         ),
         # a fan around vertex 0 whose last boundary edge folds back onto its first
@@ -1003,7 +1004,8 @@ def fallback_fixtures():
             {**certified, "crossing_count": 1, "crossing_pairs": [[0, 4]],
              "orientation_counts": counts(4),
              "boundary_convexity": {"convex": True, "worst": -0.0, "reflex_vertex": None},
-             "verdict": "violated", "reasons": ["1 edge crossing(s)"]},
+             "verdict": "violated",
+             "reasons": ["1 edge crossing(s)", "boundary loop image is not simple"]},
         ),
         "annulus": (
             cell_strip(RING),
@@ -1032,13 +1034,26 @@ def full_counts(monkeypatch):
     return calls
 
 
+def certifying_loop(mesh, seed_exclude):
+    """The one loop bounding the audited triangles: an open mesh's single
+    boundary cycle, or a closed mesh's excluded seed triangle; else None."""
+    cycles = detect_boundary(mesh).boundary_cycles
+    if not cycles:
+        return None if seed_exclude is None else mesh.simplices[seed_exclude].tolist()
+    return cycles[0] if seed_exclude is None and len(cycles) == 1 else None
+
+
 def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
     """The report's crossings and verdict are those of the full count plus
-    the orientation gate."""
+    the orientation gate, and a certifying loop whose image is not simple
+    makes it violated: an injective map keeps that loop simple."""
     full = count_crossings(mesh_edges(mesh), coords)
     exclude = () if seed_exclude is None else (seed_exclude,)
     pos, neg, zero = orientation_histogram(mesh, coords, exclude=exclude)
-    certified = full.count == 0 and zero == 0 and (pos > 0) != (neg > 0)
+    loop = certifying_loop(mesh, seed_exclude)
+    exact_points = [tuple(map(Fraction, p)) for p in np.asarray(coords).tolist()]
+    simple = loop is None or oracle_loop_is_simple(exact_points, loop)
+    certified = full.count == 0 and zero == 0 and (pos > 0) != (neg > 0) and simple
     assert report.crossing_count == full.count
     assert report.crossing_pairs == full.pairs
     assert report.orientation_counts == (pos, neg, zero)
