@@ -1,7 +1,9 @@
 """Command-line pipelines: generate, embed, validate, render.
 
 Exit codes are script-friendly: 0 success (or certified), 2 usage/input
-error, 3 validity violation, 4 solver failure. Every run with the same
+error, 3 validity violation, 4 solver failure. Commands raise ValueError
+for any bad input, and :func:`main` alone turns it, and a SolverError, into
+one ``error: ...`` line on stderr and its exit code. Every run with the same
 inputs and seed writes byte-identical outputs, apart from the stage
 timings; ``embed`` records the fully resolved configuration, timings, and
 output list in a manifest next to the embedding so a validation step can
@@ -24,7 +26,6 @@ from . import __version__
 from .generators import GENERATOR_KINDS, TRIANGULATIONS, GeneratorSpec, generate
 from .mapping import SEED_STRATEGIES, run_fplm
 from .meshio import (
-    ParseError,
     mesh_from_json,
     mesh_to_json,
     parse_off,
@@ -44,24 +45,27 @@ EXIT_VIOLATED = 3
 EXIT_SOLVER = 4
 
 
-def _fail(message: str, code: int = EXIT_USAGE) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load_mesh(path: str):
-    """Read a mesh from .json, .off, or TetGen .node (+ sibling .ele)."""
+def _read(what: str, path):
+    """Read a mesh (.json, .off, or TetGen .node with its sibling .ele), an
+    embedding CSV or a manifest; a failure to read or parse the file is
+    raised as the ValueError ``cannot read {what} {path}: ...``."""
     p = Path(path)
-    suffix = p.suffix.lower()
-    if suffix == ".node":
-        ele = p.with_suffix(".ele")
-        if not ele.exists():
-            raise FileNotFoundError(f"no matching .ele file for {p}")
-        return parse_tetgen(p.read_text(), ele.read_text())
-    text = p.read_text()
-    if suffix == ".off":
-        return parse_off(text)
-    return mesh_from_json(text)
+    try:
+        if what == "embedding":
+            return read_embedding_csv(p.read_text())
+        if what == "manifest":
+            return json.loads(p.read_text())
+        suffix = p.suffix.lower()
+        if suffix == ".node":
+            ele = p.with_suffix(".ele")
+            if not ele.exists():
+                raise FileNotFoundError(f"no matching .ele file for {p}")
+            return parse_tetgen(p.read_text(), ele.read_text())
+        if suffix == ".off":
+            return parse_off(p.read_text())
+        return mesh_from_json(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _parse_resolution(text: str):
@@ -83,17 +87,13 @@ def _parse_resolution(text: str):
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = GeneratorSpec(
-            kind=args.kind,
-            resolution=args.resolution,
-            seed=args.seed,
-            triangulation=args.triangulation,
-        )
-        mesh, latent = generate(spec)
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    spec = GeneratorSpec(
+        kind=args.kind,
+        resolution=args.resolution,
+        seed=args.seed,
+        triangulation=args.triangulation,
+    )
+    mesh, latent = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(mesh_to_json(mesh))
@@ -114,31 +114,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        config = SolveConfig(
-            rel_tol=args.rel_tol, max_iter=args.max_iter, method=args.solver
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-
+    config = SolveConfig(
+        rel_tol=args.rel_tol, max_iter=args.max_iter, method=args.solver
+    )
     t0 = time.perf_counter()
-    try:
-        mesh = _load_mesh(args.mesh)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read mesh {args.mesh}: {exc}")
+    mesh = _read("mesh", args.mesh)
     t_load = time.perf_counter()
-
-    try:
-        embedding = run_fplm(
-            mesh,
-            gamma=args.gamma,
-            seed_strategy=args.seed_strategy,
-            config=config,
-            seed=args.seed,
-            seed_index=args.seed_index,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    embedding = run_fplm(
+        mesh,
+        gamma=args.gamma,
+        seed_strategy=args.seed_strategy,
+        config=config,
+        seed=args.seed,
+        seed_index=args.seed_index,
+    )
     t_embed = time.perf_counter()
 
     out = Path(args.out)
@@ -207,18 +196,12 @@ def _versions() -> dict:
 
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
-    try:
-        mesh = _load_mesh(args.mesh)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read mesh {args.mesh}: {exc}")
+    mesh = _read("mesh", args.mesh)
     t_load = time.perf_counter()
-    try:
-        coords = read_embedding_csv(Path(args.embedding).read_text())
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read embedding {args.embedding}: {exc}")
+    coords = _read("embedding", args.embedding)
     t_read = time.perf_counter()
     if coords.shape != (mesh.n_vertices, mesh.intrinsic_dim):
-        return _fail(
+        raise ValueError(
             f"embedding shape {coords.shape} does not match mesh "
             f"({mesh.n_vertices}, {mesh.intrinsic_dim})"
         )
@@ -230,15 +213,12 @@ def cmd_validate(args) -> int:
             manifest_path = str(sibling)
     seed_exclude = None
     if manifest_path is not None:
-        try:
-            manifest = json.loads(Path(manifest_path).read_text())
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read manifest {manifest_path}: {exc}")
+        manifest = _read("manifest", manifest_path)
         if not isinstance(manifest, dict):
-            return _fail(f"manifest {manifest_path} is not a JSON object")
+            raise ValueError(f"manifest {manifest_path} is not a JSON object")
         result = manifest.get("result", {})
         if not isinstance(result, dict):
-            return _fail(f"manifest {manifest_path}: result is not a JSON object")
+            raise ValueError(f"manifest {manifest_path}: result is not a JSON object")
         seed_simplex = result.get("seed_simplex")
         if seed_simplex is not None:
             # a JSON integer only: bool is an int subclass in Python
@@ -246,7 +226,7 @@ def cmd_validate(args) -> int:
                 type(seed_simplex) is not int
                 or not 0 <= seed_simplex < mesh.n_simplices
             ):
-                return _fail(
+                raise ValueError(
                     f"manifest {manifest_path}: seed_simplex must be an "
                     f"integer in [0, {mesh.n_simplices}), got "
                     f"{json.dumps(seed_simplex)}"
@@ -258,10 +238,7 @@ def cmd_validate(args) -> int:
                 seed_exclude = seed_simplex
 
     t_audit = time.perf_counter()
-    try:
-        report = audit(mesh, coords, seed_exclude=seed_exclude)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = audit(mesh, coords, seed_exclude=seed_exclude)
     timings_ms = {
         "load": round((t_load - t0) * 1000.0, 3),
         "read": round((t_read - t_load) * 1000.0, 3),
@@ -283,16 +260,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        mesh = _load_mesh(args.mesh)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read mesh {args.mesh}: {exc}")
-    try:
-        coords = read_embedding_csv(Path(args.embedding).read_text())
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read embedding {args.embedding}: {exc}")
+    mesh = _read("mesh", args.mesh)
+    coords = _read("embedding", args.embedding)
     if coords.shape != (mesh.n_vertices, 2):
-        return _fail(
+        raise ValueError(
             f"rendering needs 2-D coordinates for all {mesh.n_vertices} "
             f"vertices, got shape {coords.shape}"
         )
@@ -300,23 +271,17 @@ def cmd_render(args) -> int:
     markers = None
     if args.mark_crossings:
         # the audit skips the full count when the degree theorem certifies
-        try:
-            pairs = audit(mesh, coords).crossing_pairs
-        except ValueError as exc:
-            return _fail(str(exc))
+        pairs = audit(mesh, coords).crossing_pairs
         if pairs:
             markers = crossing_locations(mesh_edges(mesh), coords, pairs)
         print(f"crossings marked: {len(pairs)}")
 
-    try:
-        svg = render_svg(
-            mesh,
-            coords,
-            highlight_boundary=args.highlight_boundary,
-            crossing_points=markers,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    svg = render_svg(
+        mesh,
+        coords,
+        highlight_boundary=args.highlight_boundary,
+        crossing_points=markers,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg)
@@ -419,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
+    except ValueError as exc:
+        message, code = str(exc), EXIT_USAGE
     except SolverError as exc:
-        return _fail(f"solver failed: {exc}", EXIT_SOLVER)
+        message, code = f"solver failed: {exc}", EXIT_SOLVER
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

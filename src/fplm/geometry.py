@@ -394,5 +394,7 @@ def bbox_diameter(points):
     # each coordinate reduced along one contiguous row: numpy reduces the
     # short rows of an (N, d) array across axis 0 many times slower
     pt = np.ascontiguousarray(p.T)
-    span = pt.max(axis=-1) - pt.min(axis=-1)
-    return float(np.linalg.norm(span))
+    # past the largest double the diameter is inf, which callers refuse
+    with np.errstate(over="ignore"):
+        span = pt.max(axis=-1) - pt.min(axis=-1)
+        return float(np.linalg.norm(span))

@@ -26,7 +26,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .laplacian import WeightedGraph, assemble_system, build_weights, symmetric_csr
 from .simplicial import (
-    BoundaryComplex,
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
@@ -91,17 +90,21 @@ class Embedding:
     residuals and routes are keyed by round ("round1", "round2"): the
     achieved relative residual, and the solver route record of that round
     (see :func:`fplm.solver.solve_spd`), e.g. {"route": "band",
-    "band_width": 44}.
+    "band_width": 44}. rounds_run is 2 when round 2 ran (fixed_round2 is
+    set) and 1 otherwise.
     """
 
     coords: np.ndarray
-    rounds_run: int
     fixed_round1: FixedPointSet
     fixed_round2: FixedPointSet | None
     coords_round1: np.ndarray
     seed_simplex: int | None
     residuals: dict = field(default_factory=dict)
     routes: dict = field(default_factory=dict)
+
+    @property
+    def rounds_run(self) -> int:
+        return 1 if self.fixed_round2 is None else 2
 
     @property
     def branch(self) -> str:
@@ -205,17 +208,16 @@ def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
     )
 
 
-def make_regular_polygon(
-    boundary: BoundaryComplex,
-    mesh: SimplicialMesh | None = None,
-) -> FixedPointSet:
+def make_regular_polygon(mesh: SimplicialMesh) -> FixedPointSet:
     """Pin the (single) boundary loop of a d = 2 mesh to a regular polygon.
 
-    The k-th cycle vertex goes to (cos 2 pi k / p, sin 2 pi k / p). When the
-    mesh is supplied, the cycle direction is first aligned with the
-    canonical simplex orientation so that triangles map with positive
-    orientation.
+    The loop is the cached boundary cycle of the mesh (see
+    :func:`~fplm.simplicial.detect_boundary`), its direction first aligned
+    with the canonical simplex orientation so that triangles map with
+    positive orientation. The k-th cycle vertex then goes to
+    (cos 2 pi k / p, sin 2 pi k / p).
     """
+    boundary = detect_boundary(mesh)
     if boundary.boundary_cycles is None:
         raise ValueError("regular polygon targets are defined for d = 2 only")
     if len(boundary.boundary_cycles) == 0:
@@ -228,7 +230,7 @@ def make_regular_polygon(
     cycle = list(boundary.boundary_cycles[0])
     if len(cycle) < 3:
         raise ValueError("boundary loop has fewer than 3 vertices")
-    if mesh is not None and not _cycle_matches_orientation(mesh, cycle):
+    if not _cycle_matches_orientation(mesh, cycle):
         cycle = [cycle[0]] + cycle[:0:-1]
     p = len(cycle)
     angles = 2.0 * math.pi * np.arange(p) / p
@@ -245,12 +247,8 @@ def _cycle_matches_orientation(mesh: SimplicialMesh, cycle: list[int]) -> bool:
     triangles traverse them (interior on the left for ccw triangles)."""
     first, second = cycle[0], cycle[1]
     tris = mesh.simplices
-    holder = np.flatnonzero((tris == first).any(axis=1) & (tris == second).any(axis=1))
-    if holder.size == 0:
-        raise ValueError(
-            f"boundary edge ({first}, {second}) is not part of any triangle"
-        )
-    m = int(holder[0])
+    # the boundary edge (first, second) is a side of exactly one triangle
+    m = int(np.argmax((tris == first).any(axis=1) & (tris == second).any(axis=1)))
     tri = tris[m].tolist()
     # the stored order (t0, t1, t2) walks first -> second when second follows first
     forward = tri[(tri.index(first) + 1) % 3] == second
@@ -272,9 +270,7 @@ def solve_fixed_point(
     coords = np.zeros((graph.n, fixed.dim))
     coords[fixed.indices] = fixed.targets
     rhs = -(system.lap_free_fixed @ coords[system.fixed_indices])
-    solution, residual, route = solve_spd(
-        system.lap_free, rhs, config, _residual=True
-    )
+    solution, residual, route = solve_spd(system.lap_free, rhs, config)
     coords[system.free_indices] = solution
     return coords, residual, route
 
@@ -318,7 +314,7 @@ def run_fplm(
 
     if dividing:
         seed_ix = None
-        fixed1 = make_regular_polygon(boundary, mesh)
+        fixed1 = make_regular_polygon(mesh)
     else:
         seed_ix = select_seed_simplex(
             mesh, seed_strategy, seed=seed, index=seed_index
@@ -328,9 +324,9 @@ def run_fplm(
     coords, residuals, routes = coords1, {"round1": res1}, {"round1": route1}
 
     fixed2 = None
-    bverts = boundary.boundary_vertices
+    bverts = boundary.boundary_vertices  # ascending, as the seed's indices
     if (fixed1.kind == "selected-simplex" and bverts.size
-            and not np.array_equal(np.sort(bverts), fixed1.indices)):
+            and not np.array_equal(bverts, fixed1.indices)):
         fixed2 = FixedPointSet(
             indices=bverts, targets=coords1[bverts], kind="inner-boundary"
         )
@@ -339,7 +335,6 @@ def run_fplm(
         )
     return Embedding(
         coords=coords,
-        rounds_run=1 if fixed2 is None else 2,
         fixed_round1=fixed1,
         fixed_round2=fixed2,
         coords_round1=coords1,

@@ -15,7 +15,7 @@ from operator import getitem, itemgetter
 
 import numpy as np
 
-from .simplicial import SimplicialMesh, detect_boundary, mesh_edges, triangulate_flat_faces
+from .simplicial import SimplicialMesh, mesh_edges, mesh_faces, triangulate_flat_faces
 
 
 class ParseError(ValueError):
@@ -366,8 +366,8 @@ def render_svg(
 
     is_boundary = np.zeros(len(edges), dtype=bool)
     if highlight_boundary and mesh.intrinsic_dim == 2:
-        b, n = detect_boundary(mesh).boundary_faces, mesh.n_vertices
-        is_boundary = np.isin(edges[:, 0] * n + edges[:, 1], b[:, 0] * n + b[:, 1])
+        # a triangle mesh's edges are its face rows, in the same order
+        is_boundary = mesh_faces(mesh)[1] == 1
 
     xs, ys = svg_xy(coords)
     line = '<line x1="%s" y1="%s" x2="%s" y2="%s"/>\n'

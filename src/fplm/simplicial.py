@@ -30,6 +30,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .geometry import bbox_diameter, simplex_volumes
 
+# a simplex is degenerate below VOL_TOL x (bounding-box diameter)^d volume
+VOL_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
@@ -307,7 +310,7 @@ def mesh_edges(mesh: SimplicialMesh) -> np.ndarray:
     return mesh.edges
 
 
-def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViolation]:
+def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
     """Check the d-simplex decomposition invariants.
 
     Verifies that every vertex coordinate is finite, every vertex belongs
@@ -315,8 +318,9 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
     by at most two simplices, every vertex's star is connected through
     faces that contain the vertex (no pinched, non-manifold vertex), the
     face-adjacency graph is connected, and no simplex is degenerate, where
-    degenerate means Gram-determinant volume below ``vol_tol`` times
-    (bounding-box diameter)^d.
+    degenerate means Gram-determinant volume below ``VOL_TOL`` times
+    (bounding-box diameter)^d. Coordinates so large that diameter^d is not
+    a finite double get one violation instead of a volume check.
 
     Returns a list of violations, empty when the mesh is a valid
     decomposition. Violations are data; nothing raises here.
@@ -372,12 +376,19 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
     adjacency, signs = _adjacency_violations(mesh, sorted_rows)
     out.extend(adjacency)
 
-    # simplices on a non-finite vertex are reported above, not measured
     diam = bbox_diameter(mesh.vertices[finite])
-    measured = finite[s].all(axis=1)
+    with np.errstate(over="ignore"):
+        scale = np.float64(diam) ** d
+    if scale == np.inf:
+        detail = (f"bounding-box diameter {diam:.3e} to the power d = {d} "
+                  "is not a finite double")
+        out.append(MeshViolation("coordinates-overflow", (), detail))
+    # simplices on a non-finite vertex are reported above, not measured, and
+    # none is measured against an infinite scale
+    measured = finite[s].all(axis=1) & (scale < np.inf)
     vols = np.zeros(s.shape[0])
     vols[measured] = simplex_volumes(mesh.vertices, s[measured], d)
-    threshold = vol_tol * diam**d
+    threshold = VOL_TOL * scale
     if diam == 0.0:
         degenerate = measured
     else:
@@ -388,7 +399,7 @@ def validate_mesh(mesh: SimplicialMesh, vol_tol: float = 1e-12) -> list[MeshViol
                 "degenerate-simplex",
                 (int(idx),),
                 f"simplex {int(idx)} has volume {vols[idx]:.3e}, below "
-                f"{vol_tol:g} x diameter^{d} = {threshold:.3e}",
+                f"{VOL_TOL:g} x diameter^{d} = {threshold:.3e}",
             )
         )
     if not out and signs is not None:
@@ -626,8 +637,9 @@ def detect_dividing_simplices(mesh: SimplicialMesh) -> list[tuple]:
     """
     faces, counts = mesh_faces(mesh)
     interior = faces[counts == 2]
-    on_boundary = np.isin(interior, detect_boundary(mesh).boundary_vertices).all(axis=1)
-    return list(map(tuple, interior[on_boundary].tolist()))
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    on_boundary[detect_boundary(mesh).boundary_vertices] = True
+    return list(map(tuple, interior[on_boundary[interior].all(axis=1)].tolist()))
 
 
 def canonical_orientation(mesh: SimplicialMesh) -> np.ndarray:

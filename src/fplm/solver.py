@@ -74,39 +74,36 @@ class SolveConfig:
 
 
 def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
-              config: SolveConfig | None = None, *, _residual: bool = False):
+              config: SolveConfig | None = None):
     """Solve the SPD system L_y Y = rhs for all right-hand-side columns.
 
     Parameters
     ----------
     lap_free : (n, n) sparse matrix
         Free-block Laplacian, symmetric positive definite.
-    rhs : (n, k) or (n,) array
+    rhs : (n, k) array
+        Any other number of dimensions raises ValueError.
     config : SolveConfig, optional
 
     Returns
     -------
-    (n, k) array (or (n,) matching a 1-D input) with
-    ||L_y Y - rhs||_F <= rel_tol * ||rhs||_F.
-
-    The keyword ``_residual`` is internal to the package: it makes the call
-    return ``(Y, ||L_y Y - rhs||_F / ||rhs||_F, route)``. The middle value
-    is the relative residual the tolerance gate measured (0.0 for a zero or
-    empty right-hand side), so :func:`fplm.mapping.solve_fixed_point`
-    reports it without a second product. ``route`` is a dict naming the
-    route that solved the system, ``{"route": "band", "band_width": w}``
-    or ``{"route": "pcg", "iterations": k}`` (k the largest iteration
-    count over the columns), or ``{"route": "none"}`` when there was
-    nothing to solve.
+    ``(Y, residual, route)``: the (n, k) solution Y, with
+    ||L_y Y - rhs||_F <= rel_tol * ||rhs||_F; the relative residual
+    ||L_y Y - rhs||_F / ||rhs||_F that the tolerance gate measured (0.0 for
+    a zero or empty right-hand side); and a dict naming the route that
+    solved the system, ``{"route": "band", "band_width": w}`` or
+    ``{"route": "pcg", "iterations": k}`` (k the largest iteration count
+    over the columns), or ``{"route": "none"}`` when there was nothing to
+    solve.
     """
     if config is None:
         config = SolveConfig()
-    rhs = np.asarray(rhs, dtype=float)
-    squeeze = rhs.ndim == 1
-    b = rhs[:, None] if squeeze else rhs
+    b = np.asarray(rhs, dtype=float)
     n = lap_free.shape[0]
     if lap_free.shape[0] != lap_free.shape[1]:
         raise ValueError("lap_free must be square")
+    if b.ndim != 2:
+        raise ValueError(f"rhs must be an (n, k) array, got shape {b.shape}")
     if b.shape[0] != n:
         raise ValueError(
             f"rhs has {b.shape[0]} rows but the system has {n} unknowns"
@@ -134,8 +131,7 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
                 f"{achieved:.3e} > {config.rel_tol:.3e}",
                 achieved=achieved,
             )
-    y = y[:, 0] if squeeze else y
-    return (y, achieved, route) if _residual else y
+    return y, achieved, route
 
 
 def _solve_band(lap_free, b, limited):

@@ -34,7 +34,8 @@ one point).
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
 boundary surface of a coiled bar can overlap itself while every tetrahedron
-keeps its sign.
+keeps its sign. For d >= 4 the audit reports its counts but never
+certifies: no theorem in the package backs a one-sign certificate there.
 
 Crossing and orientation signs come from exact predicates, so the counts
 are discrete facts rather than tolerance judgments; only the near-zero
@@ -101,11 +102,11 @@ class ValidityReport:
     """Composite audit result.
 
     crossing_count is None for d != 2 where no planar drawing exists.
-    verdict is "injective-certified" exactly when the crossing count is
-    zero (or not applicable), exactly one orientation sign occurs, no
-    simplex image is near-degenerate, and the loop the degree theorem tests
-    (below) is simple wherever it is tested; otherwise "violated" with
-    reasons.
+    verdict is "injective-certified" exactly when d <= 3, the crossing
+    count is zero (or not applicable), exactly one orientation sign
+    occurs, no simplex image is near-degenerate, and the loop the degree
+    theorem tests (below) is simple wherever it is tested; otherwise
+    "violated" with reasons.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
 
@@ -128,7 +129,9 @@ class ValidityReport:
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
-    tested for self-intersection.
+    tested for self-intersection. For d >= 4 no theorem in the package
+    backs a certificate: the counts are reported, and the verdict is
+    "violated" with a reason that the audit cannot certify.
     """
 
     crossing_count: int | None
@@ -455,13 +458,22 @@ def orientation_histogram(
     (:func:`~fplm.geometry.exact_orientations`). ``exclude`` skips simplex
     indices, used for the seed simplex of a closed mesh whose image
     necessarily covers the rest; an index outside [0, M) raises
-    ``ValueError``.
+    ``ValueError``. So does a diameter^d that is not a finite double: the
+    near-zero band would be infinite or meaningless.
     """
     coords = np.asarray(coords, dtype=float)
     d = mesh.intrinsic_dim
     if coords.shape != (mesh.n_vertices, d):
         raise ValueError(
             f"coords must be ({mesh.n_vertices}, {d}), got {coords.shape}"
+        )
+    diam = bbox_diameter(coords)
+    with np.errstate(over="ignore"):
+        scale = np.float64(diam) ** d
+    if scale == np.inf:
+        raise ValueError(
+            f"embedding bounding-box diameter {diam:.3e} to the power d = {d} "
+            "is not a finite double; scale the coordinates down"
         )
     sign = canonical_orientation(mesh)
     exclude = np.asarray(exclude, dtype=np.int64).ravel()
@@ -473,7 +485,7 @@ def orientation_histogram(
     kept = np.ones(mesh.n_simplices, dtype=bool)
     kept[exclude] = False
     det, signs, undecided = simplex_determinants(coords, mesh.simplices)
-    threshold = tol * bbox_diameter(coords) ** d
+    threshold = tol * scale
     rows = kept & ~(np.abs(det / math.factorial(d)) < threshold)
     settle = np.flatnonzero(rows & undecided)
     if settle.size:
@@ -529,15 +541,18 @@ def check_hull_containment(
 _HULL_ENTRIES = 2**16
 
 
-def check_boundary_convexity(
-    cycle, coords: np.ndarray, tol: float = 1e-9
-) -> BoundaryConvexityResult:
+# the most negative normalized boundary turn (sine of the turn angle) that
+# check_boundary_convexity still counts as convex
+CONVEXITY_TOL = 1e-9
+
+
+def check_boundary_convexity(cycle, coords: np.ndarray) -> BoundaryConvexityResult:
     """Do all boundary turns share the winding sign of the loop?
 
     Cross products of consecutive cycle edges are normalized by the edge
     lengths (giving the sine of the turn angle) and compared against the
     loop's dominant winding from the shoelace area. The loop is convex when
-    the worst normalized turn is not below -tol.
+    the worst normalized turn is not below -``CONVEXITY_TOL``.
     """
     cycle = [int(x) for x in cycle]
     if len(cycle) < 3:
@@ -555,7 +570,7 @@ def check_boundary_convexity(
     turns = winding * turns
     worst_pos = int(np.argmin(turns))
     worst = float(turns[worst_pos])
-    convex = worst >= -tol
+    convex = worst >= -CONVEXITY_TOL
     return BoundaryConvexityResult(
         convex=convex,
         worst=worst,
@@ -685,6 +700,11 @@ def audit(
         reasons.append(
             f"mixed orientations: {pos} positive vs {neg} negative"
         )
+    if d >= 4:
+        reasons.append(
+            f"d = {d}: no injectivity theorem backs a one-sign certificate "
+            "for d >= 4, so the audit cannot certify"
+        )
 
     hull_violation = None
     max_convex_residual = None
@@ -706,7 +726,7 @@ def audit(
             emb.coords_round1 if emb is not None else coords,
         )
 
-    certified = one_sign and not crossing_count and simple
+    certified = one_sign and not crossing_count and simple and d <= 3
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,

@@ -222,7 +222,7 @@ def test_criterion_08_solver_oracle_equivalence():
         rhs = -system.lap_free_fixed @ targets
 
         dense = np.linalg.solve(system.lap_free.toarray(), rhs)
-        iterative = solve_spd(
+        iterative, _, _ = solve_spd(
             system.lap_free, rhs, SolveConfig(method="iterative")
         )
         rel = np.linalg.norm(iterative - dense) / np.linalg.norm(dense)

@@ -7,8 +7,9 @@ import pytest
 
 from fplm import validity
 from fplm.cli import main
-from fplm.meshio import mesh_from_json, read_embedding_csv, write_embedding_csv
-from fplm.simplicial import mesh_edges
+from fplm.generators import ball3
+from fplm.meshio import mesh_from_json, mesh_to_json, read_embedding_csv, write_embedding_csv
+from fplm.simplicial import SimplicialMesh, mesh_edges
 
 
 def run_pipeline(tmp_path, kind="grid-disk", resolution="5x5", extra_embed=()):
@@ -615,6 +616,51 @@ class TestRender:
             ["render", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(tmp_path / "x.svg")]
         )
         assert rc == 2
+
+
+class TestInputErrors:
+    """Every command reports bad input the same way, through main: exit 2
+    and one stderr line ``error: ...``, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["generate", "embed", "validate", "render"])
+    def test_one_error_line_per_command(self, tmp_path, capsys, command):
+        mesh, emb, rc = run_pipeline(tmp_path)
+        assert rc == 0
+        (tmp_path / "wide.csv").write_text(
+            "id,y0,y1,y2\n" + "".join(f"{i},0.0,0.0,0.0\n" for i in range(25))
+        )
+        capsys.readouterr()
+        argv = {
+            "generate": ["generate", "--kind", "grid-disk", "--resolution", "1x1",
+                         "--out", str(tmp_path / "tiny.json")],
+            "embed": ["embed", "--mesh", str(mesh), "--gamma", "nan",
+                      "--out", str(tmp_path / "nan.csv")],
+            "validate": ["validate", "--mesh", str(mesh),
+                         "--embedding", str(tmp_path / "wide.csv")],
+            "render": ["render", "--mesh", str(mesh),
+                       "--embedding", str(tmp_path / "missing.csv"),
+                       "--out", str(tmp_path / "x.svg")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_overflowing_coordinates_are_input_errors(self, tmp_path, capsys):
+        # ball3 2 scaled by 1e103: its bounding-box diameter cubed is not a
+        # finite double, so neither the mesh nor a drawing of it is judged
+        big = SimplicialMesh(ball3(2).vertices * 1e103, ball3(2).simplices, 3)
+        mesh, drawing = tmp_path / "big.json", tmp_path / "big.csv"
+        mesh.write_text(mesh_to_json(big))
+        drawing.write_text(write_embedding_csv(big.vertices))
+        for argv in (
+            ["embed", "--mesh", str(mesh), "--out", str(tmp_path / "e.csv")],
+            ["validate", "--mesh", str(mesh), "--embedding", str(drawing)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "to the power d = 3 is not a finite double" in err
 
 
 class TestParser:

@@ -208,7 +208,7 @@ class TestFixedPointSet:
 class TestMakeRegularPolygon:
     def test_square_targets_on_unit_circle(self):
         mesh = two_triangles()
-        fps = make_regular_polygon(detect_boundary(mesh), mesh)
+        fps = make_regular_polygon(mesh)
         assert fps.indices.shape == (4,)
         assert fps.kind == "regular-polytope"
         np.testing.assert_allclose(
@@ -221,17 +221,17 @@ class TestMakeRegularPolygon:
         np.testing.assert_allclose(steps, np.pi / 2, rtol=1e-12)
 
     def test_ccw_matches_canonical_orientation(self):
-        # with the mesh provided, walking the target polygon in cycle order
-        # must enclose positive area so triangles keep positive orientation
+        # walking the target polygon in cycle order must enclose positive
+        # area so triangles keep positive orientation
         mesh = two_triangles()
-        fps = make_regular_polygon(detect_boundary(mesh), mesh)
+        fps = make_regular_polygon(mesh)
         t = fps.targets
         area2 = np.sum(t[:, 0] * np.roll(t[:, 1], -1) - np.roll(t[:, 0], -1) * t[:, 1])
         assert area2 > 0
 
     def test_closed_mesh_rejected(self):
         with pytest.raises(ValueError, match="no boundary"):
-            make_regular_polygon(detect_boundary(icosphere(0)))
+            make_regular_polygon(icosphere(0))
 
 
 class TestSolveFixedPoint:
@@ -464,8 +464,8 @@ def kuhn_4cube():
 
 class TestFourCube:
     """d = 4 end to end: the Helmert seed simplex, LAPACK volumes and the
-    Fraction stage of the exact signs. Counts are pinned rather than the
-    d >= 4 verdict rule."""
+    Fraction stage of the exact signs, and the d >= 4 rule that the audit
+    reports the counts but cannot certify."""
 
     def test_round_two_pins_every_vertex(self):
         emb = run_fplm(kuhn_4cube())
@@ -477,4 +477,8 @@ class TestFourCube:
         mesh = kuhn_4cube()
         report = audit(mesh, run_fplm(mesh))
         assert (report.verdict, report.orientation_counts) == ("violated", (1, 23, 0))
-        assert audit(mesh, mesh.vertices).orientation_counts == (24, 0, 0)
+        assert any("cannot certify" in r for r in report.reasons)
+        identity = audit(mesh, mesh.vertices)
+        assert (identity.verdict, identity.orientation_counts) == ("violated", (24, 0, 0))
+        # one sign, no near-zero image: the d >= 4 rule is the only reason
+        assert len(identity.reasons) == 1 and "cannot certify" in identity.reasons[0]

@@ -1,5 +1,7 @@
 """Mesh representation, validation, boundary, and orientation tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -111,7 +113,7 @@ class TestValidateMesh:
             np.array([[0, 1, 2]]),
             2,
         )
-        rules = [v.rule for v in validate_mesh(m, vol_tol=1e-12)]
+        rules = [v.rule for v in validate_mesh(m)]
         assert "degenerate-simplex" in rules
 
     def test_disconnected(self):
@@ -143,6 +145,19 @@ class TestValidateMesh:
     def test_generated_meshes_valid(self):
         assert validate_mesh(grid_mesh(5, 4)) == []
         assert validate_mesh(icosphere(1)) == []
+
+    @pytest.mark.parametrize("scale", [1e103, 1e160])
+    def test_overflowing_volume_scale_is_one_violation(self, scale):
+        # ball3 2's diameter^3 is not a finite double at either scale (at
+        # 1e160 the diameter itself is inf): one violation, no volume check
+        mesh = ball3(2)
+        big = SimplicialMesh(mesh.vertices * scale, mesh.simplices, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = validate_mesh(big)
+        assert [(v.rule, v.where) for v in violations] == [("coordinates-overflow", ())]
+        assert "to the power d = 3 is not a finite double" in violations[0].detail
+        assert validate_mesh(SimplicialMesh(mesh.vertices * 1e100, mesh.simplices, 3)) == []
 
 
 class TestFacesAndEdges:

@@ -21,7 +21,7 @@ def random_spd(rng, n, density=0.4):
 
 def solve_direct(a, b):
     """Direct solve; checks that the solve took the band route."""
-    y, _, route = solve_spd(a, b, SolveConfig(method="direct"), _residual=True)
+    y, _, route = solve_spd(a, b, SolveConfig(method="direct"))
     assert route["route"] == "band"
     return y
 
@@ -80,7 +80,7 @@ class TestSolveSpd:
         sys = path_system()
         # all edges have length 1, so all weights are equal
         rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
-        y = solve_spd(sys.lap_free, rhs)
+        y = solve_spd(sys.lap_free, rhs)[0]
         np.testing.assert_allclose(y.ravel(), [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -104,9 +104,9 @@ class TestSolveSpd:
         sys = path_system()
         rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
         config = SolveConfig(method=method)
-        y, _, route = solve_spd(sys.lap_free, rhs, config, _residual=True)
+        y, _, route = solve_spd(sys.lap_free, rhs, config)
         got, achieved, got_route = solve_spd(
-            sys.lap_free * matrix_scale, rhs * rhs_scale, config, _residual=True
+            sys.lap_free * matrix_scale, rhs * rhs_scale, config
         )
         assert got_route["route"] == route["route"] != "none"
         assert achieved <= config.rel_tol
@@ -118,7 +118,7 @@ class TestSolveSpd:
         a = random_spd(rng, 30)
         b = rng.normal(size=(30, 2)) * 1e3
         config = SolveConfig(method="iterative", rel_tol=1e-6)
-        y, achieved, _ = solve_spd(a, b, config, _residual=True)
+        y, achieved, _ = solve_spd(a, b, config)
         assert achieved == np.linalg.norm(a @ y - b) / np.linalg.norm(b)
 
     def test_duplicate_entries_are_summed(self):
@@ -161,7 +161,7 @@ class TestSolveSpd:
         expect = np.linalg.solve(sys.lap_free.toarray(), rhs)
         y_band = solve_direct(sys.lap_free, rhs)
         y_pcg = solve_spd(sys.lap_free, rhs,
-                          SolveConfig(method="iterative", rel_tol=1e-13))
+                          SolveConfig(method="iterative", rel_tol=1e-13))[0]
         scale = np.abs(expect).max()
         assert np.abs(y_band - expect).max() <= 1e-12 * scale
         assert np.abs(y_pcg - y_band).max() <= 1e-9 * scale
@@ -172,7 +172,7 @@ class TestSolveSpd:
         rhs = np.array([[1.0], [1.0]])
         for limit, route in ((4, "band"), (3, "pcg")):
             monkeypatch.setattr(solver, "BAND_LIMIT", limit)
-            _, _, got = solve_spd(sys.lap_free, rhs, _residual=True)
+            _, _, got = solve_spd(sys.lap_free, rhs)
             assert got["route"] == route
 
     def test_direct_takes_band_over_the_limit(self, monkeypatch):
@@ -204,8 +204,7 @@ class TestSolveSpd:
         rhs = np.array([[1.0], [2.0]])
 
         def route(b, method):
-            return solve_spd(sys.lap_free, b, SolveConfig(method=method),
-                             _residual=True)[2]
+            return solve_spd(sys.lap_free, b, SolveConfig(method=method))[2]
 
         assert route(rhs, "direct") == {"route": "band", "band_width": 1}
         # PCG solves a 2 x 2 system in at most 2 iterations
@@ -220,8 +219,7 @@ class TestSolveSpd:
         b = np.hstack([[[1.0], [2.0]], one_step, np.zeros((2, 1))])
 
         def iterations(rhs):
-            _, _, route = solve_spd(a, rhs, SolveConfig(method="iterative"),
-                                    _residual=True)
+            _, _, route = solve_spd(a, rhs, SolveConfig(method="iterative"))
             assert route["route"] == "pcg"
             return route["iterations"]
 
@@ -233,8 +231,7 @@ class TestSolveSpd:
         # of them solves to +0.0 in no iterations, written to CSV as 0.0
         a = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         b = np.array([[1.0, -0.0], [2.0, -0.0]])
-        y, _, route = solve_spd(a, b, SolveConfig(method="iterative"),
-                                _residual=True)
+        y, _, route = solve_spd(a, b, SolveConfig(method="iterative"))
         assert not np.signbit(y[:, 1]).any()
         assert route == {"route": "pcg", "iterations": 2}
 
@@ -244,8 +241,8 @@ class TestSolveSpd:
             n = int(rng.integers(5, 60))
             a = random_spd(rng, n)
             b = rng.normal(size=(n, 2))
-            yd = solve_spd(a, b, SolveConfig(method="direct"))
-            yi = solve_spd(a, b, SolveConfig(method="iterative", rel_tol=1e-12))
+            yd = solve_spd(a, b, SolveConfig(method="direct"))[0]
+            yi = solve_spd(a, b, SolveConfig(method="iterative", rel_tol=1e-12))[0]
             np.testing.assert_allclose(yd, yi, rtol=1e-8, atol=1e-8)
 
     def test_residual_bound_holds(self):
@@ -253,26 +250,25 @@ class TestSolveSpd:
         a = random_spd(rng, 30)
         b = rng.normal(size=(30, 3))
         solutions = [solve_direct(a, b),
-                     solve_spd(a, b, SolveConfig(method="iterative"))]
+                     solve_spd(a, b, SolveConfig(method="iterative"))[0]]
         for y in solutions:
             res = np.linalg.norm(a @ y - b) / np.linalg.norm(b)
             assert res <= 1e-10
 
     def test_zero_rhs(self):
         sys = path_system()
-        y = solve_spd(sys.lap_free, np.zeros((2, 2)))
+        y = solve_spd(sys.lap_free, np.zeros((2, 2)))[0]
         np.testing.assert_array_equal(y, 0.0)
 
-    def test_one_dimensional_rhs_squeezed(self):
+    def test_one_dimensional_rhs_rejected(self):
         sys = path_system()
         rhs = (-sys.lap_free_fixed @ np.array([[0.0], [3.0]])).ravel()
-        y = solve_spd(sys.lap_free, rhs)
-        assert y.shape == (2,)
-        np.testing.assert_allclose(y, [1.0, 2.0], rtol=1e-12)
+        with pytest.raises(ValueError, match=r"\(n, k\) array, got shape \(2,\)"):
+            solve_spd(sys.lap_free, rhs)
 
     def test_empty_system(self):
         a = sparse.csr_matrix((0, 0))
-        y = solve_spd(a, np.zeros((0, 2)))
+        y = solve_spd(a, np.zeros((0, 2)))[0]
         assert y.shape == (0, 2)
 
     def test_shape_mismatch_rejected(self):
@@ -292,8 +288,8 @@ class TestSolveSpd:
         y1 = solve_direct(a, b)
         y2 = solve_direct(a, b)
         assert y1.tobytes() == y2.tobytes()
-        y1 = solve_spd(a, b, SolveConfig(method="iterative"))
-        y2 = solve_spd(a, b, SolveConfig(method="iterative"))
+        y1 = solve_spd(a, b, SolveConfig(method="iterative"))[0]
+        y2 = solve_spd(a, b, SolveConfig(method="iterative"))[0]
         assert y1.tobytes() == y2.tobytes()
 
 
@@ -348,15 +344,15 @@ class TestSolverFailures:
         # the null space and the residual gate names no pivot
         a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError, match="missed tolerance") as exc_info:
-            solve_spd(a, np.array([1.0, 0.0]), SolveConfig(method="iterative"))
+            solve_spd(a, np.array([[1.0], [0.0]]), SolveConfig(method="iterative"))
         assert exc_info.value.pivot is None
         assert np.isnan(exc_info.value.achieved)
 
     def test_indefinite_iterative_is_judged_by_the_gate(self):
         # CG does not stop at p'Ap <= 0; here it still meets the gate
         a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        y = solve_spd(a, np.array([1.0, 0.0]), SolveConfig(method="iterative"))
-        np.testing.assert_allclose(y, [-1.0 / 3.0, 2.0 / 3.0], rtol=1e-12)
+        y = solve_spd(a, np.array([[1.0], [0.0]]), SolveConfig(method="iterative"))[0]
+        np.testing.assert_allclose(y, [[-1.0 / 3.0], [2.0 / 3.0]], rtol=1e-12)
 
     def test_nonconvergence_reports_achieved(self):
         rng = np.random.default_rng(17)

@@ -1,6 +1,7 @@
 """Validity auditor tests: crossings, orientation, hull, convexity."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1180,3 +1181,38 @@ class TestBoundaryCertificate:
         with pytest.raises(ValueError, match=r"seed_exclude .* \[0, 80\)"):
             audit(mesh, emb.coords, seed_exclude=seed_exclude)
         assert full_counts == []
+
+
+def centred_grid(scale):
+    """The 3x3 grid over [-scale, scale]^2 drawn as itself: injective."""
+    xs = np.array([[x, y] for y in (-1.0, 0.0, 1.0) for x in (-1.0, 0.0, 1.0)])
+    return SimplicialMesh(xs * scale, structured_grid_triangles(3, 3), 2)
+
+
+class TestLargeCoordinates:
+    """A near-zero band of tol x diameter^d needs diameter^d to be a finite
+    double; past that the audit refuses the drawing instead of judging it
+    against an infinite band."""
+
+    @pytest.mark.parametrize("mesh", [
+        SimplicialMesh(ball3(2).vertices * 1e100, ball3(2).simplices, 3),
+        centred_grid(1e153),
+    ], ids=["ball3-1e100", "grid-1e153"])
+    def test_large_but_finite_power_certifies(self, mesh):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = audit(mesh, mesh.vertices)
+        assert report.verdict == "injective-certified"
+
+    @pytest.mark.parametrize("mesh, d", [
+        # diameter 3.5e103: its cube overflows, the diameter does not
+        (SimplicialMesh(ball3(2).vertices * 1e103, ball3(2).simplices, 3), 3),
+        # the norm of the spans overflows: the diameter is inf
+        (centred_grid(1e154), 2),
+        (SimplicialMesh(ball3(2).vertices * 1e160, ball3(2).simplices, 3), 3),
+    ], ids=["ball3-1e103", "grid-1e154", "ball3-1e160"])
+    def test_overflowing_power_is_refused(self, mesh, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"diameter \S+ to the power d = {d} is not a finite"):
+                audit(mesh, mesh.vertices)
