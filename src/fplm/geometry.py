@@ -11,8 +11,9 @@ them into Python ints, and the same determinant evaluated in ints has the
 exact sign (exactness needs no rational arithmetic). Callers always receive
 the mathematically exact sign, at float speed for all but near-degenerate
 configurations. The scalar forms :func:`orient2d` and :func:`orient3d` are
-one-row calls of the batched filters. Only the d >= 4 stage of
-:func:`exact_orientations` uses ``Fraction``.
+one-row calls of the batched filters. Other dimensions take the integer
+stage only, the determinant's sign found by Bareiss's fraction-free
+elimination (Math. Comp. 1968) on the same scaled ints.
 
 Simplices take the filters through :func:`simplex_determinants`: one
 gather of the coordinate columns, the edges from vertex 0 as the
@@ -26,7 +27,7 @@ histogram does, evaluates each determinant once, and
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from fractions import Fraction  # unused; perfbench's tracer patches it by name
 
 import numpy as np
 
@@ -110,23 +111,32 @@ def _det3(rows):
     )
 
 
-def _det_fraction(rows):
-    """Determinant of a small square Fraction matrix, cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        return _det3(rows)
-    total = Fraction(0)
-    sign = 1
-    for k in range(n):
-        if rows[0][k] != 0:
-            minor = [[rows[i][j] for j in range(n) if j != k] for i in range(1, n)]
-            total += sign * rows[0][k] * _det_fraction(minor)
-        sign = -sign
-    return total
+def _bareiss_sign(v, n):
+    """Exact sign of det(p_1 - p_0, ..., p_n - p_0) of one :func:`_scaled`
+    row (p_1, ..., p_n, p_0), by Bareiss's fraction-free elimination.
+
+    After step k every entry below and right of the pivot is a (k+1)-minor
+    of the edge matrix, so each division by the previous pivot is exact and
+    the last entry is the determinant. A zero pivot swaps in a lower row
+    with a nonzero entry in its column, flipping the sign; a column with
+    none makes the determinant 0.
+    """
+    a = [[v[i * n + j] - v[n * n + j] for j in range(n)] for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row = a[k][k], a[k]
+        for below in a[k + 1 :]:
+            lead = below[k]
+            for j in range(k + 1, n):
+                below[j] = (below[j] * pivot - lead * row[j]) // prev
+        prev = pivot
+    return sign * _sign(a[-1][-1])
 
 
 def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
@@ -302,24 +312,18 @@ def exact_orientations(coords, simplices):
     """Exact signs of det(p_1 - p_0, ..., p_d - p_0), with no float filter.
 
     The integer stage of :func:`simplex_determinants`, for the rows it
-    leaves undecided: d = 2 and 3 evaluate the orient2d and orient3d
-    determinants in Python ints, other dimensions in ``Fraction``
-    arithmetic.
+    leaves undecided. Each row's coordinates become Python ints by
+    :func:`_scaled`; d = 2 and 3 evaluate the orient2d and orient3d
+    determinants, other dimensions take the sign by Bareiss elimination
+    (:func:`_bareiss_sign`), so no dimension uses rational arithmetic.
     """
     p = np.asarray(coords, dtype=float)[np.asarray(simplices, dtype=np.int64)]
     m, d = p.shape[0], p.shape[2]
+    # rows (p_1, ..., p_d, p_0): the predicate's base point last
+    rows = np.roll(p, -1, axis=1).reshape(m, (d + 1) * d).tolist()
     if d in (2, 3):
-        # rows (p_1, ..., p_d, p_0): the predicate's base point last
-        rows = np.roll(p, -1, axis=1).reshape(m, (d + 1) * d).tolist()
         return np.array((_orient2d_exact if d == 2 else _orient3d_exact)(rows), dtype=np.int8)
-    signs = []
-    for q in p:
-        rows = [
-            [Fraction(q[i + 1][j]) - Fraction(q[0][j]) for j in range(d)]
-            for i in range(d)
-        ]
-        signs.append(_sign(_det_fraction(rows)))
-    return np.array(signs, dtype=np.int8)
+    return np.array([_bareiss_sign(_scaled(row), d) for row in rows], dtype=np.int8)
 
 
 def signed_volumes(coords, simplices):
@@ -361,7 +365,11 @@ def simplex_volumes(vertices, simplices, intrinsic_dim):
     :func:`signed_volumes`, E the edge matrix: the Gram determinant equals
     det(E)^2 there and would square its conditioning. Otherwise the volume
     is sqrt(det(E E^T)) / k!, and tiny negative Gram determinants from
-    roundoff are clamped. Zero is returned for degenerate simplices.
+    roundoff are clamped. Zero is returned for degenerate simplices. The
+    edges are first scaled by the power of two nearest 1 / max |edge|, and
+    the volumes back by its k-th power: both steps are exact, and the Gram
+    products of very large or very small edges neither overflow nor
+    underflow.
     """
     v = np.asarray(vertices, dtype=float)
     s = np.asarray(simplices, dtype=np.int64)
@@ -369,6 +377,8 @@ def simplex_volumes(vertices, simplices, intrinsic_dim):
     if k == v.shape[1]:
         return np.abs(signed_volumes(v, s))
     edges = v[s[:, 1:]] - v[s[:, :1]]           # (M, k, l)
+    shift = -int(np.frexp(np.max(np.abs(edges), initial=0.0))[1])
+    edges = np.ldexp(edges, shift)
     if k > 3:
         dets = np.linalg.det(edges @ np.transpose(edges, (0, 2, 1)))
     else:
@@ -383,7 +393,7 @@ def simplex_volumes(vertices, simplices, intrinsic_dim):
         else:
             dets = _det3(g)
     dets = np.where(dets > 0.0, dets, 0.0)
-    return np.sqrt(dets) / math.factorial(k)
+    return np.ldexp(np.sqrt(dets) / math.factorial(k), -k * shift)
 
 
 def bbox_diameter(points):

@@ -11,11 +11,10 @@ All of this topology derives from one face table per mesh (see
 :class:`FaceTable`), built on first use and cached on the immutable mesh
 object together with the edge list, the boundary and the orientation
 signs, so every consumer of one mesh object shares a single computation.
-Validation answers vertex manifoldness, face-connectivity and orientation
-with one ``connected_components`` call (see :func:`_adjacency_violations`)
-and, on a mesh without violations, leaves the orientation signs in their
-cache; the orientation property runs the cover part of that graph alone
-when validation has not run.
+Two ``connected_components`` calls answer the rest, one per graph: the
+star graph gives vertex manifoldness (see :func:`_adjacency_violations`),
+and the orientation double cover, cached as ``_cover_labels``, gives both
+face-connectivity to validation and the signs to the orientation property.
 """
 
 from __future__ import annotations
@@ -173,16 +172,9 @@ class SimplicialMesh:
 
     @cached_property
     def orientation(self) -> np.ndarray:
-        """The signs returned by :func:`canonical_orientation`.
-
-        One ``connected_components`` call on the orientation double cover
-        settles them (see :func:`_cover_slots`). :func:`validate_mesh`
-        answers the same call as part of its own graph and stores the signs
-        here when it finds no violation, so an audit after ``run_fplm``
-        reads them without a second pass.
-        """
+        """The signs returned by :func:`canonical_orientation`, read from
+        :attr:`_cover_labels`, the one pass that validation reads too."""
         table = self.face_table
-        m_total = self.n_simplices
         over = np.flatnonzero(table.counts > 2)
         if over.size:
             face = tuple(table.faces[over[0]].tolist())
@@ -190,21 +182,35 @@ class SimplicialMesh:
                 f"face {face} is shared by {int(table.counts[over[0]])} "
                 "simplices; orientation is undefined"
             )
-        width = self.intrinsic_dim + 1
-        partner = _side_partners(table, _index_type(2 * table.order.size))
-        labels = _component_labels(_cover_slots(table, partner, width))
-        plus, minus = labels[:m_total], labels[m_total:]
+        labels = self._cover_labels
+        plus, minus = labels[: self.n_simplices], labels[self.n_simplices :]
         if plus[0] == minus[0]:
             raise ValueError(
                 "mesh is combinatorially non-orientable: the orientation "
                 "constraints across shared faces conflict"
             )
-        if not ((plus == plus[0]) | (plus == minus[0])).all():
+        if _unreached(labels).size:
             raise ValueError(
                 "orientation could not reach every simplex; the mesh is not "
                 "face-connected"
             )
         return _frozen(np.where(plus == plus[0], 1, -1))
+
+    @cached_property
+    def _cover_labels(self) -> np.ndarray:
+        """Component labels of the orientation double cover, read-only.
+
+        Entry m labels node m+ and entry M + m node m- (see
+        :func:`_cover_slots`). The cover lifts every path between two
+        simplices to a path from either node of the first, so simplex m is
+        reached from simplex 0 through faces iff m+ shares a label with 0+
+        or 0- (:func:`_unreached`). When 0+ and 0- differ, the constraints
+        agree and the label of m+ gives the sign of simplex m.
+        """
+        table = self.face_table
+        width = self.intrinsic_dim + 1
+        partner = _side_partners(table, _index_type(2 * table.order.size))
+        return _frozen(_component_labels(_cover_slots(table, partner, width)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,8 +379,7 @@ def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
             )
         )
 
-    adjacency, signs = _adjacency_violations(mesh, sorted_rows)
-    out.extend(adjacency)
+    out.extend(_adjacency_violations(mesh, sorted_rows))
 
     diam = bbox_diameter(mesh.vertices[finite])
     with np.errstate(over="ignore"):
@@ -402,18 +407,15 @@ def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
                 f"{VOL_TOL:g} x diameter^{d} = {threshold:.3e}",
             )
         )
-    if not out and signs is not None:
-        # stored in the instance dict, as functools.cached_property does
-        mesh.__dict__.setdefault("orientation", signs)
     return out
 
 
 def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
-    """Non-manifold vertices and a disconnected mesh, with the orientation.
+    """Non-manifold vertices and a disconnected mesh.
 
-    One ``connected_components`` call answers all three on a graph with
-    two kinds of node, each holding a fixed number of neighbour slots, so
-    the graph is laid out as CSR with no sort (see
+    One ``connected_components`` call on the star graph finds the
+    non-manifold vertices. Each node holds a fixed number of neighbour
+    slots, so the graph is laid out as CSR with no sort (see
     :func:`_component_labels`). Each side p = m * (d+1) + k is joined to
     its partner, the next side on its face, cyclically
     (:func:`_side_partners`).
@@ -426,25 +428,18 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
     for the same vertex. The components of these nodes are the parts of
     every star.
 
-    The 2M nodes after them are the orientation double cover of
-    :func:`_cover_slots`, which lifts every path between two simplices to
-    a path from either node of the first. So simplex m is reached from
-    simplex 0 through faces iff node m+ shares a label with 0+ or 0-. When
-    0+ and 0- differ, the constraints agree and the label of m+ gives the
-    sign of simplex m.
-
-    Returns the violations, and the signs :attr:`SimplicialMesh.orientation`
-    computes on a mesh without violations, or None when 0+ and 0- share a
-    label.
+    Face-connectivity is read from the cached orientation double cover,
+    :attr:`SimplicialMesh._cover_labels`, which the orientation signs
+    come from too.
     """
     table = mesh.face_table
     s = mesh.simplices
     m_total, width = s.shape
     d = width - 1
     n_star = m_total * width
-    # node ids and slot offsets (at most n_star * (d + 2)) in the index type
+    # node ids and slot offsets (at most n_star * d) in the index type
     # scipy's graphs use, so none is copied
-    index = _index_type(n_star * (d + 2))
+    index = _index_type(n_star * d)
     partner = _side_partners(table, index)
     rank = np.zeros(s.shape, dtype=index)
     for i, j in itertools.combinations(range(width), 2):
@@ -460,12 +455,10 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
     t = r - (r > q)
     p2 = partner[inverse[:, q] + (np.arange(m_total, dtype=index) * width)[:, None]]
     star = p2 - p2 % width + t + (t >= rank.ravel()[p2])
-    labels = _component_labels(
-        star.reshape(n_star, d), _cover_slots(table, partner, width) + n_star
-    )
+    part = _component_labels(star.reshape(n_star, d))
 
     # a star in one part gives all its nodes the label any one of them has
-    vertex, part = sorted_rows.ravel(), labels[:n_star]
+    vertex = sorted_rows.ravel()
     label = np.empty(vertex.max() + 1, dtype=part.dtype)
     label[vertex] = part
     out = [
@@ -477,8 +470,7 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
         )
         for v in _unique_ints(vertex[part != label[vertex]]).tolist()
     ]
-    plus, minus = labels[n_star : n_star + m_total], labels[n_star + m_total :]
-    unreached = np.flatnonzero((plus != plus[0]) & (plus != minus[0]))
+    unreached = _unreached(mesh._cover_labels)
     if unreached.size:
         missing = int(unreached[0])
         out.append(
@@ -489,10 +481,13 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
                 "not reachable from simplex 0",
             )
         )
-    signs = None
-    if plus[0] != minus[0]:
-        signs = _frozen(np.where(plus == plus[0], 1, -1))
-    return out, signs
+    return out
+
+
+def _unreached(cover_labels: np.ndarray) -> np.ndarray:
+    """The simplices whose + node shares no cover label with 0+ or 0-."""
+    plus, minus = np.split(cover_labels, 2)
+    return np.flatnonzero((plus != plus[0]) & (plus != minus[0]))
 
 
 def _index_type(size: int):
@@ -539,11 +534,10 @@ def _cover_slots(table: FaceTable, partner: np.ndarray, width: int) -> np.ndarra
     return slots.reshape(2 * m_total, width)
 
 
-def _component_labels(*blocks: np.ndarray) -> np.ndarray:
+def _component_labels(slots: np.ndarray) -> np.ndarray:
     """Component labels of the graph laid out as rows of neighbour slots.
 
-    Node i is row i of the ``blocks`` stacked in turn, each block a 2-D
-    array with its own row width, and has an arc to every node in its row.
+    Node i is row i of ``slots`` and has an arc to every node in its row.
     Partners join the sides of each face in a cycle, and the cover lifts
     each such cycle to cycles, so every arc lies on a directed cycle. Then
     the strong components are the components of the undirected graph, and
@@ -556,21 +550,14 @@ def _component_labels(*blocks: np.ndarray) -> np.ndarray:
     one vertex set), and each repeat is rewritten in place into an arc to
     the row's own node, which the search skips; the arcs stay the same set.
     """
-    node, nnz, indptr = 0, 0, []
-    for slots in blocks:
-        rows, width = slots.shape
-        own = np.arange(node, node + rows, dtype=slots.dtype)
-        for i, j in itertools.combinations(range(width), 2):
-            np.copyto(slots[:, j], own, where=slots[:, j] == slots[:, i])
-        indptr.append(np.arange(nnz, nnz + slots.size, width, dtype=slots.dtype))
-        node, nnz = node + rows, nnz + slots.size
-    indptr.append(np.array([nnz], dtype=indptr[0].dtype))
-    indices = np.concatenate([slots.ravel() for slots in blocks])
+    rows, width = slots.shape
+    own = np.arange(rows, dtype=slots.dtype)
+    for i, j in itertools.combinations(range(width), 2):
+        np.copyto(slots[:, j], own, where=slots[:, j] == slots[:, i])
+    indptr = np.arange(0, slots.size + 1, width, dtype=slots.dtype)
     # the search reads no weights: one 1.0 viewed nnz times stands for them
-    weights = np.broadcast_to(1.0, nnz)
-    graph = sparse.csr_matrix(
-        (weights, indices, np.concatenate(indptr)), shape=(node, node)
-    )
+    weights = np.broadcast_to(1.0, slots.size)
+    graph = sparse.csr_matrix((weights, slots.ravel(), indptr), shape=(rows, rows))
     return connected_components(graph, directed=True, connection="strong")[1]
 
 

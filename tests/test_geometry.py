@@ -222,12 +222,16 @@ class TestBatchedPredicates:
         assert got.tolist() == want
         assert set(want) == {-1, 0, 1}
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_simplex_orientations_match_scalar(self, d):
         rng = np.random.default_rng(d)
         points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
         points[::7, 0] += math.ulp(2.0)
         want = simplex_orientations_rational(points)
+        if d >= 4:
+            # small integer points: Bareiss meets zero pivots and zero
+            # determinants as well as both signs
+            assert set(want) == {-1, 0, 1}
         assert filtered_signs(points).tolist() == want
         # the integer stage alone, on every row
         coords, simplices = points.reshape(-1, d), np.arange(60 * (d + 1)).reshape(60, d + 1)
@@ -353,6 +357,14 @@ class TestIntegerStageAgainstFraction:
     @given(st.lists(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4),
                              coplanar_quadruples()), min_size=1, max_size=30))
     def test_simplex_determinants_3d(self, rows):
+        self.check_filter_and_integer_stage(np.array(rows))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 5).flatmap(
+        lambda d: st.lists(st.tuples(*[st.tuples(*[coordinates] * d)] * (d + 1)),
+                           min_size=1, max_size=8)))
+    def test_simplex_determinants_4d_5d(self, rows):
+        # every row goes to the integer stage, Bareiss elimination
         self.check_filter_and_integer_stage(np.array(rows))
 
     @staticmethod

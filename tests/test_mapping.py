@@ -464,8 +464,8 @@ def kuhn_4cube():
 
 class TestFourCube:
     """d = 4 end to end: the Helmert seed simplex, LAPACK volumes and the
-    Fraction stage of the exact signs, and the d >= 4 rule that the audit
-    reports the counts but cannot certify."""
+    integer Bareiss stage of the exact signs, and the d >= 4 rule that the
+    audit reports the counts but cannot certify."""
 
     def test_round_two_pins_every_vertex(self):
         emb = run_fplm(kuhn_4cube())

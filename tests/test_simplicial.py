@@ -15,6 +15,8 @@ from fplm.generators import (
     icosphere,
     structured_grid_triangles,
 )
+from fplm import simplicial
+from fplm.mapping import run_fplm
 from fplm.simplicial import (
     SimplicialMesh,
     canonical_orientation,
@@ -26,6 +28,7 @@ from fplm.simplicial import (
     triangulate_flat_faces,
     validate_mesh,
 )
+from fplm.validity import audit
 from orientation_oracle import simplex_orientations_rational
 
 
@@ -158,6 +161,24 @@ class TestValidateMesh:
         assert [(v.rule, v.where) for v in violations] == [("coordinates-overflow", ())]
         assert "to the power d = 3 is not a finite double" in violations[0].detail
         assert validate_mesh(SimplicialMesh(mesh.vertices * 1e100, mesh.simplices, 3)) == []
+
+    @pytest.mark.parametrize("scale", [1e78, 1e-150])
+    def test_surface_volumes_neither_overflow_nor_underflow(self, scale):
+        # paraboloid 5x5 in R^3: its Gram determinants overflow at 1e78 and
+        # underflow at 1e-150 unless the edges are scaled first
+        mesh, _ = generate(GeneratorSpec("paraboloid", (5, 5)))
+        scaled = SimplicialMesh(mesh.vertices * scale, mesh.simplices, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_mesh(scaled) == []
+
+    def test_flat_triangle_flagged_at_large_scale(self):
+        verts = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 1e-14, 0], [0, 1, 1]]) * 1e78
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [0, 1, 3]]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = validate_mesh(mesh)
+        assert [(v.rule, v.where) for v in violations] == [("degenerate-simplex", (0,))]
 
 
 class TestFacesAndEdges:
@@ -532,6 +553,19 @@ def fresh(mesh):
     return SimplicialMesh(mesh.vertices, mesh.simplices, mesh.intrinsic_dim)
 
 
+def count_component_passes(monkeypatch):
+    """A list that gains one entry per ``connected_components`` call the
+    simplicial module makes from now on."""
+    calls = []
+    real = simplicial.connected_components
+    monkeypatch.setattr(
+        simplicial,
+        "connected_components",
+        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+    )
+    return calls
+
+
 def orientation_error(mesh):
     with pytest.raises(ValueError) as caught:
         canonical_orientation(mesh)
@@ -539,23 +573,39 @@ def orientation_error(mesh):
 
 
 class TestSharedPass:
-    """validate_mesh answers face-connectivity and orientation in one pass."""
+    """validate_mesh and the orientation read one cached double-cover pass."""
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-    def test_stored_signs_equal_the_property(self, kind, seed):
+    def test_stored_signs_equal_the_property(self, kind, seed, monkeypatch):
         resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
         mesh, _ = generate(GeneratorSpec(kind, resolution))
         if seed is not None:
             mesh = relabel(mesh, np.random.default_rng(seed))
         assert validate_mesh(mesh) == []
-        stored = mesh.__dict__["orientation"]
-        assert canonical_orientation(mesh) is stored
+        # validation stores no signs, yet leaves the cover pass they need
+        assert "orientation" not in mesh.__dict__
+        calls = count_component_passes(monkeypatch)
+        signs = canonical_orientation(mesh)
+        assert calls == []
+        monkeypatch.undo()
         standalone = canonical_orientation(fresh(mesh))
-        assert stored.dtype == standalone.dtype
-        assert np.array_equal(stored, standalone)
+        assert signs.dtype == standalone.dtype
+        assert np.array_equal(signs, standalone)
         with pytest.raises(ValueError, match="read-only"):
-            stored[0] = 0
+            signs[0] = 0
+
+    @pytest.mark.parametrize("kind", ["paraboloid", "sphere", "ball3"])
+    def test_one_cover_pass_from_embedding_through_audit(self, kind, monkeypatch):
+        # run_fplm validates (star graph, then cover) and the audit reads
+        # the cached cover labels: two passes in all, none in the audit
+        resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
+        mesh = fresh(generate(GeneratorSpec(kind, resolution))[0])
+        calls = count_component_passes(monkeypatch)
+        embedding = run_fplm(mesh)
+        assert len(calls) == 2
+        assert audit(mesh, embedding).verdict == "injective-certified"
+        assert len(calls) == 2
 
     def test_mobius_strip_keeps_the_property_error(self):
         mesh = mobius_strip()
