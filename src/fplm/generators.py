@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import orient2d_signs_xy
-from .simplicial import SimplicialMesh, validate_mesh
+from .simplicial import SimplicialMesh
 
 GENERATOR_KINDS = (
     "grid-disk",
@@ -113,7 +113,7 @@ def generate(spec: GeneratorSpec):
         verts = np.column_stack([latent[:, 0], latent[:, 1], z])
         mesh = SimplicialMesh(verts, _triangulate_latent(latent, nx, ny, spec), 2)
 
-    violations = validate_mesh(mesh)
+    violations = mesh.violations
     if violations:
         raise ValueError(
             f"generator {kind!r} at resolution {spec.resolution} produced an "

@@ -264,7 +264,9 @@ def _edge_columns(coords, simplices):
     edge i (p_{i+1} - p_0) of every simplex, one row each."""
     ct, st = coords.T, simplices.T
     base = np.take(ct, st[0], axis=1)
-    return [np.take(ct, st[i], axis=1) - base for i in range(1, st.shape[0])]
+    # a difference past the largest double is inf, which no filter decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [np.take(ct, st[i], axis=1) - base for i in range(1, st.shape[0])]
 
 
 def simplex_determinants(coords, simplices):
@@ -296,7 +298,10 @@ def simplex_determinants(coords, simplices):
     simplices = np.asarray(simplices, dtype=np.int64)
     m, d = simplices.shape[0], coords.shape[1]
     if d > 3:
-        det = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
+        # LAPACK's LU may overflow or divide by a subnormal pivot: such rows
+        # are undecided like all others here, so the signs stay exact
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            det = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
         return det, np.zeros(m, dtype=np.int8), np.ones(m, dtype=bool)
     e = _edge_columns(coords, simplices)
     if d == 1:
@@ -345,16 +350,19 @@ def signed_volumes(coords, simplices):
     coords = np.asarray(coords, dtype=float)
     simplices = np.asarray(simplices, dtype=np.int64)
     d = coords.shape[1]
-    if d > 3:
-        dets = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
-    else:
-        e = _edge_columns(coords, simplices)
-        if d == 1:
-            dets = e[0][0]
-        elif d == 2:
-            dets = _orient2d_det(e[0][0], e[0][1], e[1][0], e[1][1])[0]
+    # coordinates near the largest double, or subnormal LU pivots for d > 3,
+    # give inf or nan volumes, not warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if d > 3:
+            dets = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
         else:
-            dets = _orient3d_det(*e)[0]
+            e = _edge_columns(coords, simplices)
+            if d == 1:
+                dets = e[0][0]
+            elif d == 2:
+                dets = _orient2d_det(e[0][0], e[0][1], e[1][0], e[1][1])[0]
+            else:
+                dets = _orient3d_det(*e)[0]
     return dets / math.factorial(d)
 
 

@@ -31,7 +31,6 @@ from .simplicial import (
     detect_boundary,
     detect_dividing_simplices,
     mesh_edges,
-    validate_mesh,
 )
 from .solver import SolveConfig, solve_spd
 
@@ -291,7 +290,7 @@ def run_fplm(
     to a regular polygon in one solve. Raises ValueError when the mesh fails
     validation or has multiple boundary loops (d = 2).
     """
-    violations = validate_mesh(mesh)
+    violations = mesh.violations
     if violations:
         head = "; ".join(v.detail for v in violations[:3])
         raise ValueError(

@@ -9,8 +9,9 @@ interior (d-1)-faces whose vertices all lie on the boundary.
 
 All of this topology derives from one face table per mesh (see
 :class:`FaceTable`), built on first use and cached on the immutable mesh
-object together with the edge list, the boundary and the orientation
-signs, so every consumer of one mesh object shares a single computation.
+object together with the edge list, the boundary, the orientation signs
+and the validation result, so every consumer of one mesh object shares a
+single computation.
 Two ``connected_components`` calls answer the rest, one per graph: the
 star graph gives vertex manifoldness (see :func:`_adjacency_violations`),
 and the orientation double cover, cached as ``_cover_labels``, gives both
@@ -49,9 +50,10 @@ class SimplicialMesh:
     Index bounds and shapes are enforced at construction. The decomposition
     invariants themselves are checked by :func:`validate_mesh`, which
     reports violations as data rather than raising. The topology
-    (``face_table``, ``edges``, ``boundary``, ``orientation``) is computed
-    on first use and cached, which the read-only mesh arrays keep valid;
-    the cached arrays are read-only too.
+    (``face_table``, ``edges``, ``boundary``, ``orientation``) and the
+    validation result (``violations``) are computed on first use and
+    cached, which the read-only mesh arrays keep valid; the cached arrays
+    are read-only too.
     """
 
     vertices: np.ndarray
@@ -197,6 +199,12 @@ class SimplicialMesh:
         return _frozen(np.where(plus == plus[0], 1, -1))
 
     @cached_property
+    def violations(self) -> tuple[MeshViolation, ...]:
+        """The broken invariants :func:`validate_mesh` lists, as a tuple:
+        one validation pass per mesh object, however many callers ask."""
+        return tuple(_violations(self))
+
+    @cached_property
     def _cover_labels(self) -> np.ndarray:
         """Component labels of the orientation double cover, read-only.
 
@@ -329,8 +337,15 @@ def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
     a finite double get one violation instead of a volume check.
 
     Returns a list of violations, empty when the mesh is a valid
-    decomposition. Violations are data; nothing raises here.
+    decomposition. Violations are data; nothing raises here. The checks
+    run once per mesh object: the list is a copy of the cached
+    :attr:`SimplicialMesh.violations`.
     """
+    return list(mesh.violations)
+
+
+def _violations(mesh: SimplicialMesh) -> list[MeshViolation]:
+    """The checks :func:`validate_mesh` describes, run on every call."""
     out: list[MeshViolation] = []
     s = mesh.simplices
     d = mesh.intrinsic_dim

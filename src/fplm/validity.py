@@ -109,6 +109,10 @@ class ValidityReport:
     "violated" with reasons.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
+    hull_violation is the largest signed distance of a free vertex outside
+    the hull of the final fixed targets. It is exact however many free
+    vertices are evaluated: on a one-signed drawing only those that can
+    attain it (see :func:`_hull_candidates`), otherwise all.
 
     For d = 2 the certificate is the degree theorem (Lipman, SIAM J.
     Imaging Sci. 2014): a connected, orientable triangle mesh whose audited
@@ -500,45 +504,84 @@ def orientation_histogram(
 def check_hull_containment(
     fixed: FixedPointSet, coords: np.ndarray, free_indices
 ) -> float:
-    """Largest signed distance of a free vertex outside conv(fixed targets).
+    """Largest signed distance of a vertex of ``free_indices`` outside
+    conv(fixed targets).
 
-    Negative values mean every free vertex lies strictly inside the hull.
-    Defined for d in {2, 3}; raises for other dimensions or affinely
-    degenerate targets.
+    Negative values mean every vertex evaluated lies strictly inside the
+    hull. Every vertex passed is evaluated against every facet; :func:`audit`
+    passes only the free vertices that can attain the maximum (see
+    :func:`_hull_candidates`). Defined for d in {2, 3}; raises for other
+    dimensions or affinely degenerate targets. d + 1 targets, the seed
+    simplex of a closed mesh, get their facets in closed form
+    (:func:`_simplex_facets`); more go to qhull.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
     coords = np.asarray(coords, dtype=float)
     d = fixed.dim
     if d not in (2, 3):
         raise ValueError(f"hull containment is defined for d in {{2, 3}}, got {d}")
-    try:
-        hull = ConvexHull(fixed.targets)
-    except QhullError as exc:
+    if fixed.targets.shape[0] == d + 1:
+        equations = _simplex_facets(fixed.targets)
+    else:
+        from scipy.spatial import ConvexHull, QhullError
+
+        try:
+            equations = ConvexHull(fixed.targets).equations
+        except QhullError:
+            equations = None
+    if equations is None:
         raise ValueError(
             "fixed targets are affinely degenerate; no full-dimensional hull"
-        ) from exc
+        )
     free_indices = np.asarray(free_indices, dtype=np.int64)
     if free_indices.size == 0:
         return float("-inf")
     pts = coords[free_indices]
-    # hull.equations rows are unit outward normals with offsets: n.x + b <= 0
-    normals = hull.equations[:, :d].T
-    offsets = hull.equations[:, d]
-    # blocks of about _HULL_ENTRIES signed distances instead of one P x F
-    # array; the max is exact, so the split does not change the value
+    # equations rows are unit outward normals with offsets: n.x + b <= 0
+    normals = equations[:, :d].T
+    offsets = equations[:, d]
+    # blocks of about _HULL_ENTRIES products instead of one P x F array,
+    # reduced to each facet's largest product; its offset is added once.
+    # Rounding is monotone, so max_i fl(p_i + b) = fl(max_i p_i + b), and
+    # the value is the one the full P x F array of distances gives
     block = max(1, _HULL_ENTRIES // offsets.size)
-    worst = -np.inf
+    top = np.full(offsets.size, -np.inf)
     for r0 in range(0, pts.shape[0], block):
-        signed = pts[r0 : r0 + block] @ normals
-        signed += offsets
-        worst = np.maximum(worst, signed.max())
-    return float(worst)
+        np.maximum(top, (pts[r0 : r0 + block] @ normals).max(axis=0), out=top)
+    return float((top + offsets).max())
 
 
-# signed distances per hull block (512 KiB): F facets take budget // F rows
+# products per hull block (512 KiB): F facets take budget // F rows
 # a block, 62 on the 1,052 facets of ball3 10, all rows on a 3-facet hull
 _HULL_ENTRIES = 2**16
+
+
+def _simplex_facets(corners) -> np.ndarray | None:
+    """The facets of the d-simplex ``corners`` (d + 1, d), d in {2, 3}.
+
+    Row i holds the unit outward normal n and the offset b of the facet
+    opposite corner i, so n.x + b <= 0 inside, as in qhull's ``equations``.
+    The formula is qhull's own (``qh_sethyperplane_det``): the cofactor
+    vector of the facet's edges from its first corner a, divided by its
+    length, and b = -(a . n). So the rows equal qhull's up to the rounding
+    of the corner qhull starts from, and bit for bit on
+    :func:`~fplm.mapping.regular_simplex` for d = 2 and 3. The raw normal
+    satisfies n . (x - a) = det[edges; x - a], which at corner i is s (-1)^(d
+    - i) for the exact orientation s of the simplex, so that sign, negated,
+    turns it outward. A flat simplex (s = 0) has no facets: None.
+    """
+    d = corners.shape[1]
+    s = int(exact_orientations(corners, np.arange(d + 1)[None])[0])
+    if s == 0:
+        return None
+    facet = corners[[[j for j in range(d + 1) if j != i] for i in range(d + 1)]]
+    e = facet[:, 1:] - facet[:, :1]
+    if d == 2:
+        n = np.column_stack([-e[:, 0, 1], e[:, 0, 0]])
+    else:
+        n = np.cross(e[:, 0], e[:, 1])
+    n *= (-s * (-1) ** (d - np.arange(d + 1)))[:, None]
+    n /= np.sqrt((n * n).sum(axis=1))[:, None]
+    return np.column_stack([n, -(facet[:, 0] * n).sum(axis=1)])
 
 
 # the most negative normalized boundary turn (sine of the turn angle) that
@@ -630,6 +673,14 @@ def audit(
     :class:`ValidityReport`); every other drawing, and one whose loop is
     not simple, gets the full crossing count, and a loop that is not simple
     makes the report violated.
+
+    The hull check evaluates only the free vertices that can lie farthest
+    outside the fixed targets' hull when the histogram finds one exact sign
+    and no near-zero image: those next to a fixed vertex, on the boundary,
+    in an excluded simplex or in no simplex. Every other free vertex lies
+    strictly inside the hull of its free neighbours, so skipping it leaves
+    the maximum unchanged (see :func:`_hull_candidates`). Any other drawing
+    has every free vertex evaluated.
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -715,7 +766,10 @@ def audit(
         is_free[final_fixed.indices] = False
         free = np.flatnonzero(is_free)
         if d in (2, 3):
-            hull_violation = check_hull_containment(final_fixed, coords, free)
+            candidates = (
+                _hull_candidates(mesh, boundary, is_free, exclude) if one_sign else free
+            )
+            hull_violation = check_hull_containment(final_fixed, coords, candidates)
         if graph is not None:
             max_convex_residual = convex_combination_residual(
                 graph, coords, free
@@ -737,6 +791,48 @@ def audit(
         verdict="injective-certified" if certified else "violated",
         reasons=tuple(reasons),
     )
+
+
+def _hull_candidates(mesh: SimplicialMesh, boundary, is_free, exclude) -> np.ndarray:
+    """The free vertices of a one-signed drawing that can attain the maximum
+    of :func:`check_hull_containment`.
+
+    These are the free vertices next to a fixed vertex, on the mesh
+    boundary, in an excluded simplex, or in no simplex at all. The other
+    free vertices, called sealed here, are dropped without changing the
+    maximum.
+
+    Proof. Take a sealed vertex v. The audit found no near-zero image and
+    one exact sign across the audited simplices, which include every
+    simplex of v's star. :func:`canonical_orientation` orients the
+    simplices consistently and v is not on the boundary, so every face
+    through v joins two star simplices and cancels in the boundary of the
+    star: that boundary is the link of v. No star image is flat, so the
+    link's image misses v, and its winding number w about points near v is
+    constant. About a point that no face image holds, w counts the star
+    images that cover it with their signs, which are all equal; a point
+    inside one star image near v gives w >= 1. (Floater, "One-to-one
+    piecewise linear mappings over triangulations", Math. Comp. 2003, rests
+    on the same fact.) If v were not strictly inside the hull of its
+    neighbours, some n != 0 would have n . (u - v) <= 0 for every neighbour
+    u; the open half-space n . (x - v) > 0 would then meet no star image,
+    and points in it near v would have w = 0. So v is strictly inside the
+    hull of its neighbours, which are all free, and for every facet some
+    neighbour has a strictly larger signed distance. A walk along such
+    neighbours never repeats a vertex, so it ends at a free vertex that is
+    not sealed, and the maximum over the candidates is the maximum over all
+    free vertices. In floating point each distance is one rounded dot
+    product, so a sealed vertex can only tie the reported maximum to
+    within the rounding of one dot product.
+    """
+    # the edges' ends in pairs: end k ^ 1 is the other end of the edge of end k
+    ends = mesh_edges(mesh).ravel()
+    sealed = np.zeros(mesh.n_vertices, dtype=bool)
+    sealed[ends] = True
+    sealed[ends[np.flatnonzero(~is_free[ends]) ^ 1]] = False
+    sealed[boundary.boundary_vertices] = False
+    sealed[mesh.simplices[exclude]] = False
+    return np.flatnonzero(is_free & ~sealed)
 
 
 def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:

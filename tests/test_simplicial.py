@@ -607,6 +607,32 @@ class TestSharedPass:
         assert audit(mesh, embedding).verdict == "injective-certified"
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("kind", ["paraboloid", "sphere", "ball3"])
+    def test_generated_mesh_is_validated_once(self, kind, monkeypatch):
+        # generate validates and the result stays on the mesh, so run_fplm
+        # and validate_mesh make no second star or cover pass
+        resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
+        mesh = generate(GeneratorSpec(kind, resolution))[0]
+        assert mesh.__dict__["violations"] == ()
+        calls = count_component_passes(monkeypatch)
+        run_fplm(mesh)
+        assert calls == []
+        assert validate_mesh(mesh) == []
+        assert calls == []
+
+    def test_violations_are_cached_and_callers_get_copies(self, monkeypatch):
+        verts = np.array(
+            [[0, 0], [1, 0], [0, 1], [10, 10], [11, 10], [10, 11]], dtype=float
+        )
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), 2)
+        found = validate_mesh(mesh)
+        assert [v.rule for v in found] == ["disconnected"]
+        assert mesh.violations == tuple(found)
+        found.clear()
+        calls = count_component_passes(monkeypatch)
+        assert [v.rule for v in validate_mesh(mesh)] == ["disconnected"]
+        assert calls == []
+
     def test_mobius_strip_keeps_the_property_error(self):
         mesh = mobius_strip()
         assert validate_mesh(mesh) == []  # manifold and face-connected

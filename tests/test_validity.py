@@ -1,5 +1,6 @@
 """Validity auditor tests: crossings, orientation, hull, convexity."""
 
+import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fplm.generators import (
 )
 from fplm.geometry import bbox_diameter, exact_orientations, signed_volumes, simplex_determinants
 from fplm.laplacian import build_weights
-from fplm.mapping import FixedPointSet, run_fplm
+from fplm.mapping import Embedding, FixedPointSet, regular_simplex, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.validity import (
     _HULL_ENTRIES,
@@ -636,6 +637,147 @@ class TestHullContainment:
         coords[4:] = [[0.5, 0.5], [0.25, 0.75], [0.5, 1.25]]
         v = check_hull_containment(self.square_fps(), coords, [4, 5, 6])
         assert v == pytest.approx(0.25, abs=1e-12)
+
+    def test_flat_tetrahedron_rejected(self):
+        fps = FixedPointSet(
+            indices=np.arange(4),
+            targets=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
+            kind="selected-simplex",
+        )
+        with pytest.raises(ValueError, match="degenerate"):
+            check_hull_containment(fps, np.zeros((5, 3)), [4])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_regular_simplex_facets_equal_qhull(self, d):
+        from scipy.spatial import ConvexHull
+
+        corners = regular_simplex(d)
+        closed_form = validity._simplex_facets(corners)
+        qhull = ConvexHull(corners).equations
+        assert closed_form.shape == qhull.shape
+        assert set(map(tuple, closed_form.tolist())) == set(map(tuple, qhull.tolist()))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_simplex_facets_match_qhull_within_ulps(self, d):
+        # qhull starts each facet from a corner of its own choosing, so the
+        # rows may differ in the last bits: normals by a few ulps of 1,
+        # offsets by a few ulps of the largest coordinate
+        from scipy.spatial import ConvexHull
+
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(d)
+        for _ in range(100):
+            shape = regular_simplex(d) + 0.25 * rng.normal(size=(d + 1, d))
+            corners = (shape + rng.normal(size=d)) * 10.0 ** rng.integers(-3, 4)
+            qhull = ConvexHull(corners).equations
+            closed_form = validity._simplex_facets(corners)
+            # pair each qhull facet with the closed-form one of nearest normal
+            pair = np.argmax(qhull[:, :d] @ closed_form[:, :d].T, axis=1)
+            assert sorted(pair.tolist()) == list(range(d + 1))
+            closed_form = closed_form[pair]
+            np.testing.assert_allclose(closed_form[:, :d], qhull[:, :d], rtol=0, atol=4 * eps)
+            np.testing.assert_allclose(
+                closed_form[:, d], qhull[:, d], rtol=0, atol=4 * eps * np.abs(corners).max()
+            )
+
+
+def final_free(mesh, embedding):
+    """The final fixed set of ``embedding`` and every free vertex."""
+    fixed = embedding.fixed_round2 or embedding.fixed_round1
+    return fixed, np.setdiff1d(np.arange(mesh.n_vertices), fixed.indices)
+
+
+def hull_arguments(monkeypatch):
+    """A list that gains the vertices each later check_hull_containment call
+    evaluates."""
+    seen = []
+    original = validity.check_hull_containment
+
+    def spy(fixed, coords, free_indices):
+        seen.append(np.asarray(free_indices))
+        return original(fixed, coords, free_indices)
+
+    monkeypatch.setattr(validity, "check_hull_containment", spy)
+    return seen
+
+
+def pinned_as_drawn(mesh, coords, pinned):
+    """An embedding of ``coords`` with the vertices ``pinned`` fixed where
+    they are drawn, in one round."""
+    pinned = np.asarray(pinned)
+    fixed = FixedPointSet(pinned, coords[pinned], "inner-boundary")
+    return Embedding(coords, fixed, None, coords, None)
+
+
+class TestHullCandidates:
+    """The audit evaluates a subset of the free vertices, and its maximum is
+    the one every free vertex gives."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_equals_every_free_vertex(self, kind, seed, monkeypatch):
+        resolution = {"sphere": (2,), "ball3": (4,)}.get(kind, (7, 6))
+        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        if seed is not None:
+            mesh = relabel(mesh, np.random.default_rng(seed))
+        embedding = run_fplm(mesh)
+        seen = hull_arguments(monkeypatch)
+        report = audit(mesh, embedding, graph=build_weights(mesh))
+        fixed, free = final_free(mesh, embedding)
+        assert report.verdict == "injective-certified"
+        assert report.hull_violation == check_hull_containment(fixed, embedding.coords, free)
+        # one-signed, so the interior free vertices away from the fixed ones
+        # are skipped
+        assert np.isin(seen[0], free).all()
+        assert 0 < seen[0].size < free.size
+
+    def test_folded_drawing_uses_every_free_vertex(self, monkeypatch):
+        mesh = grid_mesh(5, 5)
+        embedding = run_fplm(mesh)
+        coords = embedding.coords.copy()
+        # vertex 12 has only free neighbours; thrown past the fixed
+        # boundary, it folds its star and is the farthest outside
+        coords[12] = [3.0, 0.5]
+        folded = dataclasses.replace(embedding, coords=coords)
+        seen = hull_arguments(monkeypatch)
+        report = audit(mesh, folded)
+        fixed, free = final_free(mesh, folded)
+        pos, neg, _ = report.orientation_counts
+        assert pos and neg
+        assert np.array_equal(seen[0], free)
+        assert report.hull_violation == check_hull_containment(fixed, coords, free) > 1
+
+    def test_free_boundary_vertex_is_a_candidate(self, monkeypatch):
+        # the grid drawn as itself with three corners pinned: the fourth
+        # corner, 15, is free, has only free neighbours and is the farthest
+        # outside the pinned triangle
+        mesh = grid_mesh(4, 4)
+        embedding = pinned_as_drawn(mesh, mesh.vertices.copy(), [0, 3, 12])
+        seen = hull_arguments(monkeypatch)
+        report = audit(mesh, embedding)
+        fixed, free = final_free(mesh, embedding)
+        assert report.verdict == "injective-certified"
+        assert 15 in seen[0]
+        assert report.hull_violation == check_hull_containment(fixed, mesh.vertices, free)
+        assert report.hull_violation == pytest.approx(np.sqrt(0.5), abs=1e-12)
+
+    def test_vertex_of_an_excluded_simplex_is_a_candidate(self, monkeypatch):
+        # the grid drawn as itself with its boundary pinned, and vertex 12
+        # pushed above the row of its neighbours 17 and 18: only the
+        # excluded triangle (12, 18, 17) turns over, and 12 is the closest
+        # to the pinned square's edge
+        mesh = grid_mesh(5, 5)
+        coords = mesh.vertices.copy()
+        coords[12] = [0.6, 0.8]
+        embedding = pinned_as_drawn(mesh, coords, detect_boundary(mesh).boundary_vertices)
+        flipped = int(np.flatnonzero((np.sort(mesh.simplices, axis=1) == [12, 17, 18]).all(axis=1))[0])
+        seen = hull_arguments(monkeypatch)
+        report = audit(mesh, embedding, seed_exclude=flipped)
+        fixed, free = final_free(mesh, embedding)
+        assert report.orientation_counts[1:] == (0, 0)
+        assert 12 in seen[0]
+        assert report.hull_violation == check_hull_containment(fixed, coords, free)
+        assert report.hull_violation == pytest.approx(-0.2, abs=1e-12)
 
 
 class TestBoundaryConvexity:
