@@ -1,27 +1,28 @@
 """Filtered exact geometric predicates and simplex volume helpers.
 
-Each predicate has one filter, written over whole arrays in numpy
-(:func:`orient2d_signs_xy`, :func:`orient3d_signs`): it evaluates a
-floating-point determinant per row and accepts its sign when the magnitude
-clears a forward error bound (Shewchuk, "Adaptive precision floating-point
-arithmetic and fast robust geometric predicates", DCG 1997). Rows inside the
-uncertainty band go to an integer stage in one pass: every finite double is
-n / 2**k exactly, so scaling a row's coordinates by its largest 2**k turns
-them into Python ints, and the same determinant evaluated in ints has the
-exact sign (exactness needs no rational arithmetic). Callers always receive
-the mathematically exact sign, at float speed for all but near-degenerate
-configurations. The scalar forms :func:`orient2d` and :func:`orient3d` are
-one-row calls of the batched filters. Other dimensions take the integer
-stage only, the determinant's sign found by Bareiss's fraction-free
-elimination (Math. Comp. 1968) on the same scaled ints.
+Each predicate has one filter, written over whole arrays in numpy: it
+evaluates a floating-point determinant per row and accepts its sign when the
+magnitude clears a forward error bound (Shewchuk, "Adaptive precision
+floating-point arithmetic and fast robust geometric predicates", DCG 1997).
+Rows inside the uncertainty band go to an integer stage in one pass: every
+finite double is n / 2**k exactly, so scaling a row's coordinates by its
+largest 2**k turns them into Python ints, and the same determinant evaluated
+in ints has the exact sign (exactness needs no rational arithmetic). Callers
+always receive the mathematically exact sign, at float speed for all but
+near-degenerate configurations. Other dimensions take the integer stage
+only, the determinant's sign found by Bareiss's fraction-free elimination
+(Math. Comp. 1968) on the same scaled ints.
 
 Simplices take the filters through :func:`simplex_determinants`: one
 gather of the coordinate columns, the edges from vertex 0 as the
 predicate's base point, and one filter pass whose determinant is also the
-volume (:func:`signed_volumes` is the same expression over d!, without the
-error bound). A caller that needs both, as the audit's orientation
-histogram does, evaluates each determinant once, and
-:func:`exact_orientations` settles only the rows it still needs.
+volume (:func:`signed_volumes` is that determinant over d!). A caller that
+needs both, as the audit's orientation histogram does, evaluates each
+determinant once, and :func:`exact_orientations` settles only the rows it
+still needs. The scalar :func:`orient3d` is one simplex of that path. The
+crossing count's segment pairs are not simplices of a mesh: they take the
+orient2d filter through :func:`orient2d_signs_xy`, of which the scalar
+:func:`orient2d` is one row.
 """
 
 from __future__ import annotations
@@ -67,9 +68,16 @@ def orient3d(pa, pb, pc, pd):
 
     Positive when d sees triangle (a, b, c) in counterclockwise order, i.e.
     the tetrahedron (a, b, c, d) has negative conventional orientation; the
-    caller owns the convention mapping. One row of :func:`orient3d_signs`.
+    caller owns the convention mapping. One row of the audit's path: the
+    simplex (d, a, b, c), whose edges from vertex 0 are a - d, b - d and
+    c - d, through :func:`simplex_determinants`, and through
+    :func:`exact_orientations` when the filter leaves it undecided.
     """
-    return int(orient3d_signs(*(np.array([p], dtype=float) for p in (pa, pb, pc, pd)))[0])
+    coords, simplex = np.array([pd, pa, pb, pc], dtype=float), np.arange(4)[None]
+    _, sign, undecided = simplex_determinants(coords, simplex)
+    if undecided[0]:
+        sign = exact_orientations(coords, simplex)
+    return int(sign[0])
 
 
 def _scaled(values):
@@ -157,19 +165,11 @@ def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
     return out
 
 
-def _orient2d_det(acx, acy, bcx, bcy):
-    """det[a - c; b - c] of K rows from the differences a - c and b - c,
-    with its two products, which overwrite ``acx`` and ``acy``."""
-    detleft = np.multiply(acx, bcy, out=acx)
-    detright = np.multiply(acy, bcx, out=acy)
-    return detleft - detright, detleft, detright
-
-
 def _orient2d_filter(acx, acy, bcx, bcy):
     """The orient2d filter on the differences a - c and b - c of K rows.
 
-    Returns the float determinant of :func:`_orient2d_det`, the int8 signs
-    it decides, and the mask of rows it leaves to the integer stage. The
+    Returns the float determinant det[a - c; b - c], the int8 signs it
+    decides, and the mask of rows it leaves to the integer stage. The
     difference arrays are overwritten.
     """
     # a float difference is 0 only when its operands are equal, so a
@@ -178,7 +178,9 @@ def _orient2d_filter(acx, acy, bcx, bcy):
     zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
     # the products and the error bound overwrite the differences, which
     # keeps the temporaries of a large batch few
-    det, detleft, detright = _orient2d_det(acx, acy, bcx, bcy)
+    detleft = np.multiply(acx, bcy, out=acx)
+    detright = np.multiply(acy, bcx, out=acy)
+    det = detleft - detright
     bound = np.abs(detleft, out=detleft)
     bound += np.abs(detright, out=detright)
     bound *= _CCW_BOUND
@@ -189,65 +191,33 @@ def _orient2d_filter(acx, acy, bcx, bcy):
     return det, sign, ~(decided | zero)
 
 
-def orient3d_signs(pa, pb, pc, pd):
-    """Exact :func:`orient3d` signs for K point quadruples at once.
-
-    Each argument is a (K, 3) array; row k of the int8 result is
-    ``orient3d(pa[k], pb[k], pc[k], pd[k])``. The float determinant decides
-    a row when it clears the error bound; the rows it cannot decide are
-    settled together by the integer stage.
-    """
-    pa, pb, pc, pd = (np.asarray(v, dtype=float) for v in (pa, pb, pc, pd))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, out, undecided = _orient3d_filter((pa - pd).T, (pb - pd).T, (pc - pd).T)
-    rest = np.flatnonzero(undecided)
-    if rest.size:
-        out[rest] = _orient3d_exact(np.hstack([pa[rest], pb[rest], pc[rest], pd[rest]]).tolist())
-    return out
-
-
-def _orient3d_det(ad, bd, cd):
-    """det[a - d; b - d; c - d] of K rows, expanded along the z column.
+def _orient3d_filter(ad, bd, cd):
+    """The orient3d filter on the differences a - d, b - d, c - d of K rows.
 
     Each argument holds the x, y and z columns of one difference. Returns
-    the determinant, adz (bdx cdy - cdx bdy) + bdz (cdx ady - adx cdy) +
-    cdz (adx bdy - bdx ady) summed in that order, and for each term its z
-    column and the two products of its minor, in arrays the caller owns.
+    the float determinant det[a - d; b - d; c - d], expanded along the z
+    column as adz (bdx cdy - cdx bdy) + bdz (cdx ady - adx cdy) +
+    cdz (adx bdy - bdx ady) summed in that order, the int8 signs it
+    decides, and the mask of rows it leaves to the integer stage.
     """
     adx, ady, adz = ad
     bdx, bdy, bdz = bd
     cdx, cdy, cdz = cd
-    det, terms = None, []
+    # the bound _O3D_BOUND * permanent + 4 _ETA (1 + max |z difference|),
+    # the permanent summed term by term into the products' arrays
+    det = permanent = height = None
     for z, p, q, r, t in ((adz, bdx, cdy, cdx, bdy), (bdz, cdx, ady, adx, cdy), (cdz, adx, bdy, bdx, ady)):
         left, right = p * q, r * t
         minor = left - right
         minor *= z
-        if det is None:
-            det = minor
-        else:
-            det += minor
-        terms.append((z, left, right))
-    return det, terms
-
-
-def _orient3d_filter(ad, bd, cd):
-    """The orient3d filter on the differences a - d, b - d, c - d of K rows.
-
-    Returns the float determinant of :func:`_orient3d_det`, the int8 signs
-    it decides, and the mask of rows it leaves to the integer stage.
-    """
-    det, terms = _orient3d_det(ad, bd, cd)
-    # the bound _O3D_BOUND * permanent + 4 _ETA (1 + max |z difference|),
-    # the permanent summed term by term into the products' arrays
-    permanent = height = None
-    for z, left, right in terms:
         term = np.abs(left, out=left)
         term += np.abs(right, out=right)
         zabs = np.abs(z)
         term *= zabs
-        if permanent is None:
-            permanent, height = term, zabs
+        if det is None:
+            det, permanent, height = minor, term, zabs
         else:
+            det += minor
             permanent += term
             np.maximum(height, zabs, out=height)
     permanent *= _O3D_BOUND
@@ -341,29 +311,11 @@ def signed_volumes(coords, simplices):
 
     Returns
     -------
-    (M,) array of det(edge matrix) / d!, float evaluation. For d <= 3 the
-    determinant is the one the orientation filters of
-    :func:`simplex_determinants` test, written out over all simplices at
-    once, without their error bounds; higher dimensions call LAPACK per
-    matrix.
+    (M,) array of det(edge matrix) / d!, the float determinant of
+    :func:`simplex_determinants`.
     """
     coords = np.asarray(coords, dtype=float)
-    simplices = np.asarray(simplices, dtype=np.int64)
-    d = coords.shape[1]
-    # coordinates near the largest double, or subnormal LU pivots for d > 3,
-    # give inf or nan volumes, not warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if d > 3:
-            dets = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
-        else:
-            e = _edge_columns(coords, simplices)
-            if d == 1:
-                dets = e[0][0]
-            elif d == 2:
-                dets = _orient2d_det(e[0][0], e[0][1], e[1][0], e[1][1])[0]
-            else:
-                dets = _orient3d_det(*e)[0]
-    return dets / math.factorial(d)
+    return simplex_determinants(coords, simplices)[0] / math.factorial(coords.shape[1])
 
 
 def simplex_volumes(vertices, simplices, intrinsic_dim):

@@ -9,8 +9,9 @@ preconditioner, one right-hand-side column at a time. ``direct`` always
 takes the band and ``iterative`` always PCG; ``auto`` takes the band while
 it holds at most ``BAND_LIMIT`` entries and PCG past it, where the band's
 n * w^2 factorisation cost (large tetrahedral meshes, whose band grows like
-n^(2/3)) loses to PCG. Every route is deterministic for fixed inputs, and
-one gate, the Frobenius-norm residual, accepts every solution.
+n^(2/3)) loses to PCG. Every route is deterministic for fixed inputs on
+one platform and one BLAS thread count (PCG's bytes change with the thread
+count), and one gate, the Frobenius-norm residual, accepts every solution.
 
 The band names the first non-positive pivot of an indefinite matrix. PCG
 checks only the diagonal: past it, the residual gate decides
@@ -179,10 +180,10 @@ def _solve_pcg(lap_free, b, config):
     """Jacobi-preconditioned conjugate gradients, one column at a time.
 
     scipy's ``cg`` loop has a fixed operation order, hence is
-    bit-reproducible for fixed inputs on one platform; its ``maxiter=None``
-    is 10 * n, as here. Returns the solution and the route record of
-    :func:`solve_spd`, which holds the largest iteration count over the
-    columns.
+    bit-reproducible for fixed inputs on one platform and one BLAS thread
+    count; its ``maxiter=None`` is 10 * n, as here. Returns the solution and
+    the route record of :func:`solve_spd`, which holds the largest
+    iteration count over the columns.
     """
     a = sparse.csr_matrix(lap_free)
     n = a.shape[0]

@@ -29,7 +29,10 @@ triangle, a closed mesh with none, or a loop that is not simple. Violated
 reports thus keep their crossing pairs. An injective map keeps its boundary
 loop simple, so a one-signed drawing whose loop is not simple is violated
 even when no pair crosses properly (a T-junction, or two vertices drawn at
-one point).
+one point). A one-signed drawing with no such loop and no crossing is
+certified only when its whole 1-skeleton is drawn as a plane graph:
+:func:`_touching_pairs` finds no two edges without a common vertex index
+that meet, and no edge of zero length.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -105,8 +108,9 @@ class ValidityReport:
     verdict is "injective-certified" exactly when d <= 3, the crossing
     count is zero (or not applicable), exactly one orientation sign
     occurs, no simplex image is near-degenerate, and the loop the degree
-    theorem tests (below) is simple wherever it is tested; otherwise
-    "violated" with reasons.
+    theorem tests (below) is simple wherever it is tested, or, for d = 2
+    with no loop to test, no two edges touch; otherwise "violated" with
+    reasons.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
     hull_violation is the largest signed distance of a free vertex outside
@@ -129,7 +133,11 @@ class ValidityReport:
     and only the loop's edges are tested. Otherwise every edge pair is
     counted, so a violated report lists all its crossing pairs; a loop that
     is not simple adds its own reason, since an injective map keeps it
-    simple.
+    simple. A one-signed drawing with no such loop (several boundary loops,
+    or an open mesh with an excluded triangle) and no crossing is also
+    tested for touching edges (:func:`_touching_pairs`); any touch makes it
+    violated with its own reason, and crossing_count stays the count of
+    proper crossings and overlaps.
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
@@ -410,6 +418,42 @@ def _loop_is_simple(cycle, coords) -> bool:
     return True
 
 
+def _touching_pairs(edges, coords) -> int:
+    """Edge pairs with no common vertex index whose closed segments meet,
+    plus one for each edge of zero length.
+
+    :func:`count_crossings` counts proper crossings and overlaps only, so a
+    drawing it passes may still draw a vertex on an edge (a T-junction) or
+    two vertices at one point. Pairs that share a vertex index need no test:
+    they meet at that vertex, and anywhere else only by an overlap, which
+    the count sees. The other pairs take the closed test of
+    :func:`_pairs_cross`, which needs segments of positive length; a
+    zero-length edge is a touch by itself.
+
+    With no touch and no crossing, the 1-skeleton of a one-signed drawing
+    is a plane graph, and the drawing is injective: the link of a vertex
+    whose star wraps more than once is not a simple polygon, so its edges
+    would meet, and a vertex drawn inside a triangle it does not belong to
+    could reach that triangle's corners only along edges inside it, which
+    a one-to-one star at the corner does not allow.
+    """
+    e = np.asarray(edges, dtype=np.int64)
+    p = np.asarray(coords, dtype=float)
+    point = (p[e[:, 0]] == p[e[:, 1]]).all(axis=1)
+    touches = int(np.count_nonzero(point))
+    e = e[~point]
+    if e.shape[0] < 2:
+        return touches
+    order, cols = _sweep_columns(e, p)
+    for i, j in _sweep_pairs(cols):
+        a, b = e[order[i]], e[order[j]]
+        k = np.flatnonzero((a[:, :, None] != b[:, None, :]).all(axis=(1, 2)))
+        i, j = i[k], j[k]
+        hit = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], np.ones(k.size, dtype=bool))
+        touches += int(np.count_nonzero(hit))
+    return touches
+
+
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
     """Approximate intersection points for reported crossing pairs.
 
@@ -672,7 +716,9 @@ def audit(
     decided on that loop alone, by the degree theorem (see
     :class:`ValidityReport`); every other drawing, and one whose loop is
     not simple, gets the full crossing count, and a loop that is not simple
-    makes the report violated.
+    makes the report violated. A one-signed drawing with no loop to test
+    and no crossing is violated when two of its edges touch
+    (:func:`_touching_pairs`).
 
     The hull check evaluates only the free vertices that can lie farthest
     outside the fixed targets' hull when the histogram finds one exact sign
@@ -721,6 +767,7 @@ def audit(
 
     reasons: list[str] = []
     simple = True
+    touches = 0
     if d == 2:
         loop = _certifying_loop(mesh, boundary, closed, exclude)
         # near-zero images still meet the degree theorem when their exact
@@ -734,6 +781,11 @@ def audit(
             crossing = CrossingResult(0, ())
         else:
             crossing = count_crossings(mesh_edges(mesh), coords)
+            if one_sign and loop is None and not crossing.count:
+                # the count sees proper crossings only; with no loop to
+                # test, a touch is the one sign left that the map is not
+                # injective
+                touches = _touching_pairs(mesh_edges(mesh), coords)
         crossing_count: int | None = crossing.count
         crossing_pairs = crossing.pairs
         if crossing.count:
@@ -741,6 +793,8 @@ def audit(
         if not simple:
             # an injective map keeps its boundary loop simple
             reasons.append("boundary loop image is not simple")
+        if touches:
+            reasons.append(f"{touches} touching edge pair(s)")
     else:
         crossing_count = None
         crossing_pairs = ()
@@ -780,7 +834,7 @@ def audit(
             emb.coords_round1 if emb is not None else coords,
         )
 
-    certified = one_sign and not crossing_count and simple and d <= 3
+    certified = one_sign and not crossing_count and simple and not touches and d <= 3
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,

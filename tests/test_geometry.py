@@ -23,7 +23,6 @@ from fplm.geometry import (
     orient2d,
     orient2d_signs_xy,
     orient3d,
-    orient3d_signs,
     signed_volumes,
     simplex_determinants,
     simplex_volumes,
@@ -54,6 +53,13 @@ def filtered_signs(points):
 def orientation(points):
     """:func:`filtered_signs` of one simplex, as an int."""
     return int(filtered_signs(np.asarray(points, dtype=float)[None])[0])
+
+
+def orient3d_rows(pa, pb, pc, pd):
+    """:func:`orient3d` signs of four (K, 3) arrays of points, as the audit
+    takes them: the simplices (pd, pa, pb, pc), whose edges from vertex 0
+    are a - d, b - d and c - d, through :func:`filtered_signs`."""
+    return filtered_signs(np.stack([pd, pa, pb, pc], axis=1))
 
 
 def orient2d_rows(pa, pb, pc):
@@ -216,7 +222,7 @@ class TestBatchedPredicates:
         rng = np.random.default_rng(9)
         rows += [tuple(map(tuple, rng.uniform(-1, 1, size=(4, 3)))) for _ in range(50)]
         cols = [np.array(col) for col in zip(*rows)]
-        got = orient3d_signs(*cols)
+        got = orient3d_rows(*cols)
         want = [orient3d_rational(*row) for row in rows]
         assert got.dtype == np.int8
         assert got.tolist() == want
@@ -241,7 +247,7 @@ class TestBatchedPredicates:
         empty = np.zeros((0, 2))
         assert orient2d_rows(empty, empty, empty).shape == (0,)
         empty = np.zeros((0, 3))
-        assert orient3d_signs(empty, empty, empty, empty).shape == (0,)
+        assert orient3d_rows(empty, empty, empty, empty).shape == (0,)
 
 
 # Coordinates for the integer-stage property tests: ordinary floats, values
@@ -336,7 +342,7 @@ class TestIntegerStageAgainstFraction:
     def test_orient3d(self, points):
         want = orient3d_rational(*points)
         assert orient3d(*points) == want
-        assert orient3d_signs(*(np.array([p]) for p in points)).tolist() == [want]
+        assert orient3d_rows(*(np.array([p]) for p in points)).tolist() == [want]
         assert geometry._orient3d_exact([sum(points, ())]) == [want]
 
     @settings(max_examples=40, deadline=None)
@@ -344,7 +350,7 @@ class TestIntegerStageAgainstFraction:
                              coplanar_quadruples()), min_size=1, max_size=30))
     def test_orient3d_signs(self, rows):
         cols = [np.array([row[k] for row in rows]) for k in range(4)]
-        got = orient3d_signs(*cols)
+        got = orient3d_rows(*cols)
         assert got.tolist() == [orient3d_rational(*row) for row in rows]
 
     @settings(max_examples=40, deadline=None)
@@ -522,7 +528,7 @@ class TestVolumes:
         vols = signed_volumes(jittered, mesh.simplices)
         p = jittered[mesh.simplices]
         assert (vols != 0.0).all()
-        assert np.array_equal(np.sign(vols), orient3d_signs(p[:, 1], p[:, 2], p[:, 3], p[:, 0]))
+        assert np.array_equal(np.sign(vols), orient3d_rows(p[:, 1], p[:, 2], p[:, 3], p[:, 0]))
 
         rows = [(pa, pb, pc, pd) for pd in ulp_grid((0.3, 0.3, 0.0), k=1)
                 for pa, pb, pc in [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))]]

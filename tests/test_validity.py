@@ -1,7 +1,9 @@
 """Validity auditor tests: crossings, orientation, hull, convexity."""
 
 import dataclasses
+import itertools
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -1100,13 +1102,17 @@ def cell_strip(cells, moved=(), split=()):
 
 RING = [(1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1), (0, 0)]
 HORSESHOE = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)]
+HORSESHOE_T = cell_strip(HORSESHOE, moved=[((0, 2), (0.5, 1.0))])
+COINCIDENT = cell_strip(RING[:-1], split=[((0, 1), (1, 1))])
 
 
 def fallback_fixtures():
     """Drawings whose audit must run the full count, with the reports it
     gives them. The horseshoe and the coincident vertices cross no pair
     properly, but their boundary loop images are not simple, so neither map
-    is injective: both are violated for that reason alone."""
+    is injective: both are violated for that reason alone. With a triangle
+    excluded they have no loop to test, and the edges that touch make them
+    violated instead."""
     certified = {
         "crossing_count": 0,
         "crossing_pairs": [],
@@ -1121,19 +1127,34 @@ def fallback_fixtures():
     def counts(pos):
         return {"positive": pos, "negative": 0, "near_zero": 0}
 
+    def touching(n):
+        return {"verdict": "violated", "reasons": [f"{n} touching edge pair(s)"]}
+
     return {
         # the tip of one arm lies on a boundary edge of the other: a T-junction
         "horseshoe": (
-            cell_strip(HORSESHOE, moved=[((0, 2), (0.5, 1.0))]),
+            HORSESHOE_T,
             None,
             {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 9}},
         ),
+        "horseshoe-seed-exclude": (
+            HORSESHOE_T,
+            0,
+            {**certified, **touching(3), "orientation_counts": counts(13),
+             "boundary_convexity": {**reflex, "reflex_vertex": 9}},
+        ),
         # the two arms meet at (1, 1) through two distinct vertices
         "coincident-vertices": (
-            cell_strip(RING[:-1], split=[((0, 1), (1, 1))]),
+            COINCIDENT,
             None,
             {**certified, **not_simple, "orientation_counts": counts(14),
+             "boundary_convexity": {**reflex, "reflex_vertex": 10}},
+        ),
+        "coincident-vertices-seed-exclude": (
+            COINCIDENT,
+            0,
+            {**certified, **touching(4), "orientation_counts": counts(13),
              "boundary_convexity": {**reflex, "reflex_vertex": 10}},
         ),
         # a fan around vertex 0 whose last boundary edge folds back onto its first
@@ -1186,21 +1207,38 @@ def certifying_loop(mesh, seed_exclude):
     return cycles[0] if seed_exclude is None and len(cycles) == 1 else None
 
 
+def oracle_touching_pairs(points, edges):
+    """Brute-force count of the edge pairs with no common vertex index whose
+    closed segments meet, plus one for each zero-length edge."""
+    count = sum(points[a] == points[b] for a, b in edges)
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if len({a, b, c, d}) == 4 and points[a] != points[b] and points[c] != points[d]:
+            count += closed_segments_meet(points[a], points[b], points[c], points[d])
+    return count
+
+
 def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
     """The report's crossings and verdict are those of the full count plus
     the orientation gate, and a certifying loop whose image is not simple
-    makes it violated: an injective map keeps that loop simple."""
+    makes it violated: an injective map keeps that loop simple. A one-signed
+    drawing with no loop to test and no crossing is violated when two edges
+    with no common vertex touch."""
     full = count_crossings(mesh_edges(mesh), coords)
     exclude = () if seed_exclude is None else (seed_exclude,)
     pos, neg, zero = orientation_histogram(mesh, coords, exclude=exclude)
+    one_sign = zero == 0 and (pos > 0) != (neg > 0)
     loop = certifying_loop(mesh, seed_exclude)
     exact_points = [tuple(map(Fraction, p)) for p in np.asarray(coords).tolist()]
     simple = loop is None or oracle_loop_is_simple(exact_points, loop)
-    certified = full.count == 0 and zero == 0 and (pos > 0) != (neg > 0) and simple
+    touches = 0
+    if one_sign and loop is None and full.count == 0:
+        touches = oracle_touching_pairs(exact_points, mesh_edges(mesh).tolist())
+    certified = full.count == 0 and one_sign and simple and touches == 0
     assert report.crossing_count == full.count
     assert report.crossing_pairs == full.pairs
     assert report.orientation_counts == (pos, neg, zero)
     assert report.verdict == ("injective-certified" if certified else "violated")
+    assert (f"{touches} touching edge pair(s)" in report.reasons) == (touches > 0)
 
 
 _EMBEDDED = {}
@@ -1323,6 +1361,98 @@ class TestBoundaryCertificate:
         with pytest.raises(ValueError, match=r"seed_exclude .* \[0, 80\)"):
             audit(mesh, emb.coords, seed_exclude=seed_exclude)
         assert full_counts == []
+
+
+def image_overlaps(coords, triangles):
+    """Brute-force injectivity oracle, exact in integers: the flat triangle
+    images, the pairs of triangle images whose interiors overlap, and the
+    vertex images that lie in the closed image of a triangle the vertex does
+    not belong to. Each coordinate is a Fraction; one common denominator
+    turns them all into ints."""
+    values = [Fraction(x) for x in np.asarray(coords).ravel().tolist()]
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * den) for v in values]
+    pts = list(zip(ints[0::2], ints[1::2]))
+    problems, ccw = [], []
+    for t in triangles:
+        s = turn(*(pts[v] for v in t))
+        if s == 0:
+            problems.append(("flat", t))
+        else:
+            ccw.append(t if s > 0 else [t[0], t[2], t[1]])
+
+    def sides(t, q):  # turns of q against the three edges of ccw triangle t
+        return [turn(pts[t[k]], pts[t[(k + 1) % 3]], q) for k in range(3)]
+
+    for t in ccw:
+        for v in sorted({v for u in ccw for v in u} - set(t)):
+            if min(sides(t, pts[v])) >= 0:
+                problems.append(("vertex", v, t))
+    for t, u in itertools.combinations(ccw, 2):
+        # convex interiors are disjoint exactly when a line through an edge
+        # of one has the other on its closed outer side
+        apart = any(all(sides(a, pts[v])[k] <= 0 for v in b) for a, b in ((t, u), (u, t)) for k in range(3))
+        if not apart:
+            problems.append(("overlap", t, u))
+    return problems
+
+
+@st.composite
+def lattice_drawings(draw):
+    """A small lattice mesh (a grid disk, an annulus or a horseshoe), a
+    drawing of it made by up to two moves (a fold, a T-junction, a merge of
+    two vertices, small lattice perturbations) and an optional excluded
+    triangle. The lattice spacing is 4, so midpoints stay on a fine
+    lattice."""
+    shape = draw(st.sampled_from(["disk", "annulus", "horseshoe"]))
+    if shape == "disk":
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        cells = [(x, y) for x in range(width) for y in range(height)]
+    else:
+        width = draw(st.integers(3, 4))
+        cells = [(x, y) for x in range(width) for y in range(width)
+                 if x in (0, width - 1) or y in (0, width - 1)]
+        if shape == "horseshoe":
+            cells.remove((0, draw(st.integers(1, width - 2))))
+    mesh = cell_strip(cells)
+    coords = 4.0 * mesh.vertices
+    edges = mesh_edges(mesh).tolist()
+    vertex = st.integers(0, mesh.n_vertices - 1)
+    moves = st.sampled_from(["fold", "t-junction", "merge", "perturb"])
+    for move in draw(st.lists(moves, max_size=2)):
+        if move == "fold":
+            # the part right of x = c reflected onto its left
+            c = draw(st.integers(0, 4 * width))
+            coords[:, 0] = np.where(coords[:, 0] > c, 2 * c - coords[:, 0], coords[:, 0])
+        elif move == "t-junction":
+            a, b = draw(st.sampled_from(edges))
+            v = draw(vertex.filter(lambda v: v not in (a, b)))
+            coords[v] = 0.5 * (coords[a] + coords[b])
+        elif move == "merge":
+            coords[draw(vertex)] = coords[draw(vertex)]
+        else:
+            moved = draw(st.lists(vertex, min_size=1, unique=True))
+            offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 2),
+                                    min_size=len(moved), max_size=len(moved)))
+            coords[moved] += offsets
+    seed_exclude = draw(st.none() | st.integers(0, mesh.n_simplices - 1))
+    return mesh, coords, seed_exclude
+
+
+class TestExactOracle:
+    """injective-certified means injective: on small lattice drawings an
+    exact brute-force oracle finds no overlap in a certified drawing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_drawings())
+    # no loop to test, and a vertex drawn on a boundary edge
+    @example((HORSESHOE_T, HORSESHOE_T.vertices, 0))
+    def test_certified_drawings_have_no_overlap(self, drawing):
+        mesh, coords, seed_exclude = drawing
+        report = audit(mesh, coords, seed_exclude=seed_exclude)
+        if report.verdict == "injective-certified":
+            kept = [t for k, t in enumerate(mesh.simplices.tolist()) if k != seed_exclude]
+            assert image_overlaps(coords, kept) == []
 
 
 def centred_grid(scale):
