@@ -15,7 +15,7 @@ single computation.
 Two ``connected_components`` calls answer the rest, one per graph: the
 star graph gives vertex manifoldness (see :func:`_adjacency_violations`),
 and the orientation double cover, cached as ``_cover_labels``, gives both
-face-connectivity to validation and the signs to the orientation property.
+face-connectivity to validation and the signs to :func:`canonical_orientation`.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ class SimplicialMesh:
 
     Index bounds and shapes are enforced at construction. The decomposition
     invariants themselves are checked by :func:`validate_mesh`, which
-    reports violations as data rather than raising. The topology
-    (``face_table``, ``edges``, ``boundary``, ``orientation``) and the
-    validation result (``violations``) are computed on first use and
-    cached, which the read-only mesh arrays keep valid; the cached arrays
-    are read-only too.
+    reports violations as data rather than raising. The topology and the
+    validation result are computed on first use and cached, which the
+    read-only mesh arrays keep valid; the cached arrays are read-only too.
+    :func:`mesh_edges`, :func:`detect_boundary` and
+    :func:`canonical_orientation` are the one entry point of their results
+    and read private caches. ``face_table`` stays public beside
+    :func:`mesh_faces` for the face parities and side order only it holds,
+    and ``violations`` beside :func:`validate_mesh`, which copies it.
     """
 
     vertices: np.ndarray
@@ -144,7 +147,7 @@ class SimplicialMesh:
         )
 
     @cached_property
-    def edges(self) -> np.ndarray:
+    def _edges(self) -> np.ndarray:
         """The 1-skeleton edges returned by :func:`mesh_edges`."""
         if self.intrinsic_dim == 2:
             # the edges are the (d-1)-faces, in the same lexicographic order
@@ -159,7 +162,7 @@ class SimplicialMesh:
         return _frozen(np.column_stack(np.divmod(keys, n)))
 
     @cached_property
-    def boundary(self) -> BoundaryComplex:
+    def _boundary(self) -> BoundaryComplex:
         """The boundary complex returned by :func:`detect_boundary`."""
         faces, counts = mesh_faces(self)
         boundary_faces = faces[counts == 1]
@@ -173,7 +176,7 @@ class SimplicialMesh:
         )
 
     @cached_property
-    def orientation(self) -> np.ndarray:
+    def _orientation(self) -> np.ndarray:
         """The signs returned by :func:`canonical_orientation`, read from
         :attr:`_cover_labels`, the one pass that validation reads too."""
         table = self.face_table
@@ -321,7 +324,7 @@ def mesh_faces(mesh: SimplicialMesh):
 
 def mesh_edges(mesh: SimplicialMesh) -> np.ndarray:
     """Unique 1-skeleton edges as an (E, 2) array with i < j per row (cached)."""
-    return mesh.edges
+    return mesh._edges
 
 
 def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
@@ -590,7 +593,7 @@ def detect_boundary(mesh: SimplicialMesh) -> BoundaryComplex:
         boundary edges (non-manifold boundary), which makes loop walking
         ill-defined.
     """
-    return mesh.boundary
+    return mesh._boundary
 
 
 def _walk_boundary_cycles(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -661,7 +664,7 @@ def canonical_orientation(mesh: SimplicialMesh) -> np.ndarray:
         If the mesh is combinatorially non-orientable, not face-connected,
         or a face is shared by more than two simplices.
     """
-    return mesh.orientation
+    return mesh._orientation
 
 
 def triangulate_flat_faces(flat, sizes, vertices) -> SimplicialMesh:

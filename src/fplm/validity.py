@@ -15,24 +15,23 @@ polygon. Then the map is injective, so no two edges cross. Each hypothesis
 has its check: :func:`canonical_orientation` establishes face-connectivity,
 orientability and at most two triangles per edge (it raises otherwise);
 the boundary walk rejects a boundary vertex with more than two boundary
-edges; :func:`orientation_histogram` gives the signs, with no near-zero
-image allowed; and :func:`_loop_is_simple` decides the loop exactly. The
-loop is the single boundary cycle of an open mesh audited whole, or the
-edges of the excluded seed triangle of a closed mesh, which one exact
-orientation of its image decides. So a one-signed drawing costs a test of
-its B boundary edges instead of all E edges. A drawing whose near-zero
-triangles have exact signs that agree with all the others meets the
-theorem too: it has no crossings, yet stays violated for its near-zero
-images. The full :func:`count_crossings` runs in every other case: mixed
-or zero exact signs, several boundary loops, an open mesh with an excluded
-triangle, a closed mesh with none, or a loop that is not simple. Violated
-reports thus keep their crossing pairs. An injective map keeps its boundary
-loop simple, so a one-signed drawing whose loop is not simple is violated
-even when no pair crosses properly (a T-junction, or two vertices drawn at
-one point). A one-signed drawing with no such loop and no crossing is
-certified only when its whole 1-skeleton is drawn as a plane graph:
-:func:`_touching_pairs` finds no two edges without a common vertex index
-that meet, and no edge of zero length.
+edges; and :func:`orientation_histogram` gives the signs, with no
+near-zero image allowed. The loop is the single boundary cycle of an open
+mesh audited whole, or the edges of the excluded seed triangle of a closed
+mesh. With no such loop (several boundary loops, or an open mesh with an
+excluded triangle), a one-signed drawing is injective when its whole
+1-skeleton is drawn as a plane graph. Both cases ask one question, whether
+the tested edges are drawn as a plane graph, and :func:`_meetings` answers
+it exactly for both; a triangle loop takes one exact orientation instead
+(:func:`_loop_is_simple`). So a one-signed drawing costs a test of its B
+loop edges, or one sweep of its E edges when it has no loop. The full
+:func:`count_crossings` runs only for the report of a drawing that is not
+certified this way, so violated reports keep their crossing pairs; a loop
+that is not simple and a touch with no crossing (a T-junction, or two
+vertices drawn at one point) each add their own reason. A drawing whose
+near-zero triangles have exact signs that agree with all the others meets
+the theorem too: it has no crossings, yet stays violated for its near-zero
+images.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -105,39 +104,21 @@ class ValidityReport:
     """Composite audit result.
 
     crossing_count is None for d != 2 where no planar drawing exists.
-    verdict is "injective-certified" exactly when d <= 3, the crossing
-    count is zero (or not applicable), exactly one orientation sign
-    occurs, no simplex image is near-degenerate, and the loop the degree
-    theorem tests (below) is simple wherever it is tested, or, for d = 2
-    with no loop to test, no two edges touch; otherwise "violated" with
-    reasons.
+    verdict is "injective-certified" exactly when d <= 3, exactly one
+    orientation sign occurs, no simplex image is near-degenerate and, for
+    d = 2, the tested edges are drawn as a plane graph (the certificate of
+    the module docstring); otherwise "violated" with reasons. A d = 2
+    drawing that passes its plane test has crossing_count 0 and no
+    crossing_pairs without a full count; every other one counts all edge
+    pairs (:func:`count_crossings`), so a violated report lists all its
+    crossing pairs, and crossing_count stays the count of proper crossings
+    and overlaps.
     hull_violation, boundary_convexity and max_convex_residual are
     diagnostics: they are reported but do not gate the verdict.
     hull_violation is the largest signed distance of a free vertex outside
     the hull of the final fixed targets. It is exact however many free
     vertices are evaluated: on a one-signed drawing only those that can
     attain it (see :func:`_hull_candidates`), otherwise all.
-
-    For d = 2 the certificate is the degree theorem (Lipman, SIAM J.
-    Imaging Sci. 2014): a connected, orientable triangle mesh whose audited
-    triangles all map with one nonzero sign, and which is bounded by one
-    loop that maps to a simple closed polygon, is mapped injectively.
-    Connectivity, orientability and at most two triangles per edge come
-    from :func:`canonical_orientation`, a manifold boundary from the
-    boundary walk, the signs from the orientation histogram (and, for its
-    near-zero images, from their exact signs alone). The loop is
-    the boundary cycle of an open mesh, or the excluded seed triangle of a
-    closed one; that triangle is a simple loop exactly when its image has
-    a nonzero exact orientation. When all of this holds and the loop is
-    simple, the theorem implies crossing_count 0 and no crossing_pairs,
-    and only the loop's edges are tested. Otherwise every edge pair is
-    counted, so a violated report lists all its crossing pairs; a loop that
-    is not simple adds its own reason, since an injective map keeps it
-    simple. A one-signed drawing with no such loop (several boundary loops,
-    or an open mesh with an excluded triangle) and no crossing is also
-    tested for touching edges (:func:`_touching_pairs`); any touch makes it
-    violated with its own reason, and crossing_count stays the count of
-    proper crossings and overlaps.
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
@@ -383,75 +364,64 @@ def _collinear_overlap(ax, ay, bx, by, cx, cy, dx, dy, closed=None):
     return overlap
 
 
+def _meetings(edges, coords) -> int:
+    """Edges of zero length plus edge pairs that meet other than at a shared
+    vertex index: 0 exactly when ``edges`` are drawn as a plane graph.
+
+    This is the one plane test behind every 2-D certificate. A pair that
+    shares a vertex index takes the open test of :func:`_pairs_cross`: the
+    shared point has turn exactly 0, so the pair is hit only when the edges
+    overlap beyond it. Every other pair takes the closed test, so a touching
+    endpoint or a T-junction is a hit. The closed test needs segments of
+    positive length (for a point every turn is 0, which the 1-D overlap test
+    cannot tell from collinear), so a zero-length edge is counted once by
+    itself and its pairs take the open test, which never hits a point. One
+    pass of the sweep of :func:`count_crossings` decides all pairs; four
+    column compares of the endpoint ids, in sweep order, tell the shared
+    pairs.
+
+    A boundary loop never repeats a vertex, so on a loop of more than three
+    edges the pairs that share an index are the adjacent ones, and 0 means
+    the loop is a simple polygon (:func:`_loop_is_simple`). On the whole
+    1-skeleton of a one-signed drawing, 0 means the drawing is injective:
+    the link of a vertex whose star wraps more than once is not a simple
+    polygon, so its edges would meet, and a vertex drawn inside a triangle
+    it does not belong to could reach that triangle's corners only along
+    edges inside it, which a one-to-one star at the corner does not allow.
+    A pair hit by the open test is one that :func:`count_crossings` counts,
+    so on edges with no crossing the count is the number of touches.
+    """
+    e = np.asarray(edges, dtype=np.int64)
+    order, cols = _sweep_columns(e, np.asarray(coords, dtype=float))
+    point = (cols[0] == cols[2]) & (cols[1] == cols[3])
+    meetings = int(np.count_nonzero(point))
+    u, v = e[order].T
+    for i, j in _sweep_pairs(cols):
+        closed = (u[i] != u[j]) & (u[i] != v[j]) & (v[i] != u[j]) & (v[i] != v[j])
+        closed &= ~(point[i] | point[j])
+        hit = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed)
+        meetings += int(np.count_nonzero(hit))
+    return meetings
+
+
 def _loop_is_simple(cycle, coords) -> bool:
     """Does the closed polygon through ``cycle`` map to a simple curve?
 
-    ``cycle`` lists vertex indices into ``coords`` (N, 2) in loop order,
-    the last joined back to the first. The answer is exact: every edge has
-    positive length, adjacent edges meet only at their shared vertex, and
-    non-adjacent edges have no common point, touching endpoints and
-    T-junctions included. A triangle (a closed mesh's seed loop) has no
-    non-adjacent edges: it is simple exactly when its vertices are not
-    collinear, two coincident ones included, so one exact orientation
-    decides it before any edge is built. A longer loop reuses the sweep
-    and the narrow phase of :func:`count_crossings`: adjacent edges take
-    its open test, whose shared vertex has turn exactly 0, and the other
-    pairs its closed test.
+    ``cycle`` lists distinct vertex indices into ``coords`` (N, 2) in loop
+    order, the last joined back to the first. The answer is exact. A
+    triangle (a closed mesh's seed loop) is simple exactly when its
+    vertices are not collinear, two coincident ones included, so one exact
+    orientation decides it before any edge is built. A longer loop is
+    simple exactly when its edges are drawn as a plane graph
+    (:func:`_meetings`).
     """
     v = np.asarray(cycle, dtype=np.int64)
     p = np.asarray(coords, dtype=float)
-    b = v.size
-    if b == 3:
+    if v.size == 3:
         # one row: the integer stage alone is cheaper than the float filter,
         # and two coincident vertices have orientation 0 too
         return bool(exact_orientations(p, v[None])[0] != 0)
-    e = np.column_stack([v, np.roll(v, -1)])
-    if b < 3 or (p[e[:, 0]] == p[e[:, 1]]).all(axis=1).any():
-        return False
-    order, cols = _sweep_columns(e, p)
-    for i, j in _sweep_pairs(cols):
-        # edge k of the loop joins vertex k to vertex k + 1 (mod b)
-        gap = np.abs(order[i] - order[j])
-        closed = (gap != 1) & (gap != b - 1)
-        if _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed).any():
-            return False
-    return True
-
-
-def _touching_pairs(edges, coords) -> int:
-    """Edge pairs with no common vertex index whose closed segments meet,
-    plus one for each edge of zero length.
-
-    :func:`count_crossings` counts proper crossings and overlaps only, so a
-    drawing it passes may still draw a vertex on an edge (a T-junction) or
-    two vertices at one point. Pairs that share a vertex index need no test:
-    they meet at that vertex, and anywhere else only by an overlap, which
-    the count sees. The other pairs take the closed test of
-    :func:`_pairs_cross`, which needs segments of positive length; a
-    zero-length edge is a touch by itself.
-
-    With no touch and no crossing, the 1-skeleton of a one-signed drawing
-    is a plane graph, and the drawing is injective: the link of a vertex
-    whose star wraps more than once is not a simple polygon, so its edges
-    would meet, and a vertex drawn inside a triangle it does not belong to
-    could reach that triangle's corners only along edges inside it, which
-    a one-to-one star at the corner does not allow.
-    """
-    e = np.asarray(edges, dtype=np.int64)
-    p = np.asarray(coords, dtype=float)
-    point = (p[e[:, 0]] == p[e[:, 1]]).all(axis=1)
-    touches = int(np.count_nonzero(point))
-    e = e[~point]
-    if e.shape[0] < 2:
-        return touches
-    order, cols = _sweep_columns(e, p)
-    for i, j in _sweep_pairs(cols):
-        a, b = e[order[i]], e[order[j]]
-        k = np.flatnonzero((a[:, :, None] != b[:, None, :]).all(axis=(1, 2)))
-        i, j = i[k], j[k]
-        hit = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], np.ones(k.size, dtype=bool))
-        touches += int(np.count_nonzero(hit))
-    return touches
+    return _meetings(np.column_stack([v, np.roll(v, -1)]), p) == 0
 
 
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
@@ -713,12 +683,10 @@ def audit(
 
     For d = 2 the orientation histogram runs first. A drawing bounded by one
     loop whose exact signs all agree, near-zero images included, is then
-    decided on that loop alone, by the degree theorem (see
-    :class:`ValidityReport`); every other drawing, and one whose loop is
-    not simple, gets the full crossing count, and a loop that is not simple
-    makes the report violated. A one-signed drawing with no loop to test
-    and no crossing is violated when two of its edges touch
-    (:func:`_touching_pairs`).
+    decided on that loop alone; a one-signed drawing with no loop, on one
+    sweep of all its edges (the certificate of the module docstring). Every
+    other drawing, and one that fails its plane test, gets the full
+    crossing count for its report.
 
     The hull check evaluates only the free vertices that can lie farthest
     outside the fixed targets' hull when the histogram finds one exact sign
@@ -776,16 +744,13 @@ def audit(
             zero and (pos > 0) != (neg > 0) and _one_exact_sign(mesh, coords, exclude)
         ))
         simple = not tested or _loop_is_simple(loop, coords)
-        if tested and simple:
-            # the degree theorem: the map is injective, so no edges cross
-            crossing = CrossingResult(0, ())
-        else:
-            crossing = count_crossings(mesh_edges(mesh), coords)
-            if one_sign and loop is None and not crossing.count:
-                # the count sees proper crossings only; with no loop to
-                # test, a touch is the one sign left that the map is not
-                # injective
-                touches = _touching_pairs(mesh_edges(mesh), coords)
+        plane = tested and simple
+        if one_sign and loop is None:
+            # with no loop to test, the whole 1-skeleton takes the plane test
+            touches = _meetings(mesh_edges(mesh), coords)
+            plane = not touches
+        # a plane drawing is injective, so no edges cross
+        crossing = CrossingResult(0, ()) if plane else count_crossings(mesh_edges(mesh), coords)
         crossing_count: int | None = crossing.count
         crossing_pairs = crossing.pairs
         if crossing.count:
@@ -793,7 +758,8 @@ def audit(
         if not simple:
             # an injective map keeps its boundary loop simple
             reasons.append("boundary loop image is not simple")
-        if touches:
+        if touches and not crossing.count:
+            # with a crossing the plane test's count is not the touch count
             reasons.append(f"{touches} touching edge pair(s)")
     else:
         crossing_count = None

@@ -523,7 +523,7 @@ class TestNonManifoldVertices:
         at_vertex = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 4, 5, 6]]), 3)
         rules = [(v.rule, v.where) for v in validate_mesh(at_vertex)]
         assert rules == [("non-manifold-vertex", (0,)), ("disconnected", (1,))]
-        assert "orientation" not in at_vertex.__dict__
+        assert "_orientation" not in at_vertex.__dict__
         at_edge = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [0, 1, 5, 6]]), 3)
         found = [v.where for v in validate_mesh(at_edge) if v.rule == "non-manifold-vertex"]
         assert found == [(0,), (1,)]
@@ -584,7 +584,7 @@ class TestSharedPass:
             mesh = relabel(mesh, np.random.default_rng(seed))
         assert validate_mesh(mesh) == []
         # validation stores no signs, yet leaves the cover pass they need
-        assert "orientation" not in mesh.__dict__
+        assert "_orientation" not in mesh.__dict__
         calls = count_component_passes(monkeypatch)
         signs = canonical_orientation(mesh)
         assert calls == []
@@ -636,7 +636,7 @@ class TestSharedPass:
     def test_mobius_strip_keeps_the_property_error(self):
         mesh = mobius_strip()
         assert validate_mesh(mesh) == []  # manifold and face-connected
-        assert "orientation" not in mesh.__dict__
+        assert "_orientation" not in mesh.__dict__
         message = orientation_error(mesh)
         assert message == orientation_error(fresh(mesh))
         assert message.startswith("mesh is combinatorially non-orientable")
@@ -647,7 +647,7 @@ class TestSharedPass:
         )
         mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), 2)
         assert [(v.rule, v.where) for v in validate_mesh(mesh)] == [("disconnected", (1,))]
-        assert "orientation" not in mesh.__dict__
+        assert "_orientation" not in mesh.__dict__
         message = orientation_error(mesh)
         assert message == orientation_error(fresh(mesh))
         assert message.endswith("the mesh is not face-connected")
@@ -658,7 +658,7 @@ class TestSharedPass:
         )
         mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [1, 3, 2], [1, 2, 4]]), 2)
         assert [v.rule for v in validate_mesh(mesh)] == ["face-overshared"]
-        assert "orientation" not in mesh.__dict__
+        assert "_orientation" not in mesh.__dict__
         message = orientation_error(mesh)
         assert message == orientation_error(fresh(mesh))
         assert message == "face (1, 2) is shared by 3 simplices; orientation is undefined"
@@ -685,7 +685,7 @@ class TestSharedPass:
         verts[5, 0] = np.nan
         mesh = SimplicialMesh(verts, grid_mesh(4, 4).simplices, 2)
         assert [v.rule for v in validate_mesh(mesh)] == ["non-finite-vertex"]
-        assert "orientation" not in mesh.__dict__
+        assert "_orientation" not in mesh.__dict__
         assert np.array_equal(canonical_orientation(mesh), canonical_orientation(grid_mesh(4, 4)))
 
 

@@ -1006,6 +1006,16 @@ lattice_loops = st.integers(3, 8).flatmap(
 lattice_points = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 
+# (points, edges): few lattice points and small ids, so edges share vertex
+# indices, their points coincide and some edges have zero length
+lattice_edge_sets = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.lists(lattice_points, min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=24),
+    )
+)
+
+
 # segment pairs (a, b, c, d) with a != b and c != d
 lattice_segment_pairs = st.tuples(*[lattice_points] * 4).filter(
     lambda q: q[0] != q[1] and q[2] != q[3]
@@ -1023,6 +1033,59 @@ class TestClosedSegmentTest:
         cols = [np.array([pair[k][c] for pair in pairs], dtype=float) for k in range(4) for c in (0, 1)]
         hit = validity._pairs_cross(cols[:4], cols[4:], np.ones(len(pairs), dtype=bool))
         assert hit.tolist() == [closed_segments_meet(*pair) for pair in pairs]
+
+
+def open_overlap(p, q, r, s):
+    """Do segments pq and rs, pq of positive length, overlap over positive
+    length? Exact on ints."""
+    if turn(p, q, r) or turn(p, q, s):
+        return False
+    return any(
+        max(min(p[k], q[k]), min(r[k], s[k])) < min(max(p[k], q[k]), max(r[k], s[k]))
+        for k in (0, 1)
+    )
+
+
+def oracle_meetings(points, edges):
+    """Brute-force count of the zero-length edges plus the pairs of other
+    edges that meet other than at a shared vertex index: a pair with no
+    common index whose closed segments meet, or a pair that shares one and
+    overlaps over positive length."""
+    count = sum(points[a] == points[b] for a, b in edges)
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if points[a] != points[b] and points[c] != points[d]:
+            meet = closed_segments_meet if len({a, b, c, d}) == 4 else open_overlap
+            count += meet(points[a], points[b], points[c], points[d])
+    return count
+
+
+class TestMeetings:
+    """The plane test behind both 2-D certificates, against the integer
+    oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lattice_edge_sets)
+    @example(([(0, 0), (2, 0), (1, 0)], [(0, 1), (0, 2)]))  # shared index, overlap past it
+    @example(([(0, 0), (2, 0), (1, 0)], [(0, 1), (2, 0)]))  # shared index, folded back
+    @example(([(0, 0), (2, 0), (1, 0), (1, 2)], [(0, 1), (2, 3)]))  # T-junction
+    @example(([(0, 0), (0, 0), (1, 1)], [(0, 2), (1, 2)]))  # coincident ends, shared index
+    @example(([(1, 1), (1, 1), (2, 2)], [(0, 1), (1, 2), (2, 2)]))  # zero-length edges
+    @example(([(0, 0), (2, 2), (2, 0), (0, 2)], [(0, 1), (2, 3), (0, 3)]))  # proper crossing
+    def test_matches_brute_force_oracle(self, case):
+        points, edges = case
+        got = validity._meetings(np.array(edges), np.array(points, dtype=float))
+        assert got == oracle_meetings(points, edges)
+
+    def test_blocks_cover_every_pair(self, monkeypatch):
+        # 60 edges among 12 points of a 4 x 4 lattice: almost every pair of
+        # boxes overlaps, so blocks of 3 pairs split rows and runs
+        rng = np.random.default_rng(23)
+        points = [tuple(p) for p in rng.integers(0, 4, size=(12, 2)).tolist()]
+        edges = [tuple(e) for e in rng.integers(0, 12, size=(60, 2)).tolist()]
+        expect = oracle_meetings(points, edges)
+        monkeypatch.setattr(validity, "_PAIR_BLOCK", 3)
+        assert validity._meetings(np.array(edges), np.array(points, dtype=float)) == expect
+        assert expect > 100
 
 
 class TestLoopIsSimple:
@@ -1198,6 +1261,20 @@ def full_counts(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def plane_tests(monkeypatch):
+    """Record the edge count of each plane test (validity._meetings)."""
+    calls = []
+    real = validity._meetings
+
+    def spy(edges, coords):
+        calls.append(len(edges))
+        return real(edges, coords)
+
+    monkeypatch.setattr(validity, "_meetings", spy)
+    return calls
+
+
 def certifying_loop(mesh, seed_exclude):
     """The one loop bounding the audited triangles: an open mesh's single
     boundary cycle, or a closed mesh's excluded seed triangle; else None."""
@@ -1205,16 +1282,6 @@ def certifying_loop(mesh, seed_exclude):
     if not cycles:
         return None if seed_exclude is None else mesh.simplices[seed_exclude].tolist()
     return cycles[0] if seed_exclude is None and len(cycles) == 1 else None
-
-
-def oracle_touching_pairs(points, edges):
-    """Brute-force count of the edge pairs with no common vertex index whose
-    closed segments meet, plus one for each zero-length edge."""
-    count = sum(points[a] == points[b] for a, b in edges)
-    for (a, b), (c, d) in itertools.combinations(edges, 2):
-        if len({a, b, c, d}) == 4 and points[a] != points[b] and points[c] != points[d]:
-            count += closed_segments_meet(points[a], points[b], points[c], points[d])
-    return count
 
 
 def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
@@ -1232,7 +1299,8 @@ def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
     simple = loop is None or oracle_loop_is_simple(exact_points, loop)
     touches = 0
     if one_sign and loop is None and full.count == 0:
-        touches = oracle_touching_pairs(exact_points, mesh_edges(mesh).tolist())
+        # with no crossing, every meeting is a touch
+        touches = oracle_meetings(exact_points, mesh_edges(mesh).tolist())
     certified = full.count == 0 and one_sign and simple and touches == 0
     assert report.crossing_count == full.count
     assert report.crossing_pairs == full.pairs
@@ -1298,10 +1366,16 @@ class TestBoundaryCertificate:
         assert_matches_full_count(report, mesh, emb.coords, seed_exclude)
 
     @pytest.mark.parametrize("name", sorted(fallback_fixtures()))
-    def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts):
+    def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts, plane_tests):
         mesh, seed_exclude, expect = fallback_fixtures()[name]
         report = audit(mesh, mesh.vertices, seed_exclude=seed_exclude)
-        assert full_counts == [mesh_edges(mesh).shape[0]]
+        # one plane test, of the loop or, with no loop, of every edge; the
+        # full count runs only for the report of a drawing that fails it
+        loop = certifying_loop(mesh, seed_exclude)
+        n_edges = mesh_edges(mesh).shape[0]
+        assert plane_tests == [n_edges if loop is None else len(loop)]
+        certified = expect["verdict"] == "injective-certified"
+        assert full_counts == ([] if certified else [n_edges])
         assert report.to_dict() == expect
 
     def test_closed_sphere_bare_seed_exclude_matches_embedding_route(self, full_counts):
