@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .generators import GENERATOR_KINDS, TRIANGULATIONS, GeneratorSpec, generate
-from .mapping import SEED_STRATEGIES, run_fplm
+from .mapping import run_fplm
 from .meshio import (
     mesh_from_json,
     mesh_to_json,
@@ -121,12 +121,7 @@ def cmd_embed(args) -> int:
     mesh = _read("mesh", args.mesh)
     t_load = time.perf_counter()
     embedding = run_fplm(
-        mesh,
-        gamma=args.gamma,
-        seed_strategy=args.seed_strategy,
-        config=config,
-        seed=args.seed,
-        seed_index=args.seed_index,
+        mesh, gamma=args.gamma, config=config, seed_simplex=args.seed_simplex
     )
     t_embed = time.perf_counter()
 
@@ -140,9 +135,7 @@ def cmd_embed(args) -> int:
         "config": {
             "mesh": str(args.mesh),
             "gamma": args.gamma,
-            "seed_strategy": args.seed_strategy,
-            "seed": args.seed,
-            "seed_index": args.seed_index,
+            "seed_simplex": args.seed_simplex,
             "solver": {
                 "method": config.method,
                 "rel_tol": config.rel_tol,
@@ -329,19 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma", type=float, default=0.1, help="weight decay rate (default 0.1)"
     )
     e.add_argument(
-        "--seed-strategy",
-        choices=SEED_STRATEGIES,
-        default="most-interior",
-        help="seed simplex selection (default most-interior)",
-    )
-    e.add_argument(
-        "--seed", type=int, default=0, help="RNG seed for random strategies"
-    )
-    e.add_argument(
-        "--seed-index",
+        "--seed-simplex",
         type=int,
-        default=0,
-        help="simplex index for the fixed-index strategy",
+        metavar="N",
+        help="simplex that round 1 pins (default: the most interior one)",
     )
     e.add_argument(
         "--solver",

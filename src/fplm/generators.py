@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import orient2d_signs_xy
-from .simplicial import SimplicialMesh
+from .simplicial import SimplicialMesh, validate_mesh
 
 GENERATOR_KINDS = (
     "grid-disk",
@@ -113,7 +113,7 @@ def generate(spec: GeneratorSpec):
         verts = np.column_stack([latent[:, 0], latent[:, 1], z])
         mesh = SimplicialMesh(verts, _triangulate_latent(latent, nx, ny, spec), 2)
 
-    violations = mesh.violations
+    violations = validate_mesh(mesh)
     if violations:
         raise ValueError(
             f"generator {kind!r} at resolution {spec.resolution} produced an "

@@ -8,12 +8,15 @@ combination of its neighbors.
 
 The driver picks one of two branches:
 
-* no dividing faces (strongly connected): round 1 pins one selected
-  d-simplex to a regular simplex; if the mesh has a boundary beyond those
-  seed vertices, round 2 re-solves with the boundary pinned where round 1
+* no dividing faces (strongly connected): round 1 pins one d-simplex, the
+  seed, to a regular simplex; if the mesh has a boundary beyond those seed
+  vertices, round 2 re-solves with the boundary pinned where round 1
   placed it, freeing everything else. Closed meshes stop after round 1.
 * dividing edges present (d = 2 only): the whole boundary loop is pinned to
   a regular polygon and a single solve finishes the job.
+
+The seed is the caller's simplex index when one is given, and otherwise
+the one rule of :func:`select_seed_simplex`.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ from .simplicial import (
     detect_boundary,
     detect_dividing_simplices,
     mesh_edges,
+    validate_mesh,
 )
 from .solver import SolveConfig, solve_spd
 
 FIXED_POINT_KINDS = ("selected-simplex", "inner-boundary", "regular-polytope")
-
-SEED_STRATEGIES = ("most-interior", "random", "index")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +87,9 @@ class Embedding:
     coords holds the final (N, d) embedding; rows of fixed vertices equal
     their targets exactly, they are scattered rather than solved for.
     coords_round1 keeps the round-1 image (identical to coords for
-    single-round runs) so the inner-boundary polygon can be audited.
+    single-round runs; round 2 pins the boundary at its round-1 image, so
+    both hold the same boundary bytes). seed_simplex is the simplex round 1
+    pinned, None on the polygon branch.
     residuals and routes are keyed by round ("round1", "round2"): the
     achieved relative residual, and the solver route record of that round
     (see :func:`fplm.solver.solve_spd`), e.g. {"route": "band",
@@ -149,32 +153,13 @@ def regular_simplex(d: int) -> np.ndarray:
     return verts
 
 
-def select_seed_simplex(
-    mesh: SimplicialMesh,
-    strategy: str = "most-interior",
-    *,
-    seed: int = 0,
-    index: int = 0,
-) -> int:
-    """Pick the simplex whose vertices round 1 will pin.
+def select_seed_simplex(mesh: SimplicialMesh) -> int:
+    """The simplex whose vertices round 1 pins when no seed is given.
 
-    Strategies: ``most-interior`` maximizes the minimum breadth-first graph
-    distance of the simplex vertices to the boundary (ties broken by lowest
-    simplex index; on closed meshes every simplex ties, so index 0 wins),
-    ``random`` draws uniformly with the given seed, and ``index`` takes the
-    simplex at the given position.
+    It maximizes the minimum breadth-first graph distance of its vertices
+    to the boundary, ties broken by lowest simplex index; on a closed mesh
+    every simplex ties, so simplex 0 wins.
     """
-    m_total = mesh.n_simplices
-    if strategy == "index":
-        if not (0 <= index < m_total):
-            raise ValueError(f"seed simplex index {index} out of range")
-        return int(index)
-    if strategy == "random":
-        rng = np.random.default_rng(seed)
-        return int(rng.integers(m_total))
-    if strategy != "most-interior":
-        raise ValueError(f"unknown seed strategy {strategy!r}")
-
     sources = detect_boundary(mesh).boundary_vertices
     if sources.size == 0:
         return 0
@@ -198,7 +183,9 @@ def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
     the canonical regular-simplex corners in that order.
     """
     if not (0 <= simplex_index < mesh.n_simplices):
-        raise ValueError(f"simplex index {simplex_index} out of range")
+        raise ValueError(
+            f"seed simplex {simplex_index} out of range [0, {mesh.n_simplices})"
+        )
     idx = np.sort(mesh.simplices[simplex_index])
     return FixedPointSet(
         indices=idx,
@@ -277,20 +264,21 @@ def solve_fixed_point(
 def run_fplm(
     mesh: SimplicialMesh,
     gamma: float = 0.1,
-    seed_strategy: str = "most-interior",
     config: SolveConfig | None = None,
     *,
-    seed: int = 0,
-    seed_index: int = 0,
+    seed_simplex: int | None = None,
 ) -> Embedding:
     """Run the full mapping pipeline on a validated mesh.
 
     Strongly connected meshes (and all meshes with d != 2) go through the
     seed-simplex rounds; d = 2 meshes with dividing edges are instead pinned
-    to a regular polygon in one solve. Raises ValueError when the mesh fails
-    validation or has multiple boundary loops (d = 2).
+    to a regular polygon in one solve. Round 1 pins simplex ``seed_simplex``,
+    or the one :func:`select_seed_simplex` picks when it is None; the
+    polygon branch pins no simplex and ignores it. Raises ValueError when
+    the mesh fails validation, has multiple boundary loops (d = 2), or
+    ``seed_simplex`` is not a simplex index.
     """
-    violations = mesh.violations
+    violations = validate_mesh(mesh)
     if violations:
         head = "; ".join(v.detail for v in violations[:3])
         raise ValueError(
@@ -315,16 +303,14 @@ def run_fplm(
         seed_ix = None
         fixed1 = make_regular_polygon(mesh)
     else:
-        seed_ix = select_seed_simplex(
-            mesh, seed_strategy, seed=seed, index=seed_index
-        )
+        seed_ix = select_seed_simplex(mesh) if seed_simplex is None else seed_simplex
         fixed1 = make_c1(mesh, seed_ix)
     coords1, res1, route1 = solve_fixed_point(graph, fixed1, config)
     coords, residuals, routes = coords1, {"round1": res1}, {"round1": route1}
 
     fixed2 = None
     bverts = boundary.boundary_vertices  # ascending, as the seed's indices
-    if (fixed1.kind == "selected-simplex" and bverts.size
+    if (seed_ix is not None and bverts.size
             and not np.array_equal(bverts, fixed1.indices)):
         fixed2 = FixedPointSet(
             indices=bverts, targets=coords1[bverts], kind="inner-boundary"

@@ -52,11 +52,11 @@ class SimplicialMesh:
     reports violations as data rather than raising. The topology and the
     validation result are computed on first use and cached, which the
     read-only mesh arrays keep valid; the cached arrays are read-only too.
-    :func:`mesh_edges`, :func:`detect_boundary` and
-    :func:`canonical_orientation` are the one entry point of their results
-    and read private caches. ``face_table`` stays public beside
-    :func:`mesh_faces` for the face parities and side order only it holds,
-    and ``violations`` beside :func:`validate_mesh`, which copies it.
+    :func:`mesh_edges`, :func:`detect_boundary`,
+    :func:`canonical_orientation` and :func:`validate_mesh` are the one
+    entry point of their results and read private caches. ``face_table``
+    stays public beside :func:`mesh_faces` for the face parities and side
+    order only it holds.
     """
 
     vertices: np.ndarray
@@ -202,10 +202,10 @@ class SimplicialMesh:
         return _frozen(np.where(plus == plus[0], 1, -1))
 
     @cached_property
-    def violations(self) -> tuple[MeshViolation, ...]:
+    def _violations(self) -> tuple[MeshViolation, ...]:
         """The broken invariants :func:`validate_mesh` lists, as a tuple:
         one validation pass per mesh object, however many callers ask."""
-        return tuple(_violations(self))
+        return tuple(_mesh_violations(self))
 
     @cached_property
     def _cover_labels(self) -> np.ndarray:
@@ -342,12 +342,12 @@ def validate_mesh(mesh: SimplicialMesh) -> list[MeshViolation]:
     Returns a list of violations, empty when the mesh is a valid
     decomposition. Violations are data; nothing raises here. The checks
     run once per mesh object: the list is a copy of the cached
-    :attr:`SimplicialMesh.violations`.
+    ``SimplicialMesh._violations``.
     """
-    return list(mesh.violations)
+    return list(mesh._violations)
 
 
-def _violations(mesh: SimplicialMesh) -> list[MeshViolation]:
+def _mesh_violations(mesh: SimplicialMesh) -> list[MeshViolation]:
     """The checks :func:`validate_mesh` describes, run on every call."""
     out: list[MeshViolation] = []
     s = mesh.simplices

@@ -721,12 +721,7 @@ def audit(
                 f"[0, {mesh.n_simplices})"
             )
         exclude = [int(seed_exclude)]
-    elif (
-        emb is not None
-        and closed
-        and emb.seed_simplex is not None
-        and emb.fixed_round1.kind == "selected-simplex"
-    ):
+    elif emb is not None and closed and emb.seed_simplex is not None:
         exclude = [emb.seed_simplex]
 
     counts = orientation_histogram(mesh, coords, exclude=exclude)
@@ -796,8 +791,7 @@ def audit(
             )
     if d == 2 and len(boundary.boundary_cycles) == 1:
         boundary_convexity = check_boundary_convexity(
-            boundary.boundary_cycles[0],
-            emb.coords_round1 if emb is not None else coords,
+            boundary.boundary_cycles[0], coords
         )
 
     certified = one_sign and not crossing_count and simple and not touches and d <= 3

@@ -111,7 +111,7 @@ class TestEmbed:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["command"] == "embed"
         assert manifest["config"]["gamma"] == 0.1
-        assert manifest["config"]["seed_strategy"] == "most-interior"
+        assert manifest["config"]["seed_simplex"] is None
         assert manifest["config"]["solver"]["method"] == "auto"
         assert manifest["result"]["branch"] == "two-round"
         assert manifest["result"]["n_vertices"] == 25
@@ -126,6 +126,32 @@ class TestEmbed:
         assert manifest["outputs"] == [str(emb), str(manifest_path)]
         for path in manifest["outputs"]:
             assert tmp_path.joinpath(path).exists()
+
+    def test_seed_simplex_round_trip(self, tmp_path):
+        # sphere 2: the pinned seed 7 is the simplex validate excludes; the
+        # same drawing with seed 0 excluded counts seed 7's covering image
+        mesh, emb, rc = run_pipeline(
+            tmp_path, kind="sphere", resolution="2", extra_embed=("--seed-simplex", "7")
+        )
+        assert rc == 0
+        path = tmp_path / "emb.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["config"]["seed_simplex"] == 7
+        assert manifest["result"]["seed_simplex"] == 7
+        assert main(["validate", "--mesh", str(mesh), "--embedding", str(emb)]) == 0
+        manifest["result"]["seed_simplex"] = 0
+        path.write_text(json.dumps(manifest))
+        assert main(["validate", "--mesh", str(mesh), "--embedding", str(emb)]) == 3
+
+    @pytest.mark.parametrize("seed", ["320", "-1"])
+    def test_out_of_range_seed_simplex_returns_2(self, tmp_path, capsys, seed):
+        mesh, emb, rc = run_pipeline(
+            tmp_path, kind="sphere", resolution="2", extra_embed=("--seed-simplex", seed)
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed simplex {seed} out of range [0, 320)\n"
+        assert not emb.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)

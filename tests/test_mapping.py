@@ -94,27 +94,18 @@ class TestRegularSimplex:
 
 class TestSelectSeedSimplex:
     def test_index_strategy(self):
+        # an explicit seed is pinned as given and range-checked by make_c1
         mesh = grid_mesh(3, 3)
-        assert select_seed_simplex(mesh, "index", index=5) == 5
-        with pytest.raises(ValueError, match="out of range"):
-            select_seed_simplex(mesh, "index", index=mesh.n_simplices)
-
-    def test_random_strategy_deterministic(self):
-        mesh = grid_mesh(4, 4)
-        a = select_seed_simplex(mesh, "random", seed=42)
-        b = select_seed_simplex(mesh, "random", seed=42)
-        assert a == b
-        assert 0 <= a < mesh.n_simplices
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            select_seed_simplex(grid_mesh(3, 3), "greedy")
+        assert run_fplm(mesh, seed_simplex=5).seed_simplex == 5
+        for bad in (-1, mesh.n_simplices):
+            with pytest.raises(ValueError, match=rf"seed simplex {bad} out of range \[0, 8\)"):
+                run_fplm(mesh, seed_simplex=bad)
 
     def test_most_interior_matches_bfs_oracle(self):
         # independent oracle: unweighted shortest paths from the boundary,
         # score each simplex by its shallowest vertex, first argmax wins
         mesh = grid_mesh(4, 4)
-        picked = select_seed_simplex(mesh, "most-interior")
+        picked = select_seed_simplex(mesh)
         adj = build_weights(mesh).adjacency.copy()
         adj.data[:] = 1.0
         dist = shortest_path(adj, unweighted=True)
@@ -125,7 +116,7 @@ class TestSelectSeedSimplex:
         assert score[picked] == score.max() > 0
 
     def test_closed_mesh_picks_zero(self):
-        assert select_seed_simplex(icosphere(1), "most-interior") == 0
+        assert select_seed_simplex(icosphere(1)) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -162,7 +153,7 @@ class TestSelectSeedSimplex:
                     depth[nxt] = depth[cur] + 1
                     queue.append(nxt)
         scores = [min(depth[v] for v in simplex) for simplex in mesh.simplices.tolist()]
-        assert select_seed_simplex(mesh, "most-interior") == scores.index(max(scores))
+        assert select_seed_simplex(mesh) == scores.index(max(scores))
 
 
 class TestFixedPointSet:
@@ -419,8 +410,11 @@ class TestRunFplm:
 
     def test_seed_index_strategy_passthrough(self):
         mesh = grid_mesh(5, 5)
-        emb = run_fplm(mesh, seed_strategy="index", seed_index=3)
+        emb = run_fplm(mesh, seed_simplex=3)
         assert emb.seed_simplex == 3
+        assert np.array_equal(emb.fixed_round1.indices, np.sort(mesh.simplices[3]))
+        # the polygon branch pins no simplex and ignores the seed
+        assert run_fplm(two_triangles(), seed_simplex=1).seed_simplex is None
 
     def test_invalid_mesh_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

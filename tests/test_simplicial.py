@@ -613,7 +613,7 @@ class TestSharedPass:
         # and validate_mesh make no second star or cover pass
         resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
         mesh = generate(GeneratorSpec(kind, resolution))[0]
-        assert mesh.__dict__["violations"] == ()
+        assert mesh.__dict__["_violations"] == ()
         calls = count_component_passes(monkeypatch)
         run_fplm(mesh)
         assert calls == []
@@ -627,7 +627,7 @@ class TestSharedPass:
         mesh = SimplicialMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]), 2)
         found = validate_mesh(mesh)
         assert [v.rule for v in found] == ["disconnected"]
-        assert mesh.violations == tuple(found)
+        assert mesh._violations == tuple(found)
         found.clear()
         calls = count_component_passes(monkeypatch)
         assert [v.rule for v in validate_mesh(mesh)] == ["disconnected"]

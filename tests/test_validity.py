@@ -903,6 +903,19 @@ class TestAudit:
         assert sum(report.orientation_counts) == mesh.n_simplices - 1
         assert report.verdict == "injective-certified"
 
+    @pytest.mark.parametrize("k", [7, 79, 200])
+    def test_closed_mesh_excludes_the_pinned_seed(self, k):
+        # a seed other than simplex 0: the audit must exclude the simplex
+        # round 1 pinned, whose image covers the rest of the drawing
+        mesh = icosphere(2)
+        emb = run_fplm(mesh, seed_simplex=k)
+        report = audit(mesh, emb)
+        assert (report.verdict, report.orientation_counts) == (
+            "injective-certified", (0, 319, 0)
+        )
+        wrong = audit(mesh, emb.coords, seed_exclude=0)
+        assert (wrong.verdict, wrong.orientation_counts) == ("violated", (1, 318, 0))
+
     def test_bare_coords_seed_exclude_matches(self):
         mesh = icosphere(1)
         emb = run_fplm(mesh)
