@@ -4,6 +4,12 @@ Weights live on the 1-skeleton of the mesh: w_ij = exp(-gamma * ||x_i - x_j||)
 with plain Euclidean distance in the ambient space. The Laplacian L = D - A
 is partitioned by a free/fixed vertex split into the blocks L_y (free x free)
 and L_yc (free x fixed) that define the linear system of the mapping.
+
+scipy builds one sparse structure per mesh, the symmetric CSR pattern of the
+1-skeleton that the mesh caches (``SimplicialMesh._skeleton``). Every matrix
+here is numpy work on its arrays: the adjacency takes the edge weights at its
+entries, the Laplacian inserts the degrees into it, and each system's blocks
+are cut from the Laplacian's arrays by one free/fixed vertex mask.
 """
 
 from __future__ import annotations
@@ -25,21 +31,29 @@ class WeightedGraph:
 
     Edges are stored once with i < j; weights are strictly positive and
     read-only, since :func:`build_weights` hands one graph per (mesh,
-    gamma) to every caller. The adjacency, degrees, Laplacian and component
-    labels are built once per graph on first use and shared, read-only;
-    every system assembled on the graph slices its blocks from the one
-    Laplacian.
+    gamma) to every caller. ``skeleton`` is the mesh's cached symmetric CSR
+    pattern, whose entries hold edge ids. The adjacency, degrees, Laplacian
+    and component labels are built from it once per graph on first use and
+    shared, read-only; every system assembled on the graph slices its
+    blocks from the one Laplacian's arrays.
     """
 
     n: int
     edges: np.ndarray
     weights: np.ndarray
     gamma: float
+    skeleton: sparse.csr_matrix
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric sparse adjacency matrix with the edge weights."""
-        return _frozen(symmetric_csr(self.n, self.edges, self.weights))
+        """Symmetric sparse adjacency matrix with the edge weights: the
+        skeleton's pattern with ``weights[edge]`` as its data."""
+        pattern = self.skeleton
+        edge = pattern.data.astype(np.intp)
+        return _frozen(sparse.csr_matrix(
+            (self.weights[edge], pattern.indices, pattern.indptr),
+            shape=pattern.shape,
+        ))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -52,41 +66,40 @@ class WeightedGraph:
     def laplacian(self) -> sparse.csr_matrix:
         """Graph Laplacian L = D - A.
 
-        One COO of the lower entries -w, the nonzero degrees and the upper
-        entries -w, in that order: each row then lists its columns sorted,
-        so scipy builds canonical CSR with no sort. These are the arrays
+        The adjacency's pattern with -w as data and each nonzero degree
+        inserted between its row's lower and upper partners, which keeps
+        every row's columns sorted. These are the arrays
         ``(sparse.diags(degrees) - A).tocsr()`` holds, a zero degree
         dropped, without the sparse subtraction.
         """
-        i, j = self.edges.T
-        diagonal = np.flatnonzero(self.degrees)
-        rows = np.concatenate([j, diagonal, i])
-        cols = np.concatenate([i, diagonal, j])
-        data = np.concatenate([-self.weights, self.degrees[diagonal], -self.weights])
-        return _frozen(sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n)))
+        a = self.adjacency
+        has_diagonal = self.degrees != 0
+        # row r gains its diagonal after the lower partners, edges (i, r)
+        lower = np.bincount(self.edges[:, 1], minlength=self.n)
+        indptr = a.indptr.copy()
+        indptr[1:] += np.cumsum(has_diagonal, dtype=indptr.dtype)
+        diagonal = np.flatnonzero(has_diagonal)
+        slots = indptr[diagonal] + lower[diagonal]
+        off = np.ones(indptr[-1], dtype=bool)
+        off[slots] = False
+        indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+        data = np.empty(indptr[-1])
+        indices[off], indices[slots] = a.indices, diagonal
+        data[off], data[slots] = -a.data, self.degrees[diagonal]
+        return _frozen(sparse.csr_matrix((data, indices, indptr), shape=a.shape))
 
     @cached_property
     def component_labels(self) -> np.ndarray:
-        """Connected-component label of each vertex."""
-        _, labels = connected_components(self.adjacency, directed=False)
+        """Connected-component label of each vertex.
+
+        The adjacency stores both directions of every edge, so its strong
+        components are the undirected ones, found with no transpose.
+        """
+        _, labels = connected_components(
+            self.adjacency, directed=True, connection="strong"
+        )
         labels.setflags(write=False)
         return labels
-
-
-def symmetric_csr(n: int, edges: np.ndarray, values: np.ndarray) -> sparse.csr_matrix:
-    """The symmetric n x n matrix with ``values[k]`` at (i, j) and (j, i)
-    for edge k = (i, j).
-
-    ``edges`` holds unique pairs i < j in lexicographic order (as
-    :func:`mesh_edges` returns them), so taking each row's lower partners
-    first, then its upper ones, lists every row's columns sorted: scipy
-    builds canonical CSR from it with no per-row sort.
-    """
-    i, j = edges.T
-    data = np.concatenate([values, values])
-    return sparse.csr_matrix(
-        (data, (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n), dtype=float
-    )
 
 
 def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -94,6 +107,22 @@ def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.setflags(write=False)
     return matrix
+
+
+def vertex_ids(ids) -> np.ndarray:
+    """``ids`` as a flat int64 array of vertex indices.
+
+    Integer input of any width is taken as it is, and an empty input gives
+    an empty array; float or bool input raises ValueError naming its
+    dtype, since a cast would truncate 0.5 to vertex 0 and read a mask as
+    vertices 0 and 1.
+    """
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(
+            f"fixed vertex indices must be integers, got dtype {ids.dtype}"
+        )
+    return ids.astype(np.int64).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +194,8 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
         )
     weights.setflags(write=False)
     graphs[gamma] = WeightedGraph(
-        n=mesh.n_vertices, edges=edges, weights=weights, gamma=gamma
+        n=mesh.n_vertices, edges=edges, weights=weights, gamma=gamma,
+        skeleton=mesh._skeleton,
     )
     return graphs[gamma]
 
@@ -173,15 +203,23 @@ def build_weights(mesh: SimplicialMesh, gamma: float = 0.1) -> WeightedGraph:
 def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
     """Partition L = D - A into the free/fixed blocks of the mapping system.
 
+    One free/fixed vertex mask splits the entries of the graph's cached
+    Laplacian: those in free rows go to the free block or to the
+    free-by-fixed block by their column, and each column is renumbered by
+    its rank among the free or the fixed vertices. The blocks hold the
+    arrays ``laplacian[free][:, free]`` and ``laplacian[free][:, fixed]``
+    would, with no sparse slicing.
+
     Parameters
     ----------
     graph : WeightedGraph
     fixed : array-like of int
-        Indices of constrained vertices. Must be nonempty, distinct, and in
-        range; every connected component of the graph must contain at least
-        one fixed vertex, otherwise the free block is singular.
+        Indices of constrained vertices. Must be integers (float or bool
+        input raises ValueError), nonempty, distinct, and in range; every
+        connected component of the graph must contain at least one fixed
+        vertex, otherwise the free block is singular.
     """
-    fixed = np.asarray(fixed, dtype=np.int64).ravel()
+    fixed = vertex_ids(fixed)
     if fixed.size == 0:
         raise ValueError("fixed vertex set is empty")
     if fixed.min() < 0 or fixed.max() >= graph.n:
@@ -200,13 +238,35 @@ def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
             "contains no fixed vertex; its block is singular"
         )
 
+    lap = graph.laplacian
     fixed_mask = np.zeros(graph.n, dtype=bool)
     fixed_mask[fixed_sorted] = True
     free = np.flatnonzero(~fixed_mask)
-    free_rows = graph.laplacian[free]
+    # each vertex's column in its block: its rank among the free vertices,
+    # or -1 - its rank among the fixed ones, read once per entry
+    column = np.empty(graph.n, dtype=lap.indices.dtype)
+    column[free] = np.arange(free.size)
+    column[fixed_sorted] = -1 - np.arange(fixed_sorted.size)
+    entry_column = column.take(lap.indices)
+    row_sizes = np.diff(lap.indptr)
+    in_free_row = np.repeat(~fixed_mask, row_sizes)
+    at_free = np.flatnonzero(in_free_row & (entry_column >= 0))
+    at_fixed = np.flatnonzero(in_free_row & (entry_column < 0))
+    # the fixed columns of each free row, counted by the rows of those entries
+    rows_of_fixed = np.searchsorted(lap.indptr, at_fixed, side="right") - 1
+    n_fixed_cols = np.bincount(rows_of_fixed, minlength=graph.n)[free]
     return LaplacianSystem(
         free_indices=free,
         fixed_indices=fixed_sorted,
-        lap_free=free_rows[:, free].tocsr(),
-        lap_free_fixed=free_rows[:, fixed_sorted].tocsr(),
+        lap_free=_block(lap.data.take(at_free), entry_column.take(at_free),
+                        row_sizes[free] - n_fixed_cols, free.size),
+        lap_free_fixed=_block(lap.data.take(at_fixed), -1 - entry_column.take(at_fixed),
+                              n_fixed_cols, fixed_sorted.size),
     )
+
+
+def _block(data, indices, row_sizes, n_cols) -> sparse.csr_matrix:
+    """The CSR matrix whose consecutive rows hold ``row_sizes`` entries each."""
+    indptr = np.zeros(row_sizes.size + 1, dtype=indices.dtype)
+    np.cumsum(row_sizes, out=indptr[1:])
+    return sparse.csr_matrix((data, indices, indptr), shape=(row_sizes.size, n_cols))

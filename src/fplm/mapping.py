@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .laplacian import WeightedGraph, assemble_system, build_weights, symmetric_csr
+from .laplacian import WeightedGraph, assemble_system, build_weights, vertex_ids
 from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
     detect_dividing_simplices,
-    mesh_edges,
     validate_mesh,
 )
 from .solver import SolveConfig, solve_spd
@@ -55,7 +54,7 @@ class FixedPointSet:
     kind: str
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        idx = vertex_ids(self.indices)
         tgt = np.asarray(self.targets, dtype=float)
         if tgt.ndim != 2:
             raise ValueError("targets must be a (p, d) array")
@@ -158,17 +157,17 @@ def select_seed_simplex(mesh: SimplicialMesh) -> int:
 
     It maximizes the minimum breadth-first graph distance of its vertices
     to the boundary, ties broken by lowest simplex index; on a closed mesh
-    every simplex ties, so simplex 0 wins.
+    every simplex ties, so simplex 0 wins. The search runs on the mesh's
+    cached 1-skeleton pattern, the one the weighted graph's matrices share.
     """
     sources = detect_boundary(mesh).boundary_vertices
     if sources.size == 0:
         return 0
     n = mesh.n_vertices
-    edges = mesh_edges(mesh)
-    # both directions stored, so the directed search needs no transpose
-    skeleton = symmetric_csr(n, edges, np.ones(edges.shape[0]))
+    # both directions stored, so the directed search needs no transpose; an
+    # unweighted search reads the pattern only, not the edge ids it holds
     hops = dijkstra(
-        skeleton, directed=True, indices=sources, unweighted=True, min_only=True
+        mesh._skeleton, directed=True, indices=sources, unweighted=True, min_only=True
     )
     # unreachable vertices sit infinitely deep; keep them maximal
     depth = np.where(np.isinf(hops), n + 1, hops).astype(np.int64)

@@ -9,9 +9,9 @@ interior (d-1)-faces whose vertices all lie on the boundary.
 
 All of this topology derives from one face table per mesh (see
 :class:`FaceTable`), built on first use and cached on the immutable mesh
-object together with the edge list, the boundary, the orientation signs
-and the validation result, so every consumer of one mesh object shares a
-single computation.
+object together with the edge list, its symmetric CSR pattern, the
+boundary, the orientation signs and the validation result, so every
+consumer of one mesh object shares a single computation.
 Two ``connected_components`` calls answer the rest, one per graph: the
 star graph gives vertex manifoldness (see :func:`_adjacency_violations`),
 and the orientation double cover, cached as ``_cover_labels``, gives both
@@ -56,7 +56,10 @@ class SimplicialMesh:
     :func:`canonical_orientation` and :func:`validate_mesh` are the one
     entry point of their results and read private caches. ``face_table``
     stays public beside :func:`mesh_faces` for the face parities and side
-    order only it holds.
+    order only it holds. ``_skeleton``, the symmetric 1-skeleton as one
+    CSR pattern of edge ids, is the one sparse structure the graph layer
+    reads: the seed search, and the adjacency and Laplacian of every
+    weighted graph over the mesh.
     """
 
     vertices: np.ndarray
@@ -160,6 +163,30 @@ class SimplicialMesh:
         n = self.n_vertices
         keys = _unique_ints(np.minimum(a, b) * n + np.maximum(a, b))
         return _frozen(np.column_stack(np.divmod(keys, n)))
+
+    @cached_property
+    def _skeleton(self) -> sparse.csr_matrix:
+        """The symmetric 1-skeleton as an n x n CSR pattern, read-only.
+
+        Entries (i, j) and (j, i) of edge k = (i, j) of :attr:`_edges` both
+        hold k, as a float64 (exact below 2^53): scipy's graph searches
+        copy any other data type to float64 first, which on a 400-vertex
+        paraboloid took longer than the unweighted search itself. The COO
+        lists each row's lower partners first, then its upper ones, so
+        every row's columns come out sorted and scipy builds canonical CSR
+        with no per-row sort. Every graph over the mesh shares this
+        pattern: a weighted adjacency is the edge weights taken at its data.
+        """
+        i, j = self._edges.T
+        ids = np.arange(i.size, dtype=float)
+        n = self.n_vertices
+        skeleton = sparse.csr_matrix(
+            (np.concatenate([ids, ids]), (np.concatenate([j, i]), np.concatenate([i, j]))),
+            shape=(n, n),
+        )
+        for array in (skeleton.data, skeleton.indices, skeleton.indptr):
+            _frozen(array)
+        return skeleton
 
     @cached_property
     def _boundary(self) -> BoundaryComplex:

@@ -83,7 +83,8 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     lap_free : (n, n) sparse matrix
         Free-block Laplacian, symmetric positive definite.
     rhs : (n, k) array
-        Any other number of dimensions raises ValueError.
+        Any other number of dimensions, and a NaN or inf entry, raise
+        ValueError before any factorisation or iteration.
     config : SolveConfig, optional
 
     Returns
@@ -109,14 +110,22 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
         raise ValueError(
             f"rhs has {b.shape[0]} rows but the system has {n} unknowns"
         )
+    if not np.isfinite(b).all():
+        row, col = np.argwhere(~np.isfinite(b))[0]
+        raise ValueError(
+            f"rhs entry ({row}, {col}) is {b[row, col]}; the right-hand side "
+            "must be finite"
+        )
     achieved = 0.0
     if n == 0 or not b.any():
         y, route = np.zeros_like(b), {"route": "none"}
     else:
+        # a CSR block is taken as it is; any other format is converted once
+        a = lap_free.tocsr()
         solved = None
         if config.method != "iterative":
-            solved = _solve_band(lap_free, b, limited=config.method == "auto")
-        y, route = solved or _solve_pcg(lap_free, b, config)
+            solved = _solve_band(a, b, limited=config.method == "auto")
+        y, route = solved or _solve_pcg(a, b, config)
         # both norms on b / max|b|, max|b| rounded to a power of two so the
         # scaling is exact: the sum of squares of a b whose entries are all
         # below ~1e-154 would underflow
@@ -135,14 +144,14 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     return y, achieved, route
 
 
-def _solve_band(lap_free, b, limited):
-    """Banded Cholesky on a reverse Cuthill-McKee ordering.
+def _solve_band(a, b, limited):
+    """Banded Cholesky on a reverse Cuthill-McKee ordering of the CSR
+    matrix ``a``, which may hold unsummed duplicates.
 
     Returns the solution and the route record of :func:`solve_spd`, or
     None when ``limited`` and the band would hold more than ``BAND_LIMIT``
     entries.
     """
-    a = sparse.csr_matrix(lap_free)
     n = a.shape[0]
     perm = reverse_cuthill_mckee(a, symmetric_mode=True)
     rank = np.empty(n, dtype=np.int64)
@@ -176,8 +185,9 @@ def _solve_band(lap_free, b, limited):
     return y, {"route": "band", "band_width": width}
 
 
-def _solve_pcg(lap_free, b, config):
-    """Jacobi-preconditioned conjugate gradients, one column at a time.
+def _solve_pcg(a, b, config):
+    """Jacobi-preconditioned conjugate gradients on the CSR matrix ``a``,
+    one column at a time.
 
     scipy's ``cg`` loop has a fixed operation order, hence is
     bit-reproducible for fixed inputs on one platform and one BLAS thread
@@ -185,7 +195,6 @@ def _solve_pcg(lap_free, b, config):
     the route record of :func:`solve_spd`, which holds the largest
     iteration count over the columns.
     """
-    a = sparse.csr_matrix(lap_free)
     n = a.shape[0]
     diag = a.diagonal()
     bad = np.nonzero(~(diag > 0.0))[0]

@@ -1,11 +1,12 @@
 """Edge-weight and Laplacian block assembly tests."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from fplm.generators import GENERATOR_KINDS, GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
@@ -201,6 +202,166 @@ class TestBuiltInOrder:
         assert select_seed_simplex(mesh) == undirected_seed(mesh)
 
 
+# Reference constructions made of scipy.sparse operations alone: one
+# symmetric CSR per use, a COO Laplacian, fancy-index slices of it, and an
+# undirected component search. The graph layer shares one skeleton pattern
+# per mesh and slices by mask instead; these pin its arrays bit for bit.
+
+
+def reference_symmetric_csr(n, edges, values):
+    i, j = edges.T
+    data = np.concatenate([values, values])
+    return sparse.csr_matrix(
+        (data, (np.concatenate([j, i]), np.concatenate([i, j]))), shape=(n, n), dtype=float
+    )
+
+
+def reference_graph(mesh, gamma=0.1):
+    """Adjacency, degrees, Laplacian and component labels of the mesh."""
+    edges = mesh_edges(mesh)
+    weights = build_weights(fresh_copy(mesh), gamma).weights
+    n = mesh.n_vertices
+    adjacency = reference_symmetric_csr(n, edges, weights)
+    adjacency.sum_duplicates()
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    i, j = edges.T
+    diagonal = np.flatnonzero(degrees)
+    laplacian = sparse.csr_matrix(
+        (np.concatenate([-weights, degrees[diagonal], -weights]),
+         (np.concatenate([j, diagonal, i]), np.concatenate([i, diagonal, j]))),
+        shape=(n, n),
+    )
+    laplacian.sum_duplicates()
+    _, labels = connected_components(adjacency, directed=False)
+    return adjacency, degrees, laplacian, labels
+
+
+def reference_blocks(laplacian, fixed):
+    fixed = np.sort(np.asarray(fixed, dtype=np.int64))
+    free = np.setdiff1d(np.arange(laplacian.shape[0]), fixed)
+    free_rows = laplacian[free]
+    return free_rows[:, free].tocsr(), free_rows[:, fixed].tocsr()
+
+
+def reference_seed(mesh):
+    sources = detect_boundary(mesh).boundary_vertices
+    if sources.size == 0:
+        return 0
+    n, edges = mesh.n_vertices, mesh_edges(mesh)
+    skeleton = reference_symmetric_csr(n, edges, np.ones(edges.shape[0]))
+    hops = dijkstra(skeleton, directed=True, indices=sources, unweighted=True, min_only=True)
+    depth = np.where(np.isinf(hops), n + 1, hops).astype(np.int64)
+    return int(np.argmax(depth[mesh.simplices].min(axis=1)))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+
+
+def assert_graph_matches_reference(mesh, fixed_sets):
+    g = build_weights(fresh_copy(mesh))
+    adjacency, degrees, laplacian, labels = reference_graph(mesh)
+    assert_same_csr(g.adjacency, adjacency)
+    assert_same_array(g.degrees, degrees)
+    assert_same_csr(g.laplacian, laplacian)
+    assert_same_array(g.component_labels, labels)
+    for fixed in fixed_sets:
+        system = assemble_system(g, fixed)
+        want_free, want_fixed = reference_blocks(laplacian, fixed)
+        assert_same_csr(system.lap_free, want_free)
+        assert_same_csr(system.lap_free_fixed, want_fixed)
+        assert_same_array(system.fixed_indices, np.sort(np.asarray(fixed, dtype=np.int64)))
+
+
+class TestReferenceConstructions:
+    """The shared skeleton, the inserted diagonal and the mask-sliced blocks
+    hold the same bytes as the scipy.sparse constructions above."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_generated_meshes(self, kind, size, seed):
+        resolution = {"sphere": {"small": (1,), "large": (3,)},
+                      "ball3": {"small": (3,), "large": (6,)}}.get(
+            kind, {"small": (5, 4), "large": (16, 13)})[size]
+        mesh = generate(GeneratorSpec(kind, resolution))[0]
+        if seed is not None:
+            mesh = relabel(mesh, np.random.default_rng(seed))
+        rng = np.random.default_rng(7)
+        seed_simplex = mesh.simplices[select_seed_simplex(mesh)]
+        boundary = detect_boundary(mesh).boundary_vertices
+        unsorted = rng.choice(mesh.n_vertices, size=mesh.n_vertices // 3, replace=False)
+        fixed_sets = [seed_simplex, unsorted] + ([boundary] if boundary.size else [])
+        assert_graph_matches_reference(mesh, fixed_sets)
+        assert select_seed_simplex(fresh_copy(mesh)) == reference_seed(mesh)
+
+    def test_unreferenced_vertex_drops_its_zero_degree(self):
+        # vertex 2 is in no simplex: a zero degree, no diagonal entry, and a
+        # component of its own that must be fixed
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.0, 1.0], [1.0, 1.0]])
+        mesh = SimplicialMesh(verts, np.array([[0, 1, 3], [1, 4, 3]]), 2)
+        g = build_weights(mesh)
+        assert g.degrees[2] == 0.0
+        assert g.laplacian[2].nnz == 0
+        assert_graph_matches_reference(mesh, [[2, 0], [2, 4, 1], [0, 1, 2, 3, 4]])
+
+    def test_two_components_keep_their_labels_and_message(self):
+        # two strips with interleaved vertex ids, so labels follow the
+        # lowest vertex of each component, not the id ranges
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        verts = np.empty((8, 2))
+        verts[0::2], verts[1::2] = a, a + 5.0
+        simplices = np.array([[0, 2, 4], [2, 6, 4], [1, 3, 5], [3, 7, 5]])
+        mesh = SimplicialMesh(verts, simplices, 2)
+        assert_graph_matches_reference(mesh, [[0, 1], [6, 7, 2], [5, 4]])
+        g = build_weights(mesh)
+        labels = reference_graph(mesh)[3]
+        for fixed in ([0, 2], [7, 3]):
+            comp = int(np.setdiff1d(labels, labels[fixed])[0])
+            example = int(np.argmax(labels == comp))
+            message = (f"connected component {comp} (example vertex {example}) "
+                       "contains no fixed vertex; its block is singular")
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                assemble_system(g, fixed)
+
+    @pytest.mark.parametrize("case", ["all-fixed", "one-free", "unsorted"])
+    def test_extreme_fixed_sets(self, case):
+        mesh = generate(GeneratorSpec("paraboloid", (6, 5)))[0]
+        n = mesh.n_vertices
+        fixed = {"all-fixed": np.arange(n)[::-1],
+                 "one-free": np.delete(np.arange(n), 17),
+                 "unsorted": np.random.default_rng(3).permutation(n)[:9]}[case]
+        assert_graph_matches_reference(mesh, [fixed])
+
+    def test_built_in_order_with_no_sort(self, monkeypatch):
+        # the skeleton's COO lists lower partners before upper ones, and the
+        # Laplacian takes each degree between them: scipy then finds every
+        # row sorted and never sorts, and neither do the blocks
+        mesh = relabel(ball3(3), np.random.default_rng(2))
+        fixed_sets = [mesh.simplices[0], detect_boundary(mesh).boundary_vertices]
+
+        def no_sort(self):
+            raise AssertionError("a row was built out of order")
+
+        monkeypatch.setattr(sparse.csr_matrix, "sort_indices", no_sort)
+        g = build_weights(fresh_copy(mesh))
+        for matrix in [g.adjacency, g.laplacian] + [
+            block for fixed in fixed_sets
+            for block in vars(assemble_system(g, fixed)).values()
+            if sparse.issparse(block)
+        ]:
+            matrix.sum_duplicates()
+            assert matrix.has_canonical_format
+
+
 class TestGraphMemo:
     def test_same_mesh_and_gamma_share_one_graph(self):
         mesh = triangle_mesh()
@@ -335,6 +496,34 @@ class TestAssembleSystem:
         g = build_weights(triangle_mesh())
         with pytest.raises(ValueError, match="empty"):
             assemble_system(g, [])
+
+    @pytest.mark.parametrize("fixed", [[0.5, 3.7], np.array([0.0, 2.0]),
+                                       np.array([True, False, True])],
+                             ids=["fractional", "integral-floats", "bool-mask"])
+    def test_non_integer_fixed_rejected(self, fixed):
+        # a cast pinned vertices 0 and 3 for [0.5, 3.7], and read the mask
+        # as vertices 1, 0, 1 and reported duplicates
+        g = build_weights(path_graph())
+        dtype = np.asarray(fixed).dtype
+        with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
+            assemble_system(g, fixed)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint32])
+    def test_integer_fixed_of_any_width(self, dtype):
+        g = build_weights(path_graph())
+        got = assemble_system(g, np.array([3, 0], dtype=dtype))
+        want = assemble_system(g, [0, 3])
+        assert got.fixed_indices.dtype == np.int64
+        assert got.fixed_indices.tolist() == [0, 3]
+        assert_same_csr(got.lap_free, want.lap_free)
+        assert_same_csr(got.lap_free_fixed, want.lap_free_fixed)
+
+    def test_empty_fixed_of_any_dtype_rejected_as_empty(self):
+        g = build_weights(path_graph())
+        for fixed in ([], np.array([]), np.array([], dtype=bool)):
+            with pytest.raises(ValueError, match="^fixed vertex set is empty$"):
+                assemble_system(g, fixed)
 
     def test_out_of_range_rejected(self):
         g = build_weights(triangle_mesh())

@@ -195,6 +195,24 @@ class TestFixedPointSet:
                 kind="whatever",
             )
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.9, 2.2], np.array([0.0, 1.0, 2.0]),
+                                         np.array([True, True, False, True])],
+                             ids=["fractional", "integral-floats", "bool-mask"])
+    def test_non_integer_indices_rejected(self, indices):
+        # a cast would store [0, 1, 2] for the fractions, and read the mask
+        # as vertices 1, 1, 0, 1
+        dtype = np.asarray(indices).dtype
+        with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
+            FixedPointSet(indices=indices, targets=np.zeros((len(indices), 2)),
+                          kind="inner-boundary")
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint16, np.uint64])
+    def test_integer_indices_of_any_width(self, dtype):
+        fps = FixedPointSet(indices=np.array([4, 0, 7], dtype=dtype),
+                            targets=np.zeros((3, 2)), kind="inner-boundary")
+        assert fps.indices.dtype == np.int64
+        assert fps.indices.tolist() == [4, 0, 7]
+
 
 class TestMakeRegularPolygon:
     def test_square_targets_on_unit_circle(self):

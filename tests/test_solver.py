@@ -281,6 +281,23 @@ class TestSolveSpd:
         with pytest.raises(ValueError, match="square"):
             solve_spd(a, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["direct", "iterative", "auto"])
+    def test_non_finite_rhs_rejected_before_solving(self, monkeypatch, bad, method):
+        # it used to factor the matrix and then fail the residual gate with
+        # a NaN residual, as if the solver had missed its tolerance
+        def no_route(*args, **kwargs):
+            raise AssertionError("a route ran on a non-finite right-hand side")
+
+        monkeypatch.setattr(solver, "_solve_band", no_route)
+        monkeypatch.setattr(solver, "_solve_pcg", no_route)
+        sys = path_system()
+        rhs = np.ones((2, 2))
+        rhs[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^rhs entry \(1, 0\) is {bad}; the "
+                                             "right-hand side must be finite$"):
+            solve_spd(sys.lap_free, rhs, SolveConfig(method=method))
+
     def test_bit_exact_determinism(self):
         rng = np.random.default_rng(5)
         a = random_spd(rng, 50)
