@@ -2,13 +2,14 @@
 
 Exit codes are script-friendly: 0 success (or certified), 2 usage/input
 error, 3 validity violation, 4 solver failure. Commands raise ValueError
-for any bad input, and :func:`main` alone turns it, and a SolverError, into
-one ``error: ...`` line on stderr and its exit code. Every run with the same
-inputs and seed writes byte-identical outputs, apart from the stage
-timings; ``embed`` records the fully resolved configuration, timings, and
-output list in a manifest next to the embedding so a validation step can
-recover run context, and the JSON report of ``validate`` records its stage
-timings too.
+for any bad input, and :func:`main` alone turns it, a SolverError, and the
+MemoryError of an input too large for memory, into one ``error: ...`` line
+on stderr and its exit code. Every run with the same inputs and seed
+writes byte-identical outputs, apart from the stage timings; ``embed``
+records the fully resolved configuration, timings, and output list in a
+manifest next to the embedding so a validation step can recover run
+context, and the JSON report of ``validate`` records its stage timings
+too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .meshio import (
     write_embedding_csv,
     write_latent_csv,
 )
-from .simplicial import detect_boundary, mesh_edges
+from .simplicial import mesh_edges
 from .solver import SolveConfig, SolverError
 from .validity import audit, crossing_locations
 
@@ -114,9 +115,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = SolveConfig(
-        rel_tol=args.rel_tol, max_iter=args.max_iter, method=args.solver
-    )
+    config = SolveConfig(rel_tol=args.rel_tol, method=args.solver)
     t0 = time.perf_counter()
     mesh = _read("mesh", args.mesh)
     t_load = time.perf_counter()
@@ -139,7 +138,6 @@ def cmd_embed(args) -> int:
             "solver": {
                 "method": config.method,
                 "rel_tol": config.rel_tol,
-                "max_iter": config.max_iter,
             },
         },
         "versions": _versions(),
@@ -204,7 +202,7 @@ def cmd_validate(args) -> int:
         sibling = Path(str(args.embedding) + ".manifest.json")
         if sibling.exists():
             manifest_path = str(sibling)
-    seed_exclude = None
+    seed_simplex = None
     if manifest_path is not None:
         manifest = _read("manifest", manifest_path)
         if not isinstance(manifest, dict):
@@ -224,14 +222,9 @@ def cmd_validate(args) -> int:
                     f"integer in [0, {mesh.n_simplices}), got "
                     f"{json.dumps(seed_simplex)}"
                 )
-            closed = detect_boundary(mesh).boundary_vertices.size == 0
-            if closed:
-                # on a closed mesh the seed image covers everything else
-                # with opposite orientation; skip it in the histogram
-                seed_exclude = seed_simplex
 
     t_audit = time.perf_counter()
-    report = audit(mesh, coords, seed_exclude=seed_exclude)
+    report = audit(mesh, coords, seed_simplex=seed_simplex)
     timings_ms = {
         "load": round((t_load - t0) * 1000.0, 3),
         "read": round((t_read - t_load) * 1000.0, 3),
@@ -339,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-10,
         help="relative residual tolerance (default 1e-10)",
     )
-    e.add_argument(
-        "--max-iter", type=int, default=None, help="iteration cap (iterative)"
-    )
     e.add_argument("--out", required=True, help="embedding CSV output path")
     e.set_defaults(func=cmd_embed)
 
@@ -375,6 +365,9 @@ def main(argv=None) -> int:
         message, code = str(exc), EXIT_USAGE
     except SolverError as exc:
         message, code = f"solver failed: {exc}", EXIT_SOLVER
+    except MemoryError as exc:
+        # an input too large for memory is bad input too
+        message, code = f"out of memory: {exc}", EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     return code
 

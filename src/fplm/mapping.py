@@ -37,21 +37,18 @@ from .simplicial import (
 )
 from .solver import SolveConfig, solve_spd
 
-FIXED_POINT_KINDS = ("selected-simplex", "inner-boundary", "regular-polytope")
-
 
 @dataclass(frozen=True, eq=False)
 class FixedPointSet:
     """Constrained vertices and their target coordinates.
 
-    ``indices`` and ``targets`` are aligned row by row; ``kind`` records how
-    the set was constructed: a selected seed simplex, the boundary at its
-    round-1 image, or a regular polytope over the boundary cycle.
+    ``indices`` and ``targets`` are aligned row by row: a seed simplex at a
+    regular simplex (:func:`make_c1`), the boundary at its round-1 image,
+    or the boundary cycle at a regular polygon (:func:`make_regular_polygon`).
     """
 
     indices: np.ndarray
     targets: np.ndarray
-    kind: str
 
     def __post_init__(self):
         idx = vertex_ids(self.indices)
@@ -67,8 +64,6 @@ class FixedPointSet:
             )
         if len(set(idx.tolist())) != idx.shape[0]:
             raise ValueError("fixed vertex indices contain duplicates")
-        if self.kind not in FIXED_POINT_KINDS:
-            raise ValueError(f"unknown fixed point kind {self.kind!r}")
         idx.setflags(write=False)
         tgt.setflags(write=False)
         object.__setattr__(self, "indices", idx)
@@ -88,7 +83,8 @@ class Embedding:
     coords_round1 keeps the round-1 image (identical to coords for
     single-round runs; round 2 pins the boundary at its round-1 image, so
     both hold the same boundary bytes). seed_simplex is the simplex round 1
-    pinned, None on the polygon branch.
+    pinned, None on the polygon branch, the one branch with no seed; branch
+    is read from it and from rounds_run.
     residuals and routes are keyed by round ("round1", "round2"): the
     achieved relative residual, and the solver route record of that round
     (see :func:`fplm.solver.solve_spd`), e.g. {"route": "band",
@@ -110,7 +106,7 @@ class Embedding:
 
     @property
     def branch(self) -> str:
-        if self.fixed_round1.kind == "regular-polytope":
+        if self.seed_simplex is None:
             return "p-gon"
         return "two-round" if self.rounds_run == 2 else "one-round"
 
@@ -186,11 +182,7 @@ def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
             f"seed simplex {simplex_index} out of range [0, {mesh.n_simplices})"
         )
     idx = np.sort(mesh.simplices[simplex_index])
-    return FixedPointSet(
-        indices=idx,
-        targets=regular_simplex(mesh.intrinsic_dim),
-        kind="selected-simplex",
-    )
+    return FixedPointSet(indices=idx, targets=regular_simplex(mesh.intrinsic_dim))
 
 
 def make_regular_polygon(mesh: SimplicialMesh) -> FixedPointSet:
@@ -220,11 +212,7 @@ def make_regular_polygon(mesh: SimplicialMesh) -> FixedPointSet:
     p = len(cycle)
     angles = 2.0 * math.pi * np.arange(p) / p
     targets = np.column_stack([np.cos(angles), np.sin(angles)])
-    return FixedPointSet(
-        indices=np.asarray(cycle, dtype=np.int64),
-        targets=targets,
-        kind="regular-polytope",
-    )
+    return FixedPointSet(indices=np.asarray(cycle, dtype=np.int64), targets=targets)
 
 
 def _cycle_matches_orientation(mesh: SimplicialMesh, cycle: list[int]) -> bool:
@@ -311,9 +299,7 @@ def run_fplm(
     bverts = boundary.boundary_vertices  # ascending, as the seed's indices
     if (seed_ix is not None and bverts.size
             and not np.array_equal(bverts, fixed1.indices)):
-        fixed2 = FixedPointSet(
-            indices=bverts, targets=coords1[bverts], kind="inner-boundary"
-        )
+        fixed2 = FixedPointSet(indices=bverts, targets=coords1[bverts])
         coords, residuals["round2"], routes["round2"] = solve_fixed_point(
             graph, fixed2, config
         )

@@ -52,14 +52,14 @@ class SimplicialMesh:
     reports violations as data rather than raising. The topology and the
     validation result are computed on first use and cached, which the
     read-only mesh arrays keep valid; the cached arrays are read-only too.
-    :func:`mesh_edges`, :func:`detect_boundary`,
+    :func:`mesh_faces`, :func:`mesh_edges`, :func:`detect_boundary`,
     :func:`canonical_orientation` and :func:`validate_mesh` are the one
-    entry point of their results and read private caches. ``face_table``
-    stays public beside :func:`mesh_faces` for the face parities and side
-    order only it holds. ``_skeleton``, the symmetric 1-skeleton as one
-    CSR pattern of edge ids, is the one sparse structure the graph layer
-    reads: the seed search, and the adjacency and Laplacian of every
-    weighted graph over the mesh.
+    entry point of their results and read private caches; the face table
+    behind :func:`mesh_faces` is ``_face_table``, whose face parities and
+    side order only this module reads. ``_skeleton``, the symmetric
+    1-skeleton as one CSR pattern of edge ids, is the one sparse structure
+    the graph layer reads: the seed search, and the adjacency and Laplacian
+    of every weighted graph over the mesh.
     """
 
     vertices: np.ndarray
@@ -105,7 +105,7 @@ class SimplicialMesh:
         return self.vertices.shape[1]
 
     @cached_property
-    def face_table(self) -> FaceTable:
+    def _face_table(self) -> FaceTable:
         """The (d-1)-faces and their simplex incidence, see :class:`FaceTable`."""
         s = self.simplices
         d = self.intrinsic_dim
@@ -154,7 +154,7 @@ class SimplicialMesh:
         """The 1-skeleton edges returned by :func:`mesh_edges`."""
         if self.intrinsic_dim == 2:
             # the edges are the (d-1)-faces, in the same lexicographic order
-            return self.face_table.faces
+            return self._face_table.faces
         pairs = itertools.combinations(range(self.intrinsic_dim + 1), 2)
         i, j = np.array(list(pairs)).T
         a, b = self.simplices[:, i], self.simplices[:, j]
@@ -206,7 +206,7 @@ class SimplicialMesh:
     def _orientation(self) -> np.ndarray:
         """The signs returned by :func:`canonical_orientation`, read from
         :attr:`_cover_labels`, the one pass that validation reads too."""
-        table = self.face_table
+        table = self._face_table
         over = np.flatnonzero(table.counts > 2)
         if over.size:
             face = tuple(table.faces[over[0]].tolist())
@@ -245,7 +245,7 @@ class SimplicialMesh:
         or 0- (:func:`_unreached`). When 0+ and 0- differ, the constraints
         agree and the label of m+ gives the sign of simplex m.
         """
-        table = self.face_table
+        table = self._face_table
         width = self.intrinsic_dim + 1
         partner = _side_partners(table, _index_type(2 * table.order.size))
         return _frozen(_component_labels(_cover_slots(table, partner, width)))
@@ -345,7 +345,7 @@ def mesh_faces(mesh: SimplicialMesh):
     counts : (K,) int array
         Number of simplices containing each face.
     """
-    table = mesh.face_table
+    table = mesh._face_table
     return table.faces, table.counts
 
 
@@ -477,7 +477,7 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
     :attr:`SimplicialMesh._cover_labels`, which the orientation signs
     come from too.
     """
-    table = mesh.face_table
+    table = mesh._face_table
     s = mesh.simplices
     m_total, width = s.shape
     d = width - 1

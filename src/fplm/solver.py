@@ -55,19 +55,17 @@ class SolverError(RuntimeError):
 class SolveConfig:
     """Solver controls.
 
-    rel_tol bounds ||L_y Y - B||_F <= rel_tol * ||B||_F. max_iter of None
-    means 10 * n_free. method is one of direct, iterative, auto.
+    rel_tol bounds ||L_y Y - B||_F <= rel_tol * ||B||_F. method is one of
+    direct, iterative, auto. PCG stops after scipy's own cap of 10 * n_free
+    iterations per column.
     """
 
     rel_tol: float = 1e-10
-    max_iter: int | None = None
     method: str = "auto"
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.method not in _METHODS:
             raise ValueError(
                 f"method must be one of {_METHODS}, got {self.method!r}"
@@ -191,9 +189,9 @@ def _solve_pcg(a, b, config):
 
     scipy's ``cg`` loop has a fixed operation order, hence is
     bit-reproducible for fixed inputs on one platform and one BLAS thread
-    count; its ``maxiter=None`` is 10 * n, as here. Returns the solution and
-    the route record of :func:`solve_spd`, which holds the largest
-    iteration count over the columns.
+    count; it stops after its default cap of 10 * n iterations. Returns the
+    solution and the route record of :func:`solve_spd`, which holds the
+    largest iteration count over the columns.
     """
     n = a.shape[0]
     diag = a.diagonal()
@@ -218,8 +216,7 @@ def _solve_pcg(a, b, config):
         # a breakdown (p'Ap = 0 on a singular matrix) leaves NaN for the gate
         with np.errstate(all="ignore"):
             x, _ = cg(a, np.ldexp(b[:, col], k), rtol=config.rel_tol, atol=0.0,
-                      maxiter=config.max_iter, M=jacobi,
-                      callback=lambda _: next(steps))
+                      M=jacobi, callback=lambda _: next(steps))
         y[:, col] = np.ldexp(x, -k)
         iterations = max(iterations, next(steps))
     return y, {"route": "pcg", "iterations": iterations}

@@ -12,26 +12,25 @@ J. Imaging Sci. 2014). Take a connected, orientable triangle mesh whose
 audited triangles all map with one nonzero orientation sign, and whose
 audited triangles are bounded by one loop that maps to a simple closed
 polygon. Then the map is injective, so no two edges cross. Each hypothesis
-has its check: :func:`canonical_orientation` establishes face-connectivity,
-orientability and at most two triangles per edge (it raises otherwise);
-the boundary walk rejects a boundary vertex with more than two boundary
-edges; and :func:`orientation_histogram` gives the signs, with no
-near-zero image allowed. The loop is the single boundary cycle of an open
-mesh audited whole, or the edges of the excluded seed triangle of a closed
-mesh. With no such loop (several boundary loops, or an open mesh with an
-excluded triangle), a one-signed drawing is injective when its whole
-1-skeleton is drawn as a plane graph. Both cases ask one question, whether
-the tested edges are drawn as a plane graph, and :func:`_meetings` answers
-it exactly for both; a triangle loop takes one exact orientation instead
-(:func:`_loop_is_simple`). So a one-signed drawing costs a test of its B
-loop edges, or one sweep of its E edges when it has no loop. The full
-:func:`count_crossings` runs only for the report of a drawing that is not
-certified this way, so violated reports keep their crossing pairs; a loop
-that is not simple and a touch with no crossing (a T-junction, or two
-vertices drawn at one point) each add their own reason. A drawing whose
-near-zero triangles have exact signs that agree with all the others meets
-the theorem too: it has no crossings, yet stays violated for its near-zero
-images.
+has its check: :func:`canonical_orientation` establishes
+face-connectivity, orientability and at most two triangles per edge (it
+raises otherwise); the boundary walk rejects a boundary vertex with more
+than two boundary edges; and :func:`orientation_histogram` gives the
+signs, with no near-zero image allowed. The loop is the single boundary
+cycle of an open mesh, or the edges of the excluded seed triangle of a
+closed mesh. With no such loop (several boundary loops), a one-signed
+drawing is injective when its whole 1-skeleton is drawn as a plane graph.
+Both cases ask one question, whether the tested edges are drawn as a plane
+graph, and :func:`_meetings` answers it exactly for both; a triangle loop
+takes one exact orientation instead (:func:`_loop_is_simple`). So a
+one-signed drawing costs a test of its B loop edges, or one sweep of its E
+edges when it has no loop. The full :func:`count_crossings` runs only for
+the report of a drawing that is not certified this way, so violated
+reports keep their crossing pairs; a loop that is not simple and a touch
+with no crossing (a T-junction, or two vertices drawn at one point) each
+add their own reason. A drawing whose near-zero triangles have exact signs
+that agree with all the others meets the theorem too: it has no crossings,
+yet stays violated for its near-zero images.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -665,7 +664,7 @@ def audit(
     embedding,
     *,
     graph: WeightedGraph | None = None,
-    seed_exclude: int | None = None,
+    seed_simplex: int | None = None,
 ) -> ValidityReport:
     """Run every applicable check and render the verdict.
 
@@ -674,12 +673,13 @@ def audit(
     or a bare (N, d) coordinate array, e.g. a third-party embedding read
     from CSV, in which case only the geometric checks run.
 
-    On a closed mesh embedded through a selected seed simplex, the seed's
-    image necessarily covers the rest of the drawing with opposite
-    orientation (it plays the role of the removed outer face), so it is
-    excluded from the histogram; ``seed_exclude`` forces the same exclusion
-    for bare coordinate input and must index a simplex. Non-finite
-    coordinates and an out-of-range ``seed_exclude`` raise ``ValueError``.
+    The seed simplex is ``seed_simplex`` when given, else the one an
+    :class:`Embedding` records. On a closed mesh the seed's image covers the
+    rest of the drawing with opposite orientation (it plays the role of the
+    removed outer face), so the seed is excluded from the histogram and its
+    edges are the loop the certificate tests. On an open mesh the seed is
+    audited like every other simplex. Non-finite coordinates and a seed
+    that is not a simplex index raise ``ValueError``.
 
     For d = 2 the orientation histogram runs first. A drawing bounded by one
     loop whose exact signs all agree, near-zero images included, is then
@@ -700,6 +700,8 @@ def audit(
     if isinstance(embedding, Embedding):
         coords = embedding.coords
         emb = embedding
+        if seed_simplex is None:
+            seed_simplex = emb.seed_simplex
     else:
         coords = np.asarray(embedding, dtype=float)
         emb = None
@@ -710,19 +712,14 @@ def audit(
     if not np.isfinite(coords).all():
         raise ValueError("embedding coordinates must be finite (found NaN or inf)")
 
+    if seed_simplex is not None and not 0 <= seed_simplex < mesh.n_simplices:
+        raise ValueError(
+            f"seed_simplex {seed_simplex} is not a simplex index in "
+            f"[0, {mesh.n_simplices})"
+        )
     boundary = detect_boundary(mesh)
     closed = boundary.boundary_vertices.size == 0
-
-    exclude = []
-    if seed_exclude is not None:
-        if not 0 <= seed_exclude < mesh.n_simplices:
-            raise ValueError(
-                f"seed_exclude {seed_exclude} is not a simplex index in "
-                f"[0, {mesh.n_simplices})"
-            )
-        exclude = [int(seed_exclude)]
-    elif emb is not None and closed and emb.seed_simplex is not None:
-        exclude = [emb.seed_simplex]
+    exclude = [int(seed_simplex)] if closed and seed_simplex is not None else []
 
     counts = orientation_histogram(mesh, coords, exclude=exclude)
     pos, neg, zero = counts
@@ -732,7 +729,7 @@ def audit(
     simple = True
     touches = 0
     if d == 2:
-        loop = _certifying_loop(mesh, boundary, closed, exclude)
+        loop = _certifying_loop(mesh, boundary, exclude)
         # near-zero images still meet the degree theorem when their exact
         # signs agree with the rest; the verdict stays violated below
         tested = loop is not None and (one_sign or (
@@ -856,18 +853,14 @@ def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:
     return zero == 0 and (pos > 0) != (neg > 0)
 
 
-def _certifying_loop(mesh: SimplicialMesh, boundary, closed, exclude):
+def _certifying_loop(mesh: SimplicialMesh, boundary, exclude):
     """The one loop that bounds the audited triangles, or None.
 
-    An open mesh audited whole is bounded by its boundary cycle when it has
-    exactly one. A closed mesh with one excluded seed triangle is bounded by
-    that triangle's edges. Any other case (several loops, an open mesh with
-    an excluded triangle, a closed mesh with none) has no single loop.
+    An open mesh is bounded by its boundary cycle when it has exactly one.
+    A closed mesh is bounded by the edges of its excluded seed triangle,
+    and has no loop when no seed is excluded.
     """
-    if not closed:
-        if not exclude and len(boundary.boundary_cycles) == 1:
-            return boundary.boundary_cycles[0]
-        return None
-    if len(exclude) == 1:
+    if exclude:
         return mesh.simplices[exclude[0]]
-    return None
+    cycles = boundary.boundary_cycles
+    return cycles[0] if len(cycles) == 1 else None

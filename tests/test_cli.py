@@ -112,7 +112,7 @@ class TestEmbed:
         assert manifest["command"] == "embed"
         assert manifest["config"]["gamma"] == 0.1
         assert manifest["config"]["seed_simplex"] is None
-        assert manifest["config"]["solver"]["method"] == "auto"
+        assert manifest["config"]["solver"] == {"method": "auto", "rel_tol": 1e-10}
         assert manifest["result"]["branch"] == "two-round"
         assert manifest["result"]["n_vertices"] == 25
         assert manifest["result"]["intrinsic_dim"] == 2
@@ -142,6 +142,19 @@ class TestEmbed:
         manifest["result"]["seed_simplex"] = 0
         path.write_text(json.dumps(manifest))
         assert main(["validate", "--mesh", str(mesh), "--embedding", str(emb)]) == 3
+
+    def test_open_mesh_seed_is_audited(self, tmp_path):
+        # an open mesh keeps its seed in the audit: the manifest's seed 7
+        # changes nothing, and all 98 triangles of paraboloid 8x8 are counted
+        mesh, emb, rc = run_pipeline(
+            tmp_path, kind="paraboloid", resolution="8x8", extra_embed=("--seed-simplex", "7")
+        )
+        assert rc == 0
+        report = tmp_path / "report.txt"
+        argv = ["validate", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(report)]
+        assert main(argv) == 0
+        counts = json.loads((tmp_path / "report.txt.json").read_text())["orientation_counts"]
+        assert sum(counts.values()) == 98 and counts["near_zero"] == 0
 
     @pytest.mark.parametrize("seed", ["320", "-1"])
     def test_out_of_range_seed_simplex_returns_2(self, tmp_path, capsys, seed):
@@ -191,8 +204,8 @@ class TestEmbed:
                 str(tmp_path / "e.csv"),
                 "--solver",
                 "iterative",
-                "--max-iter",
-                "1",
+                "--rel-tol",
+                "1e-300",
             ]
         )
         assert rc == 4
@@ -687,6 +700,16 @@ class TestInputErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "to the power d = 3 is not a finite double" in err
+
+    def test_input_too_large_for_memory_is_an_input_error(self, tmp_path, capsys):
+        # ball3 300000 asks numpy for 576 PiB at once, past even a 57-bit
+        # address space, so the allocation fails before any memory is taken
+        out = tmp_path / "huge.json"
+        argv = ["generate", "--kind", "ball3", "--resolution", "300000", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestParser:

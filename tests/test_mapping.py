@@ -163,7 +163,6 @@ class TestFixedPointSet:
         fps = make_c1(mesh, 0)
         assert fps.indices.tolist() == [0, 1, 2]
         np.testing.assert_array_equal(fps.targets, regular_simplex(2))
-        assert fps.kind == "selected-simplex"
 
     def test_make_c1_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -174,25 +173,16 @@ class TestFixedPointSet:
             FixedPointSet(
                 indices=np.array([0, 1]),
                 targets=np.zeros((3, 2)),
-                kind="selected-simplex",
             )
         with pytest.raises(ValueError, match="duplicate"):
             FixedPointSet(
                 indices=np.array([0, 1, 1]),
                 targets=np.zeros((3, 2)),
-                kind="selected-simplex",
             )
         with pytest.raises(ValueError, match="at least"):
             FixedPointSet(
                 indices=np.array([0, 1]),
                 targets=np.zeros((2, 2)),
-                kind="inner-boundary",
-            )
-        with pytest.raises(ValueError, match="kind"):
-            FixedPointSet(
-                indices=np.array([0, 1, 2]),
-                targets=np.zeros((3, 2)),
-                kind="whatever",
             )
 
     @pytest.mark.parametrize("indices", [[0.5, 1.9, 2.2], np.array([0.0, 1.0, 2.0]),
@@ -203,13 +193,12 @@ class TestFixedPointSet:
         # as vertices 1, 1, 0, 1
         dtype = np.asarray(indices).dtype
         with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
-            FixedPointSet(indices=indices, targets=np.zeros((len(indices), 2)),
-                          kind="inner-boundary")
+            FixedPointSet(indices=indices, targets=np.zeros((len(indices), 2)))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint16, np.uint64])
     def test_integer_indices_of_any_width(self, dtype):
         fps = FixedPointSet(indices=np.array([4, 0, 7], dtype=dtype),
-                            targets=np.zeros((3, 2)), kind="inner-boundary")
+                            targets=np.zeros((3, 2)))
         assert fps.indices.dtype == np.int64
         assert fps.indices.tolist() == [4, 0, 7]
 
@@ -219,7 +208,6 @@ class TestMakeRegularPolygon:
         mesh = two_triangles()
         fps = make_regular_polygon(mesh)
         assert fps.indices.shape == (4,)
-        assert fps.kind == "regular-polytope"
         np.testing.assert_allclose(
             np.linalg.norm(fps.targets, axis=1), 1.0, rtol=1e-15
         )
@@ -253,9 +241,7 @@ class TestSolveFixedPoint:
         graph = build_weights(mesh)
         ang = np.arange(p) * 2 * np.pi / p
         targets = np.column_stack([np.cos(ang), np.sin(ang)])
-        fps = FixedPointSet(
-            indices=np.arange(p), targets=targets, kind="inner-boundary"
-        )
+        fps = FixedPointSet(indices=np.arange(p), targets=targets)
         coords, residual, _ = solve_fixed_point(graph, fps)
         np.testing.assert_allclose(coords[p], 0.0, atol=1e-14)
         assert residual <= 1e-10
@@ -267,10 +253,7 @@ class TestSolveFixedPoint:
         graph = build_weights(mesh)
         bverts = detect_boundary(mesh).boundary_vertices
         rng = np.random.default_rng(4)
-        fps = FixedPointSet(
-            indices=bverts, targets=rng.normal(size=(len(bverts), 2)),
-            kind="inner-boundary",
-        )
+        fps = FixedPointSet(indices=bverts, targets=rng.normal(size=(len(bverts), 2)))
         coords, residual, _ = solve_fixed_point(graph, fps, SolveConfig(method=method))
         system = assemble_system(graph, bverts)
         rhs = -system.lap_free_fixed @ coords[system.fixed_indices]
@@ -281,9 +264,7 @@ class TestSolveFixedPoint:
 
     def test_no_free_vertex_has_zero_residual(self):
         mesh = grid_mesh(2, 2)
-        fps = FixedPointSet(
-            indices=np.arange(4), targets=mesh.vertices, kind="inner-boundary"
-        )
+        fps = FixedPointSet(indices=np.arange(4), targets=mesh.vertices)
         coords, residual, _ = solve_fixed_point(build_weights(mesh), fps)
         assert coords.tobytes() == mesh.vertices.tobytes()
         assert residual == 0.0
@@ -294,7 +275,7 @@ class TestSolveFixedPoint:
         rng = np.random.default_rng(2)
         idx = np.array([0, 4, 8])
         targets = rng.normal(size=(3, 2))
-        fps = FixedPointSet(indices=idx, targets=targets, kind="inner-boundary")
+        fps = FixedPointSet(indices=idx, targets=targets)
         coords, _, _ = solve_fixed_point(graph, fps)
         assert coords[idx].tobytes() == targets.tobytes()
 
@@ -303,7 +284,7 @@ class TestSolveFixedPoint:
         graph = build_weights(mesh)
         idx = np.array([8, 0, 4])
         targets = np.array([[5.0, 5.0], [-5.0, -5.0], [0.0, 3.0]])
-        fps = FixedPointSet(indices=idx, targets=targets, kind="inner-boundary")
+        fps = FixedPointSet(indices=idx, targets=targets)
         coords, _, _ = solve_fixed_point(graph, fps)
         np.testing.assert_array_equal(coords[8], [5.0, 5.0])
         np.testing.assert_array_equal(coords[0], [-5.0, -5.0])
@@ -319,7 +300,6 @@ class TestSolveFixedPoint:
         fps = FixedPointSet(
             indices=bverts,
             targets=np.column_stack([np.cos(ang), np.sin(ang)]),
-            kind="inner-boundary",
         )
         coords, _, _ = solve_fixed_point(graph, fps)
         adj = graph.adjacency
@@ -355,8 +335,9 @@ class TestRunFplm:
         assert emb.rounds_run == 2
         assert emb.branch == "two-round"
         assert set(emb.residuals) == {"round1", "round2"}
-        assert emb.fixed_round2 is not None
-        assert emb.fixed_round2.kind == "inner-boundary"
+        np.testing.assert_array_equal(
+            emb.fixed_round2.indices, detect_boundary(mesh).boundary_vertices
+        )
 
     def test_routes_recorded_per_round(self):
         mesh = grid_mesh(5, 5)
@@ -389,7 +370,7 @@ class TestRunFplm:
         assert emb.branch == "p-gon"
         assert emb.rounds_run == 1
         assert emb.seed_simplex is None
-        assert emb.fixed_round1.kind == "regular-polytope"
+        assert sorted(emb.fixed_round1.indices.tolist()) == [0, 1, 2, 3]
         assert emb.routes == {"round1": {"route": "none"}}  # all 4 pinned
         np.testing.assert_allclose(
             np.linalg.norm(emb.coords, axis=1), 1.0, rtol=1e-15

@@ -715,7 +715,7 @@ class TestVectorisedTopology:
         # argsort of each side's face id, the grouping the table's sort
         # order replaces
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(seed))
-        table = mesh.face_table
+        table = mesh._face_table
         regrouped = np.argsort(unique_rows_face_table(mesh)[2].ravel(), kind="stable")
         assert np.array_equal(table.order, regrouped)
         width = mesh.intrinsic_dim + 1
@@ -757,7 +757,7 @@ class TestVectorisedTopology:
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(1))
         faces, counts = mesh_faces(mesh)
         boundary = detect_boundary(mesh)
-        table = mesh.face_table
+        table = mesh._face_table
         cached = [
             faces,
             counts,
@@ -780,7 +780,7 @@ class TestVectorisedTopology:
     @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
-        table = mesh.face_table
+        table = mesh._face_table
         face_of = table_face_of(table)
         d = mesh.intrinsic_dim
         incidence = {}
@@ -846,7 +846,7 @@ class TestSortedFaceTable:
     def test_matches_unique_rows_reference(self, case):
         d, simplices = case
         mesh = SimplicialMesh(np.zeros((1000, d)), np.array(simplices), d)
-        table = mesh.face_table
+        table = mesh._face_table
         faces, counts, face_of = unique_rows_face_table(mesh)
         for got, want in ((table.faces, faces), (table.counts, counts),
                           (table_face_of(table), face_of)):
@@ -864,7 +864,7 @@ class TestSortedFaceTable:
         pool = np.concatenate([np.arange(6), n - 1 - np.arange(6)])
         simplices = np.array([rng.choice(pool, 5, replace=False) for _ in range(300)])
         mesh = SimplicialMesh(np.zeros((n, 4)), simplices, 4)
-        table = mesh.face_table
+        table = mesh._face_table
         faces, counts, face_of = unique_rows_face_table(mesh)
         assert (faces.max(axis=0) >= n - 6).all()
         assert np.array_equal(table.faces, faces)
@@ -890,8 +890,8 @@ class TestSortedFaceTable:
         assert [v.rule for v in validate_mesh(mesh)] == ["empty"]
         faces, counts = mesh_faces(mesh)
         assert faces.shape == (0, 2) and counts.shape == (0,)
-        assert mesh.face_table.parity.shape == (0, 3)
-        assert mesh.face_table.order.shape == (0,)
+        assert mesh._face_table.parity.shape == (0, 3)
+        assert mesh._face_table.order.shape == (0,)
 
 
 class TestEulerFormula:

@@ -47,7 +47,6 @@ class TestSolveConfig:
     def test_defaults(self):
         c = SolveConfig()
         assert c.rel_tol == 1e-10
-        assert c.max_iter is None
         assert c.method == "auto"
 
     def test_rejects_bad_rel_tol(self):
@@ -57,10 +56,6 @@ class TestSolveConfig:
             SolveConfig(rel_tol=1.0)
         with pytest.raises(ValueError):
             SolveConfig(rel_tol=-1e-3)
-
-    def test_rejects_bad_max_iter(self):
-        with pytest.raises(ValueError):
-            SolveConfig(max_iter=0)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -375,10 +370,11 @@ class TestSolverFailures:
         rng = np.random.default_rng(17)
         a = random_spd(rng, 60)
         b = rng.normal(size=(60, 1))
+        # no route meets a tolerance of 1e-300 in double precision: the band
+        # solves to rounding, and the gate reports the residual it measured
         with pytest.raises(SolverError) as exc_info:
-            solve_spd(a, b, SolveConfig(method="iterative", max_iter=1))
-        assert exc_info.value.achieved is not None
-        assert exc_info.value.achieved > 1e-10
+            solve_spd(a, b, SolveConfig(method="direct", rel_tol=1e-300))
+        assert 1e-300 < exc_info.value.achieved < 1e-10
 
     def test_auto_picks_direct_for_small(self):
         # indirect check: an indefinite matrix fails through the direct

@@ -558,7 +558,6 @@ class TestHullContainment:
         return FixedPointSet(
             indices=np.array([0, 1, 2, 3]),
             targets=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-            kind="inner-boundary",
         )
 
     def test_inside_is_negative(self):
@@ -581,7 +580,6 @@ class TestHullContainment:
         fps = FixedPointSet(
             indices=np.array([0, 1, 2]),
             targets=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
-            kind="inner-boundary",
         )
         with pytest.raises(ValueError, match="degenerate"):
             check_hull_containment(fps, np.zeros((4, 2)), [3])
@@ -592,7 +590,6 @@ class TestHullContainment:
             targets=np.array(
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float
             ),
-            kind="selected-simplex",
         )
         coords = np.zeros((5, 3))
         coords[4] = [0.1, 0.1, 0.1]
@@ -608,7 +605,6 @@ class TestHullContainment:
         fps = FixedPointSet(
             indices=np.arange(n_fixed),
             targets=rng.normal(size=(n_fixed, d)),
-            kind="inner-boundary",
         )
         equations = ConvexHull(fps.targets).equations
         # more than five blocks of the entry budget's rows per block
@@ -644,7 +640,6 @@ class TestHullContainment:
         fps = FixedPointSet(
             indices=np.arange(4),
             targets=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float),
-            kind="selected-simplex",
         )
         with pytest.raises(ValueError, match="degenerate"):
             check_hull_containment(fps, np.zeros((5, 3)), [4])
@@ -683,6 +678,11 @@ class TestHullContainment:
             )
 
 
+def small_resolution(kind):
+    """A resolution of generator ``kind`` that embeds in milliseconds."""
+    return {"sphere": (2,), "ball3": (4,)}.get(kind, (7, 6))
+
+
 def final_free(mesh, embedding):
     """The final fixed set of ``embedding`` and every free vertex."""
     fixed = embedding.fixed_round2 or embedding.fixed_round1
@@ -707,7 +707,7 @@ def pinned_as_drawn(mesh, coords, pinned):
     """An embedding of ``coords`` with the vertices ``pinned`` fixed where
     they are drawn, in one round."""
     pinned = np.asarray(pinned)
-    fixed = FixedPointSet(pinned, coords[pinned], "inner-boundary")
+    fixed = FixedPointSet(pinned, coords[pinned])
     return Embedding(coords, fixed, None, coords, None)
 
 
@@ -718,8 +718,7 @@ class TestHullCandidates:
     @pytest.mark.parametrize("seed", [None, 0, 1])
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_equals_every_free_vertex(self, kind, seed, monkeypatch):
-        resolution = {"sphere": (2,), "ball3": (4,)}.get(kind, (7, 6))
-        mesh, _ = generate(GeneratorSpec(kind, resolution))
+        mesh, _ = generate(GeneratorSpec(kind, small_resolution(kind)))
         if seed is not None:
             mesh = relabel(mesh, np.random.default_rng(seed))
         embedding = run_fplm(mesh)
@@ -764,22 +763,23 @@ class TestHullCandidates:
         assert report.hull_violation == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_vertex_of_an_excluded_simplex_is_a_candidate(self, monkeypatch):
-        # the grid drawn as itself with its boundary pinned, and vertex 12
-        # pushed above the row of its neighbours 17 and 18: only the
-        # excluded triangle (12, 18, 17) turns over, and 12 is the closest
-        # to the pinned square's edge
-        mesh = grid_mesh(5, 5)
-        coords = mesh.vertices.copy()
-        coords[12] = [0.6, 0.8]
-        embedding = pinned_as_drawn(mesh, coords, detect_boundary(mesh).boundary_vertices)
-        flipped = int(np.flatnonzero((np.sort(mesh.simplices, axis=1) == [12, 17, 18]).all(axis=1))[0])
+        # icosphere 1 drawn by fplm through seed 0, re-pinned by hand at the
+        # triangle drawn nearest the centre, with the seed given to the
+        # audit: the seed's free corners are the outermost vertices and
+        # neighbour no pinned one, so only the exclusion makes them candidates
+        mesh = icosphere(1)
+        coords = run_fplm(mesh).coords
+        central = np.argmin(np.abs(coords[mesh.simplices]).max(axis=(1, 2)))
+        embedding = pinned_as_drawn(mesh, coords, mesh.simplices[central])
+        seed = mesh.simplices[0]
         seen = hull_arguments(monkeypatch)
-        report = audit(mesh, embedding, seed_exclude=flipped)
+        report = audit(mesh, embedding, seed_simplex=0)
         fixed, free = final_free(mesh, embedding)
-        assert report.orientation_counts[1:] == (0, 0)
-        assert 12 in seen[0]
+        assert report.verdict == "injective-certified"
+        assert np.isin(seed, seen[0]).all() and seen[0].size < free.size
         assert report.hull_violation == check_hull_containment(fixed, coords, free)
-        assert report.hull_violation == pytest.approx(-0.2, abs=1e-12)
+        others = np.setdiff1d(free, seed)
+        assert report.hull_violation > 1 > check_hull_containment(fixed, coords, others)
 
 
 class TestBoundaryConvexity:
@@ -913,16 +913,32 @@ class TestAudit:
         assert (report.verdict, report.orientation_counts) == (
             "injective-certified", (0, 319, 0)
         )
-        wrong = audit(mesh, emb.coords, seed_exclude=0)
+        wrong = audit(mesh, emb.coords, seed_simplex=0)
         assert (wrong.verdict, wrong.orientation_counts) == ("violated", (1, 318, 0))
 
-    def test_bare_coords_seed_exclude_matches(self):
-        mesh = icosphere(1)
-        emb = run_fplm(mesh)
-        auto = audit(mesh, emb)
-        manual = audit(mesh, emb.coords, seed_exclude=emb.seed_simplex)
-        assert manual.orientation_counts == auto.orientation_counts
-        assert manual.verdict == auto.verdict
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_bare_seed_simplex_equals_embedding_call(self, kind, full_counts):
+        # given the seed, the bare coordinates decide as the Embedding does,
+        # and a certified drawing skips the full crossing count either way
+        mesh, emb = embedded(kind, small_resolution(kind))
+        via_embedding = audit(mesh, emb)
+        bare = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        for key in ("crossing_count", "crossing_pairs", "orientation_counts",
+                    "boundary_convexity", "verdict", "reasons"):
+            assert getattr(bare, key) == getattr(via_embedding, key)
+        assert bare.verdict == "injective-certified"
+        assert full_counts == []
+
+    @pytest.mark.parametrize("kind", [k for k in GENERATOR_KINDS if k != "sphere"])
+    def test_open_mesh_seed_changes_nothing(self, kind):
+        # only a closed mesh's seed covers the rest of its drawing; an open
+        # mesh's seed is audited like every other simplex
+        mesh, emb = embedded(kind, small_resolution(kind))
+        assert detect_boundary(mesh).boundary_vertices.size
+        for drawing in (emb, emb.coords):
+            want = audit(mesh, drawing).to_dict()
+            for k in (0, mesh.n_simplices // 2, mesh.n_simplices - 1):
+                assert audit(mesh, drawing, seed_simplex=k).to_dict() == want
 
     def test_three_dimensional_no_crossing_check(self):
         verts = np.array(
@@ -1180,15 +1196,30 @@ RING = [(1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1), (0, 0)]
 HORSESHOE = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)]
 HORSESHOE_T = cell_strip(HORSESHOE, moved=[((0, 2), (0.5, 1.0))])
 COINCIDENT = cell_strip(RING[:-1], split=[((0, 1), (1, 1))])
+# 4 x 4 cells around a 2 x 2 hole, with two boundary loops; its inner corner
+# (1, 1) drawn across the hole, on the edge from (2, 3) to (3, 3) or at the
+# vertex (3, 3), keeps one sign and crosses no edge
+ANNULUS = [(x, y) for x in range(4) for y in range(4) if not (0 < x < 3 and 0 < y < 3)]
+ANNULUS_T = cell_strip(ANNULUS, moved=[((1, 1), (2.5, 3.0))])
+ANNULUS_COINCIDENT = cell_strip(ANNULUS, moved=[((1, 1), (3.0, 3.0))])
+# a closed mesh drawn in the plane: the octahedron's outer triangle, simplex
+# 0, covers its inner triangle and the six triangles between the two
+OCTAHEDRON = SimplicialMesh(
+    np.array([[0, 0], [4, 0], [0, 4], [1, 1], [2, 1], [1, 2]], dtype=float),
+    np.array([[0, 1, 2], [3, 4, 5], [0, 1, 3], [1, 4, 3],
+              [1, 2, 4], [2, 5, 4], [2, 0, 5], [0, 3, 5]]),
+    2,
+)
 
 
 def fallback_fixtures():
-    """Drawings whose audit must run the full count, with the reports it
-    gives them. The horseshoe and the coincident vertices cross no pair
-    properly, but their boundary loop images are not simple, so neither map
-    is injective: both are violated for that reason alone. With a triangle
-    excluded they have no loop to test, and the edges that touch make them
-    violated instead."""
+    """Drawings whose audit must run the full count, with the seed the audit
+    is given and the report it gives them. The horseshoe and the coincident
+    vertices cross no pair properly, but their boundary loop images are not
+    simple, so neither map is injective: both are violated for that reason
+    alone. The annulus has no loop to test, and the same two touches, a
+    T-junction and two vertices drawn at one point, make it violated for the
+    edges that touch instead."""
     certified = {
         "crossing_count": 0,
         "crossing_pairs": [],
@@ -1214,12 +1245,6 @@ def fallback_fixtures():
             {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 9}},
         ),
-        "horseshoe-seed-exclude": (
-            HORSESHOE_T,
-            0,
-            {**certified, **touching(3), "orientation_counts": counts(13),
-             "boundary_convexity": {**reflex, "reflex_vertex": 9}},
-        ),
         # the two arms meet at (1, 1) through two distinct vertices
         "coincident-vertices": (
             COINCIDENT,
@@ -1227,11 +1252,19 @@ def fallback_fixtures():
             {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 10}},
         ),
-        "coincident-vertices-seed-exclude": (
-            COINCIDENT,
-            0,
-            {**certified, **touching(4), "orientation_counts": counts(13),
-             "boundary_convexity": {**reflex, "reflex_vertex": 10}},
+        # the moved vertex's 5 edges each touch the edge it lies on
+        "annulus-t-junction": (
+            ANNULUS_T,
+            None,
+            {**certified, **touching(5), "orientation_counts": counts(24),
+             "boundary_convexity": None},
+        ),
+        # the 5 edges of each of the two vertices at (3, 3) touch in pairs
+        "annulus-coincident-vertices": (
+            ANNULUS_COINCIDENT,
+            None,
+            {**certified, **touching(25), "orientation_counts": counts(24),
+             "boundary_convexity": None},
         ),
         # a fan around vertex 0 whose last boundary edge folds back onto its first
         "collinear-adjacent": (
@@ -1252,10 +1285,11 @@ def fallback_fixtures():
             None,
             {**certified, "orientation_counts": counts(16), "boundary_convexity": None},
         ),
-        "open-mesh-seed-exclude": (
+        # an open mesh audits its seed like every other triangle
+        "open-mesh-seed": (
             grid_mesh(4, 4),
             0,
-            {**certified, "orientation_counts": counts(17),
+            {**certified, "orientation_counts": counts(18),
              "boundary_convexity": {"convex": True, "worst": 0.0, "reflex_vertex": None}},
         ),
     }
@@ -1288,26 +1322,28 @@ def plane_tests(monkeypatch):
     return calls
 
 
-def certifying_loop(mesh, seed_exclude):
+def certifying_loop(mesh, seed):
     """The one loop bounding the audited triangles: an open mesh's single
-    boundary cycle, or a closed mesh's excluded seed triangle; else None."""
+    boundary cycle, or a closed mesh's seed triangle; else None."""
     cycles = detect_boundary(mesh).boundary_cycles
     if not cycles:
-        return None if seed_exclude is None else mesh.simplices[seed_exclude].tolist()
-    return cycles[0] if seed_exclude is None and len(cycles) == 1 else None
+        return None if seed is None else mesh.simplices[seed].tolist()
+    return cycles[0] if len(cycles) == 1 else None
 
 
-def assert_matches_full_count(report, mesh, coords, seed_exclude=None):
+def assert_matches_full_count(report, mesh, coords, seed=None):
     """The report's crossings and verdict are those of the full count plus
     the orientation gate, and a certifying loop whose image is not simple
-    makes it violated: an injective map keeps that loop simple. A one-signed
+    makes it violated: an injective map keeps that loop simple. The seed is
+    left out of the orientation gate on a closed mesh only. A one-signed
     drawing with no loop to test and no crossing is violated when two edges
     with no common vertex touch."""
     full = count_crossings(mesh_edges(mesh), coords)
-    exclude = () if seed_exclude is None else (seed_exclude,)
+    closed = not detect_boundary(mesh).boundary_cycles
+    exclude = (seed,) if closed and seed is not None else ()
     pos, neg, zero = orientation_histogram(mesh, coords, exclude=exclude)
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
-    loop = certifying_loop(mesh, seed_exclude)
+    loop = certifying_loop(mesh, seed)
     exact_points = [tuple(map(Fraction, p)) for p in np.asarray(coords).tolist()]
     simple = loop is None or oracle_loop_is_simple(exact_points, loop)
     touches = 0
@@ -1326,12 +1362,10 @@ _EMBEDDED = {}
 
 
 def embedded(kind, resolution):
-    """A generated mesh, its fplm embedding and the seed a bare audit excludes."""
+    """A generated mesh and its fplm embedding."""
     if (kind, resolution) not in _EMBEDDED:
         mesh, _ = generate(GeneratorSpec(kind, resolution))
-        emb = run_fplm(mesh)
-        closed = detect_boundary(mesh).boundary_vertices.size == 0
-        _EMBEDDED[kind, resolution] = (mesh, emb, emb.seed_simplex if closed else None)
+        _EMBEDDED[kind, resolution] = (mesh, run_fplm(mesh))
     return _EMBEDDED[kind, resolution]
 
 
@@ -1363,47 +1397,38 @@ class TestBoundaryCertificate:
         st.sampled_from([0.0, 1e-3, 0.03, 0.3]),
     )
     def test_fplm_embeddings_match_full_count(self, case, seed, amplitude):
-        mesh, emb, seed_exclude = embedded(*case)
-        assert_matches_full_count(audit(mesh, emb), mesh, emb.coords, seed_exclude)
+        mesh, emb = embedded(*case)
+        assert_matches_full_count(audit(mesh, emb), mesh, emb.coords, emb.seed_simplex)
         rng = np.random.default_rng(seed)
         coords = emb.coords + amplitude * rng.normal(size=emb.coords.shape) / np.sqrt(mesh.n_vertices)
-        report = audit(mesh, coords, seed_exclude=seed_exclude)
-        assert_matches_full_count(report, mesh, coords, seed_exclude)
+        report = audit(mesh, coords, seed_simplex=emb.seed_simplex)
+        assert_matches_full_count(report, mesh, coords, emb.seed_simplex)
 
     @pytest.mark.parametrize("case", EMBEDDED_CASES, ids=lambda c: f"{c[0]}-{c[1][0]}")
     def test_certified_embeddings_skip_the_full_count(self, case, full_counts):
-        mesh, emb, seed_exclude = embedded(*case)
+        mesh, emb = embedded(*case)
         report = audit(mesh, emb, graph=build_weights(mesh))
         assert report.verdict == "injective-certified"
         assert full_counts == []
-        assert_matches_full_count(report, mesh, emb.coords, seed_exclude)
+        assert_matches_full_count(report, mesh, emb.coords, emb.seed_simplex)
 
     @pytest.mark.parametrize("name", sorted(fallback_fixtures()))
     def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts, plane_tests):
-        mesh, seed_exclude, expect = fallback_fixtures()[name]
-        report = audit(mesh, mesh.vertices, seed_exclude=seed_exclude)
+        mesh, seed, expect = fallback_fixtures()[name]
+        report = audit(mesh, mesh.vertices, seed_simplex=seed)
         # one plane test, of the loop or, with no loop, of every edge; the
         # full count runs only for the report of a drawing that fails it
-        loop = certifying_loop(mesh, seed_exclude)
+        loop = certifying_loop(mesh, seed)
         n_edges = mesh_edges(mesh).shape[0]
         assert plane_tests == [n_edges if loop is None else len(loop)]
         certified = expect["verdict"] == "injective-certified"
         assert full_counts == ([] if certified else [n_edges])
         assert report.to_dict() == expect
 
-    def test_closed_sphere_bare_seed_exclude_matches_embedding_route(self, full_counts):
-        mesh, emb, _ = embedded("sphere", (2,))
-        via_embedding = audit(mesh, emb)
-        bare = audit(mesh, emb.coords, seed_exclude=emb.seed_simplex)
-        assert full_counts == []
-        for key in ("crossing_count", "crossing_pairs", "orientation_counts", "verdict", "reasons"):
-            assert getattr(bare, key) == getattr(via_embedding, key)
-        assert bare.verdict == "injective-certified"
-
     def test_agreeing_near_zero_signs_skip_the_full_count(self, full_counts, monkeypatch):
         # round 2 leaves 2 near-zero images at this size, each of exact sign
         # +1 like all the others: violated, yet no edges cross
-        mesh, emb, _ = embedded("paraboloid", (150, 150))
+        mesh, emb = embedded("paraboloid", (150, 150))
         report = audit(mesh, emb)
         assert full_counts == []
         assert report.orientation_counts[1:] == (0, 2)
@@ -1431,22 +1456,23 @@ class TestBoundaryCertificate:
     def test_degenerate_seed_image_matches_full_count(self, collapse, full_counts):
         # the seed triangle's image is not a simple loop: the third seed
         # vertex moved onto the midpoint of the other two, or onto the first
-        mesh, emb, seed_exclude = embedded("sphere", (1,))
-        a, b, c = mesh.simplices[seed_exclude]
+        mesh, emb = embedded("sphere", (1,))
+        seed = emb.seed_simplex
+        a, b, c = mesh.simplices[seed]
         coords = emb.coords.copy()
         coords[c] = 0.5 * (coords[a] + coords[b]) if collapse == "collinear" else coords[a]
         assert not _loop_is_simple([a, b, c], coords)
-        report = audit(mesh, coords, seed_exclude=seed_exclude)
+        report = audit(mesh, coords, seed_simplex=seed)
         assert full_counts == [mesh_edges(mesh).shape[0]]
         assert report.verdict == "violated"
-        assert_matches_full_count(report, mesh, coords, seed_exclude)
+        assert_matches_full_count(report, mesh, coords, seed)
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
     def test_out_of_range_seed_is_rejected(self, offset, full_counts):
-        mesh, emb, _ = embedded("sphere", (1,))
-        seed_exclude = offset if offset < 0 else mesh.n_simplices
-        with pytest.raises(ValueError, match=r"seed_exclude .* \[0, 80\)"):
-            audit(mesh, emb.coords, seed_exclude=seed_exclude)
+        mesh, emb = embedded("sphere", (1,))
+        seed = offset if offset < 0 else mesh.n_simplices
+        with pytest.raises(ValueError, match=r"seed_simplex .* \[0, 80\)"):
+            audit(mesh, emb.coords, seed_simplex=seed)
         assert full_counts == []
 
 
@@ -1486,22 +1512,25 @@ def image_overlaps(coords, triangles):
 
 @st.composite
 def lattice_drawings(draw):
-    """A small lattice mesh (a grid disk, an annulus or a horseshoe), a
-    drawing of it made by up to two moves (a fold, a T-junction, a merge of
-    two vertices, small lattice perturbations) and an optional excluded
-    triangle. The lattice spacing is 4, so midpoints stay on a fine
+    """A small lattice mesh (a grid disk, an annulus, a horseshoe or the
+    closed octahedron), a drawing of it made by up to two moves (a fold, a
+    T-junction, a merge of two vertices, small lattice perturbations) and
+    the seed the audit is given: any triangle of the closed mesh, none for
+    the open ones. The lattice spacing is 4, so midpoints stay on a fine
     lattice."""
-    shape = draw(st.sampled_from(["disk", "annulus", "horseshoe"]))
-    if shape == "disk":
+    shape = draw(st.sampled_from(["disk", "annulus", "horseshoe", "octahedron"]))
+    if shape == "octahedron":
+        mesh, width = OCTAHEDRON, 4
+    elif shape == "disk":
         width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-        cells = [(x, y) for x in range(width) for y in range(height)]
+        mesh = cell_strip([(x, y) for x in range(width) for y in range(height)])
     else:
         width = draw(st.integers(3, 4))
         cells = [(x, y) for x in range(width) for y in range(width)
                  if x in (0, width - 1) or y in (0, width - 1)]
         if shape == "horseshoe":
             cells.remove((0, draw(st.integers(1, width - 2))))
-    mesh = cell_strip(cells)
+        mesh = cell_strip(cells)
     coords = 4.0 * mesh.vertices
     edges = mesh_edges(mesh).tolist()
     vertex = st.integers(0, mesh.n_vertices - 1)
@@ -1522,8 +1551,8 @@ def lattice_drawings(draw):
             offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 2),
                                     min_size=len(moved), max_size=len(moved)))
             coords[moved] += offsets
-    seed_exclude = draw(st.none() | st.integers(0, mesh.n_simplices - 1))
-    return mesh, coords, seed_exclude
+    seed = draw(st.integers(0, mesh.n_simplices - 1)) if shape == "octahedron" else None
+    return mesh, coords, seed
 
 
 class TestExactOracle:
@@ -1532,13 +1561,15 @@ class TestExactOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(lattice_drawings())
-    # no loop to test, and a vertex drawn on a boundary edge
-    @example((HORSESHOE_T, HORSESHOE_T.vertices, 0))
+    # no loop to test, and a vertex drawn on an edge across the hole
+    @example((ANNULUS_T, ANNULUS_T.vertices, None))
+    # the closed mesh with its outer triangle as the seed: certified
+    @example((OCTAHEDRON, OCTAHEDRON.vertices, 0))
     def test_certified_drawings_have_no_overlap(self, drawing):
-        mesh, coords, seed_exclude = drawing
-        report = audit(mesh, coords, seed_exclude=seed_exclude)
+        mesh, coords, seed = drawing
+        report = audit(mesh, coords, seed_simplex=seed)
         if report.verdict == "injective-certified":
-            kept = [t for k, t in enumerate(mesh.simplices.tolist()) if k != seed_exclude]
+            kept = [t for k, t in enumerate(mesh.simplices.tolist()) if k != seed]
             assert image_overlaps(coords, kept) == []
 
 
