@@ -929,6 +929,15 @@ class TestAudit:
         assert bare.verdict == "injective-certified"
         assert full_counts == []
 
+    def test_bare_coords_seed_exclude_matches(self):
+        # a closed mesh's bare coordinates given its seed exclude that seed
+        mesh = icosphere(1)
+        emb = run_fplm(mesh)
+        auto = audit(mesh, emb)
+        manual = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        assert manual.orientation_counts == auto.orientation_counts
+        assert manual.verdict == auto.verdict
+
     @pytest.mark.parametrize("kind", [k for k in GENERATOR_KINDS if k != "sphere"])
     def test_open_mesh_seed_changes_nothing(self, kind):
         # only a closed mesh's seed covers the rest of its drawing; an open
@@ -1411,6 +1420,15 @@ class TestBoundaryCertificate:
         assert report.verdict == "injective-certified"
         assert full_counts == []
         assert_matches_full_count(report, mesh, emb.coords, emb.seed_simplex)
+
+    def test_closed_sphere_bare_seed_exclude_matches_embedding_route(self, full_counts):
+        mesh, emb = embedded("sphere", (2,))
+        via_embedding = audit(mesh, emb)
+        bare = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        assert full_counts == []
+        for key in ("crossing_count", "crossing_pairs", "orientation_counts", "verdict", "reasons"):
+            assert getattr(bare, key) == getattr(via_embedding, key)
+        assert bare.verdict == "injective-certified"
 
     @pytest.mark.parametrize("name", sorted(fallback_fixtures()))
     def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts, plane_tests):
