@@ -115,7 +115,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = SolveConfig(rel_tol=args.rel_tol, method=args.solver)
+    config = SolveConfig(rel_tol=args.rel_tol)
     t0 = time.perf_counter()
     mesh = _read("mesh", args.mesh)
     t_load = time.perf_counter()
@@ -135,10 +135,7 @@ def cmd_embed(args) -> int:
             "mesh": str(args.mesh),
             "gamma": args.gamma,
             "seed_simplex": args.seed_simplex,
-            "solver": {
-                "method": config.method,
-                "rel_tol": config.rel_tol,
-            },
+            "solver": {"rel_tol": config.rel_tol},
         },
         "versions": _versions(),
         "result": {
@@ -319,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="simplex that round 1 pins (default: the most interior one)",
-    )
-    e.add_argument(
-        "--solver",
-        choices=("auto", "direct", "iterative"),
-        default="auto",
-        help="linear solver route (default auto)",
     )
     e.add_argument(
         "--rel-tol",

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .simplicial import SimplicialMesh, mesh_edges
+from .simplicial import SimplicialMesh, integer_ids, mesh_edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,22 +107,6 @@ def _frozen(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.setflags(write=False)
     return matrix
-
-
-def vertex_ids(ids) -> np.ndarray:
-    """``ids`` as a flat int64 array of vertex indices.
-
-    Integer input of any width is taken as it is, and an empty input gives
-    an empty array; float or bool input raises ValueError naming its
-    dtype, since a cast would truncate 0.5 to vertex 0 and read a mask as
-    vertices 0 and 1.
-    """
-    ids = np.asarray(ids)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(
-            f"fixed vertex indices must be integers, got dtype {ids.dtype}"
-        )
-    return ids.astype(np.int64).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +203,7 @@ def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
         connected component of the graph must contain at least one fixed
         vertex, otherwise the free block is singular.
     """
-    fixed = vertex_ids(fixed)
+    fixed = integer_ids(fixed, "fixed vertex indices").ravel()
     if fixed.size == 0:
         raise ValueError("fixed vertex set is empty")
     if fixed.min() < 0 or fixed.max() >= graph.n:

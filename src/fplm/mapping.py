@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .laplacian import WeightedGraph, assemble_system, build_weights, vertex_ids
+from .laplacian import WeightedGraph, assemble_system, build_weights
 from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
     detect_dividing_simplices,
+    integer_ids,
     validate_mesh,
 )
 from .solver import SolveConfig, solve_spd
@@ -51,7 +52,8 @@ class FixedPointSet:
     targets: np.ndarray
 
     def __post_init__(self):
-        idx = vertex_ids(self.indices)
+        # a copy: a later write to the caller's array cannot reach idx
+        idx = integer_ids(self.indices, "fixed vertex indices").flatten()
         tgt = np.asarray(self.targets, dtype=float)
         if tgt.ndim != 2:
             raise ValueError("targets must be a (p, d) array")
@@ -263,8 +265,10 @@ def run_fplm(
     or the one :func:`select_seed_simplex` picks when it is None; the
     polygon branch pins no simplex and ignores it. Raises ValueError when
     the mesh fails validation, has multiple boundary loops (d = 2), or
-    ``seed_simplex`` is not a simplex index.
+    ``seed_simplex`` is not a simplex index (a float or bool included).
     """
+    if seed_simplex is not None:
+        seed_simplex = int(integer_ids(seed_simplex, "seed_simplex"))
     violations = validate_mesh(mesh)
     if violations:
         head = "; ".join(v.detail for v in violations[:3])

@@ -34,6 +34,22 @@ from .geometry import bbox_diameter, simplex_volumes
 VOL_TOL = 1e-12
 
 
+def integer_ids(ids, what: str) -> np.ndarray:
+    """Vertex or simplex ids, one or many, as int64 of the same shape.
+
+    Integers of any width, and empty input, are taken. Float or bool input,
+    and unsigned ids past int64, raise ValueError naming ``what``: a cast
+    would truncate 0.5 to 0, read a mask as ids 0 and 1, or wrap to < 0.
+    """
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        count = "integers" if ids.ndim else "an integer"
+        raise ValueError(f"{what} must be {count}, got dtype {ids.dtype}")
+    if ids.dtype.kind == "u" and ids.size and ids.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{what} must fit in int64, got {ids.max()}")
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """Immutable d-dimensional simplicial mesh embedded in R^l.
@@ -43,7 +59,8 @@ class SimplicialMesh:
     vertices : (N, l) float array
         Sample coordinates in the ambient space.
     simplices : (M, d+1) int array
-        Vertex indices of each d-simplex.
+        Vertex indices of each d-simplex; float or bool ids raise
+        ValueError (see :func:`integer_ids`).
     intrinsic_dim : int
         Dimension d of the simplices, 1 <= d <= l.
 
@@ -68,7 +85,7 @@ class SimplicialMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        s = np.ascontiguousarray(np.asarray(self.simplices, dtype=np.int64))
+        s = np.ascontiguousarray(integer_ids(self.simplices, "simplex vertex ids"))
         d = int(self.intrinsic_dim)
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array of coordinates")

@@ -1,28 +1,28 @@
 """Deterministic SPD solver for the free-block Laplacian system.
 
-Two routes solve L_y Y = B. The ``band`` route orders the unknowns by
-reverse Cuthill-McKee and factors the lower band of the reordered matrix,
-(w + 1) * n entries of 8 bytes for band width w, with LAPACK's banded
-Cholesky (``dpbtrf``/``dpbtrs``). The ``pcg`` route is scipy's conjugate
-gradient (``scipy.sparse.linalg.cg``) with the inverse diagonal as Jacobi
-preconditioner, one right-hand-side column at a time. ``direct`` always
-takes the band and ``iterative`` always PCG; ``auto`` takes the band while
-it holds at most ``BAND_LIMIT`` entries and PCG past it, where the band's
-n * w^2 factorisation cost (large tetrahedral meshes, whose band grows like
-n^(2/3)) loses to PCG. Every route is deterministic for fixed inputs on
-one platform and one BLAS thread count (PCG's bytes change with the thread
-count), and one gate, the Frobenius-norm residual, accepts every solution.
+Two routes solve L_y Y = B, and the matrix picks one. The ``band`` route
+orders the unknowns by reverse Cuthill-McKee and factors the lower band of
+the reordered matrix, (w + 1) * n entries of 8 bytes for band width w, with
+LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``). It runs while the band
+holds at most ``BAND_LIMIT`` entries. Past that, where the band's n * w^2
+factorisation cost (large tetrahedral meshes, whose band grows like
+n^(2/3)) loses, the ``pcg`` route runs: scipy's conjugate gradient
+(``scipy.sparse.linalg.cg``) with the inverse diagonal as Jacobi
+preconditioner, one right-hand-side column at a time. Both routes are
+deterministic for fixed inputs on one platform and one BLAS thread count
+(PCG's bytes change with the thread count), and one gate, the
+Frobenius-norm residual, accepts every solution.
 
 The band names the first non-positive pivot of an indefinite matrix. PCG
 checks only the diagonal: past it, the residual gate decides
 (``[[1, 2], [2, 1]]`` solves exactly; ``[[1, 1], [1, 1]]`` with b = (1, 0)
-fails with a NaN residual). fplm's free blocks are positive definite by
-construction.
+breaks down at step 2 and fails with the residual 1.0 of step 1's iterate).
+fplm's free blocks are positive definite by construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +31,12 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, cg
 
-# Most lower-band entries, (band width + 1) * n, that ``auto`` factors by
-# banded Cholesky (80 MB of float64). Past it PCG wins on tetrahedral
+# Most lower-band entries, (band width + 1) * n, that the band route factors
+# by banded Cholesky (80 MB of float64). Past it PCG wins on tetrahedral
 # meshes: ball3(20) round 1 (12.8M entries) solves in 89 ms by PCG against
 # 480 ms on the band, one BLAS thread. The benchmark inputs stay far below
 # it (at most 0.45M).
 BAND_LIMIT = 10_000_000
-
-_METHODS = ("direct", "iterative", "auto")
 
 
 class SolverError(RuntimeError):
@@ -53,23 +51,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver controls.
+    """Solver control: rel_tol bounds ||L_y Y - B||_F <= rel_tol * ||B||_F.
 
-    rel_tol bounds ||L_y Y - B||_F <= rel_tol * ||B||_F. method is one of
-    direct, iterative, auto. PCG stops after scipy's own cap of 10 * n_free
-    iterations per column.
+    The route is not a setting; the matrix picks it (see the module
+    docstring). PCG stops after scipy's own cap of 10 * n_free iterations
+    per column.
     """
 
     rel_tol: float = 1e-10
-    method: str = "auto"
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.method not in _METHODS:
-            raise ValueError(
-                f"method must be one of {_METHODS}, got {self.method!r}"
-            )
 
 
 def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
@@ -120,10 +113,7 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     else:
         # a CSR block is taken as it is; any other format is converted once
         a = lap_free.tocsr()
-        solved = None
-        if config.method != "iterative":
-            solved = _solve_band(a, b, limited=config.method == "auto")
-        y, route = solved or _solve_pcg(a, b, config)
+        y, route = _solve_band(a, b) or _solve_pcg(a, b, config)
         # both norms on b / max|b|, max|b| rounded to a power of two so the
         # scaling is exact: the sum of squares of a b whose entries are all
         # below ~1e-154 would underflow
@@ -142,13 +132,12 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
     return y, achieved, route
 
 
-def _solve_band(a, b, limited):
+def _solve_band(a, b):
     """Banded Cholesky on a reverse Cuthill-McKee ordering of the CSR
     matrix ``a``, which may hold unsummed duplicates.
 
     Returns the solution and the route record of :func:`solve_spd`, or
-    None when ``limited`` and the band would hold more than ``BAND_LIMIT``
-    entries.
+    None when the band would hold more than ``BAND_LIMIT`` entries.
     """
     n = a.shape[0]
     perm = reverse_cuthill_mckee(a, symmetric_mode=True)
@@ -159,7 +148,7 @@ def _solve_band(a, b, limited):
     lower = rows >= cols
     offset = rows[lower] - cols[lower]
     width = int(offset.max(initial=0))
-    if limited and (width + 1) * n > BAND_LIMIT:
+    if (width + 1) * n > BAND_LIMIT:
         return None
     # LAPACK lower band storage: A[i, j] with i >= j sits at band[i - j, j].
     # The band is Fortran-ordered so that dpbtrf factors it in place, and
@@ -189,9 +178,11 @@ def _solve_pcg(a, b, config):
 
     scipy's ``cg`` loop has a fixed operation order, hence is
     bit-reproducible for fixed inputs on one platform and one BLAS thread
-    count; it stops after its default cap of 10 * n iterations. Returns the
-    solution and the route record of :func:`solve_spd`, which holds the
-    largest iteration count over the columns.
+    count; it stops after its default cap of 10 * n iterations. A column
+    whose iterates turn non-finite (a breakdown, or iterating on past
+    rounding) gets its last finite iterate. Returns the solution and the
+    route record of :func:`solve_spd`, which holds the largest iteration
+    count over the columns.
     """
     n = a.shape[0]
     diag = a.diagonal()
@@ -209,14 +200,22 @@ def _solve_pcg(a, b, config):
     y = np.zeros_like(b)
     iterations = 0
     for col in np.flatnonzero(b.any(axis=0)):
-        steps = itertools.count()  # next(steps) = iterations so far
         # cg on the column scaled by a power of two near 1/max|b|: the
         # iterates scale exactly, and cg's own norm of b cannot underflow
         k = -np.frexp(np.abs(b[:, col]).max())[1]
-        # a breakdown (p'Ap = 0 on a singular matrix) leaves NaN for the gate
+        bk = np.ldexp(b[:, col], k)
+        finite = []  # per iteration, whether its iterate is finite
         with np.errstate(all="ignore"):
-            x, _ = cg(a, np.ldexp(b[:, col], k), rtol=config.rel_tol, atol=0.0,
-                      M=jacobi, callback=lambda _: next(steps))
+            x, _ = cg(a, bk, rtol=config.rel_tol, atol=0.0, M=jacobi,
+                      callback=lambda x: finite.append(math.isfinite(x[0])))
+            if not all(finite):
+                # a zero or underflowed p'Ap gives a NaN or inf step, which
+                # reaches every entry of every later iterate; cg is
+                # deterministic, so a replay one step short of the first
+                # such iterate hands back the last finite one
+                finite = finite[:finite.index(False)]
+                x, _ = cg(a, bk, rtol=config.rel_tol, atol=0.0,
+                          maxiter=len(finite), M=jacobi)
         y[:, col] = np.ldexp(x, -k)
-        iterations = max(iterations, next(steps))
+        iterations = max(iterations, len(finite))
     return y, {"route": "pcg", "iterations": iterations}

@@ -68,6 +68,7 @@ from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
+    integer_ids,
     mesh_edges,
 )
 
@@ -474,8 +475,8 @@ def orientation_histogram(
     left undecided get their sign from the exact integer stage
     (:func:`~fplm.geometry.exact_orientations`). ``exclude`` skips simplex
     indices, used for the seed simplex of a closed mesh whose image
-    necessarily covers the rest; an index outside [0, M) raises
-    ``ValueError``. So does a diameter^d that is not a finite double: the
+    necessarily covers the rest; a float or bool index, or one outside
+    [0, M), raises ``ValueError``. So does a diameter^d that is not a finite double: the
     near-zero band would be infinite or meaningless.
     """
     coords = np.asarray(coords, dtype=float)
@@ -493,7 +494,7 @@ def orientation_histogram(
             "is not a finite double; scale the coordinates down"
         )
     sign = canonical_orientation(mesh)
-    exclude = np.asarray(exclude, dtype=np.int64).ravel()
+    exclude = integer_ids(exclude, "exclude").ravel()
     if ((exclude < 0) | (exclude >= mesh.n_simplices)).any():
         raise ValueError(
             f"exclude must hold simplex indices in [0, {mesh.n_simplices}), "
@@ -679,7 +680,8 @@ def audit(
     removed outer face), so the seed is excluded from the histogram and its
     edges are the loop the certificate tests. On an open mesh the seed is
     audited like every other simplex. Non-finite coordinates and a seed
-    that is not a simplex index raise ``ValueError``.
+    that is not a simplex index (a float or bool included) raise
+    ``ValueError``.
 
     For d = 2 the orientation histogram runs first. A drawing bounded by one
     loop whose exact signs all agree, near-zero images included, is then
@@ -712,14 +714,16 @@ def audit(
     if not np.isfinite(coords).all():
         raise ValueError("embedding coordinates must be finite (found NaN or inf)")
 
-    if seed_simplex is not None and not 0 <= seed_simplex < mesh.n_simplices:
-        raise ValueError(
-            f"seed_simplex {seed_simplex} is not a simplex index in "
-            f"[0, {mesh.n_simplices})"
-        )
+    if seed_simplex is not None:
+        seed_simplex = int(integer_ids(seed_simplex, "seed_simplex"))
+        if not 0 <= seed_simplex < mesh.n_simplices:
+            raise ValueError(
+                f"seed_simplex {seed_simplex} is not a simplex index in "
+                f"[0, {mesh.n_simplices})"
+            )
     boundary = detect_boundary(mesh)
     closed = boundary.boundary_vertices.size == 0
-    exclude = [int(seed_simplex)] if closed and seed_simplex is not None else []
+    exclude = [seed_simplex] if closed and seed_simplex is not None else []
 
     counts = orientation_histogram(mesh, coords, exclude=exclude)
     pos, neg, zero = counts

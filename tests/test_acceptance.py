@@ -26,13 +26,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fplm import solver
 from fplm.generators import GeneratorSpec, ball3, delaunay2d, generate, icosphere
 from fplm.geometry import bbox_diameter
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import run_fplm
 from fplm.meshio import read_embedding_csv, write_embedding_csv
 from fplm.simplicial import SimplicialMesh, detect_boundary, detect_dividing_simplices, mesh_edges
-from fplm.solver import SolveConfig, solve_spd
+from fplm.solver import solve_spd
 from fplm.validity import audit, count_crossings
 
 SURFACE_KINDS = ("swiss-roll", "paraboloid", "monkey-saddle", "twin-peaks")
@@ -209,7 +210,9 @@ def test_criterion_07_large_tet_mesh_runtime():
     assert elapsed <= 120.0, f"two-round pipeline took {elapsed:.1f} s"
 
 
-def test_criterion_08_solver_oracle_equivalence():
+def test_criterion_08_solver_oracle_equivalence(monkeypatch):
+    # a band-size limit of 0 sends every solve to PCG
+    monkeypatch.setattr(solver, "BAND_LIMIT", 0)
     rng = np.random.default_rng(88)
     for trial in range(20):
         n = int(rng.integers(30, 400))
@@ -222,9 +225,8 @@ def test_criterion_08_solver_oracle_equivalence():
         rhs = -system.lap_free_fixed @ targets
 
         dense = np.linalg.solve(system.lap_free.toarray(), rhs)
-        iterative, _, _ = solve_spd(
-            system.lap_free, rhs, SolveConfig(method="iterative")
-        )
+        iterative, _, route = solve_spd(system.lap_free, rhs)
+        assert route["route"] == "pcg"
         rel = np.linalg.norm(iterative - dense) / np.linalg.norm(dense)
         assert rel <= 1e-8, f"trial {trial}: solver mismatch {rel:.3e}"
 

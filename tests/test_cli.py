@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fplm import validity
+from fplm import solver, validity
 from fplm.cli import main
 from fplm.generators import ball3
 from fplm.meshio import mesh_from_json, mesh_to_json, read_embedding_csv, write_embedding_csv
@@ -112,7 +112,7 @@ class TestEmbed:
         assert manifest["command"] == "embed"
         assert manifest["config"]["gamma"] == 0.1
         assert manifest["config"]["seed_simplex"] is None
-        assert manifest["config"]["solver"] == {"method": "auto", "rel_tol": 1e-10}
+        assert manifest["config"]["solver"] == {"rel_tol": 1e-10}
         assert manifest["result"]["branch"] == "two-round"
         assert manifest["result"]["n_vertices"] == 25
         assert manifest["result"]["intrinsic_dim"] == 2
@@ -189,7 +189,10 @@ class TestEmbed:
         assert capsys.readouterr().err.startswith("error: ")
         assert not emb.exists()
 
-    def test_nonconvergent_solver_returns_4(self, tmp_path, capsys):
+    def test_nonconvergent_solver_returns_4(self, tmp_path, capsys, monkeypatch):
+        # main runs in this process, so a band-size limit of 0 sends every
+        # solve to PCG; past rounding it reports the residual it reached
+        monkeypatch.setattr(solver, "BAND_LIMIT", 0)
         mesh = tmp_path / "mesh.json"
         rc = main(
             ["generate", "--kind", "grid-disk", "--resolution", "8x8", "--out", str(mesh)]
@@ -202,8 +205,6 @@ class TestEmbed:
                 str(mesh),
                 "--out",
                 str(tmp_path / "e.csv"),
-                "--solver",
-                "iterative",
                 "--rel-tol",
                 "1e-300",
             ]
@@ -211,17 +212,27 @@ class TestEmbed:
         assert rc == 4
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed: ") and err.count("\n") == 1
+        assert "pcg solve missed tolerance" in err and "nan" not in err
         assert not (tmp_path / "e.csv").exists()
 
-    @pytest.mark.parametrize("solver", ["auto", "iterative"])
+    def test_solver_flag_is_gone(self, tmp_path):
+        # the matrix picks the route; an old --solver is an argparse error
+        with pytest.raises(SystemExit) as e:
+            main(["embed", "--mesh", str(tmp_path / "m.json"),
+                  "--out", str(tmp_path / "e.csv"), "--solver", "direct"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("route", ["auto", "iterative"])
     @pytest.mark.parametrize("gamma", ["3000", "4000"])
-    def test_tiny_weights_are_solved_or_refused(self, tmp_path, capsys, solver, gamma):
+    def test_tiny_weights_are_solved_or_refused(self, tmp_path, capsys, monkeypatch,
+                                                route, gamma):
         # on icosphere 3 these weights lie between ~1e-286 and ~1e-180, so
         # every right-hand-side entry squares to 0; the system is not empty
-        # and must not come back as an all-zero embedding of route none
-        _, emb, rc = run_pipeline(
-            tmp_path, "sphere", "3", extra_embed=("--gamma", gamma, "--solver", solver)
-        )
+        # and must not come back as an all-zero embedding of route none; on
+        # the rule's route and by PCG (a band-size limit of 0)
+        if route == "iterative":
+            monkeypatch.setattr(solver, "BAND_LIMIT", 0)
+        _, emb, rc = run_pipeline(tmp_path, "sphere", "3", extra_embed=("--gamma", gamma))
         if rc == 2:
             assert capsys.readouterr().err.startswith("error: ")
             assert not emb.exists()
@@ -229,14 +240,15 @@ class TestEmbed:
         assert rc == 0
         result = json.loads((tmp_path / "emb.csv.manifest.json").read_text())["result"]
         assert [r["route"] for r in result["routes"].values()] == (
-            ["band"] if solver == "auto" else ["pcg"]
+            ["band"] if route == "auto" else ["pcg"]
         )
         assert all(0.0 < v <= 1e-10 for v in result["residuals"].values())
         coords = read_embedding_csv(emb.read_text())
         assert np.count_nonzero(np.abs(coords).sum(axis=1)) > 3
 
-    def test_iterative_route_in_manifest(self, tmp_path, capsys):
-        _, emb, rc = run_pipeline(tmp_path, extra_embed=("--solver", "iterative"))
+    def test_iterative_route_in_manifest(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "BAND_LIMIT", 0)  # every block takes PCG
+        _, emb, rc = run_pipeline(tmp_path)
         assert rc == 0
         manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
         routes = manifest["result"]["routes"]

@@ -8,11 +8,11 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
+from fplm import solver
 from fplm.generators import GENERATOR_KINDS, GeneratorSpec, ball3, generate, icosphere
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import run_fplm, select_seed_simplex
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
-from fplm.solver import SolveConfig
 from fplm.validity import audit
 from test_simplicial import relabel
 
@@ -92,23 +92,29 @@ class TestBuildWeights:
             build_weights(mesh, gamma=0.1)
 
     @pytest.mark.parametrize("gamma", [4400.0, 4500.0])
-    def test_subnormal_weight_rejected(self, gamma):
+    def test_subnormal_weight_rejected(self, monkeypatch, gamma):
         # the longest edge of icosphere 3 (0.165) gets a subnormal weight,
         # 2.4e-315 and 1.7e-322, which can overflow the iterative route's
         # reciprocal diagonal; both routes refuse the gamma before solving
         mesh = icosphere(3)
         with pytest.raises(ValueError, match="underflows the weight"):
             build_weights(mesh, gamma=gamma)
-        for method in ("auto", "iterative"):
+        for limit in (solver.BAND_LIMIT, 0):  # the band, then PCG
+            monkeypatch.setattr(solver, "BAND_LIMIT", limit)
             with pytest.raises(ValueError, match="underflows the weight"):
-                run_fplm(fresh_copy(mesh), gamma=gamma, config=SolveConfig(method=method))
+                run_fplm(fresh_copy(mesh), gamma=gamma)
 
-    @pytest.mark.parametrize("method", ["auto", "iterative"])
-    def test_smallest_normal_weight_still_embeds(self, method):
-        # at gamma 4300 the smallest weight, 3.4e-308, is a normal double
+    @pytest.mark.parametrize("route", ["auto", "iterative"])
+    def test_smallest_normal_weight_still_embeds(self, monkeypatch, route):
+        # at gamma 4300 the smallest weight, 3.4e-308, is a normal double; it
+        # embeds on the rule's route and by PCG (a band-size limit of 0)
+        if route == "iterative":
+            monkeypatch.setattr(solver, "BAND_LIMIT", 0)
         mesh = icosphere(3)
         assert build_weights(mesh, gamma=4300.0).weights.min() >= np.finfo(float).tiny
-        emb = run_fplm(mesh, gamma=4300.0, config=SolveConfig(method=method))
+        emb = run_fplm(mesh, gamma=4300.0)
+        assert [r["route"] for r in emb.routes.values()] == \
+            [{"auto": "band", "iterative": "pcg"}[route]]
         assert np.isfinite(emb.coords).all()
 
     def test_coincident_points_warn_weight_one(self):

@@ -1,6 +1,7 @@
 """Mapping pipeline tests: targets, seed choice, rounds, branches."""
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+from fplm import solver
 from fplm.generators import ball3, icosphere, structured_grid_triangles
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import (
@@ -21,7 +23,6 @@ from fplm.mapping import (
     solve_fixed_point,
 )
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
-from fplm.solver import SolveConfig
 from fplm.validity import audit
 from orientation_oracle import simplex_orientation_rational
 
@@ -100,6 +101,26 @@ class TestSelectSeedSimplex:
         for bad in (-1, mesh.n_simplices):
             with pytest.raises(ValueError, match=rf"seed simplex {bad} out of range \[0, 8\)"):
                 run_fplm(mesh, seed_simplex=bad)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, True, np.float64(2.0)])
+    def test_non_integer_seed_rejected(self, bad):
+        # 1.0 used to fail as numpy's IndexError, and True as a mismatch of
+        # indices and targets; neither is a simplex index
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(ValueError, match=f"^seed_simplex must be an integer, "
+                                             f"got dtype {dtype}$"):
+            run_fplm(grid_mesh(3, 3), seed_simplex=bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
+    def test_numpy_integer_seed_is_taken(self, dtype):
+        emb = run_fplm(grid_mesh(3, 3), seed_simplex=dtype(5))
+        assert type(emb.seed_simplex) is int and emb.seed_simplex == 5
+
+    def test_unsigned_seed_past_int64_is_named(self):
+        # a cast would wrap 2**63 + 5 to a negative simplex index
+        with pytest.raises(ValueError, match=rf"^seed_simplex must fit in int64, "
+                                             rf"got {2**63 + 5}$"):
+            run_fplm(grid_mesh(3, 3), seed_simplex=np.uint64(2**63 + 5))
 
     def test_most_interior_matches_bfs_oracle(self):
         # independent oracle: unweighted shortest paths from the boundary,
@@ -246,15 +267,18 @@ class TestSolveFixedPoint:
         np.testing.assert_allclose(coords[p], 0.0, atol=1e-14)
         assert residual <= 1e-10
 
-    @pytest.mark.parametrize("method", ["direct", "iterative"])
-    def test_residual_is_the_free_block_relative_residual(self, method):
-        # the residual reported is ||L_y Y - b|| / ||b|| of the free block
+    @pytest.mark.parametrize("route", ["direct", "iterative"])
+    def test_residual_is_the_free_block_relative_residual(self, monkeypatch, route):
+        # the residual reported is ||L_y Y - b|| / ||b|| of the free block,
+        # on the band (no band-size limit) and by PCG (a limit of 0)
+        monkeypatch.setattr(solver, "BAND_LIMIT",
+                            {"direct": math.inf, "iterative": 0}[route])
         mesh = grid_mesh(5, 5)
         graph = build_weights(mesh)
         bverts = detect_boundary(mesh).boundary_vertices
         rng = np.random.default_rng(4)
         fps = FixedPointSet(indices=bverts, targets=rng.normal(size=(len(bverts), 2)))
-        coords, residual, _ = solve_fixed_point(graph, fps, SolveConfig(method=method))
+        coords, residual, _ = solve_fixed_point(graph, fps)
         system = assemble_system(graph, bverts)
         rhs = -system.lap_free_fixed @ coords[system.fixed_indices]
         lhs = system.lap_free @ coords[system.free_indices]
@@ -339,13 +363,14 @@ class TestRunFplm:
             emb.fixed_round2.indices, detect_boundary(mesh).boundary_vertices
         )
 
-    def test_routes_recorded_per_round(self):
+    def test_routes_recorded_per_round(self, monkeypatch):
         mesh = grid_mesh(5, 5)
-        emb = run_fplm(mesh, config=SolveConfig(method="direct"))
+        emb = run_fplm(mesh)
         # 5 x 5 grid: 22 free vertices in round 1, the 3 x 3 interior in round 2
         assert [r["route"] for r in emb.routes.values()] == ["band", "band"]
         assert 1 <= emb.routes["round2"]["band_width"] < 9
-        emb = run_fplm(mesh, config=SolveConfig(method="iterative"))
+        monkeypatch.setattr(solver, "BAND_LIMIT", 0)  # every block takes PCG
+        emb = run_fplm(mesh)
         assert [r["route"] for r in emb.routes.values()] == ["pcg", "pcg"]
         assert 1 <= emb.routes["round1"]["iterations"] <= 2 * 22
         assert 1 <= emb.routes["round2"]["iterations"] <= 2 * 9

@@ -75,6 +75,25 @@ class TestSimplicialMesh:
                 np.zeros((3, 2)), np.array([[0, 1, 3]]), 2
             )
 
+    @pytest.mark.parametrize("simplices", [[[0.5, 1, 2]], np.array([[0.0, 1.0, 2.0]]),
+                                           np.array([[True, False, True]])],
+                             ids=["fractional", "integral-floats", "bool"])
+    def test_non_integer_simplices_rejected(self, simplices):
+        # a cast stored [0, 1, 2] for the fractions, and read the bools as
+        # vertex ids 1, 0, 1
+        dtype = np.asarray(simplices).dtype
+        with pytest.raises(ValueError, match=f"^simplex vertex ids must be integers, "
+                                             f"got dtype {dtype}$"):
+            SimplicialMesh(np.zeros((3, 2)), simplices, 2)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    def test_integer_simplices_of_any_width(self, dtype):
+        m = SimplicialMesh(np.eye(3)[:, :2], np.array([[2, 0, 1]], dtype=dtype), 2)
+        assert m.simplices.dtype == np.int64
+        assert m.simplices.tolist() == [[2, 0, 1]]
+        empty = SimplicialMesh(np.zeros((0, 2)), np.zeros((0, 3)), 2)
+        assert empty.simplices.dtype == np.int64
+
     def test_wrong_simplex_width(self):
         with pytest.raises(ValueError):
             SimplicialMesh(np.zeros((4, 2)), np.array([[0, 1, 2, 3]]), 2)

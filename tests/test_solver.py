@@ -1,4 +1,7 @@
-"""SPD solver tests: band route, PCG route, the auto rule, failure modes."""
+"""SPD solver tests: band route, PCG route, the route rule, failure modes."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,11 +22,28 @@ def random_spd(rng, n, density=0.4):
     return sparse.csr_matrix(a)
 
 
-def solve_direct(a, b):
-    """Direct solve; checks that the solve took the band route."""
-    y, _, route = solve_spd(a, b, SolveConfig(method="direct"))
-    assert route["route"] == "band"
-    return y
+@pytest.fixture
+def force_route(monkeypatch):
+    """``force_route(name)`` sends every later solve of the test down one
+    route by moving the band-size limit the route rule reads: "direct"
+    takes the band (no limit), "iterative" takes PCG (a limit of 0), and
+    "auto" keeps the rule's own limit."""
+    def force(name):
+        limit = {"direct": math.inf, "iterative": 0,
+                 "auto": solver.BAND_LIMIT}[name]
+        monkeypatch.setattr(solver, "BAND_LIMIT", limit)
+    return force
+
+
+@pytest.fixture
+def solve_direct(force_route):
+    """Band solve; checks that the solve took the band route."""
+    def solve(a, b, config=None):
+        force_route("direct")
+        y, _, route = solve_spd(a, b, config)
+        assert route["route"] == "band"
+        return y
+    return solve
 
 
 def relabelled(kind, resolution, seed):
@@ -47,7 +67,8 @@ class TestSolveConfig:
     def test_defaults(self):
         c = SolveConfig()
         assert c.rel_tol == 1e-10
-        assert c.method == "auto"
+        # the tolerance is the one setting: the matrix picks the route
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == ["rel_tol"]
 
     def test_rejects_bad_rel_tol(self):
         with pytest.raises(ValueError):
@@ -57,13 +78,9 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(rel_tol=-1e-3)
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            SolveConfig(method="magic")
-
 
 class TestSolveSpd:
-    def test_one_by_one(self):
+    def test_one_by_one(self, solve_direct):
         a = sparse.csr_matrix(np.array([[2.0]]))
         y = solve_direct(a, np.array([[1.0]]))
         assert y.shape == (1, 1)
@@ -78,7 +95,7 @@ class TestSolveSpd:
         y = solve_spd(sys.lap_free, rhs)[0]
         np.testing.assert_allclose(y.ravel(), [1 / 3, 2 / 3], rtol=1e-12)
 
-    def test_matches_dense_oracle(self):
+    def test_matches_dense_oracle(self, solve_direct):
         rng = np.random.default_rng(7)
         for trial in range(10):
             n = int(rng.integers(2, 40))
@@ -89,34 +106,37 @@ class TestSolveSpd:
             y = solve_direct(a, b)
             np.testing.assert_allclose(y, expect, rtol=1e-8, atol=1e-10)
 
-    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    @pytest.mark.parametrize("route", ["direct", "iterative"])
     @pytest.mark.parametrize("rhs_scale, matrix_scale", [
         (1e-160, 1.0), (1e-300, 1.0), (1e-200, 1e-200),
     ])
-    def test_tiny_right_hand_side_is_solved(self, method, rhs_scale, matrix_scale):
+    def test_tiny_right_hand_side_is_solved(self, force_route, route, rhs_scale,
+                                            matrix_scale):
         # every entry of b squares to 0 below ~1e-154; the system is still
         # solved, not taken for an empty one, and passes the gate
+        force_route(route)
         sys = path_system()
         rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
-        config = SolveConfig(method=method)
-        y, _, route = solve_spd(sys.lap_free, rhs, config)
-        got, achieved, got_route = solve_spd(
+        config = SolveConfig()
+        y, _, record = solve_spd(sys.lap_free, rhs, config)
+        got, achieved, got_record = solve_spd(
             sys.lap_free * matrix_scale, rhs * rhs_scale, config
         )
-        assert got_route["route"] == route["route"] != "none"
+        assert got_record["route"] == record["route"] != "none"
         assert achieved <= config.rel_tol
         np.testing.assert_allclose(got, y * (rhs_scale / matrix_scale), rtol=1e-12)
 
-    def test_scaled_gate_keeps_the_residual(self):
+    def test_scaled_gate_keeps_the_residual(self, force_route):
         # the gate scales b by a power of two, so its value is unchanged
+        force_route("iterative")
         rng = np.random.default_rng(3)
         a = random_spd(rng, 30)
         b = rng.normal(size=(30, 2)) * 1e3
-        config = SolveConfig(method="iterative", rel_tol=1e-6)
+        config = SolveConfig(rel_tol=1e-6)
         y, achieved, _ = solve_spd(a, b, config)
         assert achieved == np.linalg.norm(a @ y - b) / np.linalg.norm(b)
 
-    def test_duplicate_entries_are_summed(self):
+    def test_duplicate_entries_are_summed(self, solve_direct):
         # A = [[2, -0.5], [-0.5, 2]] with its (0, 0) and (0, 1) entries
         # split in two, as COO triplets and as an unsummed CSR matrix
         data = np.array([1.0, 1.0, -0.25, -0.25, -0.5, 2.0])
@@ -131,7 +151,7 @@ class TestSolveSpd:
             y = solve_direct(a, b)
             np.testing.assert_allclose(y, expect, rtol=1e-14)
 
-    def test_block_diagonal_pattern(self):
+    def test_block_diagonal_pattern(self, solve_direct):
         # two disconnected blocks, interleaved so the ordering must split them
         rng = np.random.default_rng(3)
         blocks = sparse.block_diag([random_spd(rng, 7), random_spd(rng, 5)])
@@ -146,7 +166,8 @@ class TestSolveSpd:
         "kind, resolution",
         [("paraboloid", (12, 12)), ("sphere", (2,)), ("ball3", (5,))],
     )
-    def test_paths_agree_on_relabelled_meshes(self, kind, resolution):
+    def test_paths_agree_on_relabelled_meshes(self, force_route, solve_direct,
+                                              kind, resolution):
         # round-1 free block of a relabelled mesh: the band matches a dense
         # solve to rounding, and PCG at a tight tolerance matches the band
         mesh = relabelled(kind, resolution, 11)
@@ -155,8 +176,8 @@ class TestSolveSpd:
         rhs = -sys.lap_free_fixed @ fixed.targets
         expect = np.linalg.solve(sys.lap_free.toarray(), rhs)
         y_band = solve_direct(sys.lap_free, rhs)
-        y_pcg = solve_spd(sys.lap_free, rhs,
-                          SolveConfig(method="iterative", rel_tol=1e-13))[0]
+        force_route("iterative")
+        y_pcg = solve_spd(sys.lap_free, rhs, SolveConfig(rel_tol=1e-13))[0]
         scale = np.abs(expect).max()
         assert np.abs(y_band - expect).max() <= 1e-12 * scale
         assert np.abs(y_pcg - y_band).max() <= 1e-9 * scale
@@ -169,17 +190,6 @@ class TestSolveSpd:
             monkeypatch.setattr(solver, "BAND_LIMIT", limit)
             _, _, got = solve_spd(sys.lap_free, rhs)
             assert got["route"] == route
-
-    def test_direct_takes_band_over_the_limit(self, monkeypatch):
-        def no_pcg(*args, **kwargs):
-            raise AssertionError("direct called _solve_pcg")
-
-        monkeypatch.setattr(solver, "BAND_LIMIT", 0)
-        monkeypatch.setattr(solver, "_solve_pcg", no_pcg)
-        sys = path_system()
-        rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
-        y = solve_direct(sys.lap_free, rhs)
-        np.testing.assert_allclose(y.ravel(), [1 / 3, 2 / 3], rtol=1e-12)
 
     @pytest.mark.parametrize(
         "kind, resolution",
@@ -194,58 +204,63 @@ class TestSolveSpd:
             assert [r["route"] for r in emb.routes.values()] == \
                 ["band"] * emb.rounds_run
 
-    def test_route_records(self):
+    def test_route_records(self, force_route):
         sys = path_system()
         rhs = np.array([[1.0], [2.0]])
 
-        def route(b, method):
-            return solve_spd(sys.lap_free, b, SolveConfig(method=method))[2]
+        def route(b, name):
+            force_route(name)
+            return solve_spd(sys.lap_free, b)[2]
 
         assert route(rhs, "direct") == {"route": "band", "band_width": 1}
         # PCG solves a 2 x 2 system in at most 2 iterations
         assert route(rhs, "iterative") == {"route": "pcg", "iterations": 2}
         assert route(np.zeros((2, 1)), "direct") == {"route": "none"}
 
-    def test_pcg_iterations_are_the_largest_over_columns(self):
+    def test_pcg_iterations_are_the_largest_over_columns(self, force_route):
         # (1/sqrt(3), 1/2) is an eigenvector of A D^-1, so Jacobi PCG solves
         # it in one iteration; (1, 2) takes two and the zero column none
+        force_route("iterative")
         a = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         one_step = np.array([[1 / np.sqrt(3.0)], [0.5]])
         b = np.hstack([[[1.0], [2.0]], one_step, np.zeros((2, 1))])
 
         def iterations(rhs):
-            _, _, route = solve_spd(a, rhs, SolveConfig(method="iterative"))
+            _, _, route = solve_spd(a, rhs)
             assert route["route"] == "pcg"
             return route["iterations"]
 
         assert iterations(one_step) == 1
         assert iterations(b) == 2
 
-    def test_pcg_zero_column_is_positive_zero(self):
+    def test_pcg_zero_column_is_positive_zero(self, force_route):
         # -L_yc C holds -0.0 where a row has no fixed neighbour; a column
         # of them solves to +0.0 in no iterations, written to CSV as 0.0
+        force_route("iterative")
         a = sparse.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
         b = np.array([[1.0, -0.0], [2.0, -0.0]])
-        y, _, route = solve_spd(a, b, SolveConfig(method="iterative"))
+        y, _, route = solve_spd(a, b)
         assert not np.signbit(y[:, 1]).any()
         assert route == {"route": "pcg", "iterations": 2}
 
-    def test_direct_and_iterative_agree(self):
+    def test_direct_and_iterative_agree(self, force_route, solve_direct):
         rng = np.random.default_rng(13)
         for trial in range(5):
             n = int(rng.integers(5, 60))
             a = random_spd(rng, n)
             b = rng.normal(size=(n, 2))
-            yd = solve_spd(a, b, SolveConfig(method="direct"))[0]
-            yi = solve_spd(a, b, SolveConfig(method="iterative", rel_tol=1e-12))[0]
+            yd = solve_direct(a, b)
+            force_route("iterative")
+            yi = solve_spd(a, b, SolveConfig(rel_tol=1e-12))[0]
             np.testing.assert_allclose(yd, yi, rtol=1e-8, atol=1e-8)
 
-    def test_residual_bound_holds(self):
+    def test_residual_bound_holds(self, force_route, solve_direct):
         rng = np.random.default_rng(21)
         a = random_spd(rng, 30)
         b = rng.normal(size=(30, 3))
-        solutions = [solve_direct(a, b),
-                     solve_spd(a, b, SolveConfig(method="iterative"))[0]]
+        solutions = [solve_direct(a, b)]
+        force_route("iterative")
+        solutions.append(solve_spd(a, b)[0])
         for y in solutions:
             res = np.linalg.norm(a @ y - b) / np.linalg.norm(b)
             assert res <= 1e-10
@@ -277,13 +292,15 @@ class TestSolveSpd:
             solve_spd(a, np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("method", ["direct", "iterative", "auto"])
-    def test_non_finite_rhs_rejected_before_solving(self, monkeypatch, bad, method):
+    @pytest.mark.parametrize("route", ["direct", "iterative", "auto"])
+    def test_non_finite_rhs_rejected_before_solving(self, monkeypatch, force_route,
+                                                    bad, route):
         # it used to factor the matrix and then fail the residual gate with
         # a NaN residual, as if the solver had missed its tolerance
         def no_route(*args, **kwargs):
             raise AssertionError("a route ran on a non-finite right-hand side")
 
+        force_route(route)
         monkeypatch.setattr(solver, "_solve_band", no_route)
         monkeypatch.setattr(solver, "_solve_pcg", no_route)
         sys = path_system()
@@ -291,22 +308,23 @@ class TestSolveSpd:
         rhs[1, 0] = bad
         with pytest.raises(ValueError, match=rf"^rhs entry \(1, 0\) is {bad}; the "
                                              "right-hand side must be finite$"):
-            solve_spd(sys.lap_free, rhs, SolveConfig(method=method))
+            solve_spd(sys.lap_free, rhs)
 
-    def test_bit_exact_determinism(self):
+    def test_bit_exact_determinism(self, force_route, solve_direct):
         rng = np.random.default_rng(5)
         a = random_spd(rng, 50)
         b = rng.normal(size=(50, 2))
         y1 = solve_direct(a, b)
         y2 = solve_direct(a, b)
         assert y1.tobytes() == y2.tobytes()
-        y1 = solve_spd(a, b, SolveConfig(method="iterative"))[0]
-        y2 = solve_spd(a, b, SolveConfig(method="iterative"))[0]
+        force_route("iterative")
+        y1 = solve_spd(a, b)[0]
+        y2 = solve_spd(a, b)[0]
         assert y1.tobytes() == y2.tobytes()
 
 
 class TestSolverFailures:
-    def test_indefinite_direct_reports_pivot(self):
+    def test_indefinite_direct_reports_pivot(self, solve_direct):
         diagonal = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
         tridiagonal = sparse.csr_matrix(np.array([[4.0, 1.0, 0.0],
                                                   [1.0, 4.0, 1.0],
@@ -316,69 +334,96 @@ class TestSolverFailures:
             with pytest.raises(
                 SolverError, match="not positive definite: pivot"
             ) as exc_info:
-                solve_spd(a, np.ones((n, 1)), SolveConfig(method="direct"))
+                solve_direct(a, np.ones((n, 1)))
             assert exc_info.value.pivot in range(n)
 
-    def test_singular_direct(self):
+    def test_singular_direct(self, solve_direct):
         # the band names step 1, whose pivot 1 - 1 * 1 is exactly 0
         a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError, match="pivot 1 is 0.000e") as exc_info:
             solve_direct(a, np.ones((2, 1)))
         assert exc_info.value.pivot == 1
 
-    def test_nan_entry_direct(self):
+    def test_nan_entry_direct(self, solve_direct):
         # dpbtrf lets a NaN pivot through; the pivot check must not
         a = sparse.csr_matrix(np.array([[2.0, 0.0], [0.0, np.nan]]))
         with pytest.raises(SolverError):
-            solve_spd(a, np.ones((2, 1)), SolveConfig(method="direct"))
+            solve_direct(a, np.ones((2, 1)))
 
-    @pytest.mark.parametrize("method", ["direct", "iterative"])
-    def test_nan_residual_fails_the_gate(self, monkeypatch, method):
+    @pytest.mark.parametrize("route", ["direct", "iterative"])
+    def test_nan_residual_fails_the_gate(self, monkeypatch, force_route, route):
         # a route that returns NaN without raising must not pass as solved
         def nan_route(lap_free, b, *args, **kwargs):
             return np.full_like(b, np.nan), {"route": "nan"}
 
-        monkeypatch.setattr(solver, "_solve_band", nan_route)
-        monkeypatch.setattr(solver, "_solve_pcg", nan_route)
+        force_route(route)
+        name = {"direct": "_solve_band", "iterative": "_solve_pcg"}[route]
+        monkeypatch.setattr(solver, name, nan_route)
         sys = path_system()
         with pytest.raises(SolverError, match="missed tolerance") as exc_info:
-            solve_spd(sys.lap_free, np.ones((2, 1)), SolveConfig(method=method))
+            solve_spd(sys.lap_free, np.ones((2, 1)))
         assert np.isnan(exc_info.value.achieved)
 
-    def test_nonpositive_diagonal_iterative(self):
+    def test_nonpositive_diagonal_iterative(self, force_route):
+        force_route("iterative")
         a = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SolverError) as exc_info:
-            solve_spd(a, np.ones((2, 1)), SolveConfig(method="iterative"))
+            solve_spd(a, np.ones((2, 1)))
         assert exc_info.value.pivot is not None
 
-    def test_singular_iterative_fails_the_gate(self):
+    def test_singular_iterative_fails_the_gate(self, force_route):
         # a positive diagonal passes the PCG entry check; CG breaks down on
-        # the null space and the residual gate names no pivot
+        # the null space at step 2 (p'Ap = 0), so the gate measures step 1's
+        # iterate (1, 0), whose residual (0, 1) is as large as b, and names
+        # no pivot
+        force_route("iterative")
         a = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SolverError, match="missed tolerance") as exc_info:
-            solve_spd(a, np.array([[1.0], [0.0]]), SolveConfig(method="iterative"))
+            solve_spd(a, np.array([[1.0], [0.0]]))
         assert exc_info.value.pivot is None
-        assert np.isnan(exc_info.value.achieved)
+        assert exc_info.value.achieved == 1.0
 
-    def test_indefinite_iterative_is_judged_by_the_gate(self):
+    def test_indefinite_iterative_is_judged_by_the_gate(self, force_route):
         # CG does not stop at p'Ap <= 0; here it still meets the gate
+        force_route("iterative")
         a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        y = solve_spd(a, np.array([[1.0], [0.0]]), SolveConfig(method="iterative"))[0]
+        y = solve_spd(a, np.array([[1.0], [0.0]]))[0]
         np.testing.assert_allclose(y, [[-1.0 / 3.0], [2.0 / 3.0]], rtol=1e-12)
 
-    def test_nonconvergence_reports_achieved(self):
+    def test_nonconvergence_reports_achieved(self, solve_direct):
         rng = np.random.default_rng(17)
         a = random_spd(rng, 60)
         b = rng.normal(size=(60, 1))
         # no route meets a tolerance of 1e-300 in double precision: the band
         # solves to rounding, and the gate reports the residual it measured
         with pytest.raises(SolverError) as exc_info:
-            solve_spd(a, b, SolveConfig(method="direct", rel_tol=1e-300))
+            solve_direct(a, b, SolveConfig(rel_tol=1e-300))
         assert 1e-300 < exc_info.value.achieved < 1e-10
 
-    def test_auto_picks_direct_for_small(self):
-        # indirect check: an indefinite matrix fails through the direct
-        # route's pivot report when method is auto and the system is small
+    @pytest.mark.parametrize("kind", ["random", "grid-disk"])
+    def test_pcg_past_rounding_reports_the_residual_it_reached(self, force_route,
+                                                               kind):
+        # iterating on past rounding, cg meets p'Ap = 0 or an underflow and
+        # every later iterate is NaN (step 130 of 600 on the random matrix);
+        # the last finite iterate is handed back, so the gate reports a
+        # rounding-level residual as the band does, not NaN
+        if kind == "random":
+            rng = np.random.default_rng(17)
+            a = random_spd(rng, 60)
+            b = rng.normal(size=(60, 1))
+        else:
+            mesh, _ = generate(GeneratorSpec("grid-disk", (8, 8)))
+            fixed = make_c1(mesh, 0)
+            sys = assemble_system(build_weights(mesh), fixed.indices)
+            a, b = sys.lap_free, -sys.lap_free_fixed @ fixed.targets
+        force_route("iterative")
+        with pytest.raises(SolverError, match="pcg solve missed") as exc_info:
+            solve_spd(a, b, SolveConfig(rel_tol=1e-300))
+        assert 1e-300 < exc_info.value.achieved < 1e-10
+
+    def test_small_indefinite_reports_the_band_pivot(self):
+        # indirect check of the route rule: under the default limit a small
+        # indefinite matrix fails through the band route's pivot report
         a = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(SolverError, match="pivot"):
-            solve_spd(a, np.ones((2, 1)), SolveConfig(method="auto"))
+            solve_spd(a, np.ones((2, 1)))

@@ -449,6 +449,25 @@ class TestOrientationHistogram:
         with pytest.raises(ValueError, match="coords"):
             orientation_histogram(mesh, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [[1.5], [1.0], np.array([True, False])],
+                             ids=["fractional", "integral-float", "bool-mask"])
+    def test_non_integer_exclude_rejected(self, bad):
+        # a cast used to skip simplex 1 for [1.5], and simplices 1 and 0
+        # for the mask
+        mesh = grid_mesh(3, 3)
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(ValueError, match=f"^exclude must be integers, got dtype {dtype}$"):
+            orientation_histogram(mesh, mesh.vertices, exclude=bad)
+
+    def test_integer_or_empty_exclude_is_taken(self):
+        mesh = grid_mesh(3, 3)
+        want = orientation_histogram(mesh, mesh.vertices, exclude=[1])
+        assert orientation_histogram(mesh, mesh.vertices,
+                                     exclude=np.array([1], dtype=np.uint8)) == want
+        full = orientation_histogram(mesh, mesh.vertices)
+        for empty in ((), np.array([]), np.array([], dtype=bool)):
+            assert orientation_histogram(mesh, mesh.vertices, exclude=empty) == full
+
     @pytest.mark.parametrize("bad", [-1, 8, 100], ids=["negative", "past-the-end", "far"])
     def test_out_of_range_exclude_rejected(self, bad):
         # a negative index would wrap to another simplex, and one past the
@@ -928,6 +947,18 @@ class TestAudit:
             assert getattr(bare, key) == getattr(via_embedding, key)
         assert bare.verdict == "injective-certified"
         assert full_counts == []
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    def test_non_integer_seed_rejected(self, bad):
+        # a cast used to exclude simplex 1 for 1.5 and for True
+        mesh = icosphere(1)
+        emb = run_fplm(mesh, seed_simplex=1)
+        dtype = np.asarray(bad).dtype
+        with pytest.raises(ValueError, match=f"^seed_simplex must be an integer, "
+                                             f"got dtype {dtype}$"):
+            audit(mesh, emb.coords, seed_simplex=bad)
+        want = audit(mesh, emb.coords, seed_simplex=1).to_dict()
+        assert audit(mesh, emb.coords, seed_simplex=np.int16(1)).to_dict() == want
 
     def test_bare_coords_seed_exclude_matches(self):
         # a closed mesh's bare coordinates given its seed exclude that seed
