@@ -233,17 +233,11 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     verts = verts.astype(float, copy=False)
     if verts.ndim != 2 or verts.shape[1] != payload["ambient_dim"]:
         raise ValueError("vertex array does not match ambient_dim")
-    # a float, string or beyond-int64 entry, or bools only, leave the
-    # simplices non-integer, where a cast would truncate or overflow
+    # SimplicialMesh's integer-id rule judges the simplices; an int row
+    # holding a bool is handed on as bools, so the rule names that dtype
     simplices = np.array(payload["simplices"])
-    dtype = simplices.dtype
-    if dtype.kind == "i" and maybe_bool and _has_bool(payload["simplices"]):
-        dtype = np.dtype(bool)
-    if simplices.size and dtype.kind != "i":
-        raise ValueError(
-            "simplex vertex ids must be integers in the int64 range, got "
-            f"{dtype} entries"
-        )
+    if simplices.dtype.kind == "i" and maybe_bool and _has_bool(payload["simplices"]):
+        simplices = simplices.astype(bool)
     try:
         return SimplicialMesh(verts, simplices, payload["intrinsic_dim"])
     except IndexError as exc:

@@ -6,12 +6,12 @@ the reordered matrix, (w + 1) * n entries of 8 bytes for band width w, with
 LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``). It runs while the band
 holds at most ``BAND_LIMIT`` entries. Past that, where the band's n * w^2
 factorisation cost (large tetrahedral meshes, whose band grows like
-n^(2/3)) loses, the ``pcg`` route runs: scipy's conjugate gradient
-(``scipy.sparse.linalg.cg``) with the inverse diagonal as Jacobi
-preconditioner, one right-hand-side column at a time. Both routes are
-deterministic for fixed inputs on one platform and one BLAS thread count
-(PCG's bytes change with the thread count), and one gate, the
-Frobenius-norm residual, accepts every solution.
+n^(2/3)) loses, the ``pcg`` route runs: this module's Jacobi-preconditioned
+conjugate-gradient loop, one right-hand-side column at a time. Both routes
+are deterministic for fixed inputs on one platform, and one gate, the
+Frobenius-norm residual, accepts every solution. PCG and the gate sum by
+numpy's own loop, not BLAS, so PCG's bytes and every residual are the same
+at any BLAS thread count; the band's bytes may change with it.
 
 The band names the first non-positive pivot of an indefinite matrix. PCG
 checks only the diagonal: past it, the residual gate decides
@@ -29,7 +29,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, cg
 
 # Most lower-band entries, (band width + 1) * n, that the band route factors
 # by banded Cholesky (80 MB of float64). Past it PCG wins on tetrahedral
@@ -54,8 +53,7 @@ class SolveConfig:
     """Solver control: rel_tol bounds ||L_y Y - B||_F <= rel_tol * ||B||_F.
 
     The route is not a setting; the matrix picks it (see the module
-    docstring). PCG stops after scipy's own cap of 10 * n_free iterations
-    per column.
+    docstring). PCG stops after at most 10 * n_free iterations per column.
     """
 
     rel_tol: float = 1e-10
@@ -118,10 +116,8 @@ def solve_spd(lap_free: sparse.spmatrix, rhs: np.ndarray,
         # scaling is exact: the sum of squares of a b whose entries are all
         # below ~1e-154 would underflow
         k = -np.frexp(np.abs(b).max())[1]
-        achieved = float(
-            np.linalg.norm(np.ldexp(lap_free @ y - b, k))
-            / np.linalg.norm(np.ldexp(b, k))
-        )
+        r, bk = np.ldexp(lap_free @ y - b, k), np.ldexp(b, k)
+        achieved = float(np.sqrt(_dot(r, r) / _dot(bk, bk)))
         # written so that a NaN residual fails the gate too
         if not achieved <= config.rel_tol:
             raise SolverError(
@@ -173,16 +169,12 @@ def _solve_band(a, b):
 
 
 def _solve_pcg(a, b, config):
-    """Jacobi-preconditioned conjugate gradients on the CSR matrix ``a``,
-    one column at a time.
-
-    scipy's ``cg`` loop has a fixed operation order, hence is
-    bit-reproducible for fixed inputs on one platform and one BLAS thread
-    count; it stops after its default cap of 10 * n iterations. A column
-    whose iterates turn non-finite (a breakdown, or iterating on past
-    rounding) gets its last finite iterate. Returns the solution and the
-    route record of :func:`solve_spd`, which holds the largest iteration
-    count over the columns.
+    """Jacobi-preconditioned conjugate gradients (Hestenes and Stiefel,
+    1952) on the CSR matrix ``a``, one column at a time. A column stops
+    once ||r|| <= rel_tol * ||b||, after 10 * n steps, or before a step
+    whose p'Ap or alpha is not finite (a breakdown, or iterating on past
+    rounding), keeping its last iterate. Returns the solution and the
+    route record of :func:`solve_spd`.
     """
     n = a.shape[0]
     diag = a.diagonal()
@@ -195,27 +187,35 @@ def _solve_pcg(a, b, config):
             pivot=k,
         )
     inv_diag = 1.0 / diag
-    jacobi = LinearOperator((n, n), matvec=lambda r: inv_diag * r, dtype=float)
-    # a zero column keeps +0.0; cg would hand the column back, -0.0 included
-    y = np.zeros_like(b)
-    iterations = 0
+    y, iterations = np.zeros_like(b), 0  # a zero column keeps +0.0
     for col in np.flatnonzero(b.any(axis=0)):
-        # cg on the column scaled by a power of two near 1/max|b|: the
-        # iterates scale exactly, and cg's own norm of b cannot underflow
+        # the column scaled by a power of two near 1/max|b|: the iterates
+        # scale exactly, and the norm of b cannot underflow
         k = -np.frexp(np.abs(b[:, col]).max())[1]
-        bk = np.ldexp(b[:, col], k)
-        finite = []  # per iteration, whether its iterate is finite
+        r = np.ldexp(b[:, col], k)
+        tol = config.rel_tol * np.sqrt(_dot(r, r))
+        x, p, steps = np.zeros(n), np.zeros(n), 0
         with np.errstate(all="ignore"):
-            x, _ = cg(a, bk, rtol=config.rel_tol, atol=0.0, M=jacobi,
-                      callback=lambda x: finite.append(math.isfinite(x[0])))
-            if not all(finite):
-                # a zero or underflowed p'Ap gives a NaN or inf step, which
-                # reaches every entry of every later iterate; cg is
-                # deterministic, so a replay one step short of the first
-                # such iterate hands back the last finite one
-                finite = finite[:finite.index(False)]
-                x, _ = cg(a, bk, rtol=config.rel_tol, atol=0.0,
-                          maxiter=len(finite), M=jacobi)
+            while steps < 10 * n and np.sqrt(_dot(r, r)) > tol:
+                z = inv_diag * r
+                rho = _dot(r, z)
+                p *= rho / rho_prev if steps else 0.0
+                p += z
+                q = a @ p
+                pq = _dot(p, q)
+                alpha = rho / pq
+                # p'Ap is not finite if p is not (the diagonal is positive),
+                # and on SPD input ||x||_D grows only up to the solution's
+                if not (math.isfinite(pq) and math.isfinite(alpha)):
+                    break
+                x += alpha * p
+                r -= alpha * q
+                rho_prev, steps = rho, steps + 1
         y[:, col] = np.ldexp(x, -k)
-        iterations = max(iterations, len(finite))
+        iterations = max(iterations, steps)
     return y, {"route": "pcg", "iterations": iterations}
+
+
+def _dot(u, v):
+    """sum(u * v) by einsum's own loop, not BLAS: the same at any thread count."""
+    return np.einsum("i,i->", u.ravel(), v.ravel())

@@ -293,6 +293,21 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="vertex ids must be integers"):
             mesh_from_json(self.triangle_blob(simplices))
 
+    @pytest.mark.parametrize("entry", ["1.5", '"1"', str(2**70), "true"],
+                             ids=["fraction", "string", "2**70", "true"])
+    def test_json_ids_meet_the_mesh_id_rule(self, entry):
+        # one id rule and message for a mesh from JSON and from arrays; a
+        # true in an int row, which numpy reads as 1, reaches it as bools
+        simplices = f"[[0, 1, 2], [1, 3, {entry}]]"
+        with pytest.raises(ValueError) as from_json:
+            mesh_from_json(self.triangle_blob(simplices))
+        ids = np.array(json.loads(simplices), dtype=bool if entry == "true" else None)
+        with pytest.raises(ValueError) as from_mesh:
+            SimplicialMesh(np.zeros((4, 2)), ids, 2)
+        assert str(from_json.value) == str(from_mesh.value)
+        assert str(from_json.value) == ("simplex vertex ids must be integers, "
+                                        f"got dtype {ids.dtype}")
+
     def test_bool_outside_the_simplices_is_accepted(self):
         blob = self.triangle_blob("[[0, 1, 2], [1, 3, 2]]")
         mesh = mesh_from_json(blob[:-1] + ', "closed": false, "note": "true"}')

@@ -1,7 +1,12 @@
 """SPD solver tests: band route, PCG route, the route rule, failure modes."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +327,43 @@ class TestSolveSpd:
         y2 = solve_spd(a, b)[0]
         assert y1.tobytes() == y2.tobytes()
 
+    def test_pcg_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # ball3(24) takes PCG in both rounds. Every sum in the loop and in
+        # the gate is numpy's own, not a BLAS dot, whose order of summation
+        # follows the thread count: so 1 and 2 OpenBLAS threads give the
+        # same coordinates and residuals, bit for bit. The gate's sums over
+        # a 100k x 2 block (a diagonal system) are the case a BLAS norm
+        # gets wrong in the last bit
+        code = (
+            "import hashlib, json\n"
+            "import numpy as np\n"
+            "from scipy import sparse\n"
+            "from fplm.generators import GeneratorSpec, generate\n"
+            "from fplm.mapping import run_fplm\n"
+            "from fplm.solver import solve_spd\n"
+            "e = run_fplm(generate(GeneratorSpec('ball3', (24,)))[0])\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = sparse.diags(rng.uniform(1, 2, 100000)).tocsr()\n"
+            "gate = solve_spd(a, rng.normal(size=(100000, 2)))[1]\n"
+            "print(json.dumps([[r['route'] for r in e.routes.values()],"
+            " hashlib.sha256(e.coords.tobytes()).hexdigest(),"
+            " {k: float(v).hex() for k, v in e.residuals.items()},"
+            " float(gate).hex()]))\n"
+        )
+        src = str(Path(solver.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=300)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0][0] == ["pcg", "pcg"]
+        assert runs[1] == runs[0]
+
 
 class TestSolverFailures:
     def test_indefinite_direct_reports_pivot(self, solve_direct):
@@ -403,10 +445,10 @@ class TestSolverFailures:
     @pytest.mark.parametrize("kind", ["random", "grid-disk"])
     def test_pcg_past_rounding_reports_the_residual_it_reached(self, force_route,
                                                                kind):
-        # iterating on past rounding, cg meets p'Ap = 0 or an underflow and
-        # every later iterate is NaN (step 130 of 600 on the random matrix);
-        # the last finite iterate is handed back, so the gate reports a
-        # rounding-level residual as the band does, not NaN
+        # iterating on past rounding, CG meets r'z = p'Ap = 0, a NaN step
+        # (step 130 of 600 on the random matrix); the loop stops before it
+        # and keeps the last iterate, so the gate reports a rounding-level
+        # residual as the band does, not NaN
         if kind == "random":
             rng = np.random.default_rng(17)
             a = random_spd(rng, 60)
@@ -420,6 +462,25 @@ class TestSolverFailures:
         with pytest.raises(SolverError, match="pcg solve missed") as exc_info:
             solve_spd(a, b, SolveConfig(rel_tol=1e-300))
         assert 1e-300 < exc_info.value.achieved < 1e-10
+
+    def test_pcg_breakdown_stops_at_once(self):
+        # the column breaks down at step 130 of its cap of 600: one product
+        # per step taken, plus one for the step refused, and no run on to
+        # the cap in NaN arithmetic
+        class CountingCSR(sparse.csr_matrix):
+            products = 0
+
+            def __matmul__(self, other):
+                self.products += 1
+                return super().__matmul__(other)
+
+        rng = np.random.default_rng(17)
+        a = CountingCSR(random_spd(rng, 60))
+        b = rng.normal(size=(60, 1))
+        y, route = solver._solve_pcg(a, b, SolveConfig(rel_tol=1e-300))
+        assert np.isfinite(y).all()
+        assert 0 < route["iterations"] < 10 * 60
+        assert a.products <= route["iterations"] + 1
 
     def test_small_indefinite_reports_the_band_pivot(self):
         # indirect check of the route rule: under the default limit a small
