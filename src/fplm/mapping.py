@@ -33,6 +33,7 @@ from .simplicial import (
     canonical_orientation,
     detect_boundary,
     detect_dividing_simplices,
+    integer_id,
     integer_ids,
     validate_mesh,
 )
@@ -264,17 +265,21 @@ def run_fplm(
     to a regular polygon in one solve. Round 1 pins simplex ``seed_simplex``,
     or the one :func:`select_seed_simplex` picks when it is None; the
     polygon branch pins no simplex and ignores it. Raises ValueError when
-    the mesh fails validation, has multiple boundary loops (d = 2), or
-    ``seed_simplex`` is not a simplex index (a float or bool included).
+    the mesh fails validation, is not orientable, has multiple boundary
+    loops (d = 2), or ``seed_simplex`` is not one simplex index (a float, a
+    bool or an array included).
     """
     if seed_simplex is not None:
-        seed_simplex = int(integer_ids(seed_simplex, "seed_simplex"))
+        seed_simplex = integer_id(seed_simplex, "seed_simplex")
     violations = validate_mesh(mesh)
     if violations:
         head = "; ".join(v.detail for v in violations[:3])
         raise ValueError(
             f"mesh fails validation with {len(violations)} violation(s): {head}"
         )
+    # the two-round branch reads no orientation, so a non-orientable mesh
+    # would pass it; the signs come from the cover labels validation cached
+    canonical_orientation(mesh)
     boundary = detect_boundary(mesh)
     if boundary.boundary_cycles is not None and len(boundary.boundary_cycles) > 1:
         raise ValueError(

@@ -50,6 +50,18 @@ def integer_ids(ids, what: str) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def integer_id(id_, what: str) -> int:
+    """One vertex or simplex id as an int, by the rule of :func:`integer_ids`.
+
+    A list or an array of any shape but a scalar's raises ValueError, as
+    numpy's scalar conversion would raise TypeError.
+    """
+    shape = np.shape(id_)
+    if shape:
+        raise ValueError(f"{what} must be one integer, got shape {shape}")
+    return int(integer_ids(id_, what))
+
+
 @dataclass(frozen=True, eq=False)
 class SimplicialMesh:
     """Immutable d-dimensional simplicial mesh embedded in R^l.

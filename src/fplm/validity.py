@@ -16,21 +16,28 @@ has its check: :func:`canonical_orientation` establishes
 face-connectivity, orientability and at most two triangles per edge (it
 raises otherwise); the boundary walk rejects a boundary vertex with more
 than two boundary edges; and :func:`orientation_histogram` gives the
-signs, with no near-zero image allowed. The loop is the single boundary
-cycle of an open mesh, or the edges of the excluded seed triangle of a
-closed mesh. With no such loop (several boundary loops), a one-signed
+signs, with no near-zero image allowed.
+
+The loop of a closed mesh is its excluded seed triangle, and it needs no
+test. Over a closed, consistently oriented surface the signed areas of the
+triangle images sum to exactly 0, since every edge is walked once in each
+direction. So when all other triangles share one nonzero exact sign, the
+seed's exact area is nonzero with the opposite sign: its image is not
+flat, and a triangle that is not flat is a simple loop. A closed mesh is
+decided by its histogram alone. The loop of an open mesh is its single
+boundary cycle. With no such loop (several boundary loops), a one-signed
 drawing is injective when its whole 1-skeleton is drawn as a plane graph.
 Both cases ask one question, whether the tested edges are drawn as a plane
-graph, and :func:`_meetings` answers it exactly for both; a triangle loop
-takes one exact orientation instead (:func:`_loop_is_simple`). So a
-one-signed drawing costs a test of its B loop edges, or one sweep of its E
-edges when it has no loop. The full :func:`count_crossings` runs only for
-the report of a drawing that is not certified this way, so violated
-reports keep their crossing pairs; a loop that is not simple and a touch
-with no crossing (a T-junction, or two vertices drawn at one point) each
-add their own reason. A drawing whose near-zero triangles have exact signs
-that agree with all the others meets the theorem too: it has no crossings,
-yet stays violated for its near-zero images.
+graph, and :func:`_meetings` answers it exactly for both. So a one-signed
+drawing costs nothing more when closed, a test of its B loop edges when
+open, or one sweep of its E edges when it has no loop. The full
+:func:`count_crossings` runs only for the report of a drawing that is not
+certified this way, so violated reports keep their crossing pairs; a loop
+that is not simple and a touch with no crossing (a T-junction, or two
+vertices drawn at one point) each add their own reason. A drawing whose
+near-zero triangles have exact signs that agree with all the others meets
+the theorem too: it has no crossings, yet stays violated for its near-zero
+images.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -68,6 +75,7 @@ from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
+    integer_id,
     integer_ids,
     mesh_edges,
 )
@@ -380,16 +388,17 @@ def _meetings(edges, coords) -> int:
     column compares of the endpoint ids, in sweep order, tell the shared
     pairs.
 
-    A boundary loop never repeats a vertex, so on a loop of more than three
-    edges the pairs that share an index are the adjacent ones, and 0 means
-    the loop is a simple polygon (:func:`_loop_is_simple`). On the whole
-    1-skeleton of a one-signed drawing, 0 means the drawing is injective:
-    the link of a vertex whose star wraps more than once is not a simple
-    polygon, so its edges would meet, and a vertex drawn inside a triangle
-    it does not belong to could reach that triangle's corners only along
-    edges inside it, which a one-to-one star at the corner does not allow.
-    A pair hit by the open test is one that :func:`count_crossings` counts,
-    so on edges with no crossing the count is the number of touches.
+    A boundary loop never repeats a vertex, so on a loop the pairs that
+    share an index are the adjacent ones, and 0 means the loop is a simple
+    polygon; on three edges every pair is adjacent, and 0 means the three
+    vertices are distinct and not collinear. On the whole 1-skeleton of a
+    one-signed drawing, 0 means the drawing is injective: the link of a
+    vertex whose star wraps more than once is not a simple polygon, so its
+    edges would meet, and a vertex drawn inside a triangle it does not
+    belong to could reach that triangle's corners only along edges inside
+    it, which a one-to-one star at the corner does not allow. A pair hit by
+    the open test is one that :func:`count_crossings` counts, so on edges
+    with no crossing the count is the number of touches.
     """
     e = np.asarray(edges, dtype=np.int64)
     order, cols = _sweep_columns(e, np.asarray(coords, dtype=float))
@@ -402,26 +411,6 @@ def _meetings(edges, coords) -> int:
         hit = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed)
         meetings += int(np.count_nonzero(hit))
     return meetings
-
-
-def _loop_is_simple(cycle, coords) -> bool:
-    """Does the closed polygon through ``cycle`` map to a simple curve?
-
-    ``cycle`` lists distinct vertex indices into ``coords`` (N, 2) in loop
-    order, the last joined back to the first. The answer is exact. A
-    triangle (a closed mesh's seed loop) is simple exactly when its
-    vertices are not collinear, two coincident ones included, so one exact
-    orientation decides it before any edge is built. A longer loop is
-    simple exactly when its edges are drawn as a plane graph
-    (:func:`_meetings`).
-    """
-    v = np.asarray(cycle, dtype=np.int64)
-    p = np.asarray(coords, dtype=float)
-    if v.size == 3:
-        # one row: the integer stage alone is cheaper than the float filter,
-        # and two coincident vertices have orientation 0 too
-        return bool(exact_orientations(p, v[None])[0] != 0)
-    return _meetings(np.column_stack([v, np.roll(v, -1)]), p) == 0
 
 
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
@@ -677,18 +666,19 @@ def audit(
     The seed simplex is ``seed_simplex`` when given, else the one an
     :class:`Embedding` records. On a closed mesh the seed's image covers the
     rest of the drawing with opposite orientation (it plays the role of the
-    removed outer face), so the seed is excluded from the histogram and its
-    edges are the loop the certificate tests. On an open mesh the seed is
-    audited like every other simplex. Non-finite coordinates and a seed
-    that is not a simplex index (a float or bool included) raise
-    ``ValueError``.
+    removed outer face), so the seed is excluded from the histogram. On an
+    open mesh the seed is audited like every other simplex. Non-finite
+    coordinates and a seed that is not one simplex index (a float, a bool
+    or an array included) raise ``ValueError``.
 
-    For d = 2 the orientation histogram runs first. A drawing bounded by one
-    loop whose exact signs all agree, near-zero images included, is then
-    decided on that loop alone; a one-signed drawing with no loop, on one
-    sweep of all its edges (the certificate of the module docstring). Every
-    other drawing, and one that fails its plane test, gets the full
-    crossing count for its report.
+    For d = 2 the orientation histogram runs first. A closed mesh with an
+    excluded seed whose exact signs all agree, near-zero images included,
+    is decided by the histogram alone: the images' signed areas sum to 0,
+    so the seed's loop is simple. An open drawing bounded by one loop whose
+    exact signs all agree is decided on that loop; a one-signed drawing
+    with no loop, on one sweep of all its edges (the certificate of the
+    module docstring). Every other drawing, and one that fails its plane
+    test, gets the full crossing count for its report.
 
     The hull check evaluates only the free vertices that can lie farthest
     outside the fixed targets' hull when the histogram finds one exact sign
@@ -715,7 +705,7 @@ def audit(
         raise ValueError("embedding coordinates must be finite (found NaN or inf)")
 
     if seed_simplex is not None:
-        seed_simplex = int(integer_ids(seed_simplex, "seed_simplex"))
+        seed_simplex = integer_id(seed_simplex, "seed_simplex")
         if not 0 <= seed_simplex < mesh.n_simplices:
             raise ValueError(
                 f"seed_simplex {seed_simplex} is not a simplex index in "
@@ -733,15 +723,21 @@ def audit(
     simple = True
     touches = 0
     if d == 2:
-        loop = _certifying_loop(mesh, boundary, exclude)
+        cycles = boundary.boundary_cycles
+        loop = bool(exclude) or len(cycles) == 1
         # near-zero images still meet the degree theorem when their exact
         # signs agree with the rest; the verdict stays violated below
-        tested = loop is not None and (one_sign or (
+        plane = loop and (one_sign or (
             zero and (pos > 0) != (neg > 0) and _one_exact_sign(mesh, coords, exclude)
         ))
-        simple = not tested or _loop_is_simple(loop, coords)
-        plane = tested and simple
-        if one_sign and loop is None:
+        # an open mesh's boundary cycle takes the plane test; a closed mesh's
+        # seed loop needs none: the exact signed areas of a closed,
+        # consistently oriented surface's images sum to 0, so with the rest
+        # one-signed the seed's image has the other sign and is not flat
+        if plane and not exclude:
+            cycle = np.asarray(cycles[0])
+            simple = plane = not _meetings(np.column_stack([cycle, np.roll(cycle, -1)]), coords)
+        if one_sign and not loop:
             # with no loop to test, the whole 1-skeleton takes the plane test
             touches = _meetings(mesh_edges(mesh), coords)
             plane = not touches
@@ -855,16 +851,3 @@ def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:
     orientation histogram with no near-zero band."""
     pos, neg, zero = orientation_histogram(mesh, coords, 0.0, exclude=exclude)
     return zero == 0 and (pos > 0) != (neg > 0)
-
-
-def _certifying_loop(mesh: SimplicialMesh, boundary, exclude):
-    """The one loop that bounds the audited triangles, or None.
-
-    An open mesh is bounded by its boundary cycle when it has exactly one.
-    A closed mesh is bounded by the edges of its excluded seed triangle,
-    and has no loop when no seed is excluded.
-    """
-    if exclude:
-        return mesh.simplices[exclude[0]]
-    cycles = boundary.boundary_cycles
-    return cycles[0] if len(cycles) == 1 else None

@@ -10,6 +10,7 @@ from fplm.cli import main
 from fplm.generators import ball3
 from fplm.meshio import mesh_from_json, mesh_to_json, read_embedding_csv, write_embedding_csv
 from fplm.simplicial import SimplicialMesh, mesh_edges
+from test_simplicial import mobius_strip
 
 
 def run_pipeline(tmp_path, kind="grid-disk", resolution="5x5", extra_embed=()):
@@ -712,6 +713,17 @@ class TestInputErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "to the power d = 3 is not a finite double" in err
+
+    def test_non_orientable_mesh_is_an_input_error(self, tmp_path, capsys):
+        # a 12 x 3 Mobius band takes the two-round branch, which used to
+        # embed it and exit 0
+        mesh, out = tmp_path / "mobius.json", tmp_path / "mobius.csv"
+        mesh.write_text(mesh_to_json(mobius_strip(12, 3)))
+        assert main(["embed", "--mesh", str(mesh), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "non-orientable" in err
+        assert sorted(tmp_path.iterdir()) == [mesh]
 
     def test_input_too_large_for_memory_is_an_input_error(self, tmp_path, capsys):
         # ball3 300000 asks numpy for 576 PiB at once, past even a 57-bit

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -22,9 +23,16 @@ from fplm.mapping import (
     select_seed_simplex,
     solve_fixed_point,
 )
-from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
+from fplm.simplicial import (
+    SimplicialMesh,
+    detect_boundary,
+    detect_dividing_simplices,
+    mesh_edges,
+    validate_mesh,
+)
 from fplm.validity import audit
 from orientation_oracle import simplex_orientation_rational
+from test_simplicial import mobius_strip
 
 
 def grid_mesh(nx, ny):
@@ -109,6 +117,13 @@ class TestSelectSeedSimplex:
         dtype = np.asarray(bad).dtype
         with pytest.raises(ValueError, match=f"^seed_simplex must be an integer, "
                                              f"got dtype {dtype}$"):
+            run_fplm(grid_mesh(3, 3), seed_simplex=bad)
+
+    @pytest.mark.parametrize("bad", [[3], [1, 2], np.array([[2]])], ids=["[3]", "[1, 2]", "[[2]]"])
+    def test_non_scalar_seed_rejected(self, bad):
+        # numpy's scalar conversion used to raise TypeError here
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=f"^seed_simplex must be one integer, got shape {shape}$"):
             run_fplm(grid_mesh(3, 3), seed_simplex=bad)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
@@ -345,6 +360,16 @@ class TestRunFplm:
         assert emb.fixed_round2 is None
         assert emb.coords_round1 is emb.coords
         assert emb.routes == {"round1": {"route": "none"}}
+
+    def test_non_orientable_two_round_mesh_rejected(self):
+        # a 12 x 3 Mobius band passes validation and has no dividing edge,
+        # so it takes the two-round branch, which reads no orientation of
+        # its own; it used to be embedded there
+        mesh = mobius_strip(12, 3)
+        assert validate_mesh(mesh) == []
+        assert detect_dividing_simplices(mesh) == []
+        with pytest.raises(ValueError, match="^mesh is combinatorially non-orientable"):
+            run_fplm(mesh)
 
     def test_closed_surface_one_round(self):
         emb = run_fplm(icosphere(1))

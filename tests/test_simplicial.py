@@ -451,27 +451,32 @@ class TestCanonicalOrientation:
             canonical_orientation(mobius_strip())
 
 
-def mobius_strip():
-    """A triangulated Mobius band: 6 rim vertex pairs, a strip of 12
-    triangles whose last pair closes the loop with the two rails swapped."""
-    n = 6
+def mobius_strip(n=6, rails=2):
+    """A triangulated Mobius band: ``n`` columns of ``rails`` vertices
+    across the band, two triangles per cell, the last column joined to the
+    first with the rails reversed. The default 6 x 2 band has 12 triangles
+    and every interior edge joins its two rims."""
     verts = []
     for i in range(n):
         theta = 2 * np.pi * i / n
-        for s in (-1.0, 1.0):
+        for s in np.linspace(-1.0, 1.0, rails):
             r = 2.0 + 0.5 * s * np.cos(theta / 2)
             z = 0.5 * s * np.sin(theta / 2)
             verts.append([r * np.cos(theta), r * np.sin(theta), z])
 
     def vid(i, s):
-        return 2 * (i % n) + s
+        return rails * (i % n) + s
 
     tris = []
     for i in range(n):
-        a, b = vid(i, 0), vid(i, 1)
-        c, d = (vid(i + 1, 0), vid(i + 1, 1)) if i < n - 1 else (vid(0, 1), vid(0, 0))
-        tris.append([a, b, c])
-        tris.append([b, d, c])
+        for s in range(rails - 1):
+            a, b = vid(i, s), vid(i, s + 1)
+            if i < n - 1:
+                c, d = vid(i + 1, s), vid(i + 1, s + 1)
+            else:  # the rails reversed
+                c, d = vid(0, rails - 1 - s), vid(0, rails - 2 - s)
+            tris.append([a, b, c])
+            tris.append([b, d, c])
     return SimplicialMesh(np.array(verts), np.array(tris), 2)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from fplm.mapping import Embedding, FixedPointSet, regular_simplex, run_fplm
 from fplm.simplicial import SimplicialMesh, detect_boundary, mesh_edges
 from fplm.validity import (
     _HULL_ENTRIES,
-    _loop_is_simple,
     audit,
     check_boundary_convexity,
     check_hull_containment,
@@ -39,6 +39,7 @@ from fplm.validity import (
 )
 from fplm.simplicial import canonical_orientation
 from orientation_oracle import (
+    det_rational,
     orient2d_rational,
     simplex_orientation_rational,
     simplex_orientations_rational,
@@ -960,6 +961,14 @@ class TestAudit:
         want = audit(mesh, emb.coords, seed_simplex=1).to_dict()
         assert audit(mesh, emb.coords, seed_simplex=np.int16(1)).to_dict() == want
 
+    @pytest.mark.parametrize("bad", [[3], [1, 2], np.array([[2]])], ids=["[3]", "[1, 2]", "[[2]]"])
+    def test_non_scalar_seed_rejected(self, bad):
+        # numpy's scalar conversion used to raise TypeError here
+        mesh = icosphere(1)
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=f"^seed_simplex must be one integer, got shape {shape}$"):
+            audit(mesh, run_fplm(mesh).coords, seed_simplex=bad)
+
     def test_bare_coords_seed_exclude_matches(self):
         # a closed mesh's bare coordinates given its seed exclude that seed
         mesh = icosphere(1)
@@ -1157,9 +1166,17 @@ class TestMeetings:
         assert expect > 100
 
 
+def loop_meetings(cycle, coords):
+    """The plane test of an open mesh's boundary loop: ``validity._meetings``
+    on the edges of the closed polygon through ``cycle``."""
+    v = np.asarray(cycle)
+    return validity._meetings(np.column_stack([v, np.roll(v, -1)]), coords)
+
+
 class TestLoopIsSimple:
-    """Small lattice polygons, so vertices coincide, touch edges, fold back
-    and lie on one line often."""
+    """The plane test on a loop's edges is 0 exactly when the loop is simple.
+    Small lattice polygons, so vertices coincide, touch edges, fold back and
+    lie on one line often."""
 
     @settings(max_examples=400, deadline=None)
     @given(lattice_loops)
@@ -1175,12 +1192,12 @@ class TestLoopIsSimple:
     def test_matches_brute_force_oracle(self, loop):
         points, cycle = loop
         coords = np.array(points, dtype=float)
-        assert _loop_is_simple(cycle, coords) == oracle_loop_is_simple(points, cycle)
+        assert (loop_meetings(cycle, coords) == 0) == oracle_loop_is_simple(points, cycle)
 
     def test_near_collinear_triangles_take_the_exact_stage(self, monkeypatch):
-        # a triangle is decided by its one exact orientation: these lie
-        # within a few units in the last place of the line y = x, where the
-        # float filter decides none of them and the integer stage all
+        # these lie within a few units in the last place of the line y = x,
+        # where the float filter cannot decide them, so each triangle's plane
+        # test reaches the integer stage
         made = []
         real = geometry._orient2d_exact
 
@@ -1194,20 +1211,21 @@ class TestLoopIsSimple:
         for i in range(-3, 4):
             for j in range(-3, 4):
                 coords = np.array([[0.5 + i * ulp, 0.5 + j * ulp], [12.0, 12.0], [24.0, 24.0]])
-                got.append(_loop_is_simple([0, 1, 2], coords))
+                before = len(made)
+                got.append(loop_meetings([0, 1, 2], coords) == 0)
                 want.append(orient2d_rational(*coords.ravel()) != 0)
+                assert len(made) > before
         assert got == want
         assert True in want and False in want
-        assert len(made) == len(want)
 
     def test_blocks_cover_every_pair(self, monkeypatch):
         # a regular 40-gon is simple; one vertex pulled onto a far edge is not
         monkeypatch.setattr(validity, "_PAIR_BLOCK", 3)
         angles = 2 * np.pi * np.arange(40) / 40
         coords = np.column_stack([np.cos(angles), np.sin(angles)])
-        assert _loop_is_simple(range(40), coords)
+        assert loop_meetings(range(40), coords) == 0
         coords[5] = 0.5 * (coords[24] + coords[25])
-        assert not _loop_is_simple(range(40), coords)
+        assert loop_meetings(range(40), coords) > 0
 
 
 def cell_strip(cells, moved=(), split=()):
@@ -1510,7 +1528,7 @@ class TestBoundaryCertificate:
         a, b, c = mesh.simplices[seed]
         coords = emb.coords.copy()
         coords[c] = 0.5 * (coords[a] + coords[b]) if collapse == "collinear" else coords[a]
-        assert not _loop_is_simple([a, b, c], coords)
+        assert loop_meetings([a, b, c], coords) > 0
         report = audit(mesh, coords, seed_simplex=seed)
         assert full_counts == [mesh_edges(mesh).shape[0]]
         assert report.verdict == "violated"
@@ -1523,6 +1541,119 @@ class TestBoundaryCertificate:
         with pytest.raises(ValueError, match=r"seed_simplex .* \[0, 80\)"):
             audit(mesh, emb.coords, seed_simplex=seed)
         assert full_counts == []
+
+
+CLOSED_MESHES = {"octahedron": OCTAHEDRON, "icosphere-0": icosphere(0), "icosphere-1": icosphere(1)}
+
+
+@st.composite
+def closed_lattice_drawings(draw):
+    """A small closed mesh with its vertices and triangles relabelled, fplm's
+    own map of it pinning a drawn triangle, rounded to a lattice of spacing
+    1 / k, and the seed the audit is given: the pinned triangle or any
+    other. Up to two moves follow: a vertex put on an edge's midpoint, two
+    vertices merged, or a few vertices moved by lattice steps. Coarse
+    lattices flatten and fold triangles, so every sign pattern occurs."""
+    base = CLOSED_MESHES[draw(st.sampled_from(sorted(CLOSED_MESHES)))]
+    mesh = relabel(base, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    triangle = st.integers(0, mesh.n_simplices - 1)
+    pinned = draw(triangle)
+    k = draw(st.sampled_from([64, 16, 4, 2, 1]))
+    coords = np.round(k * run_fplm(mesh, seed_simplex=pinned).coords)
+    vertex = st.integers(0, mesh.n_vertices - 1)
+    moves = st.lists(st.sampled_from(["t-junction", "merge", "perturb"]), max_size=2)
+    for move in draw(st.one_of(st.just([]), moves)):
+        if move == "t-junction":
+            a, b = draw(st.sampled_from(mesh_edges(mesh).tolist()))
+            coords[draw(vertex.filter(lambda v: v not in (a, b)))] = 0.5 * (coords[a] + coords[b])
+        elif move == "merge":
+            coords[draw(vertex)] = coords[draw(vertex)]
+        else:
+            for v in draw(st.lists(vertex, min_size=1, max_size=3, unique=True)):
+                coords[v] += draw(st.tuples(*[st.integers(-2, 2)] * 2))
+    return mesh, coords, draw(st.one_of(st.just(pinned), triangle))
+
+
+def oracle_closed_report(mesh, points, seed):
+    """Orientation counts, crossing pairs, verdict and reasons of a closed
+    mesh's drawing with ``seed`` excluded, from the brute-force oracles
+    alone: rational signs, the integer crossing pairs, and the seed loop's
+    simplicity when the other triangles share one sign. On a lattice no
+    image is near zero unless it is flat."""
+    sign = canonical_orientation(mesh)
+    exact = [sign[m] * simplex_orientation_rational([points[v] for v in t])
+             for m, t in enumerate(mesh.simplices.tolist()) if m != seed]
+    pos, neg, zero = exact.count(1), exact.count(-1), exact.count(0)
+    one_sign = zero == 0 and (pos > 0) != (neg > 0)
+    simple = not one_sign or oracle_loop_is_simple(points, mesh.simplices[seed].tolist())
+    pairs = tuple(sorted(oracle_crossing_pairs(points, mesh_edges(mesh).tolist())))
+    reasons = [f"{len(pairs)} edge crossing(s)"] if pairs else []
+    if not simple:
+        reasons.append("boundary loop image is not simple")
+    if zero:
+        reasons.append(f"{zero} near-degenerate simplex image(s)")
+    if pos and neg:
+        reasons.append(f"mixed orientations: {pos} positive vs {neg} negative")
+    certified = one_sign and simple and not pairs
+    return (pos, neg, zero), pairs, "injective-certified" if certified else "violated", reasons
+
+
+class TestClosedMeshLoop:
+    """A closed mesh needs no test of its seed loop: over a closed,
+    consistently oriented surface the exact signed areas of the triangle
+    images sum to 0, so when the other triangles share one nonzero sign the
+    seed's image has the other sign and is a simple loop."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(closed_lattice_drawings())
+    def test_seed_sign_follows_from_the_others(self, drawing):
+        mesh, coords, seed = drawing
+        # one common denominator scales the lattice to ints, which keeps
+        # every sign and is much faster than Fractions
+        values = [Fraction(x) for x in coords.ravel().tolist()]
+        den = math.lcm(*(v.denominator for v in values))
+        points = list(zip(*[iter(int(v * den) for v in values)] * 2))
+        sign = canonical_orientation(mesh)
+        areas = [sign[m] * det_rational([[q - p for q, p in zip(points[v], points[t[0]])] for v in t[1:]])
+                 for m, t in enumerate(mesh.simplices.tolist())]
+        assert sum(areas) == 0
+        others = {(a > 0) - (a < 0) for m, a in enumerate(areas) if m != seed}
+        if others in ({1}, {-1}):
+            seed_sign = (areas[seed] > 0) - (areas[seed] < 0)
+            assert seed_sign == -others.pop()
+            a, b, c = mesh.simplices[seed].tolist()
+            assert oracle_meetings(points, [(a, b), (b, c), (c, a)]) == 0
+
+        report = audit(mesh, coords, seed_simplex=seed)
+        counts, pairs, verdict, reasons = oracle_closed_report(mesh, points, seed)
+        assert report.orientation_counts == counts
+        assert report.crossing_pairs == pairs
+        assert report.crossing_count == len(pairs)
+        assert (report.verdict, list(report.reasons)) == (verdict, reasons)
+        if verdict == "injective-certified":
+            kept = [t for m, t in enumerate(mesh.simplices.tolist()) if m != seed]
+            assert image_overlaps(coords, kept) == []
+
+    @pytest.mark.parametrize("mesh", [OCTAHEDRON, icosphere(1), icosphere(3)],
+                             ids=["octahedron", "icosphere-1", "icosphere-3"])
+    def test_certified_closed_mesh_does_no_loop_work(self, mesh, full_counts, plane_tests,
+                                                     monkeypatch):
+        # no plane test, no full count and no exact sign of the seed: the
+        # float filter decides every other image here, so no row at all
+        # reaches the integer stage
+        exact_rows = []
+        real = validity.exact_orientations
+
+        def spy(coords, simplices):
+            exact_rows.append(len(simplices))
+            return real(coords, simplices)
+
+        monkeypatch.setattr(validity, "exact_orientations", spy)
+        seed = 0 if mesh is OCTAHEDRON else 5
+        coords = mesh.vertices if mesh is OCTAHEDRON else run_fplm(mesh, seed_simplex=seed).coords
+        report = audit(mesh, coords, seed_simplex=seed)
+        assert report.verdict == "injective-certified"
+        assert (full_counts, plane_tests, exact_rows) == ([], [], [])
 
 
 def image_overlaps(coords, triangles):
