@@ -11,11 +11,15 @@ All of this topology derives from one face table per mesh (see
 :class:`FaceTable`), built on first use and cached on the immutable mesh
 object together with the edge list, its symmetric CSR pattern, the
 boundary, the orientation signs and the validation result, so every
-consumer of one mesh object shares a single computation.
-Two ``connected_components`` calls answer the rest, one per graph: the
-star graph gives vertex manifoldness (see :func:`_adjacency_violations`),
-and the orientation double cover, cached as ``_cover_labels``, gives both
-face-connectivity to validation and the signs to :func:`canonical_orientation`.
+consumer of one mesh object shares a single computation. The table's
+sorting network is the one place a face's vertices are sorted: it gives
+each side its parity and its vertex order, and the table links each side
+to its partner across the face once.
+Two ``connected_components`` calls answer the rest, one per graph, and
+both read those partners: the star graph gives vertex manifoldness (see
+:func:`_adjacency_violations`), and the orientation double cover, cached
+as ``_cover_labels``, gives both face-connectivity to validation and the
+signs to :func:`canonical_orientation`.
 """
 
 from __future__ import annotations
@@ -84,11 +88,11 @@ class SimplicialMesh:
     :func:`mesh_faces`, :func:`mesh_edges`, :func:`detect_boundary`,
     :func:`canonical_orientation` and :func:`validate_mesh` are the one
     entry point of their results and read private caches; the face table
-    behind :func:`mesh_faces` is ``_face_table``, whose face parities and
-    side order only this module reads. ``_skeleton``, the symmetric
-    1-skeleton as one CSR pattern of edge ids, is the one sparse structure
-    the graph layer reads: the seed search, and the adjacency and Laplacian
-    of every weighted graph over the mesh.
+    behind :func:`mesh_faces` is ``_face_table``, whose face parities, side
+    order, side partners and vertex order only this module reads.
+    ``_skeleton``, the symmetric 1-skeleton as one CSR pattern of edge ids,
+    is the one sparse structure the graph layer reads: the seed search, and
+    the adjacency and Laplacian of every weighted graph over the mesh.
     """
 
     vertices: np.ndarray
@@ -138,22 +142,27 @@ class SimplicialMesh:
         """The (d-1)-faces and their simplex incidence, see :class:`FaceTable`."""
         s = self.simplices
         d = self.intrinsic_dim
+        width = d + 1
         # row k lists the columns of face k, the face opposite vertex k
-        omit = np.array([[j for j in range(d + 1) if j != k] for k in range(d + 1)])
-        raw = s[:, omit]  # (M, d+1, d)
-        inversions = np.zeros(raw.shape[:2], dtype=np.int64)
-        for i, j in itertools.combinations(range(d), 2):
-            inversions += raw[:, :, i] > raw[:, :, j]
-        parity = np.where((inversions + np.arange(d + 1)) % 2 == 0, 1, -1)
-        # sort each face's vertices, one column per position: d rounds of an
-        # odd-even transposition network of np.minimum/np.maximum sort d values
-        cols = [raw[:, :, i].ravel() for i in range(d)]
+        omit = np.array([[j for j in range(width) if j != k] for k in range(width)])
+        # each face entry packs its vertex with its column in the simplex,
+        # vertex << shift | column, so sorting the packed keys sorts the
+        # vertices and keeps tied ones in column order. d rounds of an
+        # odd-even transposition network of np.minimum/np.maximum sort each
+        # face's d keys, one column per position; the face opposite vertex k
+        # starts at parity (-1)^k and every swap flips it
+        shift = d.bit_length()  # a column 0..d takes this many bits
+        packed = (s << shift | np.arange(width))[:, omit]
+        keys = [packed[:, :, i].ravel() for i in range(d)]
+        odd = np.tile(np.arange(width) % 2 == 1, s.shape[0])
         for r in range(d):
             for i in range(r % 2, d - 1, 2):
-                cols[i], cols[i + 1] = (
-                    np.minimum(cols[i], cols[i + 1]),
-                    np.maximum(cols[i], cols[i + 1]),
-                )
+                a, b = keys[i], keys[i + 1]
+                odd ^= a > b
+                keys[i], keys[i + 1] = np.minimum(a, b), np.maximum(a, b)
+        cols = [k >> shift for k in keys]
+        mask, small = (1 << shift) - 1, np.min_scalar_type(d)
+        local = np.column_stack([(k & mask).astype(small) for k in keys])
         # one int64 key per face row, built a column at a time: the dense rank
         # of the row's prefix among all prefixes, times n, plus the next
         # column. Ranks keep lexicographic order, so the last rank is the face
@@ -174,8 +183,12 @@ class SimplicialMesh:
         return FaceTable(
             faces=_frozen(np.column_stack([c[first] for c in cols])),
             counts=_frozen(counts),
-            parity=_frozen(parity.astype(np.int8)),
+            parity=_frozen(np.where(odd, -1, 1).astype(np.int8).reshape(s.shape)),
             order=_frozen(order),
+            # in scipy's graph index type, wide enough for the star graph's
+            # width slots per side (the cover has two)
+            partner=_frozen(_side_partners(order, counts, _index_type(width * sides))),
+            local=_frozen(local),
         )
 
     @cached_property
@@ -222,12 +235,13 @@ class SimplicialMesh:
         """The boundary complex returned by :func:`detect_boundary`."""
         faces, counts = mesh_faces(self)
         boundary_faces = faces[counts == 1]
+        vertices = _unique_ints(boundary_faces)
         cycles = None
         if self.intrinsic_dim == 2:
-            cycles = _walk_boundary_cycles(boundary_faces)
+            cycles = _walk_boundary_cycles(boundary_faces, vertices)
         return BoundaryComplex(
             boundary_faces=_frozen(boundary_faces),
-            boundary_vertices=_frozen(_unique_ints(boundary_faces)),
+            boundary_vertices=_frozen(vertices),
             boundary_cycles=cycles,
         )
 
@@ -275,18 +289,19 @@ class SimplicialMesh:
         agree and the label of m+ gives the sign of simplex m.
         """
         table = self._face_table
-        width = self.intrinsic_dim + 1
-        partner = _side_partners(table, _index_type(2 * table.order.size))
-        return _frozen(_component_labels(_cover_slots(table, partner, width)))
+        return _frozen(_component_labels(_cover_slots(table, self.intrinsic_dim + 1)))
 
 
 @dataclass(frozen=True, eq=False)
 class FaceTable:
     """The (d-1)-faces of a mesh with their simplex incidence.
 
-    Built from the S = (d+1) * M faces of the simplices, each face row
-    sorted first. One int64 key per row, the dense rank of its prefix times
-    n plus its next column, is ranked again column by column; the last rank
+    Built from the S = (d+1) * M sides of the simplices: side p = m * (d+1)
+    + k is the face of simplex m opposite its vertex k. One sorting network
+    sorts every side's vertices, the only sort of a face's vertices in this
+    module, and records the parity and the vertex order below on the way.
+    One int64 key per sorted row, the dense rank of its prefix times n plus
+    its next column, is ranked again column by column; the last rank
     numbers the unique rows in lexicographic order. One sort of
     ``rank * S + side`` then groups the sides by face.
 
@@ -296,19 +311,32 @@ class FaceTable:
         Number of simplices containing each face.
     parity : (M, d+1) int8 array
         Orientation simplex m induces on its face k relative to the sorted
-        face row: the sign of the sorting permutation times (-1)^k. The two
-        simplices of a consistently oriented interior face induce opposite
-        parities once multiplied by their orientation signs.
-    order : ((d+1) * M,) int array
-        The flat sides m * (d+1) + k grouped by face: the sort that built
-        the table, so the sides of face f are ``order[start:start +
-        counts[f]]`` with ``start = counts[:f].sum()``, in ascending order.
+        face row: the sign of the sorting permutation, from the network's
+        swaps, times (-1)^k. The two simplices of a consistently oriented
+        interior face induce opposite parities once multiplied by their
+        orientation signs.
+    order : (S,) int array
+        The sides grouped by face: the sort that built the table, so the
+        sides of face f are ``order[start:start + counts[f]]`` with ``start
+        = counts[:f].sum()``, in ascending order.
+    partner : (S,) int array
+        The side that follows each side on its face, cyclically (see
+        :func:`_side_partners`), in the index type of scipy's graphs. Both
+        graphs of the module read it: the star graph and the orientation
+        double cover.
+    local : (S, d) small unsigned int array
+        The vertex order of each side: ``local[p, t]`` is the column of
+        simplex m whose vertex comes t-th in the sorted face row, so
+        ``simplices[m, local[p]]`` is that row. Tied vertices, in a simplex
+        that repeats one, keep their column order.
     """
 
     faces: np.ndarray
     counts: np.ndarray
     parity: np.ndarray
     order: np.ndarray
+    partner: np.ndarray
+    local: np.ndarray
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -430,8 +458,9 @@ def _mesh_violations(mesh: SimplicialMesh) -> list[MeshViolation]:
             MeshViolation("unreferenced-vertex", (idx,), f"vertex {idx} belongs to no simplex")
         )
 
-    sorted_rows = np.sort(s, axis=1)
-    repeated = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+    repeated = np.zeros(s.shape[0], dtype=bool)
+    for i, j in itertools.combinations(range(d + 1), 2):
+        repeated |= s[:, i] == s[:, j]
     for idx in np.nonzero(repeated)[0]:
         out.append(
             MeshViolation(
@@ -453,7 +482,7 @@ def _mesh_violations(mesh: SimplicialMesh) -> list[MeshViolation]:
             )
         )
 
-    out.extend(_adjacency_violations(mesh, sorted_rows))
+    out.extend(_adjacency_violations(mesh))
 
     diam = bbox_diameter(mesh.vertices[finite])
     with np.errstate(over="ignore"):
@@ -484,23 +513,23 @@ def _mesh_violations(mesh: SimplicialMesh) -> list[MeshViolation]:
     return out
 
 
-def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
+def _adjacency_violations(mesh: SimplicialMesh):
     """Non-manifold vertices and a disconnected mesh.
 
     One ``connected_components`` call on the star graph finds the
     non-manifold vertices. Each node holds a fixed number of neighbour
     slots, so the graph is laid out as CSR with no sort (see
-    :func:`_component_labels`). Each side p = m * (d+1) + k is joined to
-    its partner, the next side on its face, cyclically
-    (:func:`_side_partners`).
+    :func:`_component_labels`).
 
-    Node m * (d+1) + r is simplex m in the star of its r-th smallest vertex,
-    ``sorted_rows[m, r]``, with one slot per face of m that holds the
-    vertex. The face opposite vertex k holds every vertex but the one at
-    sorted position rank[m, k], so both sides of a face list its vertices
-    in the same ascending order, and a slot holds the partner side's node
-    for the same vertex. The components of these nodes are the parts of
-    every star.
+    Node m * (d+1) + i is simplex m in the star of its vertex
+    ``simplices[m, i]``, so ``simplices.ravel()`` is the vertex of every
+    node. Slot k of the node is the face of m opposite vertex k: it holds
+    the node of the partner side (:func:`_side_partners`) for the same
+    vertex. Both sides of a face list its vertices in the same sorted order,
+    recorded in the face table's ``local``, so one scatter fills every
+    slot. The face opposite vertex i lacks it, and slot i holds the node
+    itself, an arc the search skips. The components of these nodes are the
+    parts of every star.
 
     Face-connectivity is read from the cached orientation double cover,
     :attr:`SimplicialMesh._cover_labels`, which the orientation signs
@@ -509,31 +538,20 @@ def _adjacency_violations(mesh: SimplicialMesh, sorted_rows: np.ndarray):
     table = mesh._face_table
     s = mesh.simplices
     m_total, width = s.shape
-    d = width - 1
-    n_star = m_total * width
-    # node ids and slot offsets (at most n_star * d) in the index type
-    # scipy's graphs use, so none is copied
-    index = _index_type(n_star * d)
-    partner = _side_partners(table, index)
-    rank = np.zeros(s.shape, dtype=index)
-    for i, j in itertools.combinations(range(width), 2):
-        before = s[:, i] < s[:, j]
-        rank[:, j] += before
-        rank[:, i] += ~before
-    inverse = np.empty_like(rank)  # inverse[m, rank[m, k]] = k
-    np.put_along_axis(inverse, rank, np.arange(width, dtype=index)[None], axis=1)
-    # slot j of star node r: the face opposite sorted position q, in which
-    # vertex r comes t-th in ascending order
-    r, j = np.divmod(np.arange(width * d, dtype=index), d)
-    q = j + (j >= r)
-    t = r - (r > q)
-    p2 = partner[inverse[:, q] + (np.arange(m_total, dtype=index) * width)[:, None]]
-    star = p2 - p2 % width + t + (t >= rank.ravel()[p2])
-    part = _component_labels(star.reshape(n_star, d))
+    # node ids and slot offsets in the partners' index type, the one scipy's
+    # graphs use, so none is copied
+    sides = np.arange(s.size, dtype=table.partner.dtype)
+    column = sides % width
+    # the node of each side's t-th sorted vertex, one column per position t
+    node = (sides - column)[:, None] + table.local
+    star = np.empty((m_total, width * width), dtype=sides.dtype)
+    star[:, :: width + 1] = sides.reshape(m_total, width)
+    star.ravel()[node * width + column[:, None]] = node[table.partner]
+    part = _component_labels(star.reshape(s.size, width))
 
     # a star in one part gives all its nodes the label any one of them has
-    vertex = sorted_rows.ravel()
-    label = np.empty(vertex.max() + 1, dtype=part.dtype)
+    vertex = s.ravel()
+    label = np.empty(mesh.n_vertices, dtype=part.dtype)
     label[vertex] = part
     out = [
         MeshViolation(
@@ -569,14 +587,13 @@ def _index_type(size: int):
     return np.int32 if size < 2**31 else np.int64
 
 
-def _side_partners(table: FaceTable, index) -> np.ndarray:
+def _side_partners(order: np.ndarray, counts: np.ndarray, index) -> np.ndarray:
     """The side that follows each side on its face, cyclically.
 
-    The sides of each face are joined in a cycle in the table's order: the
-    two sides of an interior face are each other's partner, and a boundary
-    side is its own.
+    The sides of each face are joined in a cycle in the face table's
+    ``order``: the two sides of an interior face are each other's partner,
+    and a boundary side is its own.
     """
-    order, counts = table.order, table.counts
     ends = np.cumsum(counts)
     after = np.arange(1, order.size + 1)  # the position after each in ``order``
     after[ends - 1] = ends - counts  # the last side of a face goes to its first
@@ -585,7 +602,7 @@ def _side_partners(table: FaceTable, index) -> np.ndarray:
     return partner
 
 
-def _cover_slots(table: FaceTable, partner: np.ndarray, width: int) -> np.ndarray:
+def _cover_slots(table: FaceTable, width: int) -> np.ndarray:
     """Neighbour slots of the orientation double cover, ``width`` per node.
 
     Node m (m+) and node M + m (m-) stand for the two orientations of
@@ -598,6 +615,7 @@ def _cover_slots(table: FaceTable, partner: np.ndarray, width: int) -> np.ndarra
     nodes their own neighbour. Returns the slots of the M plus nodes, then
     those of the M minus nodes, one row per node.
     """
+    partner = table.partner
     m_total = partner.size // width
     m2 = partner // width
     m = np.arange(partner.size, dtype=partner.dtype) // width
@@ -652,27 +670,30 @@ def detect_boundary(mesh: SimplicialMesh) -> BoundaryComplex:
     return mesh._boundary
 
 
-def _walk_boundary_cycles(boundary_edges: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _walk_boundary_cycles(
+    boundary_edges: np.ndarray, vertices: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
     """Order boundary edges into closed loops.
 
-    The walk starts each loop at its smallest vertex and first steps toward
-    the smaller-indexed neighbor, so output is deterministic. Direction is
+    ``vertices`` lists the edges' ends once each, ascending. The walk starts
+    each loop at its smallest vertex and first steps toward the
+    smaller-indexed neighbor, so output is deterministic. Direction is
     combinatorial only; callers needing an orientation-consistent direction
     should fix it against the canonical simplex orientation.
     """
-    ends = boundary_edges.ravel()
-    vertices, first, degree = np.unique(ends, return_index=True, return_counts=True)
-    bad = np.flatnonzero(degree != 2)
-    if bad.size:
-        k = bad[np.argmin(first[bad])]  # the first bad vertex in edge order
+    # every edge end as its position in `vertices`, in edge order
+    ends = np.searchsorted(vertices, boundary_edges).ravel()
+    degree = np.bincount(ends, minlength=vertices.size)
+    bad = degree[ends] != 2
+    if bad.any():
+        k = ends[np.argmax(bad)]  # the first bad vertex in edge order
         raise ValueError(
             f"boundary vertex {vertices[k]} has {degree[k]} incident boundary "
             "edges; the boundary is not a disjoint union of simple loops"
         )
     # each vertex's two neighbours, smaller first, as positions in `vertices`
-    nbrs = boundary_edges[:, ::-1].ravel()
-    order = np.lexsort((nbrs, ends))
-    lo, hi = np.searchsorted(vertices, nbrs[order]).reshape(-1, 2).T.tolist()
+    nbrs = ends.reshape(-1, 2)[:, ::-1].ravel()
+    lo, hi = nbrs[np.lexsort((nbrs, ends))].reshape(-1, 2).T.tolist()
     ids = vertices.tolist()
     seen = [False] * (len(ids) + 1)  # the sentinel stops the last search
     cycles, loop = [], []

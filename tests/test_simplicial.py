@@ -1,5 +1,6 @@
 """Mesh representation, validation, boundary, and orientation tests."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -228,6 +229,12 @@ class TestFacesAndEdges:
         assert set(incidence.values()) == {2}
 
 
+def walk_cycles(edges):
+    """``_walk_boundary_cycles`` on ``edges``, their ends listed once, as
+    the boundary complex lists its vertices."""
+    return _walk_boundary_cycles(edges, np.unique(edges))
+
+
 class TestDetectBoundary:
     def test_single_triangle(self):
         b = detect_boundary(triangle_mesh())
@@ -270,12 +277,12 @@ class TestDetectBoundary:
              [5, 9], [6, 7], [8, 9]]
         )
         with pytest.raises(ValueError, match="^boundary vertex 5 has 4 incident"):
-            _walk_boundary_cycles(edges)
+            walk_cycles(edges)
 
     def test_loops_start_at_their_smallest_vertex(self):
         edges = np.array([[0, 1], [0, 5], [1, 3], [3, 5], [2, 4], [2, 6], [4, 6]])
-        assert _walk_boundary_cycles(edges) == ((0, 1, 3, 5), (2, 4, 6))
-        assert _walk_boundary_cycles(np.zeros((0, 2), dtype=np.int64)) == ()
+        assert walk_cycles(edges) == ((0, 1, 3, 5), (2, 4, 6))
+        assert walk_cycles(np.zeros((0, 2), dtype=np.int64)) == ()
 
     def test_annulus_two_cycles(self):
         # square ring of 8 vertices, inner square hole
@@ -358,10 +365,10 @@ class TestBoundaryWalkOracle:
             expected = walk_loop(edges)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                _walk_boundary_cycles(edges)
+                walk_cycles(edges)
             assert str(info.value) == str(exc)
         else:
-            assert _walk_boundary_cycles(edges) == expected
+            assert walk_cycles(edges) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relabelled_delaunay_boundary(self, seed):
@@ -487,6 +494,30 @@ SMALL_MESHES = {
 }
 
 
+def kuhn_cube(n, d):
+    """The n^d grid of unit cubes in R^d, each cut into d! simplices along
+    its main diagonal: one per axis order, from the low corner up."""
+    corners = np.array(list(itertools.product(range(n + 1), repeat=d)))
+    vid = {tuple(c): i for i, c in enumerate(corners.tolist())}
+    simplices = []
+    for low in itertools.product(range(n), repeat=d):
+        for axes in itertools.permutations(range(d)):
+            corner = list(low)
+            simplex = [vid[tuple(corner)]]
+            for axis in axes:
+                corner[axis] += 1
+                simplex.append(vid[tuple(corner)])
+            simplices.append(simplex)
+    return SimplicialMesh(corners.astype(float), np.array(simplices), d)
+
+
+FACE_TABLE_MESHES = {
+    **SMALL_MESHES,
+    "path": SimplicialMesh(np.arange(7.0)[:, None], np.array([[i, i + 1] for i in range(6)]), 1),
+    "kuhn4": kuhn_cube(2, 4),
+}
+
+
 def geometric_signs(mesh):
     """Orientation of each simplex in space: planar and solid simplices by
     their determinant, sphere triangles by their winding about the origin."""
@@ -515,6 +546,34 @@ def merge_vertices(mesh, keep, drop):
 
 def farthest_from(mesh, v):
     return int(np.argmax(np.linalg.norm(mesh.vertices - mesh.vertices[v], axis=1)))
+
+
+def union_find_non_manifold(mesh):
+    """Brute force for the star graph: for each vertex, a union-find over
+    the simplices that hold it, joining the simplices of every face that
+    holds it too. The vertices whose star stays in several parts, ascending."""
+    d = mesh.intrinsic_dim
+    rows = mesh.simplices.tolist()
+    faces = {}
+    for m, simplex in enumerate(rows):
+        for k in range(d + 1):
+            faces.setdefault(tuple(sorted(simplex[:k] + simplex[k + 1 :])), []).append(m)
+    found = []
+    for v in sorted({v for simplex in rows for v in simplex}):
+        parent = {m: m for m, simplex in enumerate(rows) if v in simplex}
+
+        def root(m):
+            while parent[m] != m:
+                m = parent[m]
+            return m
+
+        for face, simplices in faces.items():
+            if v in face:
+                for other in simplices[1:]:
+                    parent[root(other)] = root(simplices[0])
+        if len({root(m) for m in parent}) > 1:
+            found.append(v)
+    return found
 
 
 class TestNonManifoldVertices:
@@ -560,6 +619,19 @@ class TestNonManifoldVertices:
         violations = validate_mesh(mesh)
         assert [(v.rule, v.where) for v in violations] == [("non-manifold-vertex", (kept,))]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
+    def test_merged_vertices_match_a_union_find_oracle(self, name, seed):
+        # merging two vertices pinches the mesh, or, when they share a
+        # simplex, repeats a vertex in it; the relabelling moves every id
+        # and simplex the star graph's bookkeeping reads
+        rng = np.random.default_rng(seed)
+        base = SMALL_MESHES[name]
+        keep, drop = rng.choice(base.n_vertices, 2, replace=False).tolist()
+        mesh = relabel(merge_vertices(base, keep, drop), rng)
+        found = [v.where for v in validate_mesh(mesh) if v.rule == "non-manifold-vertex"]
+        assert found == [(v,) for v in union_find_non_manifold(mesh)]
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
     def test_relabelled_meshes_stay_manifold(self, name, seed):
@@ -586,6 +658,17 @@ def count_component_passes(monkeypatch):
         simplicial,
         "connected_components",
         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs),
+    )
+    return calls
+
+
+def count_partner_builds(monkeypatch):
+    """A list that gains one entry per side-partner array the simplicial
+    module builds from now on."""
+    calls = []
+    real = simplicial._side_partners
+    monkeypatch.setattr(
+        simplicial, "_side_partners", lambda *args: calls.append(1) or real(*args)
     )
     return calls
 
@@ -626,10 +709,13 @@ class TestSharedPass:
         resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
         mesh = fresh(generate(GeneratorSpec(kind, resolution))[0])
         calls = count_component_passes(monkeypatch)
+        partners = count_partner_builds(monkeypatch)
         embedding = run_fplm(mesh)
         assert len(calls) == 2
         assert audit(mesh, embedding).verdict == "injective-certified"
         assert len(calls) == 2
+        # both graphs read the one partner array of the face table
+        assert len(partners) == 1
 
     @pytest.mark.parametrize("kind", ["paraboloid", "sphere", "ball3"])
     def test_generated_mesh_is_validated_once(self, kind, monkeypatch):
@@ -791,6 +877,8 @@ class TestVectorisedTopology:
             boundary.boundary_faces,
             boundary.boundary_vertices,
             canonical_orientation(mesh),
+            table.partner,
+            table.local,
         ]
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -801,9 +889,11 @@ class TestVectorisedTopology:
         assert detect_boundary(mesh) is boundary
         assert canonical_orientation(mesh) is cached[7]
 
-    @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+    @pytest.mark.parametrize("name", sorted(FACE_TABLE_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
-        mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
+        # the parity comes from the sorting network's swaps, whose rounds
+        # differ with d: the path has none (d = 1), the Kuhn cube four
+        mesh = relabel(FACE_TABLE_MESHES[name], np.random.default_rng(2))
         table = mesh._face_table
         face_of = table_face_of(table)
         d = mesh.intrinsic_dim
@@ -878,6 +968,13 @@ class TestSortedFaceTable:
             assert np.array_equal(got, want)
         # the kept sort order groups the sides by face, ties in side order
         assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
+        # each side's vertex order is a stable sort of the other columns of
+        # its simplex by vertex id: tied vertices stay in column order
+        side = np.arange(table.order.size)
+        others = np.array([[j for j in range(d + 1) if j != k] for k in side % (d + 1)])
+        ids = np.take_along_axis(mesh.simplices[side // (d + 1)], others, 1)
+        by_id = np.argsort(ids, axis=1, kind="stable")
+        assert np.array_equal(table.local, np.take_along_axis(others, by_id, 1))
 
     def test_four_column_faces_near_70000_vertex_ids(self):
         # a packed c0 n^3 + c1 n^2 + c2 n + c3 key would overflow int64 here

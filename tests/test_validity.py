@@ -563,14 +563,20 @@ class TestOneFilteredPass:
 
     def test_one_exact_sign_counts_near_zero_images(self):
         # a tiny but correctly oriented image is near zero for the histogram
-        # and still has the one exact sign the loop certificate asks for
+        # and still has the one exact sign the loop certificate asks for;
+        # the histogram's pass hands over its near-zero rows to be settled
         mesh = grid_mesh(3, 3)
         coords = np.array(mesh.vertices, dtype=float)
         coords[4] = [0.5, 1e-13]
-        assert orientation_histogram(mesh, coords)[2] > 0
-        assert validity._one_exact_sign(mesh, coords, [])
+        counts = orientation_histogram(mesh, coords)
+        pos, neg, zero = counts
+        assert zero == counts.near.size > 0 and pos and not neg
+        assert validity._one_exact_sign(mesh, coords, counts.near, 1)
         coords[4] = [0.5, -1e-13]
-        assert not validity._one_exact_sign(mesh, coords, [])
+        counts = orientation_histogram(mesh, coords)
+        pos, neg, zero = counts
+        assert zero == counts.near.size > 0 and pos and not neg
+        assert not validity._one_exact_sign(mesh, coords, counts.near, 1)
 
 
 class TestHullContainment:
@@ -752,7 +758,9 @@ class TestHullCandidates:
         assert np.isin(seen[0], free).all()
         assert 0 < seen[0].size < free.size
 
-    def test_folded_drawing_uses_every_free_vertex(self, monkeypatch):
+    def test_folded_drawing_uses_the_free_hull_vertices(self, monkeypatch):
+        from scipy.spatial import ConvexHull
+
         mesh = grid_mesh(5, 5)
         embedding = run_fplm(mesh)
         coords = embedding.coords.copy()
@@ -765,6 +773,25 @@ class TestHullCandidates:
         fixed, free = final_free(mesh, folded)
         pos, neg, _ = report.orientation_counts
         assert pos and neg
+        # not one-signed: the corners of the free vertices' own hull
+        corners = free[np.sort(ConvexHull(coords[free]).vertices)]
+        assert np.array_equal(seen[0], corners)
+        assert 12 in corners and corners.size < free.size
+        assert report.hull_violation == check_hull_containment(fixed, coords, free) > 1
+
+    def test_flat_free_set_uses_every_free_vertex(self, monkeypatch):
+        # a 4 x 3 grid has two free vertices, too few for a hull in the
+        # plane: qhull fails and every free vertex is evaluated
+        mesh = grid_mesh(4, 3)
+        embedding = run_fplm(mesh)
+        coords = embedding.coords.copy()
+        coords[5] = [3.0, 0.5]
+        folded = dataclasses.replace(embedding, coords=coords)
+        seen = hull_arguments(monkeypatch)
+        report = audit(mesh, folded)
+        fixed, free = final_free(mesh, folded)
+        pos, neg, _ = report.orientation_counts
+        assert pos and neg and free.size == 2
         assert np.array_equal(seen[0], free)
         assert report.hull_violation == check_hull_containment(fixed, coords, free) > 1
 
