@@ -9,9 +9,8 @@ finite double is n / 2**k exactly, so scaling a row's coordinates by its
 largest 2**k turns them into Python ints, and the same determinant evaluated
 in ints has the exact sign (exactness needs no rational arithmetic). Callers
 always receive the mathematically exact sign, at float speed for all but
-near-degenerate configurations. Other dimensions take the integer stage
-only, the determinant's sign found by Bareiss's fraction-free elimination
-(Math. Comp. 1968) on the same scaled ints.
+near-degenerate configurations. Meshes are triangles or tetrahedra (d = 2
+or 3), so these two determinants are the only ones the package evaluates.
 
 Simplices take the filters through :func:`simplex_determinants`: one
 gather of the coordinate columns, the edges from vertex 0 as the
@@ -117,34 +116,6 @@ def _det3(rows):
         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
     )
-
-
-def _bareiss_sign(v, n):
-    """Exact sign of det(p_1 - p_0, ..., p_n - p_0) of one :func:`_scaled`
-    row (p_1, ..., p_n, p_0), by Bareiss's fraction-free elimination.
-
-    After step k every entry below and right of the pivot is a (k+1)-minor
-    of the edge matrix, so each division by the previous pivot is exact and
-    the last entry is the determinant. A zero pivot swaps in a lower row
-    with a nonzero entry in its column, flipping the sign; a column with
-    none makes the determinant 0.
-    """
-    a = [[v[i * n + j] - v[n * n + j] for j in range(n)] for i in range(n)]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row = a[k][k], a[k]
-        for below in a[k + 1 :]:
-            lead = below[k]
-            for j in range(k + 1, n):
-                below[j] = (below[j] * pivot - lead * row[j]) // prev
-        prev = pivot
-    return sign * _sign(a[-1][-1])
 
 
 def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
@@ -258,27 +229,14 @@ def simplex_determinants(coords, simplices):
 
     One pass: the coordinate columns are gathered once and the edges from
     vertex 0 feed the predicate's filter, whose determinant is also the
-    volume, so one evaluation serves both. For d = 2 vertex 0 is orient2d's
-    base point c (det[p_1 - p_0; p_2 - p_0]); for d = 3 it is orient3d's
-    base point d. d = 1 signs are those of the float difference, always
-    exact. For d >= 4 the determinant comes from LAPACK and every row is
-    left undecided.
+    volume, so one evaluation serves both. d is 2 or 3: for d = 2 vertex 0
+    is orient2d's base point c (det[p_1 - p_0; p_2 - p_0]); for d = 3 it is
+    orient3d's base point d.
     """
     coords = np.asarray(coords, dtype=float)
-    simplices = np.asarray(simplices, dtype=np.int64)
-    m, d = simplices.shape[0], coords.shape[1]
-    if d > 3:
-        # LAPACK's LU may overflow or divide by a subnormal pivot: such rows
-        # are undecided like all others here, so the signs stay exact
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            det = np.linalg.det(coords[simplices[:, 1:]] - coords[simplices[:, :1]])
-        return det, np.zeros(m, dtype=np.int8), np.ones(m, dtype=bool)
-    e = _edge_columns(coords, simplices)
-    if d == 1:
-        det = e[0][0]
-        return det, np.sign(det).astype(np.int8), np.zeros(m, dtype=bool)
+    e = _edge_columns(coords, np.asarray(simplices, dtype=np.int64))
     with np.errstate(over="ignore", invalid="ignore"):
-        if d == 2:
+        if coords.shape[1] == 2:
             return _orient2d_filter(e[0][0], e[0][1], e[1][0], e[1][1])
         return _orient3d_filter(*e)
 
@@ -287,22 +245,19 @@ def exact_orientations(coords, simplices):
     """Exact signs of det(p_1 - p_0, ..., p_d - p_0), with no float filter.
 
     The integer stage of :func:`simplex_determinants`, for the rows it
-    leaves undecided. Each row's coordinates become Python ints by
-    :func:`_scaled`; d = 2 and 3 evaluate the orient2d and orient3d
-    determinants, other dimensions take the sign by Bareiss elimination
-    (:func:`_bareiss_sign`), so no dimension uses rational arithmetic.
+    leaves undecided, d = 2 or 3. Each row's coordinates become Python ints
+    by :func:`_scaled`, and the orient2d or orient3d determinant evaluated
+    in them has the exact sign, with no rational arithmetic.
     """
     p = np.asarray(coords, dtype=float)[np.asarray(simplices, dtype=np.int64)]
     m, d = p.shape[0], p.shape[2]
     # rows (p_1, ..., p_d, p_0): the predicate's base point last
     rows = np.roll(p, -1, axis=1).reshape(m, (d + 1) * d).tolist()
-    if d in (2, 3):
-        return np.array((_orient2d_exact if d == 2 else _orient3d_exact)(rows), dtype=np.int8)
-    return np.array([_bareiss_sign(_scaled(row), d) for row in rows], dtype=np.int8)
+    return np.array((_orient2d_exact if d == 2 else _orient3d_exact)(rows), dtype=np.int8)
 
 
 def signed_volumes(coords, simplices):
-    """Signed volumes of d-simplices whose vertices live in R^d.
+    """Signed volumes of d-simplices whose vertices live in R^d, d = 2 or 3.
 
     Parameters
     ----------
@@ -319,7 +274,8 @@ def signed_volumes(coords, simplices):
 
 
 def simplex_volumes(vertices, simplices, intrinsic_dim):
-    """Unsigned k-volumes of simplices with vertices in R^l, l >= k.
+    """Unsigned k-volumes of simplices with vertices in R^l, k in {2, 3},
+    l >= k.
 
     Full-dimensional simplices (k = l) get |det E| / k! from
     :func:`signed_volumes`, E the edge matrix: the Gram determinant equals
@@ -339,19 +295,11 @@ def simplex_volumes(vertices, simplices, intrinsic_dim):
     edges = v[s[:, 1:]] - v[s[:, :1]]           # (M, k, l)
     shift = -int(np.frexp(np.max(np.abs(edges), initial=0.0))[1])
     edges = np.ldexp(edges, shift)
-    if k > 3:
-        dets = np.linalg.det(edges @ np.transpose(edges, (0, 2, 1)))
-    else:
-        # the Gram entries and determinant written out over all simplices at
-        # once: per-matrix matmul and LAPACK calls cost several times more
-        c = np.ascontiguousarray(edges.transpose(1, 2, 0))  # (k, l, M)
-        g = [[np.einsum("lm,lm->m", c[i], c[j]) for j in range(k)] for i in range(k)]
-        if k == 1:
-            dets = g[0][0]
-        elif k == 2:
-            dets = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        else:
-            dets = _det3(g)
+    # the Gram entries and determinant written out over all simplices at
+    # once: per-matrix matmul and LAPACK calls cost several times more
+    c = np.ascontiguousarray(edges.transpose(1, 2, 0))  # (k, l, M)
+    g = [[np.einsum("lm,lm->m", c[i], c[j]) for j in range(k)] for i in range(k)]
+    dets = g[0][0] * g[1][1] - g[0][1] * g[1][0] if k == 2 else _det3(g)
     dets = np.where(dets > 0.0, dets, 0.0)
     return np.ldexp(np.sqrt(dets) / math.factorial(k), -k * shift)
 

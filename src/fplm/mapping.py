@@ -117,13 +117,11 @@ class Embedding:
 def regular_simplex(d: int) -> np.ndarray:
     """Vertices of the regular d-simplex with unit circumradius at the origin.
 
-    Canonical placements: d = 1 gives -1 and +1; d = 2 puts the corners at
-    angles 90, 210 and 330 degrees on the unit circle; d = 3 uses the
-    alternating cube corners scaled to unit length. Higher dimensions use a
-    Helmert-basis construction.
+    Canonical placements: d = 2 puts the corners at angles 90, 210 and 330
+    degrees on the unit circle; d = 3 uses the alternating cube corners
+    scaled to unit length. Any other d raises ``ValueError``: meshes are
+    triangles or tetrahedra.
     """
-    if d == 1:
-        return np.array([[-1.0], [1.0]])
     if d == 2:
         s = math.sqrt(3.0) / 2.0
         return np.array([[0.0, 1.0], [-s, -0.5], [s, -0.5]])
@@ -137,18 +135,7 @@ def regular_simplex(d: int) -> np.ndarray:
                 [-r, -r, r],
             ]
         )
-    # Rows of the centered standard simplex e_i - 1/(d+1), expressed in the
-    # Helmert orthonormal basis of the sum-zero hyperplane, scaled to unit
-    # circumradius.
-    basis = np.zeros((d, d + 1))
-    for k in range(1, d + 1):
-        basis[k - 1, :k] = 1.0
-        basis[k - 1, k] = -k
-        basis[k - 1] /= math.sqrt(k * (k + 1))
-    verts = basis.T  # row i is the image of e_i
-    verts = verts - verts.mean(axis=0)
-    verts /= np.linalg.norm(verts[0])
-    return verts
+    raise ValueError(f"regular simplex is defined for d = 2 or 3, got {d}")
 
 
 def select_seed_simplex(mesh: SimplicialMesh) -> int:

@@ -55,7 +55,8 @@ def integer_ids(ids, what: str) -> np.ndarray:
 
 
 def integer_id(id_, what: str) -> int:
-    """One vertex or simplex id as an int, by the rule of :func:`integer_ids`.
+    """One vertex or simplex id, or a mesh's ``intrinsic_dim``, as an int, by
+    the rule of :func:`integer_ids`.
 
     A list or an array of any shape but a scalar's raises ValueError, as
     numpy's scalar conversion would raise TypeError.
@@ -78,7 +79,8 @@ class SimplicialMesh:
         Vertex indices of each d-simplex; float or bool ids raise
         ValueError (see :func:`integer_ids`).
     intrinsic_dim : int
-        Dimension d of the simplices, 1 <= d <= l.
+        Dimension d of the simplices: 2 (triangles) or 3 (tetrahedra), at
+        most l. Any other value, or a float or bool, raises ValueError.
 
     Index bounds and shapes are enforced at construction. The decomposition
     invariants themselves are checked by :func:`validate_mesh`, which
@@ -102,13 +104,13 @@ class SimplicialMesh:
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         s = np.ascontiguousarray(integer_ids(self.simplices, "simplex vertex ids"))
-        d = int(self.intrinsic_dim)
+        d = integer_id(self.intrinsic_dim, "intrinsic_dim")
         if v.ndim != 2:
             raise ValueError("vertices must be a 2-D array of coordinates")
         if s.ndim != 2:
             raise ValueError("simplices must be a 2-D array of index tuples")
-        if d < 1:
-            raise ValueError("intrinsic dimension must be at least 1")
+        if d not in (2, 3):
+            raise ValueError(f"intrinsic dimension must be 2 or 3, got {d}")
         if d > v.shape[1]:
             raise ValueError(
                 f"intrinsic dimension {d} exceeds ambient dimension {v.shape[1]}"
@@ -384,7 +386,7 @@ class BoundaryComplex:
     """Boundary of a mesh: the (d-1)-faces contained in exactly one simplex.
 
     ``boundary_cycles`` is populated for d = 2 only and lists each boundary
-    loop as an ordered vertex tuple; other dimensions carry ``None``.
+    loop as an ordered vertex tuple; d = 3 carries ``None``.
     """
 
     boundary_faces: np.ndarray

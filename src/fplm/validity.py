@@ -42,8 +42,9 @@ images.
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
 boundary surface of a coiled bar can overlap itself while every tetrahedron
-keeps its sign. For d >= 4 the audit reports its counts but never
-certifies: no theorem in the package backs a one-sign certificate there.
+keeps its sign. A mesh has d = 2 or 3 (see
+:class:`~fplm.simplicial.SimplicialMesh`), so these two cases are the
+whole audit.
 
 Crossing and orientation signs come from exact predicates, so the counts
 are discrete facts rather than tolerance judgments; only the near-zero
@@ -111,11 +112,11 @@ class BoundaryConvexityResult:
 class ValidityReport:
     """Composite audit result.
 
-    crossing_count is None for d != 2 where no planar drawing exists.
-    verdict is "injective-certified" exactly when d <= 3, exactly one
-    orientation sign occurs, no simplex image is near-degenerate and, for
-    d = 2, the tested edges are drawn as a plane graph (the certificate of
-    the module docstring); otherwise "violated" with reasons. A d = 2
+    crossing_count is None for d = 3, where no planar drawing exists.
+    verdict is "injective-certified" exactly when one orientation sign
+    occurs, no simplex image is near-degenerate and, for d = 2, the tested
+    edges are drawn as a plane graph (the certificate of the module
+    docstring); otherwise "violated" with reasons. A d = 2
     drawing that passes its plane test has crossing_count 0 and no
     crossing_pairs without a full count; every other one counts all edge
     pairs (:func:`count_crossings`), so a violated report lists all its
@@ -131,9 +132,7 @@ class ValidityReport:
 
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
-    tested for self-intersection. For d >= 4 no theorem in the package
-    backs a certificate: the counts are reported, and the verdict is
-    "violated" with a reason that the audit cannot certify.
+    tested for self-intersection.
     """
 
     crossing_count: int | None
@@ -777,11 +776,6 @@ def audit(
         reasons.append(
             f"mixed orientations: {pos} positive vs {neg} negative"
         )
-    if d >= 4:
-        reasons.append(
-            f"d = {d}: no injectivity theorem backs a one-sign certificate "
-            "for d >= 4, so the audit cannot certify"
-        )
 
     hull_violation = None
     max_convex_residual = None
@@ -791,13 +785,12 @@ def audit(
         is_free = np.ones(mesh.n_vertices, dtype=bool)
         is_free[final_fixed.indices] = False
         free = np.flatnonzero(is_free)
-        if d in (2, 3):
-            candidates = (
-                _hull_candidates(mesh, boundary, is_free, exclude)
-                if one_sign
-                else _free_hull_vertices(coords, free)
-            )
-            hull_violation = check_hull_containment(final_fixed, coords, candidates)
+        candidates = (
+            _hull_candidates(mesh, boundary, is_free, exclude)
+            if one_sign
+            else _free_hull_vertices(coords, free)
+        )
+        hull_violation = check_hull_containment(final_fixed, coords, candidates)
         if graph is not None:
             max_convex_residual = convex_combination_residual(
                 graph, coords, free
@@ -807,7 +800,7 @@ def audit(
             boundary.boundary_cycles[0], coords
         )
 
-    certified = one_sign and not crossing_count and simple and not touches and d <= 3
+    certified = one_sign and not crossing_count and simple and not touches
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: pipelines, exit codes, manifests."""
 
+import itertools
 import json
 
 import numpy as np
@@ -670,9 +671,49 @@ class TestRender:
         assert rc == 2
 
 
+def kuhn_4cube():
+    """The unit 4-cube split into 24 simplices, one per order of the axes:
+    each walks from the origin to (1, 1, 1, 1), adding one axis a step."""
+    verts = np.array([[k >> axis & 1 for axis in range(4)] for k in range(16)], dtype=float)
+    paths = [np.cumsum([0] + [1 << a for a in order]).tolist()
+             for order in itertools.permutations(range(4))]
+    return verts, paths, 4
+
+
+# meshes that are neither triangles nor tetrahedra, as (vertices, simplices, d)
+OTHER_DIMENSIONS = {
+    "path-d1": (np.arange(4.0)[:, None], [[0, 1], [1, 2], [2, 3]], 1),
+    "kuhn-4cube": kuhn_4cube(),
+}
+
+
 class TestInputErrors:
     """Every command reports bad input the same way, through main: exit 2
     and one stderr line ``error: ...``, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(OTHER_DIMENSIONS))
+    def test_meshes_of_other_dimensions_are_refused(self, tmp_path, capsys, name):
+        # a d = 1 path used to embed and certify, and the Kuhn 4-cube to
+        # embed with an audit that could never certify it
+        vertices, simplices, d = OTHER_DIMENSIONS[name]
+        refusal = f"intrinsic dimension must be 2 or 3, got {d}"
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            SimplicialMesh(vertices, simplices, d)
+        mesh, drawing = tmp_path / "mesh.json", tmp_path / "drawing.csv"
+        mesh.write_text(json.dumps({"ambient_dim": d, "intrinsic_dim": d,
+                                    "vertices": vertices.tolist(), "simplices": simplices}))
+        drawing.write_text(write_embedding_csv(vertices))
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            mesh_from_json(mesh.read_text())
+        for argv in (
+            ["embed", "--mesh", str(mesh), "--out", str(tmp_path / "e.csv")],
+            ["validate", "--mesh", str(mesh), "--embedding", str(drawing),
+             "--out", str(tmp_path / "report.txt")],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: cannot read mesh {mesh}: {refusal}\n"
+        # neither command wrote anything
+        assert sorted(tmp_path.iterdir()) == [drawing, mesh]
 
     @pytest.mark.parametrize("command", ["generate", "embed", "validate", "render"])
     def test_one_error_line_per_command(self, tmp_path, capsys, command):

@@ -31,7 +31,6 @@ from orientation_oracle import (
     det_rational,
     orient2d_rational,
     orient3d_rational,
-    simplex_orientation_rational,
     simplex_orientations_rational,
 )
 
@@ -228,16 +227,12 @@ class TestBatchedPredicates:
         assert got.tolist() == want
         assert set(want) == {-1, 0, 1}
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_simplex_orientations_match_scalar(self, d):
         rng = np.random.default_rng(d)
         points = rng.integers(-2, 3, size=(60, d + 1, d)).astype(float)
         points[::7, 0] += math.ulp(2.0)
         want = simplex_orientations_rational(points)
-        if d >= 4:
-            # small integer points: Bareiss meets zero pivots and zero
-            # determinants as well as both signs
-            assert set(want) == {-1, 0, 1}
         assert filtered_signs(points).tolist() == want
         # the integer stage alone, on every row
         coords, simplices = points.reshape(-1, d), np.arange(60 * (d + 1)).reshape(60, d + 1)
@@ -365,14 +360,6 @@ class TestIntegerStageAgainstFraction:
     def test_simplex_determinants_3d(self, rows):
         self.check_filter_and_integer_stage(np.array(rows))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(4, 5).flatmap(
-        lambda d: st.lists(st.tuples(*[st.tuples(*[coordinates] * d)] * (d + 1)),
-                           min_size=1, max_size=8)))
-    def test_simplex_determinants_4d_5d(self, rows):
-        # every row goes to the integer stage, Bareiss elimination
-        self.check_filter_and_integer_stage(np.array(rows))
-
     @staticmethod
     def check_filter_and_integer_stage(points):
         # the filter's decided signs and the integer stage's signs of every
@@ -412,11 +399,6 @@ class TestIncircle:
 
 
 class TestSimplexOrientation:
-    def test_d1(self):
-        assert orientation(np.array([[0.0], [1.0]])) > 0
-        assert orientation(np.array([[1.0], [0.0]])) < 0
-        assert orientation(np.array([[1.0], [1.0]])) == 0
-
     def test_d2_matches_orient2d(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert orientation(pts) > 0
@@ -427,11 +409,6 @@ class TestSimplexOrientation:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         )
         assert orientation(pts) > 0
-
-    def test_d4_via_rational_rows(self):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-1, 1, size=(5, 4))
-        assert orientation(pts) == simplex_orientation_rational(pts.tolist())
 
     def test_swap_flips_sign(self):
         rng = np.random.default_rng(3)
@@ -459,7 +436,7 @@ class TestVolumes:
         vols = signed_volumes(coords, np.array([[0, 1, 2, 3]]))
         assert vols[0] == pytest.approx(1.0 / 6.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_signed_volumes_match_lapack_determinant(self, d):
         rng = np.random.default_rng(d)
         coords = rng.uniform(-1, 1, size=(60, d))
@@ -473,15 +450,15 @@ class TestVolumes:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert np.array_equal(np.sign(got), np.sign(want))
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_signed_volumes_exact_on_small_integers(self, d):
         # every product and sum is an integer below 2^53, so both evaluations
         # are exact, and flat simplices come out exactly 0
         rng = np.random.default_rng(10 + d)
         coords = rng.integers(-8, 9, size=(30, d))
-        # the first six points lie on a line (on one point for d = 1), so the
-        # first 20 simplices are flat
-        coords[:6] = np.arange(-3, 3)[:, None] * ([2, -1, 3][:d] if d > 1 else [0])
+        # the first six points lie on a line, so the first 20 simplices are
+        # flat
+        coords[:6] = np.arange(-3, 3)[:, None] * [2, -1, 3][:d]
         simp = np.array([rng.choice(30, size=d + 1, replace=False) for _ in range(400)])
         simp[:20] = [rng.choice(6, size=d + 1, replace=False) for _ in range(20)]
         edges = (coords[simp[:, 1:]] - coords[simp[:, :1]]).tolist()
@@ -568,7 +545,7 @@ class TestVolumes:
         signed = signed_volumes(coords, simp)
         assert np.allclose(unsigned, np.abs(signed))
 
-    @pytest.mark.parametrize("k, ambient", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    @pytest.mark.parametrize("k, ambient", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_unsigned_volumes_match_lapack_gram_determinant(self, k, ambient):
         rng = np.random.default_rng(10 * k + ambient)
         coords = rng.uniform(-1, 1, size=(40, ambient))
@@ -584,7 +561,7 @@ class TestVolumes:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-7)
         assert (got[:5] == 0.0).all()
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_full_dimensional_volumes_are_the_determinant(self, d):
         rng = np.random.default_rng(d)
         coords = rng.uniform(-1, 1, size=(30, d))

@@ -1,5 +1,6 @@
 """Edge-weight and Laplacian block assembly tests."""
 
+import math
 import re
 import warnings
 
@@ -30,12 +31,12 @@ def fresh_copy(mesh):
     return SimplicialMesh(mesh.vertices, mesh.simplices, mesh.intrinsic_dim)
 
 
-def path_graph():
-    # four collinear points joined by degenerate-width triangles is not a
-    # valid mesh, so build the path out of 1-simplices instead
-    verts = np.array([[0.0], [1.0], [2.0], [3.0]])
-    simp = np.array([[0, 1], [1, 2], [2, 3]])
-    return SimplicialMesh(verts, simp, 1)
+def strip_mesh():
+    """Two equilateral triangles in a strip: four vertices, five edges,
+    every one of length 1."""
+    h = math.sqrt(3.0) / 2.0
+    verts = np.array([[0.0, 0.0], [0.5, h], [1.0, 0.0], [1.5, h]])
+    return SimplicialMesh(verts, np.array([[0, 2, 1], [1, 2, 3]]), 2)
 
 
 class TestBuildWeights:
@@ -421,16 +422,17 @@ class TestGraphMemo:
 
 class TestAssembleSystem:
     def test_path_blocks(self):
-        g = build_weights(path_graph(), gamma=0.1)
+        # the strip's free vertices 1 and 2 each border both fixed ends
+        g = build_weights(strip_mesh(), gamma=0.1)
         sys = assemble_system(g, [0, 3])
         w = np.exp(-0.1)
         assert sys.free_indices.tolist() == [1, 2]
         assert sys.fixed_indices.tolist() == [0, 3]
         np.testing.assert_allclose(
-            sys.lap_free.toarray(), [[2 * w, -w], [-w, 2 * w]], rtol=1e-15
+            sys.lap_free.toarray(), [[3 * w, -w], [-w, 3 * w]], rtol=1e-15
         )
         np.testing.assert_allclose(
-            sys.lap_free_fixed.toarray(), [[-w, 0.0], [0.0, -w]], rtol=1e-15
+            sys.lap_free_fixed.toarray(), [[-w, -w], [-w, -w]], rtol=1e-15
         )
 
     def test_triangle_blocks(self):
@@ -456,7 +458,7 @@ class TestAssembleSystem:
         np.testing.assert_allclose(np.asarray(row_sums).ravel(), 0.0, atol=1e-15)
 
     def test_degrees_match_adjacency(self):
-        g = build_weights(path_graph())
+        g = build_weights(strip_mesh())
         np.testing.assert_allclose(
             g.degrees, np.asarray(g.adjacency.sum(axis=1)).ravel(), rtol=0
         )
@@ -509,7 +511,7 @@ class TestAssembleSystem:
     def test_non_integer_fixed_rejected(self, fixed):
         # a cast pinned vertices 0 and 3 for [0.5, 3.7], and read the mask
         # as vertices 1, 0, 1 and reported duplicates
-        g = build_weights(path_graph())
+        g = build_weights(strip_mesh())
         dtype = np.asarray(fixed).dtype
         with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
             assemble_system(g, fixed)
@@ -517,7 +519,7 @@ class TestAssembleSystem:
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                        np.uint8, np.uint32])
     def test_integer_fixed_of_any_width(self, dtype):
-        g = build_weights(path_graph())
+        g = build_weights(strip_mesh())
         got = assemble_system(g, np.array([3, 0], dtype=dtype))
         want = assemble_system(g, [0, 3])
         assert got.fixed_indices.dtype == np.int64
@@ -526,7 +528,7 @@ class TestAssembleSystem:
         assert_same_csr(got.lap_free_fixed, want.lap_free_fixed)
 
     def test_empty_fixed_of_any_dtype_rejected_as_empty(self):
-        g = build_weights(path_graph())
+        g = build_weights(strip_mesh())
         for fixed in ([], np.array([]), np.array([], dtype=bool)):
             with pytest.raises(ValueError, match="^fixed vertex set is empty$"):
                 assemble_system(g, fixed)

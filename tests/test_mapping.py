@@ -1,6 +1,5 @@
 """Mapping pipeline tests: targets, seed choice, rounds, branches."""
 
-import itertools
 import math
 import re
 from collections import deque
@@ -30,7 +29,6 @@ from fplm.simplicial import (
     mesh_edges,
     validate_mesh,
 )
-from fplm.validity import audit
 from orientation_oracle import simplex_orientation_rational
 from test_simplicial import mobius_strip
 
@@ -68,9 +66,6 @@ def islands():
 
 
 class TestRegularSimplex:
-    def test_d1_endpoints(self):
-        np.testing.assert_array_equal(regular_simplex(1), [[-1.0], [1.0]])
-
     def test_d2_angles(self):
         verts = regular_simplex(2)
         ang = np.degrees(np.arctan2(verts[:, 1], verts[:, 0])) % 360
@@ -82,7 +77,7 @@ class TestRegularSimplex:
         np.testing.assert_allclose(np.linalg.norm(verts, axis=1), 1.0, rtol=1e-15)
         np.testing.assert_allclose(verts.mean(axis=0), 0.0, atol=1e-16)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("d", [2, 3])
     def test_equidistant_unit_circumradius(self, d):
         verts = regular_simplex(d)
         assert verts.shape == (d + 1, d)
@@ -96,9 +91,15 @@ class TestRegularSimplex:
         np.testing.assert_allclose(dists, dists[0], rtol=1e-12)
 
     def test_nondegenerate(self):
-        for d in (2, 3, 4):
+        for d in (2, 3):
             verts = regular_simplex(d)
             assert abs(simplex_orientation_rational(verts.tolist())) == 1
+
+    @pytest.mark.parametrize("d", [0, 1, 4, 5, 7])
+    def test_other_dimensions_rejected(self, d):
+        # meshes are triangles or tetrahedra, so no seed needs another d
+        with pytest.raises(ValueError, match=f"^regular simplex is defined for d = 2 or 3, got {d}$"):
+            regular_simplex(d)
 
 
 class TestSelectSeedSimplex:
@@ -493,35 +494,3 @@ class TestRunFplm:
         a = run_fplm(mesh, gamma=0.1)
         b = run_fplm(mesh, gamma=1.0)
         assert not np.allclose(a.coords, b.coords)
-
-
-def kuhn_4cube():
-    """The unit 4-cube split into 24 simplices, one per order of the axes:
-    each walks from the origin to (1, 1, 1, 1), adding one axis a step.
-    Vertex k sits at the binary digits of k, so every vertex is on the
-    boundary."""
-    verts = np.array([[k >> axis & 1 for axis in range(4)] for k in range(16)], dtype=float)
-    paths = [np.cumsum([0] + [1 << a for a in order]) for order in itertools.permutations(range(4))]
-    return SimplicialMesh(verts, np.array(paths), 4)
-
-
-class TestFourCube:
-    """d = 4 end to end: the Helmert seed simplex, LAPACK volumes and the
-    integer Bareiss stage of the exact signs, and the d >= 4 rule that the
-    audit reports the counts but cannot certify."""
-
-    def test_round_two_pins_every_vertex(self):
-        emb = run_fplm(kuhn_4cube())
-        assert emb.branch == "two-round"
-        assert emb.routes["round2"] == {"route": "none"}
-        assert np.array_equal(emb.coords, emb.coords_round1)
-
-    def test_orientation_counts(self):
-        mesh = kuhn_4cube()
-        report = audit(mesh, run_fplm(mesh))
-        assert (report.verdict, report.orientation_counts) == ("violated", (1, 23, 0))
-        assert any("cannot certify" in r for r in report.reasons)
-        identity = audit(mesh, mesh.vertices)
-        assert (identity.verdict, identity.orientation_counts) == ("violated", (24, 0, 0))
-        # one sign, no near-zero image: the d >= 4 rule is the only reason
-        assert len(identity.reasons) == 1 and "cannot certify" in identity.reasons[0]

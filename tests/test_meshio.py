@@ -465,8 +465,8 @@ ANY_FLOAT = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf]))
 
 @st.composite
 def meshes(draw):
-    ambient = draw(st.integers(1, 3))
-    d = draw(st.integers(1, ambient))
+    ambient = draw(st.integers(2, 4))
+    d = draw(st.integers(2, min(ambient, 3)))
     n = draw(st.integers(0, 6))
     verts = draw(st.lists(ANY_FLOAT, min_size=n * ambient, max_size=n * ambient))
     m = draw(st.integers(0, 5)) if n else 0

@@ -1,6 +1,5 @@
 """Mesh representation, validation, boundary, and orientation tests."""
 
-import itertools
 import warnings
 
 import numpy as np
@@ -102,6 +101,25 @@ class TestSimplicialMesh:
     def test_intrinsic_dim_above_ambient(self):
         with pytest.raises(ValueError):
             SimplicialMesh(np.zeros((4, 2)), np.array([[0, 1, 2, 3]]), 3)
+
+    @pytest.mark.parametrize("d", [-2, 0, 1, 4, 5])
+    def test_intrinsic_dim_other_than_2_or_3_rejected(self, d):
+        # a mesh is triangles or tetrahedra; the check comes before the
+        # ambient and width checks, so any d names itself
+        with pytest.raises(ValueError, match=f"^intrinsic dimension must be 2 or 3, got {d}$"):
+            SimplicialMesh(np.zeros((6, 5)), np.array([[0, 1, 2]]), d)
+
+    @pytest.mark.parametrize("d", [2.7, 2.0, True, np.float64(3.0), np.True_],
+                             ids=["2.7", "2.0", "True", "float64-3.0", "numpy-True"])
+    def test_non_integer_intrinsic_dim_rejected(self, d):
+        # int() truncated 2.7 to a d = 2 mesh and read True as d = 1
+        with pytest.raises(ValueError, match="^intrinsic_dim must be an integer, got dtype"):
+            SimplicialMesh(np.zeros((3, 2)), np.array([[0, 1, 2]]), d)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8])
+    def test_integer_intrinsic_dim_of_any_width(self, dtype):
+        m = SimplicialMesh(np.zeros((3, 2)), np.array([[0, 1, 2]]), dtype(2))
+        assert type(m.intrinsic_dim) is int and m.intrinsic_dim == 2
 
     def test_intrinsic_equal_ambient_allowed(self):
         m = SimplicialMesh(
@@ -494,30 +512,6 @@ SMALL_MESHES = {
 }
 
 
-def kuhn_cube(n, d):
-    """The n^d grid of unit cubes in R^d, each cut into d! simplices along
-    its main diagonal: one per axis order, from the low corner up."""
-    corners = np.array(list(itertools.product(range(n + 1), repeat=d)))
-    vid = {tuple(c): i for i, c in enumerate(corners.tolist())}
-    simplices = []
-    for low in itertools.product(range(n), repeat=d):
-        for axes in itertools.permutations(range(d)):
-            corner = list(low)
-            simplex = [vid[tuple(corner)]]
-            for axis in axes:
-                corner[axis] += 1
-                simplex.append(vid[tuple(corner)])
-            simplices.append(simplex)
-    return SimplicialMesh(corners.astype(float), np.array(simplices), d)
-
-
-FACE_TABLE_MESHES = {
-    **SMALL_MESHES,
-    "path": SimplicialMesh(np.arange(7.0)[:, None], np.array([[i, i + 1] for i in range(6)]), 1),
-    "kuhn4": kuhn_cube(2, 4),
-}
-
-
 def geometric_signs(mesh):
     """Orientation of each simplex in space: planar and solid simplices by
     their determinant, sphere triangles by their winding about the origin."""
@@ -889,11 +883,12 @@ class TestVectorisedTopology:
         assert detect_boundary(mesh) is boundary
         assert canonical_orientation(mesh) is cached[7]
 
-    @pytest.mark.parametrize("name", sorted(FACE_TABLE_MESHES))
+    @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
-        # the parity comes from the sorting network's swaps, whose rounds
-        # differ with d: the path has none (d = 1), the Kuhn cube four
-        mesh = relabel(FACE_TABLE_MESHES[name], np.random.default_rng(2))
+        # the parity comes from the sorting network's swaps, whose depth
+        # differs with d: one compare-exchange sorts a triangle's edge,
+        # three a tetrahedron's face
+        mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
         table = mesh._face_table
         face_of = table_face_of(table)
         d = mesh.intrinsic_dim
@@ -937,7 +932,7 @@ def table_face_of(table):
 def random_simplices(draw):
     """Simplices over a few non-contiguous vertex ids: small pools make
     faces shared by three or more simplices, and rows may repeat a vertex."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 3))
     pool = draw(
         st.lists(st.integers(0, 999), min_size=1, max_size=d + 3, unique=True)
     )
@@ -956,7 +951,6 @@ class TestSortedFaceTable:
     @given(random_simplices())
     @example((2, [[7, 3, 500]] * 3 + [[3, 7, 9]]))  # edge (3, 7) in four triangles
     @example((3, [[5, 5, 2, 900], [900, 2, 5, 1]]))  # a tet that repeats a vertex
-    @example((1, [[4, 4]]))
     def test_matches_unique_rows_reference(self, case):
         d, simplices = case
         mesh = SimplicialMesh(np.zeros((1000, d)), np.array(simplices), d)
@@ -976,15 +970,15 @@ class TestSortedFaceTable:
         by_id = np.argsort(ids, axis=1, kind="stable")
         assert np.array_equal(table.local, np.take_along_axis(others, by_id, 1))
 
-    def test_four_column_faces_near_70000_vertex_ids(self):
-        # a packed c0 n^3 + c1 n^2 + c2 n + c3 key would overflow int64 here
-        # (70,000^4 > 2^63); the rank keys stay below sides * n
-        n = 70_010
-        assert (n - 1) ** 4 > 2**63
+    def test_three_column_faces_past_2_21_vertex_ids(self):
+        # a packed c0 n^2 + c1 n + c2 key would overflow int64 here
+        # (n^3 > 2^63 past 2^21 vertices); the rank keys stay below sides * n
+        n = 2**21 + 10
+        assert (n - 1) ** 3 > 2**63
         rng = np.random.default_rng(7)
         pool = np.concatenate([np.arange(6), n - 1 - np.arange(6)])
-        simplices = np.array([rng.choice(pool, 5, replace=False) for _ in range(300)])
-        mesh = SimplicialMesh(np.zeros((n, 4)), simplices, 4)
+        simplices = np.array([rng.choice(pool, 4, replace=False) for _ in range(300)])
+        mesh = SimplicialMesh(np.zeros((n, 3)), simplices, 3)
         table = mesh._face_table
         faces, counts, face_of = unique_rows_face_table(mesh)
         assert (faces.max(axis=0) >= n - 6).all()

@@ -61,9 +61,13 @@ def relabelled(kind, resolution, seed):
     return SimplicialMesh(vertices, new_id[mesh.simplices], mesh.intrinsic_dim)
 
 
-def path_system():
-    verts = np.arange(4, dtype=float)[:, None]
-    mesh = SimplicialMesh(verts, np.array([[0, 1], [1, 2], [2, 3]]), 1)
+def strip_system():
+    """Two equilateral triangles in a strip, ends 0 and 3 fixed: every edge
+    has length 1, so every weight is exp(-0.1), and the free block of
+    vertices 1 and 2 is 2 x 2 with band width 1."""
+    h = math.sqrt(3.0) / 2.0
+    verts = np.array([[0.0, 0.0], [0.5, h], [1.0, 0.0], [1.5, h]])
+    mesh = SimplicialMesh(verts, np.array([[0, 2, 1], [1, 2, 3]]), 2)
     g = build_weights(mesh, gamma=0.1)
     return assemble_system(g, [0, 3])
 
@@ -92,13 +96,13 @@ class TestSolveSpd:
         assert y[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_path_interior_interpolates(self):
-        # fixed endpoints at 0 and 1 with uniform weights put the interior
-        # at thirds
-        sys = path_system()
-        # all edges have length 1, so all weights are equal
+        # fixed ends at 0 and 1 with uniform weights: each free vertex is the
+        # mean of its three neighbours, both fixed ends and the other free
+        # vertex, which puts both at 1/2
+        sys = strip_system()
         rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
         y = solve_spd(sys.lap_free, rhs)[0]
-        np.testing.assert_allclose(y.ravel(), [1 / 3, 2 / 3], rtol=1e-12)
+        np.testing.assert_allclose(y.ravel(), [0.5, 0.5], rtol=1e-12)
 
     def test_matches_dense_oracle(self, solve_direct):
         rng = np.random.default_rng(7)
@@ -120,7 +124,7 @@ class TestSolveSpd:
         # every entry of b squares to 0 below ~1e-154; the system is still
         # solved, not taken for an empty one, and passes the gate
         force_route(route)
-        sys = path_system()
+        sys = strip_system()
         rhs = -sys.lap_free_fixed @ np.array([[0.0], [1.0]])
         config = SolveConfig()
         y, _, record = solve_spd(sys.lap_free, rhs, config)
@@ -188,8 +192,8 @@ class TestSolveSpd:
         assert np.abs(y_pcg - y_band).max() <= 1e-9 * scale
 
     def test_auto_takes_band_up_to_the_limit(self, monkeypatch):
-        # the path system's free block is 2 x 2 with band width 1: 4 entries
-        sys = path_system()
+        # the strip system's free block is 2 x 2 with band width 1: 4 entries
+        sys = strip_system()
         rhs = np.array([[1.0], [1.0]])
         for limit, route in ((4, "band"), (3, "pcg")):
             monkeypatch.setattr(solver, "BAND_LIMIT", limit)
@@ -210,7 +214,7 @@ class TestSolveSpd:
                 ["band"] * emb.rounds_run
 
     def test_route_records(self, force_route):
-        sys = path_system()
+        sys = strip_system()
         rhs = np.array([[1.0], [2.0]])
 
         def route(b, name):
@@ -271,12 +275,12 @@ class TestSolveSpd:
             assert res <= 1e-10
 
     def test_zero_rhs(self):
-        sys = path_system()
+        sys = strip_system()
         y = solve_spd(sys.lap_free, np.zeros((2, 2)))[0]
         np.testing.assert_array_equal(y, 0.0)
 
     def test_one_dimensional_rhs_rejected(self):
-        sys = path_system()
+        sys = strip_system()
         rhs = (-sys.lap_free_fixed @ np.array([[0.0], [3.0]])).ravel()
         with pytest.raises(ValueError, match=r"\(n, k\) array, got shape \(2,\)"):
             solve_spd(sys.lap_free, rhs)
@@ -287,7 +291,7 @@ class TestSolveSpd:
         assert y.shape == (0, 2)
 
     def test_shape_mismatch_rejected(self):
-        sys = path_system()
+        sys = strip_system()
         with pytest.raises(ValueError, match="rows"):
             solve_spd(sys.lap_free, np.zeros((5, 1)))
 
@@ -308,7 +312,7 @@ class TestSolveSpd:
         force_route(route)
         monkeypatch.setattr(solver, "_solve_band", no_route)
         monkeypatch.setattr(solver, "_solve_pcg", no_route)
-        sys = path_system()
+        sys = strip_system()
         rhs = np.ones((2, 2))
         rhs[1, 0] = bad
         with pytest.raises(ValueError, match=rf"^rhs entry \(1, 0\) is {bad}; the "
@@ -401,7 +405,7 @@ class TestSolverFailures:
         force_route(route)
         name = {"direct": "_solve_band", "iterative": "_solve_pcg"}[route]
         monkeypatch.setattr(solver, name, nan_route)
-        sys = path_system()
+        sys = strip_system()
         with pytest.raises(SolverError, match="missed tolerance") as exc_info:
             solve_spd(sys.lap_free, np.ones((2, 1)))
         assert np.isnan(exc_info.value.achieved)
