@@ -4,13 +4,16 @@ Each predicate has one filter, written over whole arrays in numpy: it
 evaluates a floating-point determinant per row and accepts its sign when the
 magnitude clears a forward error bound (Shewchuk, "Adaptive precision
 floating-point arithmetic and fast robust geometric predicates", DCG 1997).
-Rows inside the uncertainty band go to an integer stage in one pass: every
-finite double is n / 2**k exactly, so scaling a row's coordinates by its
-largest 2**k turns them into Python ints, and the same determinant evaluated
-in ints has the exact sign (exactness needs no rational arithmetic). Callers
-always receive the mathematically exact sign, at float speed for all but
-near-degenerate configurations. Meshes are triangles or tetrahedra (d = 2
-or 3), so these two determinants are the only ones the package evaluates.
+Rows inside the uncertainty band go to one integer stage, also one numpy
+pass: ``np.frexp`` writes every finite double as a 53-bit integer mantissa
+times 2**e, shifting each row's mantissas up to that row's smallest e turns
+its coordinates into Python ints times one power of two, and the same
+determinant evaluated in those ints has the exact sign (exactness needs no
+rational arithmetic). A NaN or infinite coordinate that reaches the stage
+raises ValueError. Callers always receive the mathematically exact sign, at
+float speed for all but near-degenerate configurations. Meshes are
+triangles or tetrahedra (d = 2 or 3), so these two determinants are the
+only ones the package evaluates.
 
 Simplices take the filters through :func:`simplex_determinants`: one
 gather of the coordinate columns, the edges from vertex 0 as the
@@ -43,14 +46,6 @@ _O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _ETA = 2.0**-1074
 
 
-def _sign(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def orient2d(ax, ay, bx, by, cx, cy):
     """Exact sign of the signed area of triangle (a, b, c).
 
@@ -79,37 +74,6 @@ def orient3d(pa, pb, pc, pd):
     return int(sign[0])
 
 
-def _scaled(values):
-    """The coordinates ``values`` as Python ints, all times one power of two.
-
-    Each float is n / 2**k exactly (``float.as_integer_ratio``); shifting
-    every n up to the row's largest k multiplies the whole row by that 2**k,
-    which leaves the sign of any homogeneous determinant of it unchanged.
-    Exact for every finite double, subnormals and -0.0 included.
-    """
-    ratios = [float(v).as_integer_ratio() for v in values]
-    k = max(d for _, d in ratios).bit_length()
-    return [n << (k - d.bit_length()) for n, d in ratios]
-
-
-def _orient2d_exact(rows):
-    """Exact :func:`orient2d` signs of rows (ax, ay, bx, by, cx, cy), in ints."""
-    signs = []
-    for row in rows:
-        ax, ay, bx, by, cx, cy = _scaled(row)
-        signs.append(_sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx)))
-    return signs
-
-
-def _orient3d_exact(rows):
-    """Exact :func:`orient3d` signs of rows (pa, pb, pc, pd) of 12 coordinates."""
-    signs = []
-    for row in rows:
-        v = _scaled(row)
-        signs.append(_sign(_det3([[v[r + i] - v[9 + i] for i in range(3)] for r in (0, 3, 6)])))
-    return signs
-
-
 def _det3(rows):
     return (
         rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
@@ -125,14 +89,14 @@ def orient2d_signs_xy(ax, ay, bx, by, cx, cy):
     result is ``orient2d(ax[k], ay[k], bx[k], by[k], cx[k], cy[k])``. The
     float determinant det[a - c; b - c] decides a row when it clears the
     error bound; the rows it cannot decide are settled together by the
-    integer stage.
+    integer stage as the triangles (c, a, b).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         _, out, undecided = _orient2d_filter(ax - cx, ay - cy, bx - cx, by - cy)
     rest = np.flatnonzero(undecided)
     if rest.size:
-        cols = np.column_stack([v[rest] for v in (ax, ay, bx, by, cx, cy)])
-        out[rest] = _orient2d_exact(cols.tolist())
+        cols = np.column_stack([v[rest] for v in (cx, cy, ax, ay, bx, by)])
+        out[rest] = _exact_signs(cols.reshape(-1, 3, 2))
     return out
 
 
@@ -245,15 +209,37 @@ def exact_orientations(coords, simplices):
     """Exact signs of det(p_1 - p_0, ..., p_d - p_0), with no float filter.
 
     The integer stage of :func:`simplex_determinants`, for the rows it
-    leaves undecided, d = 2 or 3. Each row's coordinates become Python ints
-    by :func:`_scaled`, and the orient2d or orient3d determinant evaluated
-    in them has the exact sign, with no rational arithmetic.
+    leaves undecided, d = 2 or 3: :func:`_exact_signs` of
+    ``coords[simplices]``. A NaN or infinite coordinate of those simplices
+    raises ValueError.
     """
-    p = np.asarray(coords, dtype=float)[np.asarray(simplices, dtype=np.int64)]
-    m, d = p.shape[0], p.shape[2]
-    # rows (p_1, ..., p_d, p_0): the predicate's base point last
-    rows = np.roll(p, -1, axis=1).reshape(m, (d + 1) * d).tolist()
-    return np.array((_orient2d_exact if d == 2 else _orient3d_exact)(rows), dtype=np.int8)
+    return _exact_signs(np.asarray(coords, dtype=float)[np.asarray(simplices, dtype=np.int64)])
+
+
+def _exact_signs(points):
+    """The integer stage: exact signs of det(p_1 - p_0, ..., p_d - p_0) of
+    an (M, d+1, d) array of points, d = 2 or 3, in one numpy pass.
+
+    ``np.frexp`` writes each double exactly as an int64 53-bit mantissa n
+    times 2**e, subnormals and -0.0 included. Shifting each row's nonzero
+    mantissas up to that row's smallest e multiplies the row by one power
+    of two, which leaves the sign of its homogeneous determinant unchanged;
+    the determinant of the shifted Python ints, held in object arrays, is
+    exact. Without a finiteness check NaN and inf would become wrong
+    mantissas, so they raise ValueError.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("exact orientation needs finite coordinates (found NaN or inf)")
+    mantissa, exponent = np.frexp(points)
+    n = (mantissa * 2.0**53).astype(np.int64)
+    # 0 stays 0 under any shift: the largest exponent, 1024, keeps a zero out
+    # of its row's minimum
+    exponent[n == 0] = 1024
+    low = exponent.min(axis=(1, 2), keepdims=True)
+    shifted = n.astype(object) << (exponent - low).astype(object)
+    e = (shifted[:, 1:] - shifted[:, :1]).transpose(1, 2, 0)  # e[i][j]: coordinate j of edge i
+    det = e[0][0] * e[1][1] - e[0][1] * e[1][0] if points.shape[2] == 2 else _det3(e)
+    return np.sign(det).astype(np.int8)
 
 
 def signed_volumes(coords, simplices):

@@ -216,9 +216,11 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     for key in ("ambient_dim", "intrinsic_dim", "vertices", "simplices"):
         if key not in payload:
             raise ValueError(f"mesh JSON is missing the {key!r} field")
-    for key in ("ambient_dim", "intrinsic_dim"):
-        if type(payload[key]) is not int:
-            raise ValueError(f"{key} must be an integer, got {json.dumps(payload[key])}")
+    # the vertices are read against ambient_dim, so it is checked here;
+    # intrinsic_dim is judged by SimplicialMesh's rule, as for arrays
+    ambient_dim = payload["ambient_dim"]
+    if type(ambient_dim) is not int:
+        raise ValueError(f"ambient_dim must be an integer, got {json.dumps(ambient_dim)}")
     # numpy infers the dtypes below, so a string, null or object entry stays
     # non-numeric; a JSON bool mixed into number rows is inferred as a number
     # (true -> 1), and the text test keeps the per-entry scan for it off
@@ -231,7 +233,7 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     if verts.dtype.kind not in "if" or maybe_bool and _has_bool(payload["vertices"]):
         raise ValueError("vertices must be rows of numbers (no strings, nulls or bools)")
     verts = verts.astype(float, copy=False)
-    if verts.ndim != 2 or verts.shape[1] != payload["ambient_dim"]:
+    if verts.ndim != 2 or verts.shape[1] != ambient_dim:
         raise ValueError("vertex array does not match ambient_dim")
     # SimplicialMesh's integer-id rule judges the simplices; an int row
     # holding a bool is handed on as bools, so the rule names that dtype

@@ -52,9 +52,10 @@ volume classification and the convexity margin use tolerances. Both run
 vectorised: a sweep-and-prune over segment bounding boxes finds the
 candidate edge pairs, and the batched filtered predicates of
 :mod:`fplm.geometry` decide every pair and simplex in numpy, leaving only
-near-degenerate rows to the exact integer stage (each row's doubles scaled
-to Python ints by one power of two). Edge pairs that share a vertex index
-need no extra test (see :func:`count_crossings`).
+near-degenerate rows to the exact integer stage (each row's float
+mantissas shifted to Python ints by one power of two, in one numpy pass).
+Edge pairs that share a vertex index need no extra test (see
+:func:`count_crossings`).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def count_crossings(edges, coords) -> CrossingResult:
     memory stays O(E) plus one block. The narrow phase gathers each block's
     coordinate columns once and decides every pair in one pass of the
     batched filtered predicate (:func:`orient2d_signs_xy`), whose undecided
-    rows take the exact integer stage. The turns of the second segment's
+    rows take the exact integer stage together. The turns of the second segment's
     endpoints against the first decide most pairs alone: a pair with both
     turns 0 is collinear (or its first segment is a single point) and goes
     straight to the 1-D overlap test, and only straddling pairs need the

@@ -3,10 +3,14 @@
 The package itself never needs it (``delaunay2d`` is qhull), so it lives
 with the tests that check qhull's output. It is the package's filtered
 predicate pattern: a float determinant accepted when it clears its forward
-error bound, otherwise the integer stage of :mod:`fplm.geometry`.
+error bound, otherwise settled in ``Fraction``, as
+:mod:`orientation_oracle` settles every orientation.
 """
 
-from fplm.geometry import _EPS, _ETA, _det3, _scaled, _sign
+from fractions import Fraction
+
+from fplm.geometry import _EPS, _ETA
+from orientation_oracle import det_rational
 
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
@@ -48,6 +52,7 @@ def incircle(pa, pb, pc, pd):
     )
     if abs(det) > _ICC_BOUND * permanent + underflow:
         return 1 if det > 0.0 else -1
-    ax, ay, bx, by, cx, cy, dx, dy = _scaled((*pa, *pb, *pc, *pd))
-    rows = [(ax - dx, ay - dy), (bx - dx, by - dy), (cx - dx, cy - dy)]
-    return _sign(_det3([[x, y, x * x + y * y] for x, y in rows]))
+    d = [Fraction(v) for v in pd]
+    rows = [[Fraction(v) - w for v, w in zip(p, d)] for p in (pa, pb, pc)]
+    det = det_rational([[x, y, x * x + y * y] for x, y in rows])
+    return (det > 0) - (det < 0)

@@ -315,8 +315,8 @@ class TestEmbed:
             ({"mesh.json": "3"}, "must be an object"),
             ({"mesh.json": '{"ambient_dim": null, "intrinsic_dim": 2, "vertices": [],'
               ' "simplices": []}'}, "ambient_dim must be an integer"),
-            ({"mesh.json": '{"ambient_dim": 2, "intrinsic_dim": 2.5, "vertices": [],'
-              ' "simplices": []}'}, "intrinsic_dim must be an integer"),
+            ({"mesh.json": '{"ambient_dim": 2, "intrinsic_dim": 2.5, "vertices": [[0, 0],'
+              ' [1, 0], [0, 1]], "simplices": [[0, 1, 2]]}'}, "intrinsic_dim must be an integer"),
             ({"mesh.json": '{"ambient_dim": 2, "intrinsic_dim": 2, "vertices": {"a": 1},'
               ' "simplices": []}'}, "vertices must be rows of numbers"),
             ({"mesh.node": "0 3 0 0\n", "mesh.ele": "0 4 0\n"}, "line 1: .node file"),

@@ -126,13 +126,13 @@ class TestExactZeroRule:
     @staticmethod
     def _count_exact_rows(monkeypatch):
         made = []
-        real = geometry._orient2d_exact
+        real = geometry._exact_signs
 
-        def counting(rows):
-            made.extend(rows)
-            return real(rows)
+        def counting(points):
+            made.extend(points.tolist())
+            return real(points)
 
-        monkeypatch.setattr(geometry, "_orient2d_exact", counting)
+        monkeypatch.setattr(geometry, "_exact_signs", counting)
         return made
 
     def test_exactly_collinear_rows_skip_rational(self, monkeypatch):
@@ -154,6 +154,34 @@ class TestExactZeroRule:
         got = orient2d_rows(np.array([a]), np.array([b]), np.array([c]))
         assert got.tolist() == [-1]
         assert made
+
+
+class TestNonFiniteInput:
+    """NaN and inf have no integer mantissa, so a row that reaches the
+    integer stage with one raises one ValueError rather than taking a wrong
+    sign."""
+
+    MESSAGE = "^exact orientation needs finite coordinates"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_orient2d(self, bad):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            orient2d(bad, 0.0, 1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_orient2d_signs_xy(self, bad):
+        # the filter settles the all-zero second row; the first reaches the stage
+        cols = (np.array([x, 0.0]) for x in (bad, 1.0, 1.0, 2.0, 0.0, 3.0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            orient2d_signs_xy(*cols)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_orientations(self, bad, d):
+        coords = np.vstack([np.zeros(d), np.eye(d)])
+        coords[1, 0] = bad
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            exact_orientations(coords, np.arange(d + 1)[None])
 
 
 class TestOrient3d:
@@ -300,6 +328,25 @@ def coplanar_quadruples(draw):
     return pts[0], pts[1], pts[2], tuple(d)
 
 
+# rows whose float differences overflow to inf, so only the integer stage
+# can decide them: a counterclockwise and a collinear triangle, and a
+# tetrahedron and a coplanar quadruple
+BIG = 1.5e308
+OVERFLOW_2D = [(BIG, -BIG, -BIG, BIG, -BIG, -BIG), (BIG, BIG, 1e308, 1e308, -BIG, -BIG)]
+OVERFLOW_3D = [((BIG, 0.0, 0.0), (0.0, BIG, 0.0), (0.0, 0.0, BIG), (-BIG, -BIG, -BIG)),
+               ((BIG, BIG, BIG), (-BIG, -BIG, -BIG), (BIG, -BIG, 0.0), (-BIG, BIG, 0.0))]
+# one batch whose rows need different shifts: rows at 1e-300 and 1e300
+# scale, most of them near-collinear or coplanar, with -0.0 and subnormals
+MIXED_2D = [(1e-300, 1e-300, 2e-300, 2e-300, 3e-300, 3.0000000000000003e-300),
+            (1e300, 1e300, -1e300, -1e300, 3e300, 3e300),
+            (-0.0, 5e-324, 5e-324, -0.0, 1e-310, -5e-324),
+            (1e300, -0.0, 5e-324, 1e-300, -1e300, 2.5e-308)]
+MIXED_3D = [((1e-300, 0.0, 0.0), (0.0, 1e-300, 0.0), (0.0, 0.0, 1e-300), (-0.0, -0.0, 5e-324)),
+            ((1e300, 1e300, 0.0), (-1e300, 1e300, 0.0), (0.0, -1e300, 0.0), (2e300, 1e300, -0.0)),
+            ((5e-324, -0.0, 1e300), (-0.0, 1e-310, 5e-324), (1e-300, 1e300, -5e-324),
+             (0.0, 0.0, 0.0))]
+
+
 class TestIntegerStageAgainstFraction:
     """The integer stage must give the Fraction determinant's sign, scalar and
     batched, on every finite double."""
@@ -313,15 +360,19 @@ class TestIntegerStageAgainstFraction:
     # the direction opposite to the exact determinant's sign
     @example((3.277591141640716e-156, 7.236093307563692e-155, 6.282049688144705e-156,
               1.3869178839497077e-154, -1.2143032037315589e-170, -2.5563817609819563e-169))
+    @example(OVERFLOW_2D[0])
+    @example(OVERFLOW_2D[1])
     def test_orient2d(self, row):
         want = orient2d_rational(*row)
         assert orient2d(*row) == want
         assert orient2d_rows(*(np.array([row[k:k + 2]]) for k in (0, 2, 4))).tolist() == [want]
-        assert geometry._orient2d_exact([row]) == [want]
+        triangle = np.array(row[4:] + row[:4]).reshape(3, 2)  # (c, a, b)
+        assert exact_orientations(triangle, np.arange(3)[None]).tolist() == [want]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(st.tuples(*[coordinates] * 6), collinear_triples()),
                     min_size=1, max_size=40))
+    @example(MIXED_2D + OVERFLOW_2D)
     def test_orient2d_signs(self, rows):
         pa, pb, pc = (np.array(list(zip(*rows))[k:k + 2]).T for k in (0, 2, 4))
         got = orient2d_rows(pa, pb, pc)
@@ -334,15 +385,19 @@ class TestIntegerStageAgainstFraction:
     # scales that error past the static bound: the float sign is wrong
     @example(((0.0, 0.0, 0.0), (0.0, 1.0, -4.0357455435200504e16),
               (9.969616142050816e-308, 0.0, 0.0), (0.0, 2.0**-55, -2.0)))
+    @example(OVERFLOW_3D[0])
+    @example(OVERFLOW_3D[1])
     def test_orient3d(self, points):
         want = orient3d_rational(*points)
         assert orient3d(*points) == want
         assert orient3d_rows(*(np.array([p]) for p in points)).tolist() == [want]
-        assert geometry._orient3d_exact([sum(points, ())]) == [want]
+        simplex = np.array([points[3], *points[:3]])  # (d, a, b, c)
+        assert exact_orientations(simplex, np.arange(4)[None]).tolist() == [want]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4),
                              coplanar_quadruples()), min_size=1, max_size=30))
+    @example(MIXED_3D + OVERFLOW_3D)
     def test_orient3d_signs(self, rows):
         cols = [np.array([row[k] for row in rows]) for k in range(4)]
         got = orient3d_rows(*cols)
@@ -351,14 +406,21 @@ class TestIntegerStageAgainstFraction:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(st.tuples(*[coordinates] * 6), collinear_triples()),
                     min_size=1, max_size=40))
+    @example(MIXED_2D + OVERFLOW_2D)
     def test_simplex_determinants_2d(self, rows):
         self.check_filter_and_integer_stage(np.array(rows).reshape(-1, 3, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(st.tuples(*[st.tuples(*[coordinates] * 3)] * 4),
                              coplanar_quadruples()), min_size=1, max_size=30))
+    @example(MIXED_3D + OVERFLOW_3D)
     def test_simplex_determinants_3d(self, rows):
         self.check_filter_and_integer_stage(np.array(rows))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_rows(self, d):
+        signs = exact_orientations(np.zeros((d + 1, d)), np.zeros((0, d + 1), dtype=np.int64))
+        assert signs.dtype == np.int8 and signs.shape == (0,)
 
     @staticmethod
     def check_filter_and_integer_stage(points):

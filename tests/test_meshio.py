@@ -242,6 +242,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             mesh_from_json(blob)
 
+    @pytest.mark.parametrize("value", ["2.5", "2.0", "true", '"2"', "null"])
+    def test_intrinsic_dim_has_one_rule_for_json_and_arrays(self, value):
+        # a JSON intrinsic_dim is judged by SimplicialMesh's own rule, so the
+        # file and the array give one message
+        blob = self.triangle_blob("[[0, 1, 2]]")
+        blob = blob.replace('"intrinsic_dim": 2', f'"intrinsic_dim": {value}')
+        with pytest.raises(ValueError) as from_json:
+            mesh_from_json(blob)
+        with pytest.raises(ValueError) as from_arrays:
+            SimplicialMesh(np.eye(3)[:, :2], np.array([[0, 1, 2]]), json.loads(value))
+        assert str(from_json.value) == str(from_arrays.value)
+        assert str(from_json.value).startswith("intrinsic_dim must be an integer, got dtype")
+
     @pytest.mark.parametrize(
         "vertices",
         ['{"a": 1}', '[[0, 0], [1, "x"], [0, 1]]', '[[0, 0], [1, null], [0, 1]]',

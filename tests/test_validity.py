@@ -1226,13 +1226,13 @@ class TestLoopIsSimple:
         # where the float filter cannot decide them, so each triangle's plane
         # test reaches the integer stage
         made = []
-        real = geometry._orient2d_exact
+        real = geometry._exact_signs
 
-        def counting(rows):
-            made.extend(rows)
-            return real(rows)
+        def counting(points):
+            made.extend(points.tolist())
+            return real(points)
 
-        monkeypatch.setattr(geometry, "_orient2d_exact", counting)
+        monkeypatch.setattr(geometry, "_exact_signs", counting)
         ulp = np.spacing(0.5)
         got, want = [], []
         for i in range(-3, 4):
