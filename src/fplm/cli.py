@@ -7,9 +7,9 @@ MemoryError of an input too large for memory, into one ``error: ...`` line
 on stderr and its exit code. Every run with the same inputs and seed
 writes byte-identical outputs, apart from the stage timings; ``embed``
 records the fully resolved configuration, timings, and output list in a
-manifest next to the embedding so a validation step can recover run
-context, and the JSON report of ``validate`` records its stage timings
-too.
+manifest next to the embedding, and the JSON report of ``validate``
+records its stage timings too. ``validate`` reads the mesh and the
+drawing alone: the audit finds a closed mesh's outer simplex itself.
 """
 
 from __future__ import annotations
@@ -47,15 +47,13 @@ EXIT_SOLVER = 4
 
 
 def _read(what: str, path):
-    """Read a mesh (.json, .off, or TetGen .node with its sibling .ele), an
-    embedding CSV or a manifest; a failure to read or parse the file is
-    raised as the ValueError ``cannot read {what} {path}: ...``."""
+    """Read a mesh (.json, .off, or TetGen .node with its sibling .ele) or
+    an embedding CSV; a failure to read or parse the file is raised as the
+    ValueError ``cannot read {what} {path}: ...``."""
     p = Path(path)
     try:
         if what == "embedding":
             return read_embedding_csv(p.read_text())
-        if what == "manifest":
-            return json.loads(p.read_text())
         suffix = p.suffix.lower()
         if suffix == ".node":
             ele = p.with_suffix(".ele")
@@ -188,44 +186,11 @@ def cmd_validate(args) -> int:
     t_load = time.perf_counter()
     coords = _read("embedding", args.embedding)
     t_read = time.perf_counter()
-    if coords.shape != (mesh.n_vertices, mesh.intrinsic_dim):
-        raise ValueError(
-            f"embedding shape {coords.shape} does not match mesh "
-            f"({mesh.n_vertices}, {mesh.intrinsic_dim})"
-        )
-
-    manifest_path = args.manifest
-    if manifest_path is None:
-        sibling = Path(str(args.embedding) + ".manifest.json")
-        if sibling.exists():
-            manifest_path = str(sibling)
-    seed_simplex = None
-    if manifest_path is not None:
-        manifest = _read("manifest", manifest_path)
-        if not isinstance(manifest, dict):
-            raise ValueError(f"manifest {manifest_path} is not a JSON object")
-        result = manifest.get("result", {})
-        if not isinstance(result, dict):
-            raise ValueError(f"manifest {manifest_path}: result is not a JSON object")
-        seed_simplex = result.get("seed_simplex")
-        if seed_simplex is not None:
-            # a JSON integer only: bool is an int subclass in Python
-            if (
-                type(seed_simplex) is not int
-                or not 0 <= seed_simplex < mesh.n_simplices
-            ):
-                raise ValueError(
-                    f"manifest {manifest_path}: seed_simplex must be an "
-                    f"integer in [0, {mesh.n_simplices}), got "
-                    f"{json.dumps(seed_simplex)}"
-                )
-
-    t_audit = time.perf_counter()
-    report = audit(mesh, coords, seed_simplex=seed_simplex)
+    report = audit(mesh, coords)
     timings_ms = {
         "load": round((t_load - t0) * 1000.0, 3),
         "read": round((t_read - t_load) * 1000.0, 3),
-        "audit": round((time.perf_counter() - t_audit) * 1000.0, 3),
+        "audit": round((time.perf_counter() - t_read) * 1000.0, 3),
     }
 
     text = report.to_text()
@@ -245,12 +210,6 @@ def cmd_validate(args) -> int:
 def cmd_render(args) -> int:
     mesh = _read("mesh", args.mesh)
     coords = _read("embedding", args.embedding)
-    if coords.shape != (mesh.n_vertices, 2):
-        raise ValueError(
-            f"rendering needs 2-D coordinates for all {mesh.n_vertices} "
-            f"vertices, got shape {coords.shape}"
-        )
-
     markers = None
     if args.mark_crossings:
         # the audit skips the full count when the degree theorem certifies
@@ -329,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="audit an embedding against its mesh")
     v.add_argument("--mesh", required=True)
     v.add_argument("--embedding", required=True, help="embedding CSV")
-    v.add_argument(
-        "--manifest",
-        default=None,
-        help="embed manifest (default: <embedding>.manifest.json if present)",
-    )
     v.add_argument("--out", default=None, help="report path (text; JSON beside)")
     v.set_defaults(func=cmd_validate)
 

@@ -116,6 +116,8 @@ def _orient2d_filter(acx, acy, bcx, bcy):
     detleft = np.multiply(acx, bcy, out=acx)
     detright = np.multiply(acy, bcx, out=acy)
     det = detleft - detright
+    # a zero factor times inf or NaN is NaN, not 0: such a row goes on too
+    zero &= det == 0.0
     bound = np.abs(detleft, out=detleft)
     bound += np.abs(detright, out=detright)
     bound *= _CCW_BOUND

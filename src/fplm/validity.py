@@ -18,12 +18,15 @@ raises otherwise); the boundary walk rejects a boundary vertex with more
 than two boundary edges; and :func:`orientation_histogram` gives the
 signs, with no near-zero image allowed.
 
-The loop of a closed mesh is its excluded seed triangle, and it needs no
-test. Over a closed, consistently oriented surface the signed areas of the
-triangle images sum to exactly 0, since every edge is walked once in each
+The loop of a closed mesh is its outer triangle, the one whose image
+covers the rest of the drawing (fplm's seed), and it needs no test. Over a
+closed, consistently oriented surface the signed areas of the triangle
+images sum to exactly 0, since every edge is walked once in each
 direction. So when all other triangles share one nonzero exact sign, the
-seed's exact area is nonzero with the opposite sign: its image is not
-flat, and a triangle that is not flat is a simple loop. A closed mesh is
+outer triangle's exact area is nonzero with the opposite sign: its image
+is not flat, and a triangle that is not flat is a simple loop. The
+histogram therefore names the outer triangle itself: the one simplex of
+the minority sign, when the other sign has more than one. A closed mesh is
 decided by its histogram alone. The loop of an open mesh is its single
 boundary cycle. With no such loop (several boundary loops), a one-signed
 drawing is injective when its whole 1-skeleton is drawn as a plane graph.
@@ -77,8 +80,6 @@ from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
-    integer_id,
-    integer_ids,
     mesh_edges,
 )
 
@@ -131,6 +132,11 @@ class ValidityReport:
     attain it (see :func:`_hull_candidates`), otherwise the vertices of
     their own convex hull (see :func:`_free_hull_vertices`).
 
+    outer_simplex is the simplex of a closed mesh whose image covers the
+    rest of the drawing, found by :func:`audit` and left out of
+    orientation_counts; None on an open mesh and on a closed one where no
+    single simplex has the minority sign.
+
     For d = 3, "injective-certified" shows local injectivity only: every
     tetrahedron keeps one orientation, but the boundary surface is not
     tested for self-intersection.
@@ -144,6 +150,7 @@ class ValidityReport:
     boundary_convexity: BoundaryConvexityResult | None
     verdict: str
     reasons: tuple[str, ...] = ()
+    outer_simplex: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -154,6 +161,7 @@ class ValidityReport:
                 "negative": self.orientation_counts[1],
                 "near_zero": self.orientation_counts[2],
             },
+            "outer_simplex": self.outer_simplex,
             "max_convex_residual": self.max_convex_residual,
             "hull_violation": _json_float(self.hull_violation),
             "boundary_convexity": (
@@ -183,6 +191,8 @@ class ValidityReport:
         lines.append(
             f"orientation: {pos} positive, {neg} negative, {zero} near zero"
         )
+        if self.outer_simplex is not None:
+            lines.append(f"outer simplex: {self.outer_simplex}")
         if self.hull_violation is not None:
             lines.append(f"hull violation: {self.hull_violation:.6e}")
         if self.max_convex_residual is not None:
@@ -450,8 +460,6 @@ def orientation_histogram(
     mesh: SimplicialMesh,
     coords: np.ndarray,
     tol: float = 1e-12,
-    *,
-    exclude=(),
 ) -> tuple[int, int, int]:
     """Classify simplex image volumes as (positive, negative, near-zero).
 
@@ -463,11 +471,9 @@ def orientation_histogram(
     simplex is near-zero when its absolute volume, det / d!, is below tol
     times (embedding bounding-box diameter)^d; the other images the filter
     left undecided get their sign from the exact integer stage
-    (:func:`~fplm.geometry.exact_orientations`). ``exclude`` skips simplex
-    indices, used for the seed simplex of a closed mesh whose image
-    necessarily covers the rest; a float or bool index, or one outside
-    [0, M), raises ``ValueError``. So does a diameter^d that is not a finite double: the
-    near-zero band would be infinite or meaningless.
+    (:func:`~fplm.geometry.exact_orientations`). A diameter^d that is not a
+    finite double raises ``ValueError``: the near-zero band would be
+    infinite or meaningless.
     """
     coords = np.asarray(coords, dtype=float)
     d = mesh.intrinsic_dim
@@ -483,37 +489,28 @@ def orientation_histogram(
             f"embedding bounding-box diameter {diam:.3e} to the power d = {d} "
             "is not a finite double; scale the coordinates down"
         )
-    sign = canonical_orientation(mesh)
-    exclude = integer_ids(exclude, "exclude").ravel()
-    if ((exclude < 0) | (exclude >= mesh.n_simplices)).any():
-        raise ValueError(
-            f"exclude must hold simplex indices in [0, {mesh.n_simplices}), "
-            f"got {exclude.tolist()}"
-        )
-    kept = np.ones(mesh.n_simplices, dtype=bool)
-    kept[exclude] = False
     det, signs, undecided = simplex_determinants(coords, mesh.simplices)
-    threshold = tol * scale
-    rows = kept & ~(np.abs(det / math.factorial(d)) < threshold)
-    settle = np.flatnonzero(rows & undecided)
+    near = np.abs(det / math.factorial(d)) < tol * scale
+    settle = np.flatnonzero(~near & undecided)
     if settle.size:
         signs[settle] = exact_orientations(coords, mesh.simplices[settle])
-    s = sign[rows] * signs[rows]
-    pos = int(np.count_nonzero(s > 0))
-    neg = int(np.count_nonzero(s < 0))
-    zero = int(np.count_nonzero(kept)) - pos - neg
-    counts = _Counts((pos, neg, zero))
-    rows[rows] = s != 0  # now the rows counted as positive or negative
-    counts.near = np.flatnonzero(kept & ~rows)
+    signs *= canonical_orientation(mesh)
+    signs[near] = 0
+    pos = int(np.count_nonzero(signs > 0))
+    neg = int(np.count_nonzero(signs < 0))
+    counts = _Counts((pos, neg, mesh.n_simplices - pos - neg))
+    counts.signs = signs
     return counts
 
 
 class _Counts(tuple):
     """The (positive, negative, near-zero) counts of
     :func:`orientation_histogram`, a plain 3-tuple to every caller, that
-    also carry ``near``: the ``zero`` simplices counted as near-zero,
-    ascending. :func:`audit` hands them to :func:`_one_exact_sign`, so the
-    histogram's pass, the layer the benchmark traces by name, runs once."""
+    also carry ``signs``: each simplex's oriented sign as int8, 0 where it
+    was counted near-zero. :func:`audit` reads the outer simplex of a
+    closed mesh and the near-zero rows it hands to :func:`_one_exact_sign`
+    from them, so the histogram's pass, the layer the benchmark traces by
+    name, runs once."""
 
 
 def check_hull_containment(
@@ -666,36 +663,35 @@ def audit(
     embedding,
     *,
     graph: WeightedGraph | None = None,
-    seed_simplex: int | None = None,
 ) -> ValidityReport:
     """Run every applicable check and render the verdict.
 
     ``embedding`` is either an :class:`Embedding` (full audit, including
     hull containment and, with ``graph``, the convex-combination residual)
     or a bare (N, d) coordinate array, e.g. a third-party embedding read
-    from CSV, in which case only the geometric checks run.
+    from CSV, in which case only the geometric checks run. Non-finite
+    coordinates raise ``ValueError``.
 
-    The seed simplex is ``seed_simplex`` when given, else the one an
-    :class:`Embedding` records. On a closed mesh the seed's image covers the
-    rest of the drawing with opposite orientation (it plays the role of the
-    removed outer face), so the seed is excluded from the histogram. On an
-    open mesh the seed is audited like every other simplex. Non-finite
-    coordinates and a seed that is not one simplex index (a float, a bool
-    or an array included) raise ``ValueError``.
+    On a closed mesh one simplex image, fplm's seed, covers the rest of the
+    drawing with opposite orientation: it plays the role of the removed
+    outer face. The histogram names it: when exactly one counted simplex
+    has the minority sign and more than one has the other, that simplex is
+    the outer one, reported as ``outer_simplex`` and left out of the
+    counts. Every simplex of an open mesh is audited.
 
     For d = 2 the orientation histogram runs first. A closed mesh with an
-    excluded seed whose exact signs all agree, near-zero images included,
-    is decided by the histogram alone: the images' signed areas sum to 0,
-    so the seed's loop is simple. An open drawing bounded by one loop whose
-    exact signs all agree is decided on that loop; a one-signed drawing
-    with no loop, on one sweep of all its edges (the certificate of the
-    module docstring). Every other drawing, and one that fails its plane
+    outer simplex whose other exact signs all agree, near-zero images
+    included, is decided by the histogram alone: the images' signed areas
+    sum to 0, so the outer loop is simple. An open drawing bounded by one
+    loop whose exact signs all agree is decided on that loop; a one-signed
+    drawing with no loop, on one sweep of all its edges (the certificate of
+    the module docstring). Every other drawing, and one that fails its plane
     test, gets the full crossing count for its report.
 
     The hull check evaluates only the free vertices that can lie farthest
     outside the fixed targets' hull when the histogram finds one exact sign
     and no near-zero image: those next to a fixed vertex, on the boundary,
-    in an excluded simplex or in no simplex. Every other free vertex lies
+    in the outer simplex or in no simplex. Every other free vertex lies
     strictly inside the hull of its free neighbours, so skipping it leaves
     the maximum unchanged (see :func:`_hull_candidates`). Any other drawing
     has the vertices of the free vertices' own convex hull evaluated
@@ -705,8 +701,6 @@ def audit(
     if isinstance(embedding, Embedding):
         coords = embedding.coords
         emb = embedding
-        if seed_simplex is None:
-            seed_simplex = emb.seed_simplex
     else:
         coords = np.asarray(embedding, dtype=float)
         emb = None
@@ -717,19 +711,15 @@ def audit(
     if not np.isfinite(coords).all():
         raise ValueError("embedding coordinates must be finite (found NaN or inf)")
 
-    if seed_simplex is not None:
-        seed_simplex = integer_id(seed_simplex, "seed_simplex")
-        if not 0 <= seed_simplex < mesh.n_simplices:
-            raise ValueError(
-                f"seed_simplex {seed_simplex} is not a simplex index in "
-                f"[0, {mesh.n_simplices})"
-            )
     boundary = detect_boundary(mesh)
-    closed = boundary.boundary_vertices.size == 0
-    exclude = [seed_simplex] if closed and seed_simplex is not None else []
-
-    counts = orientation_histogram(mesh, coords, exclude=exclude)
+    counts = orientation_histogram(mesh, coords)
     pos, neg, zero = counts
+    outer = None
+    if boundary.boundary_vertices.size == 0 and min(pos, neg) == 1 < max(pos, neg):
+        # the one simplex of the minority sign is the closed mesh's outer one
+        minority = 1 if pos == 1 else -1
+        outer = int(np.flatnonzero(counts.signs == minority)[0])
+        pos, neg = (0, neg) if pos == 1 else (pos, 0)
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
 
     reasons: list[str] = []
@@ -737,18 +727,19 @@ def audit(
     touches = 0
     if d == 2:
         cycles = boundary.boundary_cycles
-        loop = bool(exclude) or len(cycles) == 1
+        loop = outer is not None or len(cycles) == 1
         # near-zero images still meet the degree theorem when their exact
         # signs agree with the rest; the verdict stays violated below
         plane = loop and (one_sign or (
             zero and (pos > 0) != (neg > 0)
-            and _one_exact_sign(mesh, coords, counts.near, 1 if pos else -1)
+            and _one_exact_sign(mesh, coords, np.flatnonzero(counts.signs == 0),
+                                1 if pos else -1)
         ))
         # an open mesh's boundary cycle takes the plane test; a closed mesh's
-        # seed loop needs none: the exact signed areas of a closed,
+        # outer loop needs none: the exact signed areas of a closed,
         # consistently oriented surface's images sum to 0, so with the rest
-        # one-signed the seed's image has the other sign and is not flat
-        if plane and not exclude:
+        # one-signed the outer image has the other sign and is not flat
+        if plane and outer is None:
             cycle = np.asarray(cycles[0])
             simple = plane = not _meetings(np.column_stack([cycle, np.roll(cycle, -1)]), coords)
         if one_sign and not loop:
@@ -787,7 +778,7 @@ def audit(
         is_free[final_fixed.indices] = False
         free = np.flatnonzero(is_free)
         candidates = (
-            _hull_candidates(mesh, boundary, is_free, exclude)
+            _hull_candidates(mesh, boundary, is_free, outer)
             if one_sign
             else _free_hull_vertices(coords, free)
         )
@@ -805,28 +796,29 @@ def audit(
     return ValidityReport(
         crossing_count=crossing_count,
         crossing_pairs=crossing_pairs,
-        orientation_counts=tuple(counts),
+        orientation_counts=(pos, neg, zero),
         max_convex_residual=max_convex_residual,
         hull_violation=hull_violation,
         boundary_convexity=boundary_convexity,
         verdict="injective-certified" if certified else "violated",
         reasons=tuple(reasons),
+        outer_simplex=outer,
     )
 
 
-def _hull_candidates(mesh: SimplicialMesh, boundary, is_free, exclude) -> np.ndarray:
+def _hull_candidates(mesh: SimplicialMesh, boundary, is_free, outer) -> np.ndarray:
     """The free vertices of a one-signed drawing that can attain the maximum
     of :func:`check_hull_containment`.
 
     These are the free vertices next to a fixed vertex, on the mesh
-    boundary, in an excluded simplex, or in no simplex at all. The other
-    free vertices, called sealed here, are dropped without changing the
-    maximum.
+    boundary, in the outer simplex ``outer`` (None for none), or in no
+    simplex at all. The other free vertices, called sealed here, are
+    dropped without changing the maximum.
 
     Proof. Take a sealed vertex v. The audit found no near-zero image and
-    one exact sign across the audited simplices, which include every
-    simplex of v's star. :func:`canonical_orientation` orients the
-    simplices consistently and v is not on the boundary, so every face
+    one exact sign across the audited simplices (all but ``outer``), which
+    include every simplex of v's star. :func:`canonical_orientation` orients
+    the simplices consistently and v is not on the boundary, so every face
     through v joins two star simplices and cancels in the boundary of the
     star: that boundary is the link of v. No star image is flat, so the
     link's image misses v, and its winding number w about points near v is
@@ -852,7 +844,8 @@ def _hull_candidates(mesh: SimplicialMesh, boundary, is_free, exclude) -> np.nda
     sealed[ends] = True
     sealed[ends[np.flatnonzero(~is_free[ends]) ^ 1]] = False
     sealed[boundary.boundary_vertices] = False
-    sealed[mesh.simplices[exclude]] = False
+    if outer is not None:
+        sealed[mesh.simplices[outer]] = False
     return np.flatnonzero(is_free & ~sealed)
 
 

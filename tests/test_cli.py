@@ -130,8 +130,9 @@ class TestEmbed:
             assert tmp_path.joinpath(path).exists()
 
     def test_seed_simplex_round_trip(self, tmp_path):
-        # sphere 2: the pinned seed 7 is the simplex validate excludes; the
-        # same drawing with seed 0 excluded counts seed 7's covering image
+        # sphere 2: the pinned seed 7 is recorded in the manifest, and
+        # validate finds it as the outer simplex from the drawing alone; a
+        # manifest naming another seed changes nothing
         mesh, emb, rc = run_pipeline(
             tmp_path, kind="sphere", resolution="2", extra_embed=("--seed-simplex", "7")
         )
@@ -140,10 +141,16 @@ class TestEmbed:
         manifest = json.loads(path.read_text())
         assert manifest["config"]["seed_simplex"] == 7
         assert manifest["result"]["seed_simplex"] == 7
-        assert main(["validate", "--mesh", str(mesh), "--embedding", str(emb)]) == 0
+        report = tmp_path / "report.txt"
+        argv = ["validate", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(report)]
+        assert main(argv) == 0
+        want = (tmp_path / "report.txt.json").read_text()
+        assert json.loads(want)["outer_simplex"] == 7
         manifest["result"]["seed_simplex"] = 0
         path.write_text(json.dumps(manifest))
-        assert main(["validate", "--mesh", str(mesh), "--embedding", str(emb)]) == 3
+        assert main(argv) == 0
+        blob = json.loads((tmp_path / "report.txt.json").read_text())
+        assert {**blob, "timings_ms": None} == {**json.loads(want), "timings_ms": None}
 
     def test_open_mesh_seed_is_audited(self, tmp_path):
         # an open mesh keeps its seed in the audit: the manifest's seed 7
@@ -434,68 +441,42 @@ class TestValidate:
         assert rc == 0
 
     def test_sphere_without_manifest_shows_seed_cover(self, tmp_path, capsys):
-        # dropping the manifest keeps the seed simplex in the histogram; its
-        # image covers the rest, so the verdict must flip to violated
+        # with the manifest deleted the report still names the seed, whose
+        # image covers the rest of the drawing, as the outer simplex
         mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="2")
-        (tmp_path / "emb.csv.manifest.json").unlink()
-        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
-        assert rc == 3
-        assert "mixed orientations" in capsys.readouterr().out
-
-    def test_explicit_manifest_path(self, tmp_path):
-        mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="2")
-        moved = tmp_path / "elsewhere.json"
-        (tmp_path / "emb.csv.manifest.json").rename(moved)
-        rc = main(
-            [
-                "validate",
-                "--mesh",
-                str(mesh),
-                "--embedding",
-                str(emb),
-                "--manifest",
-                str(moved),
-            ]
-        )
-        assert rc == 0
-
-    @pytest.mark.parametrize(
-        "seed", ['"abc"', "-1", "80", "1000000", "1.5", "true", "[0]"]
-    )
-    def test_bad_manifest_seed_returns_2(self, tmp_path, capsys, seed):
-        mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="1")
-        assert rc == 0
         path = tmp_path / "emb.csv.manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["result"]["seed_simplex"] = json.loads(seed)
-        path.write_text(json.dumps(manifest))
-        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"seed_simplex must be an integer in [0, 80), got {seed}" in err
-
-    @pytest.mark.parametrize(
-        "text, problem",
-        [
-            ("[1, 2]", " is not a JSON object"),
-            ('{"result": [1]}', ": result is not a JSON object"),
-            ('{"result": null}', ": result is not a JSON object"),
-        ],
-    )
-    def test_non_object_manifest_returns_2(self, tmp_path, capsys, text, problem):
-        mesh, emb, rc = run_pipeline(tmp_path)
-        path = tmp_path / "emb.csv.manifest.json"
-        path.write_text(text)
+        seed = json.loads(path.read_text())["result"]["seed_simplex"]
+        path.unlink()
         capsys.readouterr()
-        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: manifest {path}{problem}\n"
+        report = tmp_path / "report.txt"
+        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(report)])
+        assert rc == 0
+        assert f"outer simplex: {seed}" in capsys.readouterr().out.splitlines()
+        assert json.loads((tmp_path / "report.txt.json").read_text())["outer_simplex"] == seed
 
-    def test_corrupt_manifest_returns_2(self, tmp_path):
-        mesh, emb, rc = run_pipeline(tmp_path)
-        (tmp_path / "emb.csv.manifest.json").write_text("{not json")
-        rc = main(["validate", "--mesh", str(mesh), "--embedding", str(emb)])
-        assert rc == 2
+    def test_explicit_manifest_path(self, tmp_path, capsys):
+        # validate reads no manifest: --manifest is an argparse error
+        mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="2")
+        argv = ["validate", "--mesh", str(mesh), "--embedding", str(emb),
+                "--manifest", str(tmp_path / "emb.csv.manifest.json")]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]", '{"result": {"seed_simplex": 1000000}}']
+    )
+    def test_sibling_manifest_is_not_read(self, tmp_path, text):
+        # a sibling manifest, however broken, changes nothing
+        mesh, emb, rc = run_pipeline(tmp_path, kind="sphere", resolution="1")
+        report = tmp_path / "report.txt"
+        argv = ["validate", "--mesh", str(mesh), "--embedding", str(emb), "--out", str(report)]
+        assert main(argv) == 0
+        want = report.read_text()
+        (tmp_path / "emb.csv.manifest.json").write_text(text)
+        assert main(argv) == 0
+        assert report.read_text() == want
 
     def test_shape_mismatch_returns_2(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)
@@ -601,6 +582,21 @@ class TestRender:
         assert rc == 0
         assert "crossings marked:" in capsys.readouterr().out
         assert "<circle" in out.read_text()
+
+    @pytest.mark.parametrize("mark", [False, True], ids=["plain", "mark-crossings"])
+    def test_shape_mismatch_returns_2(self, tmp_path, capsys, mark):
+        # the shape rule is the callee's: render_svg's, or the audit's when
+        # crossings are marked; either way one error line and no SVG
+        mesh, emb, rc = run_pipeline(tmp_path)
+        short = tmp_path / "short.csv"
+        short.write_text("id,y0,y1\n0,0.0,0.0\n")
+        out = tmp_path / "short.svg"
+        argv = ["render", "--mesh", str(mesh), "--embedding", str(short), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--mark-crossings"] * mark) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(25, 2)" in err and not out.exists()
 
     def test_mark_crossings_trusts_the_certificate(self, tmp_path, capsys,
                                                    monkeypatch):

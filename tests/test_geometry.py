@@ -163,17 +163,24 @@ class TestNonFiniteInput:
 
     MESSAGE = "^exact orientation needs finite coordinates"
 
+    # (ay, bx, by, cx, cy) of a row whose ax is bad and whose two filter
+    # products each have a zero factor: 0 times inf or NaN is NaN, so the
+    # filter's zero rule must not settle it as 0
+    ZERO_FACTOR = (0.0, 1.0, 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_orient2d(self, bad):
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            orient2d(bad, 0.0, 1.0, 1.0, 0.0, 0.0)
+        for row in ((0.0, 1.0, 1.0, 0.0, 0.0), self.ZERO_FACTOR):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                orient2d(bad, *row)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_orient2d_signs_xy(self, bad):
         # the filter settles the all-zero second row; the first reaches the stage
-        cols = (np.array([x, 0.0]) for x in (bad, 1.0, 1.0, 2.0, 0.0, 3.0))
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            orient2d_signs_xy(*cols)
+        for row in ((1.0, 1.0, 2.0, 0.0, 3.0), self.ZERO_FACTOR):
+            cols = (np.array([x, 0.0]) for x in (bad, *row))
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                orient2d_signs_xy(*cols)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("d", [2, 3])

@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import json
 import math
-import re
 import warnings
 from fractions import Fraction
 
@@ -439,43 +438,10 @@ class TestOrientationHistogram:
         assert zero == 1
         assert pos + neg == 1
 
-    def test_exclude_skips_simplices(self):
-        mesh = grid_mesh(3, 3)
-        full = orientation_histogram(mesh, mesh.vertices)
-        part = orientation_histogram(mesh, mesh.vertices, exclude=[0, 1])
-        assert sum(part) == sum(full) - 2
-
     def test_shape_mismatch_rejected(self):
         mesh = grid_mesh(3, 3)
         with pytest.raises(ValueError, match="coords"):
             orientation_histogram(mesh, np.zeros((4, 2)))
-
-    @pytest.mark.parametrize("bad", [[1.5], [1.0], np.array([True, False])],
-                             ids=["fractional", "integral-float", "bool-mask"])
-    def test_non_integer_exclude_rejected(self, bad):
-        # a cast used to skip simplex 1 for [1.5], and simplices 1 and 0
-        # for the mask
-        mesh = grid_mesh(3, 3)
-        dtype = np.asarray(bad).dtype
-        with pytest.raises(ValueError, match=f"^exclude must be integers, got dtype {dtype}$"):
-            orientation_histogram(mesh, mesh.vertices, exclude=bad)
-
-    def test_integer_or_empty_exclude_is_taken(self):
-        mesh = grid_mesh(3, 3)
-        want = orientation_histogram(mesh, mesh.vertices, exclude=[1])
-        assert orientation_histogram(mesh, mesh.vertices,
-                                     exclude=np.array([1], dtype=np.uint8)) == want
-        full = orientation_histogram(mesh, mesh.vertices)
-        for empty in ((), np.array([]), np.array([], dtype=bool)):
-            assert orientation_histogram(mesh, mesh.vertices, exclude=empty) == full
-
-    @pytest.mark.parametrize("bad", [-1, 8, 100], ids=["negative", "past-the-end", "far"])
-    def test_out_of_range_exclude_rejected(self, bad):
-        # a negative index would wrap to another simplex, and one past the
-        # end would be ignored; both raise instead
-        mesh = grid_mesh(3, 3)
-        with pytest.raises(ValueError, match=r"exclude .* \[0, 8\)"):
-            orientation_histogram(mesh, mesh.vertices, exclude=[0, bad])
 
     @pytest.mark.parametrize("mesh", [grid_mesh(6, 5), ball3(3)], ids=["d2", "d3"])
     def test_matches_per_simplex_scalar_loop(self, mesh):
@@ -483,33 +449,32 @@ class TestOrientationHistogram:
         rng = np.random.default_rng(mesh.intrinsic_dim)
         coords = np.asarray(mesh.vertices) + rng.normal(0, 0.15, mesh.vertices.shape)
         coords[mesh.simplices[3]] = coords[mesh.simplices[3, 0]]  # collapse one
-        exclude = [0, 5]
         threshold = 1e-12 * np.linalg.norm(np.ptp(coords, axis=0)) ** mesh.intrinsic_dim
         sign = canonical_orientation(mesh)
-        want = [0, 0, 0]
+        want, signs = [0, 0, 0], []
         for m, simplex in enumerate(mesh.simplices):
-            if m in exclude:
-                continue
             pts = coords[simplex]
             vol = np.linalg.det(pts[1:] - pts[0])
             s = 0 if abs(vol) < threshold else sign[m] * simplex_orientation_rational(pts.tolist())
             want[0 if s > 0 else 1 if s < 0 else 2] += 1
-        got = orientation_histogram(mesh, coords, exclude=exclude)
+            signs.append(s)
+        got = orientation_histogram(mesh, coords)
         assert got == tuple(want)
         assert got[0] and got[1] and got[2]
+        # the oriented sign of each simplex, 0 where it is counted near zero
+        assert got.signs.dtype == np.int8 and got.signs.tolist() == signs
 
 
-def two_pass_histogram(mesh, coords, exact, exclude, tol):
+def two_pass_histogram(mesh, coords, exact, tol):
     """The orientation histogram in two passes: the near-zero gate on
-    ``signed_volumes``, then the exact signs ``exact`` of the kept rows."""
+    ``signed_volumes``, then the exact signs ``exact`` of the kept rows.
+    Returns the counts and each simplex's oriented sign, 0 where gated."""
     d = mesh.intrinsic_dim
     vols = signed_volumes(coords, mesh.simplices)
-    kept = np.ones(mesh.n_simplices, dtype=bool)
-    kept[list(exclude)] = False
-    rows = np.flatnonzero(kept & ~(np.abs(vols) < tol * bbox_diameter(coords) ** d))
-    s = canonical_orientation(mesh)[rows] * exact[rows]
+    kept = ~(np.abs(vols) < tol * bbox_diameter(coords) ** d)
+    s = np.where(kept, canonical_orientation(mesh) * exact, 0)
     pos, neg = int(np.count_nonzero(s > 0)), int(np.count_nonzero(s < 0))
-    return pos, neg, int(np.count_nonzero(kept)) - pos - neg
+    return (pos, neg, mesh.n_simplices - pos - neg), s.tolist()
 
 
 def drawings(mesh, rng):
@@ -555,10 +520,10 @@ class TestOneFilteredPass:
             # tol 0 keeps every row, so the integer stage settles the rows
             # the filter leaves, as for the loop certificate's exact signs
             for tol in (1e-12, 0.0):
-                for exclude in ([], [0], [0, mesh.n_simplices - 1]):
-                    want = two_pass_histogram(mesh, coords, exact, exclude, tol)
-                    got = orientation_histogram(mesh, coords, tol, exclude=exclude)
-                    assert got == want, (name, tol, exclude)
+                want, signs = two_pass_histogram(mesh, coords, exact, tol)
+                got = orientation_histogram(mesh, coords, tol)
+                assert got == want, (name, tol)
+                assert got.signs.tolist() == signs, (name, tol)
         assert undecided_rows > 0
 
     def test_one_exact_sign_counts_near_zero_images(self):
@@ -570,13 +535,15 @@ class TestOneFilteredPass:
         coords[4] = [0.5, 1e-13]
         counts = orientation_histogram(mesh, coords)
         pos, neg, zero = counts
-        assert zero == counts.near.size > 0 and pos and not neg
-        assert validity._one_exact_sign(mesh, coords, counts.near, 1)
+        near = np.flatnonzero(counts.signs == 0)
+        assert zero == near.size > 0 and pos and not neg
+        assert validity._one_exact_sign(mesh, coords, near, 1)
         coords[4] = [0.5, -1e-13]
         counts = orientation_histogram(mesh, coords)
         pos, neg, zero = counts
-        assert zero == counts.near.size > 0 and pos and not neg
-        assert not validity._one_exact_sign(mesh, coords, counts.near, 1)
+        near = np.flatnonzero(counts.signs == 0)
+        assert zero == near.size > 0 and pos and not neg
+        assert not validity._one_exact_sign(mesh, coords, near, 1)
 
 
 class TestHullContainment:
@@ -704,6 +671,7 @@ class TestHullContainment:
             )
 
 
+
 def small_resolution(kind):
     """A resolution of generator ``kind`` that embeds in milliseconds."""
     return {"sphere": (2,), "ball3": (4,)}.get(kind, (7, 6))
@@ -811,18 +779,19 @@ class TestHullCandidates:
 
     def test_vertex_of_an_excluded_simplex_is_a_candidate(self, monkeypatch):
         # icosphere 1 drawn by fplm through seed 0, re-pinned by hand at the
-        # triangle drawn nearest the centre, with the seed given to the
-        # audit: the seed's free corners are the outermost vertices and
-        # neighbour no pinned one, so only the exclusion makes them candidates
+        # triangle drawn nearest the centre: the audit finds simplex 0 as
+        # the outer simplex, whose free corners are the outermost vertices
+        # and neighbour no pinned one, so only the exclusion makes them
+        # candidates
         mesh = icosphere(1)
         coords = run_fplm(mesh).coords
         central = np.argmin(np.abs(coords[mesh.simplices]).max(axis=(1, 2)))
         embedding = pinned_as_drawn(mesh, coords, mesh.simplices[central])
         seed = mesh.simplices[0]
         seen = hull_arguments(monkeypatch)
-        report = audit(mesh, embedding, seed_simplex=0)
+        report = audit(mesh, embedding)
         fixed, free = final_free(mesh, embedding)
-        assert report.verdict == "injective-certified"
+        assert (report.verdict, report.outer_simplex) == ("injective-certified", 0)
         assert np.isin(seed, seen[0]).all() and seen[0].size < free.size
         assert report.hull_violation == check_hull_containment(fixed, coords, free)
         others = np.setdiff1d(free, seed)
@@ -949,72 +918,74 @@ class TestAudit:
         report = audit(mesh, emb)
         assert sum(report.orientation_counts) == mesh.n_simplices - 1
         assert report.verdict == "injective-certified"
+        assert report.outer_simplex == emb.seed_simplex == 0
+        assert "outer simplex: 0" in report.to_text().splitlines()
 
     @pytest.mark.parametrize("k", [7, 79, 200])
     def test_closed_mesh_excludes_the_pinned_seed(self, k):
-        # a seed other than simplex 0: the audit must exclude the simplex
-        # round 1 pinned, whose image covers the rest of the drawing
+        # a seed other than simplex 0, and bare coordinates: the audit finds
+        # the simplex round 1 pinned, whose image covers the rest of the
+        # drawing, from the drawing alone
         mesh = icosphere(2)
-        emb = run_fplm(mesh, seed_simplex=k)
-        report = audit(mesh, emb)
-        assert (report.verdict, report.orientation_counts) == (
-            "injective-certified", (0, 319, 0)
+        report = audit(mesh, run_fplm(mesh, seed_simplex=k).coords)
+        assert (report.verdict, report.orientation_counts, report.outer_simplex) == (
+            "injective-certified", (0, 319, 0), k
         )
-        wrong = audit(mesh, emb.coords, seed_simplex=0)
-        assert (wrong.verdict, wrong.orientation_counts) == ("violated", (1, 318, 0))
+
+    def test_two_minority_simplices_name_no_outer_simplex(self, full_counts):
+        # the octahedron drawn in the plane with inner vertex 3 moved past
+        # the outer edge 0-2, which flips triangle 0-3-5: it and the outer
+        # triangle share the minority sign, so no simplex is left out and
+        # all 8 are counted
+        coords = OCTAHEDRON.vertices.copy()
+        coords[3] = [-0.5, 1.0]
+        report = audit(OCTAHEDRON, coords)
+        assert report.outer_simplex is None
+        assert report.orientation_counts == (2, 6, 0)
+        assert report.verdict == "violated"
+        assert full_counts == [mesh_edges(OCTAHEDRON).shape[0]]
+        assert "outer simplex" not in report.to_text()
+        assert report.to_dict()["outer_simplex"] is None
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_bare_seed_simplex_equals_embedding_call(self, kind, full_counts):
-        # given the seed, the bare coordinates decide as the Embedding does,
-        # and a certified drawing skips the full crossing count either way
+        # the bare coordinates decide as the Embedding does, the outer
+        # simplex of a closed mesh included, and a certified drawing skips
+        # the full crossing count either way
         mesh, emb = embedded(kind, small_resolution(kind))
         via_embedding = audit(mesh, emb)
-        bare = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        bare = audit(mesh, emb.coords)
         for key in ("crossing_count", "crossing_pairs", "orientation_counts",
-                    "boundary_convexity", "verdict", "reasons"):
+                    "boundary_convexity", "verdict", "reasons", "outer_simplex"):
             assert getattr(bare, key) == getattr(via_embedding, key)
         assert bare.verdict == "injective-certified"
+        closed = detect_boundary(mesh).boundary_vertices.size == 0
+        assert bare.outer_simplex == (emb.seed_simplex if closed else None)
         assert full_counts == []
 
-    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
-    def test_non_integer_seed_rejected(self, bad):
-        # a cast used to exclude simplex 1 for 1.5 and for True
-        mesh = icosphere(1)
-        emb = run_fplm(mesh, seed_simplex=1)
-        dtype = np.asarray(bad).dtype
-        with pytest.raises(ValueError, match=f"^seed_simplex must be an integer, "
-                                             f"got dtype {dtype}$"):
-            audit(mesh, emb.coords, seed_simplex=bad)
-        want = audit(mesh, emb.coords, seed_simplex=1).to_dict()
-        assert audit(mesh, emb.coords, seed_simplex=np.int16(1)).to_dict() == want
-
-    @pytest.mark.parametrize("bad", [[3], [1, 2], np.array([[2]])], ids=["[3]", "[1, 2]", "[[2]]"])
-    def test_non_scalar_seed_rejected(self, bad):
-        # numpy's scalar conversion used to raise TypeError here
-        mesh = icosphere(1)
-        shape = re.escape(str(np.shape(bad)))
-        with pytest.raises(ValueError, match=f"^seed_simplex must be one integer, got shape {shape}$"):
-            audit(mesh, run_fplm(mesh).coords, seed_simplex=bad)
-
     def test_bare_coords_seed_exclude_matches(self):
-        # a closed mesh's bare coordinates given its seed exclude that seed
+        # a closed mesh's bare coordinates exclude its seed
         mesh = icosphere(1)
         emb = run_fplm(mesh)
         auto = audit(mesh, emb)
-        manual = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        manual = audit(mesh, emb.coords)
         assert manual.orientation_counts == auto.orientation_counts
         assert manual.verdict == auto.verdict
+        assert manual.outer_simplex == auto.outer_simplex == emb.seed_simplex
 
     @pytest.mark.parametrize("kind", [k for k in GENERATOR_KINDS if k != "sphere"])
     def test_open_mesh_seed_changes_nothing(self, kind):
         # only a closed mesh's seed covers the rest of its drawing; an open
-        # mesh's seed is audited like every other simplex
+        # mesh has no outer simplex, whichever simplex round 1 pinned, and
+        # all its simplices are counted
         mesh, emb = embedded(kind, small_resolution(kind))
         assert detect_boundary(mesh).boundary_vertices.size
-        for drawing in (emb, emb.coords):
-            want = audit(mesh, drawing).to_dict()
-            for k in (0, mesh.n_simplices // 2, mesh.n_simplices - 1):
-                assert audit(mesh, drawing, seed_simplex=k).to_dict() == want
+        for k in (None, 0, mesh.n_simplices // 2, mesh.n_simplices - 1):
+            pinned = emb if k is None else run_fplm(mesh, seed_simplex=k)
+            for drawing in (pinned, pinned.coords):
+                report = audit(mesh, drawing)
+                assert report.outer_simplex is None
+                assert sum(report.orientation_counts) == mesh.n_simplices
 
     def test_three_dimensional_no_crossing_check(self):
         verts = np.array(
@@ -1298,13 +1269,13 @@ OCTAHEDRON = SimplicialMesh(
 
 
 def fallback_fixtures():
-    """Drawings whose audit must run the full count, with the seed the audit
-    is given and the report it gives them. The horseshoe and the coincident
-    vertices cross no pair properly, but their boundary loop images are not
-    simple, so neither map is injective: both are violated for that reason
-    alone. The annulus has no loop to test, and the same two touches, a
-    T-junction and two vertices drawn at one point, make it violated for the
-    edges that touch instead."""
+    """Drawings whose audit must run the full count, with the report the
+    audit gives them. The horseshoe and the coincident vertices cross no
+    pair properly, but their boundary loop images are not simple, so neither
+    map is injective: both are violated for that reason alone. The annulus
+    has no loop to test, and the same two touches, a T-junction and two
+    vertices drawn at one point, make it violated for the edges that touch
+    instead."""
     certified = {
         "crossing_count": 0,
         "crossing_pairs": [],
@@ -1312,6 +1283,7 @@ def fallback_fixtures():
         "hull_violation": None,
         "verdict": "injective-certified",
         "reasons": [],
+        "outer_simplex": None,
     }
     reflex = {"convex": False, "worst": -1.0}
     not_simple = {"verdict": "violated", "reasons": ["boundary loop image is not simple"]}
@@ -1326,28 +1298,24 @@ def fallback_fixtures():
         # the tip of one arm lies on a boundary edge of the other: a T-junction
         "horseshoe": (
             HORSESHOE_T,
-            None,
             {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 9}},
         ),
         # the two arms meet at (1, 1) through two distinct vertices
         "coincident-vertices": (
             COINCIDENT,
-            None,
             {**certified, **not_simple, "orientation_counts": counts(14),
              "boundary_convexity": {**reflex, "reflex_vertex": 10}},
         ),
         # the moved vertex's 5 edges each touch the edge it lies on
         "annulus-t-junction": (
             ANNULUS_T,
-            None,
             {**certified, **touching(5), "orientation_counts": counts(24),
              "boundary_convexity": None},
         ),
         # the 5 edges of each of the two vertices at (3, 3) touch in pairs
         "annulus-coincident-vertices": (
             ANNULUS_COINCIDENT,
-            None,
             {**certified, **touching(25), "orientation_counts": counts(24),
              "boundary_convexity": None},
         ),
@@ -1358,7 +1326,6 @@ def fallback_fixtures():
                 np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]]),
                 2,
             ),
-            None,
             {**certified, "crossing_count": 1, "crossing_pairs": [[0, 4]],
              "orientation_counts": counts(4),
              "boundary_convexity": {"convex": True, "worst": -0.0, "reflex_vertex": None},
@@ -1367,13 +1334,11 @@ def fallback_fixtures():
         ),
         "annulus": (
             cell_strip(RING),
-            None,
             {**certified, "orientation_counts": counts(16), "boundary_convexity": None},
         ),
-        # an open mesh audits its seed like every other triangle
+        # an open mesh has no outer simplex: all 18 triangles are audited
         "open-mesh-seed": (
             grid_mesh(4, 4),
-            0,
             {**certified, "orientation_counts": counts(18),
              "boundary_convexity": {"convex": True, "worst": 0.0, "reflex_vertex": None}},
         ),
@@ -1407,28 +1372,42 @@ def plane_tests(monkeypatch):
     return calls
 
 
-def certifying_loop(mesh, seed):
+def certifying_loop(mesh, outer):
     """The one loop bounding the audited triangles: an open mesh's single
-    boundary cycle, or a closed mesh's seed triangle; else None."""
+    boundary cycle, or a closed mesh's outer triangle; else None."""
     cycles = detect_boundary(mesh).boundary_cycles
     if not cycles:
-        return None if seed is None else mesh.simplices[seed].tolist()
+        return None if outer is None else mesh.simplices[outer].tolist()
     return cycles[0] if len(cycles) == 1 else None
 
 
-def assert_matches_full_count(report, mesh, coords, seed=None):
+def outer_of(signs, closed):
+    """The outer simplex by the rule of the audit, from each simplex's
+    oriented sign (0 for near zero): on a closed mesh, the one simplex of
+    the minority sign when the other sign has more than one; else None."""
+    signs = np.asarray(signs)
+    pos, neg = np.count_nonzero(signs > 0), np.count_nonzero(signs < 0)
+    if not closed or min(pos, neg) != 1 or max(pos, neg) == 1:
+        return None
+    return int(np.flatnonzero(signs == (1 if pos == 1 else -1))[0])
+
+
+def assert_matches_full_count(report, mesh, coords):
     """The report's crossings and verdict are those of the full count plus
     the orientation gate, and a certifying loop whose image is not simple
-    makes it violated: an injective map keeps that loop simple. The seed is
-    left out of the orientation gate on a closed mesh only. A one-signed
-    drawing with no loop to test and no crossing is violated when two edges
-    with no common vertex touch."""
+    makes it violated: an injective map keeps that loop simple. The outer
+    simplex, found on a closed mesh only, is left out of the orientation
+    gate. A one-signed drawing with no loop to test and no crossing is
+    violated when two edges with no common vertex touch."""
     full = count_crossings(mesh_edges(mesh), coords)
     closed = not detect_boundary(mesh).boundary_cycles
-    exclude = (seed,) if closed and seed is not None else ()
-    pos, neg, zero = orientation_histogram(mesh, coords, exclude=exclude)
+    counts = orientation_histogram(mesh, coords)
+    outer = outer_of(counts.signs, closed)
+    pos, neg, zero = counts
+    if outer is not None:
+        pos, neg = (0, neg) if pos == 1 else (pos, 0)
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
-    loop = certifying_loop(mesh, seed)
+    loop = certifying_loop(mesh, outer)
     exact_points = [tuple(map(Fraction, p)) for p in np.asarray(coords).tolist()]
     simple = loop is None or oracle_loop_is_simple(exact_points, loop)
     touches = 0
@@ -1439,6 +1418,7 @@ def assert_matches_full_count(report, mesh, coords, seed=None):
     assert report.crossing_count == full.count
     assert report.crossing_pairs == full.pairs
     assert report.orientation_counts == (pos, neg, zero)
+    assert report.outer_simplex == outer
     assert report.verdict == ("injective-certified" if certified else "violated")
     assert (f"{touches} touching edge pair(s)" in report.reasons) == (touches > 0)
 
@@ -1483,11 +1463,13 @@ class TestBoundaryCertificate:
     )
     def test_fplm_embeddings_match_full_count(self, case, seed, amplitude):
         mesh, emb = embedded(*case)
-        assert_matches_full_count(audit(mesh, emb), mesh, emb.coords, emb.seed_simplex)
+        report = audit(mesh, emb)
+        assert_matches_full_count(report, mesh, emb.coords)
+        closed = detect_boundary(mesh).boundary_vertices.size == 0
+        assert report.outer_simplex == (emb.seed_simplex if closed else None)
         rng = np.random.default_rng(seed)
         coords = emb.coords + amplitude * rng.normal(size=emb.coords.shape) / np.sqrt(mesh.n_vertices)
-        report = audit(mesh, coords, seed_simplex=emb.seed_simplex)
-        assert_matches_full_count(report, mesh, coords, emb.seed_simplex)
+        assert_matches_full_count(audit(mesh, coords), mesh, coords)
 
     @pytest.mark.parametrize("case", EMBEDDED_CASES, ids=lambda c: f"{c[0]}-{c[1][0]}")
     def test_certified_embeddings_skip_the_full_count(self, case, full_counts):
@@ -1495,24 +1477,26 @@ class TestBoundaryCertificate:
         report = audit(mesh, emb, graph=build_weights(mesh))
         assert report.verdict == "injective-certified"
         assert full_counts == []
-        assert_matches_full_count(report, mesh, emb.coords, emb.seed_simplex)
+        assert_matches_full_count(report, mesh, emb.coords)
 
     def test_closed_sphere_bare_seed_exclude_matches_embedding_route(self, full_counts):
         mesh, emb = embedded("sphere", (2,))
         via_embedding = audit(mesh, emb)
-        bare = audit(mesh, emb.coords, seed_simplex=emb.seed_simplex)
+        bare = audit(mesh, emb.coords)
         assert full_counts == []
-        for key in ("crossing_count", "crossing_pairs", "orientation_counts", "verdict", "reasons"):
+        for key in ("crossing_count", "crossing_pairs", "orientation_counts", "verdict",
+                    "reasons", "outer_simplex"):
             assert getattr(bare, key) == getattr(via_embedding, key)
         assert bare.verdict == "injective-certified"
+        assert bare.outer_simplex == emb.seed_simplex
 
     @pytest.mark.parametrize("name", sorted(fallback_fixtures()))
     def test_fallback_fixtures_keep_the_full_count_report(self, name, full_counts, plane_tests):
-        mesh, seed, expect = fallback_fixtures()[name]
-        report = audit(mesh, mesh.vertices, seed_simplex=seed)
+        mesh, expect = fallback_fixtures()[name]
+        report = audit(mesh, mesh.vertices)
         # one plane test, of the loop or, with no loop, of every edge; the
         # full count runs only for the report of a drawing that fails it
-        loop = certifying_loop(mesh, seed)
+        loop = certifying_loop(mesh, None)
         n_edges = mesh_edges(mesh).shape[0]
         assert plane_tests == [n_edges if loop is None else len(loop)]
         certified = expect["verdict"] == "injective-certified"
@@ -1549,25 +1533,18 @@ class TestBoundaryCertificate:
     @pytest.mark.parametrize("collapse", ["collinear", "coincident"])
     def test_degenerate_seed_image_matches_full_count(self, collapse, full_counts):
         # the seed triangle's image is not a simple loop: the third seed
-        # vertex moved onto the midpoint of the other two, or onto the first
+        # vertex moved onto the midpoint of the other two, or onto the first.
+        # A flat image has no sign, so no outer simplex is found
         mesh, emb = embedded("sphere", (1,))
-        seed = emb.seed_simplex
-        a, b, c = mesh.simplices[seed]
+        a, b, c = mesh.simplices[emb.seed_simplex]
         coords = emb.coords.copy()
         coords[c] = 0.5 * (coords[a] + coords[b]) if collapse == "collinear" else coords[a]
         assert loop_meetings([a, b, c], coords) > 0
-        report = audit(mesh, coords, seed_simplex=seed)
+        report = audit(mesh, coords)
         assert full_counts == [mesh_edges(mesh).shape[0]]
         assert report.verdict == "violated"
-        assert_matches_full_count(report, mesh, coords, seed)
-
-    @pytest.mark.parametrize("offset", [-1, 0], ids=["negative", "past-the-end"])
-    def test_out_of_range_seed_is_rejected(self, offset, full_counts):
-        mesh, emb = embedded("sphere", (1,))
-        seed = offset if offset < 0 else mesh.n_simplices
-        with pytest.raises(ValueError, match=r"seed_simplex .* \[0, 80\)"):
-            audit(mesh, emb.coords, seed_simplex=seed)
-        assert full_counts == []
+        assert report.outer_simplex is None
+        assert_matches_full_count(report, mesh, coords)
 
 
 CLOSED_MESHES = {"octahedron": OCTAHEDRON, "icosphere-0": icosphere(0), "icosphere-1": icosphere(1)}
@@ -1577,10 +1554,10 @@ CLOSED_MESHES = {"octahedron": OCTAHEDRON, "icosphere-0": icosphere(0), "icosphe
 def closed_lattice_drawings(draw):
     """A small closed mesh with its vertices and triangles relabelled, fplm's
     own map of it pinning a drawn triangle, rounded to a lattice of spacing
-    1 / k, and the seed the audit is given: the pinned triangle or any
-    other. Up to two moves follow: a vertex put on an edge's midpoint, two
-    vertices merged, or a few vertices moved by lattice steps. Coarse
-    lattices flatten and fold triangles, so every sign pattern occurs."""
+    1 / k, and the pinned triangle. Up to two moves follow: a vertex put on
+    an edge's midpoint, two vertices merged, or a few vertices moved by
+    lattice steps. Coarse lattices flatten and fold triangles, so every sign
+    pattern occurs."""
     base = CLOSED_MESHES[draw(st.sampled_from(sorted(CLOSED_MESHES)))]
     mesh = relabel(base, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     triangle = st.integers(0, mesh.n_simplices - 1)
@@ -1598,21 +1575,27 @@ def closed_lattice_drawings(draw):
         else:
             for v in draw(st.lists(vertex, min_size=1, max_size=3, unique=True)):
                 coords[v] += draw(st.tuples(*[st.integers(-2, 2)] * 2))
-    return mesh, coords, draw(st.one_of(st.just(pinned), triangle))
+    return mesh, coords, pinned
 
 
-def oracle_closed_report(mesh, points, seed):
-    """Orientation counts, crossing pairs, verdict and reasons of a closed
-    mesh's drawing with ``seed`` excluded, from the brute-force oracles
-    alone: rational signs, the integer crossing pairs, and the seed loop's
-    simplicity when the other triangles share one sign. On a lattice no
-    image is near zero unless it is flat."""
+def oracle_closed_report(mesh, points):
+    """Orientation counts, outer simplex, crossing pairs, verdict and
+    reasons of a closed mesh's drawing from the brute-force oracles alone:
+    rational signs, the outer simplex by the audit's rule, the integer
+    crossing pairs, and the outer loop's simplicity when the other
+    triangles share one sign. On a lattice no image is near zero unless it
+    is flat."""
     sign = canonical_orientation(mesh)
     exact = [sign[m] * simplex_orientation_rational([points[v] for v in t])
-             for m, t in enumerate(mesh.simplices.tolist()) if m != seed]
+             for m, t in enumerate(mesh.simplices.tolist())]
+    outer = outer_of(exact, closed=True)
+    if outer is not None:
+        del exact[outer]
     pos, neg, zero = exact.count(1), exact.count(-1), exact.count(0)
     one_sign = zero == 0 and (pos > 0) != (neg > 0)
-    simple = not one_sign or oracle_loop_is_simple(points, mesh.simplices[seed].tolist())
+    # with no outer simplex the other triangles cannot share one sign: the
+    # signed areas sum to 0
+    simple = not one_sign or oracle_loop_is_simple(points, mesh.simplices[outer].tolist())
     pairs = tuple(sorted(oracle_crossing_pairs(points, mesh_edges(mesh).tolist())))
     reasons = [f"{len(pairs)} edge crossing(s)"] if pairs else []
     if not simple:
@@ -1622,14 +1605,15 @@ def oracle_closed_report(mesh, points, seed):
     if pos and neg:
         reasons.append(f"mixed orientations: {pos} positive vs {neg} negative")
     certified = one_sign and simple and not pairs
-    return (pos, neg, zero), pairs, "injective-certified" if certified else "violated", reasons
+    verdict = "injective-certified" if certified else "violated"
+    return (pos, neg, zero), outer, pairs, verdict, reasons
 
 
 class TestClosedMeshLoop:
-    """A closed mesh needs no test of its seed loop: over a closed,
+    """A closed mesh needs no test of its outer loop: over a closed,
     consistently oriented surface the exact signed areas of the triangle
     images sum to 0, so when the other triangles share one nonzero sign the
-    seed's image has the other sign and is a simple loop."""
+    outer image has the other sign and is a simple loop."""
 
     @settings(max_examples=120, deadline=None)
     @given(closed_lattice_drawings())
@@ -1644,30 +1628,32 @@ class TestClosedMeshLoop:
         areas = [sign[m] * det_rational([[q - p for q, p in zip(points[v], points[t[0]])] for v in t[1:]])
                  for m, t in enumerate(mesh.simplices.tolist())]
         assert sum(areas) == 0
+        report = audit(mesh, coords)
         others = {(a > 0) - (a < 0) for m, a in enumerate(areas) if m != seed}
         if others in ({1}, {-1}):
             seed_sign = (areas[seed] > 0) - (areas[seed] < 0)
             assert seed_sign == -others.pop()
             a, b, c = mesh.simplices[seed].tolist()
             assert oracle_meetings(points, [(a, b), (b, c), (c, a)]) == 0
+            # so the pinned seed is the one simplex of the minority sign
+            assert report.outer_simplex == seed
 
-        report = audit(mesh, coords, seed_simplex=seed)
-        counts, pairs, verdict, reasons = oracle_closed_report(mesh, points, seed)
-        assert report.orientation_counts == counts
+        counts, outer, pairs, verdict, reasons = oracle_closed_report(mesh, points)
+        assert (report.orientation_counts, report.outer_simplex) == (counts, outer)
         assert report.crossing_pairs == pairs
         assert report.crossing_count == len(pairs)
         assert (report.verdict, list(report.reasons)) == (verdict, reasons)
         if verdict == "injective-certified":
-            kept = [t for m, t in enumerate(mesh.simplices.tolist()) if m != seed]
+            kept = [t for m, t in enumerate(mesh.simplices.tolist()) if m != outer]
             assert image_overlaps(coords, kept) == []
 
     @pytest.mark.parametrize("mesh", [OCTAHEDRON, icosphere(1), icosphere(3)],
                              ids=["octahedron", "icosphere-1", "icosphere-3"])
     def test_certified_closed_mesh_does_no_loop_work(self, mesh, full_counts, plane_tests,
                                                      monkeypatch):
-        # no plane test, no full count and no exact sign of the seed: the
-        # float filter decides every other image here, so no row at all
-        # reaches the integer stage
+        # no plane test, no full count and no exact sign of the outer
+        # simplex: the float filter decides every other image here, so no
+        # row at all reaches the integer stage
         exact_rows = []
         real = validity.exact_orientations
 
@@ -1678,8 +1664,8 @@ class TestClosedMeshLoop:
         monkeypatch.setattr(validity, "exact_orientations", spy)
         seed = 0 if mesh is OCTAHEDRON else 5
         coords = mesh.vertices if mesh is OCTAHEDRON else run_fplm(mesh, seed_simplex=seed).coords
-        report = audit(mesh, coords, seed_simplex=seed)
-        assert report.verdict == "injective-certified"
+        report = audit(mesh, coords)
+        assert (report.verdict, report.outer_simplex) == ("injective-certified", seed)
         assert (full_counts, plane_tests, exact_rows) == ([], [], [])
 
 
@@ -1720,11 +1706,9 @@ def image_overlaps(coords, triangles):
 @st.composite
 def lattice_drawings(draw):
     """A small lattice mesh (a grid disk, an annulus, a horseshoe or the
-    closed octahedron), a drawing of it made by up to two moves (a fold, a
-    T-junction, a merge of two vertices, small lattice perturbations) and
-    the seed the audit is given: any triangle of the closed mesh, none for
-    the open ones. The lattice spacing is 4, so midpoints stay on a fine
-    lattice."""
+    closed octahedron) and a drawing of it made by up to two moves (a fold,
+    a T-junction, a merge of two vertices, small lattice perturbations). The
+    lattice spacing is 4, so midpoints stay on a fine lattice."""
     shape = draw(st.sampled_from(["disk", "annulus", "horseshoe", "octahedron"]))
     if shape == "octahedron":
         mesh, width = OCTAHEDRON, 4
@@ -1758,8 +1742,7 @@ def lattice_drawings(draw):
             offsets = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 2),
                                     min_size=len(moved), max_size=len(moved)))
             coords[moved] += offsets
-    seed = draw(st.integers(0, mesh.n_simplices - 1)) if shape == "octahedron" else None
-    return mesh, coords, seed
+    return mesh, coords
 
 
 class TestExactOracle:
@@ -1769,14 +1752,14 @@ class TestExactOracle:
     @settings(max_examples=300, deadline=None)
     @given(lattice_drawings())
     # no loop to test, and a vertex drawn on an edge across the hole
-    @example((ANNULUS_T, ANNULUS_T.vertices, None))
-    # the closed mesh with its outer triangle as the seed: certified
-    @example((OCTAHEDRON, OCTAHEDRON.vertices, 0))
+    @example((ANNULUS_T, ANNULUS_T.vertices))
+    # the closed mesh drawn with its outer triangle around the rest: certified
+    @example((OCTAHEDRON, OCTAHEDRON.vertices))
     def test_certified_drawings_have_no_overlap(self, drawing):
-        mesh, coords, seed = drawing
-        report = audit(mesh, coords, seed_simplex=seed)
+        mesh, coords = drawing
+        report = audit(mesh, coords)
         if report.verdict == "injective-certified":
-            kept = [t for k, t in enumerate(mesh.simplices.tolist()) if k != seed]
+            kept = [t for k, t in enumerate(mesh.simplices.tolist()) if k != report.outer_simplex]
             assert image_overlaps(coords, kept) == []
 
 
