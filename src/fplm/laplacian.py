@@ -203,11 +203,9 @@ def assemble_system(graph: WeightedGraph, fixed) -> LaplacianSystem:
         connected component of the graph must contain at least one fixed
         vertex, otherwise the free block is singular.
     """
-    fixed = integer_ids(fixed, "fixed vertex indices").ravel()
+    fixed = integer_ids(fixed, "fixed vertex indices", graph.n).ravel()
     if fixed.size == 0:
         raise ValueError("fixed vertex set is empty")
-    if fixed.min() < 0 or fixed.max() >= graph.n:
-        raise ValueError("fixed vertex index out of range")
     fixed_sorted = np.sort(fixed)
     if (np.diff(fixed_sorted) == 0).any():
         raise ValueError("fixed vertex indices contain duplicates")

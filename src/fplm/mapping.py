@@ -165,12 +165,10 @@ def make_c1(mesh: SimplicialMesh, simplex_index: int) -> FixedPointSet:
     """Round-1 constraints: the selected simplex pinned to a regular simplex.
 
     The simplex vertices are taken in ascending index order and matched to
-    the canonical regular-simplex corners in that order.
+    the canonical regular-simplex corners in that order. A ``simplex_index``
+    that :func:`~fplm.simplicial.integer_id` refuses raises ValueError.
     """
-    if not (0 <= simplex_index < mesh.n_simplices):
-        raise ValueError(
-            f"seed simplex {simplex_index} out of range [0, {mesh.n_simplices})"
-        )
+    simplex_index = integer_id(simplex_index, "seed simplex", mesh.n_simplices)
     idx = np.sort(mesh.simplices[simplex_index])
     return FixedPointSet(indices=idx, targets=regular_simplex(mesh.intrinsic_dim))
 

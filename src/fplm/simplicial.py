@@ -38,12 +38,13 @@ from .geometry import bbox_diameter, simplex_volumes
 VOL_TOL = 1e-12
 
 
-def integer_ids(ids, what: str) -> np.ndarray:
+def integer_ids(ids, what: str, n: int | None = None) -> np.ndarray:
     """Vertex or simplex ids, one or many, as int64 of the same shape.
 
     Integers of any width, and empty input, are taken. Float or bool input,
-    and unsigned ids past int64, raise ValueError naming ``what``: a cast
-    would truncate 0.5 to 0, read a mask as ids 0 and 1, or wrap to < 0.
+    unsigned ids past int64 and, given ``n``, ids outside [0, n) raise
+    ValueError naming ``what``: a cast would truncate 0.5 to 0, read a mask
+    as ids 0 and 1, or wrap to < 0, and -1 would index the last row.
     """
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
@@ -51,10 +52,15 @@ def integer_ids(ids, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be {count}, got dtype {ids.dtype}")
     if ids.dtype.kind == "u" and ids.size and ids.max() > np.iinfo(np.int64).max:
         raise ValueError(f"{what} must fit in int64, got {ids.max()}")
-    return ids.astype(np.int64, copy=False)
+    ids = ids.astype(np.int64, copy=False)
+    # as uint64 a negative id lies past 2**63, so one max finds both ends
+    if n is not None and ids.size and ids.view(np.uint64).max() >= n:
+        bad = ids.min() if ids.min() < 0 else ids.max()
+        raise ValueError(f"{what} {bad} out of range [0, {n})")
+    return ids
 
 
-def integer_id(id_, what: str) -> int:
+def integer_id(id_, what: str, n: int | None = None) -> int:
     """One vertex or simplex id, or a mesh's ``intrinsic_dim``, as an int, by
     the rule of :func:`integer_ids`.
 
@@ -64,7 +70,7 @@ def integer_id(id_, what: str) -> int:
     shape = np.shape(id_)
     if shape:
         raise ValueError(f"{what} must be one integer, got shape {shape}")
-    return int(integer_ids(id_, what))
+    return int(integer_ids(id_, what, n))
 
 
 @dataclass(frozen=True, eq=False)

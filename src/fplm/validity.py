@@ -40,7 +40,7 @@ that is not simple and a touch with no crossing (a T-junction, or two
 vertices drawn at one point) each add their own reason. A drawing whose
 near-zero triangles have exact signs that agree with all the others meets
 the theorem too: it has no crossings, yet stays violated for its near-zero
-images.
+images; only those triangles take the exact stage a second time.
 
 For d = 3 no crossing test runs, and ``injective-certified`` shows local
 injectivity only (one orientation sign, no near-zero tetrahedron): the
@@ -51,9 +51,10 @@ whole audit.
 
 Crossing and orientation signs come from exact predicates, so the counts
 are discrete facts rather than tolerance judgments; only the near-zero
-volume classification and the convexity margin use tolerances. Both run
-vectorised: a sweep-and-prune over segment bounding boxes finds the
-candidate edge pairs, and the batched filtered predicates of
+volume classification and the convexity margin use tolerances, the
+constants ``NEAR_ZERO_TOL`` and ``CONVEXITY_TOL``. Both run vectorised: a
+sweep-and-prune over segment bounding boxes finds the candidate edge
+pairs, and the batched filtered predicates of
 :mod:`fplm.geometry` decide every pair and simplex in numpy, leaving only
 near-degenerate rows to the exact integer stage (each row's float
 mantissas shifted to Python ints by one power of two, in one numpy pass).
@@ -80,6 +81,7 @@ from .simplicial import (
     SimplicialMesh,
     canonical_orientation,
     detect_boundary,
+    integer_ids,
     mesh_edges,
 )
 
@@ -240,29 +242,45 @@ def count_crossings(edges, coords) -> CrossingResult:
     turns of the first segment's endpoints against the second. A pair that
     shares a vertex index needs no test of its own: the shared point's turn
     is exactly 0, so the pair never straddles, and both turns are 0 exactly
-    when the other endpoint is collinear with the first segment. Non-finite
-    coordinates raise ``ValueError``.
+    when the other endpoint is collinear with the first segment. Bad edge
+    ids and non-finite coordinates raise ``ValueError``.
     """
-    e = np.asarray(edges, dtype=np.int64)
     p = np.asarray(coords, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2:
         raise ValueError("count_crossings expects (N, 2) coordinates")
+    e = integer_ids(edges, "edge vertex ids", p.shape[0])
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError("edges must be index pairs")
     if not np.isfinite(p).all():
         raise ValueError("coordinates must be finite (found NaN or inf)")
-    if e.shape[0] < 2:
-        return CrossingResult(0, ())
-
-    order, cols = _sweep_columns(e, p)
-    hits = [np.zeros((0, 2), dtype=np.int64)]
-    for i, j in _sweep_pairs(cols):
-        crossed = _pairs_cross([v[i] for v in cols], [v[j] for v in cols])
-        a, b = order[i[crossed]], order[j[crossed]]
-        hits.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)]))
-    pairs = np.vstack(hits)
+    pairs, _ = _hits(e, p, touching=False)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return CrossingResult(len(pairs), tuple(map(tuple, pairs.tolist())))
+
+
+def _hits(e, p, touching: bool):
+    """The sweep loop of :func:`count_crossings` and :func:`_meetings`: the
+    pairs of segments ``e`` over points ``p`` that :func:`_pairs_cross`
+    hits, as (min, max) positions into ``e``, and, when ``touching``, the
+    number of zero-length edges; then the pairs that share no vertex index
+    and have no zero-length edge take the closed test (see :func:`_meetings`)."""
+    order, cols = _sweep_columns(e, p)
+    points, closed = 0, None
+    if touching:
+        point = (cols[0] == cols[2]) & (cols[1] == cols[3])
+        points = int(np.count_nonzero(point))
+        u, v = e[order].T
+    hits = []
+    for i, j in _sweep_pairs(cols):
+        if touching:
+            closed = (u[i] != u[j]) & (u[i] != v[j]) & (v[i] != u[j]) & (v[i] != v[j])
+            closed &= ~(point[i] | point[j])
+        crossed = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed)
+        # a block with no hit, the common case of a plane test, adds nothing
+        if crossed.any():
+            a, b = order[i[crossed]], order[j[crossed]]
+            hits.append(np.column_stack([np.minimum(a, b), np.maximum(a, b)]))
+    return (np.vstack(hits) if hits else np.zeros((0, 2), dtype=np.int64)), points
 
 
 # kept pairs per narrow-phase block: large enough to spread numpy's per-call
@@ -395,9 +413,8 @@ def _meetings(edges, coords) -> int:
     positive length (for a point every turn is 0, which the 1-D overlap test
     cannot tell from collinear), so a zero-length edge is counted once by
     itself and its pairs take the open test, which never hits a point. One
-    pass of the sweep of :func:`count_crossings` decides all pairs; four
-    column compares of the endpoint ids, in sweep order, tell the shared
-    pairs.
+    pass of the sweep of :func:`count_crossings` (:func:`_hits`) decides
+    all pairs.
 
     A boundary loop never repeats a vertex, so on a loop the pairs that
     share an index are the adjacent ones, and 0 means the loop is a simple
@@ -411,17 +428,8 @@ def _meetings(edges, coords) -> int:
     the open test is one that :func:`count_crossings` counts, so on edges
     with no crossing the count is the number of touches.
     """
-    e = np.asarray(edges, dtype=np.int64)
-    order, cols = _sweep_columns(e, np.asarray(coords, dtype=float))
-    point = (cols[0] == cols[2]) & (cols[1] == cols[3])
-    meetings = int(np.count_nonzero(point))
-    u, v = e[order].T
-    for i, j in _sweep_pairs(cols):
-        closed = (u[i] != u[j]) & (u[i] != v[j]) & (v[i] != u[j]) & (v[i] != v[j])
-        closed &= ~(point[i] | point[j])
-        hit = _pairs_cross([c[i] for c in cols], [c[j] for c in cols], closed)
-        meetings += int(np.count_nonzero(hit))
-    return meetings
+    hits, points = _hits(np.asarray(edges, dtype=np.int64), coords, touching=True)
+    return points + len(hits)
 
 
 def crossing_locations(edges, coords, pairs) -> np.ndarray:
@@ -429,11 +437,13 @@ def crossing_locations(edges, coords, pairs) -> np.ndarray:
 
     Float arithmetic is fine here: the points only place markers on a
     drawing, they carry no certification weight. Collinear overlaps get the
-    midpoint of the shared interval.
+    midpoint of the shared interval. Ids follow :func:`count_crossings`.
     """
-    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    p = np.asarray(coords, dtype=float)
+    e = integer_ids(edges, "edge vertex ids", p.shape[0])
+    ij = integer_ids(pairs, "edge pair ids", e.shape[0]).reshape(-1, 2)
     # (pair, edge, end, coordinate): edge i runs from a to b, edge j from c
-    ends = np.asarray(coords, dtype=float)[np.asarray(edges, dtype=np.int64)[ij]]
+    ends = p[e[ij]]
     a, b, c = ends[:, 0, 0], ends[:, 0, 1], ends[:, 1, 0]
     r, s = b - a, ends[:, 1, 1] - c
     denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
@@ -456,11 +466,7 @@ def crossing_locations(edges, coords, pairs) -> np.ndarray:
     return np.where(own[:, None], 0.5 * (a + b), point)
 
 
-def orientation_histogram(
-    mesh: SimplicialMesh,
-    coords: np.ndarray,
-    tol: float = 1e-12,
-) -> tuple[int, int, int]:
+def orientation_histogram(mesh: SimplicialMesh, coords: np.ndarray) -> tuple[int, int, int]:
     """Classify simplex image volumes as (positive, negative, near-zero).
 
     The mesh orientation is first canonicalized combinatorially, so a
@@ -468,11 +474,11 @@ def orientation_histogram(
     stored vertex order. One filtered pass of
     :func:`~fplm.geometry.simplex_determinants` gives every image's
     determinant and, for all but near-degenerate images, its exact sign. A
-    simplex is near-zero when its absolute volume, det / d!, is below tol
-    times (embedding bounding-box diameter)^d; the other images the filter
-    left undecided get their sign from the exact integer stage
-    (:func:`~fplm.geometry.exact_orientations`). A diameter^d that is not a
-    finite double raises ``ValueError``: the near-zero band would be
+    simplex is near-zero when its absolute volume, det / d!, is below
+    ``NEAR_ZERO_TOL`` times (embedding bounding-box diameter)^d; the other
+    images the filter left undecided get their sign from the exact integer
+    stage (:func:`~fplm.geometry.exact_orientations`). A diameter^d that is
+    not a finite double raises ``ValueError``: the near-zero band would be
     infinite or meaningless.
     """
     coords = np.asarray(coords, dtype=float)
@@ -490,7 +496,7 @@ def orientation_histogram(
             "is not a finite double; scale the coordinates down"
         )
     det, signs, undecided = simplex_determinants(coords, mesh.simplices)
-    near = np.abs(det / math.factorial(d)) < tol * scale
+    near = np.abs(det / math.factorial(d)) < NEAR_ZERO_TOL * scale
     settle = np.flatnonzero(~near & undecided)
     if settle.size:
         signs[settle] = exact_orientations(coords, mesh.simplices[settle])
@@ -508,9 +514,9 @@ class _Counts(tuple):
     :func:`orientation_histogram`, a plain 3-tuple to every caller, that
     also carry ``signs``: each simplex's oriented sign as int8, 0 where it
     was counted near-zero. :func:`audit` reads the outer simplex of a
-    closed mesh and the near-zero rows it hands to :func:`_one_exact_sign`
-    from them, so the histogram's pass, the layer the benchmark traces by
-    name, runs once."""
+    closed mesh and the near-zero rows whose exact signs it checks from
+    them, so the histogram's pass, the layer the benchmark traces by name,
+    runs once."""
 
 
 def check_hull_containment(
@@ -544,7 +550,7 @@ def check_hull_containment(
         raise ValueError(
             "fixed targets are affinely degenerate; no full-dimensional hull"
         )
-    free_indices = np.asarray(free_indices, dtype=np.int64)
+    free_indices = integer_ids(free_indices, "free vertex ids", coords.shape[0])
     if free_indices.size == 0:
         return float("-inf")
     pts = coords[free_indices]
@@ -596,6 +602,9 @@ def _simplex_facets(corners) -> np.ndarray | None:
     return np.column_stack([n, -(facet[:, 0] * n).sum(axis=1)])
 
 
+# orientation_histogram's near-zero volume gate, times (bbox diameter)^d
+NEAR_ZERO_TOL = 1e-12
+
 # the most negative normalized boundary turn (sine of the turn angle) that
 # check_boundary_convexity still counts as convex
 CONVEXITY_TOL = 1e-9
@@ -609,8 +618,8 @@ def check_boundary_convexity(cycle, coords: np.ndarray) -> BoundaryConvexityResu
     loop's dominant winding from the shoelace area. The loop is convex when
     the worst normalized turn is not below -``CONVEXITY_TOL``.
     """
-    cycle = [int(x) for x in cycle]
-    if len(cycle) < 3:
+    cycle = integer_ids(cycle, "boundary cycle vertex ids", len(coords))
+    if cycle.ndim != 1 or len(cycle) < 3:
         raise ValueError("boundary cycle needs at least 3 vertices")
     p = np.asarray(coords, dtype=float)[cycle]
     nxt = np.roll(p, -1, axis=0)
@@ -629,7 +638,7 @@ def check_boundary_convexity(cycle, coords: np.ndarray) -> BoundaryConvexityResu
     return BoundaryConvexityResult(
         convex=convex,
         worst=worst,
-        reflex_vertex=None if convex else cycle[worst_pos],
+        reflex_vertex=None if convex else int(cycle[worst_pos]),
     )
 
 
@@ -645,7 +654,7 @@ def convex_combination_residual(
     largest Euclidean deviation from that identity.
     """
     coords = np.asarray(coords, dtype=float)
-    free_indices = np.asarray(free_indices, dtype=np.int64)
+    free_indices = integer_ids(free_indices, "free vertex ids", coords.shape[0])
     if free_indices.size == 0:
         return 0.0
     # the free rows of the full product equal the product of the extracted
@@ -679,14 +688,16 @@ def audit(
     the outer one, reported as ``outer_simplex`` and left out of the
     counts. Every simplex of an open mesh is audited.
 
-    For d = 2 the orientation histogram runs first. A closed mesh with an
-    outer simplex whose other exact signs all agree, near-zero images
-    included, is decided by the histogram alone: the images' signed areas
-    sum to 0, so the outer loop is simple. An open drawing bounded by one
-    loop whose exact signs all agree is decided on that loop; a one-signed
-    drawing with no loop, on one sweep of all its edges (the certificate of
-    the module docstring). Every other drawing, and one that fails its plane
-    test, gets the full crossing count for its report.
+    For d = 2 the orientation histogram runs first; when the counted images
+    share one sign, the near-zero rows alone take the exact stage to be
+    compared with it. A closed mesh with an outer simplex whose other exact
+    signs all agree, near-zero images included, is decided by the histogram
+    alone: the images' signed areas sum to 0, so the outer loop is simple.
+    An open drawing bounded by one loop whose exact signs all agree is
+    decided on that loop; a one-signed drawing with no loop, on one sweep
+    of all its edges (the certificate of the module docstring). Every other
+    drawing, and one that fails its plane test, gets the full crossing
+    count for its report.
 
     The hull check evaluates only the free vertices that can lie farthest
     outside the fixed targets' hull when the histogram finds one exact sign
@@ -728,13 +739,13 @@ def audit(
     if d == 2:
         cycles = boundary.boundary_cycles
         loop = outer is not None or len(cycles) == 1
-        # near-zero images still meet the degree theorem when their exact
-        # signs agree with the rest; the verdict stays violated below
-        plane = loop and (one_sign or (
-            zero and (pos > 0) != (neg > 0)
-            and _one_exact_sign(mesh, coords, np.flatnonzero(counts.signs == 0),
-                                1 if pos else -1)
-        ))
+        plane = loop and one_sign
+        if loop and zero and (pos > 0) != (neg > 0):
+            # near-zero images still meet the degree theorem when their exact
+            # signs agree with the rest; the verdict stays violated below
+            near = counts.signs == 0
+            exact = exact_orientations(coords, mesh.simplices[near])
+            plane = bool((canonical_orientation(mesh)[near] * exact == (1 if pos else -1)).all())
         # an open mesh's boundary cycle takes the plane test; a closed mesh's
         # outer loop needs none: the exact signed areas of a closed,
         # consistently oriented surface's images sum to 0, so with the rest
@@ -870,19 +881,3 @@ def _free_hull_vertices(coords: np.ndarray, free: np.ndarray) -> np.ndarray:
     except QhullError:
         return free
     return free[np.sort(hull.vertices)]
-
-
-def _one_exact_sign(mesh: SimplicialMesh, coords, near, sign: int) -> bool:
-    """Whether the images of the simplices ``near`` all have the oriented
-    exact sign ``sign`` (+1 or -1).
-
-    The histogram counted these as near-zero and every other audited image
-    with sign ``sign``, so this is the question whether all audited images
-    share one nonzero exact sign, asked of the near-zero rows alone: the
-    filter and the exact stage run on them only.
-    """
-    simplices = mesh.simplices[near]
-    _, signs, undecided = simplex_determinants(coords, simplices)
-    if undecided.any():
-        signs[undecided] = exact_orientations(coords, simplices[undecided])
-    return bool((canonical_orientation(mesh)[near] * signs == sign).all())

@@ -205,6 +205,16 @@ class TestFixedPointSet:
         with pytest.raises(ValueError, match="out of range"):
             make_c1(two_triangles(), 2)
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(0.0), [0]],
+                             ids=["fractional", "bool", "integral-float", "list"])
+    def test_make_c1_takes_one_integer_id(self, bad):
+        # 1.5 and 0.0 used to fail as numpy's IndexError, True as a mismatch
+        # of indices and targets, and [0] as a TypeError of the range check
+        shape = np.shape(bad)
+        what = f"got shape {shape}" if shape else f"got dtype {np.asarray(bad).dtype}"
+        with pytest.raises(ValueError, match=rf"^seed simplex must be .*{re.escape(what)}$"):
+            make_c1(two_triangles(), bad)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="disagree"):
             FixedPointSet(

@@ -129,6 +129,19 @@ class TestCountCrossings:
         with pytest.raises(ValueError, match="finite"):
             count_crossings(edges, coords)
 
+    @pytest.mark.parametrize("edges, match", [
+        ([[0, 1], [2, -1]], r"edge vertex ids -1 out of range \[0, 4\)$"),
+        ([[0, 1], [2, 4]], r"edge vertex ids 4 out of range \[0, 4\)$"),
+        ([[0, 1], [2.9, 3]], "edge vertex ids must be integers, got dtype float64$"),
+        (np.array([[True, False], [False, True]]), "edge vertex ids must be integers, got dtype bool$"),
+    ], ids=["negative", "past-range", "fractional", "bool"])
+    def test_edge_ids_follow_the_id_rule(self, edges, match):
+        # -1 used to wrap to vertex 3, 2.9 to be truncated to 2, a bool
+        # array to be read as ids 0 and 1, and 4 to raise numpy's IndexError
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=match):
+            count_crossings(edges, coords)
+
     def test_matches_integer_oracle_on_lattice(self):
         # independent quadratic oracle in pure integer arithmetic
         def turn(a, b, c):
@@ -363,6 +376,20 @@ class TestCrossingLocations:
         got = crossing_locations(edges, coords, pairs)
         assert got.tobytes() == crossing_locations_loop(edges, coords, pairs).tobytes()
 
+    @pytest.mark.parametrize("edges, pairs, match", [
+        (None, [(0, -1)], r"edge pair ids -1 out of range \[0, 2\)$"),
+        (None, [(0, 2)], r"edge pair ids 2 out of range \[0, 2\)$"),
+        (None, [(0, 1.5)], "edge pair ids must be integers, got dtype float64$"),
+        (None, np.array([[False, True]]), "edge pair ids must be integers, got dtype bool$"),
+        ([[0, 1], [2, -1]], [(0, 1)], r"edge vertex ids -1 out of range \[0, 4\)$"),
+    ], ids=["negative", "past-range", "fractional", "bool", "negative-vertex"])
+    def test_ids_follow_the_id_rule(self, edges, pairs, match):
+        # a negative id used to wrap to the last one, 1.5 to be truncated, a
+        # bool array to be read as ids 0 and 1, and 2 to raise IndexError
+        diagonals, coords = segs(((0, 0), (1, 1)), ((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match=match):
+            crossing_locations(diagonals if edges is None else edges, coords, pairs)
+
     def test_diagonal_intersection_point(self):
         edges, coords = segs(((0, 0), (1, 1)), ((0, 1), (1, 0)))
         res = count_crossings(edges, coords)
@@ -465,13 +492,14 @@ class TestOrientationHistogram:
         assert got.signs.dtype == np.int8 and got.signs.tolist() == signs
 
 
-def two_pass_histogram(mesh, coords, exact, tol):
-    """The orientation histogram in two passes: the near-zero gate on
-    ``signed_volumes``, then the exact signs ``exact`` of the kept rows.
-    Returns the counts and each simplex's oriented sign, 0 where gated."""
+def two_pass_histogram(mesh, coords, exact):
+    """The orientation histogram in two passes: the near-zero gate, 1e-12
+    times diameter^d, on ``signed_volumes``, then the exact signs ``exact``
+    of the kept rows. Returns the counts and each simplex's oriented sign,
+    0 where gated."""
     d = mesh.intrinsic_dim
     vols = signed_volumes(coords, mesh.simplices)
-    kept = ~(np.abs(vols) < tol * bbox_diameter(coords) ** d)
+    kept = ~(np.abs(vols) < 1e-12 * bbox_diameter(coords) ** d)
     s = np.where(kept, canonical_orientation(mesh) * exact, 0)
     pos, neg = int(np.count_nonzero(s > 0)), int(np.count_nonzero(s < 0))
     return (pos, neg, mesh.n_simplices - pos - neg), s.tolist()
@@ -516,34 +544,21 @@ class TestOneFilteredPass:
             _, _, undecided = simplex_determinants(coords, mesh.simplices)
             undecided_rows += int(np.count_nonzero(undecided))
             exact = np.array(simplex_orientations_rational(coords[mesh.simplices]))
+            # every row's exact sign, as the audit asks of its near-zero rows
             assert exact_orientations(coords, mesh.simplices).tolist() == exact.tolist()
-            # tol 0 keeps every row, so the integer stage settles the rows
-            # the filter leaves, as for the loop certificate's exact signs
-            for tol in (1e-12, 0.0):
-                want, signs = two_pass_histogram(mesh, coords, exact, tol)
-                got = orientation_histogram(mesh, coords, tol)
-                assert got == want, (name, tol)
-                assert got.signs.tolist() == signs, (name, tol)
+            want, signs = two_pass_histogram(mesh, coords, exact)
+            got = orientation_histogram(mesh, coords)
+            assert got == want, name
+            assert got.signs.tolist() == signs, name
         assert undecided_rows > 0
 
-    def test_one_exact_sign_counts_near_zero_images(self):
-        # a tiny but correctly oriented image is near zero for the histogram
-        # and still has the one exact sign the loop certificate asks for;
-        # the histogram's pass hands over its near-zero rows to be settled
+    def test_near_zero_gate_is_a_constant(self):
+        assert validity.NEAR_ZERO_TOL == 1e-12
         mesh = grid_mesh(3, 3)
-        coords = np.array(mesh.vertices, dtype=float)
-        coords[4] = [0.5, 1e-13]
-        counts = orientation_histogram(mesh, coords)
-        pos, neg, zero = counts
-        near = np.flatnonzero(counts.signs == 0)
-        assert zero == near.size > 0 and pos and not neg
-        assert validity._one_exact_sign(mesh, coords, near, 1)
-        coords[4] = [0.5, -1e-13]
-        counts = orientation_histogram(mesh, coords)
-        pos, neg, zero = counts
-        near = np.flatnonzero(counts.signs == 0)
-        assert zero == near.size > 0 and pos and not neg
-        assert not validity._one_exact_sign(mesh, coords, near, 1)
+        with pytest.raises(TypeError):
+            orientation_histogram(mesh, mesh.vertices, tol=0.0)
+        with pytest.raises(TypeError):
+            orientation_histogram(mesh, mesh.vertices, 0.0)
 
 
 class TestHullContainment:
@@ -568,6 +583,20 @@ class TestHullContainment:
     def test_no_free_vertices(self):
         v = check_hull_containment(self.square_fps(), np.zeros((4, 2)), [])
         assert v == float("-inf")
+
+    @pytest.mark.parametrize("free, match", [
+        ([4.5], "free vertex ids must be integers, got dtype float64$"),
+        ([-1], r"free vertex ids -1 out of range \[0, 5\)$"),
+        ([True], "free vertex ids must be integers, got dtype bool$"),
+        ([5], r"free vertex ids 5 out of range \[0, 5\)$"),
+    ], ids=["fractional", "negative", "bool", "past-range"])
+    def test_free_ids_follow_the_id_rule(self, free, match):
+        # 4.5 used to be truncated to 4, -1 to wrap to 4, True to be read as
+        # vertex 1, and 5 to raise numpy's IndexError
+        coords = np.zeros((5, 2))
+        coords[4] = [0.5, 0.5]
+        with pytest.raises(ValueError, match=match):
+            check_hull_containment(self.square_fps(), coords, free)
 
     def test_degenerate_targets_rejected(self):
         fps = FixedPointSet(
@@ -825,6 +854,19 @@ class TestBoundaryConvexity:
         with pytest.raises(ValueError, match="at least 3"):
             check_boundary_convexity([0, 1], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("cycle, match", [
+        ([0, 1, 2.5, 3], "boundary cycle vertex ids must be integers, got dtype float64$"),
+        ([0, 1, 2, -1], r"boundary cycle vertex ids -1 out of range \[0, 4\)$"),
+        (np.array([True, False, True]), "boundary cycle vertex ids must be integers, got dtype bool$"),
+        ([0, 1, 2, 4], r"boundary cycle vertex ids 4 out of range \[0, 4\)$"),
+    ], ids=["fractional", "negative", "bool", "past-range"])
+    def test_cycle_ids_follow_the_id_rule(self, cycle, match):
+        # 2.5 used to be truncated to 2, -1 to wrap to 3, True to be read as
+        # vertex 1, and 4 to raise numpy's IndexError
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=match):
+            check_boundary_convexity(cycle, coords)
+
     def test_regular_polygon_worst_is_sine(self):
         p = 8
         ang = np.arange(p) * 2 * np.pi / p
@@ -861,6 +903,19 @@ class TestConvexCombinationResidual:
         mesh = grid_mesh(3, 3)
         graph = build_weights(mesh)
         assert convex_combination_residual(graph, np.zeros((9, 2)), []) == 0.0
+
+    @pytest.mark.parametrize("free, match", [
+        ([6.9], "free vertex ids must be integers, got dtype float64$"),
+        ([-19], r"free vertex ids -19 out of range \[0, 25\)$"),
+        ([True], "free vertex ids must be integers, got dtype bool$"),
+        ([25], r"free vertex ids 25 out of range \[0, 25\)$"),
+    ], ids=["fractional", "negative", "bool", "past-range"])
+    def test_free_ids_follow_the_id_rule(self, free, match):
+        # 6.9 and -19 used to evaluate vertex 6, True vertex 1, and 25 to
+        # raise numpy's IndexError
+        mesh = grid_mesh(5, 5)
+        with pytest.raises(ValueError, match=match):
+            convex_combination_residual(build_weights(mesh), np.asarray(mesh.vertices), free)
 
     @pytest.mark.parametrize(
         "kind, resolution", [("ball3", (3,)), ("sphere", (2,)), ("paraboloid", (10, 10))]
@@ -1503,18 +1558,17 @@ class TestBoundaryCertificate:
         assert full_counts == ([] if certified else [n_edges])
         assert report.to_dict() == expect
 
-    def test_agreeing_near_zero_signs_skip_the_full_count(self, full_counts, monkeypatch):
+    def test_agreeing_near_zero_signs_skip_the_full_count(self, full_counts):
         # round 2 leaves 2 near-zero images at this size, each of exact sign
         # +1 like all the others: violated, yet no edges cross
         mesh, emb = embedded("paraboloid", (150, 150))
         report = audit(mesh, emb)
         assert full_counts == []
         assert report.orientation_counts[1:] == (0, 2)
-        monkeypatch.setattr(validity, "_one_exact_sign", lambda *args: False)
-        forced = audit(mesh, emb)
-        assert full_counts == [mesh_edges(mesh).shape[0]]
-        assert report.to_dict() == forced.to_dict()
-        assert report.to_text() == forced.to_text()
+        full = count_crossings(mesh_edges(mesh), emb.coords)
+        assert (report.crossing_count, report.crossing_pairs) == (full.count, full.pairs) == (0, ())
+        assert report.verdict == "violated"
+        assert report.reasons == ("2 near-degenerate simplex image(s)",)
 
     @pytest.mark.parametrize(
         "lift, calls, crossings", [(1e-13, 0, 0), (-1e-13, 1, 2)], ids=["agrees", "flipped"]
