@@ -68,18 +68,13 @@ def _read(what: str, path):
 
 
 def _parse_resolution(text: str):
-    parts = text.lower().split("x")
+    # GeneratorSpec judges the numbers
     try:
-        values = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"resolution must be an integer or AxB, got {text!r}"
         )
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"resolution entries must be positive, got {text!r}"
-        )
-    return values
 
 
 # ------------------------------------------------------------------ commands

@@ -19,15 +19,21 @@ import numpy as np
 from .geometry import orient2d_signs_xy
 from .simplicial import SimplicialMesh, validate_mesh
 
-GENERATOR_KINDS = (
-    "grid-disk",
-    "paraboloid",
-    "monkey-saddle",
-    "twin-peaks",
-    "swiss-roll",
-    "sphere",
-    "ball3",
-)
+# each surface's latent rectangle (u0, u1, v0, v1) and its lift of the
+# latent (u, v) to (x, y, z)
+_SQUARE = (-1.0, 1.0, -1.0, 1.0)
+_SURFACES = {
+    "grid-disk": (_SQUARE, lambda u, v: (u, v, np.zeros_like(u))),
+    "paraboloid": (_SQUARE, lambda u, v: (u, v, u**2 + v**2)),
+    "monkey-saddle": (_SQUARE, lambda u, v: (u, v, u**3 - 3.0 * u * v**2)),
+    "twin-peaks": (_SQUARE, lambda u, v: (u, v, np.sin(np.pi * u) * np.tanh(3.0 * v))),
+    "swiss-roll": (
+        (1.5 * math.pi, 4.5 * math.pi, 0.0, 10.0),
+        lambda t, h: (t * np.cos(t), h, t * np.sin(t)),
+    ),
+}
+
+GENERATOR_KINDS = (*_SURFACES, "sphere", "ball3")
 
 TRIANGULATIONS = ("structured-grid", "delaunay2d")
 
@@ -36,8 +42,10 @@ TRIANGULATIONS = ("structured-grid", "delaunay2d")
 class GeneratorSpec:
     """Which dataset to generate and at what resolution.
 
-    resolution is (nx, ny) points per axis for surfaces, the subdivision
-    level for the sphere, and cells per axis for the ball.
+    resolution is (nx, ny) points per axis for surfaces, each at least 2,
+    where one number n stands for (n, n) and is stored so; it is one number
+    for the sphere (subdivision level) and the ball (cells per axis). Every
+    entry must be positive; any other resolution raises ValueError.
     """
 
     kind: str
@@ -62,16 +70,16 @@ class GeneratorSpec:
         res = tuple(int(r) for r in res)
         if any(r < 1 for r in res):
             raise ValueError(f"resolution entries must be positive, got {res}")
+        if self.kind in _SURFACES:
+            if len(res) == 1:
+                res = res * 2
+            if len(res) != 2:
+                raise ValueError(f"surface resolution must be nx x ny, got {res}")
+            if min(res) < 2:
+                raise ValueError(f"surface resolution must be at least 2x2, got {res}")
+        elif len(res) != 1:
+            raise ValueError(f"{self.kind} resolution must be one number, got {res}")
         object.__setattr__(self, "resolution", res)
-
-
-# latent (u, v) in [-1, 1]^2 lifted to z = f(u, v)
-_HEIGHT_FUNCTIONS = {
-    "grid-disk": lambda u, v: np.zeros_like(u),
-    "paraboloid": lambda u, v: u**2 + v**2,
-    "monkey-saddle": lambda u, v: u**3 - 3.0 * u * v**2,
-    "twin-peaks": lambda u, v: np.sin(np.pi * u) * np.tanh(3.0 * v),
-}
 
 
 def generate(spec: GeneratorSpec):
@@ -91,26 +99,16 @@ def generate(spec: GeneratorSpec):
     """
     kind = spec.kind
     if kind == "sphere":
-        level = spec.resolution[0]
-        mesh = icosphere(level)
+        mesh = icosphere(spec.resolution[0])
         latent = None
     elif kind == "ball3":
         mesh = ball3(spec.resolution[0])
         latent = mesh.vertices.copy()
-    elif kind == "swiss-roll":
-        nx, ny = _surface_resolution(spec)
-        latent = _latent_points(
-            nx, ny, 1.5 * math.pi, 4.5 * math.pi, 0.0, 10.0, spec
-        )
-        t = latent[:, 0]
-        h = latent[:, 1]
-        verts = np.column_stack([t * np.cos(t), h, t * np.sin(t)])
-        mesh = SimplicialMesh(verts, _triangulate_latent(latent, nx, ny, spec), 2)
     else:
-        nx, ny = _surface_resolution(spec)
-        latent = _latent_points(nx, ny, -1.0, 1.0, -1.0, 1.0, spec)
-        z = _HEIGHT_FUNCTIONS[kind](latent[:, 0], latent[:, 1])
-        verts = np.column_stack([latent[:, 0], latent[:, 1], z])
+        nx, ny = spec.resolution
+        rectangle, lift = _SURFACES[kind]
+        latent = _latent_points(nx, ny, *rectangle, spec)
+        verts = np.column_stack(lift(latent[:, 0], latent[:, 1]))
         mesh = SimplicialMesh(verts, _triangulate_latent(latent, nx, ny, spec), 2)
 
     violations = validate_mesh(mesh)
@@ -120,17 +118,6 @@ def generate(spec: GeneratorSpec):
             f"invalid mesh: {violations[0].detail}"
         )
     return mesh, latent
-
-
-def _surface_resolution(spec: GeneratorSpec) -> tuple[int, int]:
-    res = spec.resolution
-    if len(res) == 1:
-        res = (res[0], res[0])
-    if len(res) != 2:
-        raise ValueError(f"surface resolution must be nx x ny, got {res}")
-    if res[0] < 2 or res[1] < 2:
-        raise ValueError(f"surface resolution must be at least 2x2, got {res}")
-    return res
 
 
 def _latent_points(nx, ny, u0, u1, v0, v1, spec) -> np.ndarray:

@@ -250,12 +250,13 @@ def run_fplm(
     to a regular polygon in one solve. Round 1 pins simplex ``seed_simplex``,
     or the one :func:`select_seed_simplex` picks when it is None; the
     polygon branch pins no simplex and ignores it. Raises ValueError when
-    the mesh fails validation, is not orientable, has multiple boundary
-    loops (d = 2), or ``seed_simplex`` is not one simplex index (a float, a
-    bool or an array included).
+    ``seed_simplex`` is not one simplex index (a float, a bool, an array or
+    an id outside [0, M) included, on either branch), or when the mesh
+    fails validation, is not orientable, or has multiple boundary loops
+    (d = 2).
     """
     if seed_simplex is not None:
-        seed_simplex = integer_id(seed_simplex, "seed_simplex")
+        seed_simplex = integer_id(seed_simplex, "seed simplex", mesh.n_simplices)
     violations = validate_mesh(mesh)
     if violations:
         head = "; ".join(v.detail for v in violations[:3])

@@ -235,17 +235,13 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     verts = verts.astype(float, copy=False)
     if verts.ndim != 2 or verts.shape[1] != ambient_dim:
         raise ValueError("vertex array does not match ambient_dim")
-    # SimplicialMesh's integer-id rule judges the simplices; an int row
-    # holding a bool is handed on as bools, so the rule names that dtype
+    # SimplicialMesh's integer-id rule judges the simplices and their range;
+    # an int row holding a bool is handed on as bools, so the rule names
+    # that dtype
     simplices = np.array(payload["simplices"])
     if simplices.dtype.kind == "i" and maybe_bool and _has_bool(payload["simplices"]):
         simplices = simplices.astype(bool)
-    try:
-        return SimplicialMesh(verts, simplices, payload["intrinsic_dim"])
-    except IndexError as exc:
-        raise ValueError(
-            f"simplex vertex id out of range [0, {verts.shape[0]})"
-        ) from exc
+    return SimplicialMesh(verts, simplices, payload["intrinsic_dim"])
 
 
 def _has_bool(rows) -> bool:

@@ -82,8 +82,8 @@ class SimplicialMesh:
     vertices : (N, l) float array
         Sample coordinates in the ambient space.
     simplices : (M, d+1) int array
-        Vertex indices of each d-simplex; float or bool ids raise
-        ValueError (see :func:`integer_ids`).
+        Vertex indices of each d-simplex; float or bool ids, and ids
+        outside [0, N), raise ValueError (see :func:`integer_ids`).
     intrinsic_dim : int
         Dimension d of the simplices: 2 (triangles) or 3 (tetrahedra), at
         most l. Any other value, or a float or bool, raises ValueError.
@@ -97,7 +97,7 @@ class SimplicialMesh:
     :func:`canonical_orientation` and :func:`validate_mesh` are the one
     entry point of their results and read private caches; the face table
     behind :func:`mesh_faces` is ``_face_table``, whose face parities, side
-    order, side partners and vertex order only this module reads.
+    partners and vertex order only this module reads.
     ``_skeleton``, the symmetric 1-skeleton as one CSR pattern of edge ids,
     is the one sparse structure the graph layer reads: the seed search, and
     the adjacency and Laplacian of every weighted graph over the mesh.
@@ -125,8 +125,7 @@ class SimplicialMesh:
             raise ValueError(
                 f"simplices must have {d + 1} vertices each, got {s.shape[1]}"
             )
-        if s.size and (s.min() < 0 or s.max() >= v.shape[0]):
-            raise IndexError("simplex vertex index out of range")
+        integer_ids(s, "simplex vertex ids", v.shape[0])
         v.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -192,7 +191,6 @@ class SimplicialMesh:
             faces=_frozen(np.column_stack([c[first] for c in cols])),
             counts=_frozen(counts),
             parity=_frozen(np.where(odd, -1, 1).astype(np.int8).reshape(s.shape)),
-            order=_frozen(order),
             # in scipy's graph index type, wide enough for the star graph's
             # width slots per side (the cover has two)
             partner=_frozen(_side_partners(order, counts, _index_type(width * sides))),
@@ -311,7 +309,8 @@ class FaceTable:
     One int64 key per sorted row, the dense rank of its prefix times n plus
     its next column, is ranked again column by column; the last rank
     numbers the unique rows in lexicographic order. One sort of
-    ``rank * S + side`` then groups the sides by face.
+    ``rank * S + side`` then groups the sides by face, and ``partner`` is
+    read off that grouping.
 
     faces : (K, d) int array
         Unique faces, each row sorted ascending, rows in lexicographic order.
@@ -323,10 +322,6 @@ class FaceTable:
         swaps, times (-1)^k. The two simplices of a consistently oriented
         interior face induce opposite parities once multiplied by their
         orientation signs.
-    order : (S,) int array
-        The sides grouped by face: the sort that built the table, so the
-        sides of face f are ``order[start:start + counts[f]]`` with ``start
-        = counts[:f].sum()``, in ascending order.
     partner : (S,) int array
         The side that follows each side on its face, cyclically (see
         :func:`_side_partners`), in the index type of scipy's graphs. Both
@@ -342,7 +337,6 @@ class FaceTable:
     faces: np.ndarray
     counts: np.ndarray
     parity: np.ndarray
-    order: np.ndarray
     partner: np.ndarray
     local: np.ndarray
 
@@ -598,9 +592,10 @@ def _index_type(size: int):
 def _side_partners(order: np.ndarray, counts: np.ndarray, index) -> np.ndarray:
     """The side that follows each side on its face, cyclically.
 
-    The sides of each face are joined in a cycle in the face table's
-    ``order``: the two sides of an interior face are each other's partner,
-    and a boundary side is its own.
+    ``order`` lists the sides grouped by face, as the face table's sort
+    leaves them, and the sides of each face are joined in a cycle in that
+    order: the two sides of an interior face are each other's partner, and
+    a boundary side is its own.
     """
     ends = np.cumsum(counts)
     after = np.arange(1, order.size + 1)  # the position after each in ``order``

@@ -46,6 +46,22 @@ class TestGenerate:
         assert out.exists()
         assert not (tmp_path / "sphere.latent.csv").exists()
 
+    @pytest.mark.parametrize("kind, resolution, message", [
+        ("sphere", "2x5", "sphere resolution must be one number, got (2, 5)"),
+        ("ball3", "3x9", "ball3 resolution must be one number, got (3, 9)"),
+        ("paraboloid", "4x4x4", "surface resolution must be nx x ny, got (4, 4, 4)"),
+        ("grid-disk", "0", "resolution entries must be positive, got (0,)"),
+    ], ids=["sphere-2x5", "ball3-3x9", "paraboloid-4x4x4", "grid-disk-0"])
+    def test_resolution_judged_by_the_spec(self, tmp_path, capsys, kind, resolution, message):
+        # the sphere and the ball take one number, which used to build
+        # sphere 2 and ball3 3 from the first entry; a nonpositive entry is
+        # refused by the spec too, through main's one error line
+        argv = ["generate", "--kind", kind, "--resolution", resolution,
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_creates_parent_directories(self, tmp_path):
         out = tmp_path / "a" / "b" / "mesh.json"
         rc = main(
@@ -174,6 +190,19 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert err == f"error: seed simplex {seed} out of range [0, 320)\n"
         assert not emb.exists()
+
+    @pytest.mark.parametrize("seed", ["99999", "-1"])
+    def test_polygon_branch_judges_seed_simplex(self, tmp_path, capsys, seed):
+        # grid-disk 2x6 takes the regular-polygon branch, which pins no
+        # simplex; it used to ignore the seed, exit 0 and record it
+        mesh, emb, rc = run_pipeline(
+            tmp_path, resolution="2x6", extra_embed=("--seed-simplex", seed)
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seed simplex {seed} out of range [0, 10)\n"
+        assert not emb.exists()
+        assert not (tmp_path / "emb.csv.manifest.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         mesh, emb, rc = run_pipeline(tmp_path)
@@ -347,7 +376,7 @@ class TestEmbed:
         [
             (2.7, "vertex ids must be integers"),
             (2**70, "vertex ids must be integers"),
-            (10**6, "vertex id out of range"),
+            (10**6, "vertex ids 1000000 out of range"),
         ],
     )
     def test_bad_simplex_id_returns_2(self, tmp_path, capsys, entry, message):

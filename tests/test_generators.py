@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,25 @@ class TestGeneratorSpec:
     def test_nonpositive_resolution(self):
         with pytest.raises(ValueError, match="positive"):
             GeneratorSpec("grid-disk", (0, 4))
+
+    @pytest.mark.parametrize("kind, resolution, message", [
+        ("sphere", (2, 5), "sphere resolution must be one number, got (2, 5)"),
+        ("ball3", (3, 9), "ball3 resolution must be one number, got (3, 9)"),
+        ("sphere", (), "sphere resolution must be one number, got ()"),
+        ("paraboloid", (4, 4, 4), "surface resolution must be nx x ny, got (4, 4, 4)"),
+        ("swiss-roll", (3, 1), "surface resolution must be at least 2x2, got (3, 1)"),
+    ], ids=["sphere-2x5", "ball3-3x9", "sphere-empty", "paraboloid-4x4x4", "swiss-roll-3x1"])
+    def test_resolution_entry_count_judged_by_the_spec(self, kind, resolution, message):
+        # the spec refuses what generate used to refuse, or silently cut to
+        # its first entry for the sphere and the ball
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec(kind, resolution)
+
+    def test_surface_resolution_stored_as_nx_ny(self):
+        assert GeneratorSpec("paraboloid", 5).resolution == (5, 5)
+        assert GeneratorSpec("twin-peaks", (4,)).resolution == (4, 4)
+        assert GeneratorSpec("swiss-roll", (6, 3)).resolution == (6, 3)
+        assert GeneratorSpec("ball3", (3,)).resolution == (3,)
 
 
 def grid_loop(nx, ny):

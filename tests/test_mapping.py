@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from fplm import solver
-from fplm.generators import ball3, icosphere, structured_grid_triangles
+from fplm.generators import GeneratorSpec, ball3, generate, icosphere, structured_grid_triangles
 from fplm.laplacian import assemble_system, build_weights
 from fplm.mapping import (
     FixedPointSet,
@@ -111,12 +111,23 @@ class TestSelectSeedSimplex:
             with pytest.raises(ValueError, match=rf"seed simplex {bad} out of range \[0, 8\)"):
                 run_fplm(mesh, seed_simplex=bad)
 
+    @pytest.mark.parametrize("bad", [99999, -1])
+    def test_polygon_branch_judges_the_seed(self, bad):
+        # grid-disk 2x6 has dividing edges, so round 1 pins its boundary
+        # loop and no simplex; the seed is judged all the same, where this
+        # branch used to ignore it unchecked
+        mesh, _ = generate(GeneratorSpec("grid-disk", (2, 6)))
+        emb = run_fplm(mesh, seed_simplex=3)
+        assert (emb.branch, emb.seed_simplex) == ("p-gon", None)
+        with pytest.raises(ValueError, match=rf"^seed simplex {bad} out of range \[0, 10\)$"):
+            run_fplm(mesh, seed_simplex=bad)
+
     @pytest.mark.parametrize("bad", [1.0, 1.5, True, np.float64(2.0)])
     def test_non_integer_seed_rejected(self, bad):
         # 1.0 used to fail as numpy's IndexError, and True as a mismatch of
         # indices and targets; neither is a simplex index
         dtype = np.asarray(bad).dtype
-        with pytest.raises(ValueError, match=f"^seed_simplex must be an integer, "
+        with pytest.raises(ValueError, match=f"^seed simplex must be an integer, "
                                              f"got dtype {dtype}$"):
             run_fplm(grid_mesh(3, 3), seed_simplex=bad)
 
@@ -124,7 +135,7 @@ class TestSelectSeedSimplex:
     def test_non_scalar_seed_rejected(self, bad):
         # numpy's scalar conversion used to raise TypeError here
         shape = re.escape(str(np.shape(bad)))
-        with pytest.raises(ValueError, match=f"^seed_simplex must be one integer, got shape {shape}$"):
+        with pytest.raises(ValueError, match=f"^seed simplex must be one integer, got shape {shape}$"):
             run_fplm(grid_mesh(3, 3), seed_simplex=bad)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
@@ -134,7 +145,7 @@ class TestSelectSeedSimplex:
 
     def test_unsigned_seed_past_int64_is_named(self):
         # a cast would wrap 2**63 + 5 to a negative simplex index
-        with pytest.raises(ValueError, match=rf"^seed_simplex must fit in int64, "
+        with pytest.raises(ValueError, match=rf"^seed simplex must fit in int64, "
                                              rf"got {2**63 + 5}$"):
             run_fplm(grid_mesh(3, 3), seed_simplex=np.uint64(2**63 + 5))
 

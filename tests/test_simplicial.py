@@ -70,10 +70,13 @@ class TestSimplicialMesh:
             m.simplices[0, 0] = 2
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            SimplicialMesh(
-                np.zeros((3, 2)), np.array([[0, 1, 3]]), 2
-            )
+        # integer_ids judges the range as it judges the dtype, after the
+        # shape checks; the mesh used to raise an IndexError of its own
+        for bad in (3, 5, -1):
+            with pytest.raises(ValueError, match=rf"^simplex vertex ids {bad} out of range \[0, 3\)$"):
+                SimplicialMesh(np.zeros((3, 2)), np.array([[0, 1, bad]]), 2)
+        with pytest.raises(ValueError, match="^simplices must have 3 vertices each, got 2$"):
+            SimplicialMesh(np.zeros((3, 2)), np.array([[0, 9]]), 2)
 
     @pytest.mark.parametrize("simplices", [[[0.5, 1, 2]], np.array([[0.0, 1.0, 2.0]]),
                                            np.array([[True, False, True]])],
@@ -815,16 +818,16 @@ class TestVectorisedTopology:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(SMALL_MESHES)), st.integers(0, 2**32 - 1))
     def test_orientation_reads_the_face_table_order(self, name, seed):
-        # the signs equal those of a double cover grouped by a fresh stable
-        # argsort of each side's face id, the grouping the table's sort
-        # order replaces
+        # the table's side partners equal those of a brute-force grouping of
+        # the sides by face id, and the signs make the two sides of every
+        # interior face induce opposite orientations
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(seed))
         table = mesh._face_table
-        regrouped = np.argsort(unique_rows_face_table(mesh)[2].ravel(), kind="stable")
-        assert np.array_equal(table.order, regrouped)
+        partner = face_partners(unique_rows_face_table(mesh)[2])
+        assert np.array_equal(table.partner, partner)
         width = mesh.intrinsic_dim + 1
-        start = (np.cumsum(table.counts) - table.counts)[table.counts == 2]
-        p1, p2 = regrouped[start], regrouped[start + 1]
+        p1 = np.flatnonzero(partner > np.arange(partner.size))  # first of two sides
+        p2 = partner[p1]
         m1, m2 = p1 // width, p2 // width
         sign = canonical_orientation(mesh)
         parity = table.parity.ravel()
@@ -866,7 +869,6 @@ class TestVectorisedTopology:
             faces,
             counts,
             table.parity,
-            table.order,
             mesh_edges(mesh),
             boundary.boundary_faces,
             boundary.boundary_vertices,
@@ -879,9 +881,9 @@ class TestVectorisedTopology:
                 array.reshape(-1)[:1] = 0
         # repeated calls hand out the same cached objects
         assert mesh_faces(mesh)[0] is faces
-        assert mesh_edges(mesh) is cached[4]
+        assert mesh_edges(mesh) is cached[3]
         assert detect_boundary(mesh) is boundary
-        assert canonical_orientation(mesh) is cached[7]
+        assert canonical_orientation(mesh) is cached[6]
 
     @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
     def test_face_table_matches_brute_force_incidence(self, name):
@@ -890,7 +892,7 @@ class TestVectorisedTopology:
         # three a tetrahedron's face
         mesh = relabel(SMALL_MESHES[name], np.random.default_rng(2))
         table = mesh._face_table
-        face_of = table_face_of(table)
+        face_of = table_face_of(mesh)
         d = mesh.intrinsic_dim
         incidence = {}
         for m, simplex in enumerate(mesh.simplices.tolist()):
@@ -919,13 +921,27 @@ def unique_rows_face_table(mesh):
     return faces, counts, inverse.reshape(mesh.simplices.shape)
 
 
-def table_face_of(table):
-    """The row of ``faces`` holding each simplex side, read off the table's
-    grouping: the sides ``order`` lists for face f are ``counts[f]`` in a
-    row."""
-    face_of = np.empty_like(table.order)
-    face_of[table.order] = np.repeat(np.arange(table.counts.size), table.counts)
-    return face_of.reshape(table.parity.shape)
+def table_face_of(mesh):
+    """The row of the table's ``faces`` holding each simplex side, looked up
+    by the side's vertices in the table's ``local`` order."""
+    table = mesh._face_table
+    sides = np.repeat(mesh.simplices, mesh.intrinsic_dim + 1, axis=0)
+    rows = np.take_along_axis(sides, table.local.astype(np.intp), axis=1)
+    row_of = {face: f for f, face in enumerate(map(tuple, table.faces.tolist()))}
+    face_of = [row_of[row] for row in map(tuple, rows.tolist())]
+    return np.array(face_of, dtype=np.intp).reshape(table.parity.shape)
+
+
+def face_partners(face_of):
+    """Reference side partners: each side's next side on its face, in side
+    order and cyclically, from a brute-force grouping of the sides by face."""
+    sides = {}
+    for p, f in enumerate(face_of.ravel().tolist()):
+        sides.setdefault(f, []).append(p)
+    partner = np.empty(face_of.size, dtype=np.int64)
+    for group in sides.values():
+        partner[group] = group[1:] + group[:1]
+    return partner
 
 
 @st.composite
@@ -957,14 +973,14 @@ class TestSortedFaceTable:
         table = mesh._face_table
         faces, counts, face_of = unique_rows_face_table(mesh)
         for got, want in ((table.faces, faces), (table.counts, counts),
-                          (table_face_of(table), face_of)):
+                          (table_face_of(mesh), face_of)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        # the kept sort order groups the sides by face, ties in side order
-        assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
+        # the partners join each face's sides in a cycle, in side order
+        assert np.array_equal(table.partner, face_partners(face_of))
         # each side's vertex order is a stable sort of the other columns of
         # its simplex by vertex id: tied vertices stay in column order
-        side = np.arange(table.order.size)
+        side = np.arange(face_of.size)
         others = np.array([[j for j in range(d + 1) if j != k] for k in side % (d + 1)])
         ids = np.take_along_axis(mesh.simplices[side // (d + 1)], others, 1)
         by_id = np.argsort(ids, axis=1, kind="stable")
@@ -984,8 +1000,8 @@ class TestSortedFaceTable:
         assert (faces.max(axis=0) >= n - 6).all()
         assert np.array_equal(table.faces, faces)
         assert np.array_equal(table.counts, counts)
-        assert np.array_equal(table_face_of(table), face_of)
-        assert np.array_equal(table.order, np.argsort(face_of.ravel(), kind="stable"))
+        assert np.array_equal(table_face_of(mesh), face_of)
+        assert np.array_equal(table.partner, face_partners(face_of))
 
     @settings(max_examples=150, deadline=None)
     @given(random_simplices())
@@ -1006,7 +1022,7 @@ class TestSortedFaceTable:
         faces, counts = mesh_faces(mesh)
         assert faces.shape == (0, 2) and counts.shape == (0,)
         assert mesh._face_table.parity.shape == (0, 3)
-        assert mesh._face_table.order.shape == (0,)
+        assert mesh._face_table.partner.shape == (0,)
 
 
 class TestEulerFormula:
