@@ -5,7 +5,7 @@ map into R^3, and triangulate either on a structured grid or with a
 Delaunay triangulation (qhull) of jittered samples. The sphere generator
 subdivides an icosahedron; the ball generator splits a cube grid into
 tetrahedra and maps the result onto the exact unit ball shell by shell.
-Every generated mesh passes validate_mesh.
+Every generated mesh passes validate_mesh, which the tests check, not generate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import orient2d_signs_xy
-from .simplicial import SimplicialMesh, validate_mesh
+from .simplicial import SimplicialMesh, integer_id
 
 # each surface's latent rectangle (u0, u1, v0, v1) and its lift of the
 # latent (u, v) to (x, y, z)
@@ -45,7 +45,8 @@ class GeneratorSpec:
     resolution is (nx, ny) points per axis for surfaces, each at least 2,
     where one number n stands for (n, n) and is stored so; it is one number
     for the sphere (subdivision level) and the ball (cells per axis). Every
-    entry must be positive; any other resolution raises ValueError.
+    entry must be a positive integer and seed a non-negative one, by the
+    rule of :func:`~fplm.simplicial.integer_id`; anything else raises ValueError.
     """
 
     kind: str
@@ -64,10 +65,9 @@ class GeneratorSpec:
                 f"unknown triangulation {self.triangulation!r}; choose from "
                 f"{TRIANGULATIONS}"
             )
+        # one entry at a time: an array would promote uint64 with int64 to float
         res = self.resolution
-        if isinstance(res, (int, np.integer)):
-            res = (int(res),)
-        res = tuple(int(r) for r in res)
+        res = tuple(integer_id(r, "resolution") for r in (res if np.ndim(res) else (res,)))
         if any(r < 1 for r in res):
             raise ValueError(f"resolution entries must be positive, got {res}")
         if self.kind in _SURFACES:
@@ -79,11 +79,18 @@ class GeneratorSpec:
                 raise ValueError(f"surface resolution must be at least 2x2, got {res}")
         elif len(res) != 1:
             raise ValueError(f"{self.kind} resolution must be one number, got {res}")
+        seed = integer_id(self.seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         object.__setattr__(self, "resolution", res)
+        object.__setattr__(self, "seed", seed)
 
 
 def generate(spec: GeneratorSpec):
     """Build the requested mesh together with its latent coordinates.
+
+    The spec has judged every field; the mesh is judged where it is
+    embedded (:func:`~fplm.mapping.run_fplm` validates it), not here.
 
     Returns
     -------
@@ -91,11 +98,6 @@ def generate(spec: GeneratorSpec):
     latent : (N, k) array or None
         Ground-truth latent coordinates where a global chart exists (all
         surfaces and the ball); None for the sphere.
-
-    Raises
-    ------
-    ValueError
-        For resolutions too low to produce a valid, non-degenerate mesh.
     """
     kind = spec.kind
     if kind == "sphere":
@@ -109,14 +111,9 @@ def generate(spec: GeneratorSpec):
         rectangle, lift = _SURFACES[kind]
         latent = _latent_points(nx, ny, *rectangle, spec)
         verts = np.column_stack(lift(latent[:, 0], latent[:, 1]))
-        mesh = SimplicialMesh(verts, _triangulate_latent(latent, nx, ny, spec), 2)
-
-    violations = validate_mesh(mesh)
-    if violations:
-        raise ValueError(
-            f"generator {kind!r} at resolution {spec.resolution} produced an "
-            f"invalid mesh: {violations[0].detail}"
-        )
+        grid = spec.triangulation == "structured-grid"
+        tris = structured_grid_triangles(nx, ny) if grid else delaunay2d(latent)
+        mesh = SimplicialMesh(verts, tris, 2)
     return mesh, latent
 
 
@@ -135,12 +132,6 @@ def _latent_points(nx, ny, u0, u1, v0, v1, spec) -> np.ndarray:
         )
         pts[interior] += jitter[interior]
     return pts
-
-
-def _triangulate_latent(latent, nx, ny, spec) -> np.ndarray:
-    if spec.triangulation == "structured-grid":
-        return structured_grid_triangles(nx, ny)
-    return np.asarray(delaunay2d(latent), dtype=np.int64)
 
 
 def structured_grid_triangles(nx: int, ny: int) -> np.ndarray:
@@ -191,6 +182,7 @@ def icosphere(level: int) -> SimplicialMesh:
     Level k has 10 * 4^k + 2 vertices and 20 * 4^k consistently oriented
     triangles; level 0 is the icosahedron itself.
     """
+    level = integer_id(level, "subdivision level")
     if level < 0:
         raise ValueError("subdivision level must be nonnegative")
     verts, faces = _icosahedron()
@@ -252,6 +244,7 @@ def ball3(resolution: int) -> SimplicialMesh:
     diagonal induced on a face depends only on the mirror flips of the two
     in-face axes, and adjacent cells span the same range there.
     """
+    resolution = integer_id(resolution, "ball3 resolution")
     if resolution < 2:
         raise ValueError("ball3 needs at least 2 cells per axis")
     n = resolution + 1
@@ -278,7 +271,7 @@ def ball3(resolution: int) -> SimplicialMesh:
     return SimplicialMesh(verts * scale[:, None], tets, 3)
 
 
-def delaunay2d(points) -> list[tuple[int, int, int]]:
+def delaunay2d(points) -> np.ndarray:
     """Delaunay triangulation of distinct planar points, by qhull.
 
     Each triangle is oriented counterclockwise with the exact
@@ -286,9 +279,9 @@ def delaunay2d(points) -> list[tuple[int, int, int]]:
     comes last, and the triangles are sorted. Cocircular ties are resolved
     by qhull, deterministically for a given input.
 
-    Returns counterclockwise triangles over the input points. Raises for
-    fewer than 3 points, duplicate points (which qhull would silently
-    drop), or an all-collinear input.
+    Returns the (M, 3) int64 array of counterclockwise triangles over the
+    input points. Raises ValueError for fewer than 3 points, duplicate
+    points (which qhull would silently drop), or an all-collinear input.
     """
     from scipy.spatial import Delaunay, QhullError
 
@@ -311,5 +304,4 @@ def delaunay2d(points) -> list[tuple[int, int, int]]:
     # a cyclic shift keeps the orientation; put the largest index last
     shift = np.argmax(tris, axis=1) + 1
     tris = np.take_along_axis(tris, (shift[:, None] + np.arange(3)) % 3, axis=1)
-    tris = tris[np.lexsort(tris.T[::-1])]
-    return list(map(tuple, tris.tolist()))
+    return tris[np.lexsort(tris.T[::-1])]

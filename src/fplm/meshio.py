@@ -226,10 +226,11 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     # (true -> 1), and the text test keeps the per-entry scan for it off
     # bool-free meshes
     maybe_bool = "true" in text or "false" in text
+    # numpy raises ValueError here only for rows of unequal length or depth
     try:
         verts = np.array(payload["vertices"])
-    except ValueError as exc:
-        raise ValueError(f"vertices must be rows of numbers: {exc}") from None
+    except ValueError:
+        raise ValueError("vertices must be rows of numbers of one length") from None
     if verts.dtype.kind not in "if" or maybe_bool and _has_bool(payload["vertices"]):
         raise ValueError("vertices must be rows of numbers (no strings, nulls or bools)")
     verts = verts.astype(float, copy=False)
@@ -238,7 +239,10 @@ def mesh_from_json(text: str) -> SimplicialMesh:
     # SimplicialMesh's integer-id rule judges the simplices and their range;
     # an int row holding a bool is handed on as bools, so the rule names
     # that dtype
-    simplices = np.array(payload["simplices"])
+    try:
+        simplices = np.array(payload["simplices"])
+    except ValueError:
+        raise ValueError("simplices must be rows of vertex ids of one length") from None
     if simplices.dtype.kind == "i" and maybe_bool and _has_bool(payload["simplices"]):
         simplices = simplices.astype(bool)
     return SimplicialMesh(verts, simplices, payload["intrinsic_dim"])

@@ -217,7 +217,7 @@ def test_criterion_08_solver_oracle_equivalence(monkeypatch):
     for trial in range(20):
         n = int(rng.integers(30, 400))
         pts = rng.uniform(-1.0, 1.0, size=(n, 2))
-        mesh = SimplicialMesh(pts, np.asarray(delaunay2d(pts)), 2)
+        mesh = SimplicialMesh(pts, delaunay2d(pts), 2)
         graph = build_weights(mesh)
         bverts = detect_boundary(mesh).boundary_vertices
         system = assemble_system(graph, bverts)

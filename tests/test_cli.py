@@ -62,6 +62,16 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("triangulation", ["structured-grid", "delaunay2d"])
+    def test_negative_seed_judged_by_the_spec(self, tmp_path, capsys, triangulation):
+        # the structured grid used to take -1, and delaunay2d printed
+        # numpy's "expected non-negative integer"
+        argv = ["generate", "--kind", "paraboloid", "--resolution", "4x4", "--seed", "-1",
+                "--triangulation", triangulation, "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_creates_parent_directories(self, tmp_path):
         out = tmp_path / "a" / "b" / "mesh.json"
         rc = main(
@@ -763,6 +773,28 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, message", [
+        ("vertices", "vertices must be rows of numbers of one length"),
+        ("simplices", "simplices must be rows of vertex ids of one length"),
+    ], ids=["vertices", "simplices"])
+    def test_ragged_rows_are_input_errors(self, tmp_path, capsys, field, message):
+        # one row two entries short: the package's own message, not numpy's
+        mesh, emb, rc = run_pipeline(tmp_path)
+        assert rc == 0
+        blob = json.loads(mesh.read_text())
+        blob[field][3] = blob[field][3][:-2]
+        ragged = tmp_path / "ragged.json"
+        ragged.write_text(json.dumps(blob))
+        capsys.readouterr()
+        for argv in (
+            ["embed", "--mesh", str(ragged), "--out", str(tmp_path / "e.csv")],
+            ["validate", "--mesh", str(ragged), "--embedding", str(emb)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: cannot read mesh {ragged}: {message}\n"
+        assert not (tmp_path / "e.csv").exists()
 
     def test_overflowing_coordinates_are_input_errors(self, tmp_path, capsys):
         # ball3 2 scaled by 1e103: its bounding-box diameter cubed is not a

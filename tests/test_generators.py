@@ -9,6 +9,7 @@ import pytest
 
 from delaunay_oracle import incircle
 from fplm.generators import (
+    GENERATOR_KINDS,
     GeneratorSpec,
     _icosahedron,
     _kuhn_tets,
@@ -59,6 +60,37 @@ class TestGeneratorSpec:
         # its first entry for the sphere and the ball
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GeneratorSpec(kind, resolution)
+
+    @pytest.mark.parametrize("kind, resolution", [
+        ("sphere", (2.7,)), ("grid-disk", (4.9, 4)), ("sphere", True),
+        ("sphere", 1.5), ("sphere", np.float64(3)), ("sphere", "3"),
+    ], ids=["2.7", "4.9x4", "true", "1.5", "float64-3", "string-3"])
+    def test_non_integer_resolution_refused(self, kind, resolution):
+        # int() used to truncate 2.7 to level 2 and read True as level 1
+        with pytest.raises(ValueError, match="^resolution must be an integer"):
+            GeneratorSpec(kind, resolution)
+
+    @pytest.mark.parametrize("entry", [np.int8, np.uint16, np.int32, np.uint64, np.int64, int])
+    def test_integers_of_any_width_stored_as_python_ints(self, entry):
+        assert GeneratorSpec("sphere", entry(2)).resolution == (2,)
+        spec = GeneratorSpec("paraboloid", (entry(3), np.int16(4)), seed=entry(5))
+        assert spec.resolution == (3, 4) and spec.seed == 5
+        assert all(type(r) is int for r in (*spec.resolution, spec.seed))
+        # numpy entries keep the plain (2, 5) in the refusal
+        with pytest.raises(ValueError, match=r"^sphere resolution must be one number, got \(2, 5\)$"):
+            GeneratorSpec("sphere", (entry(2), entry(5)))
+
+    @pytest.mark.parametrize("triangulation", ["structured-grid", "delaunay2d"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got dtype float64"),
+        (True, "seed must be an integer, got dtype bool"),
+    ], ids=["-1", "1.5", "true"])
+    def test_bad_seed_refused_on_both_triangulations(self, triangulation, seed, message):
+        # the structured grid used to take any seed, and delaunay2d left it
+        # to numpy's generator
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorSpec("paraboloid", (4, 4), seed=seed, triangulation=triangulation)
 
     def test_surface_resolution_stored_as_nx_ny(self):
         assert GeneratorSpec("paraboloid", 5).resolution == (5, 5)
@@ -211,6 +243,12 @@ class TestIcosphere:
         sign = canonical_orientation(icosphere(1))
         assert set(sign.tolist()) <= {-1, 1}
 
+    @pytest.mark.parametrize("level", [True, 2.5], ids=["true", "2.5"])
+    def test_non_integer_level_rejected(self, level):
+        # True used to build level 1, and 2.5 raised numpy's TypeError
+        with pytest.raises(ValueError, match="^subdivision level must be an integer"):
+            icosphere(level)
+
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             icosphere(-1)
@@ -321,6 +359,10 @@ class TestBall3:
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="at least 2"):
             ball3(1)
+
+    def test_non_integer_resolution_rejected(self):
+        with pytest.raises(ValueError, match="^ball3 resolution must be an integer"):
+            ball3(3.0)
 
     def test_res2_counts(self):
         mesh = ball3(2)
@@ -450,12 +492,16 @@ class TestDelaunay2d:
         # (0, 1, 2) is a hull triangle whose circumcircle (radius ~5,000)
         # holds no other point; a finite super-triangle would lose it
         pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1e-4], [0.0, -1.0]])
-        assert delaunay2d(pts) == [(1, 0, 2), (1, 2, 3), (2, 0, 3)]
+        tris = delaunay2d(pts)
+        assert tris.dtype == np.int64
+        np.testing.assert_array_equal(tris, [[1, 0, 2], [1, 2, 3], [2, 0, 3]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(size=(20, 2))
-        assert delaunay2d(pts) == delaunay2d(pts)
+        tris = delaunay2d(pts)
+        assert tris.shape[1] == 3
+        assert tris.tobytes() == delaunay2d(pts).tobytes()
 
     def test_duplicate_points_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -489,15 +535,12 @@ class TestGenerate:
         np.testing.assert_array_equal(latent, mesh.vertices)
 
     def test_all_kinds_produce_valid_meshes(self):
-        cases = {
-            "grid-disk": (4, 4),
-            "paraboloid": (4, 4),
-            "monkey-saddle": (4, 4),
-            "twin-peaks": (4, 4),
-            "swiss-roll": (6, 4),
-            "sphere": (1,),
-            "ball3": (2,),
-        }
-        for kind, res in cases.items():
-            mesh, _ = generate(GeneratorSpec(kind, res))
-            assert validate_mesh(mesh) == [], kind
+        # generate does not judge its own output, so this is where the
+        # guarantee lives; the triangulation and seed move surfaces only
+        for kind in GENERATOR_KINDS:
+            sizes = {"sphere": [(1,), (3,)], "ball3": [(2,), (5,)]}.get(kind, [(3, 3), (9, 7)])
+            for resolution, triangulation, seed in itertools.product(
+                sizes, ("structured-grid", "delaunay2d"), range(3)
+            ):
+                spec = GeneratorSpec(kind, resolution, seed=seed, triangulation=triangulation)
+                assert validate_mesh(generate(spec)[0]) == [], spec

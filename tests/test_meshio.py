@@ -271,6 +271,22 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="vertices must be rows of numbers"):
             mesh_from_json(blob)
 
+    @pytest.mark.parametrize("field, rows, message", [
+        ("vertices", "[[0, 0], [1], [0, 1]]", "vertices must be rows of numbers of one length"),
+        ("vertices", "[[0, 0], [1, [0]], [0, 1]]", "vertices must be rows of numbers of one length"),
+        ("simplices", "[[0, 1, 2], [1, 3]]", "simplices must be rows of vertex ids of one length"),
+        ("simplices", "[[0, 1, 2], [1, 3, [2]]]", "simplices must be rows of vertex ids of one length"),
+    ], ids=["vertices-short-row", "vertices-nested-entry", "simplices-short-row",
+            "simplices-nested-entry"])
+    def test_ragged_rows_get_one_message(self, field, rows, message):
+        # numpy's "setting an array element with a sequence ..." used to be
+        # the whole simplices message and the tail of the vertices one
+        payload = {"ambient_dim": 2, "intrinsic_dim": 2,
+                   "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]], "simplices": [[0, 1, 2]]}
+        payload[field] = json.loads(rows)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mesh_from_json(json.dumps(payload))
+
     def test_dim_mismatch(self):
         blob = (
             '{"ambient_dim": 3, "intrinsic_dim": 2,'

@@ -716,16 +716,19 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("kind", ["paraboloid", "sphere", "ball3"])
     def test_generated_mesh_is_validated_once(self, kind, monkeypatch):
-        # generate validates and the result stays on the mesh, so run_fplm
-        # and validate_mesh make no second star or cover pass
+        # generate judges none of its output; run_fplm validates the mesh
+        # (star graph, then cover), and the audit and validate_mesh read
+        # the cached result
         resolution = {"sphere": (2,), "ball3": (3,)}.get(kind, (6, 5))
-        mesh = generate(GeneratorSpec(kind, resolution))[0]
-        assert mesh.__dict__["_violations"] == ()
         calls = count_component_passes(monkeypatch)
-        run_fplm(mesh)
+        mesh = generate(GeneratorSpec(kind, resolution))[0]
         assert calls == []
+        assert "_violations" not in mesh.__dict__
+        embedding = run_fplm(mesh)
+        assert len(calls) == 2
+        assert audit(mesh, embedding).verdict == "injective-certified"
         assert validate_mesh(mesh) == []
-        assert calls == []
+        assert len(calls) == 2
 
     def test_violations_are_cached_and_callers_get_copies(self, monkeypatch):
         verts = np.array(

@@ -1506,7 +1506,7 @@ class TestBoundaryCertificate:
         rng = np.random.default_rng(seed)
         radius, angle = np.sqrt(rng.uniform(size=n)), rng.uniform(0, 2 * np.pi, n)
         pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-        mesh = SimplicialMesh(pts, np.asarray(delaunay2d(pts)), 2)
+        mesh = SimplicialMesh(pts, delaunay2d(pts), 2)
         coords = pts + amplitude / np.sqrt(n) * rng.normal(size=pts.shape)
         assert_matches_full_count(audit(mesh, coords), mesh, coords)
 
